@@ -25,8 +25,10 @@ Throughput is data bytes divided by the best-of-``repeats`` wall time.
 Results land in ``BENCH_encode_throughput.json`` at the repo root (or
 ``--output``).  The quick mode doubles as the tier-2 smoke test: it asserts
 the fast path keeps its measured advantage over the pre-optimisation
-bitmatrix baseline and over the field path, with payload-aware floors (see
-``QUICK_MIN_SPEEDUP_VS_REFERENCE`` below).
+bitmatrix baseline, with payload-aware floors (see
+``QUICK_MIN_SPEEDUP_VS_REFERENCE`` below).  ``encode_vs_field`` is reported
+as information only: the field path runs pair-table gathers and is the
+save's kernel, not a slow baseline (~1.15x apart at (12, 4, 8) / 4 MiB).
 
 Invoke as ``python -m repro bench-encode`` or via
 ``benchmarks/bench_encode_throughput.py``.
@@ -60,12 +62,10 @@ FULL_SHAPES: list[tuple[int, int, int]] = [(12, 4, 8), (6, 2, 8), (4, 2, 8), (12
 #: (the dev host has a 260 MB L3), so the headline 5x floor (measured
 #: ~5.4x at 64 MiB) applies from ``QUICK_LARGE_PAYLOAD_MIB`` up, while the
 #: default 4 MiB smoke run asserts the cache-resident floor (measured
-#: ~2.7x).  The field-path floor is payload-independent (measured ~4.3x at
-#: 4 MiB, ~4.6x at 64 MiB).
+#: ~2.7x).
 QUICK_MIN_SPEEDUP_VS_REFERENCE = 5.0
 QUICK_SMALL_MIN_SPEEDUP_VS_REFERENCE = 2.0
 QUICK_LARGE_PAYLOAD_MIB = 32.0
-QUICK_MIN_SPEEDUP_VS_FIELD = 3.0
 
 
 def _aligned_block_size(payload_bytes: int, k: int, w: int) -> int:
@@ -233,10 +233,6 @@ def run_benchmark(
             f"fast encode only {primary['encode_vs_reference']:.2f}x over the "
             f"pre-optimisation bitmatrix path (need >= {ref_floor}x at "
             f"{payload_mib:g} MiB)"
-        )
-        assert primary["encode_vs_field"] >= QUICK_MIN_SPEEDUP_VS_FIELD, (
-            f"fast encode only {primary['encode_vs_field']:.2f}x over the "
-            f"field path (need >= {QUICK_MIN_SPEEDUP_VS_FIELD}x)"
         )
         assert primary["decode_vs_reference"] > 1.0, "fast decode regressed"
     return doc

@@ -33,6 +33,7 @@ hooks — leaves a torn version that recovery provably walks back past.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, replace as dataclass_replace
 
 import numpy as np
@@ -62,11 +63,10 @@ from repro.core.pipeline import (
     serial_makespan,
 )
 from repro.core.protocol import (
-    build_worker_checkpoint,
-    encode_packet,
+    encode_group_into,
     packet_size_for,
+    packetise,
     restore_state_dict,
-    xor_reduce,
 )
 from repro.core.reduction import ReductionPlan, build_reduction_plan
 from repro.ec.base import CodeParams
@@ -74,6 +74,7 @@ from repro.ec.cauchy import CauchyRSCode
 from repro.ec.procpool import SharedMemoryProcessPoolEncoder, make_encoder
 from repro.ec.threadpool import ThreadPoolEncoder
 from repro.sim.network import TransferRequest, gbps
+from repro.tensors.serialization import Decomposition, decompose_state_dict
 from repro.tensors.state_dict import map_tensors
 from repro.tensors.tensor import GPU
 
@@ -158,6 +159,11 @@ class ECCheckEngine(CheckpointEngine):
         #: availability from raw storage and never trusts them.
         self._chunk_versions: set[int] = set()
         self._disk_versions: set[int] = set()
+        #: Versions :meth:`prune_memory_index` dropped (torn, never
+        #: demotable); :meth:`demote_version` frees their remnants.
+        self._stale_versions: set[int] = set()
+        #: worker -> layout cache of :func:`decompose_state_dict`.
+        self._dtype_names: defaultdict[int, list] = defaultdict(list)
         #: Ranks currently hosting chunks (all of them at full strength;
         #: a subset after an elastic degraded :meth:`reconfigure`).
         self.active_nodes: list[int] = list(range(job.cluster.num_nodes))
@@ -488,16 +494,9 @@ class ECCheckEngine(CheckpointEngine):
             phase="step1_decompose_dtoh",
             version=version,
         ) as step1_span:
-            packet_size = packet_size_for(
-                [
-                    sum(t.nbytes for t in _tensor_leaves(self.job.state_of(w)))
-                    for w in range(world)
-                ],
-                cfg.packet_alignment,
-            )
+            decompositions, packet_size = self._decompose_workers()
             checkpoints = {
-                w: build_worker_checkpoint(w, self.job.state_of(w), packet_size)
-                for w in range(world)
+                w: packetise(w, d, packet_size) for w, d in enumerate(decompositions)
             }
         step1 = (
             max(tm.dtoh_time(self.job.logical_shard_bytes(w)) for w in range(world))
@@ -520,19 +519,15 @@ class ECCheckEngine(CheckpointEngine):
         bytes_inter_node = 0
 
         def stage_encode(group):
-            encoded = {
-                j: encode_packet(self.code, j, checkpoints[w].packet.payload)
-                for j, w in enumerate(group.workers)
-            }
-            return group, encoded
+            packets = [checkpoints[w].packet.payload for w in group.workers]
+            parity_packets = [np.empty_like(packets[0]) for _ in group.targets]
+            encode_group_into(self.code, packets, parity_packets)
+            return group, parity_packets
 
         def stage_xor_reduce(item):
-            group, encoded = item
-            parity_packets = [
-                xor_reduce([encoded[j][i] for j in range(plan.k)])
-                for i in range(len(group.targets))
-            ]
-            return group, parity_packets
+            # Already reduced: the m parity buffers were the accumulators.
+            # The stage stays for its span and the post_xor crash point.
+            return item
 
         def stage_transfer(item):
             nonlocal bytes_inter_node
@@ -624,9 +619,10 @@ class ECCheckEngine(CheckpointEngine):
                     self.host.put(node, ("meta", version, worker), record)
         step2 = meta_bytes * (len(self.active_nodes) - 1) / gbps(tm.inter_node_gbps)
 
-        # Remember the packets for incremental (delta) saves.
+        # Remember the packets for incremental (delta) saves: step 1's
+        # packet is handed over (stored data chunks are copies of it).
         self._last_packets = {
-            w: checkpoints[w].packet.payload.copy() for w in range(world)
+            w: checkpoints[w].packet.payload for w in range(world)
         }
         self._last_full_version = version
         self._chunk_versions.add(version)
@@ -661,6 +657,20 @@ class ECCheckEngine(CheckpointEngine):
             },
             bytes_dtoh=bytes_dtoh,
             bytes_inter_node=bytes_inter_node,
+        )
+
+    def _decompose_workers(self) -> tuple[list[Decomposition], int]:
+        """Flatten every worker's state once; size the cluster-wide packet."""
+        decompositions = [
+            decompose_state_dict(
+                self.job.state_of(w),
+                offload_to_cpu=False,
+                dtype_names=self._dtype_names[w],
+            )
+            for w in range(self.job.world_size)
+        ]
+        return decompositions, packet_size_for(
+            [d.tensor_bytes for d in decompositions], self.config.packet_alignment
         )
 
     def _step3_time(
@@ -699,23 +709,11 @@ class ECCheckEngine(CheckpointEngine):
         there would corrupt the stream.
         """
         assert self.placement and self.reduction_plan and self.code
-        plan = self.placement
-        tm = self.job.time_model
-        cfg = self.config
-        world = self.job.world_size
-        n = self.job.cluster.num_nodes
-
-        packet_size = packet_size_for(
-            [
-                sum(t.nbytes for t in _tensor_leaves(self.job.state_of(w)))
-                for w in range(world)
-            ],
-            cfg.packet_alignment,
-        )
+        if not self._last_packets or self._last_full_version is None:
+            return self.save()
+        decompositions, packet_size = self._decompose_workers()
         if (
-            not self._last_packets
-            or self._last_full_version is None
-            or self._last_packets[0].nbytes != packet_size
+            self._last_packets[0].nbytes != packet_size
             or not self._memory_version_intact(self._last_full_version)
         ):
             return self.save()
@@ -731,7 +729,7 @@ class ECCheckEngine(CheckpointEngine):
             "eccheck.save_incremental", kind="save", version=version
         ) as span:
             report = self._save_delta(
-                version, prev_version, packet_size, block_size, tracer
+                version, prev_version, decompositions, packet_size, block_size, tracer
             )
             span.add_sim(report.checkpoint_time)
             if tracer.enabled:
@@ -744,6 +742,7 @@ class ECCheckEngine(CheckpointEngine):
         self,
         version: int,
         prev_version: int,
+        decompositions: list[Decomposition],
         packet_size: int,
         block_size: int,
         tracer,
@@ -764,8 +763,7 @@ class ECCheckEngine(CheckpointEngine):
             version=version,
         ) as step1_span:
             checkpoints = {
-                w: build_worker_checkpoint(w, self.job.state_of(w), packet_size)
-                for w in range(world)
+                w: packetise(w, d, packet_size) for w, d in enumerate(decompositions)
             }
             deltas = {}
             dirty_fraction = {}
@@ -793,21 +791,18 @@ class ECCheckEngine(CheckpointEngine):
 
         for group in self.reduction_plan.groups:
             r = group.index
-            encoded_deltas = {
-                j: encode_packet(self.code, j, deltas[w])
-                for j, w in enumerate(group.workers)
-            }
+            delta_parity = [np.empty_like(deltas[0]) for _ in group.targets]
+            encode_group_into(
+                self.code, [deltas[w] for w in group.workers], delta_parity
+            )
             for i, target in enumerate(group.targets):
-                delta_parity = xor_reduce(
-                    [encoded_deltas[j][i] for j in range(plan.k)]
-                )
                 parity_node = plan.parity_nodes[i]
                 old_parity = self.host.get(
                     parity_node, self.chunk_key(prev_version, "parity", i, r)
                 )
                 self._store_chunk_packet(
                     parity_node, version, "parity", i, r,
-                    apply_delta(old_parity, delta_parity),
+                    apply_delta(old_parity, delta_parity[i], out=delta_parity[i]),
                 )
                 target_node = self.node_hosting(target)
                 for j, w in enumerate(group.workers):
@@ -867,7 +862,7 @@ class ECCheckEngine(CheckpointEngine):
         step3 = self._step3_time(encode_total, xor_total, comm_makespan, logical_packet)
 
         self._last_packets = {
-            w: checkpoints[w].packet.payload.copy() for w in range(world)
+            w: checkpoints[w].packet.payload for w in range(world)
         }
         self._last_full_version = version
         self._chunk_versions.add(version)
@@ -950,7 +945,7 @@ class ECCheckEngine(CheckpointEngine):
 
     @staticmethod
     def _tier_copy(value):
-        """Decouple tiers: a mutation in one must not rot the other."""
+        """Decouple tiers (promotion): a mutation in one must not rot the other."""
         return value.copy() if isinstance(value, np.ndarray) else value
 
     def memory_versions(self) -> list[int]:
@@ -983,15 +978,16 @@ class ECCheckEngine(CheckpointEngine):
         Called after failures: versions whose chunks were partially wiped
         must never be demoted (the disk tier only accepts fully intact
         versions), so they stop being candidates.  Only the index shrinks —
-        no bytes are deleted, and the restore walk is unaffected.  Returns
-        the pruned versions.
+        no bytes are deleted, and the restore walk is unaffected
+        (:meth:`demote_version` frees the remnants once they age out of
+        the memory tier).  Returns the pruned versions.
         """
         stale = [
             v for v in sorted(self._chunk_versions)
             if not self._memory_version_intact(v)
         ]
-        for version in stale:
-            self._chunk_versions.discard(version)
+        self._chunk_versions.difference_update(stale)
+        self._stale_versions.update(stale)
         return stale
 
     def demote_version(self, version: int) -> DemotionReport:
@@ -1002,6 +998,11 @@ class ECCheckEngine(CheckpointEngine):
         incremental-delta base (the next ``save_incremental`` reads its
         chunks from host memory) and any version that is not fully intact
         in memory — a torn demotion would poison the disk tier.
+
+        A demotion is a *move* (no copy).  It also deletes the host
+        remnants of every pruned version older than ``version``: a torn
+        version stays a decodable fallback exactly as long as an intact
+        one of its age would stay in memory.
 
         Raises:
             CheckpointError: when the version is not demotable.
@@ -1037,12 +1038,16 @@ class ECCheckEngine(CheckpointEngine):
         tm = self.job.time_model
         n = self.job.cluster.num_nodes
         per_node_bytes = [0] * n
+        aged_out = {v for v in self._stale_versions if v < version}
+        self._stale_versions -= aged_out
         for node in range(n):
             for key in self.host.keys(node):
                 if self._is_version_key(key, version):
                     value = self.host.get(node, key)
-                    self.disk.put(node, key, self._tier_copy(value))
+                    self.disk.put(node, key, value)
                     per_node_bytes[node] += _nbytes(value)
+                    self.host.delete(node, key)
+                elif any(self._is_version_key(key, v) for v in aged_out):
                     self.host.delete(node, key)
         demote_time = max(
             (tm.disk_write_time(b) for b in per_node_bytes if b), default=0.0
@@ -1561,9 +1566,3 @@ class ECCheckEngine(CheckpointEngine):
             bytes_inter_node=bytes_inter,
             restore_redundancy_time=redo_comm + reencode_seconds,
         )
-
-
-def _tensor_leaves(state_dict: dict):
-    from repro.tensors.state_dict import tensor_items
-
-    return [t for _, t in tensor_items(state_dict)]

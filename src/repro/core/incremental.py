@@ -100,12 +100,15 @@ def packet_delta(
     )
 
 
-def apply_delta(base: np.ndarray, delta: np.ndarray) -> np.ndarray:
-    """Return ``base XOR delta`` (a new array; inputs untouched)."""
+def apply_delta(
+    base: np.ndarray, delta: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Return ``base XOR delta`` — a new array, or ``out`` (which may be
+    ``delta`` itself: a freshly encoded parity delta becomes the parity)."""
     base = np.ascontiguousarray(base, dtype=np.uint8).ravel()
     delta = np.ascontiguousarray(delta, dtype=np.uint8).ravel()
     if base.nbytes != delta.nbytes:
         raise CheckpointError(
             f"delta size {delta.nbytes} does not match base {base.nbytes}"
         )
-    return base ^ delta
+    return np.bitwise_xor(base, delta, out=out)

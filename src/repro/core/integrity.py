@@ -26,10 +26,10 @@ from repro.errors import CheckpointError
 def chunk_digest(payload: np.ndarray | bytes) -> int:
     """CRC-32 digest of a chunk packet's bytes."""
     if isinstance(payload, np.ndarray):
-        data = np.ascontiguousarray(payload, dtype=np.uint8).tobytes()
-    else:
-        data = bytes(payload)
-    return zlib.crc32(data) & 0xFFFFFFFF
+        # CRC the array's own memory: a contiguous uint8 packet (every
+        # stored chunk) is digested without the full copy ``tobytes`` makes.
+        payload = np.ascontiguousarray(payload, dtype=np.uint8).reshape(-1).data
+    return zlib.crc32(payload) & 0xFFFFFFFF
 
 
 def verify_chunk(payload: np.ndarray | bytes, digest: int) -> bool:

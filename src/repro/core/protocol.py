@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.errors import CheckpointError, DecodeError
 from repro.ec.base import ErasureCode
-from repro.ec.kernels import xor_reduce_arrays
+from repro.ec.kernels import DEFAULT_CHUNK_BYTES, xor_reduce_arrays
 from repro.tensors.serialization import (
     Decomposition,
     decompose_state_dict,
@@ -62,6 +62,33 @@ class WorkerCheckpoint:
     metadata_blob: bytes
 
 
+def packetise(
+    worker: int, decomposition: Decomposition, packet_size: int
+) -> WorkerCheckpoint:
+    """Offload + packetisation in one pass over the tensor bytes.
+
+    Every tensor buffer of ``decomposition`` (zero-copy views are fine) is
+    written once, straight into a fresh packet the caller owns outright
+    (the worker-local pinned buffer); only the tail is zeroed.
+
+    Raises:
+        CheckpointError: if the tensor payload exceeds the packet size.
+    """
+    length = decomposition.tensor_bytes
+    if length > packet_size:
+        raise CheckpointError(
+            f"worker {worker} payload {length} exceeds packet size {packet_size}"
+        )
+    payload = np.empty(packet_size, dtype=np.uint8)
+    decomposition.concatenated_tensor_bytes(out=payload[:length])
+    payload[length:] = 0
+    return WorkerCheckpoint(
+        worker=worker,
+        packet=DataPacket(worker=worker, payload=payload, original_length=length),
+        metadata_blob=decomposition.metadata_blob(),
+    )
+
+
 def build_worker_checkpoint(
     worker: int, state_dict: dict, packet_size: int
 ) -> WorkerCheckpoint:
@@ -70,18 +97,8 @@ def build_worker_checkpoint(
     Raises:
         CheckpointError: if the tensor payload exceeds the packet size.
     """
-    decomposition = decompose_state_dict(state_dict, offload_to_cpu=True)
-    raw = decomposition.concatenated_tensor_bytes()
-    if raw.nbytes > packet_size:
-        raise CheckpointError(
-            f"worker {worker} payload {raw.nbytes} exceeds packet size {packet_size}"
-        )
-    payload = np.zeros(packet_size, dtype=np.uint8)
-    payload[: raw.nbytes] = raw
-    return WorkerCheckpoint(
-        worker=worker,
-        packet=DataPacket(worker=worker, payload=payload, original_length=raw.nbytes),
-        metadata_blob=decomposition.metadata_blob(),
+    return packetise(
+        worker, decompose_state_dict(state_dict, offload_to_cpu=False), packet_size
     )
 
 
@@ -113,6 +130,9 @@ def encode_packet(
     Returns:
         ``m`` encoded packets; XORing these across the reduction group's
         workers yields the parity packets.
+
+    The unfused reference: the engine runs :func:`encode_group_into`, and
+    the tests hold it to this function followed by :func:`xor_reduce`.
     """
     parity = code.parity_matrix
     field = code.field
@@ -133,6 +153,52 @@ def xor_reduce(encoded_packets: list[np.ndarray]) -> np.ndarray:
     if not encoded_packets:
         raise CheckpointError("nothing to reduce")
     return xor_reduce_arrays(encoded_packets)
+
+
+def encode_group_into(
+    code: ErasureCode,
+    packets: list[np.ndarray],
+    out: list[np.ndarray],
+    rows: list[int] | None = None,
+) -> None:
+    """Fused encode + XOR reduction of one reduction group (Eqn. 6).
+
+    Writes parity packet ``rows[n]`` — ``XOR_j B(E'[i][j]) d_j`` over the
+    group's ``k`` packets — into ``out[n]``: column 0 is multiplied
+    straight into the buffer, every further column into a scratch that is
+    XORed in, so no ``k x m`` intermediates exist.  Byte-identical to
+    :func:`encode_packet` per worker + :func:`xor_reduce` per parity.
+
+    The group is walked in the kernel layer's ``DEFAULT_CHUNK_BYTES``
+    blocks, all rows of a block before the next: an input block is read
+    from memory once for its ``m`` products, accumulators stay in cache.
+
+    Args:
+        code: the (k, m) erasure code.
+        packets: the group's ``k`` equal-size flat uint8 packets.
+        out: a flat contiguous uint8 packet-size buffer per wanted row.
+        rows: parity indices to compute (default: the first ``len(out)``).
+    """
+    if len(packets) != code.params.k:
+        raise CheckpointError(
+            f"need {code.params.k} packets to encode a group, got {len(packets)}"
+        )
+    rows = range(len(out)) if rows is None else rows
+    if len(rows) != len(out):
+        raise CheckpointError(f"{len(rows)} parity rows for {len(out)} buffers")
+    field = code.field
+    coefficients = [[int(c) for c in code.parity_matrix[i]] for i in rows]
+    size = packets[0].size
+    scratch = np.empty(min(size, DEFAULT_CHUNK_BYTES), dtype=np.uint8)
+    for start in range(0, size, DEFAULT_CHUNK_BYTES):
+        end = min(size, start + DEFAULT_CHUNK_BYTES)
+        blocks = [packet[start:end] for packet in packets]
+        product = scratch[: end - start]
+        for buffer, row in zip(out, coefficients):
+            acc = buffer[start:end]
+            field.mul_region_into(row[0], blocks[0], acc)
+            for coeff, block in zip(row[1:], blocks[1:]):
+                field.mul_region_xor_into(coeff, block, acc, product)
 
 
 def decode_group(

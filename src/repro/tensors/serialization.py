@@ -122,11 +122,15 @@ class Decomposition:
             tensor_data=list(tensor_data) if tensor_data is not None else [],
         )
 
-    def concatenated_tensor_bytes(self) -> np.ndarray:
-        """All tensor buffers as one contiguous uint8 array (encode input)."""
+    def concatenated_tensor_bytes(self, out: np.ndarray | None = None) -> np.ndarray:
+        """All tensor buffers as one contiguous uint8 array (encode input).
+
+        With ``out`` (uint8, exactly :attr:`tensor_bytes` long) the buffers
+        are written straight into it — the packetiser's single copy.
+        """
         if not self.tensor_data:
-            return np.zeros(0, dtype=np.uint8)
-        return np.concatenate([buf.reshape(-1) for buf in self.tensor_data])
+            return np.zeros(0, dtype=np.uint8) if out is None else out
+        return np.concatenate([buf.reshape(-1) for buf in self.tensor_data], out=out)
 
     def split_tensor_bytes(self, blob: np.ndarray) -> list[np.ndarray]:
         """Split a contiguous byte array back into per-tensor buffers."""
@@ -142,7 +146,11 @@ class Decomposition:
         return out
 
 
-def decompose_state_dict(state_dict: dict, offload_to_cpu: bool = True) -> Decomposition:
+def decompose_state_dict(
+    state_dict: dict,
+    offload_to_cpu: bool = True,
+    dtype_names: list[tuple[np.dtype, str]] | None = None,
+) -> Decomposition:
     """Step 1 of the ECCheck protocol: analyze and decompose.
 
     Tensors on the simulated GPU are (optionally) offloaded: their bytes are
@@ -152,17 +160,31 @@ def decompose_state_dict(state_dict: dict, offload_to_cpu: bool = True) -> Decom
     Args:
         state_dict: the sharded checkpoint dict of one worker.
         offload_to_cpu: copy tensor bytes (True, the real protocol) or view
-            them in place (False, for zero-copy size accounting).
+            them in place (False: the caller copies them once, straight
+            into its packet).
+        dtype_names: the caller's per-worker layout cache, one
+            ``(dtype, str(dtype))`` per tensor, updated in place:
+            ``str(dtype)`` is half a tensor's decompose cost.  Every entry
+            is checked against the live tensor on each call.  Each row
+            keeps its *own* string, as ``str()`` per tensor would: pickle
+            memoises by identity, so sharing one per dtype would change
+            the metadata blob's bytes.
     """
+    names = [] if dtype_names is None else dtype_names
     non_tensor_kv: dict[Path, object] = {}
     tensor_meta: list[TensorMeta] = []
     tensor_data: list[np.ndarray] = []
     for path, value in flatten_state_dict(state_dict).items():
         if isinstance(value, SimTensor):
+            index, dtype = len(tensor_meta), value.dtype
+            if index == len(names):
+                names.append((dtype, str(dtype)))
+            elif names[index][0] != dtype:
+                names[index] = (dtype, str(dtype))
             tensor_meta.append(
                 TensorMeta(
                     path=path,
-                    dtype=str(value.dtype),
+                    dtype=names[index][1],
                     shape=value.shape,
                     nbytes=value.nbytes,
                 )
@@ -171,6 +193,7 @@ def decompose_state_dict(state_dict: dict, offload_to_cpu: bool = True) -> Decom
             tensor_data.append(view.copy() if offload_to_cpu else view)
         else:
             non_tensor_kv[path] = value
+    del names[len(tensor_meta):]
     return Decomposition(
         non_tensor_kv=non_tensor_kv, tensor_meta=tensor_meta, tensor_data=tensor_data
     )

@@ -52,6 +52,18 @@ def test_apply_delta_round_trip():
         apply_delta(old, np.zeros(4, np.uint8))
 
 
+def test_apply_delta_into_the_delta_buffer():
+    """``out=delta``: an encoded parity delta becomes the parity in place."""
+    rng = np.random.default_rng(4)
+    base = rng.integers(0, 256, 100, dtype=np.uint8)
+    delta = rng.integers(0, 256, 100, dtype=np.uint8)
+    expected = base ^ delta
+    kept = base.copy()
+    assert apply_delta(base, delta, out=delta) is delta
+    assert np.array_equal(delta, expected)
+    assert np.array_equal(base, kept)  # the old version's chunk is untouched
+
+
 def _loop_reference_summary(delta, block_size):
     """The pre-vectorization per-block loop, kept as the test oracle."""
     total_blocks = -(-delta.nbytes // block_size) if delta.nbytes else 0

@@ -28,6 +28,17 @@ def test_digest_accepts_bytes():
     assert chunk_digest(b"abc") == chunk_digest(np.frombuffer(b"abc", np.uint8))
 
 
+def test_digest_reads_array_memory_in_logical_order():
+    """The zero-copy CRC must see what ``tobytes()`` would have produced."""
+    import zlib
+
+    base = np.arange(256, dtype=np.uint8)
+    for view in (base, base[::2], base[3:77], base.reshape(16, 16), base.reshape(16, 16).T):
+        assert chunk_digest(view) == zlib.crc32(view.tobytes())
+    assert chunk_digest(np.zeros(0, dtype=np.uint8)) == zlib.crc32(b"")
+    assert chunk_digest(memoryview(b"abc")) == chunk_digest(b"abc")
+
+
 def test_corrupt_buffer_flips_bits():
     buf = np.zeros(8, dtype=np.uint8)
     corrupt_buffer(buf, byte_index=2, mask=0x0F)

@@ -4,13 +4,17 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from repro.errors import CheckpointError, DecodeError
+from repro.errors import CheckpointError, DecodeError, FieldError
 from repro.core.protocol import (
     build_worker_checkpoint,
     decode_group,
+    encode_group_into,
     encode_packet,
     packet_size_for,
+    packetise,
     reencode_parity,
     restore_state_dict,
     xor_reduce,
@@ -18,6 +22,7 @@ from repro.core.protocol import (
 from repro.ec.base import CodeParams
 from repro.ec.cauchy import CauchyRSCode
 from repro.models.factory import build_worker_state_dict
+from repro.tensors.serialization import decompose_state_dict
 from repro.tensors.state_dict import state_dicts_equal
 
 
@@ -101,6 +106,79 @@ def test_distributed_encode_equals_direct_matrix_encode(code):
     for i in range(2):
         distributed = xor_reduce([encoded[j][i] for j in range(2)])
         assert np.array_equal(distributed, direct[i])
+
+
+@given(
+    k=st.integers(1, 6),
+    m=st.integers(1, 4),
+    half_size=st.integers(0, 300),
+    seed=st.integers(0, 2**16),
+    data=st.data(),
+)
+def test_fused_group_encode_equals_both_oracles(k, m, half_size, seed, data):
+    """encode_group_into == code.encode == encode_packet + xor_reduce."""
+    code = CauchyRSCode(CodeParams(k=k, m=m, w=8))
+    rng = np.random.default_rng(seed)
+    size = 2 * half_size  # ragged (not word-divisible) but even
+    packets = [rng.integers(0, 256, size=size, dtype=np.uint8) for _ in range(k)]
+    originals = [p.copy() for p in packets]
+    out = [np.full(size, 0xEE, dtype=np.uint8) for _ in range(m)]
+    encode_group_into(code, packets, out)
+    direct = code.encode(packets)
+    encoded = [encode_packet(code, j, packets[j]) for j in range(k)]
+    for i in range(m):
+        assert np.array_equal(out[i], direct[i])
+        assert np.array_equal(out[i], xor_reduce([encoded[j][i] for j in range(k)]))
+    assert all(np.array_equal(p, o) for p, o in zip(packets, originals))
+    # Any row subset, in any order (delta path).
+    rows = data.draw(st.lists(st.integers(0, m - 1), unique=True, max_size=m))
+    subset = [np.empty(size, dtype=np.uint8) for _ in rows]
+    encode_group_into(code, packets, subset, rows=rows)
+    for buf, i in zip(subset, rows):
+        assert np.array_equal(buf, direct[i])
+    # Fewer buffers than parities means the leading rows.
+    head = [np.empty(size, dtype=np.uint8) for _ in range(m - 1)]
+    encode_group_into(code, packets, head)
+    assert all(np.array_equal(buf, direct[i]) for i, buf in enumerate(head))
+
+
+@pytest.mark.parametrize("extra", [0, 2, 7, 2 * 65536 + 4098])
+def test_fused_group_encode_across_block_boundaries(extra):
+    """Packets longer than one cache block, with even, odd and ragged tails."""
+    code = CauchyRSCode(CodeParams(k=3, m=2, w=8))
+    rng = np.random.default_rng(extra)
+    size = 65536 + extra
+    packets = [rng.integers(0, 256, size=size, dtype=np.uint8) for _ in range(3)]
+    out = [np.empty(size, dtype=np.uint8) for _ in range(2)]
+    encode_group_into(code, packets, out)
+    for got, want in zip(out, code.encode(packets)):
+        assert np.array_equal(got, want)
+
+
+def test_fused_group_encode_rejects_bad_shapes(code):
+    packets = [np.arange(64, dtype=np.uint8) for _ in range(2)]
+    out = [np.empty(64, dtype=np.uint8) for _ in range(2)]
+    with pytest.raises(CheckpointError):
+        encode_group_into(code, packets[:1], out)
+    with pytest.raises(CheckpointError):
+        encode_group_into(code, packets, out, rows=[0])
+    with pytest.raises(FieldError):  # an accumulator may not alias its input
+        encode_group_into(code, packets, [packets[0], out[1]])
+
+
+def test_packetise_copies_views_once_and_zeroes_only_the_tail():
+    state = make_state(6)
+    decomposition = decompose_state_dict(state, offload_to_cpu=False)
+    size = packet_size_for([decomposition.tensor_bytes]) + 64
+    wc = packetise(3, decomposition, size)
+    reference = decompose_state_dict(state).concatenated_tensor_bytes()
+    assert wc.worker == 3 and wc.packet.original_length == reference.nbytes
+    assert np.array_equal(wc.packet.payload[: reference.nbytes], reference)
+    assert not wc.packet.payload[reference.nbytes :].any()
+    assert wc.metadata_blob == decompose_state_dict(state).metadata_blob()
+    # The packet owns its bytes: later training does not reach into it.
+    state["model"]["w"].byte_view()[:] ^= 0xFF
+    assert np.array_equal(wc.packet.payload[: reference.nbytes], reference)
 
 
 def test_full_protocol_any_k_chunks_restore_every_state_dict(code):

@@ -134,3 +134,107 @@ def test_w16_region_requires_even_length():
     f = GF(16)
     with pytest.raises(FieldError):
         f.words_view(np.zeros(3, dtype=np.uint8))
+
+
+# ---------------------------------------------------------------------------
+# Region kernels: pair-table gather (w=8), 256-entry gather fallback, w=16
+# ---------------------------------------------------------------------------
+REGION_SIZES = [0, 1, 2, 63, 64, 65, 4097]
+
+
+def _region_input(f, rng, size, strided):
+    """``size`` bytes of field words, optionally as a stride-2 view."""
+    high = min(f.size, 256)
+    base = rng.integers(0, high, size=2 * size if strided else size, dtype=np.uint8)
+    return base[::2] if strided else base
+
+
+def _region_reference(f, c, buf):
+    """``c * buf`` through ``mul_array`` (log/antilog, not the region tables)."""
+    words = f.words_view(buf).astype(np.uint32)
+    product = f.mul_array(np.full(words.shape, c, dtype=np.uint32), words)
+    return product.astype(np.uint16 if f.w == 16 else np.uint8).view(np.uint8)
+
+
+@pytest.mark.parametrize("strided", [False, True], ids=["contiguous", "strided"])
+@pytest.mark.parametrize("w", [4, 8, 16])
+def test_region_ops_match_scalar_for_every_constant_and_size(w, strided):
+    f = GF(w)
+    rng = np.random.default_rng(w)
+    constants = list(range(min(f.size, 256)))
+    if w == 16:
+        constants += [0x100, 0x1234, 0x8001, f.size - 1]
+    for size in REGION_SIZES:
+        buf = _region_input(f, rng, size, strided)
+        before = buf.copy()
+        if w == 16 and size % 2:
+            # Half a word: only the copy/zero fast paths have an answer.
+            for fn in (f.mul_region, lambda c, b: f.mul_region_into(c, b, before)):
+                with pytest.raises(FieldError):
+                    fn(2, buf)
+            continue
+        probe = [int(x) for x in f.words_view(buf)[:8]]
+        for c in constants:
+            expected = _region_reference(f, c, buf)
+            # Scalar ``mul`` pins the vectorised reference on a prefix.
+            assert [f.mul(c, x) for x in probe] == list(
+                f.words_view(expected)[: len(probe)]
+            )
+            assert np.array_equal(f.mul_region(c, buf), expected), (c, size)
+            out = np.full(size, 0xAA, dtype=np.uint8)
+            f.mul_region_into(c, buf, out)
+            assert np.array_equal(out, expected), (c, size)
+            acc = np.full(size, 0x5C, dtype=np.uint8)
+            f.mul_region_xor_into(c, buf, acc)
+            assert np.array_equal(acc, expected ^ 0x5C), (c, size)
+            f.mul_region_xor_into(c, buf, acc, np.empty(size, dtype=np.uint8))
+            assert np.array_equal(acc, np.full(size, 0x5C, np.uint8)), (c, size)
+        assert np.array_equal(buf, before)  # inputs are never written
+
+
+def test_mul_region_into_unaligned_and_multidimensional():
+    f = GF(8)
+    rng = np.random.default_rng(3)
+    base = rng.integers(0, 256, size=130, dtype=np.uint8)
+    odd = base[1:129]  # contiguous, even length, odd address
+    out = np.empty(129, dtype=np.uint8)[1:]
+    f.mul_region_into(77, odd, out)
+    assert np.array_equal(out, _region_reference(f, 77, odd))
+    grid = base[:128].reshape(8, 16)
+    assert np.array_equal(
+        f.mul_region(77, grid), _region_reference(f, 77, grid.ravel()).reshape(8, 16)
+    )
+
+
+def test_mul_region_into_rejects_overlap_and_bad_out():
+    f = GF(8)
+    base = np.arange(128, dtype=np.uint8)
+    with pytest.raises(FieldError):
+        f.mul_region_into(3, base, base)
+    with pytest.raises(FieldError):
+        f.mul_region_into(3, base[:64], base[32:96])
+    with pytest.raises(FieldError):  # even the copy fast path does not alias
+        f.mul_region_into(1, base[:64], base[:64])
+    buf = np.arange(64, dtype=np.uint8)
+    with pytest.raises(FieldError):
+        f.mul_region_into(3, buf, np.empty(63, dtype=np.uint8))
+    with pytest.raises(FieldError):
+        f.mul_region_into(3, buf, np.empty(128, dtype=np.uint8)[::2])
+    with pytest.raises(FieldError):
+        f.mul_region_into(3, buf, np.empty(64, dtype=np.uint16))
+    with pytest.raises(FieldError):
+        f.mul_region_into(256, buf, np.empty(64, dtype=np.uint8))
+    # out ^= c * out is well defined: the product lands in scratch first.
+    acc = buf.copy()
+    f.mul_region_xor_into(3, acc, acc)
+    assert np.array_equal(acc, f.mul_region(3, buf) ^ buf)
+
+
+def test_pair_table_cache_is_bounded():
+    f = GF(8)
+    buf = np.arange(64, dtype=np.uint8)
+    for c in range(2, 256):
+        f.mul_region(c, buf)
+    info = f._pair_table.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize <= 64
+    assert not f._pair_table(2).flags.writeable  # shared, so read-only

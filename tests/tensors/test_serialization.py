@@ -129,3 +129,44 @@ def test_empty_state_dict_decomposes():
     assert dec.tensor_bytes == 0
     assert dec.concatenated_tensor_bytes().nbytes == 0
     assert state_dicts_equal(recompose_state_dict(dec), {"iteration": 0})
+
+
+def test_concatenate_into_a_caller_buffer(sd):
+    dec = decompose_state_dict(sd, offload_to_cpu=False)
+    out = np.full(dec.tensor_bytes, 0xAA, dtype=np.uint8)
+    assert dec.concatenated_tensor_bytes(out=out) is out
+    assert np.array_equal(out, decompose_state_dict(sd).concatenated_tensor_bytes())
+    empty = decompose_state_dict({"iteration": 0})
+    nothing = np.zeros(0, dtype=np.uint8)
+    assert empty.concatenated_tensor_bytes(out=nothing) is nothing
+
+
+def test_dtype_name_cache_keeps_the_metadata_blob_byte_identical(sd):
+    """Cached rows must pickle exactly like a fresh ``str()`` per tensor."""
+    names: list = []
+    first = decompose_state_dict(sd, dtype_names=names)
+    assert [n for _, n in names] == [m.dtype for m in first.tensor_meta]
+    cached_ids = [id(n) for _, n in names]
+    again = decompose_state_dict(sd, dtype_names=names)
+    assert [id(n) for _, n in names] == cached_ids  # no str() the second time
+    assert all(a.dtype is b.dtype for a, b in zip(first.tensor_meta, again.tensor_meta))
+    assert again.metadata_blob() == decompose_state_dict(sd).metadata_blob()
+    # One string object per row: sharing one per dtype would shrink the blob.
+    assert len(set(cached_ids)) == len(cached_ids)
+
+
+def test_dtype_name_cache_follows_the_live_layout(sd):
+    names: list = []
+    decompose_state_dict(sd, dtype_names=names)
+    first_key = next(iter(sd["model"]))
+    tensor = sd["model"][first_key]
+    sd["model"][first_key] = SimTensor(tensor.data.view(np.int16).copy(), tensor.device)
+    sd["model"]["extra"] = SimTensor(np.arange(6, dtype=np.float64), tensor.device)
+    changed = decompose_state_dict(sd, dtype_names=names)
+    assert changed.metadata_blob() == decompose_state_dict(sd).metadata_blob()
+    assert len(names) == len(changed.tensor_meta)
+    del sd["model"]["extra"], sd["optimizer"]
+    shrunk = decompose_state_dict(sd, dtype_names=names)
+    assert shrunk.metadata_blob() == decompose_state_dict(sd).metadata_blob()
+    assert len(names) == len(shrunk.tensor_meta)
+    assert state_dicts_equal(recompose_state_dict(decompose_state_dict(sd)), sd)
