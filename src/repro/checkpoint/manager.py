@@ -297,11 +297,6 @@ class CheckpointManager:
             "manager.recovery", failed=sorted(failed_nodes)
         ):
             report = self.engine.restore(failed_nodes)
-        if hasattr(self.engine, "prune_memory_index"):
-            # Versions partially wiped by the failure are no longer
-            # demotion candidates (the disk tier accepts only fully
-            # intact versions).
-            self.engine.prune_memory_index()
         self.stats.recoveries += 1
         restored_iteration = self._checkpoint_iteration_of_version.get(
             report.version, 0

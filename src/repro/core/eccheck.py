@@ -63,6 +63,7 @@ from repro.core.pipeline import (
     serial_makespan,
 )
 from repro.core.protocol import (
+    decode_group_into,
     encode_group_into,
     packet_size_for,
     packetise,
@@ -71,11 +72,8 @@ from repro.core.protocol import (
 from repro.core.reduction import ReductionPlan, build_reduction_plan
 from repro.ec.base import CodeParams
 from repro.ec.cauchy import CauchyRSCode
-from repro.ec.procpool import SharedMemoryProcessPoolEncoder, make_encoder
-from repro.ec.threadpool import ThreadPoolEncoder
 from repro.sim.network import TransferRequest, gbps
 from repro.tensors.serialization import Decomposition, decompose_state_dict
-from repro.tensors.state_dict import map_tensors
 from repro.tensors.tensor import GPU
 
 
@@ -89,12 +87,8 @@ class ECCheckConfig:
         w: GF(2^w) word size of the Cauchy RS code.
         buffer_bytes: size of one data/encoding buffer (64 MB in the
             paper's settings); sets the pipelining granularity.
-        encode_threads: CPU threads (or worker processes) in the
-            encoding pool.
-        encoder_backend: ``"thread"`` (adaptive in-process pool, the
-            default) or ``"process"`` (shared-memory process pool — GIL
-            immune, worth it for large buffers on multi-core hosts; see
-            DESIGN.md "Hot path architecture" for the trade-off).
+        encode_threads: CPU encoding threads the ``TimeModel`` bills
+            encode/decode seconds for.
         use_sweepline_placement: pick data nodes by max-overlap sweep line
             (False = naive "first k nodes", the ablation baseline).
         use_pipelining: overlap encode / XOR / P2P per buffer (False =
@@ -111,7 +105,6 @@ class ECCheckConfig:
     w: int = 8
     buffer_bytes: int = 64 * 2**20
     encode_threads: int = 4
-    encoder_backend: str = "thread"
     use_sweepline_placement: bool = True
     use_pipelining: bool = True
     packet_alignment: int = 64
@@ -149,7 +142,6 @@ class ECCheckEngine(CheckpointEngine):
         self.placement: PlacementPlan | None = None
         self.reduction_plan: ReductionPlan | None = None
         self.code: CauchyRSCode | None = None
-        self.encoder: ThreadPoolEncoder | SharedMemoryProcessPoolEncoder | None = None
         self.last_pipeline_stats = None
         self._last_packets: dict[int, np.ndarray] = {}
         self._last_full_version: int | None = None
@@ -217,12 +209,6 @@ class ECCheckEngine(CheckpointEngine):
         node_of = {w: self.job.node_of(w) for w in range(world)}
         self.reduction_plan = build_reduction_plan(self.placement, node_of)
         self.code = self.code_for(cfg.k, cfg.m)
-        # Recovery re-encodes whole chunks; route them through the pooled
-        # encoder so they use the same word-packed kernel fast path (and
-        # sub-task fan-out) as the save pipeline.
-        self.encoder = make_encoder(
-            self.code, backend=cfg.encoder_backend, threads=cfg.encode_threads
-        )
         self.active_nodes = list(range(n))
         self._node_of_worker = None
 
@@ -293,17 +279,6 @@ class ECCheckEngine(CheckpointEngine):
         self.placement = plan
         self.reduction_plan = build_reduction_plan(plan, node_of_worker)
         self.code = self.code_for(k, m)
-        if isinstance(self.encoder, SharedMemoryProcessPoolEncoder):
-            # Re-point the live pool at the new shape: this releases the
-            # shared segments *before* any encode at the new (k, m), so
-            # the elastic path never resizes buffers under live workers.
-            self.encoder.reconfigure(self.code)
-        else:
-            self.encoder = make_encoder(
-                self.code,
-                backend=self.config.encoder_backend,
-                threads=self.config.encode_threads,
-            )
         self.config = dataclass_replace(self.config, k=k, m=m)
         self.active_nodes = active
         identity = all(node_of_worker[w] == self.job.node_of(w) for w in range(world))
@@ -376,20 +351,6 @@ class ECCheckEngine(CheckpointEngine):
             return self._node_of_worker[worker]
         return self.job.node_of(worker)
 
-    def encoder_for(self, k: int, m: int):
-        """An encoder matching a chunk shape (the live one when it fits).
-
-        Ad-hoc shapes (recovery against an old placement) get a throwaway
-        thread-backed encoder regardless of ``encoder_backend`` — a
-        one-shot process pool would pay worker spawn for a single encode.
-        """
-        assert self.encoder is not None
-        if (k, m) == (self.config.k, self.config.m):
-            return self.encoder
-        return ThreadPoolEncoder(
-            self.code_for(k, m), threads=self.config.encode_threads
-        )
-
     # ------------------------------------------------------------------
     # Worker indexing within the placement
     # ------------------------------------------------------------------
@@ -434,6 +395,22 @@ class ECCheckEngine(CheckpointEngine):
             node, self.digest_key(version, kind, idx, r, epoch), chunk_digest(payload)
         )
 
+    def _chunk_present(
+        self,
+        node: int,
+        version: int,
+        kind: str,
+        idx: int,
+        groups: int,
+        epoch: int | None = None,
+    ) -> bool:
+        """All of a chunk's packets and digest records sit in ``node``'s RAM."""
+        return all(
+            self.host.contains(node, key_of(version, kind, idx, r, epoch))
+            for r in range(groups)
+            for key_of in (self.chunk_key, self.digest_key)
+        )
+
     def _chunk_intact(
         self,
         node: int,
@@ -450,14 +427,13 @@ class ECCheckEngine(CheckpointEngine):
         """
         if groups is None:
             groups = len(self.placement_of(version).data_group[0])
-        for r in range(groups):
-            key = self.chunk_key(version, kind, idx, r, epoch)
-            digest_key = self.digest_key(version, kind, idx, r, epoch)
-            if not (self.host.contains(node, key) and self.host.contains(node, digest_key)):
-                return False
-            if not verify_chunk(self.host.get(node, key), self.host.get(node, digest_key)):
-                return False
-        return True
+        return self._chunk_present(node, version, kind, idx, groups, epoch) and all(
+            verify_chunk(
+                self.host.get(node, self.chunk_key(version, kind, idx, r, epoch)),
+                self.host.get(node, self.digest_key(version, kind, idx, r, epoch)),
+            )
+            for r in range(groups)
+        )
 
     # ------------------------------------------------------------------
     # eccheck.save
@@ -960,19 +936,25 @@ class ECCheckEngine(CheckpointEngine):
         """Version the next incremental save XORs against (pinned hot)."""
         return self._last_full_version
 
-    def _memory_version_intact(self, version: int) -> bool:
-        """Every chunk of ``version`` whole in memory, metadata complete."""
+    def _memory_version_intact(self, version: int, verify: bool = True) -> bool:
+        """Every chunk of ``version`` whole in memory, metadata complete.
+
+        Presence of every packet and metadata coverage are settled before
+        any CRC is spent (a failure half-wipes versions far more often
+        than it rots one); ``verify=False`` stops there.
+        """
         plan = self.placement_of(version)
         groups = len(plan.data_group[0])
-        for j, node in enumerate(plan.data_nodes):
-            if not self._chunk_intact(node, version, "data", j, groups):
-                return False
-        for i, node in enumerate(plan.parity_nodes):
-            if not self._chunk_intact(node, version, "parity", i, groups):
-                return False
-        return self._metadata_complete(version, list(self.active_nodes))
+        placed = [(node, "data", j) for j, node in enumerate(plan.data_nodes)]
+        placed += [(node, "parity", i) for i, node in enumerate(plan.parity_nodes)]
+        checks = [self._chunk_present] + ([self._chunk_intact] if verify else [])
+        return self._metadata_complete(version, list(self.active_nodes)) and all(
+            check(node, version, kind, idx, groups)
+            for check in checks
+            for node, kind, idx in placed
+        )
 
-    def prune_memory_index(self) -> list[int]:
+    def prune_memory_index(self, verify: bool = True) -> list[int]:
         """Drop no-longer-intact versions from the demotion candidate index.
 
         Called after failures: versions whose chunks were partially wiped
@@ -981,10 +963,16 @@ class ECCheckEngine(CheckpointEngine):
         no bytes are deleted, and the restore walk is unaffected
         (:meth:`demote_version` frees the remnants once they age out of
         the memory tier).  Returns the pruned versions.
+
+        :meth:`restore` ends with the ``verify=False`` form: it has just
+        verified or freshly digested every packet of the version it
+        restored, and a failure takes older versions by wiping, which
+        presence shows; :meth:`demote_version` re-verifies every digest
+        before anything reaches the disk tier either way.
         """
         stale = [
             v for v in sorted(self._chunk_versions)
-            if not self._memory_version_intact(v)
+            if not self._memory_version_intact(v, verify)
         ]
         self._chunk_versions.difference_update(stale)
         self._stale_versions.update(stale)
@@ -1157,6 +1145,9 @@ class ECCheckEngine(CheckpointEngine):
             "eccheck.restore", kind="restore", failed=sorted(failed_nodes)
         ) as span:
             report = self._restore_impl(failed_nodes)
+            # Everything this call verified or wrote is whole; what the
+            # failure wiped shows by presence (see prune_memory_index).
+            self.prune_memory_index(verify=False)
             span.set(version=report.version, tier=report.tier)
             if report.bytes_from_disk:
                 span.set(bytes_from_disk=report.bytes_from_disk)
@@ -1206,44 +1197,34 @@ class ECCheckEngine(CheckpointEngine):
         from_disk = False
         plan = self.placement
         chunk_available: dict[int, int] = {}
-        for candidate in range(latest, 0, -1):
-            plan_v = self.placement_of(candidate)
-            if surviving:
-                available = self._surviving_chunks(candidate, failed_nodes)
-                if len(available) >= plan_v.k and self._metadata_complete(
-                    candidate, surviving
-                ):
-                    version, chunk_available, plan = candidate, available, plan_v
-                    break
-            if self._disk_version_intact(candidate):
-                version, plan, from_disk = candidate, plan_v, True
-                break
-        if version is None:
-            return self._restore_from_backup(latest, failed_nodes)
-
         promote_s = 0.0
         promote_bytes = 0
         recovery_failed = failed_nodes
-        if from_disk:
-            # Promotion re-materialises the whole version in host memory
-            # (failed nodes have rebooted with empty RAM but live disks),
-            # after which recovery proceeds as if nothing was lost.
-            promote_s, promote_bytes = self._promote_version(version)
-            chunk_available = self._surviving_chunks(version, set())
-            recovery_failed = set()
+        with obs.get_tracer().span("eccheck.restore.step1", step="step1_locate_verify"):
+            for candidate in range(latest, 0, -1):
+                plan_v = self.placement_of(candidate)
+                if surviving:
+                    available = self._surviving_chunks(candidate, failed_nodes)
+                    if len(available) >= plan_v.k and self._metadata_complete(
+                        candidate, surviving
+                    ):
+                        version, chunk_available, plan = candidate, available, plan_v
+                        break
+                if self._disk_version_intact(candidate):
+                    version, plan, from_disk = candidate, plan_v, True
+                    break
+            if from_disk:
+                # Promotion re-materialises the whole version in host
+                # memory (failed nodes have rebooted with empty RAM but
+                # live disks), after which recovery proceeds as if
+                # nothing was lost.
+                promote_s, promote_bytes = self._promote_version(version)
+                chunk_available = self._surviving_chunks(version, set())
+                recovery_failed = set()
+        if version is None:
+            return self._restore_from_backup(latest, failed_nodes)
 
-        # A data chunk may be unavailable because its node failed OR its
-        # packets failed digest verification (silent corruption) — either
-        # way it is an erasure and the decode workflow handles it.
-        all_data_chunks_intact = all(j in chunk_available for j in range(plan.k))
-        if all_data_chunks_intact:
-            report = self._recover_all_data_nodes_alive(
-                version, recovery_failed, chunk_available, plan
-            )
-        else:
-            report = self._recover_with_decoding(
-                version, recovery_failed, chunk_available, plan
-            )
+        report = self._recover(version, recovery_failed, chunk_available, plan)
         if from_disk:
             report.recovery_time += promote_s
             report.breakdown["promote_disk_read"] = promote_s
@@ -1289,19 +1270,99 @@ class ECCheckEngine(CheckpointEngine):
             f"metadata for worker {worker} v{version} lost on all survivors"
         )
 
-    def _install_worker_state(
-        self, version: int, worker: int, payload: np.ndarray, surviving: list[int]
-    ) -> None:
-        blob, length = self._meta_record(version, worker, surviving)
-        state = restore_state_dict(blob, payload[:length])
-        self.job.state_dicts[worker] = map_tensors(state, lambda t: t.to(GPU))
+    def _data_packets(
+        self, version: int, plan: PlacementPlan, chunk_available: dict[int, int]
+    ) -> dict[tuple[int, int], np.ndarray]:
+        """``(data chunk j, group r) -> packet`` for all of ``version``'s data.
 
-    def _rebroadcast_metadata(self, version: int, failed_nodes: set[int], surviving: list[int]) -> None:
-        """Replacement nodes need the metadata copies they lost."""
-        for worker in range(self.job.world_size):
-            record = self._meta_record(version, worker, surviving)
-            for node in failed_nodes:
-                self.host.put(node, ("meta", version, worker), record)
+        Surviving data chunks are read in place (``_surviving_chunks`` just
+        verified them); only the lost ones are decoded, one fused pass per
+        reduction group into fresh buffers, from any ``k`` of the
+        ``chunk_available`` chunks (id -> node) with data chunks preferred.
+        """
+        code = self.code_for(plan.k, plan.m)
+        lost = [j for j in range(plan.k) if j not in chunk_available]
+        packets: dict[tuple[int, int], np.ndarray] = {}
+        for r in range(len(plan.data_group[0])):
+            available = {
+                cid: self.host.get(
+                    node,
+                    self.chunk_key(version, "data", cid, r)
+                    if cid < plan.k
+                    else self.chunk_key(version, "parity", cid - plan.k, r),
+                )
+                for cid, node in chunk_available.items()
+            }
+            if lost:
+                decoded = [np.empty_like(next(iter(available.values()))) for _ in lost]
+                decode_group_into(code, available, lost, decoded)
+                available.update(zip(lost, decoded))
+            packets.update({(j, r): available[j] for j in range(plan.k)})
+        return packets
+
+    def _install_packets(
+        self,
+        version: int,
+        plan: PlacementPlan,
+        packets: dict[tuple[int, int], np.ndarray],
+        failed_nodes: set[int],
+        surviving: list[int],
+    ) -> None:
+        """Every worker gets its state back; training can resume.
+
+        Each tensor is one copy out of its packet straight onto the GPU,
+        so ``packets`` may be (and are) the stored chunks themselves.
+        Replacement nodes also get the metadata copies they lost.
+        """
+        with obs.get_tracer().span("eccheck.restore.step3", step="step3_install"):
+            for worker in range(self.job.world_size):
+                record = self._meta_record(version, worker, surviving)
+                blob, length = record
+                payload = packets[self.group_and_index(worker, plan)]
+                self.job.state_dicts[worker] = restore_state_dict(
+                    blob, payload[:length], GPU
+                )
+                for node in failed_nodes:
+                    self.host.put(node, ("meta", version, worker), record)
+
+    def _rebuild_redundancy(
+        self,
+        version: int,
+        plan: PlacementPlan,
+        packets: dict[tuple[int, int], np.ndarray],
+        chunk_available: dict[int, int],
+    ) -> list[int]:
+        """Background step: put back exactly the chunks that were lost.
+
+        A decoded data buffer *becomes* the stored chunk (install took its
+        own copy); the lost parity rows — only those — are re-encoded in
+        one fused pass per reduction group, straight into the buffers
+        that are stored.  Chunks that never left are not touched.
+        Returns the lost parity indices.
+        """
+        code = self.code_for(plan.k, plan.m)
+        groups = range(len(plan.data_group[0]))
+        lost_data = [j for j in range(plan.k) if j not in chunk_available]
+        lost_parities = [
+            i for i in range(plan.m) if (plan.k + i) not in chunk_available
+        ]
+        with obs.get_tracer().span("eccheck.restore.step4", step="step4_rebuild_redundancy"):
+            for j in lost_data:
+                for r in groups:
+                    self._store_chunk_packet(
+                        plan.data_nodes[j], version, "data", j, r, packets[(j, r)]
+                    )
+            if not lost_parities:
+                return lost_parities
+            for r in groups:
+                group = [packets[(j, r)] for j in range(plan.k)]
+                rebuilt = [np.empty_like(group[0]) for _ in lost_parities]
+                encode_group_into(code, group, rebuilt, rows=lost_parities)
+                for i, packet in zip(lost_parities, rebuilt):
+                    self._store_chunk_packet(
+                        plan.parity_nodes[i], version, "parity", i, r, packet
+                    )
+        return lost_parities
 
     def _restore_from_backup(
         self, version: int, failed_nodes: set[int]
@@ -1339,230 +1400,155 @@ class ECCheckEngine(CheckpointEngine):
             tier="remote",
         )
 
-    def _recover_all_data_nodes_alive(
+    def _recover(
         self,
         version: int,
         failed_nodes: set[int],
         chunk_available: dict[int, int],
         plan: PlacementPlan,
     ) -> RecoveryReport:
-        """Workflow 1 (Fig. 7 precondition inverted): data chunks intact.
+        """Both recovery workflows of Fig. 7: one byte path, two bills.
 
-        Data nodes send every worker its packet; lost (or corrupted)
-        parity chunks are re-encoded in the background.  ``plan`` is the
-        placement ``version`` was saved under.
+        Bytes: collect every data packet (decoding the lost ones), install,
+        put back what was lost.  Time: billed as the paper runs it —
+        workflow 1 when every data chunk is intact (data nodes re-send),
+        workflow 2 otherwise.  A data chunk may be unavailable because its
+        node failed OR its packets failed digest verification (silent
+        corruption); either way it is an erasure.  ``plan`` is the
+        placement ``version`` was saved under, so the matching (k, m) code
+        is used, not necessarily the live one.
         """
         tm = self.job.time_model
         surviving = [
             n for n in range(self.job.cluster.num_nodes) if n not in failed_nodes
         ]
+        with obs.get_tracer().span("eccheck.restore.step2", step="step2_decode"):
+            packets = self._data_packets(version, plan, chunk_available)
+        self._install_packets(version, plan, packets, failed_nodes, surviving)
+        # Background: restore the full chunk layout (data + parity) so the
+        # original fault-tolerance capacity returns; the re-encode is
+        # billed as one pass per group however many parities were lost.
+        lost_parities = self._rebuild_redundancy(version, plan, packets, chunk_available)
+
         logical_packet = self.logical_packet_bytes()
+        groups = len(plan.data_group[0])
+        if all(j in chunk_available for j in range(plan.k)):
+            breakdown, bytes_inter, redo_requests = self._bill_resend(plan, lost_parities)
+        else:
+            breakdown, bytes_inter, redo_requests = self._bill_decode(
+                plan, failed_nodes, surviving, chunk_available, lost_parities
+            )
+        breakdown["htod"] = max(
+            tm.htod_time(self.job.logical_shard_bytes(w))
+            for w in range(self.job.world_size)
+        )
+        redundancy = (
+            self.network.simulate(redo_requests).makespan if redo_requests else 0.0
+        )
+        if lost_parities:
+            redundancy += tm.encode_time(
+                logical_packet * groups, threads=self.config.encode_threads
+            )
+        return RecoveryReport(
+            engine=self.name,
+            version=version,
+            recovery_time=sum(breakdown.values()),
+            breakdown=breakdown,
+            bytes_inter_node=bytes_inter,
+            restore_redundancy_time=redundancy,
+        )
+
+    def _bill_resend(
+        self, plan: PlacementPlan, lost_parities: list[int]
+    ) -> tuple[dict[str, float], int, list[TransferRequest]]:
+        """Workflow 1 (Fig. 7 precondition inverted): data chunks intact.
+
+        Data nodes send every worker its packet; each streams its chunk
+        through the encoder pipeline to every replacement parity node.
+        Returns ``(breakdown, inter-node bytes, background requests)``.
+        """
+        logical_packet = self.logical_packet_bytes()
+        groups = len(plan.data_group[0])
         requests: list[TransferRequest] = []
         bytes_inter = 0
         for worker in range(self.job.world_size):
-            j, r = self.group_and_index(worker, plan)
-            data_node = plan.data_nodes[j]
-            payload = self.host.get(data_node, self.chunk_key(version, "data", j, r))
-            self._install_worker_state(version, worker, payload, surviving)
+            data_node = plan.data_nodes[self.group_and_index(worker, plan)[0]]
             dst = self.node_hosting(worker)
             requests.append(
                 TransferRequest(src=data_node, dst=dst, nbytes=logical_packet)
             )
             if data_node != dst:
                 bytes_inter += logical_packet
-        self._rebroadcast_metadata(version, failed_nodes, surviving)
-        transfer = self.network.simulate(requests).makespan
-        htod = max(
-            tm.htod_time(self.job.logical_shard_bytes(w))
-            for w in range(self.job.world_size)
-        )
-        recovery_time = transfer + htod
-
-        # Background: re-encode parity chunks lost with failed parity nodes
-        # or failing digest verification.  One encode pass per reduction
-        # group produces *all* m parity packets at once, so every lost
-        # parity chunk is rebuilt from that single pass.
-        groups = len(plan.data_group[0])
-        lost_parities = [
-            i for i in range(plan.m) if (plan.k + i) not in chunk_available
-        ]
-        redo_requests: list[TransferRequest] = []
-        encode_seconds = 0.0
-        if lost_parities:
-            encoder = self.encoder_for(plan.k, plan.m)
-            for r in range(groups):
-                data_packets = [
-                    np.ascontiguousarray(
-                        self.host.get(
-                            plan.data_nodes[j],
-                            self.chunk_key(version, "data", j, r),
-                        )
-                    )
-                    for j in range(plan.k)
-                ]
-                parity_packets = encoder.encode(data_packets)
-                for i in lost_parities:
-                    self._store_chunk_packet(
-                        plan.parity_nodes[i], version, "parity", i, r,
-                        parity_packets[i],
-                    )
-            encode_seconds = tm.encode_time(
-                logical_packet * groups, threads=self.config.encode_threads
+        redo_requests = [
+            TransferRequest(
+                src=plan.data_nodes[j],
+                dst=plan.parity_nodes[i],
+                nbytes=logical_packet * groups // plan.k,
             )
-            # Each data node streams its chunk through the encoder pipeline
-            # to every replacement parity node.
-            for i in lost_parities:
-                for j in range(plan.k):
-                    redo_requests.append(
-                        TransferRequest(
-                            src=plan.data_nodes[j],
-                            dst=plan.parity_nodes[i],
-                            nbytes=logical_packet * groups // plan.k,
-                        )
-                    )
-        redo_comm = (
-            self.network.simulate(redo_requests).makespan if redo_requests else 0.0
-        )
-        return RecoveryReport(
-            engine=self.name,
-            version=version,
-            recovery_time=recovery_time,
-            breakdown={"fetch_packets": transfer, "htod": htod},
-            bytes_inter_node=bytes_inter,
-            restore_redundancy_time=redo_comm + encode_seconds,
-        )
+            for i in lost_parities
+            for j in range(plan.k)
+        ]
+        transfer = self.network.simulate(requests).makespan
+        return {"fetch_packets": transfer}, bytes_inter, redo_requests
 
-    def _recover_with_decoding(
+    def _bill_decode(
         self,
-        version: int,
-        failed_nodes: set[int],
-        chunk_available: dict[int, int],
         plan: PlacementPlan,
-    ) -> RecoveryReport:
+        failed_nodes: set[int],
+        surviving: list[int],
+        chunk_available: dict[int, int],
+        lost_parities: list[int],
+    ) -> tuple[dict[str, float], int, list[TransferRequest]]:
         """Workflow 2 (Fig. 7): data chunks lost; decode from any k chunks.
 
-        ``plan`` is the placement ``version`` was saved under; the decode
-        uses the matching (k, m) code, not necessarily the live one.
+        Every reduction group gathers k chunks (data preferred, to
+        minimise decode work) on a decode node — round-robin across the
+        survivors, as the paper spreads it — which scatters the packets.
+        Returns ``(breakdown, inter-node bytes, background requests)``.
         """
-        code = self.code_for(plan.k, plan.m)
-        tm = self.job.time_model
-        surviving = [
-            n for n in range(self.job.cluster.num_nodes) if n not in failed_nodes
-        ]
         logical_packet = self.logical_packet_bytes()
         groups = len(plan.data_group[0])
-        # Prefer data chunks to minimise decode work.
         chosen = sorted(chunk_available, key=lambda c: (c >= plan.k, c))[: plan.k]
-
-        # Decode every reduction group; distribute decode work round-robin
-        # across surviving nodes (the paper spreads it to speed recovery).
         gather_requests: list[TransferRequest] = []
         scatter_requests: list[TransferRequest] = []
         bytes_inter = 0
-        recovered: dict[tuple[int, int], np.ndarray] = {}
         for r in range(groups):
             decode_node = surviving[r % len(surviving)]
-            available = {}
-            for cid in chosen:
-                node = chunk_available[cid]
-                key = (
-                    self.chunk_key(version, "data", cid, r)
-                    if cid < plan.k
-                    else self.chunk_key(version, "parity", cid - plan.k, r)
-                )
-                available[cid] = np.ascontiguousarray(self.host.get(node, key))
+            for node in (chunk_available[cid] for cid in chosen):
                 gather_requests.append(
                     TransferRequest(src=node, dst=decode_node, nbytes=logical_packet)
                 )
                 if node != decode_node:
                     bytes_inter += logical_packet
-            data_packets = code.decode_fast(available)
             for j in range(plan.k):
-                recovered[(j, r)] = data_packets[j]
-                worker = plan.data_group[j][r]
-                dst = self.node_hosting(worker)
+                dst = self.node_hosting(plan.data_group[j][r])
                 scatter_requests.append(
                     TransferRequest(src=decode_node, dst=dst, nbytes=logical_packet)
                 )
                 if decode_node != dst:
                     bytes_inter += logical_packet
-
-        # Every worker gets its packet back; training can resume.
-        for worker in range(self.job.world_size):
-            j, r = self.group_and_index(worker, plan)
-            self._install_worker_state(version, worker, recovered[(j, r)], surviving)
-        self._rebroadcast_metadata(version, failed_nodes, surviving)
-
-        decode_seconds = tm.encode_time(
-            plan.k * logical_packet * groups / max(1, len(surviving)),
-            threads=self.config.encode_threads,
-        )
-        gather = self.network.simulate(gather_requests).makespan
-        scatter = self.network.simulate(scatter_requests).makespan
-        htod = max(
-            tm.htod_time(self.job.logical_shard_bytes(w))
-            for w in range(self.job.world_size)
-        )
-        recovery_time = gather + decode_seconds + scatter + htod
-
-        # Background: restore the full chunk layout (data + parity) so the
-        # original fault-tolerance capacity returns.
-        redo_requests: list[TransferRequest] = []
-        for j, data_node in enumerate(plan.data_nodes):
-            for r in range(groups):
-                self._store_chunk_packet(
-                    data_node, version, "data", j, r, recovered[(j, r)].copy()
-                )
-            if data_node in failed_nodes:
-                redo_requests.append(
-                    TransferRequest(
-                        src=surviving[j % len(surviving)],
-                        dst=data_node,
-                        nbytes=logical_packet * groups,
-                    )
-                )
-        # One encode pass per reduction group rebuilds all lost parity
-        # chunks at once (encoding emits every parity packet anyway).
-        lost_parities = [
-            i for i, parity_node in enumerate(plan.parity_nodes)
-            if parity_node in failed_nodes or (plan.k + i) not in chunk_available
-        ]
-        reencode_seconds = 0.0
-        if lost_parities:
-            encoder = self.encoder_for(plan.k, plan.m)
-            for r in range(groups):
-                parity_packets = encoder.encode(
-                    [recovered[(j, r)] for j in range(plan.k)]
-                )
-                for i in lost_parities:
-                    self._store_chunk_packet(
-                        plan.parity_nodes[i], version, "parity", i, r,
-                        parity_packets[i],
-                    )
-            reencode_seconds = tm.encode_time(
-                logical_packet * groups, threads=self.config.encode_threads
+        redo_requests = [
+            TransferRequest(
+                src=surviving[j % len(surviving)],
+                dst=data_node,
+                nbytes=logical_packet * groups,
             )
-            for i in lost_parities:
-                redo_requests.append(
-                    TransferRequest(
-                        src=surviving[i % len(surviving)],
-                        dst=plan.parity_nodes[i],
-                        nbytes=logical_packet * groups,
-                    )
-                )
-        redo_comm = (
-            self.network.simulate(redo_requests).makespan if redo_requests else 0.0
-        )
-        return RecoveryReport(
-            engine=self.name,
-            version=version,
-            recovery_time=recovery_time,
-            breakdown={
-                "gather_chunks": gather,
-                "decode": decode_seconds,
-                "scatter_packets": scatter,
-                "htod": htod,
-            },
-            bytes_inter_node=bytes_inter,
-            restore_redundancy_time=redo_comm + reencode_seconds,
-        )
+            for j, data_node in enumerate(plan.data_nodes)
+            if data_node in failed_nodes
+        ] + [
+            TransferRequest(
+                src=surviving[i % len(surviving)],
+                dst=plan.parity_nodes[i],
+                nbytes=logical_packet * groups,
+            )
+            for i in lost_parities
+        ]
+        breakdown = {
+            "gather_chunks": self.network.simulate(gather_requests).makespan,
+            "decode": self.job.time_model.encode_time(
+                plan.k * logical_packet * groups / max(1, len(surviving)),
+                threads=self.config.encode_threads,
+            ),
+            "scatter_packets": self.network.simulate(scatter_requests).makespan,
+        }
+        return breakdown, bytes_inter, redo_requests

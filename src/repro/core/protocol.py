@@ -20,14 +20,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import CheckpointError, DecodeError
+from repro.errors import CheckpointError, DecodeError, FieldError
 from repro.ec.base import ErasureCode
 from repro.ec.kernels import DEFAULT_CHUNK_BYTES, xor_reduce_arrays
+from repro.gf.field import GF
 from repro.tensors.serialization import (
     Decomposition,
     decompose_state_dict,
     recompose_state_dict,
 )
+from repro.tensors.tensor import CPU
 
 
 def packet_size_for(payload_lengths: list[int], alignment: int = 64) -> int:
@@ -102,8 +104,13 @@ def build_worker_checkpoint(
     )
 
 
-def restore_state_dict(metadata_blob: bytes, packet_payload: np.ndarray) -> dict:
-    """Inverse of :func:`build_worker_checkpoint`: packet bytes -> state_dict."""
+def restore_state_dict(
+    metadata_blob: bytes, packet_payload: np.ndarray, device: str = CPU
+) -> dict:
+    """Inverse of :func:`build_worker_checkpoint`: packet bytes -> state_dict.
+
+    Every tensor is one copy out of ``packet_payload``, built on ``device``.
+    """
     decomposition = Decomposition.from_metadata_blob(metadata_blob)
     total = sum(meta.nbytes for meta in decomposition.tensor_meta)
     if packet_payload.nbytes < total:
@@ -114,7 +121,7 @@ def restore_state_dict(metadata_blob: bytes, packet_payload: np.ndarray) -> dict
     decomposition.tensor_data = decomposition.split_tensor_bytes(
         np.ascontiguousarray(packet_payload[:total], dtype=np.uint8)
     )
-    return recompose_state_dict(decomposition)
+    return recompose_state_dict(decomposition, device)
 
 
 def encode_packet(
@@ -155,6 +162,37 @@ def xor_reduce(encoded_packets: list[np.ndarray]) -> np.ndarray:
     return xor_reduce_arrays(encoded_packets)
 
 
+def _apply_rows(
+    field: GF, matrix: np.ndarray, sources: list[np.ndarray], out: list[np.ndarray]
+) -> None:
+    """``out[n] = XOR_c matrix[n][c] * sources[c]`` over GF(2^w).
+
+    Column 0 is multiplied straight into the buffer, every further column
+    into a scratch that is XORed in, so no ``rows x columns``
+    intermediates exist.  The sources are walked in the kernel layer's
+    ``DEFAULT_CHUNK_BYTES`` blocks, all rows of a block before the next:
+    an input block is read from memory once for all its products and the
+    accumulators stay in cache.
+    """
+    size = sources[0].size
+    if any(a.shape != (size,) for a in (*sources, *out)):
+        raise CheckpointError(f"packets and buffers must all be flat, {size} bytes")
+    for n, buffer in enumerate(out):
+        if any(np.may_share_memory(buffer, a) for a in (*sources, *out[:n])):
+            raise FieldError("an output buffer overlaps a packet or another buffer")
+    coefficients = [[int(c) for c in row] for row in matrix]
+    scratch = np.empty(min(size, DEFAULT_CHUNK_BYTES), dtype=np.uint8)
+    for start in range(0, size, DEFAULT_CHUNK_BYTES):
+        end = min(size, start + DEFAULT_CHUNK_BYTES)
+        blocks = [source[start:end] for source in sources]
+        product = scratch[: end - start]
+        for buffer, row in zip(out, coefficients):
+            acc = buffer[start:end]
+            field.mul_region_into(row[0], blocks[0], acc)
+            for coeff, block in zip(row[1:], blocks[1:]):
+                field.mul_region_xor_into(coeff, block, acc, product)
+
+
 def encode_group_into(
     code: ErasureCode,
     packets: list[np.ndarray],
@@ -164,19 +202,15 @@ def encode_group_into(
     """Fused encode + XOR reduction of one reduction group (Eqn. 6).
 
     Writes parity packet ``rows[n]`` — ``XOR_j B(E'[i][j]) d_j`` over the
-    group's ``k`` packets — into ``out[n]``: column 0 is multiplied
-    straight into the buffer, every further column into a scratch that is
-    XORed in, so no ``k x m`` intermediates exist.  Byte-identical to
-    :func:`encode_packet` per worker + :func:`xor_reduce` per parity.
-
-    The group is walked in the kernel layer's ``DEFAULT_CHUNK_BYTES``
-    blocks, all rows of a block before the next: an input block is read
-    from memory once for its ``m`` products, accumulators stay in cache.
+    group's ``k`` packets — into ``out[n]`` in one blocked pass (see
+    :func:`_apply_rows`).  Byte-identical to :func:`encode_packet` per
+    worker + :func:`xor_reduce` per parity.
 
     Args:
         code: the (k, m) erasure code.
         packets: the group's ``k`` equal-size flat uint8 packets.
-        out: a flat contiguous uint8 packet-size buffer per wanted row.
+        out: a flat contiguous uint8 packet-size buffer per wanted row,
+            none overlapping a packet.
         rows: parity indices to compute (default: the first ``len(out)``).
     """
     if len(packets) != code.params.k:
@@ -186,42 +220,41 @@ def encode_group_into(
     rows = range(len(out)) if rows is None else rows
     if len(rows) != len(out):
         raise CheckpointError(f"{len(rows)} parity rows for {len(out)} buffers")
-    field = code.field
-    coefficients = [[int(c) for c in code.parity_matrix[i]] for i in rows]
-    size = packets[0].size
-    scratch = np.empty(min(size, DEFAULT_CHUNK_BYTES), dtype=np.uint8)
-    for start in range(0, size, DEFAULT_CHUNK_BYTES):
-        end = min(size, start + DEFAULT_CHUNK_BYTES)
-        blocks = [packet[start:end] for packet in packets]
-        product = scratch[: end - start]
-        for buffer, row in zip(out, coefficients):
-            acc = buffer[start:end]
-            field.mul_region_into(row[0], blocks[0], acc)
-            for coeff, block in zip(row[1:], blocks[1:]):
-                field.mul_region_xor_into(coeff, block, acc, product)
+    _apply_rows(code.field, code.parity_matrix[list(rows)], packets, out)
 
 
-def decode_group(
-    code: ErasureCode, available: dict[int, np.ndarray]
-) -> list[np.ndarray]:
-    """Recover a reduction group's ``k`` data packets from any ``k`` chunks.
+def decode_group_into(
+    code: ErasureCode,
+    available: dict[int, np.ndarray],
+    lost: list[int],
+    out: list[np.ndarray],
+) -> None:
+    """Fused decode of a reduction group's *lost* data packets only.
 
-    ``available`` maps chunk id (0..k-1 data, k..k+m-1 parity) to that
-    chunk's packet for this reduction group.  Dispatches through the
-    code's fast path (bitmatrix kernels for Cauchy RS).
+    Writes data packet ``lost[n]`` into ``out[n]``: the matching rows of
+    the (cached) decoding matrix of any ``k`` available chunks — data
+    chunks preferred, as :meth:`ErasureCode.decode` chooses — applied in
+    one blocked pass (see :func:`_apply_rows`).  Byte-identical to the
+    same rows of ``code.decode(available)``.
+
+    Args:
+        code: the (k, m) erasure code.
+        available: chunk id (0..k-1 data, k..k+m-1 parity) -> that
+            chunk's equal-size flat uint8 packet for this group.
+        lost: data chunk ids to reconstruct.
+        out: a flat contiguous uint8 packet-size buffer per lost id,
+            none overlapping an available packet.
+
+    Raises:
+        DecodeError: with fewer than ``k`` chunks or a non-data ``lost`` id.
     """
-    return code.decode_fast(available)
-
-
-def reencode_parity(
-    code: ErasureCode, data_packets: list[np.ndarray], parity_index: int
-) -> np.ndarray:
-    """Recompute one parity packet from a group's data packets.
-
-    Used on the redundancy-restoration path after recovery.
-    """
-    if len(data_packets) != code.params.k:
-        raise CheckpointError(
-            f"need {code.params.k} data packets, got {len(data_packets)}"
-        )
-    return code.encode_fast(data_packets)[parity_index]
+    k = code.params.k
+    if len(available) < k:
+        raise DecodeError(f"need {k} chunks to decode, got {len(available)}")
+    if len(lost) != len(out):
+        raise CheckpointError(f"{len(lost)} lost chunks for {len(out)} buffers")
+    if any(not 0 <= j < k for j in lost):
+        raise DecodeError(f"only data chunks 0..{k - 1} decode, got {list(lost)}")
+    chosen = sorted(available, key=lambda c: (c >= k, c))[:k]
+    rows = code.decoding_matrix(chosen)[list(lost)]
+    _apply_rows(code.field, rows, [available[c] for c in chosen], out)

@@ -15,11 +15,14 @@ The coding stack has three levels:
    splitting, padding, chunking for thread- or process-pool parallelism
    (the latter over shared-memory segments), and reassembling decoded
    output.  :mod:`repro.ec.autotune` picks the fastest schedule/kernel
-   variant per code shape from measurement.
+   variant per code shape from measurement.  The pools and the autotuner
+   are imported from their own modules, not re-exported here: the
+   checkpoint engines use none of them, and importing an engine must not
+   load them.
 
 Underneath all three sits the **kernel layer** (:mod:`repro.ec.kernels`):
-word-packed, cache-blocked GF(2) primitives that every hot path — schedule
-execution, bitmatrix encode/decode, the XOR-reduce protocol step — runs on.
+word-packed, cache-blocked GF(2) primitives that schedule execution,
+bitmatrix encode/decode and the XOR-reduce reference step run on.
 See DESIGN.md "Hot path architecture".
 """
 
@@ -44,9 +47,6 @@ from repro.ec.replication import ReplicationCode
 from repro.ec.xor_code import SingleParityCode
 from repro.ec.schedule import XorSchedule, dumb_schedule, paar_schedule, smart_schedule
 from repro.ec.encoder import BlockEncoder, pad_and_split, reassemble
-from repro.ec.threadpool import EncodeStats, ThreadPoolEncoder, split_ranges
-from repro.ec.procpool import SharedMemoryProcessPoolEncoder, make_encoder
-from repro.ec.autotune import Variant, autotune_cache_info, best_variant
 
 __all__ = [
     "CodeParams",
@@ -73,12 +73,4 @@ __all__ = [
     "BlockEncoder",
     "pad_and_split",
     "reassemble",
-    "EncodeStats",
-    "ThreadPoolEncoder",
-    "split_ranges",
-    "SharedMemoryProcessPoolEncoder",
-    "make_encoder",
-    "Variant",
-    "autotune_cache_info",
-    "best_variant",
 ]

@@ -437,7 +437,7 @@ def make_encoder(
     threads: int = 4,
     min_subtask_bytes: int | None = None,
 ) -> ThreadPoolEncoder | SharedMemoryProcessPoolEncoder:
-    """Encoder factory behind the engine's ``encoder_backend`` config knob.
+    """Encoder factory over the two pool backends (bench and library use).
 
     ``"thread"`` (default) builds the adaptive :class:`ThreadPoolEncoder`;
     ``"process"`` builds a :class:`SharedMemoryProcessPoolEncoder` with

@@ -32,6 +32,7 @@ import numpy as np
 from repro import obs
 from repro.errors import RecoveryError
 from repro.core.placement import PlacementPlan
+from repro.core.protocol import encode_group_into
 from repro.core.scheduler import pack_into_slots, profile_idle_slots
 from repro.sim.network import TransferRequest, gbps
 
@@ -239,28 +240,31 @@ class RepairExecutor:
                 threads=engine.config.encode_threads,
             )
 
-        # --- compute the target layout's packets. ---------------------
-        encoder = engine.encoder_for(target.k, target.m)
-        parity_of: dict[int, list[np.ndarray]] = {}
-        need_parity = {it.r for it in ledger.items if it.kind == "parity"}
-        for r in sorted(need_parity):
-            parity_of[r] = encoder.encode(
-                [
-                    np.ascontiguousarray(packets[target.data_group[j][r]])
-                    for j in range(target.k)
-                ]
-            )
+        # --- compute the target layout's missing parity rows: one fused
+        # pass per group, straight into the buffers that are stored. ----
+        pending = ledger.pending()
+        code = engine.code_for(target.k, target.m)
+        rows_of: dict[int, list[int]] = {}
+        for _, item in pending:
+            if item.kind == "parity":
+                rows_of.setdefault(item.r, []).append(item.idx)
+        parity_of: dict[tuple[int, int], np.ndarray] = {}
+        for r, rows in rows_of.items():
+            group = [packets[target.data_group[j][r]] for j in range(target.k)]
+            rebuilt = [np.empty_like(group[0]) for _ in rows]
+            encode_group_into(code, group, rebuilt, rows=rows)
+            parity_of.update({(r, i): buf for i, buf in zip(rows, rebuilt)})
 
         # --- stream: store each missing packet, then mark it done. ----
-        pending = ledger.pending()
         requests: list[TransferRequest] = []
         bytes_streamed = 0
         source_holder = self._source_holder(version)
         for index, item in pending:
             if item.kind == "data":
+                # A copy: the packet may be a source chunk read in place.
                 payload = packets[target.data_group[item.idx][item.r]].copy()
             else:
-                payload = parity_of[item.r][item.idx].copy()
+                payload = parity_of[item.r, item.idx]
             engine._store_chunk_packet(
                 item.node,
                 version,
@@ -330,51 +334,26 @@ class RepairExecutor:
     def _derive_worker_packets(self, version: int) -> tuple[dict, int]:
         """All worker packets of ``version``; (packets, groups decoded).
 
-        Reads data chunks directly where whole; decodes a source group
-        from any ``k`` chunks otherwise.
+        Reads data chunks in place where whole; decodes only the lost
+        ones of each source group from any ``k`` chunks otherwise.
 
         Raises:
             RecoveryError: when fewer than ``k`` chunks survive.
         """
         engine = self.engine
         plan = engine.placement_of(version)
-        groups = len(plan.data_group[0])
         available = engine._surviving_chunks(version, set())
         if len(available) < plan.k:
             raise RecoveryError(
                 f"repair of v{version} needs {plan.k} chunks, "
                 f"only {len(available)} survive"
             )
-        code = engine.code_for(plan.k, plan.m)
-        chosen = sorted(available, key=lambda c: (c >= plan.k, c))[: plan.k]
+        packets = {
+            plan.data_group[j][r]: packet
+            for (j, r), packet in engine._data_packets(version, plan, available).items()
+        }
         all_data_whole = all(j in available for j in range(plan.k))
-        packets: dict[int, np.ndarray] = {}
-        decoded_groups = 0
-        for r in range(groups):
-            if all_data_whole:
-                row = {
-                    j: engine.host.get(
-                        plan.data_nodes[j],
-                        engine.chunk_key(version, "data", j, r),
-                    )
-                    for j in range(plan.k)
-                }
-            else:
-                chunks = {}
-                for cid in chosen:
-                    node = available[cid]
-                    key = (
-                        engine.chunk_key(version, "data", cid, r)
-                        if cid < plan.k
-                        else engine.chunk_key(version, "parity", cid - plan.k, r)
-                    )
-                    chunks[cid] = np.ascontiguousarray(engine.host.get(node, key))
-                decoded = code.decode_fast(chunks)
-                row = {j: decoded[j] for j in range(plan.k)}
-                decoded_groups += 1
-            for j in range(plan.k):
-                packets[plan.data_group[j][r]] = np.asarray(row[j])
-        return packets, decoded_groups
+        return packets, 0 if all_data_whole else len(plan.data_group[0])
 
     def _collect_stale_chunks(
         self, version: int, source: PlacementPlan, source_epoch: int

@@ -34,6 +34,7 @@ from repro.core.protocol import (
 from repro.errors import CheckpointError, RecoveryError
 from repro.gradrep.gradlog import GradientLog
 from repro.sim.network import PiggybackChannel, TransferRequest, gbps
+from repro.tensors.tensor import GPU
 
 
 def _canonical_state_dict(state_dict):
@@ -453,7 +454,7 @@ class GradRepEngine(CheckpointEngine):
             )
             final_payloads[worker] = payload
             self.job.state_dicts[worker] = restore_state_dict(
-                meta if meta is not None else base_meta, payload
+                meta if meta is not None else base_meta, payload, GPU
             )
         self._restore_dp_replicas()
 

@@ -29,6 +29,7 @@ from repro.core.eccheck import ECCheckConfig, ECCheckEngine
 from repro.core.protocol import restore_state_dict
 from repro.gradrep.engine import GradRepConfig, GradRepEngine
 from repro.gradrep.gradlog import GradientLog
+from repro.tensors.tensor import GPU
 
 
 class HybridEngine(GradRepEngine):
@@ -76,9 +77,6 @@ class HybridEngine(GradRepEngine):
     def crash_injector(self, value):
         self._crash_injector = value
         self.inner.crash_injector = value
-
-    def prune_memory_index(self) -> list[int]:
-        return self.inner.prune_memory_index()
 
     def save_remote_backup(self):
         report = self.inner.save_remote_backup()
@@ -173,7 +171,7 @@ class HybridEngine(GradRepEngine):
             final_payloads[worker] = payload
             if tail:
                 self.job.state_dicts[worker] = restore_state_dict(
-                    meta if meta is not None else base.metadata_blob, payload
+                    meta if meta is not None else base.metadata_blob, payload, GPU
                 )
         if tail:
             self._restore_dp_replicas()

@@ -368,6 +368,28 @@ def tier_byte_flow(spans: Iterable[Dict[str, Any]]) -> Dict[str, int]:
     return flow
 
 
+def restore_step_wall(spans: Iterable[Dict[str, Any]]) -> Dict[str, float]:
+    """Wall seconds per ``eccheck.restore`` step, summed over the trace.
+
+    The engine brackets a restore's steps (locate + verify, decode,
+    install, rebuild redundancy) with wall-only child spans tagged
+    ``attrs["step"]``; ``(unattributed)`` is the restore spans' wall time
+    that no step covers, so the rows sum to the restores' wall time.
+    """
+    spans = list(spans)
+    restores = {s["id"]: s for s in spans if s["name"] == "eccheck.restore"}
+    totals: Dict[str, float] = {}
+    for span in spans:
+        step = (span.get("attrs") or {}).get("step")
+        if step is not None and span.get("parent") in restores:
+            totals[step] = totals.get(step, 0.0) + span["wall_s"]
+    if totals:
+        totals["(unattributed)"] = sum(
+            s["wall_s"] for s in restores.values()
+        ) - sum(totals.values())
+    return totals
+
+
 # ---------------------------------------------------------------------------
 # Bundled analysis
 # ---------------------------------------------------------------------------
@@ -377,6 +399,8 @@ class TraceAnalysis:
 
     save_phase_totals: Dict[str, float] = field(default_factory=dict)
     restore_phase_totals: Dict[str, float] = field(default_factory=dict)
+    #: Wall seconds per restore step (see :func:`restore_step_wall`).
+    restore_step_wall: Dict[str, float] = field(default_factory=dict)
     #: Elastic-membership spans: background repair (derive/stream/commit)
     #: and degraded regroups, empty for traces without an elastic run.
     repair_phase_totals: Dict[str, float] = field(default_factory=dict)
@@ -418,6 +442,7 @@ def analyze_trace(
     analysis = TraceAnalysis(
         save_phase_totals=phase_totals(trace.spans, kind="save"),
         restore_phase_totals=phase_totals(trace.spans, kind="restore"),
+        restore_step_wall=restore_step_wall(trace.spans),
         repair_phase_totals=phase_totals(trace.spans, kind="repair"),
         regroup_phase_totals=phase_totals(trace.spans, kind="regroup"),
         tier_phase_totals=phase_totals(trace.spans, kind="tier"),
@@ -461,6 +486,8 @@ def render_analysis(analysis: TraceAnalysis) -> str:
     lines += _phase_lines("save phases (sim):", analysis.save_phase_totals)
     if analysis.restore_phase_totals:
         lines += _phase_lines("restore phases (sim):", analysis.restore_phase_totals)
+    if analysis.restore_step_wall:
+        lines += _phase_lines("restore steps (wall):", analysis.restore_step_wall)
     if analysis.repair_phase_totals:
         lines += _phase_lines("repair phases (sim):", analysis.repair_phase_totals)
     if analysis.regroup_phase_totals:

@@ -58,15 +58,24 @@ def build_traced_job(
 
 
 def _snapshot_cache_gauges(tracer, engine) -> None:
-    """Surface the compile/decode/autotune cache counters as gauges."""
-    from repro.ec import autotune_cache_info, schedule_cache_info
+    """Surface the compile/decode/autotune cache counters as gauges.
+
+    ``cache.decoding_*`` is the decoding-matrix cache the restore hits;
+    the schedule, decode-schedule and autotune gauges read the library.
+    """
+    from repro.ec.autotune import autotune_cache_info
+    from repro.ec.cauchy import schedule_cache_info
 
     for key, value in schedule_cache_info().items():
         tracer.metrics.gauge(f"cache.{key}").set(float(value))
     for key, value in autotune_cache_info().items():
         tracer.metrics.gauge(f"cache.autotune_{key}").set(float(value))
     code = getattr(engine, "code", None)
-    if code is not None and hasattr(code, "decode_cache_info"):
+    if code is None:
+        return
+    for key, value in code.decoding_cache_info().items():
+        tracer.metrics.gauge(f"cache.decoding_{key}").set(float(value))
+    if hasattr(code, "decode_cache_info"):
         for key, value in code.decode_cache_info().items():
             tracer.metrics.gauge(f"cache.decode_{key}").set(float(value))
 

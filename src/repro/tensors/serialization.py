@@ -199,8 +199,10 @@ def decompose_state_dict(
     )
 
 
-def recompose_state_dict(decomposition: Decomposition) -> dict:
+def recompose_state_dict(decomposition: Decomposition, device: str = CPU) -> dict:
     """Rebuild the original state dict from a decomposition.
+
+    Every tensor is built on ``device`` with one copy of its buffer.
 
     Raises:
         ReproError: if tensor data is missing or sized inconsistently with
@@ -218,6 +220,6 @@ def recompose_state_dict(decomposition: Decomposition) -> dict:
                 f"tensor {meta.path!r} expects {meta.nbytes} bytes, got {raw.nbytes}"
             )
         flat[meta.path] = SimTensor.from_bytes(
-            raw, np.dtype(meta.dtype), meta.shape, CPU
+            raw, np.dtype(meta.dtype), meta.shape, device
         )
     return unflatten_state_dict(flat)

@@ -73,8 +73,14 @@ class SimTensor:
         shape: tuple[int, ...],
         device: str = CPU,
     ) -> "SimTensor":
-        """Rebuild a tensor from raw bytes plus its dtype/shape metadata."""
-        buf = np.frombuffer(bytes(raw), dtype=np.uint8).copy()
+        """Rebuild a tensor from raw bytes plus its dtype/shape metadata.
+
+        The tensor owns its storage: exactly one copy out of ``raw``.
+        """
+        if isinstance(raw, np.ndarray):
+            buf = np.array(raw, order="C").reshape(-1).view(np.uint8)
+        else:
+            buf = np.frombuffer(raw, dtype=np.uint8).copy()
         return cls(buf.view(dtype).reshape(shape), device=device)
 
     def equal(self, other: "SimTensor") -> bool:

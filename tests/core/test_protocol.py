@@ -10,12 +10,11 @@ from hypothesis import strategies as st
 from repro.errors import CheckpointError, DecodeError, FieldError
 from repro.core.protocol import (
     build_worker_checkpoint,
-    decode_group,
+    decode_group_into,
     encode_group_into,
     encode_packet,
     packet_size_for,
     packetise,
-    reencode_parity,
     restore_state_dict,
     xor_reduce,
 )
@@ -164,6 +163,101 @@ def test_fused_group_encode_rejects_bad_shapes(code):
         encode_group_into(code, packets, out, rows=[0])
     with pytest.raises(FieldError):  # an accumulator may not alias its input
         encode_group_into(code, packets, [packets[0], out[1]])
+    with pytest.raises(CheckpointError):  # too long would be silently half-written
+        encode_group_into(code, packets, [np.empty(128, dtype=np.uint8), out[1]])
+
+
+def assert_lost_chunks_come_back(code, packets, erased):
+    """Erase ``erased`` chunk ids, decode the lost data, re-encode the lost
+    parity: decode_group_into rows == code.decode == code.decode_fast == the
+    originals; the row-subset re-encode == the same rows of code.encode."""
+    k, size = code.params.k, packets[0].size
+    parity = code.encode(packets)
+    available = {
+        cid: chunk for cid, chunk in enumerate(packets + parity) if cid not in erased
+    }
+    before = {cid: chunk.copy() for cid, chunk in available.items()}
+    lost = [j for j in sorted(erased) if j < k]
+    decoded = [np.full(size, 0xEE, dtype=np.uint8) for _ in lost]
+    decode_group_into(code, available, lost, decoded)
+    reference = code.decode(available)
+    fast = code.decode_fast(available)
+    for j, got in zip(lost, decoded):
+        assert np.array_equal(got, packets[j]), (erased, j)
+        assert np.array_equal(got, reference[j]), (erased, j)
+        assert np.array_equal(got, fast[j]), (erased, j)
+    # Re-encode exactly the lost parity rows from surviving + decoded data.
+    data = [available.get(j) for j in range(k)]
+    for j, packet in zip(lost, decoded):
+        data[j] = packet
+    rows = [cid - k for cid in sorted(erased) if cid >= k]
+    rebuilt = [np.full(size, 0xEE, dtype=np.uint8) for _ in rows]
+    encode_group_into(code, data, rebuilt, rows=rows)
+    for i, got in zip(rows, rebuilt):
+        assert np.array_equal(got, parity[i]), (erased, i)
+    assert all(np.array_equal(available[cid], before[cid]) for cid in available)
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+@pytest.mark.parametrize("m", range(1, 5))
+def test_fused_group_decode_every_erasure_pattern(k, m):
+    """Every way of losing <= m of the k + m chunks, at a ragged even size."""
+    code = CauchyRSCode(CodeParams(k=k, m=m, w=8))
+    rng = np.random.default_rng(16 * k + m)
+    size = 2 * (11 * k + m)
+    packets = [rng.integers(0, 256, size=size, dtype=np.uint8) for _ in range(k)]
+    for count in range(m + 1):
+        for erased in itertools.combinations(range(k + m), count):
+            assert_lost_chunks_come_back(code, packets, set(erased))
+
+
+@given(
+    k=st.integers(1, 6),
+    m=st.integers(1, 4),
+    size=st.integers(0, 601),  # even, odd and empty
+    seed=st.integers(0, 2**16),
+    data=st.data(),
+)
+def test_fused_group_decode_equals_both_oracles(k, m, size, seed, data):
+    code = CauchyRSCode(CodeParams(k=k, m=m, w=8))
+    rng = np.random.default_rng(seed)
+    packets = [rng.integers(0, 256, size=size, dtype=np.uint8) for _ in range(k)]
+    erased = data.draw(st.sets(st.integers(0, k + m - 1), max_size=m))
+    assert_lost_chunks_come_back(code, packets, erased)
+
+
+@pytest.mark.parametrize("extra", [0, 2, 7, 2 * 65536 + 4098])
+def test_fused_group_decode_across_block_boundaries(extra):
+    code = CauchyRSCode(CodeParams(k=3, m=2, w=8))
+    rng = np.random.default_rng(extra)
+    size = 65536 + extra
+    packets = [rng.integers(0, 256, size=size, dtype=np.uint8) for _ in range(3)]
+    for erased in ({0}, {1, 2}, {0, 4}, {3, 4}):
+        assert_lost_chunks_come_back(code, packets, erased)
+
+
+def test_fused_group_decode_rejects_bad_input(code):
+    rng = np.random.default_rng(9)
+    packets = [rng.integers(0, 256, size=64, dtype=np.uint8) for _ in range(2)]
+    chunks = dict(enumerate(packets + code.encode(packets)))
+    survivors = {1: chunks[1], 2: chunks[2]}
+    out = [np.empty(64, dtype=np.uint8)]
+    with pytest.raises(DecodeError):  # fewer than k chunks
+        decode_group_into(code, {2: chunks[2]}, [0], out)
+    with pytest.raises(DecodeError):  # parity is re-encoded, not decoded
+        decode_group_into(code, survivors, [2], out)
+    with pytest.raises(CheckpointError):
+        decode_group_into(code, survivors, [0, 1], out)
+    with pytest.raises(FieldError):  # overlapping: out is the *second* source
+        decode_group_into(code, survivors, [0], [chunks[2]])
+    with pytest.raises(FieldError):  # overlapping: two outs share memory
+        decode_group_into(code, {2: chunks[2], 3: chunks[3]}, [0, 1], [out[0], out[0][:]])
+    with pytest.raises(CheckpointError):  # short
+        decode_group_into(code, survivors, [0], [np.empty(32, dtype=np.uint8)])
+    with pytest.raises(FieldError):  # non-contiguous
+        decode_group_into(code, survivors, [0], [np.empty(128, dtype=np.uint8)[::2]])
+    # Nothing lost is nothing to do (and nothing to invert).
+    decode_group_into(code, survivors, [], [])
 
 
 def test_packetise_copies_views_once_and_zeroes_only_the_tail():
@@ -194,7 +288,10 @@ def test_full_protocol_any_k_chunks_restore_every_state_dict(code):
 
     for survivors in itertools.combinations(range(4), 2):
         available = {cid: chunks[cid] for cid in survivors}
-        recovered = decode_group(code, available)
+        lost = [w for w in range(2) if w not in available]
+        decoded = [np.empty(size, dtype=np.uint8) for _ in lost]
+        decode_group_into(code, available, lost, decoded)
+        recovered = {**available, **dict(zip(lost, decoded))}
         for w in range(2):
             restored = restore_state_dict(
                 checkpoints[w].metadata_blob,
@@ -208,6 +305,8 @@ def test_reencode_parity_matches_original(code):
     packets = [rng.integers(0, 256, size=64, dtype=np.uint8) for _ in range(2)]
     parity = code.encode(packets)
     for i in range(2):
-        assert np.array_equal(reencode_parity(code, packets, i), parity[i])
+        rebuilt = np.empty(64, dtype=np.uint8)
+        encode_group_into(code, packets, [rebuilt], rows=[i])
+        assert np.array_equal(rebuilt, parity[i])
     with pytest.raises(CheckpointError):
-        reencode_parity(code, packets[:1], 0)
+        encode_group_into(code, packets[:1], [rebuilt], rows=[0])

@@ -1,7 +1,8 @@
 """Regression tests for the recovery-path bugfixes:
 
-* parity re-encode runs ONE encoder pass per reduction group (the old
-  code re-ran the full encode once per lost parity chunk),
+* parity re-encode runs ONE fused pass per reduction group, for exactly
+  the lost rows (the old code re-ran the full encode once per lost parity
+  chunk); the decode likewise, for exactly the lost data chunks,
 * restore bills the host-to-device copy with ``htod_time``, not the
   DtoH figure,
 * ``save_incremental`` after an interleaved remote backup uses the last
@@ -11,6 +12,7 @@
 
 import pytest
 
+from repro.core import eccheck as eccheck_module
 from repro.checkpoint.job import TrainingJob
 from repro.checkpoint.replication import GeminiReplicationEngine
 from repro.checkpoint.sync_remote import SyncRemoteEngine
@@ -33,16 +35,40 @@ def make_engine(seed=31, time_model=None):
     return job, ECCheckEngine(job, ECCheckConfig(k=2, m=2))
 
 
-def count_encoder_calls(engine):
-    calls = []
-    inner = engine.encoder.encode
+def count_fused_passes(monkeypatch):
+    """Record the rows of every fused pass the engine runs from here on.
 
-    def counting(data_blocks):
-        calls.append(len(data_blocks))
-        return inner(data_blocks)
+    Returns ``(decodes, encodes)``: the ``lost`` ids of each
+    ``decode_group_into`` call and the ``rows`` of each ``encode_group_into``.
+    """
+    decodes, encodes = [], []
+    decode, encode = eccheck_module.decode_group_into, eccheck_module.encode_group_into
 
-    engine.encoder.encode = counting
-    return calls
+    def counting_decode(code, available, lost, out):
+        decodes.append(list(lost))
+        return decode(code, available, lost, out)
+
+    def counting_encode(code, packets, out, rows=None):
+        encodes.append(list(range(len(out))) if rows is None else list(rows))
+        return encode(code, packets, out, rows=rows)
+
+    monkeypatch.setattr(eccheck_module, "decode_group_into", counting_decode)
+    monkeypatch.setattr(eccheck_module, "encode_group_into", counting_encode)
+    return decodes, encodes
+
+
+def chunk_writes(engine):
+    """Record every ("chunk" | "digest", ...) key put into host memory."""
+    writes = []
+    inner = engine.host.put
+
+    def recording(node, key, value):
+        if key[0] in ("chunk", "digest"):
+            writes.append((node, key))
+        return inner(node, key, value)
+
+    engine.host.put = recording
+    return writes
 
 
 def verify(job, reference):
@@ -53,19 +79,20 @@ def verify(job, reference):
 # ---------------------------------------------------------------------------
 # Single-pass parity re-encode
 # ---------------------------------------------------------------------------
-def test_all_data_alive_reencode_is_one_pass_per_group():
-    """Losing BOTH parity nodes must cost one encode per reduction group,
-    not one per (group, lost parity) — encoding emits all m parities."""
+def test_all_data_alive_reencode_is_one_pass_per_group(monkeypatch):
+    """Losing BOTH parity nodes must cost one fused pass per reduction
+    group, not one per (group, lost parity), and no decode at all."""
     job, engine = make_engine()
     engine.save()
     reference = job.snapshot_states()
     plan = engine.placement
     groups = len(plan.data_group[0])
     failed = set(plan.parity_nodes)  # both parities lost, all data alive
-    calls = count_encoder_calls(engine)
+    decodes, encodes = count_fused_passes(monkeypatch)
     job.fail_nodes(failed)
     report = engine.restore(failed)
-    assert len(calls) == groups
+    assert decodes == []
+    assert encodes == [[0, 1]] * groups
     verify(job, reference)
     # Both parity chunks were rebuilt from those passes.
     for i, node in enumerate(plan.parity_nodes):
@@ -74,19 +101,53 @@ def test_all_data_alive_reencode_is_one_pass_per_group():
     assert report.restore_redundancy_time > 0
 
 
-def test_decode_path_reencode_is_one_pass_per_group():
-    """A data node + a parity node lost: the decode workflow rebuilds the
-    lost parity with one encode pass per group."""
+def test_decode_path_reencode_is_one_pass_per_group(monkeypatch):
+    """A data node + a parity node lost: one decode pass and one re-encode
+    pass per group, each for exactly the lost row."""
     job, engine = make_engine()
     engine.save()
     reference = job.snapshot_states()
     plan = engine.placement
     failed = {plan.data_nodes[0], plan.parity_nodes[0]}
     groups = len(plan.data_group[0])
-    calls = count_encoder_calls(engine)
+    decodes, encodes = count_fused_passes(monkeypatch)
     job.fail_nodes(failed)
     engine.restore(failed)
-    assert len(calls) == groups
+    assert decodes == [[0]] * groups
+    assert encodes == [[0]] * groups
+    verify(job, reference)
+
+
+def test_losing_one_data_node_touches_only_the_lost_chunks(monkeypatch):
+    """One data node lost: one decoded row per group, no re-encode, and
+    only the lost chunk's packets are stored and digested — chunks that
+    never left host memory are neither rewritten nor re-digested."""
+    job, engine = make_engine()
+    engine.save()
+    reference = job.snapshot_states()
+    plan = engine.placement
+    groups = len(plan.data_group[0])
+    lost_node = plan.data_nodes[1]
+    survivors_before = {
+        (node, key): engine.host.get(node, key)
+        for node in range(4) if node != lost_node
+        for key in engine.host.keys(node) if key[0] in ("chunk", "digest")
+    }
+    decodes, encodes = count_fused_passes(monkeypatch)
+    writes = chunk_writes(engine)
+    job.fail_nodes({lost_node})
+    engine.restore({lost_node})
+    assert decodes == [[1]] * groups and encodes == []
+    assert sorted(writes) == sorted(
+        (lost_node, (kind, 1, "data", 1, r))
+        for kind in ("chunk", "digest") for r in range(groups)
+    )
+    # The very same objects, not equal copies.
+    assert all(
+        engine.host.get(node, key) is value
+        for (node, key), value in survivors_before.items()
+    )
+    assert engine._memory_version_intact(1)
     verify(job, reference)
 
 

@@ -6,8 +6,16 @@ them.  None of that may show in storage: every stored byte must equal what
 the reference functions (``decompose_state_dict``, ``encode_packet`` +
 ``xor_reduce``, ``zlib.crc32``) produce, no two owners may share memory,
 and a changed tensor layout must be picked up on the very next save.
+
+The restore and the elastic repair run on the same kernel and hand buffers
+over the same way (a decoded buffer becomes the stored chunk, surviving
+chunks are read in place), so they are held to the same rules against
+``code.decode`` + ``code.encode``.
 """
 
+import hashlib
+import subprocess
+import sys
 import zlib
 
 import numpy as np
@@ -19,6 +27,7 @@ from repro.checkpoint.tiering import TierPolicy
 from repro.core.eccheck import ECCheckConfig, ECCheckEngine
 from repro.core.integrity import corrupt_buffer
 from repro.core.protocol import encode_packet, packet_size_for, xor_reduce
+from repro.elastic.repair import RepairExecutor, plan_repair
 from repro.parallel.strategy import ParallelismSpec
 from repro.parallel.topology import ClusterSpec
 from repro.tensors.serialization import decompose_state_dict
@@ -139,14 +148,23 @@ def test_no_buffer_is_shared_between_owners():
         report = engine.save_incremental()
     assert "dirty_fraction" in report.breakdown  # the last one was a real delta
 
+    assert_owners_disjoint(
+        job,
+        {
+            "last_packets": dict(engine._last_packets),
+            "host": arrays_of(stored(engine.host, 4)),
+            "disk": arrays_of(stored(engine.disk, 4)),
+        },
+    )
+    assert engine._memory_version_intact(report.version)
+    assert engine._disk_version_intact(1)
+
+
+def assert_owners_disjoint(job, buffers):
+    """Flip a byte in every buffer in turn: nothing else anywhere may move."""
     job_views = [
         t.byte_view() for w in range(job.world_size) for _, t in tensor_items(job.state_of(w))
     ]
-    buffers = {
-        "last_packets": dict(engine._last_packets),
-        "host": arrays_of(stored(engine.host, 4)),
-        "disk": arrays_of(stored(engine.disk, 4)),
-    }
     assert all(len(arrays) >= 8 for arrays in buffers.values())
     flat = [(name, key, a) for name, arrays in buffers.items() for key, a in arrays.items()]
     snapshot = [a.copy() for _, _, a in flat]
@@ -170,8 +188,8 @@ def test_no_buffer_is_shared_between_owners():
         if view.size:
             corrupt_buffer(view, view.size // 2)
     assert unchanged()
-    assert engine._memory_version_intact(report.version)
-    assert engine._disk_version_intact(1)
+    for view, before in zip(job_views, job_snapshot):
+        view[:] = before
 
 
 def crash_and_verify(job, engine, failed=frozenset({0, 2})):
@@ -316,3 +334,185 @@ def test_host_and_disk_bytes_stay_bounded_across_recoveries(driver):
         for key in store.keys(node)
     }
     assert len(held_versions) <= retained + 1
+
+
+# ---------------------------------------------------------------------------
+# Restore and repair: stored bytes against code.decode + code.encode
+# ---------------------------------------------------------------------------
+def sha_of(mapping):
+    """sha-256 over every key + value, in key order."""
+    digest = hashlib.sha256()
+    for where in sorted(mapping, key=repr):
+        value = mapping[where]
+        digest.update(repr(where).encode())
+        digest.update(
+            value.tobytes() if isinstance(value, np.ndarray) else repr(value).encode()
+        )
+    return digest.hexdigest()
+
+
+def snapshot(store, num_nodes=4):
+    return {
+        where: value.copy() if isinstance(value, np.ndarray) else value
+        for where, value in stored(store, num_nodes).items()
+    }
+
+
+def reference_packets(engine, version, before, erased, plan):
+    """worker -> packet, by ``code.decode`` of the chunks not in ``erased``.
+
+    ``before`` holds the version's save-time (epoch 0) chunks under ``plan``.
+    """
+    code = engine.code_for(plan.k, plan.m)
+    nodes = list(plan.data_nodes) + list(plan.parity_nodes)
+    packets = {}
+    for r in range(len(plan.data_group[0])):
+        available = {}
+        for cid, node in enumerate(nodes):
+            kind, idx = ("data", cid) if cid < plan.k else ("parity", cid - plan.k)
+            if cid not in erased:
+                available[cid] = before[(node, ("chunk", version, kind, idx, r))]
+        for j, packet in enumerate(code.decode(available)):
+            packets[plan.data_group[j][r]] = packet
+    return packets
+
+
+def reference_layout(engine, version, packets, plan, epoch=0):
+    """``{(node, key): value}``: the chunks + digests ``code.encode`` lays out."""
+    code = engine.code_for(plan.k, plan.m)
+    expected = {}
+    for r in range(len(plan.data_group[0])):
+        data = [packets[plan.data_group[j][r]] for j in range(plan.k)]
+        placed = [(plan.data_nodes[j], "data", j, data[j]) for j in range(plan.k)]
+        placed += [
+            (plan.parity_nodes[i], "parity", i, parity)
+            for i, parity in enumerate(code.encode(data))
+        ]
+        for node, kind, idx, payload in placed:
+            expected[(node, engine.chunk_key(version, kind, idx, r, epoch))] = payload
+            expected[(node, engine.digest_key(version, kind, idx, r, epoch))] = (
+                zlib.crc32(payload.tobytes())
+            )
+    return expected
+
+
+def assert_host_equals(engine, expected):
+    actual = stored(engine.host, 4)
+    assert_same_values(actual, expected)
+    assert sha_of(actual) == sha_of(expected)
+
+
+#: name -> (failed nodes, chunk ids silently corrupted on survivors), as
+#: functions of the placement: the four benchmark patterns, then rot.
+RESTORE_SCENARIOS = {
+    "parity1": lambda data, parity: ({parity[0]}, []),
+    "data1": lambda data, parity: ({data[0]}, []),
+    "data2": lambda data, parity: (set(data[:2]), []),
+    "data1_parity1": lambda data, parity: ({data[0], parity[0]}, []),
+    "corrupt_surviving_data": lambda data, parity: ({parity[1]}, [1]),
+    "corrupt_surviving_parity": lambda data, parity: ({data[0]}, [K + 1]),
+}
+
+
+@pytest.mark.parametrize("scenario", RESTORE_SCENARIOS)
+def test_restore_stores_what_decode_and_encode_produce(scenario):
+    job, engine = make_testbed()
+    for _ in range(3):
+        job.advance()
+        engine.save()
+    engine.demote_version(1)
+    version = engine.version
+    committed = job.snapshot_states()
+    plan = engine.placement
+    nodes = list(plan.data_nodes) + list(plan.parity_nodes)
+    failed, corrupted = RESTORE_SCENARIOS[scenario](plan.data_nodes, plan.parity_nodes)
+    before = snapshot(engine.host)
+    for cid in corrupted:
+        kind, idx = ("data", cid) if cid < K else ("parity", cid - K)
+        corrupt_buffer(engine.host.get(nodes[cid], ("chunk", version, kind, idx, 1)), 5)
+    job.advance()  # uncommitted work the failure destroys
+    job.fail_nodes(set(failed))
+    report = engine.restore(set(failed))
+    assert report.version == version
+
+    erased = {cid for cid, node in enumerate(nodes) if node in failed} | set(corrupted)
+    expected = {
+        where: value
+        for where, value in before.items()
+        if where[0] not in failed and where[1][1] != version
+    }
+    expected.update(
+        reference_layout(
+            engine, version, reference_packets(engine, version, before, erased, plan), plan
+        )
+    )
+    expected.update(
+        {where: value for where, value in before.items() if where[1][:2] == ("meta", version)}
+    )
+    assert_host_equals(engine, expected)
+    assert all(state_dicts_equal(job.state_of(w), committed[w]) for w in committed)
+    assert engine.memory_versions() == [version]  # v2 lost a node: pruned
+    assert_owners_disjoint(
+        job,
+        {
+            "host": arrays_of(stored(engine.host, 4)),
+            "disk": arrays_of(stored(engine.disk, 4)),
+        },
+    )
+
+
+@pytest.mark.parametrize("relayout", [False, True], ids=["fill_gaps", "relayout"])
+def test_repair_stores_what_decode_and_encode_produce(relayout):
+    job, engine = make_testbed()
+    job.advance()
+    engine.save()
+    committed = job.snapshot_states()
+    source = engine.placement
+    before = snapshot(engine.host)
+    if relayout:
+        # (2, 2) -> (1, 2) over three nodes: every target packet is staged.
+        dead, generation = source.parity_nodes[1], 1
+        engine.host.wipe(dead)
+        engine.reconfigure(1, 2, active_nodes=[n for n in range(4) if n != dead])
+        erased = {K + 1}
+    else:
+        # One data and one parity chunk gone: one decoded and one
+        # re-encoded row per group, the rest stays where it is.
+        dead, generation = None, 0
+        engine.host.wipe(source.data_nodes[0])
+        engine.host.wipe(source.parity_nodes[1])
+        erased = {0, K + 1}
+    target = engine.placement
+    report = RepairExecutor(engine, plan_repair(engine, 1, target, generation)).run()
+    assert report.items_repaired > 0
+
+    expected = reference_layout(
+        engine, 1, reference_packets(engine, 1, before, erased, source), target, generation
+    )
+    expected.update(
+        {where: value for where, value in before.items()
+         if where[1][0] == "meta" and where[0] != dead}
+    )
+    assert_host_equals(engine, expected)
+    assert_owners_disjoint(job, {"host": arrays_of(stored(engine.host, 4))})
+    lost = set(target.data_nodes[:1]) | set(target.parity_nodes[:1])
+    job.advance()
+    job.fail_nodes(lost)
+    assert engine.restore(lost).version == 1
+    assert all(state_dicts_equal(job.state_of(w), committed[w]) for w in committed)
+
+
+def test_engine_and_repair_import_no_encoder_backend():
+    """The engine runs one kernel: loading it must not load the pools."""
+    loaded = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, repro.core.eccheck, repro.elastic.repair;"
+            "print([m for m in sys.modules if m.startswith('repro.ec.')])",
+        ],
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert "repro.ec.base" in loaded
+    for module in ("threadpool", "procpool", "autotune"):
+        assert f"repro.ec.{module}" not in loaded

@@ -16,6 +16,8 @@ from repro.core.eccheck import ECCheckConfig
 from repro.core.registry import build_engine
 from repro.parallel.strategy import ParallelismSpec
 from repro.parallel.topology import ClusterSpec
+from repro.tensors.state_dict import tensor_items
+from repro.tensors.tensor import GPU
 
 
 def make_setup(name, interval=4, seed=13):
@@ -97,6 +99,23 @@ def test_recovery_with_empty_tail_resumes_at_the_anchor(name):
     assert report.replayed_iterations == 0
     assert job.iteration == 5
     assert check_restored_states(job, states[5]) == []
+
+
+@pytest.mark.parametrize("name", ["eccheck", "gradrep", "hybrid"])
+@pytest.mark.parametrize("iterations", [5, 7], ids=["no_tail", "replayed_tail"])
+def test_in_memory_restore_leaves_every_tensor_on_the_gpu(name, iterations):
+    """One convention for all three engines: a restore puts job state back
+    where training reads it, whichever leg (EC decode, anchor fetch, log
+    replay) rebuilt the tensor."""
+    job, engine, manager = make_setup(name, interval=4)
+    run_iterations(job, manager, iterations)
+    manager.on_failure({1})
+    devices = {
+        tensor.device
+        for worker in range(job.world_size)
+        for _, tensor in tensor_items(job.state_of(worker))
+    }
+    assert devices == {GPU}
 
 
 @pytest.mark.parametrize("name", ["gradrep", "hybrid"])

@@ -246,6 +246,22 @@ class TestAnalyzeTrace:
         assert analysis.utilization
         assert analysis.idle_slots is not None
 
+    def test_restore_steps_account_for_the_restore_wall_time(self, traced_run):
+        """The engine's wall-only step spans tile ``eccheck.restore``: they
+        carry no phase or sim time (phase totals above stay exact) and,
+        with the stated remainder, sum to the restore's wall time."""
+        steps = analyze_trace(traced_run.trace).restore_step_wall
+        assert set(steps) == {
+            "step1_locate_verify", "step2_decode", "step3_install",
+            "step4_rebuild_redundancy", "(unattributed)",
+        }
+        restores = traced_run.trace.spans_named("eccheck.restore")
+        assert sum(steps.values()) == pytest.approx(sum(s["wall_s"] for s in restores))
+        assert 0 <= steps["(unattributed)"] < 0.25 * sum(steps.values())
+        for span in traced_run.trace.spans:
+            if "step" in (span.get("attrs") or {}):
+                assert span["sim_s"] is None and "phase" not in span["attrs"]
+
     def test_perturbed_breakdown_is_flagged(self, traced_run):
         perturbed = [dict(b) for b in traced_run.save_breakdowns]
         key = next(iter(perturbed[0]))
@@ -264,6 +280,7 @@ class TestAnalyzeTrace:
         text = render_analysis(analysis)
         assert "save phases (sim):" in text
         assert "restore phases (sim):" in text
+        assert "restore steps (wall):" in text
         assert "pipeline critical paths (wall):" in text
         assert "thread utilization (wall):" in text
         assert "idle-slot placement (sim):" in text

@@ -150,3 +150,5 @@ def test_traced_runner_end_to_end(tmp_path):
     # The PR-1 cache counters surface as gauges.
     assert "cache.schedule_entries" in trace.metrics["gauges"]
     assert "cache.decode_hits" in trace.metrics["gauges"]
+    # ... and so does the decoding-matrix cache the restore hits.
+    assert "cache.decoding_hits" in trace.metrics["gauges"]
