@@ -987,6 +987,11 @@ def _selftest(args, out) -> int:
     root = pathlib.Path(__file__).resolve().parents[2]
     suites = [
         "tests/ec/test_fast_equivalence.py",
+        # The kernel the engine runs (fused encode/decode), the CRC
+        # arithmetic behind derived digests, and the delta save on both.
+        "tests/core/test_protocol.py",
+        "tests/core/test_integrity.py",
+        "tests/core/test_incremental.py",
         "tests/core/test_placement.py",
         "tests/core/test_selection_properties.py",
         "tests/obs",

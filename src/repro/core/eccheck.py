@@ -48,7 +48,8 @@ from repro.checkpoint.base import (
 )
 from repro.checkpoint.job import TrainingJob
 from repro.checkpoint.storage import _nbytes
-from repro.core.integrity import chunk_digest, verify_chunk
+from repro.core.incremental import packet_delta
+from repro.core.integrity import chunk_digest, patch_digest, verify_chunk
 from repro.core.placement import (
     PlacementPlan,
     build_data_group,
@@ -73,6 +74,7 @@ from repro.core.reduction import ReductionPlan, build_reduction_plan
 from repro.ec.base import CodeParams
 from repro.ec.cauchy import CauchyRSCode
 from repro.sim.network import TransferRequest, gbps
+from repro.sim.timeline import Interval, merge_intervals
 from repro.tensors.serialization import Decomposition, decompose_state_dict
 from repro.tensors.tensor import GPU
 
@@ -383,17 +385,20 @@ class ECCheckEngine(CheckpointEngine):
         idx: int,
         r: int,
         payload: np.ndarray,
+        digest: int | None = None,
         epoch: int | None = None,
     ) -> None:
         """Store one chunk packet plus its CRC digest in a node's host RAM.
 
-        ``epoch`` lets a repair stream into staging keys while the
-        version's authoritative epoch still points at the old bytes.
+        ``digest`` is for a caller that derived it (a delta save); by
+        default the payload is CRC'd here.  ``epoch`` lets a repair stream
+        into staging keys while the version's authoritative epoch still
+        points at the old bytes.
         """
+        if digest is None:
+            digest = chunk_digest(payload)
         self.host.put(node, self.chunk_key(version, kind, idx, r, epoch), payload)
-        self.host.put(
-            node, self.digest_key(version, kind, idx, r, epoch), chunk_digest(payload)
-        )
+        self.host.put(node, self.digest_key(version, kind, idx, r, epoch), digest)
 
     def _chunk_present(
         self,
@@ -457,11 +462,7 @@ class ECCheckEngine(CheckpointEngine):
         return report
 
     def _save_full(self, version: int, tracer) -> SaveReport:
-        tm = self.job.time_model
-        cfg = self.config
         plan = self.placement
-        world = self.job.world_size
-        n = self.job.cluster.num_nodes
 
         # --- Step 1: decompose state_dicts, offload tensor data (DtoH). ---
         with tracer.span(
@@ -474,11 +475,6 @@ class ECCheckEngine(CheckpointEngine):
             checkpoints = {
                 w: packetise(w, d, packet_size) for w, d in enumerate(decompositions)
             }
-        step1 = (
-            max(tm.dtoh_time(self.job.logical_shard_bytes(w)) for w in range(world))
-            + tm.decompose_overhead_s
-        )
-        bytes_dtoh = self.job.total_logical_bytes()
 
         # --- Step 3: encode -> XOR reduction -> P2P. ---
         # Runs *before* the metadata broadcast: metadata is the commit
@@ -490,10 +486,6 @@ class ECCheckEngine(CheckpointEngine):
         # encoding, and completed parity packets drain to their parity
         # nodes on the transfer stage.  (The ``use_pipelining`` flag only
         # switches the *timing formula*; the byte path is identical.)
-        logical_packet = self.logical_packet_bytes()
-        requests: list[TransferRequest] = []
-        bytes_inter_node = 0
-
         def stage_encode(group):
             packets = [checkpoints[w].packet.payload for w in group.workers]
             parity_packets = [np.empty_like(packets[0]) for _ in group.targets]
@@ -506,55 +498,22 @@ class ECCheckEngine(CheckpointEngine):
             return item
 
         def stage_transfer(item):
-            nonlocal bytes_inter_node
             group, parity_packets = item
-            for i, target in enumerate(group.targets):
-                target_node = self.node_hosting(target)
-                # Senders ship their encoded packet to the reduction target.
-                for w in group.workers:
-                    if w == target:
-                        continue
-                    src = self.node_hosting(w)
-                    requests.append(
-                        TransferRequest(src=src, dst=target_node, nbytes=logical_packet)
-                    )
-                    if src != target_node:
-                        bytes_inter_node += logical_packet
-                # P2P: the reduced parity packet moves to its parity node.
-                parity_node = plan.parity_nodes[i]
-                self._fire(
-                    "mid_p2p", version=version, group=group.index,
-                    kind="parity", chunk=i,
-                )
-                self._store_chunk_packet(
-                    parity_node, version, "parity", i, group.index, parity_packets[i]
-                )
-                if target_node != parity_node:
-                    requests.append(
-                        TransferRequest(
-                            src=target_node, dst=parity_node, nbytes=logical_packet
-                        )
-                    )
-                    bytes_inter_node += logical_packet
-            # P2P: this group's data packets settle onto their data nodes.
             r = group.index
-            for j, members in enumerate(plan.data_group):
-                worker = members[r]
-                data_node = plan.data_nodes[j]
-                self._fire(
-                    "mid_p2p", version=version, group=r, kind="data", chunk=j,
-                )
+            # P2P: the reduced parity packets move to their parity nodes,
+            # this group's data packets settle onto their data nodes.
+            for i, parity_node in enumerate(plan.parity_nodes):
+                self._fire("mid_p2p", version=version, group=r, kind="parity", chunk=i)
                 self._store_chunk_packet(
-                    data_node, version, "data", j, r,
-                    checkpoints[worker].packet.payload.copy(),
+                    parity_node, version, "parity", i, r, parity_packets[i]
                 )
-                src = self.node_hosting(worker)
-                if src != data_node:
-                    requests.append(
-                        TransferRequest(src=src, dst=data_node, nbytes=logical_packet)
-                    )
-                    bytes_inter_node += logical_packet
-            return group.index
+            for j, members in enumerate(plan.data_group):
+                self._fire("mid_p2p", version=version, group=r, kind="data", chunk=j)
+                self._store_chunk_packet(
+                    plan.data_nodes[j], version, "data", j, r,
+                    checkpoints[members[r]].packet.payload.copy(),
+                )
+            return r
 
         def stage_hook(stage, item):
             if stage == STAGE_ENCODE:
@@ -576,9 +535,27 @@ class ECCheckEngine(CheckpointEngine):
             runner.run(list(self.reduction_plan.groups))
             self.last_pipeline_stats = runner.stats
 
-        # --- Step 2: broadcast metadata (tiny) to every node. ---
-        # Fig. 5 numbers this step 2, but it executes last as the commit
-        # record: ``restore`` only trusts versions with complete metadata.
+        return self._commit(version, checkpoints, step1_span, step3_span, tracer)
+
+    def _commit(
+        self,
+        version: int,
+        checkpoints: dict,
+        step1_span,
+        step3_span,
+        tracer,
+        dirty_fractions: list[float] | None = None,
+    ) -> SaveReport:
+        """Step 2 and the books: commit ``version``, bill the save, report it.
+
+        Fig. 5 numbers the metadata broadcast step 2, but it executes last
+        as the commit record: ``restore`` only trusts versions with
+        complete metadata.  A delta save passes each worker's
+        ``dirty_fractions``: the share of its packet it encodes and ships.
+        """
+        tm = self.job.time_model
+        cfg = self.config
+        plan = self.placement
         with tracer.span(
             "eccheck.save.step2",
             kind="save",
@@ -597,19 +574,49 @@ class ECCheckEngine(CheckpointEngine):
 
         # Remember the packets for incremental (delta) saves: step 1's
         # packet is handed over (stored data chunks are copies of it).
-        self._last_packets = {
-            w: checkpoints[w].packet.payload for w in range(world)
-        }
+        self._last_packets = {w: wc.packet.payload for w, wc in checkpoints.items()}
         self._last_full_version = version
         self._chunk_versions.add(version)
 
-        comm_makespan = self.network.simulate(requests).makespan if requests else 0.0
-        encode_total = tm.encode_time(
-            cfg.m * logical_packet, threads=cfg.encode_threads
+        # DtoH moves the full shard even for a delta (the snapshot is
+        # unavoidable); encoding/communication scale with the dirty share.
+        step1 = (
+            max(tm.dtoh_time(self.job.logical_shard_bytes(w)) for w in checkpoints)
+            + tm.decompose_overhead_s
         )
+        logical_packet = self.logical_packet_bytes()
+        breakdown = {}
+        shipped = [logical_packet] * len(checkpoints)
+        if dirty_fractions is not None:
+            breakdown["dirty_fraction"] = max(dirty_fractions)
+            shipped = [int(share * logical_packet) for share in dirty_fractions]
+        requests: list[TransferRequest] = []
+        for group in self.reduction_plan.groups:
+            for i, target in enumerate(group.targets):
+                # Senders ship their encoded packet to the reduction
+                # target, which forwards the reduced one to its parity node.
+                target_node = self.node_hosting(target)
+                requests += [
+                    TransferRequest(self.node_hosting(w), target_node, shipped[w])
+                    for w in group.workers
+                    if w != target
+                ]
+                if target_node != plan.parity_nodes[i]:
+                    biggest = max(shipped[w] for w in group.workers)
+                    requests.append(
+                        TransferRequest(target_node, plan.parity_nodes[i], biggest)
+                    )
+            for j, members in enumerate(plan.data_group):
+                src = self.node_hosting(members[group.index])
+                if src != plan.data_nodes[j]:
+                    requests.append(
+                        TransferRequest(src, plan.data_nodes[j], shipped[members[group.index]])
+                    )
+        comm_makespan = self.network.simulate(requests).makespan if requests else 0.0
+        encode_total = tm.encode_time(cfg.m * max(shipped), threads=cfg.encode_threads)
         # XOR compute at reduction targets: each target XORs k-1 packets,
         # m times per reduction group it serves.
-        xor_total = tm.memcpy_time((plan.k - 1) * logical_packet) * cfg.m
+        xor_total = tm.memcpy_time((plan.k - 1) * max(shipped)) * cfg.m
         step3 = self._step3_time(encode_total, xor_total, comm_makespan, logical_packet)
 
         # Phase sims attach only now that the save is complete: a crash
@@ -630,9 +637,10 @@ class ECCheckEngine(CheckpointEngine):
                 "step3_encode_xor_p2p": step3,
                 "step3_encode_compute": encode_total,
                 "step3_comm": comm_makespan,
+                **breakdown,
             },
-            bytes_dtoh=bytes_dtoh,
-            bytes_inter_node=bytes_inter_node,
+            bytes_dtoh=self.job.total_logical_bytes(),
+            bytes_inter_node=sum(q.nbytes for q in requests if q.src != q.dst),
         )
 
     def _decompose_workers(self) -> tuple[list[Decomposition], int]:
@@ -672,64 +680,59 @@ class ECCheckEngine(CheckpointEngine):
     # code's linearity; see repro.core.incremental.
     # ------------------------------------------------------------------
     def save_incremental(self, block_size: int = 64 * 1024) -> SaveReport:
-        """Checkpoint by updating the previous version with XOR deltas.
+        """Checkpoint by patching the previous version's chunks where state changed.
 
-        Only *dirty blocks* (changed since the last save) are encoded and
-        shipped: parity packets are updated in place via
-        ``parity_new = parity_old ^ encode(delta)`` and data chunks have
-        the delta applied.  Falls back to a full :meth:`save` when no
-        prior packets exist, the packet size changed, or the base
-        version's chunks are no longer whole in host memory — a refused
-        recovery, an eviction, or a tier demotion can wipe the base out
-        from under the bookkeeping, and XOR-updating chunks that are not
-        there would corrupt the stream.
+        Byte work runs on the dirty ranges only (64 KiB granularity, see
+        :mod:`repro.core.incremental`): each new chunk is a copy of the
+        base's with ``encode(delta)`` (parity) or the delta (data) XORed
+        into those ranges, and its digest is derived from the base's
+        (:func:`~repro.core.integrity.patch_digest`).  ``block_size`` is
+        the *accounting* granularity behind ``dirty_fraction`` and the
+        simulated bytes.
+
+        Falls back to a full :meth:`save` when there is no delta base, the
+        packet size changed, or any chunk, digest or metadata record of
+        the base is *absent* from host memory (a refused recovery, an
+        eviction or a demotion can wipe it out from under the
+        bookkeeping).  A base chunk that has *rotted* is not detected
+        here: its successor inherits the rot and a digest that does not
+        match it, so every reader treats it as the erasure it is.
+
+        Raises:
+            CheckpointError: on a non-positive ``block_size`` (nothing is
+                mutated).
         """
         assert self.placement and self.reduction_plan and self.code
-        if not self._last_packets or self._last_full_version is None:
-            return self.save()
-        decompositions, packet_size = self._decompose_workers()
-        if (
-            self._last_packets[0].nbytes != packet_size
-            or not self._memory_version_intact(self._last_full_version)
-        ):
-            return self.save()
+        if block_size < 1:
+            raise CheckpointError(f"block_size must be >= 1, got {block_size}")
         # The delta base is the last version whose *chunks* live in host
         # memory — not ``self.version``, which an interleaved remote backup
         # (chunkless) may have advanced past it.
-        prev_version = self._last_full_version
-        self.version += 1
-        version = self.version
-        self._placement_of_version[version] = self.placement
+        base = self._last_full_version
+        if (
+            not self._last_packets
+            or base is None
+            or not self._memory_version_intact(base, verify=False)
+        ):
+            return self.save()
         tracer = obs.get_tracer()
         with tracer.span(
-            "eccheck.save_incremental", kind="save", version=version
+            "eccheck.save_incremental", kind="save", version=self.version + 1
         ) as span:
-            report = self._save_delta(
-                version, prev_version, decompositions, packet_size, block_size, tracer
-            )
-            span.add_sim(report.checkpoint_time)
-            if tracer.enabled:
-                tracer.metrics.counter("p2p.bytes_inter_node").inc(
-                    report.bytes_inter_node
-                )
-        return report
+            report = self._save_delta(base, block_size, tracer)
+            if report is not None:
+                span.add_sim(report.checkpoint_time)
+                if tracer.enabled:
+                    tracer.metrics.counter("p2p.bytes_inter_node").inc(
+                        report.bytes_inter_node
+                    )
+                return report
+        return self.save()  # the packet size changed: nothing to XOR against
 
-    def _save_delta(
-        self,
-        version: int,
-        prev_version: int,
-        decompositions: list[Decomposition],
-        packet_size: int,
-        block_size: int,
-        tracer,
-    ) -> SaveReport:
-        assert self.placement and self.reduction_plan and self.code
+    def _save_delta(self, base: int, block_size: int, tracer) -> SaveReport | None:
+        """The delta save proper; None (nothing mutated) if packets resized."""
         plan = self.placement
-        tm = self.job.time_model
-        cfg = self.config
-        world = self.job.world_size
-        n = self.job.cluster.num_nodes
-        from repro.core.incremental import apply_delta, packet_delta
+        version = self.version + 1
 
         # Step 1 equivalent: decompose and compute per-worker deltas.
         with tracer.span(
@@ -738,137 +741,84 @@ class ECCheckEngine(CheckpointEngine):
             phase="step1_decompose_dtoh",
             version=version,
         ) as step1_span:
+            decompositions, packet_size = self._decompose_workers()
+            if packet_size != self._last_packets[0].nbytes:
+                return None
             checkpoints = {
                 w: packetise(w, d, packet_size) for w, d in enumerate(decompositions)
             }
-            deltas = {}
-            dirty_fraction = {}
-            for w in range(world):
-                delta, summary = packet_delta(
-                    self._last_packets[w], checkpoints[w].packet.payload, block_size
+            deltas, summaries = zip(
+                *(
+                    packet_delta(self._last_packets[w], wc.packet.payload, block_size)
+                    for w, wc in checkpoints.items()
                 )
-                deltas[w] = delta
-                dirty_fraction[w] = summary.dirty_fraction
-        logical_packet = self.logical_packet_bytes()
-        # DtoH still moves the full shard (the snapshot is unavoidable);
-        # encoding/communication scale with the dirty fraction.
-        step1 = (
-            max(tm.dtoh_time(self.job.logical_shard_bytes(w)) for w in range(world))
-            + tm.decompose_overhead_s
-        )
-
-        # Step 3: delta-encode, update parity, refresh data chunks.  As in
-        # the full save, chunk placement precedes the metadata commit.
-        requests: list[TransferRequest] = []
-        bytes_inter_node = 0
-
-        def dirty_bytes_of(worker: int) -> int:
-            return int(dirty_fraction[worker] * logical_packet)
-
-        for group in self.reduction_plan.groups:
-            r = group.index
-            delta_parity = [np.empty_like(deltas[0]) for _ in group.targets]
-            encode_group_into(
-                self.code, [deltas[w] for w in group.workers], delta_parity
             )
-            for i, target in enumerate(group.targets):
-                parity_node = plan.parity_nodes[i]
-                old_parity = self.host.get(
-                    parity_node, self.chunk_key(prev_version, "parity", i, r)
-                )
-                self._store_chunk_packet(
-                    parity_node, version, "parity", i, r,
-                    apply_delta(old_parity, delta_parity[i], out=delta_parity[i]),
-                )
-                target_node = self.node_hosting(target)
-                for j, w in enumerate(group.workers):
-                    if w == target:
-                        continue
-                    src = self.node_hosting(w)
-                    requests.append(
-                        TransferRequest(
-                            src=src, dst=target_node, nbytes=dirty_bytes_of(w)
-                        )
-                    )
-                    if src != target_node:
-                        bytes_inter_node += dirty_bytes_of(w)
-                if target_node != parity_node:
-                    biggest = max(dirty_bytes_of(w) for w in group.workers)
-                    requests.append(
-                        TransferRequest(
-                            src=target_node, dst=parity_node, nbytes=biggest
-                        )
-                    )
-                    bytes_inter_node += biggest
-            for j, members in enumerate(plan.data_group):
-                worker = members[r]
-                data_node = plan.data_nodes[j]
-                old_data = self.host.get(
-                    data_node, self.chunk_key(prev_version, "data", j, r)
-                )
-                self._store_chunk_packet(
-                    data_node, version, "data", j, r,
-                    apply_delta(old_data, deltas[worker]),
-                )
-                src = self.node_hosting(worker)
-                if src != data_node:
-                    requests.append(
-                        TransferRequest(
-                            src=src, dst=data_node, nbytes=dirty_bytes_of(worker)
-                        )
-                    )
-                    bytes_inter_node += dirty_bytes_of(worker)
+        self.version = version
+        self._placement_of_version[version] = plan
 
-        # Step 2 equivalent: metadata rebroadcast (iteration counters
-        # changed) commits the delta version.
-        self._fire("pre_metadata_broadcast", version=version)
-        meta_bytes = 0
-        for w, wc in checkpoints.items():
-            self._fire("mid_metadata_broadcast", version=version, worker=w)
-            record = (wc.metadata_blob, wc.packet.original_length)
-            meta_bytes += len(wc.metadata_blob)
-            for node in self.active_nodes:
-                self.host.put(node, ("meta", version, w), record)
-        step2 = meta_bytes * (len(self.active_nodes) - 1) / gbps(tm.inter_node_gbps)
+        def patched(node: int, kind: str, idx: int, r: int) -> list:
+            """[a copy of the base's chunk packet, its stored digest]."""
+            return [
+                self.host.get(node, self.chunk_key(base, kind, idx, r)).copy(),
+                self.host.get(node, self.digest_key(base, kind, idx, r)),
+            ]
 
-        comm_makespan = self.network.simulate(requests).makespan if requests else 0.0
-        max_dirty = max(dirty_bytes_of(w) for w in range(world))
-        encode_total = tm.encode_time(cfg.m * max_dirty, threads=cfg.encode_threads)
-        xor_total = tm.memcpy_time((plan.k - 1) * max_dirty) * cfg.m
-        step3 = self._step3_time(encode_total, xor_total, comm_makespan, logical_packet)
+        def xor_in(chunk: list, start: int, piece: np.ndarray) -> None:
+            chunk[0][start : start + piece.size] ^= piece
+            chunk[1] = patch_digest(chunk[1], packet_size, start, piece)
 
-        self._last_packets = {
-            w: checkpoints[w].packet.payload for w in range(world)
-        }
-        self._last_full_version = version
-        self._chunk_versions.add(version)
-        # As in the full save, phase sims land only on completion so a
-        # crashed delta save contributes nothing to trace phase totals.
-        step1_span.add_sim(step1)
-        obs.record_phases(
-            tracer,
-            tracer.current_span(),
-            {
-                "step2_metadata_broadcast": step2,
-                "step3_encode_xor_p2p": step3,
-            },
+        def store(node: int, kind: str, idx: int, r: int, chunk: list) -> None:
+            self._fire("mid_p2p", version=version, group=r, kind=kind, chunk=idx)
+            self._store_chunk_packet(node, version, kind, idx, r, *chunk)
+
+        # Step 3: per reduction group, encode the union of its workers'
+        # dirty ranges and XOR the pieces into copies of the base's parity
+        # packets, then XOR each worker's own ranges into a copy of its
+        # data packet; digests follow by the same small-write rule.  The
+        # base is never written.  As in the full save, chunk placement
+        # precedes the metadata commit.
+        with tracer.span(
+            "eccheck.save.step3",
             kind="save",
-        )
-        return SaveReport(
-            engine=self.name,
+            phase="step3_encode_xor_p2p",
             version=version,
-            stall_time=step1,
-            checkpoint_time=step1 + step2 + step3,
-            breakdown={
-                "step1_decompose_dtoh": step1,
-                "step2_metadata_broadcast": step2,
-                "step3_encode_xor_p2p": step3,
-                "step3_encode_compute": encode_total,
-                "step3_comm": comm_makespan,
-                "dirty_fraction": max(dirty_fraction.values()),
-            },
-            bytes_dtoh=self.job.total_logical_bytes(),
-            bytes_inter_node=bytes_inter_node,
+        ) as step3_span:
+            for group in self.reduction_plan.groups:
+                r = group.index
+                runs = merge_intervals(
+                    [Interval(*run) for w in group.workers for run in summaries[w].dirty_runs]
+                )
+                parities = [
+                    patched(node, "parity", i, r)
+                    for i, node in enumerate(plan.parity_nodes)
+                ]
+                # One scratch per parity row, as long as the longest run.
+                scratch = np.empty(
+                    (plan.m, max((run.duration for run in runs), default=0)),
+                    dtype=np.uint8,
+                )
+                for run in runs:
+                    pieces = list(scratch[:, : run.duration])
+                    encode_group_into(
+                        self.code,
+                        [deltas[w][run.start : run.end] for w in group.workers],
+                        pieces,
+                    )
+                    for parity, piece in zip(parities, pieces):
+                        xor_in(parity, run.start, piece)
+                for i, node in enumerate(plan.parity_nodes):
+                    store(node, "parity", i, r, parities[i])
+                for j, members in enumerate(plan.data_group):
+                    data = patched(plan.data_nodes[j], "data", j, r)
+                    for start, end in summaries[members[r]].dirty_runs:
+                        xor_in(data, start, deltas[members[r]][start:end])
+                    store(plan.data_nodes[j], "data", j, r, data)
+
+        # Step 2 equivalent: the metadata rebroadcast (iteration counters
+        # changed) commits the delta version.
+        return self._commit(
+            version, checkpoints, step1_span, step3_span, tracer,
+            dirty_fractions=[s.dirty_fraction for s in summaries],
         )
 
     # ------------------------------------------------------------------

@@ -16,6 +16,13 @@ accuracy trade-off.
 
 This module provides the block-level delta machinery; the engine method
 :meth:`repro.core.eccheck.ECCheckEngine.save_incremental` drives it.
+
+Two granularities are kept apart.  *Accounting* runs at the caller's
+``block_size``: it sets ``dirty_fraction`` and with it every simulated
+byte and second.  *Work* runs at the kernel's ``DEFAULT_CHUNK_BYTES``
+(64 KiB, the block :func:`repro.core.protocol.encode_group_into` walks):
+:attr:`DeltaSummary.dirty_runs` names the byte ranges that hold every
+changed byte, and the engine encodes, patches and digests only those.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.ec.kernels import DEFAULT_CHUNK_BYTES
 from repro.errors import CheckpointError
 
 
@@ -35,6 +43,9 @@ class DeltaSummary:
     total_blocks: int
     dirty_blocks: int
     dirty_bytes: int
+    #: ``[start, end)`` byte ranges covering every non-zero delta byte:
+    #: maximal runs of dirty ``DEFAULT_CHUNK_BYTES`` blocks, in order.
+    dirty_runs: tuple[tuple[int, int], ...] = ()
 
     @property
     def dirty_fraction(self) -> float:
@@ -69,35 +80,48 @@ def packet_delta(
             f"packet sizes differ: {old.nbytes} vs {new.nbytes}"
         )
     delta = old ^ new
-    total_blocks = -(-delta.nbytes // block_size) if delta.nbytes else 0
-    dirty_blocks = 0
-    dirty_bytes = 0
-    if total_blocks:
-        # One vectorized reduction instead of a Python loop per block:
-        # view the delta as (blocks, block_size) and ask which rows contain
-        # any set bit.  When the packet is block-aligned — the common case,
-        # since engine packets are padded to ``packet_alignment`` — the
-        # reshape is a zero-copy view of ``delta`` itself; only ragged
-        # tails pay the zero-padded staging copy.
-        if delta.nbytes % block_size == 0:
-            dirty = delta.reshape(total_blocks, block_size).any(axis=1)
-        else:
-            padded = np.zeros(total_blocks * block_size, dtype=np.uint8)
-            padded[: delta.nbytes] = delta
-            dirty = padded.reshape(total_blocks, block_size).any(axis=1)
-        dirty_blocks = int(np.count_nonzero(dirty))
-        dirty_bytes = dirty_blocks * block_size
-        # The final block may be short; padding never sets bits, so only
-        # the real tail bytes count when that block is dirty.
-        tail = delta.nbytes - (total_blocks - 1) * block_size
-        if dirty[-1]:
-            dirty_bytes -= block_size - tail
+    dirty = _dirty_blocks(delta, block_size)
+    dirty_blocks = int(np.count_nonzero(dirty))
+    dirty_bytes = dirty_blocks * block_size
+    # The final block may be short: only its real bytes count when dirty.
+    if dirty.size and dirty[-1]:
+        dirty_bytes -= dirty.size * block_size - delta.nbytes
+    coarse = (
+        dirty
+        if block_size == DEFAULT_CHUNK_BYTES
+        else _dirty_blocks(delta, DEFAULT_CHUNK_BYTES)
+    )
+    edges = np.flatnonzero(np.diff(coarse, prepend=False, append=False)).tolist()
     return delta, DeltaSummary(
         block_size=block_size,
-        total_blocks=total_blocks,
+        total_blocks=dirty.size,
         dirty_blocks=dirty_blocks,
         dirty_bytes=dirty_bytes,
+        dirty_runs=tuple(
+            (first * DEFAULT_CHUNK_BYTES, min(last * DEFAULT_CHUNK_BYTES, delta.nbytes))
+            for first, last in zip(edges[::2], edges[1::2])
+        ),
     )
+
+
+def _dirty_blocks(delta: np.ndarray, block_size: int) -> np.ndarray:
+    """Which ``block_size`` blocks of ``delta`` hold a set bit (bool per block).
+
+    One vectorized reduction over a zero-copy ``(blocks, block_size)`` view
+    of the whole blocks — on uint64 lanes when the block size allows, an
+    eighth of the elements — plus the ragged tail on its own; nothing is
+    staged or padded.
+    """
+    whole = delta.nbytes // block_size
+    body = delta[: whole * block_size]
+    if block_size % 8 == 0:
+        body = body.view(np.uint64)
+    body = body.reshape(whole, body.size // max(whole, 1))
+    dirty = np.empty(-(-delta.nbytes // block_size), dtype=bool)
+    np.not_equal(np.bitwise_or.reduce(body, axis=1), 0, out=dirty[:whole])
+    if dirty.size > whole:
+        dirty[whole] = delta[whole * block_size :].any()
+    return dirty
 
 
 def apply_delta(

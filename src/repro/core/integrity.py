@@ -12,15 +12,58 @@ corrupt every reconstructed packet silently).
 CRC-32 (zlib) is used: this is error *detection* for operational faults,
 not authentication — matching the paper's scope, which explicitly leaves
 security out.
+
+CRC-32 is also *affine* over GF(2) — ``crc(a ^ b) = crc(a) ^ crc(b) ^
+crc(0^n)`` for ``n``-byte buffers — which is what lets a delta save derive
+a patched chunk's digest from the old digest and the dirty pieces alone
+(:func:`patch_digest`), the RAID small-write rule applied to the checksum.
 """
 
 from __future__ import annotations
 
 import zlib
+from functools import lru_cache
 
 import numpy as np
 
 from repro.errors import CheckpointError
+
+_POLY = 0xEDB88320  # the CRC-32 polynomial, reflected: bit 31 is x^0
+
+
+def _multmodp(a: int, b: int) -> int:
+    """``a(x) * b(x) mod P`` on reflected polynomials (zlib's ``multmodp``)."""
+    product, bit = 0, 1 << 31
+    while a:
+        if a & bit:
+            product ^= b
+            a ^= bit
+        bit >>= 1
+        b = (b >> 1) ^ _POLY if b & 1 else b >> 1
+    return product
+
+
+@lru_cache(maxsize=4096)
+def _x8n(n: int) -> int:
+    """``x^(8n) mod P``: what ``n`` further bytes multiply a CRC register by."""
+    power, square = 1 << 31, 1 << 23  # x^0, x^8
+    while n:
+        if n & 1:
+            power = _multmodp(square, power)
+        square = _multmodp(square, square)
+        n >>= 1
+    return power
+
+
+def crc32_combine(crc_a: int, crc_b: int, len_b: int) -> int:
+    """CRC-32 of ``A || B`` from the CRC-32s of ``A`` and ``B`` (zlib's
+    ``crc32_combine``, which Python's ``zlib`` does not expose)."""
+    return _multmodp(_x8n(len_b), crc_a) ^ crc_b
+
+
+def crc32_zeros(n: int) -> int:
+    """CRC-32 of ``n`` zero bytes, in closed form."""
+    return crc32_combine(0xFFFFFFFF, 0xFFFFFFFF, n)
 
 
 def chunk_digest(payload: np.ndarray | bytes) -> int:
@@ -30,6 +73,24 @@ def chunk_digest(payload: np.ndarray | bytes) -> int:
         # stored chunk) is digested without the full copy ``tobytes`` makes.
         payload = np.ascontiguousarray(payload, dtype=np.uint8).reshape(-1).data
     return zlib.crc32(payload) & 0xFFFFFFFF
+
+
+def patch_digest(digest: int, size: int, start: int, piece: np.ndarray) -> int:
+    """Digest of a ``size``-byte chunk after ``piece`` is XORed in at ``start``.
+
+    ``digest`` is the chunk's digest before the patch.  Only the piece is
+    CRC'd: its zero-input-corrected CRC is shifted past the ``size - start
+    - len(piece)`` bytes that follow it and XORed in.
+
+    Raises:
+        CheckpointError: if the piece does not fit inside the chunk.
+    """
+    tail = size - start - piece.size
+    if start < 0 or tail < 0:
+        raise CheckpointError(
+            f"piece [{start}, {start + piece.size}) is outside a {size}-byte chunk"
+        )
+    return digest ^ _multmodp(_x8n(tail), chunk_digest(piece) ^ crc32_zeros(piece.size))
 
 
 def verify_chunk(payload: np.ndarray | bytes, digest: int) -> bool:

@@ -6,9 +6,13 @@ import pytest
 from repro.errors import CheckpointError
 from repro.checkpoint.job import TrainingJob
 from repro.core.eccheck import ECCheckConfig, ECCheckEngine
+from repro.core import incremental
 from repro.core.incremental import apply_delta, packet_delta
+from repro.core.integrity import corrupt_buffer, verify_chunk
+from repro.ec.kernels import DEFAULT_CHUNK_BYTES
 from repro.parallel.strategy import ParallelismSpec
 from repro.parallel.topology import ClusterSpec
+from repro.sim.timeline import Interval, merge_intervals
 from repro.tensors.state_dict import state_dicts_equal
 
 
@@ -245,6 +249,346 @@ def test_incremental_after_restore_falls_back_to_full():
     reference = job.snapshot_states()
     job.fail_nodes({2, 3})
     engine.restore({2, 3})
+    verify(job, reference)
+
+
+# ---------------------------------------------------------------------------
+# A refused argument, a crashed delta
+# ---------------------------------------------------------------------------
+def test_rejected_block_size_leaves_the_engine_untouched():
+    """block_size is validated before anything moves: no version burnt."""
+    job, engine = make_engine()
+    for expected_version in (0, 1):  # with and without a delta base
+        before = (
+            engine.version,
+            dict(engine._placement_of_version),
+            engine.memory_versions(),
+            engine.delta_base_version(),
+        )
+        with pytest.raises(CheckpointError, match="block_size"):
+            engine.save_incremental(block_size=0)
+        assert before == (
+            engine.version,
+            engine._placement_of_version,
+            engine.memory_versions(),
+            engine.delta_base_version(),
+        )
+        assert engine.version == expected_version
+        job.advance()
+        assert engine.save_incremental().version == expected_version + 1
+
+
+@pytest.mark.parametrize(
+    "plan",
+    [("mid_p2p", 0), ("mid_p2p", 5), ("mid_p2p", 15), ("pre_metadata_broadcast", 0)],
+    ids=lambda plan: f"{plan[0]}+{plan[1]}",
+)
+def test_crashed_delta_save_leaves_the_base_and_the_next_delta_whole(plan):
+    """The delta path fires mid_p2p before every patched chunk it stores: a
+    delta torn there (or just before its commit record) is never restored,
+    the base stays restorable bit-exact and stays the delta base."""
+    from repro.chaos.injection import CrashInjector, CrashPlan, InjectedCrash
+
+    def crashed_delta():
+        job, engine = make_engine()
+        engine.save()
+        reference = job.snapshot_states()
+        job.advance(dirty_tensor_fraction=0.1)
+        engine.crash_injector = CrashInjector(CrashPlan(*plan))
+        with pytest.raises(InjectedCrash) as crash:
+            engine.save_incremental()
+        engine.crash_injector = None
+        assert crash.value.context["version"] == 2
+        if plan[0] == "mid_p2p":
+            assert set(crash.value.context) == {"version", "group", "kind", "chunk"}
+        assert engine.delta_base_version() == 1
+        assert engine.memory_versions() == [1]
+        return job, engine, reference
+
+    job, engine, reference = crashed_delta()
+    job.fail_nodes({0, 3})
+    assert engine.restore({0, 3}).version == 1  # never the torn v2
+    verify(job, reference)
+
+    job, engine, _ = crashed_delta()
+    job.advance(dirty_tensor_fraction=0.1)
+    report = engine.save_incremental()
+    assert report.version == 3 and "dirty_fraction" in report.breakdown
+    reference = job.snapshot_states()
+    job.fail_nodes({1, 2})
+    assert engine.restore({1, 2}).version == 3
+    verify(job, reference)
+
+
+# ---------------------------------------------------------------------------
+# Dirty runs: the work granularity
+# ---------------------------------------------------------------------------
+def test_dirty_runs_at_the_kernel_chunk_size_with_a_ragged_tail():
+    size = 3 * DEFAULT_CHUNK_BYTES + 100
+    old = np.zeros(size, dtype=np.uint8)
+    new = old.copy()
+    new[DEFAULT_CHUNK_BYTES - 1] = 1  # last byte of chunk 0
+    new[DEFAULT_CHUNK_BYTES] = 1  # first byte of chunk 1: one run with chunk 0
+    new[size - 1] = 1  # the 100-byte tail chunk
+    for block_size in (100, 4096, DEFAULT_CHUNK_BYTES, 10 * DEFAULT_CHUNK_BYTES):
+        _, summary = packet_delta(old, new, block_size)
+        assert summary.dirty_runs == (
+            (0, 2 * DEFAULT_CHUNK_BYTES),
+            (3 * DEFAULT_CHUNK_BYTES, size),
+        )
+    assert packet_delta(old, old.copy())[1].dirty_runs == ()
+    assert packet_delta(old[:0], old[:0])[1].dirty_runs == ()
+
+
+@pytest.mark.parametrize("size", [0, 1, 63, 64, 65, 640, 3 * 64 + 7, 1000])
+@pytest.mark.parametrize("block_size", [8, 16, 64, 100, 4096])
+def test_dirty_runs_match_a_per_chunk_loop(monkeypatch, size, block_size):
+    """Against the obvious loop, at a 64-byte work chunk so that small
+    buffers have many: the runs are the maximal stretches of dirty chunks,
+    clipped to the buffer, whatever the accounting block size."""
+    monkeypatch.setattr(incremental, "DEFAULT_CHUNK_BYTES", 64)
+    rng = np.random.default_rng(size * 7919 + block_size)
+    old = rng.integers(0, 256, size, dtype=np.uint8)
+    new = old.copy()
+    for index in rng.choice(size, size=min(size, 4), replace=False):
+        new[index : index + int(rng.integers(1, 80))] ^= 0x81
+    expected = []
+    for start in range(0, size, 64):
+        if (old[start : start + 64] != new[start : start + 64]).any():
+            if expected and expected[-1][1] == start:
+                expected[-1][1] = min(start + 64, size)
+            else:
+                expected.append([start, min(start + 64, size)])
+    _, summary = packet_delta(old, new, block_size)
+    assert summary.dirty_runs == tuple(map(tuple, expected))
+
+
+# ---------------------------------------------------------------------------
+# Twin engines: a delta version is a full save of the same state, byte for byte
+# ---------------------------------------------------------------------------
+def version_records(engine, version):
+    """Every chunk packet, digest and metadata record of one version."""
+    return {
+        (node, key): engine.host.get(node, key)
+        for node in range(engine.host.num_nodes)
+        for key in engine.host.keys(node)
+        if key[1] == version
+    }
+
+
+def assert_same_records(actual, expected):
+    assert actual.keys() == expected.keys()
+    for where, want in expected.items():
+        if isinstance(want, np.ndarray):
+            assert np.array_equal(actual[where], want), where
+        else:
+            assert actual[where] == want, where  # digests (ints), metadata
+
+
+def bump_counters_only(job):
+    """An iteration that touches no tensor byte: only the metadata moves."""
+    job.iteration += 1
+    for state in job.state_dicts.values():
+        state["iteration"] = job.iteration
+        state["optimizer"]["step"] = job.iteration
+
+
+ADVANCES = {
+    "counters": bump_counters_only,
+    "one_tensor": lambda job: job.advance(dirty_tensor_fraction=1e-9),
+    "10%": lambda job: job.advance(dirty_tensor_fraction=0.1),
+    "50%": lambda job: job.advance(dirty_tensor_fraction=0.5),
+    "100%": lambda job: job.advance(),
+}
+
+
+@pytest.mark.parametrize("block_size", [100, 256, 4096, 64 * 1024])
+@pytest.mark.parametrize("dirty", list(ADVANCES))
+def test_delta_chain_is_byte_identical_to_full_saves(block_size, dirty):
+    """Chunks *and digests* of four chained delta versions equal a full
+    save's of the same state, whatever the accounting granularity."""
+    job_a, full_engine = make_engine(seed=43)
+    job_b, delta_engine = make_engine(seed=43)  # identical twin job
+    full_engine.save()
+    delta_engine.save()
+    # The last 64 KiB work chunk of every packet is ragged.
+    assert delta_engine._last_packets[0].nbytes % DEFAULT_CHUNK_BYTES
+    for version in range(2, 6):
+        ADVANCES[dirty](job_a)
+        ADVANCES[dirty](job_b)
+        full_engine.save()
+        report = delta_engine.save_incremental(block_size=block_size)
+        assert "dirty_fraction" in report.breakdown  # a real delta
+        assert (report.breakdown["dirty_fraction"] == 0.0) == (dirty == "counters")
+        assert_same_records(
+            version_records(delta_engine, version), version_records(full_engine, version)
+        )
+    reference = job_b.snapshot_states()
+    job_b.fail_nodes({0, 2})
+    assert delta_engine.restore({0, 2}).version == 5
+    verify(job_b, reference)
+
+
+def test_delta_at_the_smallest_packet_size():
+    """The scale floor's packets: a few work chunks, another ragged tail."""
+    job_a, full_engine = make_engine(seed=45, scale=5e-5)
+    job_b, delta_engine = make_engine(seed=45, scale=5e-5)
+    full_engine.save()
+    delta_engine.save()
+    packet = delta_engine._last_packets[0].nbytes
+    assert packet < 5 * DEFAULT_CHUNK_BYTES and packet % DEFAULT_CHUNK_BYTES
+    for job in (job_a, job_b):
+        job.advance(dirty_tensor_fraction=0.1)
+    full_engine.save()
+    assert "dirty_fraction" in delta_engine.save_incremental().breakdown
+    assert_same_records(version_records(delta_engine, 2), version_records(full_engine, 2))
+
+
+# ---------------------------------------------------------------------------
+# Work proportionality: bytes encoded and digested follow the dirty ranges
+# ---------------------------------------------------------------------------
+class ByteCounters:
+    """Count the bytes reaching ``encode_group_into`` and ``zlib.crc32``."""
+
+    def __init__(self, monkeypatch):
+        import zlib
+
+        from repro.core import eccheck
+
+        self.encoded = self.digested = 0
+        encode, crc32 = eccheck.encode_group_into, zlib.crc32
+
+        def counting_encode(code, packets, out, *args):
+            self.encoded += sum(p.nbytes for p in packets)
+            return encode(code, packets, out, *args)
+
+        def counting_crc32(data, *args):
+            self.digested += memoryview(data).nbytes
+            return crc32(data, *args)
+
+        monkeypatch.setattr(eccheck, "encode_group_into", counting_encode)
+        monkeypatch.setattr(zlib, "crc32", counting_crc32)
+
+    def reset(self):
+        self.encoded = self.digested = 0
+
+
+@pytest.mark.parametrize("dirty", ["counters", "one_tensor", "10%", "100%"])
+def test_delta_save_touches_exactly_the_union_dirty_ranges(monkeypatch, dirty):
+    job, engine = make_engine(scale=2e-3)
+    plan, groups = engine.placement, engine.reduction_plan.groups
+    counters = ByteCounters(monkeypatch)
+    engine.save()
+    full = (counters.encoded, counters.digested)
+    packet = engine._last_packets[0].nbytes
+    assert full == (job.world_size * packet, (plan.k + plan.m) * len(groups) * packet)
+
+    old = {w: p.copy() for w, p in engine._last_packets.items()}
+    ADVANCES[dirty](job)
+    counters.reset()
+    report = engine.save_incremental()
+    assert "dirty_fraction" in report.breakdown
+    runs = {
+        w: packet_delta(old[w], engine._last_packets[w])[1].dirty_runs for w in old
+    }
+    own = sum(end - start for w in runs for start, end in runs[w])
+    union = sum(
+        run.duration
+        for group in groups
+        for run in merge_intervals(
+            [Interval(*run) for w in group.workers for run in runs[w]]
+        )
+    )
+    assert counters.encoded == plan.k * union
+    assert counters.digested == own + plan.m * union
+    if dirty == "counters":
+        assert own == union == 0
+    if dirty == "one_tensor":
+        assert 0 < counters.encoded < 0.1 * full[0]
+        assert 0 < counters.digested < 0.1 * full[1]
+    # The ceiling is a full save's bytes, never more.
+    assert counters.encoded <= full[0] and counters.digested <= full[1]
+
+
+# ---------------------------------------------------------------------------
+# Rot in the base is carried, flagged — never blessed with a fresh digest
+# ---------------------------------------------------------------------------
+def chunk_site(engine, kind):
+    plan = engine.placement
+    return (plan.data_nodes if kind == "data" else plan.parity_nodes)[0]
+
+
+def rotten_delta(kind, inside):
+    """v1, rot in one of its chunk packets, then a one-tensor delta to v2.
+
+    Returns the job, the engine, v2's reference state, the index of the
+    rotten byte and what an unrotted v2 packet holds (from a twin)."""
+    job, engine = make_engine(seed=49, scale=2e-3)
+    twin_job, twin = make_engine(seed=49, scale=2e-3)
+    engine.save()
+    twin.save()
+    twin_job.advance(dirty_tensor_fraction=1e-9)
+    twin.save_incremental()
+    node, key = chunk_site(engine, kind), (kind, 0, 0)
+    clean_v1 = twin.host.get(node, ("chunk", 1, *key))
+    clean_v2 = twin.host.get(node, ("chunk", 2, *key))
+    (start, end), = packet_delta(clean_v1, clean_v2)[1].dirty_runs
+    assert 0 < end < clean_v1.size  # there is an outside
+    index = (start + end) // 2 if inside else end + (clean_v1.size - end) // 2
+
+    corrupt_buffer(engine.host.get(node, ("chunk", 1, *key)), index, mask=0x5A)
+    job.advance(dirty_tensor_fraction=1e-9)
+    report = engine.save_incremental()
+    assert report.version == 2 and "dirty_fraction" in report.breakdown  # it commits
+    return job, engine, job.snapshot_states(), index, clean_v2
+
+
+@pytest.mark.parametrize("inside", [True, False], ids=["in_dirty_range", "in_clean_range"])
+@pytest.mark.parametrize("kind", ["data", "parity"])
+def test_rot_in_the_base_is_inherited_with_a_digest_that_flags_it(kind, inside):
+    job, engine, reference, index, clean_v2 = rotten_delta(kind, inside)
+    node, key = chunk_site(engine, kind), (kind, 0, 0)
+    successor = engine.host.get(node, ("chunk", 2, *key))
+    digest = engine.host.get(node, ("digest", 2, *key))
+    # The successor carries exactly the base's rot, under the digest of
+    # the bytes it *should* hold: verification fails, as for any rot.
+    assert verify_chunk(clean_v2, digest)
+    assert not verify_chunk(successor, digest)
+    assert np.flatnonzero(successor != clean_v2).tolist() == [index]
+    assert not engine._chunk_intact(node, 2, kind, 0)
+    # One erasure by rot plus one node lost: still inside the m = 2 budget.
+    lost = {next(n for n in range(4) if n != node)}
+    job.advance()
+    job.fail_nodes(lost)
+    assert engine.restore(lost).version == 2
+    verify(job, reference)
+    assert engine._memory_version_intact(2)  # the restore re-encoded it
+
+    # And the demotion gate keeps it off the disk tier.
+    job, engine, *_ = rotten_delta(kind, inside)
+    job.advance()
+    engine.save()  # v3 takes over as delta base; v2 is a demotion candidate
+    with pytest.raises(CheckpointError, match="not fully intact"):
+        engine.demote_version(2)
+    assert engine.prune_memory_index() == [1, 2]
+
+
+@pytest.mark.parametrize("record", ["chunk", "digest", "meta"])
+def test_one_absent_base_record_falls_back_to_a_full_save(record):
+    job, engine = make_engine()
+    engine.save()
+    node = engine.placement.parity_nodes[1]
+    key = next(k for k in engine.host.keys(node) if k[0] == record and k[1] == 1)
+    # A chunk packet and its digest live on one node; a metadata record is
+    # broadcast, and absent once no node holds it.
+    for holder in range(4):
+        engine.host.delete(holder, key)
+    job.advance(dirty_tensor_fraction=0.1)
+    report = engine.save_incremental()
+    assert report.version == 2 and "dirty_fraction" not in report.breakdown
+    reference = job.snapshot_states()
+    job.fail_nodes({0, 1})
+    assert engine.restore({0, 1}).version == 2
     verify(job, reference)
 
 

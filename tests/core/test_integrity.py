@@ -6,7 +6,14 @@ import pytest
 from repro.errors import CheckpointError, RecoveryError
 from repro.checkpoint.job import TrainingJob
 from repro.core.eccheck import ECCheckConfig, ECCheckEngine
-from repro.core.integrity import chunk_digest, corrupt_buffer, verify_chunk
+from repro.core.integrity import (
+    chunk_digest,
+    corrupt_buffer,
+    crc32_combine,
+    crc32_zeros,
+    patch_digest,
+    verify_chunk,
+)
 from repro.parallel.strategy import ParallelismSpec
 from repro.parallel.topology import ClusterSpec
 from repro.tensors.state_dict import state_dicts_equal
@@ -53,6 +60,65 @@ def test_corrupt_buffer_validation():
         corrupt_buffer(buf, mask=0)
     with pytest.raises(CheckpointError):
         corrupt_buffer(np.zeros(4, dtype=np.float32))
+
+
+# ---------------------------------------------------------------------------
+# CRC-32 arithmetic behind the delta save's derived digests
+# ---------------------------------------------------------------------------
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 64 * 1024, 1_449_088])
+def test_crc_of_zeros_closed_form_matches_zlib(n):
+    import zlib
+
+    assert crc32_zeros(n) == zlib.crc32(bytes(n))
+
+
+@settings(deadline=None)
+@given(a=st.binary(max_size=300), b=st.binary(max_size=300), c=st.binary(max_size=300))
+def test_crc32_combine_matches_zlib_on_concatenations(a, b, c):
+    import zlib
+
+    ab = crc32_combine(zlib.crc32(a), zlib.crc32(b), len(b))
+    assert ab == zlib.crc32(a + b)
+    assert crc32_combine(ab, zlib.crc32(c), len(c)) == zlib.crc32(a + b + c)
+
+
+@settings(deadline=None)
+@given(
+    size=st.integers(0, 300_000),
+    seed=st.integers(0, 2**31 - 1),
+    cuts=st.lists(st.floats(0.0, 1.0), max_size=12),
+)
+@example(size=300_000, seed=1, cuts=[0.0, 1.0])  # one run, touching both ends
+@example(size=65_537, seed=2, cuts=[0.0, 0.5, 0.5, 1.0])  # adjacent, odd length
+@example(size=1, seed=3, cuts=[0.0, 0.0, 1.0, 1.0])  # an empty run at each end
+@example(size=0, seed=4, cuts=[0.0, 1.0])
+def test_patched_digest_equals_the_digest_of_the_patched_buffer(size, seed, cuts):
+    """digest(old ^ delta) from digest(old) and the dirty pieces alone, for
+    random disjoint runs: empty, adjacent, at either end, odd lengths."""
+    rng = np.random.default_rng(seed)
+    old = rng.integers(0, 256, size, dtype=np.uint8)
+    bounds = sorted(int(round(c * size)) for c in cuts)
+    patched, digest = old.copy(), chunk_digest(old)
+    for start, end in zip(bounds[::2], bounds[1::2]):
+        piece = rng.integers(0, 256, end - start, dtype=np.uint8)
+        patched[start:end] ^= piece
+        digest = patch_digest(digest, size, start, piece)
+    assert digest == chunk_digest(patched)
+    assert verify_chunk(patched, digest)
+
+
+def test_patch_digest_rejects_a_piece_outside_the_chunk():
+    piece = np.ones(8, dtype=np.uint8)
+    for start in (-1, 57, 64):
+        with pytest.raises(CheckpointError):
+            patch_digest(0, 64, start, piece)
+    assert patch_digest(chunk_digest(bytes(64)), 64, 56, piece) == chunk_digest(
+        bytes(56) + bytes(piece)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -152,3 +152,65 @@ def test_traced_runner_end_to_end(tmp_path):
     assert "cache.decode_hits" in trace.metrics["gauges"]
     # ... and so does the decoding-matrix cache the restore hits.
     assert "cache.decoding_hits" in trace.metrics["gauges"]
+
+
+def test_delta_save_is_attributed_to_the_three_step_spans():
+    """A delta save runs under the full save's step spans: the flatten in
+    step 1, every patched chunk in step 3, the commit record in step 2 —
+    costed on completion only, so a delta torn mid-P2P reconciles too."""
+    job, engine = _build()
+    engine.save()
+    where: dict[str, set] = {}
+
+    def spy(label, fn):
+        def wrapped(*args, **kwargs):
+            span = obs.get_tracer().current_span()
+            where.setdefault(label, set()).add(span and span.name)
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    put = engine.host.put
+    engine._decompose_workers = spy("flatten", engine._decompose_workers)
+    engine.host.put = lambda node, key, value: spy(key[0], put)(node, key, value)
+    reports = []
+    with obs.use_tracer() as tracer:
+        for crash_plan in (None, CrashPlan("mid_p2p", after=6), None):
+            job.advance(dirty_tensor_fraction=0.1)
+            if crash_plan is None:
+                reports.append(engine.save_incremental())
+                assert "dirty_fraction" in reports[-1].breakdown
+            else:
+                engine.crash_injector = CrashInjector(crash_plan)
+                with pytest.raises(InjectedCrash):
+                    engine.save_incremental()
+                engine.crash_injector = None
+    assert where == {
+        "flatten": {"eccheck.save.step1"},
+        "chunk": {"eccheck.save.step3"},
+        "digest": {"eccheck.save.step3"},
+        "meta": {"eccheck.save.step2"},
+    }
+
+    spans = [r for r in tracer.records() if r["type"] == "span"]
+    assert trace_io.validate_spans(spans) == []
+    roots = [s for s in spans if s["name"] == "eccheck.save_incremental"]
+    assert [s["sim_s"] for s in roots] == [
+        reports[0].checkpoint_time, None, reports[1].checkpoint_time
+    ]
+    for root, torn in zip(roots, (False, True, False)):
+        children = [s for s in spans if s["parent"] == root["id"]]
+        assert sorted(s["name"] for s in children) == (
+            ["eccheck.save.step1", "eccheck.save.step3"]  # never reached step 2
+            if torn
+            else ["eccheck.save.step1", "eccheck.save.step2", "eccheck.save.step3"]
+        )
+        assert all((s["sim_s"] is None) == torn for s in children)
+    assert (
+        trace_io.crosscheck_totals(
+            trace_io.phase_totals(spans, kind="save"),
+            [r.breakdown for r in reports],
+            REL_TOL,
+        )
+        == []
+    )
