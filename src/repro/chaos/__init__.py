@@ -11,8 +11,16 @@ redundancy re-established, and lost-work accounting consistent.
 * :mod:`repro.chaos.invariants` — recoverability oracles and post-recovery
   checks, implemented independently of the engines' own recovery logic so
   a bug in one side is caught by the other.
-* :mod:`repro.chaos.campaign` — the seeded episode driver and its JSON
-  campaign report (the ``repro chaos`` CLI command).
+* :mod:`repro.chaos.harness` — the campaign kernel every scenario runs
+  on: episode record and report serializer, testbed builder, telemetry
+  wrapper, commit ledger, crash/corruption injection helpers and the one
+  recovery judge (DESIGN.md, "Campaign harness").
+* :mod:`repro.chaos.campaign` — the generic scenario (the ``repro chaos``
+  CLI command); :mod:`~repro.chaos.tier_campaign`,
+  :mod:`~repro.chaos.elastic_campaign` and
+  :mod:`~repro.chaos.hybrid_campaign` script the tier-loss, elastic and
+  replay-aware scenarios on the same kernel, and
+  :mod:`repro.fleet.campaign` the multi-tenant one.
 """
 
 from repro.chaos.campaign import (

@@ -22,28 +22,25 @@ campaign is reproducible draw-for-draw and a fixed seed can gate CI.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
-from repro import obs
-from repro.errors import CheckpointError, RecoveryError
-from repro.chaos.injection import CrashInjector, CrashPlan, InjectedCrash
-from repro.chaos.invariants import (
-    check_redundancy,
-    check_restored_states,
-    expected_outcome,
+from repro.chaos.harness import (
+    CampaignReport as _CampaignReport,
+    CommitLedger,
+    EpisodeRecord,
+    build_testbed,
+    corrupt_stored_payload,
+    crash_next_save,
+    observed_episode,
+    predict,
+    recover,
 )
-from repro.checkpoint.job import TrainingJob
+from repro.chaos.injection import CrashPlan
 from repro.checkpoint.manager import CheckpointManager
-from repro.core.eccheck import ECCheckConfig
-from repro.core.registry import build_engine
-from repro.core.registry import engine_names as registry_engine_names
-from repro.core.integrity import corrupt_buffer
-from repro.obs.timeseries import TimeSeriesSampler
-from repro.parallel.strategy import ParallelismSpec
-from repro.parallel.topology import ClusterSpec
+from repro.obs.timeseries import ManualClock
 from repro.sim.failures import (
     concurrent_failure_counts,
     poisson_failure_trace,
@@ -76,174 +73,93 @@ class ChaosConfig:
     #: the episode in ``CHAOS_report.json``.
     trace: bool = False
     #: Attach a per-episode telemetry timeline sampled against a clock
-    #: derived from the save/recovery report durations.  Deliberately
-    #: excluded from the serialized config section so a ``timeline`` run
-    #: and a plain run differ only in the ``timeline`` sections.
+    #: derived from the save/recovery report durations.
     timeline: bool = False
     timeline_period_s: float = 60.0
 
-
-@dataclass
-class EpisodeResult:
-    """One episode's recovery cycles and any invariant violations."""
-
-    episode: int
-    engine: str
-    cycles: list[dict] = field(default_factory=list)
-    violations: list[str] = field(default_factory=list)
-    #: Present only when the campaign ran with ``ChaosConfig.trace``.
-    trace_summary: dict | None = None
-    #: Present only when the campaign ran with ``ChaosConfig.timeline``.
-    timeline: dict | None = None
+    REPORTED: ClassVar[tuple[str, ...]] = (
+        "episodes", "seed", "engines", "max_rounds", "model", "scale", "trace",
+    )
 
 
-@dataclass
-class CampaignReport:
+#: One episode's recovery cycles and any invariant violations.
+EpisodeResult = EpisodeRecord
+
+
+def tally(pairs) -> dict[str, dict[str, int]]:
+    """``(key, outcome)`` pairs -> ``{key: {outcome: count}}``, key-sorted."""
+    matrix: dict[str, dict[str, int]] = {}
+    for key, outcome in pairs:
+        row = matrix.setdefault(key, {})
+        row[outcome] = row.get(outcome, 0) + 1
+    return {key: matrix[key] for key in sorted(matrix)}
+
+
+def outcome_table(label: str, width: int, matrix: dict) -> list[str]:
+    """An outcome matrix as fixed-width rows, one column per outcome."""
+    lines = [
+        f"{label:<{width}s} {'memory':>7s} {'disk':>5s} {'backup':>7s} "
+        f"{'refused':>8s} {'error':>6s}"
+    ]
+    for key, row in matrix.items():
+        lines.append(
+            f"{key:<{width}s} {row.get('memory', 0):>7d} "
+            f"{row.get('disk', 0):>5d} "
+            f"{row.get('backup', 0):>7d} {row.get('refused', 0):>8d} "
+            f"{row.get('engine_error', 0):>6d}"
+        )
+    return lines
+
+
+class CampaignReport(_CampaignReport):
     """All episode results plus the crash x failure x corruption matrix."""
 
-    config: ChaosConfig
-    episodes: list[EpisodeResult]
-
-    @property
-    def violations(self) -> list[str]:
-        return [
-            f"episode {e.episode} ({e.engine}): {v}"
-            for e in self.episodes
-            for v in e.violations
-        ]
-
-    @property
-    def cycles(self) -> list[dict]:
-        return [c for e in self.episodes for c in e.cycles]
+    by_engine = True
 
     def outcome_matrix(self) -> dict[str, dict[str, int]]:
         """``"crash_point/failures/corruption" -> {outcome: count}``."""
-        matrix: dict[str, dict[str, int]] = {}
-        for cycle in self.cycles:
-            key = (
+        return tally(
+            (
                 f"{cycle['crash_point'] or '-'}"
                 f"/f{cycle['num_failed']}"
-                f"/{'corrupt' if cycle['corrupted'] else 'clean'}"
+                f"/{'corrupt' if cycle['corrupted'] else 'clean'}",
+                cycle["outcome"],
             )
-            row = matrix.setdefault(key, {})
-            row[cycle["outcome"]] = row.get(cycle["outcome"], 0) + 1
-        return {key: matrix[key] for key in sorted(matrix)}
+            for cycle in self.cycles
+        )
 
-    def to_dict(self) -> dict:
-        """Plain-data form of the report.
-
-        Deliberately provenance-free so identical campaigns compare equal
-        (determinism tests rely on it); :meth:`to_json` adds the stamp.
-        """
+    def summary(self) -> dict:
         return {
-            "config": {
-                "episodes": self.config.episodes,
-                "seed": self.config.seed,
-                "engines": list(self.config.engines),
-                "max_rounds": self.config.max_rounds,
-                "model": self.config.model,
-                "scale": self.config.scale,
-                "trace": self.config.trace,
-            },
             "total_recovery_cycles": len(self.cycles),
             "outcome_matrix": self.outcome_matrix(),
-            "violations": self.violations,
-            "episodes": [
-                {
-                    "episode": e.episode,
-                    "engine": e.engine,
-                    "cycles": e.cycles,
-                    "violations": e.violations,
-                    **(
-                        {"trace_summary": e.trace_summary}
-                        if e.trace_summary is not None
-                        else {}
-                    ),
-                    **(
-                        {"timeline": e.timeline}
-                        if e.timeline is not None
-                        else {}
-                    ),
-                }
-                for e in self.episodes
-            ],
         }
 
-    def to_json(self, provenance: bool = True) -> str:
-        """JSON form for ``CHAOS_report.json``, provenance-stamped.
-
-        ``provenance=False`` omits the stamp (git SHA, timestamp,
-        hostname) for byte-stable comparisons.
-        """
-        payload = self.to_dict()
-        if provenance:
-            from repro.obs.provenance import provenance_stamp
-
-            payload["provenance"] = provenance_stamp()
-        return json.dumps(payload, indent=2, sort_keys=True)
-
-    def render(self) -> str:
-        """ASCII summary: the outcome matrix plus the violation count."""
-        lines = [
+    def render_lines(self) -> list[str]:
+        """The outcome matrix under the campaign's headline counts."""
+        return [
             f"chaos campaign: {len(self.episodes)} episodes, "
             f"{len(self.cycles)} recovery cycles, "
             f"{len(self.violations)} violations",
-            f"{'crash point / failures / corruption':<42s} "
-            f"{'memory':>7s} {'disk':>5s} {'backup':>7s} "
-            f"{'refused':>8s} {'error':>6s}",
+            *outcome_table(
+                "crash point / failures / corruption", 42, self.outcome_matrix()
+            ),
         ]
-        for key, row in self.outcome_matrix().items():
-            lines.append(
-                f"{key:<42s} {row.get('memory', 0):>7d} "
-                f"{row.get('disk', 0):>5d} "
-                f"{row.get('backup', 0):>7d} {row.get('refused', 0):>8d} "
-                f"{row.get('engine_error', 0):>6d}"
-            )
-        for violation in self.violations:
-            lines.append(f"VIOLATION: {violation}")
-        return "\n".join(lines)
 
 
 # ----------------------------------------------------------------------
-def _build_engine(engine_name: str, config: ChaosConfig, job_seed: int):
-    job = TrainingJob.create(
-        model=config.model,
-        cluster=ClusterSpec(num_nodes=4, gpus_per_node=2, nodes_per_rack=2),
-        strategy=ParallelismSpec(tensor_parallel=2, pipeline_parallel=4),
-        scale=config.scale,
-        seed=job_seed,
-    )
-    try:
-        engine = build_engine(
-            engine_name,
-            job,
-            ECCheckConfig(k=2, m=2, encode_threads=2, engine=engine_name),
-            group_size=2,
-        )
-    except CheckpointError as exc:
-        raise ValueError(
-            f"unknown engine {engine_name!r}; choose from "
-            f"{', '.join(registry_engine_names())}"
-        ) from exc
-    if hasattr(engine, "replicate_iteration") and engine_name not in ENGINES:
-        # The generic campaign's torn-version accounting assumes crashes
-        # happen inside *saves*; streaming engines also crash inside
-        # replicate calls, which the replay-aware hybrid campaign models.
-        raise ValueError(
-            f"engine {engine_name!r} streams per-iteration updates — "
-            f"run it through the hybrid campaign (`repro hybrid`) instead"
-        )
-    return job, engine
+def sample_failures(mode: str, cluster, rng: np.random.Generator) -> set[int]:
+    """One failed-node set of ``cluster`` under a :data:`FAILURE_MODES` mode.
 
-
-def _sample_failures(mode: str, job, rng: np.random.Generator) -> set[int]:
-    n = job.cluster.num_nodes
+    Needs only the cluster shape, so the rng stream cannot depend on
+    which engine later faces the failure.
+    """
+    n = cluster.num_nodes
     if mode == "none":
         return set()
     if mode == "independent":
         return sample_node_failures(n, 0.3, rng)
     if mode == "correlated":
-        return sample_correlated_failures(job.cluster, 0.2, 0.15, rng)
+        return sample_correlated_failures(cluster, 0.2, 0.15, rng)
     if mode == "poisson":
         # A day-long fleet trace; one window's concurrent-failure count
         # becomes this round's simultaneous loss.
@@ -260,113 +176,55 @@ def _sample_failures(mode: str, job, rng: np.random.Generator) -> set[int]:
     raise ValueError(f"unknown failure mode {mode!r}")
 
 
-def _corrupt_random_chunk(engine, rng: np.random.Generator) -> str | None:
-    """Flip bits in one stored chunk packet; returns a description."""
-    candidates = []
-    for node in range(engine.job.cluster.num_nodes):
-        for key in engine.host.keys(node):
-            if isinstance(key, tuple) and key[0] == "chunk":
-                candidates.append((node, key))
-    if not candidates:
-        return None
-    candidates.sort(key=repr)
-    node, key = candidates[int(rng.integers(len(candidates)))]
-    payload = engine.host.get(node, key)
-    corrupt_buffer(
-        payload,
-        byte_index=int(rng.integers(payload.size)),
-        mask=int(rng.integers(1, 256)),
-    )
-    return f"node {node} {key}"
-
-
 # ----------------------------------------------------------------------
 def run_episode(
     engine_name: str,
     episode: int,
     config: ChaosConfig,
 ) -> EpisodeResult:
-    """One seeded save/crash/restore/resume episode against one engine.
-
-    With ``config.trace`` the whole episode runs under a collecting
-    tracer (the rng stream is untouched, so traced and untraced runs
-    make identical draws) and the result carries a trace summary.
-    """
-    sampler = None
-    if config.timeline:
-        sampler = TimeSeriesSampler(period_s=config.timeline_period_s)
-    if not config.trace:
-        result = _run_episode_impl(engine_name, episode, config, sampler)
-    else:
-        with obs.use_tracer() as tracer:
-            result = _run_episode_impl(engine_name, episode, config, sampler)
-        result.trace_summary = obs.summarize(tracer)
-    if sampler is not None:
-        result.timeline = sampler.timeline_dict()
-    return result
+    """One seeded save/crash/restore/resume episode against one engine."""
+    return observed_episode(
+        lambda _tracer, sampler: _run_episode_impl(
+            engine_name, episode, config, ManualClock(sampler)
+        ),
+        config=config,
+        trace=config.trace,
+    )
 
 
 def _run_episode_impl(
-    engine_name: str,
-    episode: int,
-    config: ChaosConfig,
-    sampler: TimeSeriesSampler | None = None,
+    engine_name: str, episode: int, config: ChaosConfig, clock: ManualClock
 ) -> EpisodeResult:
     rng = np.random.default_rng([config.seed, episode])
     result = EpisodeResult(episode=episode, engine=engine_name)
-    job, engine = _build_engine(
-        engine_name, config, job_seed=config.seed * 7919 + episode
+    job, engine = build_testbed(
+        engine_name, config.model, config.scale, config.seed * 7919 + episode
     )
+    if hasattr(engine, "replicate_iteration") and engine_name not in ENGINES:
+        # The generic campaign's torn-version accounting assumes crashes
+        # happen inside *saves*; streaming engines also crash inside
+        # replicate calls, which the replay-aware hybrid campaign models.
+        raise ValueError(
+            f"engine {engine_name!r} streams per-iteration updates — "
+            f"run it through the hybrid campaign (`repro hybrid`) instead"
+        )
     backup_every = (
         int(rng.choice([0, 2])) if engine_name == "eccheck" else 0
     )
     manager = CheckpointManager(
         job, engine, interval=1, remote_backup_every=backup_every
     )
+    ledger = CommitLedger(manager)
+    stats = manager.stats
+    clock.watch(
+        checkpoints=lambda: stats.checkpoints,
+        recoveries=lambda: stats.recoveries,
+        iterations_lost=lambda: stats.iterations_lost,
+        torn_versions=lambda: len(ledger.torn),
+    )
 
-    version_states: dict[int, dict] = {}
-    version_iteration: dict[int, int] = {}
-    torn_versions: set[int] = set()
-    drained_saves = 0
-    drained_backups = 0
-    t = 0.0
-    if sampler is not None:
-        # No event loop here: the timeline's clock is *derived* — the
-        # cumulative save/recovery durations the engine itself reports.
-        sampler.register_probe(
-            "checkpoints", lambda _t: float(manager.stats.checkpoints)
-        )
-        sampler.register_probe(
-            "recoveries", lambda _t: float(manager.stats.recoveries)
-        )
-        sampler.register_probe(
-            "iterations_lost",
-            lambda _t: float(manager.stats.iterations_lost),
-        )
-        sampler.register_probe(
-            "torn_versions", lambda _t: float(len(torn_versions))
-        )
-        sampler.sample(0.0, "baseline")
-
-    def drain_reports() -> None:
-        nonlocal drained_saves, drained_backups, t
-        fresh = (
-            manager.stats.save_reports[drained_saves:]
-            + manager.stats.backup_reports[drained_backups:]
-        )
-        drained_saves = len(manager.stats.save_reports)
-        drained_backups = len(manager.stats.backup_reports)
-        for report in fresh:
-            t += float(getattr(report, "checkpoint_time", 0.0))
-            # The snapshot is taken right after the committing step, before
-            # training advances, so it equals the bytes the save captured.
-            version_states.setdefault(report.version, job.snapshot_states())
-            version_iteration.setdefault(
-                report.version,
-                manager._checkpoint_iteration_of_version[report.version],
-            )
-        if sampler is not None and fresh:
-            sampler.advance(t)
+    def commit() -> None:
+        clock.spend(*(report.checkpoint_time for report in ledger.drain()))
 
     rounds = int(rng.integers(1, config.max_rounds + 1))
     for _ in range(rounds):
@@ -374,7 +232,7 @@ def _run_episode_impl(
         for _ in range(int(rng.integers(1, 4))):
             job.advance()
             manager.step()
-            drain_reports()
+            commit()
 
         # -- maybe crash a save mid-flight ------------------------------
         crash_point = None
@@ -382,35 +240,30 @@ def _run_episode_impl(
             point = str(rng.choice(engine.crash_points))
             plan = CrashPlan(point=point, after=int(rng.integers(0, 3)))
             job.advance()
-            engine.crash_injector = CrashInjector(plan)
-            try:
-                manager.step()
-            except InjectedCrash:
+            if crash_next_save(engine, plan, manager.step):
                 crash_point = point
-                torn_versions.add(engine.version)
-                if sampler is not None:
-                    sampler.note_event(t, "save_crash", point=point)
-            finally:
-                injector, engine.crash_injector = engine.crash_injector, None
-            if crash_point is None:
-                # The planned hit count exceeded the point's actual hits
-                # (e.g. ``after=2`` on a once-per-save point): the save
-                # completed normally.
-                assert not injector.fired
-                drain_reports()
+                ledger.torn.add(engine.version)
+                clock.note("save_crash", point=point)
+            else:
+                commit()
 
         # -- maybe rot a stored chunk -----------------------------------
         corrupted = None
         if engine_name == "eccheck" and rng.random() < P_CORRUPT:
-            corrupted = _corrupt_random_chunk(engine, rng)
-            if sampler is not None and corrupted is not None:
-                sampler.note_event(t, "corruption", where=corrupted)
+            corrupted = corrupt_stored_payload(
+                engine.host,
+                job.cluster.num_nodes,
+                pick=lambda n: int(rng.integers(n)),
+                mask=lambda: int(rng.integers(1, 256)),
+            )
+            if corrupted is not None:
+                clock.note("corruption", where=corrupted)
 
         # -- sample a failure -------------------------------------------
         mode = str(
             rng.choice(FAILURE_MODES, p=FAILURE_MODE_WEIGHTS)
         )
-        failed = _sample_failures(mode, job, rng)
+        failed = sample_failures(mode, job.cluster, rng)
         failed = {n for n in failed if n < job.cluster.num_nodes}
         if not failed and crash_point is None and corrupted is None:
             continue  # nothing happened this round
@@ -420,100 +273,27 @@ def _run_episode_impl(
         # the rot is exercised rather than silently overwritten.
 
         # -- oracle, then recover ---------------------------------------
-        expected_kind, expected_version = expected_outcome(engine, failed)
-        at_iteration = job.iteration
-        lost_before = manager.stats.iterations_lost
+        expectation = predict(engine, failed)
+        clock.note("failure", mode=mode, ranks=sorted(failed))
+        recovery = recover(ledger, expectation, lambda: manager.on_failure(failed))
         cycle = {
             "crash_point": crash_point,
             "failure_mode": mode,
             "num_failed": len(failed),
             "corrupted": corrupted is not None,
-            "expected": expected_kind,
+            "expected": expectation.kind,
+            "outcome": recovery.outcome,
         }
-        if sampler is not None:
-            sampler.note_event(
-                t, "failure", mode=mode, ranks=sorted(failed)
-            )
-        try:
-            report = manager.on_failure(failed)
-        except RecoveryError as exc:
-            cycle["outcome"] = "refused"
-            result.cycles.append(cycle)
-            if expected_kind != "refused":
-                result.violations.append(
-                    f"refused recovery although v{expected_version} was "
-                    f"recoverable from {expected_kind} "
-                    f"(failed={sorted(failed)}, crash={crash_point}): {exc}"
-                )
-            break  # the job is down; the episode ends here
-        except Exception as exc:  # noqa: BLE001 — any leak is a finding
-            cycle["outcome"] = "engine_error"
-            result.cycles.append(cycle)
-            result.violations.append(
-                f"recovery raised {type(exc).__name__} instead of "
-                f"recovering or refusing cleanly "
-                f"(failed={sorted(failed)}, crash={crash_point}): {exc}"
-            )
-            break
-
-        tier = getattr(report, "tier", "memory")
-        outcome = "backup" if tier == "remote" else tier
-        cycle["outcome"] = outcome
-        cycle["version"] = report.version
         result.cycles.append(cycle)
-        if sampler is not None:
-            t += float(report.recovery_time)
-            sampler.advance(t)
-
-        if expected_kind == "refused":
-            result.violations.append(
-                f"engine restored v{report.version} although the oracle "
-                f"found no recoverable version (failed={sorted(failed)})"
-            )
-            break
-        if outcome != expected_kind or report.version != expected_version:
-            result.violations.append(
-                f"restored v{report.version} from {outcome}, expected "
-                f"v{expected_version} from {expected_kind} "
-                f"(failed={sorted(failed)}, crash={crash_point})"
-            )
-        if report.version in torn_versions:
-            result.violations.append(
-                f"restored torn version v{report.version} "
-                f"(crash={crash_point}, failed={sorted(failed)})"
-            )
-        if report.version not in version_states:
-            result.violations.append(
-                f"restored v{report.version}, a version no completed save "
-                f"ever committed"
-            )
-        else:
-            result.violations.extend(
-                check_restored_states(job, version_states[report.version])
-            )
-            result.violations.extend(
-                check_redundancy(
-                    engine, report.version, from_backup=outcome == "backup"
-                )
-            )
-            expected_lost = max(
-                0, at_iteration - version_iteration[report.version]
-            )
-            actual_lost = manager.stats.iterations_lost - lost_before
-            if actual_lost != expected_lost:
-                result.violations.append(
-                    f"iterations_lost accounted {actual_lost}, expected "
-                    f"{expected_lost} (at={at_iteration}, "
-                    f"restored v{report.version} @ "
-                    f"{version_iteration[report.version]})"
-                )
-            if job.iteration != version_iteration[report.version]:
-                result.violations.append(
-                    f"job resumed at iteration {job.iteration}, expected "
-                    f"{version_iteration[report.version]}"
-                )
-    if sampler is not None:
-        sampler.finalize(t)
+        result.violations += [
+            f"{v} (crash={crash_point})" for v in recovery.violations
+        ]
+        if recovery.report is not None:
+            cycle["version"] = recovery.report.version
+            clock.spend(recovery.report.recovery_time)
+        if recovery.fatal:
+            break  # the job is down; the episode ends here
+    clock.close()
     return result
 
 

@@ -32,33 +32,32 @@ fixed seed gates CI deterministically.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
-from repro import obs
-from repro.errors import RecoveryError
+from repro.chaos.campaign import tally
+from repro.chaos.harness import (
+    CampaignReport,
+    CommitLedger,
+    EpisodeRecord,
+    build_testbed,
+    crash_next_save,
+    observed_episode,
+    predict,
+    recover,
+)
 from repro.chaos.injection import CrashInjector, CrashPlan, InjectedCrash
 from repro.chaos.invariants import (
     check_degraded_recoverable,
     check_eccheck_redundancy,
     check_repair_ledger,
-    check_restored_states,
-    expected_outcome,
 )
-from repro.checkpoint.job import TrainingJob
 from repro.checkpoint.manager import CheckpointManager
-from repro.core.eccheck import ECCheckConfig, ECCheckEngine
 from repro.elastic import ElasticClusterController, RedundancyPolicy
 from repro.elastic.repair import REPAIR_CRASH_POINTS
-from repro.obs.timeseries import (
-    RECONCILE_REL_TOL,
-    TimeSeriesSampler,
-    use_sampler,
-)
-from repro.parallel.strategy import ParallelismSpec
-from repro.parallel.topology import ClusterSpec
+from repro.obs.timeseries import RECONCILE_REL_TOL, ManualClock
 from repro.sim.spares import SparePool
 
 #: Probability knobs of one round (module-level so tests can reason
@@ -68,6 +67,12 @@ P_SAVE_CRASH = 0.35
 P_FAILURE = 0.7
 P_REPAIR_CRASH = 0.5
 P_ADAPT = 0.3
+
+#: Judge checks this campaign has never run on a recovery: the cluster is
+#: *meant* to sit below full redundancy after a failure (the repair
+#: ledger, the degraded-save oracle and the end-of-episode redundancy
+#: check cover that ground), and lost work is not part of its ledger.
+_NOT_CHECKED = ("redundancy", "lost")
 
 
 @dataclass(frozen=True)
@@ -84,116 +89,53 @@ class ElasticConfig:
     #: summary to the episode in ``ELASTIC_report.json``.
     trace: bool = False
     #: Sample a sim-time telemetry timeline per episode and attach it to
-    #: the episode record.  Deliberately excluded from the serialized
-    #: config section so a ``timeline`` run and a plain run differ only
-    #: in the ``timeline`` sections themselves.
+    #: the episode record.
     timeline: bool = False
     timeline_period_s: float = 60.0
 
+    REPORTED: ClassVar[tuple[str, ...]] = (
+        "episodes", "seed", "max_rounds", "model", "scale", "redundancy_floor",
+        "trace",
+    )
+
 
 @dataclass
-class ElasticEpisodeResult:
+class ElasticEpisodeResult(EpisodeRecord):
     """One episode's membership cycles and any invariant violations."""
 
-    episode: int
-    cycles: list[dict] = field(default_factory=list)
-    violations: list[str] = field(default_factory=list)
     #: Closed degraded windows (the manager's redundancy ledger).
     redundancy_ledger: list[dict] = field(default_factory=list)
-    #: Present only when the campaign ran with ``ElasticConfig.trace``.
-    trace_summary: dict | None = None
-    #: Present only when the campaign ran with ``ElasticConfig.timeline``.
-    timeline: dict | None = None
 
 
-@dataclass
-class ElasticReport:
+class ElasticReport(CampaignReport):
     """All episode results plus the failure x spare x crash matrix."""
-
-    config: ElasticConfig
-    episodes: list[ElasticEpisodeResult]
-
-    @property
-    def violations(self) -> list[str]:
-        return [
-            f"episode {e.episode}: {v}"
-            for e in self.episodes
-            for v in e.violations
-        ]
-
-    @property
-    def cycles(self) -> list[dict]:
-        return [c for e in self.episodes for c in e.cycles]
 
     def outcome_matrix(self) -> dict[str, dict[str, int]]:
         """``"kind/detail" -> {outcome: count}`` across all episodes."""
-        matrix: dict[str, dict[str, int]] = {}
-        for cycle in self.cycles:
-            if cycle["kind"] == "failure":
-                key = (
-                    f"failure/f{cycle['num_failed']}"
-                    f"/{cycle['save_crash'] or '-'}"
-                )
-                outcome = cycle["outcome"]
-            elif cycle["kind"] == "join":
-                key = f"join/{cycle['repair_crash'] or '-'}"
-                outcome = "resumed" if cycle["resumed"] else "committed"
-            else:
-                key = cycle["kind"]
-                outcome = cycle.get("outcome", "hit")
-            row = matrix.setdefault(key, {})
-            row[outcome] = row.get(outcome, 0) + 1
-        return {key: matrix[key] for key in sorted(matrix)}
 
-    def to_dict(self) -> dict:
-        """Plain-data form, deliberately provenance-free (determinism
-        tests compare two runs by equality); :meth:`to_json` adds the
-        stamp."""
+        def classify(cycle: dict) -> tuple[str, str]:
+            if cycle["kind"] == "failure":
+                return (
+                    f"failure/f{cycle['num_failed']}/{cycle['save_crash'] or '-'}",
+                    cycle["outcome"],
+                )
+            if cycle["kind"] == "join":
+                return (
+                    f"join/{cycle['repair_crash'] or '-'}",
+                    "resumed" if cycle["resumed"] else "committed",
+                )
+            return cycle["kind"], cycle.get("outcome", "hit")
+
+        return tally(classify(cycle) for cycle in self.cycles)
+
+    def summary(self) -> dict:
         return {
-            "config": {
-                "episodes": self.config.episodes,
-                "seed": self.config.seed,
-                "max_rounds": self.config.max_rounds,
-                "model": self.config.model,
-                "scale": self.config.scale,
-                "redundancy_floor": self.config.redundancy_floor,
-                "trace": self.config.trace,
-            },
             "total_cycles": len(self.cycles),
             "outcome_matrix": self.outcome_matrix(),
-            "violations": self.violations,
-            "episodes": [
-                {
-                    "episode": e.episode,
-                    "cycles": e.cycles,
-                    "violations": e.violations,
-                    "redundancy_ledger": e.redundancy_ledger,
-                    **(
-                        {"trace_summary": e.trace_summary}
-                        if e.trace_summary is not None
-                        else {}
-                    ),
-                    **(
-                        {"timeline": e.timeline}
-                        if e.timeline is not None
-                        else {}
-                    ),
-                }
-                for e in self.episodes
-            ],
         }
 
-    def to_json(self, provenance: bool = True) -> str:
-        """JSON form for ``ELASTIC_report.json``, provenance-stamped."""
-        payload = self.to_dict()
-        if provenance:
-            from repro.obs.provenance import provenance_stamp
-
-            payload["provenance"] = provenance_stamp()
-        return json.dumps(payload, indent=2, sort_keys=True)
-
-    def render(self) -> str:
-        """ASCII summary: the outcome matrix plus the violation count."""
+    def render_lines(self) -> list[str]:
+        """The outcome matrix under the campaign's headline counts."""
         lines = [
             f"elastic campaign: {len(self.episodes)} episodes, "
             f"{len(self.cycles)} membership cycles, "
@@ -204,24 +146,10 @@ class ElasticReport:
                 f"{outcome}={count}" for outcome, count in sorted(row.items())
             )
             lines.append(f"  {key:<32s} {counts}")
-        for violation in self.violations:
-            lines.append(f"VIOLATION: {violation}")
-        return "\n".join(lines)
+        return lines
 
 
 # ----------------------------------------------------------------------
-def _build_testbed(config: ElasticConfig, episode: int):
-    job = TrainingJob.create(
-        model=config.model,
-        cluster=ClusterSpec(num_nodes=4, gpus_per_node=2, nodes_per_rack=2),
-        strategy=ParallelismSpec(tensor_parallel=2, pipeline_parallel=4),
-        scale=config.scale,
-        seed=config.seed * 7919 + episode,
-    )
-    engine = ECCheckEngine(job, ECCheckConfig(k=2, m=2, encode_threads=2))
-    return job, engine
-
-
 def _sample_survivable_failure(
     engine, alive: list[int], rng: np.random.Generator
 ) -> set[int]:
@@ -236,18 +164,19 @@ def _sample_survivable_failure(
         failed = {
             int(x) for x in rng.choice(alive, size=count, replace=False)
         }
-        kind, _ = expected_outcome(engine, failed)
-        if kind == "memory":
+        if predict(engine, failed).kind == "memory":
             return failed
     return set()
 
 
 def _run_episode_impl(
-    episode: int, config: ElasticConfig, sampler: TimeSeriesSampler | None = None
+    episode: int, config: ElasticConfig, clock: ManualClock
 ) -> ElasticEpisodeResult:
     rng = np.random.default_rng([config.seed, episode])
     result = ElasticEpisodeResult(episode=episode)
-    job, engine = _build_testbed(config, episode)
+    job, engine = build_testbed(
+        "eccheck", config.model, config.scale, config.seed * 7919 + episode
+    )
     manager = CheckpointManager(job, engine, interval=1)
     pool = SparePool(
         size=int(rng.integers(0, 4)),
@@ -265,24 +194,10 @@ def _run_episode_impl(
         redundancy_floor=config.redundancy_floor,
         rng=rng,
     )
-    t = 0.0
-    if sampler is not None:
-        # Manual-clock mode: the campaign's own ``t`` drives the grid.
+    if clock.sampler is not None:
         # Probes only read controller/pool state; eager degraded-window
         # edges arrive through the manager's transition marks.
-        sampler.register_probe(
-            "alive_ranks", lambda _t: float(len(controller.membership.alive))
-        )
-        sampler.register_probe(
-            "dead_ranks", lambda _t: float(len(controller.membership.dead))
-        )
-        sampler.register_probe(
-            "pool_remaining", lambda _t: float(pool.remaining)
-        )
-        sampler.register_probe(
-            "parity_m", lambda _t: float(engine.config.m)
-        )
-        sampler.watch_tenant(
+        clock.sampler.watch_tenant(
             "job",
             manager,
             {
@@ -291,63 +206,35 @@ def _run_episode_impl(
             },
             t=0.0,
         )
-        sampler.sample(0.0, "baseline")
+    clock.watch(
+        alive_ranks=lambda: len(controller.membership.alive),
+        dead_ranks=lambda: len(controller.membership.dead),
+        pool_remaining=lambda: pool.remaining,
+        parity_m=lambda: engine.config.m,
+    )
+    commits = CommitLedger(manager)
 
-    def clock(dt: float) -> None:
-        nonlocal t
-        t += dt
-        if sampler is not None:
-            sampler.advance(t)
-
-    version_states: dict[int, dict] = {}
-    version_iteration: dict[int, int] = {}
-    torn_versions: set[int] = set()
-    drained_saves = 0
-
-    def drain_reports() -> None:
-        nonlocal drained_saves
-        fresh = manager.stats.save_reports[drained_saves:]
-        drained_saves = len(manager.stats.save_reports)
-        for report in fresh:
-            version_states.setdefault(report.version, job.snapshot_states())
-            version_iteration.setdefault(
-                report.version,
-                manager._checkpoint_iteration_of_version[report.version],
-            )
-
-    def check_recovery(report, failed: set[int], cycle: dict) -> None:
-        cycle["version"] = report.version
-        if report.version in torn_versions:
-            result.violations.append(
-                f"restored torn version v{report.version} "
-                f"(failed={sorted(failed)})"
-            )
-        if report.version not in version_states:
-            result.violations.append(
-                f"restored v{report.version}, a version no completed "
-                f"save ever committed"
-            )
-            return
-        result.violations.extend(
-            check_restored_states(job, version_states[report.version])
-        )
-        if job.iteration != version_iteration[report.version]:
-            result.violations.append(
-                f"job resumed at iteration {job.iteration}, expected "
-                f"{version_iteration[report.version]}"
-            )
+    def judged(expectation, call, cycle: dict) -> bool:
+        """Judge one recovery into ``cycle``; False once the job is down."""
+        recovery = recover(commits, expectation, call, skip=_NOT_CHECKED)
+        cycle["outcome"] = recovery.outcome
+        if recovery.report is not None:
+            cycle["version"] = recovery.report.version
+        result.cycles.append(cycle)
+        result.violations += recovery.violations
+        return not recovery.fatal
 
     rounds = int(rng.integers(2, config.max_rounds + 1))
     for _ in range(rounds):
         # -- train + checkpoint (degraded saves audited) ----------------
         for _ in range(int(rng.integers(1, 4))):
-            clock(float(rng.uniform(20.0, 60.0)))
+            clock.spend(float(rng.uniform(20.0, 60.0)))
             if not controller.can_checkpoint:
                 result.cycles.append({"kind": "blocked"})
                 continue
             job.advance()
             manager.step()
-            drain_reports()
+            commits.drain()
             if controller.degraded:
                 result.violations.extend(
                     check_degraded_recoverable(engine, engine.version)
@@ -362,64 +249,36 @@ def _run_episode_impl(
         ):
             point = str(rng.choice(engine.crash_points))
             job.advance()
-            engine.crash_injector = CrashInjector(
-                CrashPlan(point=point, after=int(rng.integers(0, 3)))
-            )
-            try:
-                manager.step()
-            except InjectedCrash:
+            plan = CrashPlan(point=point, after=int(rng.integers(0, 3)))
+            if crash_next_save(engine, plan, manager.step):
                 save_crash = point
-                torn_versions.add(engine.version)
-            finally:
-                engine.crash_injector = None
-            if save_crash is None:
-                drain_reports()
+                commits.torn.add(engine.version)
+            else:
+                commits.drain()
 
         # -- fail a survivable subset of live ranks ---------------------
-        if version_states and rng.random() < P_FAILURE:
+        if commits.states and rng.random() < P_FAILURE:
             failed = _sample_survivable_failure(
                 engine, controller.membership.alive, rng
             )
             if failed:
-                clock(float(rng.uniform(1.0, 10.0)))
-                if sampler is not None:
-                    sampler.note_event(t, "failure", ranks=sorted(failed))
-                _, expected_version = expected_outcome(engine, failed)
+                clock.spend(float(rng.uniform(1.0, 10.0)))
+                clock.note("failure", ranks=sorted(failed))
                 cycle = {
                     "kind": "failure",
                     "num_failed": len(failed),
                     "save_crash": save_crash,
                     "pool_remaining": pool.remaining,
                 }
-                try:
-                    report = controller.on_failure(failed, t)
-                except RecoveryError as exc:
-                    cycle["outcome"] = "refused"
-                    result.cycles.append(cycle)
-                    result.violations.append(
-                        f"refused recovery although v{expected_version} "
-                        f"was recoverable (failed={sorted(failed)}): {exc}"
-                    )
+                if not judged(
+                    predict(engine, failed),
+                    lambda: controller.on_failure(failed, clock.t),
+                    cycle,
+                ):
                     break
-                except Exception as exc:  # noqa: BLE001 — leaks are findings
-                    cycle["outcome"] = "engine_error"
-                    result.cycles.append(cycle)
-                    result.violations.append(
-                        f"recovery raised {type(exc).__name__} "
-                        f"(failed={sorted(failed)}): {exc}"
-                    )
-                    break
-                cycle["outcome"] = "memory"
-                result.cycles.append(cycle)
-                if report.version != expected_version:
-                    result.violations.append(
-                        f"restored v{report.version}, oracle expected "
-                        f"v{expected_version} (failed={sorted(failed)})"
-                    )
-                check_recovery(report, failed, cycle)
 
         # -- admit provisioned spares, maybe crashing the repair --------
-        clock(float(rng.uniform(30.0, 400.0)))
+        clock.spend(float(rng.uniform(30.0, 400.0)))
         injector = None
         repair_crash = None
         if rng.random() < P_REPAIR_CRASH:
@@ -429,7 +288,9 @@ def _run_episode_impl(
             )
         dead_before = set(controller.membership.dead)
         try:
-            joined = controller.poll_spares(t, repair_crash_injector=injector)
+            joined = controller.poll_spares(
+                clock.t, repair_crash_injector=injector
+            )
         except InjectedCrash:
             repair_crash = injector.plan.point
             ledger = controller.repair_ledger
@@ -447,12 +308,11 @@ def _run_episode_impl(
                         "resumed": True,
                     }
                 )
-            clock(float(rng.uniform(5.0, 60.0)))
-            controller.run_repair(t)
-            joined = controller.poll_spares(t)
+            clock.spend(float(rng.uniform(5.0, 60.0)))
+            controller.run_repair(clock.t)
+            joined = controller.poll_spares(clock.t)
         for rank in joined:
-            if sampler is not None:
-                sampler.note_event(t, "spare_join", rank=rank)
+            clock.note("spare_join", rank=rank)
             result.cycles.append(
                 {
                     "kind": "join",
@@ -464,8 +324,8 @@ def _run_episode_impl(
 
         # -- maybe consult the adaptive policy --------------------------
         if rng.random() < P_ADAPT:
-            clock(1.0)
-            adopted = controller.maybe_adapt(t)
+            clock.spend(1.0)
+            adopted = controller.maybe_adapt(clock.t)
             if adopted is not None:
                 result.cycles.append(
                     {"kind": "adapt", "outcome": f"k{adopted[0]}m{adopted[1]}"}
@@ -475,8 +335,8 @@ def _run_episode_impl(
     while controller.membership.dead:
         # The pool ran dry (or arrivals are still in flight): model the
         # operator provisioning a machine by hand.
-        clock(float(rng.uniform(30.0, 200.0)))
-        remaining = controller.poll_spares(t)
+        clock.spend(float(rng.uniform(30.0, 200.0)))
+        remaining = controller.poll_spares(clock.t)
         for rank in remaining:
             result.cycles.append(
                 {"kind": "join", "rank": rank, "repair_crash": None,
@@ -484,7 +344,7 @@ def _run_episode_impl(
             )
         if controller.membership.dead:
             rank = min(controller.membership.dead)
-            controller.on_spare_join(rank, t)
+            controller.on_spare_join(rank, clock.t)
             result.cycles.append(
                 {"kind": "join", "rank": rank, "repair_crash": None,
                  "resumed": False}
@@ -493,8 +353,8 @@ def _run_episode_impl(
     # shot — an adopted (k, m) re-encodes the latest version, and the
     # final redundancy/restore checks below must still hold on it.
     if rng.random() < 0.5:
-        clock(1.0)
-        adopted = controller.maybe_adapt(t)
+        clock.spend(1.0)
+        adopted = controller.maybe_adapt(clock.t)
         if adopted is not None:
             result.cycles.append(
                 {"kind": "adapt", "outcome": f"k{adopted[0]}m{adopted[1]}"}
@@ -504,42 +364,35 @@ def _run_episode_impl(
             "episode ended with an uncommitted repair ledger: "
             f"{controller.repair_ledger.progress()}"
         )
-    if version_states and manager.degraded:
+    if commits.states and manager.degraded:
         result.violations.append(
             "episode ended with the degraded window still open"
         )
-    expected_kind, expected_version = expected_outcome(engine, set())
-    if version_states:
-        if expected_kind != "memory":
+    expectation = predict(engine, set())
+    if commits.states:
+        if expectation.kind != "memory":
             result.violations.append(
                 f"no in-memory version restorable at episode end "
-                f"(oracle: {expected_kind})"
+                f"(oracle: {expectation.kind})"
             )
         else:
             result.violations.extend(
                 f"final redundancy: {v}"
-                for v in check_eccheck_redundancy(engine, expected_version)
+                for v in check_eccheck_redundancy(engine, expectation.version)
             )
             # A pure process restart must land on the oracle's version
             # with bit-exact worker states.
-            report = manager.on_failure(set())
-            cycle = {
-                "kind": "final_restore",
-                "outcome": "memory",
-            }
-            result.cycles.append(cycle)
-            if report.version != expected_version:
-                result.violations.append(
-                    f"final restore landed on v{report.version}, oracle "
-                    f"expected v{expected_version}"
-                )
-            check_recovery(report, set(), cycle)
+            judged(
+                expectation,
+                lambda: manager.on_failure(set()),
+                {"kind": "final_restore"},
+            )
     result.redundancy_ledger = list(manager.stats.redundancy_ledger)
-    if sampler is not None:
-        sampler.finalize(t)
+    clock.close()
+    if clock.sampler is not None:
         # Self-audit: the timeline's degraded-time integral over closed
         # windows must reconstruct the manager's ledger exactly.
-        integrated = sampler.tenants["job"].closed_integral_s
+        integrated = clock.sampler.tenants["job"].closed_integral_s
         ledger = sum(
             e["degraded_seconds"] for e in result.redundancy_ledger
         )
@@ -556,27 +409,13 @@ def run_elastic_episode(
     episode: int, config: ElasticConfig
 ) -> ElasticEpisodeResult:
     """One seeded elastic episode; traced when the config asks for it."""
-    sampler = None
-    if config.timeline:
-        sampler = TimeSeriesSampler(period_s=config.timeline_period_s)
-
-    def impl() -> ElasticEpisodeResult:
-        if sampler is None:
-            return _run_episode_impl(episode, config)
-        # Installing the sampler lets the manager's degraded-window
-        # transition marks land eager samples at their exact sim time.
-        with use_sampler(sampler):
-            return _run_episode_impl(episode, config, sampler)
-
-    if not config.trace:
-        result = impl()
-    else:
-        with obs.use_tracer() as tracer:
-            result = impl()
-        result.trace_summary = obs.summarize(tracer)
-    if sampler is not None:
-        result.timeline = sampler.timeline_dict()
-    return result
+    return observed_episode(
+        lambda _tracer, sampler: _run_episode_impl(
+            episode, config, ManualClock(sampler)
+        ),
+        config=config,
+        trace=config.trace,
+    )
 
 
 def run_elastic_campaign(config: ElasticConfig | None = None) -> ElasticReport:

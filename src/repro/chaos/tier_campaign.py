@@ -34,28 +34,28 @@ Determinism matches the base campaign: every draw flows from
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
-from repro import obs
-from repro.errors import RecoveryError
-from repro.chaos.injection import CrashInjector, CrashPlan, InjectedCrash
-from repro.chaos.invariants import (
-    check_redundancy,
-    check_restored_states,
-    expected_outcome,
+from repro.chaos.campaign import outcome_table, tally
+from repro.chaos.harness import (
+    CampaignReport,
+    CommitLedger,
+    EpisodeRecord,
+    build_testbed,
+    corrupt_stored_payload,
+    crash_next_save,
+    observed_episode,
+    predict,
+    recover,
 )
-from repro.checkpoint.job import TrainingJob
+from repro.chaos.injection import CrashPlan
 from repro.checkpoint.manager import CheckpointManager
 from repro.checkpoint.tiering import TierPolicy
-from repro.core.eccheck import ECCheckConfig, ECCheckEngine
-from repro.core.integrity import corrupt_buffer
-from repro.obs.timeseries import TimeSeriesSampler
+from repro.obs.timeseries import ManualClock
 from repro.obs.trace_io import crosscheck_totals, phase_totals
-from repro.parallel.strategy import ParallelismSpec
-from repro.parallel.topology import ClusterSpec
 
 P_CRASH = 0.4
 
@@ -88,59 +88,34 @@ class TierChaosConfig:
     #: attach a trace summary to the episode.
     trace: bool = False
     #: Attach a per-episode telemetry timeline sampled against a clock
-    #: derived from save/recovery durations.  Deliberately excluded from
-    #: the serialized config section so a ``timeline`` run and a plain
-    #: run differ only in the ``timeline`` sections.
+    #: derived from save/recovery durations.
     timeline: bool = False
     timeline_period_s: float = 60.0
 
+    REPORTED: ClassVar[tuple[str, ...]] = (
+        "episodes", "seed", "max_rounds", "model", "scale", "disk_versions",
+        "trace",
+    )
+
 
 @dataclass
-class TierEpisodeResult:
+class TierEpisodeResult(EpisodeRecord):
     """One episode's recovery cycles and any invariant violations."""
 
-    episode: int
-    cycles: list[dict] = field(default_factory=list)
-    violations: list[str] = field(default_factory=list)
     #: Tier-stack accounting for the episode: demotions, evictions,
     #: bytes to/from each tier.
     tier_flow: dict = field(default_factory=dict)
-    #: Present only when the campaign ran with ``TierChaosConfig.trace``.
-    trace_summary: dict | None = None
-    #: Present only when the campaign ran with ``TierChaosConfig.timeline``.
-    timeline: dict | None = None
 
 
-@dataclass
-class TierCampaignReport:
+class TierCampaignReport(CampaignReport):
     """All episode results plus tier-level aggregates."""
-
-    config: TierChaosConfig
-    episodes: list[TierEpisodeResult]
-
-    @property
-    def violations(self) -> list[str]:
-        return [
-            f"episode {e.episode}: {v}"
-            for e in self.episodes
-            for v in e.violations
-        ]
-
-    @property
-    def cycles(self) -> list[dict]:
-        return [c for e in self.episodes for c in e.cycles]
 
     def outcome_matrix(self) -> dict[str, dict[str, int]]:
         """``"scenario/crash" -> {outcome: count}``."""
-        matrix: dict[str, dict[str, int]] = {}
-        for cycle in self.cycles:
-            key = (
-                f"{cycle['scenario']}"
-                f"/{cycle['crash_point'] or '-'}"
-            )
-            row = matrix.setdefault(key, {})
-            row[cycle["outcome"]] = row.get(cycle["outcome"], 0) + 1
-        return {key: matrix[key] for key in sorted(matrix)}
+        return tally(
+            (f"{cycle['scenario']}/{cycle['crash_point'] or '-'}", cycle["outcome"])
+            for cycle in self.cycles
+        )
 
     def recovery_time_by_tier(self) -> dict[str, dict[str, float]]:
         """Per-tier recovery-time statistics — the tier/latency curve.
@@ -178,72 +153,23 @@ class TierCampaignReport:
                 totals[key] += episode.tier_flow.get(key, 0)
         return totals
 
-    def to_dict(self) -> dict:
-        """Plain-data form; provenance-free so identical campaigns
-        compare equal (see :meth:`to_json`)."""
+    def summary(self) -> dict:
         return {
-            "config": {
-                "episodes": self.config.episodes,
-                "seed": self.config.seed,
-                "max_rounds": self.config.max_rounds,
-                "model": self.config.model,
-                "scale": self.config.scale,
-                "disk_versions": self.config.disk_versions,
-                "trace": self.config.trace,
-            },
             "total_recovery_cycles": len(self.cycles),
             "outcome_matrix": self.outcome_matrix(),
             "recovery_time_by_tier": self.recovery_time_by_tier(),
             "byte_flow": self.byte_flow(),
-            "violations": self.violations,
-            "episodes": [
-                {
-                    "episode": e.episode,
-                    "cycles": e.cycles,
-                    "violations": e.violations,
-                    "tier_flow": e.tier_flow,
-                    **(
-                        {"trace_summary": e.trace_summary}
-                        if e.trace_summary is not None
-                        else {}
-                    ),
-                    **(
-                        {"timeline": e.timeline}
-                        if e.timeline is not None
-                        else {}
-                    ),
-                }
-                for e in self.episodes
-            ],
         }
 
-    def to_json(self, provenance: bool = True) -> str:
-        """JSON form for ``TIER_report.json``, provenance-stamped."""
-        payload = self.to_dict()
-        if provenance:
-            from repro.obs.provenance import provenance_stamp
-
-            payload["provenance"] = provenance_stamp()
-        return json.dumps(payload, indent=2, sort_keys=True)
-
-    def render(self) -> str:
-        """ASCII summary: outcomes, tier latency curve, byte flow."""
+    def render_lines(self) -> list[str]:
+        """Outcomes, tier latency curve, byte flow."""
         lines = [
             f"tier campaign: {len(self.episodes)} episodes, "
             f"{len(self.cycles)} recovery cycles, "
             f"{len(self.violations)} violations",
-            f"{'scenario / crash point':<34s} "
-            f"{'memory':>7s} {'disk':>5s} {'backup':>7s} "
-            f"{'refused':>8s} {'error':>6s}",
+            *outcome_table("scenario / crash point", 34, self.outcome_matrix()),
+            "recovery time by tier:",
         ]
-        for key, row in self.outcome_matrix().items():
-            lines.append(
-                f"{key:<34s} {row.get('memory', 0):>7d} "
-                f"{row.get('disk', 0):>5d} "
-                f"{row.get('backup', 0):>7d} {row.get('refused', 0):>8d} "
-                f"{row.get('engine_error', 0):>6d}"
-            )
-        lines.append("recovery time by tier:")
         for tier, stats in self.recovery_time_by_tier().items():
             lines.append(
                 f"  {tier:<8s} n={stats['count']:<4d} "
@@ -257,21 +183,31 @@ class TierCampaignReport:
             f"from_remote={flow['bytes_from_remote']} "
             f"evicted={flow['disk_bytes_evicted']}"
         )
-        for violation in self.violations:
-            lines.append(f"VIOLATION: {violation}")
-        return "\n".join(lines)
+        return lines
 
 
 # ----------------------------------------------------------------------
-def _build(config: TierChaosConfig, episode: int, rng: np.random.Generator):
-    job = TrainingJob.create(
-        model=config.model,
-        cluster=ClusterSpec(num_nodes=4, gpus_per_node=2, nodes_per_rack=2),
-        strategy=ParallelismSpec(tensor_parallel=2, pipeline_parallel=4),
-        scale=config.scale,
-        seed=config.seed * 7919 + episode,
+def run_tier_episode(
+    episode: int, config: TierChaosConfig
+) -> TierEpisodeResult:
+    """One seeded tier-loss episode (traced when ``config.trace``)."""
+    return observed_episode(
+        lambda tracer, sampler: _run_tier_episode_impl(
+            episode, config, tracer, ManualClock(sampler)
+        ),
+        config=config,
+        trace=config.trace,
     )
-    engine = ECCheckEngine(job, ECCheckConfig(k=2, m=2, encode_threads=2))
+
+
+def _run_tier_episode_impl(
+    episode: int, config: TierChaosConfig, tracer, clock: ManualClock
+) -> TierEpisodeResult:
+    rng = np.random.default_rng([config.seed, episode])
+    result = TierEpisodeResult(episode=episode)
+    job, engine = build_testbed(
+        "eccheck", config.model, config.scale, config.seed * 7919 + episode
+    )
     policy = TierPolicy(
         memory_versions=int(rng.integers(1, 3)),
         disk_versions=config.disk_versions,
@@ -283,110 +219,22 @@ def _build(config: TierChaosConfig, episode: int, rng: np.random.Generator):
         remote_backup_every=int(rng.choice([0, 3])),
         tier_policy=policy,
     )
-    return job, engine, manager
-
-
-def _corrupt_random_disk_chunk(engine, rng: np.random.Generator) -> str | None:
-    """Flip bits in one stored *disk* chunk packet; returns a description."""
-    candidates = []
-    for node in range(engine.job.cluster.num_nodes):
-        for key in engine.disk.keys(node):
-            if isinstance(key, tuple) and key[0] == "chunk":
-                candidates.append((node, key))
-    if not candidates:
-        return None
-    candidates.sort(key=repr)
-    node, key = candidates[int(rng.integers(len(candidates)))]
-    payload = engine.disk.get(node, key)
-    corrupt_buffer(
-        payload,
-        byte_index=int(rng.integers(payload.size)),
-        mask=int(rng.integers(1, 256)),
-    )
-    return f"node {node} {key}"
-
-
-# ----------------------------------------------------------------------
-def run_tier_episode(
-    episode: int, config: TierChaosConfig
-) -> TierEpisodeResult:
-    """One seeded tier-loss episode (traced when ``config.trace``)."""
-    sampler = None
-    if config.timeline:
-        sampler = TimeSeriesSampler(period_s=config.timeline_period_s)
-    if not config.trace:
-        result = _run_tier_episode_impl(
-            episode, config, tracer=None, sampler=sampler
-        )
-    else:
-        with obs.use_tracer() as tracer:
-            result = _run_tier_episode_impl(
-                episode, config, tracer=tracer, sampler=sampler
-            )
-        result.trace_summary = obs.summarize(tracer)
-    if sampler is not None:
-        result.timeline = sampler.timeline_dict()
-    return result
-
-
-def _run_tier_episode_impl(
-    episode: int,
-    config: TierChaosConfig,
-    tracer,
-    sampler: TimeSeriesSampler | None = None,
-) -> TierEpisodeResult:
-    rng = np.random.default_rng([config.seed, episode])
-    result = TierEpisodeResult(episode=episode)
-    job, engine, manager = _build(config, episode, rng)
-
-    version_states: dict[int, dict] = {}
-    version_iteration: dict[int, int] = {}
-    torn_versions: set[int] = set()
-    drained_saves = 0
-    drained_backups = 0
+    ledger = CommitLedger(manager)
+    stats = manager.stats
     restore_breakdowns: list[dict] = []
-    t = 0.0
-    if sampler is not None:
-        # Derived clock, as in the base chaos campaign; the probes watch
-        # the tier stack's byte flow alongside the recovery counters.
-        sampler.register_probe(
-            "checkpoints", lambda _t: float(manager.stats.checkpoints)
-        )
-        sampler.register_probe(
-            "recoveries", lambda _t: float(manager.stats.recoveries)
-        )
-        sampler.register_probe(
-            "demotions", lambda _t: float(manager.stats.demotions)
-        )
-        sampler.register_probe(
-            "evictions", lambda _t: float(manager.stats.evictions)
-        )
-        sampler.register_probe(
-            "bytes_to_disk", lambda _t: float(manager.stats.bytes_to_disk)
-        )
-        sampler.register_probe(
-            "disk_bytes_evicted",
-            lambda _t: float(manager.stats.disk_bytes_evicted),
-        )
-        sampler.sample(0.0, "baseline")
+    # The probes watch the tier stack's byte flow alongside the recovery
+    # counters.
+    clock.watch(
+        checkpoints=lambda: stats.checkpoints,
+        recoveries=lambda: stats.recoveries,
+        demotions=lambda: stats.demotions,
+        evictions=lambda: stats.evictions,
+        bytes_to_disk=lambda: stats.bytes_to_disk,
+        disk_bytes_evicted=lambda: stats.disk_bytes_evicted,
+    )
 
-    def drain_reports() -> None:
-        nonlocal drained_saves, drained_backups, t
-        fresh = (
-            manager.stats.save_reports[drained_saves:]
-            + manager.stats.backup_reports[drained_backups:]
-        )
-        drained_saves = len(manager.stats.save_reports)
-        drained_backups = len(manager.stats.backup_reports)
-        for report in fresh:
-            t += float(getattr(report, "checkpoint_time", 0.0))
-            version_states.setdefault(report.version, job.snapshot_states())
-            version_iteration.setdefault(
-                report.version,
-                manager._checkpoint_iteration_of_version[report.version],
-            )
-        if sampler is not None and fresh:
-            sampler.advance(t)
+    def commit() -> None:
+        clock.spend(*(report.checkpoint_time for report in ledger.drain()))
 
     rounds = int(rng.integers(1, config.max_rounds + 1))
     for _ in range(rounds):
@@ -394,7 +242,7 @@ def _run_tier_episode_impl(
         for _ in range(int(rng.integers(2, 5))):
             job.advance()
             manager.step()
-            drain_reports()
+            commit()
 
         # -- maybe crash a save mid-flight ------------------------------
         crash_point = None
@@ -402,16 +250,11 @@ def _run_tier_episode_impl(
             point = str(rng.choice(engine.crash_points))
             plan = CrashPlan(point=point, after=int(rng.integers(0, 3)))
             job.advance()
-            engine.crash_injector = CrashInjector(plan)
-            try:
-                manager.step()
-            except InjectedCrash:
+            if crash_next_save(engine, plan, manager.step):
                 crash_point = point
-                torn_versions.add(engine.version)
-            finally:
-                engine.crash_injector = None
-            if crash_point is None:
-                drain_reports()
+                ledger.torn.add(engine.version)
+            else:
+                commit()
 
         # -- pick a tier-loss scenario ----------------------------------
         scenario = str(rng.choice(SCENARIOS, p=SCENARIO_WEIGHTS))
@@ -426,7 +269,12 @@ def _run_tier_episode_impl(
         elif scenario == "memory_tier_loss":
             failed = set(range(n))  # full cluster power-cycle
         elif scenario == "disk_rot":
-            corrupted = _corrupt_random_disk_chunk(engine, rng)
+            corrupted = corrupt_stored_payload(
+                engine.disk,
+                n,
+                pick=lambda size: int(rng.integers(size)),
+                mask=lambda: int(rng.integers(1, 256)),
+            )
             failed = set(range(n))
         elif scenario == "disk_replacement":
             replaced_disk = int(rng.integers(n))
@@ -437,76 +285,44 @@ def _run_tier_episode_impl(
 
         if not failed and crash_point is None:
             continue  # nothing happened this round
-        if sampler is not None:
-            sampler.note_event(
-                t, "tier_loss", scenario=scenario, ranks=sorted(failed)
-            )
+        clock.note("tier_loss", scenario=scenario, ranks=sorted(failed))
 
         # -- oracle, then recover ---------------------------------------
-        expected_kind, expected_version = expected_outcome(engine, failed)
-        at_iteration = job.iteration
-        lost_before = manager.stats.iterations_lost
+        expectation = predict(engine, failed)
+        # The resume-iteration check has never been part of this
+        # campaign; the byte-flow checks below are its own.
+        recovery = recover(
+            ledger, expectation, lambda: manager.on_failure(failed), skip=("resume",)
+        )
         cycle = {
             "scenario": scenario,
             "crash_point": crash_point,
             "num_failed": len(failed),
             "disk_corrupted": corrupted is not None,
             "disk_replaced": replaced_disk,
-            "expected": expected_kind,
+            "expected": expectation.kind,
+            "outcome": recovery.outcome,
         }
-        try:
-            report = manager.on_failure(failed)
-        except RecoveryError as exc:
-            cycle["outcome"] = "refused"
-            result.cycles.append(cycle)
-            if expected_kind != "refused":
-                result.violations.append(
-                    f"refused recovery although v{expected_version} was "
-                    f"recoverable from {expected_kind} "
-                    f"(scenario={scenario}): {exc}"
-                )
-            break  # the job is down; the episode ends here
-        except Exception as exc:  # noqa: BLE001 — any leak is a finding
-            cycle["outcome"] = "engine_error"
-            result.cycles.append(cycle)
-            result.violations.append(
-                f"recovery raised {type(exc).__name__} instead of "
-                f"recovering or refusing cleanly (scenario={scenario}): {exc}"
-            )
-            break
-
-        tier = report.tier
-        outcome = "backup" if tier == "remote" else tier
-        cycle["outcome"] = outcome
-        cycle["tier"] = tier
-        cycle["version"] = report.version
-        cycle["recovery_s"] = report.recovery_time
-        cycle["bytes_from_disk"] = report.bytes_from_disk
-        cycle["bytes_from_remote"] = report.bytes_from_remote
         result.cycles.append(cycle)
-        restore_breakdowns.append(report.breakdown)
-        if sampler is not None:
-            t += float(report.recovery_time)
-            sampler.advance(t)
-
-        if expected_kind == "refused":
-            result.violations.append(
-                f"engine restored v{report.version} although the oracle "
-                f"found no recoverable version (scenario={scenario})"
+        result.violations += [
+            f"{v} (scenario={scenario}, crash={crash_point})"
+            for v in recovery.violations
+        ]
+        report = recovery.report
+        if report is not None:
+            cycle.update(
+                tier=report.tier,
+                version=report.version,
+                recovery_s=report.recovery_time,
+                bytes_from_disk=report.bytes_from_disk,
+                bytes_from_remote=report.bytes_from_remote,
             )
-            break
-        if outcome != expected_kind or report.version != expected_version:
-            result.violations.append(
-                f"restored v{report.version} from {outcome}, expected "
-                f"v{expected_version} from {expected_kind} "
-                f"(scenario={scenario}, failed={sorted(failed)})"
-            )
-        if report.version in torn_versions:
-            result.violations.append(
-                f"restored torn version v{report.version} "
-                f"(scenario={scenario}, crash={crash_point})"
-            )
+            restore_breakdowns.append(report.breakdown)
+            clock.spend(report.recovery_time)
+        if recovery.fatal:
+            break  # the job is down; the episode ends here
         # -- the byte-flow ledger must balance per outcome ---------------
+        outcome = recovery.outcome
         if outcome == "disk" and report.bytes_from_disk <= 0:
             result.violations.append(
                 f"disk restore of v{report.version} read 0 bytes from disk"
@@ -521,32 +337,8 @@ def _run_tier_episode_impl(
                 f"memory restore of v{report.version} claims "
                 f"{report.bytes_from_disk} disk bytes"
             )
-        if report.version not in version_states:
-            result.violations.append(
-                f"restored v{report.version}, a version no completed save "
-                f"ever committed"
-            )
-        else:
-            result.violations.extend(
-                check_restored_states(job, version_states[report.version])
-            )
-            result.violations.extend(
-                check_redundancy(
-                    engine, report.version, from_backup=outcome == "backup"
-                )
-            )
-            expected_lost = max(
-                0, at_iteration - version_iteration[report.version]
-            )
-            actual_lost = manager.stats.iterations_lost - lost_before
-            if actual_lost != expected_lost:
-                result.violations.append(
-                    f"iterations_lost accounted {actual_lost}, expected "
-                    f"{expected_lost}"
-                )
 
     # -- episode-level ledger: demoted bytes must equal the reports ------
-    stats = manager.stats
     reported_to_disk = sum(r.bytes_to_disk for r in stats.demote_reports)
     if stats.bytes_to_disk != reported_to_disk:
         result.violations.append(
@@ -579,8 +371,7 @@ def _run_tier_episode_impl(
                 f"traced {label} phases do not reconcile: {p}"
                 for p in problems
             )
-    if sampler is not None:
-        sampler.finalize(t)
+    clock.close()
     return result
 
 

@@ -164,6 +164,14 @@ class CheckpointManager:
             >= self.current_interval
         )
 
+    def iteration_of_version(self, version: int) -> int:
+        """The job iteration a committed save or backup ``version`` captured.
+
+        Raises:
+            KeyError: for a version this manager never committed.
+        """
+        return self._checkpoint_iteration_of_version[version]
+
     def backup_due(self) -> bool:
         """True when the next committed save will also push a remote backup.
 
@@ -304,14 +312,12 @@ class CheckpointManager:
         # Engines with a replay leg resume past the base checkpoint: the
         # recovered state corresponds to ``resume_iteration`` (last
         # replayed log entry), not to the checkpoint's own iteration.
-        resume_iteration = getattr(report, "resume_iteration", None)
+        resume_iteration = report.resume_iteration
         if resume_iteration is None:
             resume_iteration = restored_iteration
         iterations_lost = max(0, at_iteration - resume_iteration)
         self.stats.iterations_lost += iterations_lost
-        self.stats.replayed_iterations += getattr(
-            report, "replayed_iterations", 0
-        )
+        self.stats.replayed_iterations += report.replayed_iterations
         self.job.iteration = resume_iteration
         self._last_checkpoint_iteration = restored_iteration
         if tracer.enabled:
@@ -320,7 +326,7 @@ class CheckpointManager:
                 engine=self.engine.name,
                 version=report.version,
                 iterations_lost=iterations_lost,
-                replayed_iterations=getattr(report, "replayed_iterations", 0),
+                replayed_iterations=report.replayed_iterations,
                 recovery_s=report.recovery_time,
             )
             tracer.metrics.counter("manager.recoveries").inc()

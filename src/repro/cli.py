@@ -45,6 +45,40 @@ def _registry() -> dict[str, tuple[str, Callable]]:
     }
 
 
+def _add_campaign_flags(parser, episodes, report, rounds="", trace=False) -> None:
+    """The flags the campaign subcommands share, worded once.
+
+    ``rounds`` (what one round does) adds ``--max-rounds`` and ``trace``
+    adds ``--trace``, for the campaigns that have them.
+    """
+    add = parser.add_argument
+    add("--episodes", type=int, default=episodes, help="number of seeded episodes")
+    add("--seed", type=int, default=0, help="campaign seed")
+    if rounds:
+        add("--max-rounds", type=int, default=3, help=f"max {rounds} rounds/episode")
+    add("--output", default=report, help="JSON report path ('' to skip writing)")
+    if trace:
+        add(
+            "--trace",
+            action="store_true",
+            help="run each episode under a tracer and attach per-episode "
+            "trace summaries to the report",
+        )
+    add(
+        "--timeline",
+        action="store_true",
+        help="attach a per-episode telemetry timeline (sim-time series, "
+        "events, online alerts where the campaign has rules) to the "
+        "report; every other field stays byte-identical",
+    )
+    add(
+        "--timeline-period",
+        type=float,
+        default=60.0,
+        help="sim-seconds between telemetry samples (default 60)",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -99,43 +133,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="fault-injection campaign: save/crash/restore cycles with "
         "recovery invariants checked every cycle",
     )
-    chaos.add_argument(
-        "--episodes", type=int, default=50, help="number of seeded episodes"
-    )
-    chaos.add_argument("--seed", type=int, default=0, help="campaign seed")
+    # --output defaults per campaign: CHAOS_report.json, or TIER_report.json.
+    _add_campaign_flags(chaos, 50, None, rounds="save/crash/restore", trace=True)
     chaos.add_argument(
         "--engines",
-        default="eccheck,base1,base2,base3",
-        help="comma-separated engine names to cycle through",
-    )
-    chaos.add_argument(
-        "--max-rounds",
-        type=int,
-        default=3,
-        help="max save/crash/restore rounds per episode",
-    )
-    chaos.add_argument(
-        "--output",
-        default="CHAOS_report.json",
-        help="JSON campaign report path ('' to skip writing)",
-    )
-    chaos.add_argument(
-        "--trace",
-        action="store_true",
-        help="run each episode under a tracer and attach per-episode "
-        "trace summaries to the report",
-    )
-    chaos.add_argument(
-        "--timeline",
-        action="store_true",
-        help="attach a per-episode telemetry timeline (derived clock) to "
-        "the report; every other field stays byte-identical",
-    )
-    chaos.add_argument(
-        "--timeline-period",
-        type=float,
-        default=60.0,
-        help="sim-seconds between telemetry samples (default 60)",
+        default=None,
+        help="comma-separated engine names to cycle through (default "
+        "eccheck,base1,base2,base3; not accepted with --tiers)",
     )
     chaos.add_argument(
         "--tiers",
@@ -143,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the tier-loss campaign instead (ECCheck under a tier "
         "policy; memory-wipe / disk-rot / disk-replacement scenarios "
         "recovered through the memory -> disk -> remote walk); default "
-        "output becomes TIER_report.json",
+        "output becomes TIER_report.json instead of CHAOS_report.json",
     )
 
     hybrid = sub.add_parser(
@@ -152,20 +156,11 @@ def build_parser() -> argparse.ArgumentParser:
         "hybrid against shared scenarios, with the iterations-lost vs "
         "steady-state-overhead crossover table",
     )
-    hybrid.add_argument(
-        "--episodes", type=int, default=20, help="number of seeded episodes"
-    )
-    hybrid.add_argument("--seed", type=int, default=0, help="campaign seed")
+    _add_campaign_flags(hybrid, 20, "HYBRID_report.json", rounds="train/crash/fail")
     hybrid.add_argument(
         "--engines",
         default="eccheck,gradrep,hybrid",
         help="comma-separated engines to run against each shared scenario",
-    )
-    hybrid.add_argument(
-        "--max-rounds",
-        type=int,
-        default=3,
-        help="max train/crash/fail rounds per episode",
     )
     hybrid.add_argument(
         "--interval",
@@ -181,23 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="baseline iteration seconds for the crossover computation",
     )
     hybrid.add_argument(
-        "--output",
-        default="HYBRID_report.json",
-        help="JSON campaign report path ('' to skip writing)",
-    )
-    hybrid.add_argument(
-        "--timeline",
-        action="store_true",
-        help="attach per-run telemetry timelines (log-depth signal, "
-        "online alert rules) to the report",
-    )
-    hybrid.add_argument(
-        "--timeline-period",
-        type=float,
-        default=60.0,
-        help="sim-seconds between telemetry samples (default 60)",
-    )
-    hybrid.add_argument(
         "--fail-on-alerts",
         action="store_true",
         help="exit non-zero when any violation-severity alert fired "
@@ -210,15 +188,8 @@ def build_parser() -> argparse.ArgumentParser:
         "spare joins with background repair, and adaptive (k, m) "
         "reconfiguration, invariants checked every cycle",
     )
-    elastic.add_argument(
-        "--episodes", type=int, default=30, help="number of seeded episodes"
-    )
-    elastic.add_argument("--seed", type=int, default=0, help="campaign seed")
-    elastic.add_argument(
-        "--max-rounds",
-        type=int,
-        default=3,
-        help="max train/checkpoint/fail rounds per episode",
+    _add_campaign_flags(
+        elastic, 30, "ELASTIC_report.json", rounds="train/checkpoint/fail", trace=True
     )
     elastic.add_argument(
         "--redundancy-floor",
@@ -226,30 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="minimum parity count a degraded regroup may keep; below it "
         "checkpointing is refused until a spare joins",
-    )
-    elastic.add_argument(
-        "--output",
-        default="ELASTIC_report.json",
-        help="JSON campaign report path ('' to skip writing)",
-    )
-    elastic.add_argument(
-        "--trace",
-        action="store_true",
-        help="run each episode under a tracer and attach per-episode "
-        "trace summaries to the report",
-    )
-    elastic.add_argument(
-        "--timeline",
-        action="store_true",
-        help="attach a per-episode telemetry timeline (manual sim clock, "
-        "eager degraded-window edges) to the report; every other field "
-        "stays byte-identical",
-    )
-    elastic.add_argument(
-        "--timeline-period",
-        type=float,
-        default=60.0,
-        help="sim-seconds between telemetry samples (default 60)",
     )
 
     fleet = sub.add_parser(
@@ -261,10 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument(
         "--jobs", type=int, default=50, help="tenants per episode"
     )
-    fleet.add_argument(
-        "--episodes", type=int, default=1, help="number of seeded episodes"
-    )
-    fleet.add_argument("--seed", type=int, default=0, help="campaign seed")
+    _add_campaign_flags(fleet, 1, "FLEET_report.json")
     fleet.add_argument(
         "--arbitration",
         choices=("fair", "priority"),
@@ -287,24 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-scaling",
         action="store_true",
         help="skip the jobs-vs-wall-clock scaling curve (CI smoke mode)",
-    )
-    fleet.add_argument(
-        "--output",
-        default="FLEET_report.json",
-        help="JSON campaign report path ('' to skip writing)",
-    )
-    fleet.add_argument(
-        "--timeline",
-        action="store_true",
-        help="sample fleet/tenant telemetry over sim time and attach a "
-        "'timeline' section (with online SLO alerts) to each episode; "
-        "every other report field stays byte-identical",
-    )
-    fleet.add_argument(
-        "--timeline-period",
-        type=float,
-        default=60.0,
-        help="sim-seconds between telemetry samples (default 60)",
     )
     fleet.add_argument(
         "--dashboard",
@@ -514,26 +440,20 @@ def main(argv: list[str] | None = None, out=None) -> int:
         return cmd_run(args.experiment, out)
     if args.command == "quickstart":
         return _quickstart(out)
-    if args.command == "chaos":
-        return _chaos(args, out)
-    if args.command == "hybrid":
-        return _hybrid(args, out)
-    if args.command == "elastic":
-        return _elastic(args, out)
-    if args.command == "fleet":
-        return _fleet(args, out)
-    if args.command == "dashboard":
-        return _dashboard(args, out)
-    if args.command == "trace":
-        return _trace(args, out)
-    if args.command == "export-trace":
-        return _export_trace(args, out)
-    if args.command == "analyze":
-        return _analyze(args, out)
-    if args.command == "bench-history":
-        return _bench_history(args, out)
-    if args.command == "selftest":
-        return _selftest(args, out)
+    handlers = {
+        "chaos": _chaos,
+        "hybrid": _hybrid,
+        "elastic": _elastic,
+        "fleet": _fleet,
+        "dashboard": _dashboard,
+        "trace": _trace,
+        "export-trace": _export_trace,
+        "analyze": _analyze,
+        "bench-history": _bench_history,
+        "selftest": _selftest,
+    }
+    if args.command in handlers:
+        return handlers[args.command](args, out)
     if args.command == "bench-encode":
         from repro.bench.encode_throughput import main as bench_main
 
@@ -552,31 +472,87 @@ def main(argv: list[str] | None = None, out=None) -> int:
     raise AssertionError(f"unhandled command {args.command!r}")
 
 
-def _chaos(args, out) -> int:
-    """Run a chaos campaign; exit 0 iff no invariant was violated."""
-    if args.tiers:
-        return _tier_chaos(args, out)
-    from repro.chaos.campaign import ChaosConfig, run_campaign
+def _campaign_config(args, *more: str) -> dict:
+    """The config fields the shared flags map to, plus those of ``more``."""
+    config = {name: getattr(args, name) for name in ("episodes", "seed", *more)}
+    config["timeline"] = args.timeline
+    config["timeline_period_s"] = args.timeline_period
+    return config
 
-    engines = tuple(
-        name.strip() for name in args.engines.split(",") if name.strip()
+
+def _engines(text: str) -> tuple[str, ...]:
+    return tuple(name.strip() for name in text.split(",") if name.strip())
+
+
+def _write_atomic(path: str, text: str) -> None:
+    """Replace ``path`` with ``text``, or leave it exactly as it was.
+
+    The text goes to a temp file in the target's directory (same
+    filesystem, so the rename is atomic), is flushed and fsynced, and
+    only then renamed over ``path``: a full disk or a kill mid-write
+    never leaves a truncated report where a valid one was.
+    """
+    import os
+    import tempfile
+
+    fd, tmp = tempfile.mkstemp(
+        dir=os.path.dirname(os.path.abspath(path)),
+        prefix=os.path.basename(path) + ".",
+        suffix=".tmp",
     )
-    config = ChaosConfig(
-        episodes=args.episodes,
-        seed=args.seed,
-        engines=engines,
-        max_rounds=args.max_rounds,
-        trace=args.trace,
-        timeline=args.timeline,
-        timeline_period_s=args.timeline_period,
-    )
-    report = run_campaign(config)
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def _finish_campaign(report, output: str, out, notes=(), failures=()) -> int:
+    """Render, write the report atomically, map findings to an exit code.
+
+    ``notes`` print under the rendered summary; each of ``failures``
+    (a reason the run fails besides invariant violations) prints after
+    the report is safely written.  Exit 0 iff there is no violation and
+    no failure.
+    """
     print(report.render(), file=out)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json() + "\n")
-        print(f"report written to {args.output}", file=out)
-    return 1 if report.violations else 0
+    for note in notes:
+        print(note, file=out)
+    if output:
+        _write_atomic(output, report.to_json() + "\n")
+        print(f"report written to {output}", file=out)
+    for failure in failures:
+        print(failure, file=out)
+    return 1 if report.violations or failures else 0
+
+
+def _chaos(args, out) -> int:
+    """Run a chaos (or, with ``--tiers``, tier-loss) campaign."""
+    shared = _campaign_config(args, "max_rounds", "trace")
+    if args.tiers:
+        from repro.chaos.tier_campaign import TierChaosConfig, run_tier_campaign
+
+        if args.engines is not None:
+            print(
+                "--engines is not accepted with --tiers (the tier-loss "
+                "campaign runs ECCheck only)",
+                file=sys.stderr,
+            )
+            return 2
+        report = run_tier_campaign(TierChaosConfig(**shared))
+        default_output = "TIER_report.json"
+    else:
+        from repro.chaos.campaign import ENGINES, ChaosConfig, run_campaign
+
+        engines = ENGINES if args.engines is None else _engines(args.engines)
+        report = run_campaign(ChaosConfig(engines=engines, **shared))
+        default_output = "CHAOS_report.json"
+    output = default_output if args.output is None else args.output
+    return _finish_campaign(report, output, out)
 
 
 def _hybrid(args, out) -> int:
@@ -593,58 +569,18 @@ def _hybrid(args, out) -> int:
     if args.fail_on_alerts and not args.timeline:
         print("--fail-on-alerts requires --timeline", file=sys.stderr)
         return 2
-    engines = tuple(
-        name.strip() for name in args.engines.split(",") if name.strip()
-    )
     config = HybridChaosConfig(
-        episodes=args.episodes,
-        seed=args.seed,
-        engines=engines,
-        max_rounds=args.max_rounds,
+        engines=_engines(args.engines),
         interval=args.interval,
         iteration_s=args.iteration_s,
-        timeline=args.timeline,
-        timeline_period_s=args.timeline_period,
+        **_campaign_config(args, "max_rounds"),
     )
     report = run_hybrid_campaign(config)
-    print(report.render(), file=out)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json() + "\n")
-        print(f"report written to {args.output}", file=out)
-    failed = bool(report.violations)
-    if args.fail_on_alerts and report.alert_counts()["violation"]:
-        print(
-            f"FAILING: {report.alert_counts()['violation']} "
-            f"violation-severity alert(s) fired",
-            file=out,
-        )
-        failed = True
-    return 1 if failed else 0
-
-
-def _tier_chaos(args, out) -> int:
-    """Run the tier-loss campaign; exit 0 iff no invariant was violated."""
-    from repro.chaos.tier_campaign import TierChaosConfig, run_tier_campaign
-
-    config = TierChaosConfig(
-        episodes=args.episodes,
-        seed=args.seed,
-        max_rounds=args.max_rounds,
-        trace=args.trace,
-        timeline=args.timeline,
-        timeline_period_s=args.timeline_period,
-    )
-    report = run_tier_campaign(config)
-    print(report.render(), file=out)
-    output = args.output
-    if output == "CHAOS_report.json":  # the non-tier default; re-target it
-        output = "TIER_report.json"
-    if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json() + "\n")
-        print(f"report written to {output}", file=out)
-    return 1 if report.violations else 0
+    failures = []
+    fired = report.alert_counts()["violation"]
+    if args.fail_on_alerts and fired:
+        failures.append(f"FAILING: {fired} violation-severity alert(s) fired")
+    return _finish_campaign(report, args.output, out, failures=failures)
 
 
 def _elastic(args, out) -> int:
@@ -652,21 +588,10 @@ def _elastic(args, out) -> int:
     from repro.chaos.elastic_campaign import ElasticConfig, run_elastic_campaign
 
     config = ElasticConfig(
-        episodes=args.episodes,
-        seed=args.seed,
-        max_rounds=args.max_rounds,
         redundancy_floor=args.redundancy_floor,
-        trace=args.trace,
-        timeline=args.timeline,
-        timeline_period_s=args.timeline_period,
+        **_campaign_config(args, "max_rounds", "trace"),
     )
-    report = run_elastic_campaign(config)
-    print(report.render(), file=out)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json() + "\n")
-        print(f"report written to {args.output}", file=out)
-    return 1 if report.violations else 0
+    return _finish_campaign(run_elastic_campaign(config), args.output, out)
 
 
 def _fleet(args, out) -> int:
@@ -675,38 +600,37 @@ def _fleet(args, out) -> int:
 
     from repro.fleet import FleetConfig, run_fleet_campaign, run_scaling_curve
 
-    timeline = bool(args.timeline or args.dashboard)
+    shared = _campaign_config(args)
+    shared["timeline"] = timeline = bool(args.timeline or args.dashboard)
     config = FleetConfig(
         jobs=args.jobs,
-        episodes=args.episodes,
-        seed=args.seed,
         arbitration=args.arbitration,
         fleet_slots=args.slots,
         spares=args.spares,
         duration_hours=args.duration_hours,
-        timeline=timeline,
-        timeline_period_s=args.timeline_period,
+        **shared,
     )
     report = run_fleet_campaign(config)
     if not args.no_scaling and args.jobs >= 4:
         report.scaling = run_scaling_curve(config)
-    print(report.render(), file=out)
+    notes = []
     violation_alerts = 0
     if timeline:
         for episode in report.episodes:
             counts = (episode.timeline or {}).get("alerts", {}).get("counts", {})
             violation_alerts += counts.get("violation", 0)
-            print(
+            notes.append(
                 f"episode {episode.episode} telemetry: "
                 f"{(episode.timeline or {}).get('samples', 0)} samples, "
                 f"{counts.get('total', 0)} alert(s) "
-                f"({counts.get('violation', 0)} violation)",
-                file=out,
+                f"({counts.get('violation', 0)} violation)"
             )
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json() + "\n")
-        print(f"report written to {args.output}", file=out)
+    failures = []
+    if report.sub_quadratic is False:
+        failures.append("scaling curve is not sub-quadratic")
+    elif args.fail_on_alerts and violation_alerts:
+        failures.append(f"{violation_alerts} severity-violation alert(s) fired")
+    code = _finish_campaign(report, args.output, out, notes, failures)
     if args.dashboard:
         from repro.obs.dashboard import write_dashboard
 
@@ -714,15 +638,7 @@ def _fleet(args, out) -> int:
             json.loads(report.to_json(provenance=True)), args.dashboard
         )
         print(f"dashboard written to {args.dashboard}", file=out)
-    if report.sub_quadratic is False:
-        print("scaling curve is not sub-quadratic", file=out)
-        return 1
-    if args.fail_on_alerts and violation_alerts:
-        print(
-            f"{violation_alerts} severity-violation alert(s) fired", file=out
-        )
-        return 1
-    return 1 if report.violations else 0
+    return code
 
 
 def _dashboard(args, out) -> int:
@@ -829,9 +745,13 @@ def _analyze(args, out) -> int:
             except json.JSONDecodeError:
                 report = None
             if isinstance(report, dict) and "crossover" in report:
-                return _analyze_hybrid_report(args.trace, report, out)
+                from repro.chaos.hybrid_campaign import analyze_report_phases
+
+                return analyze_report_phases(args.trace, report, out)
             if isinstance(report, dict) and "episodes" in report:
-                return _analyze_report_timelines(args.trace, report, out)
+                from repro.obs.timeseries import analyze_report_timelines
+
+                return analyze_report_timelines(args.trace, report, out)
     trace = _load_trace_or_fail(args.trace)
     if trace is None:
         return 2
@@ -841,93 +761,6 @@ def _analyze(args, out) -> int:
     for problem in problems:
         print(f"TRACE PROBLEM: {problem}", file=out)
     return 1 if problems or analysis.crosscheck_problems else 0
-
-
-def _analyze_hybrid_report(path: str, report: dict, out) -> int:
-    """Re-verify a hybrid campaign's stored phase reconciliations.
-
-    Each run embeds the traced phase sums and the summed report
-    breakdowns per report kind (save / replicate / restore); re-running
-    the 1e-9 crosscheck offline proves the stored report is internally
-    consistent without re-running the campaign.
-    """
-    from repro.obs.trace_io import crosscheck_totals
-
-    problems: list[str] = []
-    checked = 0
-    for episode in report.get("episodes", []):
-        phases = episode.get("phases") or {}
-        index = episode.get("episode", "?")
-        engine = episode.get("engine", "?")
-        kinds = []
-        for kind, section in sorted(phases.items()):
-            checked += 1
-            kinds.append(kind)
-            problems.extend(
-                f"episode {index} ({engine}) {kind}: {p}"
-                for p in crosscheck_totals(
-                    section.get("traced", {}), [section.get("reported", {})]
-                )
-            )
-        print(
-            f"episode {index} ({engine}): "
-            f"{'/'.join(kinds) or 'no'} phases reconciled at 1e-9",
-            file=out,
-        )
-    if not checked:
-        print(
-            f"{path}: no phase sections to analyze (run `repro hybrid`)",
-            file=out,
-        )
-        return 2
-    for problem in problems:
-        print(f"PHASE PROBLEM: {problem}", file=out)
-    if not problems:
-        print(
-            f"phase crosscheck OK ({checked} reconciliations, "
-            f"{len(report.get('violations', []))} campaign violations)",
-            file=out,
-        )
-    return 1 if problems else 0
-
-
-def _analyze_report_timelines(path: str, report: dict, out) -> int:
-    """Reconcile every episode timeline against its degraded ledger."""
-    from repro.obs.timeseries import crosscheck_timeline
-
-    problems: list[str] = []
-    checked = 0
-    for episode in report.get("episodes", []):
-        timeline = episode.get("timeline")
-        if not timeline:
-            continue
-        checked += 1
-        index = episode.get("episode", "?")
-        tenants = episode.get("tenants", [])
-        episode_problems = crosscheck_timeline(timeline, tenants)
-        problems.extend(f"episode {index}: {p}" for p in episode_problems)
-        counts = timeline.get("alerts", {}).get("counts", {})
-        reconciled = sum(
-            1 for t in tenants if t.get("name") in timeline.get("tenants", {})
-        )
-        print(
-            f"episode {index}: {timeline.get('samples', 0)} samples, "
-            f"{reconciled} tenant ledgers reconciled at 1e-9, "
-            f"{counts.get('total', 0)} alert(s)",
-            file=out,
-        )
-    if not checked:
-        print(
-            f"{path}: no timeline sections to analyze "
-            "(run `repro fleet --timeline`)",
-            file=out,
-        )
-        return 2
-    for problem in problems:
-        print(f"TIMELINE PROBLEM: {problem}", file=out)
-    if not problems:
-        print("timeline crosscheck OK", file=out)
-    return 1 if problems else 0
 
 
 def _bench_history(args, out) -> int:

@@ -20,15 +20,18 @@ provenance stamp.
 from __future__ import annotations
 
 import gc
-import json
 import math
 import time
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
+from repro.chaos.harness import CampaignReport, EpisodeRecord, observed_episode
 from repro.fleet.scheduler import FleetScheduler
 from repro.fleet.spec import FleetSpec, TenantSpec
+from repro.obs.alerts import default_fleet_rules
+from repro.obs.timeseries import crosscheck_timeline
 
 
 @dataclass(frozen=True)
@@ -55,11 +58,16 @@ class FleetConfig:
     mean_interarrival_s: float = 45.0
     model: str = "gpt2-h1024-L16"
     scale: float = 5e-5
-    #: Telemetry knobs.  Deliberately excluded from the serialized config
-    #: section: a ``--timeline`` run must stay byte-identical to a plain
-    #: run in every field except the new per-episode ``timeline`` block.
+    #: Telemetry knobs: sampled series (``TimeSeriesSampler.timeline_dict()``)
+    #: plus online SLO alerts, attached to each episode.
     timeline: bool = False
     timeline_period_s: float = 60.0
+
+    REPORTED: ClassVar[tuple[str, ...]] = (
+        "jobs", "episodes", "seed", "arbitration", "fleet_slots",
+        "slots_per_rack", "racks_per_switch", "switches_per_power", "spares",
+        "duration_hours", "mean_interarrival_s", "model", "scale",
+    )
 
     def fleet_spec(self) -> FleetSpec:
         return FleetSpec(
@@ -79,22 +87,19 @@ class FleetConfig:
 
 
 @dataclass
-class FleetEpisodeResult:
+class FleetEpisodeResult(EpisodeRecord):
     """One episode's tenant SLOs, membership cycles and violations."""
 
-    episode: int
     tenants: list[dict] = field(default_factory=list)
-    cycles: list[dict] = field(default_factory=list)
-    violations: list[str] = field(default_factory=list)
     starvation: dict = field(default_factory=dict)
     sim_seconds: float = 0.0
     events_processed: int = 0
     #: Snapshot of the scheduler-owned deterministic metrics registry
     #: (counters/gauges/histograms), flushed at episode end.
     metrics: dict = field(default_factory=dict)
-    #: Sampled telemetry (``TimeSeriesSampler.timeline_dict()``); None
-    #: unless the episode ran with ``timeline=True``.
-    timeline: dict | None = None
+
+    def to_dict(self) -> dict:
+        return {**super().to_dict(), "sim_seconds": round(self.sim_seconds, 6)}
 
 
 def aggregate_slos(tenants: list[dict]) -> dict:
@@ -142,24 +147,14 @@ def aggregate_slos(tenants: list[dict]) -> dict:
 
 
 @dataclass
-class FleetReport:
+class FleetReport(CampaignReport):
     """All episodes plus the (optional) jobs-vs-wall-clock scaling curve."""
 
-    config: FleetConfig
-    episodes: list[FleetEpisodeResult]
     #: Scaling-curve points: ``{"jobs", "sim_seconds", "events",
     #: "wall_s"}``.  ``wall_s`` is non-deterministic and therefore
     #: excluded from :meth:`to_dict`; it rides in the ``timing`` section
     #: of :meth:`to_json`.
     scaling: list[dict] = field(default_factory=list)
-
-    @property
-    def violations(self) -> list[str]:
-        return [
-            f"episode {e.episode}: {v}"
-            for e in self.episodes
-            for v in e.violations
-        ]
 
     def aggregates(self) -> dict:
         return aggregate_slos(
@@ -195,68 +190,28 @@ class FleetReport:
         return exponent < 2.0
 
     # ------------------------------------------------------------------
-    def to_dict(self) -> dict:
-        """Plain-data form, deliberately provenance- and wall-clock-free
-        (determinism tests compare two runs by byte equality);
-        :meth:`to_json` adds the stamp and timings."""
+    def summary(self) -> dict:
         return {
-            "config": {
-                "jobs": self.config.jobs,
-                "episodes": self.config.episodes,
-                "seed": self.config.seed,
-                "arbitration": self.config.arbitration,
-                "fleet_slots": self.config.fleet_slots,
-                "slots_per_rack": self.config.slots_per_rack,
-                "racks_per_switch": self.config.racks_per_switch,
-                "switches_per_power": self.config.switches_per_power,
-                "spares": self.config.spares,
-                "duration_hours": self.config.duration_hours,
-                "mean_interarrival_s": self.config.mean_interarrival_s,
-                "model": self.config.model,
-                "scale": self.config.scale,
-            },
             "aggregates": self.aggregates(),
-            "violations": self.violations,
-            "episodes": [
-                {
-                    "episode": e.episode,
-                    "tenants": e.tenants,
-                    "cycles": e.cycles,
-                    "violations": e.violations,
-                    "starvation": e.starvation,
-                    "sim_seconds": round(e.sim_seconds, 6),
-                    "events_processed": e.events_processed,
-                    "metrics": e.metrics,
-                    # The one field a --timeline run adds; everything
-                    # else stays byte-identical to a plain run.
-                    **({"timeline": e.timeline} if e.timeline is not None else {}),
-                }
-                for e in self.episodes
-            ],
             "scaling": [
                 {k: v for k, v in point.items() if k != "wall_s"}
                 for point in self.scaling
             ],
         }
 
-    def to_json(self, provenance: bool = True) -> str:
-        """JSON form for ``FLEET_report.json``, provenance-stamped."""
-        payload = self.to_dict()
-        if provenance:
-            from repro.obs.provenance import provenance_stamp
-
-            payload["provenance"] = provenance_stamp()
-            payload["timing"] = {
+    def wall_clock_sections(self) -> dict:
+        return {
+            "timing": {
                 "scaling_wall_s": [
                     {"jobs": p["jobs"], "wall_s": round(p["wall_s"], 3)}
                     for p in self.scaling
                 ],
                 "scaling_exponent": self.scaling_exponent(),
             }
-        return json.dumps(payload, indent=2, sort_keys=True)
+        }
 
-    def render(self) -> str:
-        """ASCII summary: fleet aggregates, starvation, scaling curve."""
+    def render_lines(self) -> list[str]:
+        """Fleet aggregates, starvation, scaling curve."""
         agg = self.aggregates()
         lines = [
             f"fleet campaign: {len(self.episodes)} episode(s) x "
@@ -316,9 +271,7 @@ class FleetReport:
                 lines.append(
                     f"  scaling exponent: {exponent:.2f} ({verdict})"
                 )
-        for violation in self.violations:
-            lines.append(f"VIOLATION: {violation}")
-        return "\n".join(lines)
+        return lines
 
 
 # ----------------------------------------------------------------------
@@ -386,46 +339,43 @@ def run_fleet_episode(
         scheduler.sim.schedule(
             submit_at, lambda s=spec: scheduler.submit(s)
         )
-    sampler = None
-    if config.timeline:
-        from repro.obs.alerts import AlertEngine, default_fleet_rules
-        from repro.obs.timeseries import TimeSeriesSampler, use_sampler
 
-        sampler = TimeSeriesSampler(
-            period_s=config.timeline_period_s,
-            alert_engine=AlertEngine(
-                default_fleet_rules(config.duration_hours)
-            ),
-        )
-        scheduler.attach_sampler(sampler)
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
+    def body(_tracer, sampler) -> FleetEpisodeResult:
         if sampler is not None:
-            with use_sampler(sampler):
-                scheduler.run()
-        else:
+            scheduler.attach_sampler(sampler)
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
+        try:
             scheduler.run()
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-        gc.collect()
-    result = FleetEpisodeResult(episode=episode)
-    result.tenants = [
-        scheduler.slo_records[name]
-        for name in sorted(scheduler.slo_records)
-    ]
-    result.cycles = scheduler.cycles
-    result.violations = scheduler.violations
-    result.starvation = scheduler.pool.starvation_summary()
-    result.sim_seconds = scheduler.sim.now
-    result.events_processed = scheduler.sim.processed
-    result.metrics = scheduler.metrics.snapshot()
-    if sampler is not None:
-        sampler.finalize(scheduler.sim.now)
-        result.timeline = sampler.timeline_dict()
-        from repro.obs.timeseries import crosscheck_timeline
+        finally:
+            if gc_was_enabled:
+                gc.enable()
+            gc.collect()
+        if sampler is not None:
+            sampler.finalize(scheduler.sim.now)
+        return FleetEpisodeResult(
+            episode=episode,
+            tenants=[
+                scheduler.slo_records[name]
+                for name in sorted(scheduler.slo_records)
+            ],
+            cycles=scheduler.cycles,
+            violations=scheduler.violations,
+            starvation=scheduler.pool.starvation_summary(),
+            sim_seconds=scheduler.sim.now,
+            events_processed=scheduler.sim.processed,
+            metrics=scheduler.metrics.snapshot(),
+        )
 
+    # Never traced here: a caller's own tracer (the wall-clock ledger's)
+    # must keep seeing the episode's spans.
+    result = observed_episode(
+        body,
+        config=config,
+        trace=False,
+        alert_rules=default_fleet_rules(config.duration_hours),
+    )
+    if result.timeline is not None:
         result.violations.extend(
             crosscheck_timeline(result.timeline, result.tenants)
         )

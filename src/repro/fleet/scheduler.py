@@ -22,9 +22,9 @@ One :class:`FleetScheduler` owns the shared
 Failures arrive as correlated *domain* events
 (:func:`~repro.sim.failures.domain_failure_trace`): one event takes down
 every live slot in a rack/switch/power domain, across every tenant
-scheduled onto it.  Each affected tenant's recovery is judged by its own
-:class:`~repro.chaos.differential.DifferentialHarness` against the
-tier-aware oracle; disagreement in either direction is a violation.
+scheduled onto it.  Each affected tenant's recovery is judged by
+:func:`repro.chaos.harness.recover` against the tier-aware oracle;
+disagreement in either direction is a violation.
 
 Per-job training loops are :class:`~repro.checkpoint.manager.ScheduledJobDriver`
 callbacks on the shared loop — a 1-tenant fleet runs the exact sequence
@@ -37,8 +37,8 @@ import heapq
 
 import numpy as np
 
-from repro.chaos.invariants import check_restored_states
-from repro.errors import RecoveryError, SimulationError
+from repro.chaos.harness import predict, recover
+from repro.errors import SimulationError
 from repro.checkpoint.manager import ScheduledJobDriver
 from repro.obs.metrics import MetricsRegistry
 from repro.fleet.spec import FleetSpec, TenantSpec
@@ -286,7 +286,7 @@ class FleetScheduler:
         # Initial checkpoint at admission (the paper's ``initialize``):
         # a tenant is never live without at least one committed version.
         tenant.manager.step()
-        tenant.record_saves()
+        tenant.ledger.drain()
         driver = ScheduledJobDriver(
             self.sim,
             tenant.manager,
@@ -391,7 +391,7 @@ class FleetScheduler:
     def _post_save(self, name: str, token, report) -> None:
         tenant = self.tenants[name]
         self._apply_time_model(tenant, self.base_time_model)
-        tenant.record_saves()
+        tenant.ledger.drain()
         if token is True:
             return
         # Hold the claims for the save's full durability window, so
@@ -499,7 +499,7 @@ class FleetScheduler:
             driver.pause()
         controller = tenant.controller
         all_failed = set(controller.membership.dead) | set(ranks)
-        expectation = tenant.harness.predict(all_failed)
+        expectation = predict(tenant.engine, all_failed)
         held, tm = self._acquire_shares(
             tenant, want_remote=expectation.kind == "backup"
         )
@@ -516,34 +516,37 @@ class FleetScheduler:
             "expected": expectation.kind,
         }
         try:
-            report = controller.on_failure(set(ranks), self.sim.now)
-        except RecoveryError:
-            tenant.harness.observe("refused")
-            tenant.refused_events += 1
-            cycle["outcome"] = "refused"
-            self.cycles.append(cycle)
-            self._finalize_tenant(
-                tenant, "killed", f"unrecoverable {event.kind} loss"
+            # A restore older than the snapshot window has no reference
+            # bytes left to compare; redundancy and lost work are audited
+            # by the elastic controller's ledgers, not per recovery.
+            recovery = recover(
+                tenant.ledger,
+                expectation,
+                lambda: controller.on_failure(set(ranks), self.sim.now),
+                skip=("committed", "redundancy", "lost"),
             )
-            return
-        except Exception as exc:  # noqa: BLE001 — leaks are findings
-            tenant.harness.observe("engine_error")
-            cycle["outcome"] = f"engine_error:{type(exc).__name__}"
-            self.cycles.append(cycle)
-            self._finalize_tenant(tenant, "killed", f"engine error: {exc}")
-            return
         finally:
             self._apply_time_model(tenant, self.base_time_model)
             self._release_shares(tenant, held)
-        outcome = "backup" if report.tier == "remote" else report.tier
+        self.violations.extend(f"{name}: {v}" for v in recovery.violations)
+        report, outcome = recovery.report, recovery.outcome
+        if report is None:
+            if outcome == "refused":
+                tenant.refused_events += 1
+                detail = f"unrecoverable {event.kind} loss"
+            else:
+                outcome += f":{type(recovery.error).__name__}"
+                detail = f"engine error: {recovery.error}"
+            cycle["outcome"] = outcome
+            self.cycles.append(cycle)
+            self._finalize_tenant(tenant, "killed", detail)
+            return
         self.metrics.counter("fleet.recoveries").inc()
         self.metrics.counter(f"fleet.recoveries.{outcome}").inc()
         self.metrics.histogram("fleet.recovery_s").observe(report.recovery_time)
-        tenant.harness.observe(outcome, report.version)
         cycle["outcome"] = outcome
         cycle["version"] = report.version
         self.cycles.append(cycle)
-        self._check_restored(tenant, report)
         # Spares the controller just requested: poll when provisioned.
         new_pending = [
             r for r in self.pool.pending if r.tenant == name
@@ -558,26 +561,6 @@ class FleetScheduler:
                     "tenant": name,
                     "t": round(self.sim.now, 6),
                 }
-            )
-
-    def _check_restored(self, tenant, report) -> None:
-        """Bit-exactness and iteration accounting after a recovery."""
-        name = tenant.spec.name
-        states = tenant.version_states.get(report.version)
-        if states is None:
-            # Restored a version older than the snapshot window (or one
-            # no completed save committed — the harness already judged
-            # version correctness against the oracle).
-            return
-        self.violations.extend(
-            f"{name}: {v}"
-            for v in check_restored_states(tenant.job, states)
-        )
-        expected_iteration = tenant.version_iteration[report.version]
-        if tenant.job.iteration != expected_iteration:
-            self.violations.append(
-                f"{name}: resumed at iteration {tenant.job.iteration}, "
-                f"expected {expected_iteration}"
             )
 
     # ------------------------------------------------------------------
@@ -630,10 +613,6 @@ class FleetScheduler:
         if self.sampler is not None:
             # Freeze the series before release() drops the manager.
             self.sampler.unwatch(name, self.sim.now)
-        self.violations.extend(
-            v for v in tenant.harness.violations
-        )
-        tenant.harness.violations = []
         record = tenant.slo()
         record["degraded_at_exit"] = bool(
             tenant.manager is not None and tenant.manager.degraded

@@ -7,8 +7,8 @@ with the tenant's ``(k, m)`` split, a
 tenant's cadence/backup/tier policy, and an
 :class:`~repro.elastic.controller.ElasticClusterController` for degraded
 windows and spare joins — plus the audit state the fleet campaign
-checks: recent committed snapshots for bit-exactness, a per-tenant
-differential harness, and the SLO extraction the report aggregates.
+checks: a ledger of recent committed snapshots every recovery is judged
+against, and the SLO extraction the report aggregates.
 
 The controller draws spares through a :class:`TenantSpareView`, a thin
 facade over the fleet-wide pool that tags requests with the tenant name
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.chaos.differential import DifferentialHarness
+from repro.chaos.harness import CommitLedger
 from repro.checkpoint.job import TrainingJob
 from repro.checkpoint.manager import CheckpointManager
 from repro.checkpoint.tiering import TierPolicy
@@ -121,33 +121,17 @@ class TenantRuntime:
             redundancy_floor=spec.redundancy_floor,
             rng=np.random.default_rng(spec.seed),
         )
-        self.harness = DifferentialHarness(self.engine, label=spec.name)
+        # Backup versions are not snapshotted: a restore from the remote
+        # tier is judged for outcome and version only.
+        self.ledger = CommitLedger(
+            self.manager, window=SNAPSHOT_WINDOW, backups=False
+        )
         self.driver = None  # attached by the scheduler
-        self.version_states: dict[int, dict] = {}
-        self.version_iteration: dict[int, int] = {}
-        self._drained_saves = 0
         self.failure_events = 0
         self.refused_events = 0
         self.cold_refusals = 0
 
     # ------------------------------------------------------------------
-    def record_saves(self) -> None:
-        """Snapshot newly committed versions (bounded window)."""
-        fresh = self.manager.stats.save_reports[self._drained_saves:]
-        self._drained_saves = len(self.manager.stats.save_reports)
-        for report in fresh:
-            self.version_states.setdefault(
-                report.version, self.job.snapshot_states()
-            )
-            self.version_iteration.setdefault(
-                report.version,
-                self.manager._checkpoint_iteration_of_version[report.version],
-            )
-        while len(self.version_states) > SNAPSHOT_WINDOW:
-            oldest = min(self.version_states)
-            del self.version_states[oldest]
-            del self.version_iteration[oldest]
-
     def slots_of_ranks(self, ranks) -> list[int]:
         return sorted(self.slots[r] for r in ranks)
 
@@ -162,8 +146,7 @@ class TenantRuntime:
         self.manager = None
         self.controller = None
         self.driver = None
-        self.version_states = {}
-        self.version_iteration = {}
+        self.ledger = None
         return slots
 
     # ------------------------------------------------------------------

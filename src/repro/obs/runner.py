@@ -19,42 +19,11 @@ from repro import obs
 from repro.errors import ReproError
 from repro.obs import trace_io
 from repro.analysis.breakdown import normalise_breakdown, sum_breakdowns
-from repro.checkpoint.job import TrainingJob
+from repro.chaos.harness import build_testbed
 from repro.checkpoint.manager import CheckpointManager
 from repro.checkpoint.tiering import TierPolicy
-from repro.core.eccheck import ECCheckConfig
-from repro.core.registry import build_engine, engine_names
-from repro.errors import CheckpointError
-from repro.parallel.strategy import ParallelismSpec
-from repro.parallel.topology import ClusterSpec
 
 ENGINES = ("eccheck", "base1", "base2", "base3", "gradrep", "hybrid")
-
-
-def build_traced_job(
-    engine_name: str, model: str, scale: float, seed: int
-) -> tuple[TrainingJob, object]:
-    """Testbed job + engine, mirroring the chaos campaign's shape."""
-    job = TrainingJob.create(
-        model=model,
-        cluster=ClusterSpec(num_nodes=4, gpus_per_node=2, nodes_per_rack=2),
-        strategy=ParallelismSpec(tensor_parallel=2, pipeline_parallel=4),
-        scale=scale,
-        seed=seed,
-    )
-    try:
-        engine = build_engine(
-            engine_name,
-            job,
-            ECCheckConfig(k=2, m=2, encode_threads=2, engine=engine_name),
-            group_size=2,
-        )
-    except CheckpointError as exc:
-        raise ReproError(
-            f"unknown engine {engine_name!r}; choose from "
-            f"{', '.join(engine_names())}"
-        ) from exc
-    return job, engine
 
 
 def _snapshot_cache_gauges(tracer, engine) -> None:
@@ -132,7 +101,7 @@ def run_traced_job(
     if output and out_dir:
         os.makedirs(out_dir, exist_ok=True)
         output = os.path.join(out_dir, os.path.basename(output))
-    job, engine = build_traced_job(engine_name, model, scale, seed)
+    job, engine = build_testbed(engine_name, model, scale, seed)
     supports_backup = hasattr(engine, "save_remote_backup")
     tier_policy = None
     if tier_memory_versions > 0:

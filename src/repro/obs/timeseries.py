@@ -358,6 +358,42 @@ class TimeSeriesSampler:
         return payload
 
 
+class ManualClock:
+    """Sim time for a campaign with no event loop, feeding its sampler.
+
+    The chaos, tier and hybrid campaigns *derive* the clock from the
+    durations the engine's own reports claim; the elastic campaign draws
+    its time steps.  Without a sampler every call only keeps ``t``, so a
+    campaign script never branches on whether telemetry is on.
+    """
+
+    def __init__(self, sampler: Optional[TimeSeriesSampler] = None) -> None:
+        self.t = 0.0
+        self.sampler = sampler
+
+    def watch(self, **probes: Callable[[], float]) -> None:
+        """Register the episode's signals and land the baseline sample."""
+        if self.sampler is not None:
+            for name, read in probes.items():
+                self.sampler.register_probe(name, lambda _t, read=read: read())
+            self.sampler.sample(0.0, "baseline")
+
+    def spend(self, *durations: float) -> None:
+        """Advance by each duration in turn, then catch the sampler up."""
+        for duration in durations:
+            self.t += float(duration)
+        if durations and self.sampler is not None:
+            self.sampler.advance(self.t)
+
+    def note(self, kind: str, **fields) -> None:
+        if self.sampler is not None:
+            self.sampler.note_event(self.t, kind, **fields)
+
+    def close(self) -> None:
+        if self.sampler is not None:
+            self.sampler.finalize(self.t)
+
+
 def crosscheck_timeline(
     timeline: dict, tenants: list, rel_tol: float = RECONCILE_REL_TOL
 ) -> List[str]:
@@ -383,6 +419,43 @@ def crosscheck_timeline(
                 f"ledger degraded_seconds {ledger!r} (tol {tol:g})"
             )
     return problems
+
+
+def analyze_report_timelines(path: str, report: dict, out) -> int:
+    """Reconcile every episode timeline against its degraded ledger."""
+    problems: list[str] = []
+    checked = 0
+    for episode in report.get("episodes", []):
+        timeline = episode.get("timeline")
+        if not timeline:
+            continue
+        checked += 1
+        index = episode.get("episode", "?")
+        tenants = episode.get("tenants", [])
+        episode_problems = crosscheck_timeline(timeline, tenants)
+        problems.extend(f"episode {index}: {p}" for p in episode_problems)
+        counts = timeline.get("alerts", {}).get("counts", {})
+        reconciled = sum(
+            1 for t in tenants if t.get("name") in timeline.get("tenants", {})
+        )
+        print(
+            f"episode {index}: {timeline.get('samples', 0)} samples, "
+            f"{reconciled} tenant ledgers reconciled at 1e-9, "
+            f"{counts.get('total', 0)} alert(s)",
+            file=out,
+        )
+    if not checked:
+        print(
+            f"{path}: no timeline sections to analyze "
+            "(run `repro fleet --timeline`)",
+            file=out,
+        )
+        return 2
+    for problem in problems:
+        print(f"TIMELINE PROBLEM: {problem}", file=out)
+    if not problems:
+        print("timeline crosscheck OK", file=out)
+    return 1 if problems else 0
 
 
 # ---------------------------------------------------------------------------

@@ -4,19 +4,27 @@ Each campaign promises its report is a pure function of (config, seed)
 once provenance (and wall clocks) are excluded — the property the CI
 artifact diffing, the perf-floor ratchet, and every "rerun to debug"
 workflow rely on.  One suite pins it uniformly across the chaos, elastic,
-tier, and fleet campaigns, so a nondeterminism regression in a shared
-layer (rng derivation, dict ordering, event-loop tie-breaking) fails
-loudly no matter which campaign it entered through.
+tier, hybrid and fleet campaigns, so a nondeterminism regression in a
+shared layer (rng derivation, dict ordering, event-loop tie-breaking)
+fails loudly no matter which campaign it entered through.
+
+The same payloads are also pinned *across commits*: ``GOLDEN`` holds the
+sha-256 of each one as computed at the commit before the campaigns moved
+onto the shared kernel (``chaos/harness.py``), so a refactor that shifts
+one rng draw, one cycle field or one float of a derived clock fails here
+instead of silently invalidating every committed report.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
 
 from repro.chaos.campaign import ChaosConfig, run_campaign
 from repro.chaos.elastic_campaign import ElasticConfig, run_elastic_campaign
+from repro.chaos.hybrid_campaign import HybridChaosConfig, run_hybrid_campaign
 from repro.chaos.tier_campaign import TierChaosConfig, run_tier_campaign
 from repro.fleet import FleetConfig, run_fleet_campaign
 
@@ -39,7 +47,40 @@ CASES = [
         ),
         id="fleet",
     ),
+    pytest.param(
+        lambda: run_hybrid_campaign(HybridChaosConfig(episodes=3, seed=17)),
+        id="hybrid",
+    ),
 ]
+
+#: The instrumented variants: the trace summary and the derived-clock
+#: timeline are part of the byte contract too.
+INSTRUMENTED = {
+    "chaos-traced-timeline": lambda: run_campaign(
+        ChaosConfig(episodes=4, seed=17, trace=True, timeline=True)
+    ),
+    "tier-traced-timeline": lambda: run_tier_campaign(
+        TierChaosConfig(episodes=4, seed=17, trace=True, timeline=True)
+    ),
+}
+
+#: sha-256 of ``to_json(provenance=False)``, computed at the parent of
+#: the commit that introduced ``chaos/harness.py`` (PR 20).  A change that
+#: is *meant* to alter a report regenerates its entry and says why.
+GOLDEN = {
+    "chaos": "983fc0611fa2cb0b665aaaa24e015d2b5fb10e658c73a56af7037cae87e2a55f",
+    "elastic": "0638eb9e76ad3560ae072d7ae979144b8b4fbb04918f9d816223b60b244a9efa",
+    "tier": "a7183dabc5820b9ef6da09de61955276eb7ceee14ba846ab86af8ac58bf2cfee",
+    "fleet": "2a48389332fe08fc4674bde6bdfe134db4dcc2a95cf81417828b071755d6dad2",
+    "hybrid": "ac76dbdf190c666d30fd718026bdb99325615b5ba333cdf5e44b14d691638a22",
+    "chaos-traced-timeline": (
+        "c91066ee065050d157b8762d42048fdf8d8ac1075cdb3caf761b7970b58d7fd5"
+    ),
+    "tier-traced-timeline": (
+        "f6f8dd8196da1f9d0cbe058f606e379abc3eb205225f2807a8b16cda5fc7b0b3"
+    ),
+}
+RUNNERS = {**{case.id: case.values[0] for case in CASES}, **INSTRUMENTED}
 
 
 @pytest.mark.parametrize("runner", CASES)
@@ -59,3 +100,16 @@ def test_provenance_free_payload_has_no_environment_leaks(runner):
     assert not leaked
     for episode in payload.get("episodes", []):
         assert "wall_s" not in episode
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_report_matches_the_cross_commit_golden(name, tmp_path):
+    text = RUNNERS[name]().to_json(provenance=False)
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    if digest != GOLDEN[name]:
+        dump = tmp_path / f"{name}.json"
+        dump.write_text(text)
+        pytest.fail(
+            f"{name} report drifted from the golden: sha-256 {digest}, "
+            f"expected {GOLDEN[name]}; the payload is in {dump}"
+        )

@@ -9,7 +9,7 @@ import pytest
 from repro import obs
 from repro.checkpoint.manager import CheckpointManager
 from repro.obs import trace_io
-from repro.obs.runner import build_traced_job
+from repro.chaos.harness import build_testbed
 
 
 def run_traced_episode(
@@ -21,7 +21,7 @@ def run_traced_episode(
     seed: int = 0,
 ):
     """A traced job mirroring ``repro trace``, returning all the pieces."""
-    job, engine = build_traced_job(engine_name, "gpt2-h1024-L16", 5e-4, seed)
+    job, engine = build_testbed(engine_name, "gpt2-h1024-L16", 5e-4, seed)
     supports_backup = hasattr(engine, "save_remote_backup")
     with obs.use_tracer() as tracer:
         manager = CheckpointManager(

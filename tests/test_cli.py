@@ -330,3 +330,95 @@ def test_trace_accepts_streaming_engines(tmp_path):
             "--interval", "3", "--out-dir", str(tmp_path),
         )
         assert code == 0, engine
+
+
+# ---------------------------------------------------------------------------
+# The shared campaign finish path: defaults, usage errors, atomic writes
+# ---------------------------------------------------------------------------
+def test_tiers_honours_an_explicit_output_named_like_the_chaos_default(
+    tmp_path, monkeypatch
+):
+    """`--tiers --output CHAOS_report.json` used to be silently re-targeted
+    to TIER_report.json because the handler compared against the default
+    *string*; what the user typed is what gets written."""
+    import json
+
+    monkeypatch.chdir(tmp_path)
+    code, output = run_cli(
+        "chaos", "--tiers", "--episodes", "1", "--output", "CHAOS_report.json"
+    )
+    assert code == 0
+    assert "report written to CHAOS_report.json" in output
+    assert not (tmp_path / "TIER_report.json").exists()
+    payload = json.loads((tmp_path / "CHAOS_report.json").read_text())
+    assert "byte_flow" in payload  # it is the tier campaign's report
+
+
+def test_campaign_output_defaults_resolve_per_scenario(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("chaos", "--tiers", "--episodes", "1")[0] == 0
+    assert run_cli("chaos", "--episodes", "1")[0] == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "CHAOS_report.json", "TIER_report.json",
+    ]
+
+
+def test_tiers_rejects_an_explicit_engine_list(tmp_path, capsys):
+    """The tier campaign is ECCheck-only; `--engines` used to be dropped
+    without a word."""
+    code, _ = run_cli(
+        "chaos", "--tiers", "--engines", "base1",
+        "--output", str(tmp_path / "tier.json"),
+    )
+    assert code == 2
+    assert "--engines is not accepted with --tiers" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+class TestReportsAreWrittenAtomically:
+    OLD = '{"a previous": "valid report"}\n'
+
+    def existing(self, tmp_path):
+        path = tmp_path / "report.json"
+        path.write_text(self.OLD)
+        return path
+
+    def run_chaos(self, path):
+        return run_cli("chaos", "--episodes", "1", "--output", str(path))
+
+    def test_a_serializer_error_leaves_the_old_report(self, tmp_path, monkeypatch):
+        from repro.chaos.harness import CampaignReport
+
+        def broken(self, provenance=True):
+            raise TypeError("not JSON serializable")
+
+        monkeypatch.setattr(CampaignReport, "to_json", broken)
+        path = self.existing(tmp_path)
+        with pytest.raises(TypeError):
+            self.run_chaos(path)
+        assert path.read_text() == self.OLD
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+    def test_a_write_failing_half_way_leaves_the_old_report(
+        self, tmp_path, monkeypatch
+    ):
+        import os
+
+        def disk_full(fd):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(os, "fsync", disk_full)
+        path = self.existing(tmp_path)
+        with pytest.raises(OSError):
+            self.run_chaos(path)
+        assert path.read_text() == self.OLD
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+    def test_a_good_run_replaces_it(self, tmp_path):
+        import json
+
+        path = self.existing(tmp_path)
+        code, _ = self.run_chaos(path)
+        assert code == 0
+        assert json.loads(path.read_text())["violations"] == []
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
