@@ -9,8 +9,8 @@ mid-flight exactly where a real process crash would: whatever chunk
 packets and metadata records already landed in host storage stay there as
 a genuine torn version; everything later is simply missing.
 
-The injector is thread-safe because ECCheck's step 3 runs the hooks from
-the pipelined encode/XOR/transfer worker threads.
+The injector is thread-safe: ECCheck's step 3 fires its hooks in line on
+the saving thread today, but nothing obliges an engine to.
 """
 
 from __future__ import annotations

@@ -13,13 +13,21 @@ the replication baseline.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from collections import OrderedDict
+from dataclasses import dataclass, field, replace
+from typing import Iterator
 
 from repro import obs
 from repro.errors import CheckpointError, RecoveryError
 from repro.checkpoint.job import TrainingJob
 from repro.checkpoint.storage import HostMemoryStore, LocalDiskStore, RemoteStorage
-from repro.sim.network import REMOTE, ClusterNetwork, TransferRequest
+from repro.sim.network import (
+    REMOTE,
+    ClusterNetwork,
+    TimeModel,
+    TransferRequest,
+    TransferResult,
+)
 from repro.tensors.serialization import deserialize_state_dict, serialize_state_dict
 
 
@@ -123,6 +131,40 @@ class DemotionReport:
     bytes_to_disk: int = 0
 
 
+class BilledNetwork(ClusterNetwork):
+    """An engine's network: the flow simulation plus a memo of its bills.
+
+    A save's transfer plan repeats save after save, a failure pattern's
+    restore plans likewise, so :meth:`bill` runs ``simulate`` (the uncached
+    primitive) once per distinct plan.  The key holds the ``time_model`` of
+    the moment, so replacing it — the fleet arbiter does, around a save —
+    is never served a stale bill.
+    """
+
+    #: Plans kept (LRU); a delta save's plan rarely repeats, hence a bound.
+    BILL_CACHE_SIZE = 64
+
+    def __init__(self, num_nodes: int, time_model: TimeModel | None = None):
+        super().__init__(num_nodes, time_model)
+        self._bills: OrderedDict[tuple, TransferResult] = OrderedDict()
+
+    def bill(self, requests: list[TransferRequest]) -> TransferResult:
+        """:meth:`simulate`'s result for ``requests``; its lists are copies."""
+        key = (self.time_model, tuple(requests))
+        result = self._bills.get(key)
+        if result is None:
+            result = self._bills[key] = self.simulate(requests)
+            if len(self._bills) > self.BILL_CACHE_SIZE:
+                self._bills.popitem(last=False)
+        else:
+            self._bills.move_to_end(key)
+        return replace(
+            result,
+            flow_finish_times=list(result.flow_finish_times),
+            request_finish_times=list(result.request_finish_times),
+        )
+
+
 class CheckpointEngine(ABC):
     """Base class for all checkpoint engines."""
 
@@ -138,7 +180,7 @@ class CheckpointEngine(ABC):
         self.host = HostMemoryStore(job.cluster.num_nodes)
         self.disk = LocalDiskStore(job.cluster.num_nodes)
         self.remote = RemoteStorage()
-        self.network = ClusterNetwork(job.cluster.num_nodes, job.time_model)
+        self.network = BilledNetwork(job.cluster.num_nodes, job.time_model)
         self.version = 0
         #: When set (a callable ``(point, **context)``), the save flow
         #: consults it at every crash point; the callable may raise
@@ -243,22 +285,23 @@ class CheckpointEngine(ABC):
         result = self.network.simulate(requests)
         return result.makespan, total
 
-    def _latest_complete_remote_version(self) -> int | None:
-        """Newest version with every writer's blob present in remote storage.
+    def _complete_remote_versions(self) -> Iterator[int]:
+        """Versions with every writer's blob in remote storage, newest first.
 
         A crash can interrupt a remote persist after some workers' blobs
         landed and others did not; such a torn remote version must never
-        be restored.  Walks back from the engine's version counter to the
-        newest version all writers completed, or ``None`` if no complete
-        remote checkpoint exists.
+        be restored (and is garbage to the GC).
         """
         for version in range(self.version, 0, -1):
             if all(
                 self.remote.contains(("ckpt", version, worker))
                 for worker in self.job.writers
             ):
-                return version
-        return None
+                yield version
+
+    def _latest_complete_remote_version(self) -> int | None:
+        """Newest complete remote version, or ``None`` if there is none."""
+        return next(self._complete_remote_versions(), None)
 
     def gc_remote_backups(self, keep: int) -> int:
         """Reclaim remote space: keep only the newest ``keep`` complete backups.
@@ -272,14 +315,7 @@ class CheckpointEngine(ABC):
         """
         if keep < 1:
             raise CheckpointError(f"keep must be >= 1, got {keep}")
-        complete = [
-            version
-            for version in range(self.version, 0, -1)
-            if all(
-                self.remote.contains(("ckpt", version, worker))
-                for worker in self.job.writers
-            )
-        ]
+        complete = list(self._complete_remote_versions())
         if len(complete) <= keep:
             return 0
         horizon = complete[keep - 1]  # oldest version that must survive

@@ -236,7 +236,7 @@ class CheckpointManager:
                     iteration=self.job.iteration,
                 )
                 tracer.metrics.counter("manager.remote_backups").inc()
-            if self.remote_backup_keep and hasattr(self.engine, "gc_remote_backups"):
+            if self.remote_backup_keep:
                 self.stats.remote_bytes_reclaimed += self.engine.gc_remote_backups(
                     self.remote_backup_keep
                 )

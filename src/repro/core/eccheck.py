@@ -57,8 +57,7 @@ from repro.core.placement import (
     select_data_parity_nodes,
 )
 from repro.core.pipeline import (
-    STAGE_ENCODE,
-    STAGE_XOR_REDUCE,
+    STAGE_TRANSFER,
     PipelinedRunner,
     pipeline_makespan,
     serial_makespan,
@@ -144,7 +143,6 @@ class ECCheckEngine(CheckpointEngine):
         self.placement: PlacementPlan | None = None
         self.reduction_plan: ReductionPlan | None = None
         self.code: CauchyRSCode | None = None
-        self.last_pipeline_stats = None
         self._last_packets: dict[int, np.ndarray] = {}
         self._last_full_version: int | None = None
         #: Committed versions whose chunks are resident in host memory /
@@ -301,11 +299,13 @@ class ECCheckEngine(CheckpointEngine):
         return plan
 
     def code_for(self, k: int, m: int) -> CauchyRSCode:
-        """The (cached) Cauchy RS code for a chunk shape."""
+        """The (cached) Cauchy RS code for a chunk shape, on the XOR-minimised
+        generator (Sec. IV-A): parity 0 is the plain XOR of the data chunks,
+        and at (2, 2) one coefficient of four needs a multiplication."""
         key = (k, m, self.config.w)
         if key not in self._code_cache:
             self._code_cache[key] = CauchyRSCode(
-                CodeParams(k=k, m=m, w=self.config.w)
+                CodeParams(k=k, m=m, w=self.config.w), good_matrix=True
             )
         return self._code_cache[key]
 
@@ -480,12 +480,11 @@ class ECCheckEngine(CheckpointEngine):
         # Runs *before* the metadata broadcast: metadata is the commit
         # record, so all chunk placement must already be durable-in-RAM
         # when it lands (see the module docstring on crash consistency).
-        # The real byte work streams through the three-stage thread
-        # pipeline of Sec. IV-C: while one reduction group's encoded
-        # packets are being XOR-reduced, the next group is already
-        # encoding, and completed parity packets drain to their parity
-        # nodes on the transfer stage.  (The ``use_pipelining`` flag only
-        # switches the *timing formula*; the byte path is identical.)
+        # The byte work walks the stages of Sec. IV-C group by group, in
+        # line: a group's parity packets are encoded, then they and its
+        # data packets land on their nodes, then the next group starts.
+        # (Overlap between stages lives in the *timing formula*, which is
+        # all the ``use_pipelining`` flag switches.)
         def stage_encode(group):
             packets = [checkpoints[w].packet.payload for w in group.workers]
             parity_packets = [np.empty_like(packets[0]) for _ in group.targets]
@@ -516,12 +515,9 @@ class ECCheckEngine(CheckpointEngine):
             return r
 
         def stage_hook(stage, item):
-            if stage == STAGE_ENCODE:
-                self._fire("post_encode", version=version, group=item[0].index)
-            elif stage == STAGE_XOR_REDUCE:
-                self._fire("post_xor", version=version, group=item[0].index)
-            else:
-                self._fire("post_transfer", version=version, group=item)
+            point = ("post_encode", "post_xor", "post_transfer")[stage]
+            group = item if stage == STAGE_TRANSFER else item[0].index
+            self._fire(point, version=version, group=group)
 
         with tracer.span(
             "eccheck.save.step3",
@@ -529,11 +525,9 @@ class ECCheckEngine(CheckpointEngine):
             phase="step3_encode_xor_p2p",
             version=version,
         ) as step3_span:
-            runner = PipelinedRunner(
+            PipelinedRunner(
                 stage_encode, stage_xor_reduce, stage_transfer, item_hook=stage_hook
-            )
-            runner.run(list(self.reduction_plan.groups))
-            self.last_pipeline_stats = runner.stats
+            ).run(list(self.reduction_plan.groups))
 
         return self._commit(version, checkpoints, step1_span, step3_span, tracer)
 
@@ -612,7 +606,7 @@ class ECCheckEngine(CheckpointEngine):
                     requests.append(
                         TransferRequest(src, plan.data_nodes[j], shipped[members[group.index]])
                     )
-        comm_makespan = self.network.simulate(requests).makespan if requests else 0.0
+        comm_makespan = self.network.bill(requests).makespan
         encode_total = tm.encode_time(cfg.m * max(shipped), threads=cfg.encode_threads)
         # XOR compute at reduction targets: each target XORs k-1 packets,
         # m times per reduction group it serves.
@@ -1318,28 +1312,14 @@ class ECCheckEngine(CheckpointEngine):
         self, version: int, failed_nodes: set[int]
     ) -> RecoveryReport:
         """Catastrophic fallback: more than m failures, load from remote."""
-        backup_versions = sorted(
-            {
-                key[1]
-                for key in self.remote.keys()
-                if isinstance(key, tuple) and key[0] == "ckpt"
-            }
-        )
         # A backup interrupted mid-persist is torn just like an in-memory
         # version: only versions holding every writer's blob are loadable.
-        complete = [
-            v for v in backup_versions
-            if all(
-                self.remote.contains(("ckpt", v, worker))
-                for worker in self.job.writers
-            )
-        ]
-        if not complete:
+        backup = self._latest_complete_remote_version()
+        if backup is None:
             raise RecoveryError(
                 f"{len(failed_nodes)} failures exceed parity m={self.config.m} "
                 "and no complete remote backup exists"
             )
-        backup = complete[-1]
         load_time, bytes_read = self._restore_all_from_remote(backup)
         return RecoveryReport(
             engine=self.name,
@@ -1392,9 +1372,7 @@ class ECCheckEngine(CheckpointEngine):
             tm.htod_time(self.job.logical_shard_bytes(w))
             for w in range(self.job.world_size)
         )
-        redundancy = (
-            self.network.simulate(redo_requests).makespan if redo_requests else 0.0
-        )
+        redundancy = self.network.bill(redo_requests).makespan
         if lost_parities:
             redundancy += tm.encode_time(
                 logical_packet * groups, threads=self.config.encode_threads
@@ -1438,7 +1416,7 @@ class ECCheckEngine(CheckpointEngine):
             for i in lost_parities
             for j in range(plan.k)
         ]
-        transfer = self.network.simulate(requests).makespan
+        transfer = self.network.bill(requests).makespan
         return {"fetch_packets": transfer}, bytes_inter, redo_requests
 
     def _bill_decode(
@@ -1494,11 +1472,11 @@ class ECCheckEngine(CheckpointEngine):
             for i in lost_parities
         ]
         breakdown = {
-            "gather_chunks": self.network.simulate(gather_requests).makespan,
+            "gather_chunks": self.network.bill(gather_requests).makespan,
             "decode": self.job.time_model.encode_time(
                 plan.k * logical_packet * groups / max(1, len(surviving)),
                 threads=self.config.encode_threads,
             ),
-            "scatter_packets": self.network.simulate(scatter_requests).makespan,
+            "scatter_packets": self.network.bill(scatter_requests).makespan,
         }
         return breakdown, bytes_inter, redo_requests

@@ -1,37 +1,40 @@
-"""Pipelined encode / XOR-reduce / P2P execution (paper Sec. IV-C).
+"""Encode / XOR-reduce / P2P, buffer by buffer (paper Sec. IV-C).
 
-Checkpoints are processed buffer by buffer: as soon as the encoding thread
-fills one encoding buffer, the XOR-reduction thread may combine it while
-the encoder moves on, and completed reductions stream out on the P2P
-thread.  Two faces of that design live here:
+The paper streams a checkpoint through three stages — encode a buffer,
+XOR-reduce it, ship it — on three threads, so the stages of successive
+buffers overlap.  Two faces of that design live here:
 
-* :class:`PipelinedRunner` — a real three-stage thread pipeline over
-  queues, used on the engine's actual byte path (numpy ops release the
-  GIL, so stages genuinely overlap).
+* :class:`PipelinedRunner` — the engine's byte path: the three stages
+  run per item, in order, **on the calling thread**.  Threads were
+  measured and lost (two threads of ``np.take`` or ``zlib.crc32`` are
+  slower than one on a two-vCPU host; DESIGN.md "Step 3 runs in line");
+  the stage boundaries survive as spans, counters and crash points.
 * :func:`pipeline_makespan` — the analytic makespan of a B-buffer
   three-stage pipeline, used by the timing model: with per-buffer stage
   times ``t1, t2, t3``, the makespan is
-  ``t1 + t2 + t3 + (B - 1) * max(t1, t2, t3)`` — the classic pipeline
-  formula the simulated reports rely on.
+  ``t1 + t2 + t3 + (B - 1) * max(t1, t2, t3)``.  The paper's pipelining
+  claim (Fig. 13) is a property of this *simulated* bill.
 """
 
 from __future__ import annotations
 
-import queue
-import threading
-from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro import obs
 from repro.errors import CheckpointError
-
-_DONE = object()
 
 #: Stage indices of a :class:`PipelinedRunner`, for ``item_hook`` callers.
 STAGE_ENCODE, STAGE_XOR_REDUCE, STAGE_TRANSFER = 0, 1, 2
 
 #: Trace-span names per stage (see :mod:`repro.obs`).
 _STAGE_SPAN_NAMES = ("pipeline.encode", "pipeline.xor_reduce", "pipeline.transfer")
+
+#: Items-processed counters per stage, bumped once a run completes.
+_STAGE_COUNTERS = (
+    "pipeline.items_encoded",
+    "pipeline.items_reduced",
+    "pipeline.items_transferred",
+)
 
 
 def pipeline_makespan(stage_times: list[float], buffers: int) -> float:
@@ -60,30 +63,18 @@ def serial_makespan(stage_times: list[float], buffers: int) -> float:
     return buffers * sum(stage_times)
 
 
-@dataclass
-class PipelineStats:
-    """Items processed per stage by a :class:`PipelinedRunner` run."""
-
-    encoded: int
-    reduced: int
-    transferred: int
-
-
 class PipelinedRunner:
-    """A real encode -> XOR-reduce -> P2P thread pipeline.
+    """Encode -> XOR-reduce -> P2P over a list of items, in line.
 
     Each stage is a callable ``item -> item`` (returning the payload for
-    the next stage); stage outputs flow through bounded queues, so a slow
-    downstream stage back-pressures upstream exactly as the paper's
-    reserved data/encoding buffers do.
+    the next stage).  An item passes through all three stages before the
+    next one starts, on the caller's thread; no thread is started.
 
-    ``item_hook``, when given, is invoked as ``item_hook(stage, result)``
-    after a stage processes each item (stage is one of
-    :data:`STAGE_ENCODE` / :data:`STAGE_XOR_REDUCE` /
-    :data:`STAGE_TRANSFER`).  It runs on the stage's worker thread and may
-    raise — fault-injection campaigns use it to crash the save at any
-    stage boundary; the exception propagates out of :meth:`run` exactly
-    like a stage failure.
+    ``item_hook(stage, result)`` runs after each stage of each item
+    (``stage`` is a ``STAGE_*`` index) and may raise — fault injection
+    crashes a save at any stage boundary this way.  The first exception,
+    from a stage or the hook, propagates at once: earlier items are fully
+    processed, later ones untouched.
 
     Example:
         >>> runner = PipelinedRunner(
@@ -100,114 +91,23 @@ class PipelinedRunner:
         encode: Callable[[Any], Any],
         reduce: Callable[[Any], Any],
         transfer: Callable[[Any], Any],
-        queue_depth: int = 4,
         item_hook: Callable[[int, Any], None] | None = None,
     ):
-        if queue_depth < 1:
-            raise CheckpointError(f"queue_depth must be >= 1, got {queue_depth}")
-        self._stages = [encode, reduce, transfer]
-        self.queue_depth = queue_depth
+        self._stages = (encode, reduce, transfer)
         self.item_hook = item_hook
-        self.stats: PipelineStats | None = None
 
     def run(self, items: list[Any]) -> list[Any]:
-        """Stream ``items`` through all three stages; returns outputs in order."""
-        q_encode_out: queue.Queue = queue.Queue(self.queue_depth)
-        q_reduce_out: queue.Queue = queue.Queue(self.queue_depth)
-        results: list[Any] = []
-        errors: list[BaseException] = []
-        counts = [0, 0, 0]
-        # Stage spans open on worker threads, so thread-local nesting
-        # cannot see the caller's span; capture it here as their
-        # explicit parent (it stays open until run() returns).
+        """Pass each of ``items`` through all three stages; outputs in order."""
         tracer = obs.get_tracer()
-        parent_span = tracer.current_span() if tracer.enabled else None
-
-        def run_stage(fn, index, item):
-            if tracer.enabled:
-                with tracer.span(
-                    _STAGE_SPAN_NAMES[index], parent=parent_span, stage=index
-                ):
-                    return fn(item)
-            return fn(item)
-
-        def drain(source) -> None:
-            # After a stage dies its upstream keeps producing; consume the
-            # leftovers (the sentinel always arrives — every producer puts
-            # one on both normal exit and failure) so a bounded queue never
-            # deadlocks the upstream thread mid-put.
-            while source.get() is not _DONE:
-                pass
-
-        def stage_worker(fn, source, sink, index):
-            try:
-                while True:
-                    item = source.get()
-                    if item is _DONE:
-                        sink.put(_DONE)
-                        return
-                    out = run_stage(fn, index, item)
-                    if self.item_hook is not None:
-                        self.item_hook(index, out)
-                    sink.put(out)
-                    counts[index] += 1
-            except BaseException as exc:  # propagate to caller
-                errors.append(exc)
-                sink.put(_DONE)
-                drain(source)
-
-        q_input: queue.Queue = queue.Queue()
+        results: list[Any] = []
         for item in items:
-            q_input.put(item)
-        q_input.put(_DONE)
-
-        class _ListSink:
-            def put(self, item):
-                if item is not _DONE:
-                    results.append(item)
-                    counts[2] += 1
-
-        threads = [
-            threading.Thread(
-                target=stage_worker,
-                args=(self._stages[0], q_input, q_encode_out, 0),
-                name="eccheck-encode",
-            ),
-            threading.Thread(
-                target=stage_worker,
-                args=(self._stages[1], q_encode_out, q_reduce_out, 1),
-                name="eccheck-xor-reduce",
-            ),
-        ]
-        sink = _ListSink()
-
-        def transfer_worker():
-            try:
-                while True:
-                    item = q_reduce_out.get()
-                    if item is _DONE:
-                        return
-                    out = run_stage(self._stages[2], STAGE_TRANSFER, item)
-                    if self.item_hook is not None:
-                        self.item_hook(STAGE_TRANSFER, out)
-                    sink.put(out)
-            except BaseException as exc:
-                errors.append(exc)
-                drain(q_reduce_out)
-
-        threads.append(threading.Thread(target=transfer_worker, name="eccheck-p2p"))
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        if errors:
-            raise errors[0]
-        self.stats = PipelineStats(
-            encoded=counts[0], reduced=counts[1], transferred=counts[2]
-        )
+            for index, stage in enumerate(self._stages):
+                with tracer.span(_STAGE_SPAN_NAMES[index], stage=index):
+                    item = stage(item)
+                if self.item_hook is not None:
+                    self.item_hook(index, item)
+            results.append(item)
         if tracer.enabled:
-            m = tracer.metrics
-            m.counter("pipeline.items_encoded").inc(counts[0])
-            m.counter("pipeline.items_reduced").inc(counts[1])
-            m.counter("pipeline.items_transferred").inc(counts[2])
+            for counter in _STAGE_COUNTERS:
+                tracer.metrics.counter(counter).inc(len(results))
         return results

@@ -167,20 +167,28 @@ def _apply_rows(
 ) -> None:
     """``out[n] = XOR_c matrix[n][c] * sources[c]`` over GF(2^w).
 
-    Column 0 is multiplied straight into the buffer, every further column
-    into a scratch that is XORed in, so no ``rows x columns``
-    intermediates exist.  The sources are walked in the kernel layer's
+    Column 0 is multiplied straight into the buffer and every further
+    column XORed in — a coefficient 0 is skipped, a 1 is XORed straight
+    from the source block, the rest go through one block of scratch — so
+    no ``rows x columns`` intermediates exist.  The sources are walked in
     ``DEFAULT_CHUNK_BYTES`` blocks, all rows of a block before the next:
-    an input block is read from memory once for all its products and the
-    accumulators stay in cache.
+    an input block is read from memory once and the accumulators stay in
+    cache.  Every check runs here, once, before anything is written; the
+    block loop calls the field's unchecked kernels.
     """
     size = sources[0].size
     if any(a.shape != (size,) for a in (*sources, *out)):
         raise CheckpointError(f"packets and buffers must all be flat, {size} bytes")
+    if any(a.dtype != np.uint8 for a in (*sources, *out)) or not all(
+        buffer.flags.c_contiguous for buffer in out
+    ):
+        raise FieldError("packets must be uint8, buffers contiguous uint8")
     for n, buffer in enumerate(out):
         if any(np.may_share_memory(buffer, a) for a in (*sources, *out[:n])):
             raise FieldError("an output buffer overlaps a packet or another buffer")
     coefficients = [[int(c) for c in row] for row in matrix]
+    if any(not 0 <= c < field.size for row in coefficients for c in row):
+        raise FieldError(f"coefficient outside GF(2^{field.w})")
     scratch = np.empty(min(size, DEFAULT_CHUNK_BYTES), dtype=np.uint8)
     for start in range(0, size, DEFAULT_CHUNK_BYTES):
         end = min(size, start + DEFAULT_CHUNK_BYTES)
@@ -188,9 +196,13 @@ def _apply_rows(
         product = scratch[: end - start]
         for buffer, row in zip(out, coefficients):
             acc = buffer[start:end]
-            field.mul_region_into(row[0], blocks[0], acc)
+            field.mul_flat(row[0], blocks[0], acc)
             for coeff, block in zip(row[1:], blocks[1:]):
-                field.mul_region_xor_into(coeff, block, acc, product)
+                if coeff == 1:
+                    field.xor_flat(block, acc)
+                elif coeff:
+                    field.mul_flat(coeff, block, product)
+                    field.xor_flat(product, acc)
 
 
 def encode_group_into(

@@ -172,8 +172,11 @@ class CauchyRSCode(ErasureCode):
     Args:
         params: the (k, m, w) code shape.
         good_matrix: use the XOR-minimised "good" Cauchy construction
-            instead of the original one (default False so the paper's
-            baseline numbers stay unchanged; ablations flip it).
+            instead of the original one.  The checkpoint engines do
+            (``ECCheckEngine.code_for``); the library default stays
+            False for the ablations that compare the two.  Simulated
+            numbers never depended on the choice (encode seconds are
+            billed by bytes); wall time and the parity bytes do.
 
     Example:
         >>> code = CauchyRSCode(CodeParams(k=2, m=2, w=8))

@@ -195,11 +195,57 @@ class GF:
         pair.setflags(write=False)  # cached result is shared, not owned
         return pair
 
+    def mul_flat(self, c: int, src: np.ndarray, dst: np.ndarray) -> None:
+        """``dst[:] = c * src``, the kernel under every region operation.
+
+        Unchecked, for callers that validate once and loop over blocks —
+        they guarantee: ``c`` in the field; ``src`` and ``dst`` flat uint8
+        of one size, not overlapping (``np.take`` gives no overlap
+        guarantee); ``dst`` C-contiguous.
+        """
+        if c == 0:
+            dst.fill(0)
+        elif c == 1:
+            dst[:] = src
+        elif self.w == 16:
+            words = self.words_view(src)
+            table = self._region_table(c)
+            np.bitwise_xor(
+                table[0][(words >> 8).astype(np.uint8)],
+                table[1][(words & 0xFF).astype(np.uint8)],
+                out=dst.view(np.uint16),
+            )
+        elif self.w == 8 and src.flags.c_contiguous and src.size % 2 == 0:
+            # mode="wrap" is safe (a uint16 cannot exceed the table) and
+            # skips the bounds-checking pass that buffers ``out``.
+            np.take(
+                self._pair_table(c),
+                src.view(np.uint16),
+                out=dst.view(np.uint16),
+                mode="wrap",
+            )
+        else:
+            np.take(self._region_table(c), src, out=dst, mode="wrap")
+
+    @staticmethod
+    def xor_flat(src: np.ndarray, dst: np.ndarray) -> None:
+        """``dst ^= src`` (equal sizes), on uint64 lanes where the layout allows."""
+        if (
+            dst.dtype == np.uint8
+            and dst.size % 8 == 0
+            and dst.flags.c_contiguous
+            and src.flags.c_contiguous
+        ):
+            lanes = dst.reshape(-1).view(np.uint64)
+            np.bitwise_xor(lanes, src.reshape(-1).view(np.uint64), out=lanes)
+        else:
+            np.bitwise_xor(dst, src.reshape(dst.shape), out=dst)
+
     def mul_region_into(self, c: int, buf: np.ndarray, out: np.ndarray) -> None:
         """Compute ``out[:] = c * buf`` without allocating.
 
         ``out`` is a C-contiguous uint8 buffer of ``buf``'s size that does
-        not overlap it (``np.take`` gives no overlap guarantee).
+        not overlap it.
 
         Raises:
             FieldError: on a mismatched, non-contiguous or overlapping ``out``.
@@ -210,30 +256,7 @@ class GF:
             raise FieldError(f"out must be contiguous uint8, {buf.size} bytes long")
         if np.shares_memory(buf, out):
             raise FieldError("out overlaps buf; region multiply is not in-place")
-        out = out.reshape(-1)
-        if c == 0:
-            out.fill(0)
-        elif c == 1:
-            out[:] = buf.reshape(-1)
-        elif self.w == 16:
-            words = self.words_view(buf)
-            table = self._region_table(c)
-            np.bitwise_xor(
-                table[0][(words >> 8).astype(np.uint8)],
-                table[1][(words & 0xFF).astype(np.uint8)],
-                out=out.view(np.uint16),
-            )
-        elif self.w == 8 and buf.flags.c_contiguous and buf.size % 2 == 0:
-            # mode="wrap" is safe (a uint16 cannot exceed the table) and
-            # skips the bounds-checking pass that buffers ``out``.
-            np.take(
-                self._pair_table(c),
-                buf.reshape(-1).view(np.uint16),
-                out=out.view(np.uint16),
-                mode="wrap",
-            )
-        else:
-            np.take(self._region_table(c), buf.reshape(-1), out=out, mode="wrap")
+        self.mul_flat(c, buf.reshape(-1), out.reshape(-1))
 
     def mul_region(self, c: int, buf: np.ndarray) -> np.ndarray:
         """Return ``c * buf`` where ``buf`` is a uint8 buffer of field words."""
@@ -242,26 +265,12 @@ class GF:
         self.mul_region_into(c, buf, out)
         return out
 
-    def mul_region_xor_into(
-        self,
-        c: int,
-        buf: np.ndarray,
-        out: np.ndarray,
-        scratch: np.ndarray | None = None,
-    ) -> None:
-        """Compute ``out ^= c * buf`` in place (the encoder inner loop).
+    def mul_region_xor_into(self, c: int, buf: np.ndarray, out: np.ndarray) -> None:
+        """Compute ``out ^= c * buf`` in place (the reference encoder's loop).
 
-        ``scratch`` (contiguous uint8, ``buf``'s size) receives the product;
-        pass one to keep a loop over columns allocation-free.
+        A coefficient 1 needs no product: ``buf`` is XORed in directly.
         """
         self._check(c)
-        if c == 0:
-            return
-        if scratch is None:
-            scratch = np.empty(np.shape(buf), dtype=np.uint8)
-        self.mul_region_into(c, buf, scratch)
-        if out.flags.c_contiguous and out.dtype == np.uint8 and out.size % 8 == 0:
-            lanes = out.reshape(-1).view(np.uint64)
-            np.bitwise_xor(lanes, scratch.reshape(-1).view(np.uint64), out=lanes)
-        else:
-            np.bitwise_xor(out, scratch.reshape(out.shape), out=out)
+        if c:
+            product = buf if c == 1 else self.mul_region(c, buf)
+            self.xor_flat(np.asarray(product, dtype=np.uint8), out)

@@ -7,9 +7,9 @@ Design constraints, in order of importance:
    unless a registry has been installed.  The disabled path is a single
    module-attribute load and ``is None`` test -- no object allocation,
    no lock, no dict lookup.
-2. **Thread safe when enabled.**  ``ThreadPoolEncoder`` workers and the
-   three ``PipelinedRunner`` stage threads increment counters
-   concurrently; every mutation takes the owning metric's lock.
+2. **Thread safe when enabled.**  ``ThreadPoolEncoder`` workers
+   increment counters concurrently with the thread that drives them;
+   every mutation takes the owning metric's lock.
 3. **Plain-data snapshots.**  ``MetricsRegistry.snapshot()`` returns
    JSON-serialisable dicts so traces and chaos reports can embed them.
 """

@@ -9,10 +9,9 @@ metadata events naming the tracks.
 Two processes ("pid"s) structure the view:
 
 * **pid 1 — wall clock.**  Spans land on one track per Python thread
-  (``MainThread``, the three ``eccheck-*`` pipeline stage threads, the
-  ``ThreadPoolEncoder`` workers), at their measured ``start``/``wall_s``,
-  so the genuine thread overlap of the encode→XOR→P2P pipeline is
-  visible exactly as it executed.
+  (``MainThread``, which runs a save's encode→XOR→P2P stages in line,
+  and the ``ThreadPoolEncoder`` workers of a bench run), at their
+  measured ``start``/``wall_s``, exactly as they executed.
 * **pid 2 — sim time.**  The simulated ``TimeModel`` durations have no
   start timestamps (phases are costed analytically once a save
   completes), so the exporter lays the top-level save/backup/restore

@@ -11,9 +11,10 @@ Spans carry two independent clocks:
   the communication makespan is only available at the end of a save).
 
 Nesting uses a per-thread span stack, so spans opened on the same
-thread nest naturally.  Worker threads (the three ``PipelinedRunner``
-stages, ``ThreadPoolEncoder``) inherit no stack, so call sites pass the
-coordinating span explicitly via ``parent=``.
+thread nest naturally (the ``PipelinedRunner`` stage spans nest under
+the save's step 3 this way).  Worker threads (``ThreadPoolEncoder``)
+inherit no stack, so call sites pass the coordinating span explicitly
+via ``parent=``.
 
 The disabled path is a shared :data:`NULL_TRACER` whose ``span()``
 returns one preallocated no-op context manager: instrumenting a call

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import CheckpointError, RecoveryError
+from repro.checkpoint.base import CheckpointEngine, SaveReport
 from repro.checkpoint.job import TrainingJob
 from repro.checkpoint.manager import CheckpointManager
 from repro.checkpoint.sync_remote import SyncRemoteEngine
@@ -90,6 +91,48 @@ def test_remote_backup_rescues_catastrophe_via_manager():
     for worker, expected in reference.items():
         assert state_dicts_equal(job.state_of(worker), expected), worker
     assert report.bytes_from_remote > 0
+
+
+class BackupOnlyEngine(CheckpointEngine):
+    """Nothing but the base class plus a remote-backup path: the remote GC
+    it has is the one ``CheckpointEngine`` defines."""
+
+    name = "backup-only"
+
+    def save(self):
+        self.version += 1
+        return SaveReport(self.name, self.version, 0.0, 0.0)
+
+    def restore(self, failed_nodes):
+        raise RecoveryError("no in-memory redundancy")
+
+    def save_remote_backup(self):
+        self.version += 1
+        transfer, total = self._persist_all_to_remote(self.version)
+        return SaveReport(self.name, self.version, 0.0, transfer, bytes_to_remote=total)
+
+
+def test_remote_backup_keep_reclaims_bytes_on_a_base_engine():
+    """Regression: the manager used to probe ``gc_remote_backups`` with
+    ``hasattr`` — always true, the base class defines it — so the call is
+    direct now, and a base engine's old backups really are reclaimed."""
+    job, _, _ = make_setup()
+    engine = BackupOnlyEngine(job)
+    assert type(engine).gc_remote_backups is CheckpointEngine.gc_remote_backups
+    manager = CheckpointManager(
+        job, engine, interval=1, remote_backup_every=1, remote_backup_keep=1
+    )
+    written = []
+    put = engine.remote.put
+    engine.remote.put = lambda key, blob: (written.append(len(blob)), put(key, blob))
+    for _ in range(3):
+        job.advance()
+        manager.step()
+    assert manager.stats.remote_backups == 3
+    # One backup stays; everything older was deleted as it aged out.
+    assert {key[1] for key in engine.remote.keys()} == {engine.version}
+    reclaimed = manager.stats.remote_bytes_reclaimed
+    assert reclaimed == sum(written) - engine.remote.total_bytes > 0
 
 
 def test_adaptive_mode_widens_interval_when_over_budget():

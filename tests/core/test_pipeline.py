@@ -1,7 +1,6 @@
-"""Tests for pipelined execution (analytic makespan + real thread pipeline)."""
+"""Tests for pipelined execution (analytic makespan + the in-line stage runner)."""
 
 import threading
-import time
 
 import pytest
 
@@ -59,7 +58,7 @@ def test_makespan_validation():
 
 
 # ---------------------------------------------------------------------------
-# Real thread pipeline
+# The stage runner: three stages per item, in line on the calling thread
 # ---------------------------------------------------------------------------
 def test_runner_preserves_order_and_applies_stages():
     runner = PipelinedRunner(
@@ -68,9 +67,6 @@ def test_runner_preserves_order_and_applies_stages():
         transfer=lambda x: x - 1,
     )
     assert runner.run([0, 1, 2, 3]) == [1, 3, 5, 7]
-    assert runner.stats.encoded == 4
-    assert runner.stats.reduced == 4
-    assert runner.stats.transferred == 4
 
 
 def test_runner_empty_input():
@@ -78,27 +74,36 @@ def test_runner_empty_input():
     assert runner.run([]) == []
 
 
-def test_runner_stages_overlap_in_time():
-    """While item i is in stage 2, stage 1 must be processing item i+1."""
-    concurrent_flag = {"overlapped": False}
-    in_stage1 = threading.Event()
-    in_stage2 = threading.Event()
+def test_runner_starts_no_thread():
+    """Every stage and hook call runs on the caller's thread, and the
+    process holds no more threads before, during or after ``run``."""
+    caller = threading.current_thread()
+    before = threading.active_count()
+    during = []
 
-    def encode(x):
-        in_stage1.set()
-        if in_stage2.is_set():
-            concurrent_flag["overlapped"] = True
-        time.sleep(0.01)
+    def stage(x):
+        during.append((threading.current_thread(), threading.active_count()))
         return x
 
-    def reduce(x):
-        in_stage2.set()
-        time.sleep(0.01)
-        return x
+    runner = PipelinedRunner(stage, stage, stage, item_hook=lambda s, x: stage(x))
+    assert runner.run(list(range(5))) == list(range(5))
+    assert len(during) == 5 * 6
+    assert {thread for thread, _ in during} == {caller}
+    assert {count for _, count in during} == {before}
+    assert threading.active_count() == before
 
-    runner = PipelinedRunner(encode, reduce, lambda x: x, queue_depth=2)
-    runner.run(list(range(8)))
-    assert concurrent_flag["overlapped"]
+
+def test_runner_finishes_an_item_before_starting_the_next():
+    calls = []
+    runner = PipelinedRunner(
+        encode=lambda x: calls.append(("encode", x)) or x,
+        reduce=lambda x: calls.append(("reduce", x)) or x,
+        transfer=lambda x: calls.append(("transfer", x)) or x,
+    )
+    runner.run(["a", "b"])
+    assert calls == [
+        (stage, item) for item in "ab" for stage in ("encode", "reduce", "transfer")
+    ]
 
 
 def test_runner_propagates_stage_errors():
@@ -108,11 +113,6 @@ def test_runner_propagates_stage_errors():
     runner = PipelinedRunner(lambda x: x, explode, lambda x: x)
     with pytest.raises(ValueError, match="boom"):
         runner.run([1, 2])
-
-
-def test_runner_validates_queue_depth():
-    with pytest.raises(CheckpointError):
-        PipelinedRunner(lambda x: x, lambda x: x, lambda x: x, queue_depth=0)
 
 
 def test_runner_with_numpy_xor_workload():
@@ -135,15 +135,13 @@ def test_runner_with_numpy_xor_workload():
 
 
 # ---------------------------------------------------------------------------
-# item_hook and error-drain behaviour (the fault-injection surface)
+# item_hook and failure behaviour (the fault-injection surface)
 # ---------------------------------------------------------------------------
 def test_item_hook_sees_every_stage_result():
     seen = []
-    lock = threading.Lock()
 
     def hook(stage, result):
-        with lock:
-            seen.append((stage, result))
+        seen.append((stage, result))
 
     runner = PipelinedRunner(
         encode=lambda x: x + 1,
@@ -152,50 +150,64 @@ def test_item_hook_sees_every_stage_result():
         item_hook=hook,
     )
     assert runner.run([0, 1]) == [9, 19]
-    assert sorted(seen) == [
+    assert seen == [
         (STAGE_ENCODE, 1),
-        (STAGE_ENCODE, 2),
         (STAGE_XOR_REDUCE, 10),
-        (STAGE_XOR_REDUCE, 20),
         (STAGE_TRANSFER, 9),
+        (STAGE_ENCODE, 2),
+        (STAGE_XOR_REDUCE, 20),
         (STAGE_TRANSFER, 19),
     ]
 
 
 def test_item_hook_exception_aborts_the_run():
+    """A raising hook propagates at once: item 1 is done, item 2 stopped at
+    the hook's boundary, item 3 never started."""
+    done = []
+
     def hook(stage, result):
-        if stage == STAGE_XOR_REDUCE:
+        if stage == STAGE_XOR_REDUCE and result == 2:
             raise RuntimeError("injected")
 
     runner = PipelinedRunner(
-        lambda x: x, lambda x: x, lambda x: x, item_hook=hook
+        lambda x: done.append((STAGE_ENCODE, x)) or x,
+        lambda x: done.append((STAGE_XOR_REDUCE, x)) or x,
+        lambda x: done.append((STAGE_TRANSFER, x)) or x,
+        item_hook=hook,
     )
     with pytest.raises(RuntimeError, match="injected"):
         runner.run([1, 2, 3])
+    assert done == [
+        (STAGE_ENCODE, 1),
+        (STAGE_XOR_REDUCE, 1),
+        (STAGE_TRANSFER, 1),
+        (STAGE_ENCODE, 2),
+        (STAGE_XOR_REDUCE, 2),
+    ]
 
 
 @pytest.mark.parametrize("stage_index", [0, 1, 2])
 def test_failing_stage_never_deadlocks_full_queues(stage_index):
-    """Regression: a stage dying while upstream kept producing into a full
-    bounded queue used to hang ``run`` on join.  The dying stage must
-    drain its input so producers can finish."""
-    stages = [lambda x: x, lambda x: x, lambda x: x]
+    """Kept from the threaded runner, whose dying stage could hang ``run``
+    on a full bounded queue.  In line there is nothing to hang on; what the
+    test pins now is what a failure leaves behind: items before the failing
+    one passed every stage, the failing one stopped at its stage, later
+    ones were never touched."""
+    fail_at = 3
+    done = []
 
-    def explode(x):
-        raise ValueError("boom")
+    def make(index):
+        def stage(x):
+            if index == stage_index and x == fail_at:
+                raise ValueError("boom")
+            done.append((index, x))
+            return x
 
-    stages[stage_index] = explode
-    runner = PipelinedRunner(*stages, queue_depth=1)
-    outcome = {}
+        return stage
 
-    def attempt():
-        try:
-            runner.run(list(range(64)))  # far more items than queue slots
-        except ValueError as exc:
-            outcome["error"] = exc
-
-    thread = threading.Thread(target=attempt)
-    thread.start()
-    thread.join(timeout=20)
-    assert not thread.is_alive(), "pipeline deadlocked after a stage error"
-    assert str(outcome["error"]) == "boom"
+    runner = PipelinedRunner(make(0), make(1), make(2))
+    with pytest.raises(ValueError, match="boom"):
+        runner.run(list(range(64)))
+    assert done == [(s, x) for x in range(fail_at) for s in range(3)] + [
+        (s, fail_at) for s in range(stage_index)
+    ]

@@ -4,11 +4,12 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import CheckpointError, DecodeError, FieldError
 from repro.core.protocol import (
+    _apply_rows,
     build_worker_checkpoint,
     decode_group_into,
     encode_group_into,
@@ -18,7 +19,7 @@ from repro.core.protocol import (
     restore_state_dict,
     xor_reduce,
 )
-from repro.ec.base import CodeParams
+from repro.ec.base import CodeParams, ErasureCode
 from repro.ec.cauchy import CauchyRSCode
 from repro.models.factory import build_worker_state_dict
 from repro.tensors.serialization import decompose_state_dict
@@ -139,6 +140,97 @@ def test_fused_group_encode_equals_both_oracles(k, m, half_size, seed, data):
     head = [np.empty(size, dtype=np.uint8) for _ in range(m - 1)]
     encode_group_into(code, packets, head)
     assert all(np.array_equal(buf, direct[i]) for i, buf in enumerate(head))
+
+
+class _MatrixCode(ErasureCode):
+    """A systematic code around an arbitrary parity block (no MDS claim):
+    the unfused reference functions read their coefficients from a code."""
+
+    def __init__(self, parity: np.ndarray, w: int):
+        m, k = parity.shape
+        super().__init__(CodeParams(k=k, m=m, w=w))
+        self._parity = parity
+
+    def build_generator(self) -> np.ndarray:
+        return np.vstack([np.eye(self.params.k, dtype=np.uint32), self._parity])
+
+
+#: Odd, not a multiple of 8, shorter than one 64 KiB block, and across
+#: one and two block boundaries with a ragged tail.
+RAGGED_SIZES = (1, 7, 13, 64, 1000, 4098, 65536 + 10, 2 * 65536 + 6)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    w=st.sampled_from([4, 8, 16]),
+    k=st.integers(1, 5),
+    size=st.sampled_from(RAGGED_SIZES),
+    seed=st.integers(0, 2**16),
+    data=st.data(),
+)
+def test_apply_rows_equals_encode_packet_plus_xor_reduce(w, k, size, seed, data):
+    """The fused kernel against the unfused reference, on matrices built to
+    put a 0, a 1 and a general coefficient in *every* column position —
+    column 0, which is multiplied straight into the buffer, included —
+    next to an all-zero row and rows Hypothesis draws freely."""
+    if w == 16:
+        size += size % 2  # 16-bit words
+    general = st.integers(2, (1 << w) - 1)
+    kinds = [0, 1, None]  # None: a general coefficient
+    rows = [[kinds[(j + shift) % 3] for j in range(k)] for shift in range(3)]
+    rows.append([0] * k)
+    rows += data.draw(
+        st.lists(st.lists(st.sampled_from(kinds), min_size=k, max_size=k), max_size=3)
+    )
+    matrix = np.array(
+        [[data.draw(general) if c is None else c for c in row] for row in rows],
+        dtype=np.uint32,
+    )
+    for j in range(k):
+        assert {0, 1} < set(matrix[:, j].tolist())
+    code = _MatrixCode(matrix, w)
+    rng = np.random.default_rng(seed)
+    sources = [
+        rng.integers(0, min(256, 1 << w), size=size, dtype=np.uint8) for _ in range(k)
+    ]
+    originals = [source.copy() for source in sources]
+    out = [np.full(size, 0xEE, dtype=np.uint8) for _ in rows]
+    _apply_rows(code.field, matrix, sources, out)
+    encoded = [encode_packet(code, j, sources[j]) for j in range(k)]
+    for i, got in enumerate(out):
+        assert np.array_equal(got, xor_reduce([encoded[j][i] for j in range(k)])), i
+    assert all(np.array_equal(s, o) for s, o in zip(sources, originals))
+
+
+def test_apply_rows_refuses_bad_arguments_before_writing():
+    """Every check runs once, up front: a refused call has written nothing,
+    and a strided *source* is merely slow, not refused."""
+    f = CauchyRSCode(CodeParams(k=2, m=2, w=8)).field
+    rng = np.random.default_rng(5)
+    sources = [rng.integers(0, 256, size=96, dtype=np.uint8) for _ in range(2)]
+    matrix = np.array([[1, 7], [0, 1]], dtype=np.uint32)
+
+    def fresh():
+        return [np.full(96, 0xEE, dtype=np.uint8) for _ in range(2)]
+
+    shared = fresh()[0]
+    refused = [
+        (FieldError, np.array([[1, 256], [0, 1]]), sources, fresh()),  # not in GF(2^8)
+        (FieldError, matrix, [sources[0], sources[1].astype(np.uint16)], fresh()),
+        (CheckpointError, matrix, [sources[0], sources[1][:64]], fresh()),
+        (FieldError, matrix, sources, [shared, np.full(192, 0xEE, np.uint8)[::2]]),
+        (FieldError, matrix, sources, [shared, sources[1]]),  # out is source 1
+        (FieldError, matrix, sources, [shared, shared[:]]),  # outs share memory
+    ]
+    for error, bad_matrix, bad_sources, out in refused:
+        with pytest.raises(error):
+            _apply_rows(f, bad_matrix, bad_sources, out)
+        assert (shared == 0xEE).all() and (out[0] == 0xEE).all()
+    strided = [sources[0], np.repeat(sources[1], 2)[::2]]
+    out = fresh()
+    _apply_rows(f, matrix, strided, out)
+    assert np.array_equal(out[0], sources[0] ^ f.mul_region(7, sources[1]))
+    assert np.array_equal(out[1], sources[1])
 
 
 @pytest.mark.parametrize("extra", [0, 2, 7, 2 * 65536 + 4098])
