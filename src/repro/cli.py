@@ -94,40 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("quickstart", help="save / crash two nodes / restore demo")
 
-    bench = sub.add_parser(
-        "bench-encode",
-        help="measure encode/decode throughput of the XOR kernel layer",
-    )
-    bench.add_argument(
-        "--quick",
-        action="store_true",
-        help="small-payload smoke run that asserts the fast-path speedups",
-    )
-    bench.add_argument(
-        "--payload-mib",
-        type=float,
-        default=None,
-        help="payload size in MiB (default 64, or 4 with --quick)",
-    )
-    bench.add_argument(
-        "--repeats", type=int, default=3, help="timing repetitions (best-of)"
-    )
-    bench.add_argument(
-        "--threads", type=int, default=4, help="thread-pool size for pool_encode"
-    )
-    bench.add_argument(
-        "--output",
-        default="BENCH_encode_throughput.json",
-        help="JSON results path ('' to skip writing)",
-    )
-    bench.add_argument(
-        "--autotune",
-        action="store_true",
-        help="measure schedule/kernel variants per shape first and persist "
-        "the winners to the autotune cache (REPRO_AUTOTUNE_CACHE or "
-        ".repro_autotune.json)",
-    )
-
     chaos = sub.add_parser(
         "chaos",
         help="fault-injection campaign: save/crash/restore cycles with "
@@ -302,8 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument(
         "--keep-failed",
         action="store_true",
-        help="keep the trace file even when the crosscheck fails "
-        "(default: the temp file is removed on failure)",
+        help="write the trace file even when the crosscheck fails "
+        "(default: a failed run writes none)",
     )
     trace.add_argument(
         "--rel-tol",
@@ -343,51 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
         "trace",
         help="JSONL trace file from 'repro trace', or a campaign report "
         "JSON from 'repro fleet --timeline'",
-    )
-
-    history = sub.add_parser(
-        "bench-history",
-        help="append a bench result to the history and gate against the "
-        "rolling baseline (exit 1 on regression)",
-    )
-    history.add_argument(
-        "--input",
-        default="BENCH_encode_throughput.json",
-        help="bench results document to record",
-    )
-    history.add_argument(
-        "--history",
-        default="BENCH_history.jsonl",
-        help="history JSONL to append to and gate against",
-    )
-    history.add_argument(
-        "--threshold",
-        type=float,
-        default=0.15,
-        help="relative slowdown that fails the gate (default 0.15)",
-    )
-    history.add_argument(
-        "--window",
-        type=int,
-        default=5,
-        help="rolling-baseline window (prior comparable runs)",
-    )
-    history.add_argument(
-        "--check-only",
-        action="store_true",
-        help="gate the newest existing history entry without appending",
-    )
-    history.add_argument(
-        "--ratchet-ratio",
-        type=float,
-        default=0.9,
-        help="ratcheting floor: fail when throughput drops below this "
-        "fraction of the host's best recorded value (default 0.9)",
-    )
-    history.add_argument(
-        "--no-ratchet",
-        action="store_true",
-        help="skip the ratcheting-floor check (rolling baseline only)",
     )
 
     selftest = sub.add_parser(
@@ -449,26 +370,10 @@ def main(argv: list[str] | None = None, out=None) -> int:
         "trace": _trace,
         "export-trace": _export_trace,
         "analyze": _analyze,
-        "bench-history": _bench_history,
         "selftest": _selftest,
     }
     if args.command in handlers:
         return handlers[args.command](args, out)
-    if args.command == "bench-encode":
-        from repro.bench.encode_throughput import main as bench_main
-
-        payload = args.payload_mib
-        if payload is None:
-            payload = 4.0 if args.quick else 64.0
-        return bench_main(
-            payload_mib=payload,
-            output=args.output,
-            repeats=args.repeats,
-            threads=args.threads,
-            quick=args.quick,
-            autotune=args.autotune,
-            out=out,
-        )
     raise AssertionError(f"unhandled command {args.command!r}")
 
 
@@ -484,33 +389,6 @@ def _engines(text: str) -> tuple[str, ...]:
     return tuple(name.strip() for name in text.split(",") if name.strip())
 
 
-def _write_atomic(path: str, text: str) -> None:
-    """Replace ``path`` with ``text``, or leave it exactly as it was.
-
-    The text goes to a temp file in the target's directory (same
-    filesystem, so the rename is atomic), is flushed and fsynced, and
-    only then renamed over ``path``: a full disk or a kill mid-write
-    never leaves a truncated report where a valid one was.
-    """
-    import os
-    import tempfile
-
-    fd, tmp = tempfile.mkstemp(
-        dir=os.path.dirname(os.path.abspath(path)),
-        prefix=os.path.basename(path) + ".",
-        suffix=".tmp",
-    )
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
-
-
 def _finish_campaign(report, output: str, out, notes=(), failures=()) -> int:
     """Render, write the report atomically, map findings to an exit code.
 
@@ -523,7 +401,9 @@ def _finish_campaign(report, output: str, out, notes=(), failures=()) -> int:
     for note in notes:
         print(note, file=out)
     if output:
-        _write_atomic(output, report.to_json() + "\n")
+        from repro.obs.provenance import write_atomic
+
+        write_atomic(output, report.to_json() + "\n")
         print(f"report written to {output}", file=out)
     for failure in failures:
         print(failure, file=out)
@@ -761,54 +641,6 @@ def _analyze(args, out) -> int:
     for problem in problems:
         print(f"TRACE PROBLEM: {problem}", file=out)
     return 1 if problems or analysis.crosscheck_problems else 0
-
-
-def _bench_history(args, out) -> int:
-    """Record/gate a bench run; exit 1 on regression, 2 on missing input."""
-    import json
-    import os
-
-    from repro.obs.regression import (
-        append_history,
-        check_ratchet,
-        check_regression,
-        load_history,
-        render_ratchet,
-        render_result,
-    )
-
-    if args.check_only:
-        history = load_history(args.history)
-        if not history:
-            print(f"no history at {args.history}", file=sys.stderr)
-            return 2
-    else:
-        if not os.path.exists(args.input):
-            print(
-                f"bench results not found: {args.input} "
-                "(run `repro bench-encode` first)",
-                file=sys.stderr,
-            )
-            return 2
-        with open(args.input, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        entry = append_history(doc, args.history)
-        history = load_history(args.history)
-        sha = entry["provenance"].get("git_sha", "unknown")[:12]
-        print(
-            f"recorded run {sha} ({len(history)} entries in {args.history})",
-            file=out,
-        )
-    result = check_regression(
-        history, threshold=args.threshold, window=args.window
-    )
-    print(render_result(result), file=out)
-    failed = bool(result.regressions)
-    if not args.no_ratchet:
-        ratchet = check_ratchet(history, ratio=args.ratchet_ratio)
-        print(render_ratchet(ratchet), file=out)
-        failed = failed or bool(ratchet.violations)
-    return 1 if failed else 0
 
 
 def _selftest(args, out) -> int:

@@ -14,11 +14,9 @@ The coding stack has three levels:
    :mod:`repro.ec.procpool`) apply a code to real byte payloads —
    splitting, padding, chunking for thread- or process-pool parallelism
    (the latter over shared-memory segments), and reassembling decoded
-   output.  :mod:`repro.ec.autotune` picks the fastest schedule/kernel
-   variant per code shape from measurement.  The pools and the autotuner
-   are imported from their own modules, not re-exported here: the
-   checkpoint engines use none of them, and importing an engine must not
-   load them.
+   output.  The pools are imported from their own modules, not
+   re-exported here: the checkpoint engines use neither, and importing
+   an engine must not load them.
 
 Underneath all three sits the **kernel layer** (:mod:`repro.ec.kernels`):
 word-packed, cache-blocked GF(2) primitives that schedule execution,

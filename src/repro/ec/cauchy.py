@@ -31,12 +31,7 @@ from repro.ec.kernels import (
     recompose_into,
     strip_bytes_for,
 )
-from repro.ec.schedule import (
-    XorSchedule,
-    dumb_schedule,
-    paar_schedule,
-    smart_schedule,
-)
+from repro.ec.schedule import XorSchedule, dumb_schedule, paar_schedule
 from repro.gf.bitmatrix import bitmatrix_from_matrix
 from repro.gf.field import GF
 
@@ -48,7 +43,7 @@ from repro.gf.field import GF
 # each one re-ran the Jerasure-style matrix/schedule construction.
 # ----------------------------------------------------------------------
 _PARITY_BITMATRIX_CACHE: dict[tuple[int, int, int, bool], np.ndarray] = {}
-_SCHEDULE_CACHE: dict[tuple[int, int, int, bool, str], XorSchedule] = {}
+_SCHEDULE_CACHE: dict[tuple[int, int, int, bool], XorSchedule] = {}
 _CACHE_STATS = {
     "bitmatrix_hits": 0,
     "bitmatrix_misses": 0,
@@ -72,20 +67,14 @@ def cached_parity_bitmatrix(code: "CauchyRSCode") -> np.ndarray:
     return bm
 
 
-def cached_schedule(code: "CauchyRSCode", kind: str = "smart") -> XorSchedule:
-    """A compiled encode schedule, memoised per (k, m, w, good_matrix, kind)."""
+def cached_schedule(code: "CauchyRSCode") -> XorSchedule:
+    """The Paar-compiled encode schedule, memoised per (k, m, w, good_matrix)."""
     p = code.params
-    key = (p.k, p.m, p.w, code.good_matrix, kind)
+    key = (p.k, p.m, p.w, code.good_matrix)
     schedule = _SCHEDULE_CACHE.get(key)
     if schedule is None:
         _CACHE_STATS["schedule_misses"] += 1
-        compilers = {
-            "paar": paar_schedule,
-            "smart": smart_schedule,
-            "dumb": dumb_schedule,
-        }
-        compiler = compilers[kind]
-        schedule = compiler(cached_parity_bitmatrix(code), p.k, p.m, p.w)
+        schedule = paar_schedule(cached_parity_bitmatrix(code), p.k, p.m, p.w)
         _SCHEDULE_CACHE[key] = schedule
     else:
         _CACHE_STATS["schedule_hits"] += 1
@@ -225,11 +214,11 @@ class CauchyRSCode(ErasureCode):
     def encode_bitmatrix(
         self,
         data_blocks: list[np.ndarray],
-        chunk_bytes: int | None = None,
+        chunk_bytes: int = DEFAULT_CHUNK_BYTES,
     ) -> list[np.ndarray]:
         """Encode with XOR operations only, via the parity bitmatrix.
 
-        The compiled (and cached) smart schedule is executed by the
+        The compiled (and cached) Paar schedule is executed by the
         cache-blocked word-packed kernels in :mod:`repro.ec.kernels`.
         Produces byte-identical output to :meth:`encode` (the field path) —
         tests assert this equivalence.
@@ -254,7 +243,7 @@ class CauchyRSCode(ErasureCode):
         self,
         blocks: list[np.ndarray],
         out_blocks: list[np.ndarray],
-        chunk_bytes: int | None = None,
+        chunk_bytes: int = DEFAULT_CHUNK_BYTES,
     ) -> None:
         """Encode ``blocks`` writing parity bytes directly into ``out_blocks``.
 
@@ -264,34 +253,27 @@ class CauchyRSCode(ErasureCode):
         must be contiguous uint8 arrays of equal size divisible by ``w``;
         no validation copies are made here.
 
-        Schedule kind, decompose kernel and chunk blocking come from the
-        autotuner's winner table for this ``(k, m, w, size)`` (default
-        Paar/pack/64K on a cache miss); every variant is byte-identical,
-        so tuning only moves wall time.  An explicit ``chunk_bytes``
-        overrides the tuned blocking (benchmarks pin it for comparability).
+        One kernel variant: the Paar schedule over the packbits
+        decompose.  Blocking never changes a byte; ``chunk_bytes`` is a
+        parameter so the tests can pin that.
         """
-        from repro.ec.autotune import best_variant
-
-        variant = best_variant(self, blocks[0].nbytes)
-        ops = cached_schedule(self, variant.schedule_kind).compiled_ops()
         apply_schedule_blocks(
-            ops,
+            cached_schedule(self).compiled_ops(),
             blocks,
             out_blocks,
             self.params.w,
-            variant.chunk_bytes if chunk_bytes is None else chunk_bytes,
-            variant.decompose_kind,
+            chunk_bytes,
         )
 
     def encode_bitmatrix_reference(
         self, data_blocks: list[np.ndarray]
     ) -> list[np.ndarray]:
-        """The pre-kernel bitmatrix encoder, kept as a benchmark baseline.
+        """The pre-kernel bitmatrix encoder, kept as the equivalence
+        suite's reference.
 
         Walks the parity bitmatrix row by row, XORing full-size strips with
         one numpy call per 1-bit — no schedule, no word packing, no cache
-        blocking.  ``benchmarks/bench_encode_throughput.py`` reports the
-        fast path's speedup against this implementation.
+        blocking.
         """
         blocks = self._check_blocks(data_blocks)
         w = self.params.w
@@ -341,22 +323,13 @@ class CauchyRSCode(ErasureCode):
             "max_size": self.DECODE_SCHEDULE_CACHE_SIZE,
         }
 
-    def decode_bitmatrix(
-        self,
-        available: dict[int, np.ndarray],
-        chunk_bytes: int | None = None,
-    ) -> list[np.ndarray]:
+    def decode_bitmatrix(self, available: dict[int, np.ndarray]) -> list[np.ndarray]:
         """Decode with XOR operations only.
 
         The ``k x k`` decoding matrix (inverse of the surviving generator
         rows) is expanded to its GF(2) bitmatrix and compiled to a cached
         XOR schedule, so reconstruction — like encoding — runs through the
         word-packed kernels.  Byte-identical to :meth:`decode`.
-
-        Cache blocking comes from the autotuner's *decode* winner table
-        for this shape (the decoding bitmatrix is denser than the parity
-        bitmatrix, so the encode winner's chunk size is not reused); an
-        explicit ``chunk_bytes`` pins it for benchmarks.
 
         Raises:
             DecodeError: with fewer than ``k`` chunks.
@@ -376,19 +349,16 @@ class CauchyRSCode(ErasureCode):
             raise CodeConfigError(
                 f"bitmatrix decoding needs block size divisible by w={w}, got {size}"
             )
-        if chunk_bytes is None:
-            from repro.ec.autotune import best_decode_chunk
-
-            chunk_bytes = best_decode_chunk(self, size)
         schedule = self._decode_schedule(tuple(ids))
         out = [np.empty(size, dtype=np.uint8) for _ in range(k)]
-        apply_schedule_blocks(schedule.compiled_ops(), blocks, out, w, chunk_bytes)
+        apply_schedule_blocks(schedule.compiled_ops(), blocks, out, w)
         return out
 
     def decode_bitmatrix_reference(
         self, available: dict[int, np.ndarray]
     ) -> list[np.ndarray]:
-        """The pre-kernel bitmatrix decoder, kept as a benchmark baseline.
+        """The pre-kernel bitmatrix decoder, kept as the equivalence
+        suite's reference.
 
         Re-expands the decoding bitmatrix on every call and XORs full-size
         strips row by row — the cost profile the schedule cache and the
@@ -478,8 +448,8 @@ def _bitplanes_to_blocks(
 def _reference_blocks_to_bitplanes(blocks: list[np.ndarray], w: int) -> list[np.ndarray]:
     """Pre-kernel bit-plane split (per-plane shift/compare loop).
 
-    Kept verbatim so :meth:`CauchyRSCode.encode_bitmatrix_reference` remains
-    an honest pre-optimisation baseline for the throughput benchmark.
+    Kept verbatim so :meth:`CauchyRSCode.encode_bitmatrix_reference` shares
+    no code with the kernels the equivalence suite holds against it.
     """
     out: list[np.ndarray] = []
     for block in blocks:

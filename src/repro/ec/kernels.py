@@ -25,8 +25,7 @@ Three facts make the kernels fast:
 * The whole computation is **cache-blocked**: :func:`apply_schedule_blocks`
   walks the blocks in sub-ranges of :data:`DEFAULT_CHUNK_BYTES` so every
   strip the XOR stage touches stays L2-resident.  On a 64 MiB payload this
-  is worth ~7x over processing full-size strips (measured in
-  ``benchmarks/bench_encode_throughput.py``).
+  was measured at ~7x over processing full-size strips.
 
 The strip layout invariant (documented in DESIGN.md "Hot path
 architecture"): within one chunk of ``L`` bytes, word ``t`` of a block
@@ -49,18 +48,10 @@ WORD_BYTES = 8
 #: Per-block sub-range processed per workspace pass.  64 KiB keeps the
 #: whole strip workspace of a (k=12, m=4, w=8) code — including the CSE
 #: temp rows of a Paar schedule — ~1.5 MiB, inside L2 on the hosts this
-#: repo targets; measured optimum of a (chunk x temps) sweep (see
-#: BENCH_encode_throughput.json).  The autotuner (:mod:`repro.ec.autotune`)
-#: can override it per code shape from measured data.
+#: repo targets; measured optimum of a (chunk x temps) sweep.  A constant
+#: on purpose: measured per-shape selection never beat it outside noise
+#: (DESIGN.md "Why the kernel variant is a constant").
 DEFAULT_CHUNK_BYTES = 64 * 1024
-
-#: Selectable decompose kernels for ``w in (8, 16)``: ``"pack"`` is the
-#: broadcast-AND + ``np.packbits`` path, ``"swar"`` the 64-bit-word SWAR
-#: bit-transpose (the exact inverse of the recompose transpose).  Which
-#: wins is host-dependent — packbits rides a vectorised C loop, SWAR
-#: trades it for three uint64 shift/mask rounds — so the autotuner picks
-#: per (k, m, w, block size) from measurement; ``"pack"`` is the default.
-DECOMPOSE_KINDS = ("pack", "swar")
 
 # A compiled schedule op.  Scalar form: ``(dest row, source row indices)``
 # — the destination is overwritten with the XOR of all sources (zeroed if
@@ -106,43 +97,13 @@ def strip_bytes_for(n_bytes: int, w: int) -> int:
     return (n_words + 7) // 8
 
 
-def _swar_decompose8(block: np.ndarray, rows8: np.ndarray, strip: int) -> None:
-    """Split ``block`` into 8 packed strips via the inverse SWAR transpose.
-
-    Exact inverse of :func:`_swar_recompose8`: byteswap groups each 8-byte
-    run into one uint64, the (involutive) 8x8 bit transpose turns its
-    bytes into plane bytes, and the de-interleaving view writes them into
-    the strip rows.  Byte-identical to the packbits layout — the transpose
-    is its own inverse, so round-trip consistency is structural.
-    """
-    n = block.size
-    pad = strip * WORD_BYTES
-    if pad != n:
-        buf = np.zeros(pad, dtype=np.uint8)
-        buf[:n] = block
-    else:
-        buf = block
-    x = buf.view(np.uint64).byteswap()
-    for mask, shift in zip(_T8_MASKS, _T8_SHIFTS):
-        t = (x ^ (x >> shift)) & mask
-        x = x ^ t ^ (t << shift)
-    rows8[:, :strip] = x.view(np.uint8).reshape(strip, 8).T
-
-
-def decompose_into(
-    block: np.ndarray, w: int, rows: np.ndarray, kind: str = "pack"
-) -> None:
+def decompose_into(block: np.ndarray, w: int, rows: np.ndarray) -> None:
     """Fill ``rows[i, :strip]`` with bit-plane ``i`` of ``block``.
 
     ``block`` must be a contiguous uint8 array whose length is divisible
     by ``w`` (two-byte aligned for ``w = 16``); ``rows`` is a ``(w, >=strip)``
     slice of the workspace.  Bytes past the strip length are left untouched
     — downstream consumers only read ``[:strip]``.
-
-    ``kind`` selects the kernel for ``w in (8, 16)`` (see
-    :data:`DECOMPOSE_KINDS`); both produce the identical strip layout, so
-    the choice is purely a throughput knob.  ``w <= 4`` always packs —
-    only ``w`` planes exist, which the broadcast AND extracts directly.
     """
     if w == 16:
         # Little-endian uint16 words: planes 0-7 are the bit-planes of the
@@ -153,14 +114,8 @@ def decompose_into(
         n_words = block.size // 2
         strip = (n_words + 7) // 8
         halves = np.ascontiguousarray(block.reshape(-1, 2).T)
-        if kind == "swar":
-            _swar_decompose8(halves[0], rows[0:8], strip)
-            _swar_decompose8(halves[1], rows[8:16], strip)
-        else:
-            planes = halves[:, None, :] & _PLANE_MASKS8[None, :, 0:1]
-            rows[:16, :strip] = np.packbits(planes, axis=2).reshape(16, strip)
-    elif w == 8 and kind == "swar":
-        _swar_decompose8(block, rows[:8], (block.size + 7) // 8)
+        planes = halves[:, None, :] & _PLANE_MASKS8[None, :, 0:1]
+        rows[:16, :strip] = np.packbits(planes, axis=2).reshape(16, strip)
     elif w in (1, 2, 4, 8):
         strip = (block.size + 7) // 8
         # packbits maps any non-zero byte to a 1-bit, so one broadcast AND
@@ -293,7 +248,6 @@ def apply_schedule_blocks(
     out_blocks: list[np.ndarray],
     w: int,
     chunk_bytes: int = DEFAULT_CHUNK_BYTES,
-    decompose_kind: str = "pack",
 ) -> None:
     """Run a compiled strip schedule over whole blocks, cache-blocked.
 
@@ -335,12 +289,7 @@ def apply_schedule_blocks(
     for start in range(0, size, chunk):
         end = min(size, start + chunk)
         for b in range(n_in):
-            decompose_into(
-                in_blocks[b][start:end],
-                w,
-                work[b * w : (b + 1) * w],
-                decompose_kind,
-            )
+            decompose_into(in_blocks[b][start:end], w, work[b * w : (b + 1) * w])
         run_compiled_ops(work64, ops)
         for b in range(n_out):
             base = (n_in + b) * w

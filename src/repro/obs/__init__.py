@@ -43,14 +43,6 @@ from repro.obs.timeseries import (
     crosscheck_timeline,
     use_sampler,
 )
-from repro.obs.regression import (
-    MetricDelta,
-    RegressionResult,
-    append_history,
-    check_regression,
-    history_entry,
-    load_history,
-)
 from repro.obs.trace_export import (
     export_chrome_trace,
     validate_chrome_trace,
@@ -129,12 +121,10 @@ __all__ = [
     "Gauge",
     "Histogram",
     "IdleSlotReport",
-    "MetricDelta",
     "MetricsRegistry",
     "NULL_TRACER",
     "NullTracer",
     "PipelineCriticalPath",
-    "RegressionResult",
     "SeriesBuffer",
     "Span",
     "TenantSeries",
@@ -143,17 +133,13 @@ __all__ = [
     "TraceAnalysis",
     "Tracer",
     "analyze_trace",
-    "append_history",
-    "check_regression",
     "crosscheck_timeline",
     "crosscheck_totals",
     "default_fleet_rules",
     "export_chrome_trace",
     "get_tracer",
-    "history_entry",
     "idle_slot_report",
     "install",
-    "load_history",
     "load_trace",
     "phase_totals",
     "pipeline_critical_path",

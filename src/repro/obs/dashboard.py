@@ -28,6 +28,8 @@ import html
 import json
 from typing import List, Optional, Sequence
 
+from repro.obs.provenance import write_atomic
+
 #: Qualitative palette (colorblind-safe-ish, dark-on-light).
 PALETTE = (
     "#4269d0", "#efb118", "#ff725c", "#6cc5b0", "#3ca951",
@@ -536,7 +538,5 @@ def render_dashboard(report: dict, title: str = "fleet telemetry") -> str:
 def write_dashboard(report: dict, path: str,
                     title: str = "fleet telemetry") -> str:
     """Render and write the dashboard; returns ``path``."""
-    content = render_dashboard(report, title=title)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(content)
+    write_atomic(path, render_dashboard(report, title=title))
     return path

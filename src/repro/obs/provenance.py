@@ -1,15 +1,19 @@
-"""Provenance stamping for result artifacts.
+"""What every result artifact shares: a provenance stamp and one writer.
 
-Every JSON artifact the repo emits (``BENCH_encode_throughput.json``,
-``CHAOS_report.json``, bench-history entries, exported traces) carries the
-same stamp so that a number can always be traced back to the commit,
-machine and toolchain that produced it.  The stamp is best-effort: outside
-a git checkout the SHA degrades to ``"unknown"`` rather than failing the
-run that produced the result.
+Every JSON artifact the repo emits (the campaign reports —
+``CHAOS_report.json``, ``FLEET_report.json``, ... — and the perf ledger's
+``result.json``) carries the same stamp so that a number can always be
+traced back to the commit, machine and toolchain that produced it.  The
+stamp is best-effort: outside a git checkout the SHA degrades to
+``"unknown"`` rather than failing the run that produced the result.
+
+Every artifact (reports, JSONL traces, Perfetto exports, dashboards)
+reaches the disk through :func:`write_atomic`.
 """
 
 from __future__ import annotations
 
+import os
 import platform
 import subprocess
 from datetime import datetime, timezone
@@ -60,3 +64,33 @@ def provenance_stamp(cwd: Optional[str] = None) -> Dict[str, Any]:
         "python": platform.python_version(),
         "numpy": np.__version__,
     }
+
+
+def write_atomic(path: str, text: str) -> None:
+    """Replace ``path`` with ``text``, or leave it exactly as it was.
+
+    The text goes to a temp file in the target's directory (same
+    filesystem, so the rename is atomic; the directory is created if
+    missing — a campaign must not lose its report to a typo'd path at the
+    very last step), is flushed and fsynced, and only then renamed over
+    ``path``: a full disk or a kill mid-write never leaves a truncated
+    artifact where a valid one was.
+    """
+    # Imported here: tempfile drags in shutil / bz2 / lzma (~5 ms) and
+    # every process that traces pays this module's import in its set-up.
+    import tempfile
+
+    directory = os.path.dirname(os.path.abspath(path))
+    os.makedirs(directory, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(
+        dir=directory, prefix=os.path.basename(path) + ".", suffix=".tmp"
+    )
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise

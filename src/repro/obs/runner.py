@@ -27,18 +27,15 @@ ENGINES = ("eccheck", "base1", "base2", "base3", "gradrep", "hybrid")
 
 
 def _snapshot_cache_gauges(tracer, engine) -> None:
-    """Surface the compile/decode/autotune cache counters as gauges.
+    """Surface the compile/decode cache counters as gauges.
 
     ``cache.decoding_*`` is the decoding-matrix cache the restore hits;
-    the schedule, decode-schedule and autotune gauges read the library.
+    the schedule and decode-schedule gauges read the library.
     """
-    from repro.ec.autotune import autotune_cache_info
     from repro.ec.cauchy import schedule_cache_info
 
     for key, value in schedule_cache_info().items():
         tracer.metrics.gauge(f"cache.{key}").set(float(value))
-    for key, value in autotune_cache_info().items():
-        tracer.metrics.gauge(f"cache.autotune_{key}").set(float(value))
     code = getattr(engine, "code", None)
     if code is None:
         return
@@ -91,15 +88,13 @@ def run_traced_job(
     cross-checked against the demotion report breakdowns the same way.
 
     ``out_dir`` places the trace file (and any relative ``output`` path)
-    inside a directory, creating it if needed.  The trace is written via
-    a temporary ``<output>.tmp`` file that is promoted only when the
-    crosscheck reconciles; on failure the temp file is removed (pass
-    ``keep_failed=True`` to promote it anyway for debugging), so a failed
+    inside a directory, created if needed.  The trace is written
+    (atomically) only when the crosscheck reconciles — pass
+    ``keep_failed=True`` to write it anyway for debugging — so a failed
     run never leaves a partial/misleading JSONL behind.
     """
     out = out or sys.stdout
     if output and out_dir:
-        os.makedirs(out_dir, exist_ok=True)
         output = os.path.join(out_dir, os.path.basename(output))
     job, engine = build_testbed(engine_name, model, scale, seed)
     supports_backup = hasattr(engine, "save_remote_backup")
@@ -205,32 +200,21 @@ def run_traced_job(
             f"max={h['max']:.6f}",
             file=out,
         )
-    if output:
-        tmp_path = output + ".tmp"
-        try:
-            written = trace_io.write_jsonl(
-                tracer,
-                tmp_path,
-                engine=engine_name,
-                model=model,
-                scale=scale,
-                seed=seed,
-                iterations=iterations,
-                interval=interval,
-                nodes=job.cluster.num_nodes,
-            )
-        except BaseException:
-            if os.path.exists(tmp_path):
-                os.remove(tmp_path)
-            raise
-        if problems and not keep_failed:
-            os.remove(tmp_path)
-            print(
-                f"crosscheck failed; removed temp trace {tmp_path}", file=out
-            )
-        else:
-            os.replace(tmp_path, output)
-            print(f"trace written to {output} ({written} records)", file=out)
+    if output and problems and not keep_failed:
+        print(f"crosscheck failed; trace not written to {output}", file=out)
+    elif output:
+        written = trace_io.write_jsonl(
+            tracer,
+            output,
+            engine=engine_name,
+            model=model,
+            scale=scale,
+            seed=seed,
+            iterations=iterations,
+            interval=interval,
+            nodes=job.cluster.num_nodes,
+        )
+        print(f"trace written to {output} ({written} records)", file=out)
     if problems:
         for problem in problems:
             print(f"TRACE PROBLEM: {problem}", file=out)

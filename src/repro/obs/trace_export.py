@@ -30,6 +30,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, Iterable, List
 
+from repro.obs.provenance import write_atomic
 from repro.obs.trace_io import Trace
 
 #: Chrome trace events express time in microseconds.
@@ -192,8 +193,7 @@ def export_chrome_trace(trace: Trace) -> Dict[str, Any]:
 def write_chrome_trace(trace: Trace, path: str) -> int:
     """Write the export to ``path``; returns the number of trace events."""
     doc = export_chrome_trace(trace)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
+    write_atomic(path, json.dumps(doc, indent=1))
     return len(doc["traceEvents"])
 
 

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional
 
 from repro.errors import ReproError
+from repro.obs.provenance import write_atomic
 from repro.obs.tracer import Tracer
 
 SCHEMA_VERSION = 1
@@ -40,9 +41,9 @@ def write_jsonl(tracer: Tracer, path: str, **meta: Any) -> int:
     ]
     rows.extend(tracer.records())
     rows.append({"type": "metrics", "snapshot": tracer.metrics.snapshot()})
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
+    write_atomic(
+        path, "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows)
+    )
     return len(rows)
 
 

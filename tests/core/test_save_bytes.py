@@ -502,17 +502,28 @@ def test_repair_stores_what_decode_and_encode_produce(relayout):
     assert all(state_dicts_equal(job.state_of(w), committed[w]) for w in committed)
 
 
-def test_engine_and_repair_import_no_encoder_backend():
-    """The engine runs one kernel: loading it must not load the pools."""
-    loaded = subprocess.run(
+def _modules_loaded_by(imports):
+    """`repro.*` modules a fresh interpreter holds after ``import <imports>``."""
+    return subprocess.run(
         [
             sys.executable,
             "-c",
-            "import sys, repro.core.eccheck, repro.elastic.repair;"
-            "print([m for m in sys.modules if m.startswith('repro.ec.')])",
+            f"import sys, {imports};"
+            "print([m for m in sys.modules if m.startswith('repro.')])",
         ],
         capture_output=True, text=True, check=True,
     ).stdout
+
+
+def test_engine_and_repair_import_no_encoder_backend():
+    """The engine runs one kernel: loading it must not load the pools.
+    Nor may the CLI or the tracer — start-up is part of every run's
+    `setup_s` — and neither pulls in the experiment drivers."""
+    loaded = _modules_loaded_by("repro.core.eccheck, repro.elastic.repair")
     assert "repro.ec.base" in loaded
-    for module in ("threadpool", "procpool", "autotune"):
+    for module in ("threadpool", "procpool"):
         assert f"repro.ec.{module}" not in loaded
+    loaded = _modules_loaded_by("repro.cli, repro.obs")
+    assert "repro.obs.provenance" in loaded
+    for module in ("repro.ec.threadpool", "repro.ec.procpool", "repro.bench"):
+        assert module not in loaded

@@ -287,57 +287,6 @@ def test_blockencoder_roundtrip_random_grid(payload, shape, seed):
     assert enc.decode(available, encoded.original_length) == payload
 
 
-# ----------------------------------------------------------------------
-# 64-bit SWAR kernel variant: the word-transpose decompose must be
-# bit-for-bit interchangeable with the packbits path, standalone and
-# through a full compiled schedule (the autotuner flips between them).
-
-
-@settings(deadline=None)
-@given(
-    w=st.sampled_from([8, 16]),
-    strips=st.integers(min_value=0, max_value=41),
-    seed=st.integers(min_value=0, max_value=2**31),
-)
-def test_swar_decompose_matches_packbits_layout(w, strips, seed):
-    from repro.ec.kernels import decompose_into, strip_bytes_for
-
-    rng = np.random.default_rng(seed)
-    block = rng.integers(0, 256, size=strips * w, dtype=np.uint8)
-    strip = strip_bytes_for(block.size, w)
-    pack = np.empty((w, strip), dtype=np.uint8)
-    swar = np.empty((w, strip), dtype=np.uint8)
-    decompose_into(block, w, pack, "pack")
-    decompose_into(block, w, swar, "swar")
-    assert np.array_equal(pack, swar)
-
-
-@settings(deadline=None)
-@given(
-    shape=code_shapes().filter(lambda s: s[2] in (8, 16)),
-    strips=st.integers(min_value=0, max_value=37),
-    seed=st.integers(min_value=0, max_value=2**31),
-)
-def test_swar_schedule_path_matches_reference(shape, strips, seed):
-    """Full encode through SWAR decompose == pack == reference bitmatrix."""
-    from repro.ec.cauchy import cached_schedule
-    from repro.ec.kernels import apply_schedule_blocks
-
-    k, m, w = shape
-    code = CauchyRSCode(CodeParams(k=k, m=m, w=w))
-    blocks = _random_blocks(k, strips * w, seed=seed, w=w)
-    ops = cached_schedule(code, "paar").compiled_ops()
-    size = blocks[0].nbytes
-    out_pack = [np.empty(size, dtype=np.uint8) for _ in range(m)]
-    out_swar = [np.empty(size, dtype=np.uint8) for _ in range(m)]
-    apply_schedule_blocks(ops, blocks, out_pack, w, decompose_kind="pack")
-    apply_schedule_blocks(ops, blocks, out_swar, w, decompose_kind="swar")
-    reference = code.encode_bitmatrix_reference(blocks)
-    for a, b, c in zip(out_swar, out_pack, reference):
-        assert np.array_equal(a, b)
-        assert np.array_equal(a, c)
-
-
 @settings(deadline=None, max_examples=15)
 @given(
     shape=code_shapes().filter(lambda s: s[2] >= 8),
