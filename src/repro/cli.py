@@ -576,14 +576,23 @@ def _trace(args, out) -> int:
 
 
 def _load_trace_or_fail(path: str):
+    """The trace — or None, after one line on stderr saying why not."""
     import os
 
+    from repro.errors import ReproError
     from repro.obs import load_trace
 
     if not os.path.exists(path):
         print(f"trace file not found: {path}", file=sys.stderr)
         return None
-    return load_trace(path)
+    try:
+        trace = load_trace(path)
+        if not trace.spans:
+            raise ReproError(f"{path}: trace contains no spans")
+    except ReproError as exc:
+        print(exc, file=sys.stderr)
+        return None
+    return trace
 
 
 def _export_trace(args, out) -> int:

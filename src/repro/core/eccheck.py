@@ -49,7 +49,7 @@ from repro.checkpoint.base import (
 from repro.checkpoint.job import TrainingJob
 from repro.checkpoint.storage import _nbytes
 from repro.core.incremental import packet_delta
-from repro.core.integrity import chunk_digest, patch_digest, verify_chunk
+from repro.core.integrity import chunk_digest, live_prefix, patch_digest, verify_chunk
 from repro.core.placement import (
     PlacementPlan,
     build_data_group,
@@ -387,16 +387,17 @@ class ECCheckEngine(CheckpointEngine):
         payload: np.ndarray,
         digest: int | None = None,
         epoch: int | None = None,
+        live: int | None = None,
     ) -> None:
         """Store one chunk packet plus its CRC digest in a node's host RAM.
 
         ``digest`` is for a caller that derived it (a delta save); by
-        default the payload is CRC'd here.  ``epoch`` lets a repair stream
-        into staging keys while the version's authoritative epoch still
-        points at the old bytes.
+        default the payload (``live`` bytes, then zeros) is CRC'd here.
+        ``epoch`` lets a repair stream into staging keys while the
+        version's authoritative epoch still points at the old bytes.
         """
         if digest is None:
-            digest = chunk_digest(payload)
+            digest = chunk_digest(payload, live)
         self.host.put(node, self.chunk_key(version, kind, idx, r, epoch), payload)
         self.host.put(node, self.digest_key(version, kind, idx, r, epoch), digest)
 
@@ -408,10 +409,11 @@ class ECCheckEngine(CheckpointEngine):
         idx: int,
         groups: int,
         epoch: int | None = None,
+        store=None,
     ) -> bool:
-        """All of a chunk's packets and digest records sit in ``node``'s RAM."""
+        """All of a chunk's packets and digest records sit on ``node`` (RAM, or ``store``)."""
         return all(
-            self.host.contains(node, key_of(version, kind, idx, r, epoch))
+            (store or self.host).contains(node, key_of(version, kind, idx, r, epoch))
             for r in range(groups)
             for key_of in (self.chunk_key, self.digest_key)
         )
@@ -424,21 +426,48 @@ class ECCheckEngine(CheckpointEngine):
         idx: int,
         groups: int | None = None,
         epoch: int | None = None,
+        store=None,
     ) -> bool:
         """All of a chunk's packets present and passing digest verification.
 
         ``groups`` is the reduction-group count of the placement the
         version was saved under; defaults to the version's recorded plan.
+        ``store`` is the tier read (default: host memory).  A check is told
+        its packet's live length if the node holds the version's metadata.
         """
+        store = store or self.host
+        plan = self.placement_of(version)
         if groups is None:
-            groups = len(self.placement_of(version).data_group[0])
-        return self._chunk_present(node, version, kind, idx, groups, epoch) and all(
+            groups = len(plan.data_group[0])
+        lengths = self.payload_lengths(version, [node], store)
+        return self._chunk_present(node, version, kind, idx, groups, epoch, store) and all(
             verify_chunk(
-                self.host.get(node, self.chunk_key(version, kind, idx, r, epoch)),
-                self.host.get(node, self.digest_key(version, kind, idx, r, epoch)),
+                store.get(node, self.chunk_key(version, kind, idx, r, epoch)),
+                store.get(node, self.digest_key(version, kind, idx, r, epoch)),
+                self.live_bytes(plan, lengths, kind, idx, r),
             )
             for r in range(groups)
         )
+
+    def payload_lengths(self, version: int, nodes, store=None) -> list[int] | None:
+        """Every worker's true payload length, from ``version``'s metadata
+        records on ``nodes``; None if some worker's is on none of them."""
+        store = store or self.host
+        records = [
+            next((store.get(n, key) for n in nodes if store.contains(n, key)), None)
+            for key in (("meta", version, w) for w in range(self.job.world_size))
+        ]
+        return None if None in records else [length for _, length in records]
+
+    @staticmethod
+    def live_bytes(
+        plan: PlacementPlan, lengths: list[int] | None, kind: str, idx: int, r: int
+    ) -> int | None:
+        """Bytes before chunk packet ``(kind, idx, r)``'s zero padding: its
+        worker's payload, or reduction group ``r``'s longest for a parity
+        (None without ``lengths``)."""
+        members = [plan.data_group[idx]] if kind == "data" else plan.data_group
+        return lengths and max(lengths[group[r]] for group in members)
 
     # ------------------------------------------------------------------
     # eccheck.save
@@ -476,6 +505,17 @@ class ECCheckEngine(CheckpointEngine):
                 w: packetise(w, d, packet_size) for w, d in enumerate(decompositions)
             }
 
+        lengths = [wc.packet.original_length for wc in checkpoints.values()]
+        if tracer.enabled:
+            # What the landing digests CRC / fold in (gauges: counters enter traced reports).
+            groups, metrics = self.reduction_plan.groups, tracer.metrics
+            reach = [live_prefix(packet_size, n) for n in lengths]
+            crcd = sum(reach) + plan.m * sum(max(reach[w] for w in g.workers) for g in groups)
+            stored = (len(reach) + plan.m * len(groups)) * packet_size
+            metrics.gauge("save.padding_share").set(1 - sum(lengths) / (len(reach) * packet_size))
+            metrics.gauge("integrity.bytes_digested").set(crcd)
+            metrics.gauge("integrity.bytes_closed_form").set(stored - crcd)
+
         # --- Step 3: encode -> XOR reduction -> P2P. ---
         # Runs *before* the metadata broadcast: metadata is the commit
         # record, so all chunk placement must already be durable-in-RAM
@@ -488,7 +528,10 @@ class ECCheckEngine(CheckpointEngine):
         def stage_encode(group):
             packets = [checkpoints[w].packet.payload for w in group.workers]
             parity_packets = [np.empty_like(packets[0]) for _ in group.targets]
-            encode_group_into(self.code, packets, parity_packets)
+            encode_group_into(
+                self.code, packets, parity_packets,
+                lengths=[lengths[w] for w in group.workers],
+            )
             return group, parity_packets
 
         def stage_xor_reduce(item):
@@ -504,13 +547,15 @@ class ECCheckEngine(CheckpointEngine):
             for i, parity_node in enumerate(plan.parity_nodes):
                 self._fire("mid_p2p", version=version, group=r, kind="parity", chunk=i)
                 self._store_chunk_packet(
-                    parity_node, version, "parity", i, r, parity_packets[i]
+                    parity_node, version, "parity", i, r, parity_packets[i],
+                    live=max(lengths[w] for w in group.workers),
                 )
             for j, members in enumerate(plan.data_group):
                 self._fire("mid_p2p", version=version, group=r, kind="data", chunk=j)
                 self._store_chunk_packet(
                     plan.data_nodes[j], version, "data", j, r,
                     checkpoints[members[r]].packet.payload.copy(),
+                    live=lengths[members[r]],
                 )
             return r
 
@@ -741,9 +786,15 @@ class ECCheckEngine(CheckpointEngine):
             checkpoints = {
                 w: packetise(w, d, packet_size) for w, d in enumerate(decompositions)
             }
+            live = [  # old, new and so their delta are zero past the longer payload
+                max(length, checkpoints[w].packet.original_length)
+                for w, length in enumerate(self.payload_lengths(base, self.active_nodes))
+            ]
             deltas, summaries = zip(
                 *(
-                    packet_delta(self._last_packets[w], wc.packet.payload, block_size)
+                    packet_delta(
+                        self._last_packets[w], wc.packet.payload, block_size, live[w]
+                    )
                     for w, wc in checkpoints.items()
                 )
             )
@@ -797,6 +848,10 @@ class ECCheckEngine(CheckpointEngine):
                         self.code,
                         [deltas[w][run.start : run.end] for w in group.workers],
                         pieces,
+                        lengths=[
+                            min(max(live[w] - run.start, 0), run.duration)
+                            for w in group.workers
+                        ],
                     )
                     for parity, piece in zip(parities, pieces):
                         xor_in(parity, run.start, piece)
@@ -1008,24 +1063,6 @@ class ECCheckEngine(CheckpointEngine):
             tracer.metrics.counter("tier.disk_bytes_evicted").inc(freed)
         return freed
 
-    def _disk_chunk_intact(
-        self, node: int, version: int, kind: str, idx: int, groups: int
-    ) -> bool:
-        """Disk-tier twin of :meth:`_chunk_intact` (digest-verified)."""
-        for r in range(groups):
-            key = self.chunk_key(version, kind, idx, r)
-            digest_key = self.digest_key(version, kind, idx, r)
-            if not (
-                self.disk.contains(node, key)
-                and self.disk.contains(node, digest_key)
-            ):
-                return False
-            if not verify_chunk(
-                self.disk.get(node, key), self.disk.get(node, digest_key)
-            ):
-                return False
-        return True
-
     def _disk_version_intact(self, version: int) -> bool:
         """Whole version restorable from disk: every chunk verifies and
         every worker's metadata survives on some node's disk.
@@ -1036,20 +1073,13 @@ class ECCheckEngine(CheckpointEngine):
         """
         plan = self.placement_of(version)
         groups = len(plan.data_group[0])
-        for j, node in enumerate(plan.data_nodes):
-            if not self._disk_chunk_intact(node, version, "data", j, groups):
-                return False
-        for i, node in enumerate(plan.parity_nodes):
-            if not self._disk_chunk_intact(node, version, "parity", i, groups):
-                return False
-        n = self.job.cluster.num_nodes
-        for worker in range(self.job.world_size):
-            if not any(
-                self.disk.contains(node, ("meta", version, worker))
-                for node in range(n)
-            ):
-                return False
-        return True
+        placed = [(node, "data", j) for j, node in enumerate(plan.data_nodes)]
+        placed += [(node, "parity", i) for i, node in enumerate(plan.parity_nodes)]
+        metadata = self.payload_lengths(version, range(self.job.cluster.num_nodes), self.disk)
+        return metadata is not None and all(
+            self._chunk_intact(node, version, kind, idx, groups, store=self.disk)
+            for node, kind, idx in placed
+        )
 
     def _promote_version(self, version: int) -> tuple[float, int]:
         """Copy a disk version back into host memory (disk copy kept).
@@ -1198,13 +1228,7 @@ class ECCheckEngine(CheckpointEngine):
 
     def _metadata_complete(self, version: int, surviving: list[int]) -> bool:
         """Every worker's metadata record reachable on some survivor."""
-        for worker in range(self.job.world_size):
-            if not any(
-                self.host.contains(node, ("meta", version, worker))
-                for node in surviving
-            ):
-                return False
-        return True
+        return self.payload_lengths(version, surviving) is not None
 
     def _meta_record(self, version: int, worker: int, surviving: list[int]):
         for node in surviving:
@@ -1226,20 +1250,21 @@ class ECCheckEngine(CheckpointEngine):
         """
         code = self.code_for(plan.k, plan.m)
         lost = [j for j in range(plan.k) if j not in chunk_available]
+        lengths = self.payload_lengths(version, list(chunk_available.values()))
+        chunk_of = {c: ("data", c) if c < plan.k else ("parity", c - plan.k) for c in chunk_available}
         packets: dict[tuple[int, int], np.ndarray] = {}
         for r in range(len(plan.data_group[0])):
             available = {
-                cid: self.host.get(
-                    node,
-                    self.chunk_key(version, "data", cid, r)
-                    if cid < plan.k
-                    else self.chunk_key(version, "parity", cid - plan.k, r),
-                )
+                cid: self.host.get(node, self.chunk_key(version, *chunk_of[cid], r))
                 for cid, node in chunk_available.items()
             }
             if lost:
                 decoded = [np.empty_like(next(iter(available.values()))) for _ in lost]
-                decode_group_into(code, available, lost, decoded)
+                live = lengths and {
+                    cid: self.live_bytes(plan, lengths, *chunk_of[cid], r)
+                    for cid in available
+                }
+                decode_group_into(code, available, lost, decoded, live)
                 available.update(zip(lost, decoded))
             packets.update({(j, r): available[j] for j in range(plan.k)})
         return packets
@@ -1290,21 +1315,27 @@ class ECCheckEngine(CheckpointEngine):
         lost_parities = [
             i for i in range(plan.m) if (plan.k + i) not in chunk_available
         ]
+        lengths = self.payload_lengths(version, list(chunk_available.values()))
         with obs.get_tracer().span("eccheck.restore.step4", step="step4_rebuild_redundancy"):
             for j in lost_data:
                 for r in groups:
                     self._store_chunk_packet(
-                        plan.data_nodes[j], version, "data", j, r, packets[(j, r)]
+                        plan.data_nodes[j], version, "data", j, r, packets[(j, r)],
+                        live=self.live_bytes(plan, lengths, "data", j, r),
                     )
             if not lost_parities:
                 return lost_parities
             for r in groups:
                 group = [packets[(j, r)] for j in range(plan.k)]
                 rebuilt = [np.empty_like(group[0]) for _ in lost_parities]
-                encode_group_into(code, group, rebuilt, rows=lost_parities)
+                encode_group_into(
+                    code, group, rebuilt, rows=lost_parities,
+                    lengths=lengths and [lengths[g[r]] for g in plan.data_group],
+                )
                 for i, packet in zip(lost_parities, rebuilt):
                     self._store_chunk_packet(
-                        plan.parity_nodes[i], version, "parity", i, r, packet
+                        plan.parity_nodes[i], version, "parity", i, r, packet,
+                        live=self.live_bytes(plan, lengths, "parity", i, r),
                     )
         return lost_parities
 

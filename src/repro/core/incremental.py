@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.integrity import live_prefix
 from repro.ec.kernels import DEFAULT_CHUNK_BYTES
 from repro.errors import CheckpointError
 
@@ -56,7 +57,8 @@ class DeltaSummary:
 
 
 def packet_delta(
-    old: np.ndarray, new: np.ndarray, block_size: int = 64 * 1024
+    old: np.ndarray, new: np.ndarray, block_size: int = 64 * 1024,
+    live: int | None = None,
 ) -> tuple[np.ndarray, DeltaSummary]:
     """XOR delta of two equal-size packets plus dirty-block accounting.
 
@@ -64,6 +66,8 @@ def packet_delta(
         old: previous checkpoint packet (uint8).
         new: current checkpoint packet (uint8, same size).
         block_size: dirty-tracking granularity in bytes.
+        live: both packets are zero from here on: only their
+            :func:`~repro.core.integrity.live_prefix` is XORed.
 
     Returns:
         ``(delta, summary)`` where ``delta = old ^ new``.
@@ -79,7 +83,10 @@ def packet_delta(
         raise CheckpointError(
             f"packet sizes differ: {old.nbytes} vs {new.nbytes}"
         )
-    delta = old ^ new
+    reach = live_prefix(old.nbytes, live)
+    delta = np.empty_like(old)
+    np.bitwise_xor(old[:reach], new[:reach], out=delta[:reach])
+    delta[reach:] = 0
     dirty = _dirty_blocks(delta, block_size)
     dirty_blocks = int(np.count_nonzero(dirty))
     dirty_bytes = dirty_blocks * block_size

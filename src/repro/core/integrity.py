@@ -17,6 +17,12 @@ CRC-32 is also *affine* over GF(2) — ``crc(a ^ b) = crc(a) ^ crc(b) ^
 crc(0^n)`` for ``n``-byte buffers — which is what lets a delta save derive
 a patched chunk's digest from the old digest and the dirty pieces alone
 (:func:`patch_digest`), the RAID small-write rule applied to the checksum.
+
+Padding is arithmetic, not work: a caller that holds a zero-padded
+packet's true length passes it as ``live``, and :func:`chunk_digest` CRCs
+the :func:`live_prefix` and folds the zero tail in by :func:`crc32_combine`.
+:func:`verify_chunk` first scans that the tail *is* zero (an order cheaper
+than a CRC), so a hint makes a check cheaper, never more lenient.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from repro.ec.kernels import DEFAULT_CHUNK_BYTES as BLOCK
 from repro.errors import CheckpointError
 
 _POLY = 0xEDB88320  # the CRC-32 polynomial, reflected: bit 31 is x^0
@@ -61,18 +68,36 @@ def crc32_combine(crc_a: int, crc_b: int, len_b: int) -> int:
     return _multmodp(_x8n(len_b), crc_a) ^ crc_b
 
 
+@lru_cache(maxsize=4096)
 def crc32_zeros(n: int) -> int:
     """CRC-32 of ``n`` zero bytes, in closed form."""
     return crc32_combine(0xFFFFFFFF, 0xFFFFFFFF, n)
 
 
-def chunk_digest(payload: np.ndarray | bytes) -> int:
-    """CRC-32 digest of a chunk packet's bytes."""
+def live_prefix(size: int, live: int | None) -> int:
+    """Leading bytes of a ``size``-byte packet a pass touches when told its
+    payload is ``live`` long: that, rounded up to the 64 KiB work block, if
+    it spares a whole block (a :func:`_multmodp` outweighs less); else all."""
+    reach = size if live is None else -(-max(live, 0) // BLOCK) * BLOCK
+    return reach if size - reach >= BLOCK else size
+
+
+def _own_bytes(payload: np.ndarray | bytes) -> np.ndarray:
+    """The payload's own memory, flat: no value cast, no copy of a packet."""
     if isinstance(payload, np.ndarray):
-        # CRC the array's own memory: a contiguous uint8 packet (every
-        # stored chunk) is digested without the full copy ``tobytes`` makes.
-        payload = np.ascontiguousarray(payload, dtype=np.uint8).reshape(-1).data
-    return zlib.crc32(payload) & 0xFFFFFFFF
+        return np.ascontiguousarray(payload).reshape(-1).view(np.uint8)
+    return np.frombuffer(payload, dtype=np.uint8)
+
+
+def chunk_digest(payload: np.ndarray | bytes, live: int | None = None) -> int:
+    """CRC-32 digest of a chunk packet's bytes; ``live`` promises that all
+    past :func:`live_prefix` is zero, so only the prefix is CRC'd (a false
+    promise yields a digest the payload fails)."""
+    payload = _own_bytes(payload)
+    reach = live_prefix(payload.size, live)
+    crc = zlib.crc32(payload[:reach]) & 0xFFFFFFFF
+    tail = payload.size - reach
+    return crc32_combine(crc, crc32_zeros(tail), tail) if tail else crc
 
 
 def patch_digest(digest: int, size: int, start: int, piece: np.ndarray) -> int:
@@ -93,9 +118,17 @@ def patch_digest(digest: int, size: int, start: int, piece: np.ndarray) -> int:
     return digest ^ _multmodp(_x8n(tail), chunk_digest(piece) ^ crc32_zeros(piece.size))
 
 
-def verify_chunk(payload: np.ndarray | bytes, digest: int) -> bool:
-    """True if the payload still matches its stored digest."""
-    return chunk_digest(payload) == digest
+def verify_chunk(
+    payload: np.ndarray | bytes, digest: int, live: int | None = None
+) -> bool:
+    """True if the payload still matches its stored digest — the same
+    verdict for every ``live``: the closed form stands in for the tail's
+    CRC only once the tail was scanned (a SIMD max) and found zero."""
+    payload = _own_bytes(payload)
+    reach = live_prefix(payload.size, live)
+    if reach < payload.size and payload[reach:].max():
+        live = None
+    return chunk_digest(payload, live) == digest
 
 
 def corrupt_buffer(payload: np.ndarray, byte_index: int = 0, mask: int = 0xFF) -> None:

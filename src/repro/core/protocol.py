@@ -12,6 +12,11 @@ Per reduction group the ``k`` packets of the group's workers form one
 codeword position: parity packet ``i`` is ``XOR_j B(E'[i][j]) d_j`` — the
 encode step computes ``B(E'[i][j]) d_j`` locally on each worker and the XOR
 reduction combines them (Eqn. 6 of the paper).
+
+The padding is zero and the code linear, so a padding block adds nothing to
+any sum: told the payload lengths the metadata records, the fused kernel
+(:func:`_apply_rows`) skips every block past a packet's
+:func:`~repro.core.integrity.live_prefix` — same bytes out, fewer touched.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import CheckpointError, DecodeError, FieldError
+from repro.core.integrity import live_prefix
 from repro.ec.base import ErasureCode
 from repro.ec.kernels import DEFAULT_CHUNK_BYTES, xor_reduce_arrays
 from repro.gf.field import GF
@@ -163,18 +169,21 @@ def xor_reduce(encoded_packets: list[np.ndarray]) -> np.ndarray:
 
 
 def _apply_rows(
-    field: GF, matrix: np.ndarray, sources: list[np.ndarray], out: list[np.ndarray]
+    field: GF, matrix: np.ndarray, sources: list[np.ndarray], out: list[np.ndarray],
+    lengths: list[int] | None = None,
 ) -> None:
     """``out[n] = XOR_c matrix[n][c] * sources[c]`` over GF(2^w).
 
-    Column 0 is multiplied straight into the buffer and every further
-    column XORed in — a coefficient 0 is skipped, a 1 is XORed straight
-    from the source block, the rest go through one block of scratch — so
-    no ``rows x columns`` intermediates exist.  The sources are walked in
-    ``DEFAULT_CHUNK_BYTES`` blocks, all rows of a block before the next:
-    an input block is read from memory once and the accumulators stay in
-    cache.  Every check runs here, once, before anything is written; the
-    block loop calls the field's unchecked kernels.
+    A block's first column is multiplied straight into the buffer and
+    every further column XORed in — a coefficient 0 is skipped, a 1 is
+    XORed straight from the source block, the rest go through one block
+    of scratch — so no ``rows x columns`` intermediates exist.  The
+    sources are walked in ``DEFAULT_CHUNK_BYTES`` blocks, all rows of a
+    block before the next: an input block is read from memory once and
+    the accumulators stay in cache.  Source ``c`` is zero from
+    ``lengths[c]`` on: blocks past its :func:`live_prefix` are not read, an
+    output block no source reaches is zero-filled.  Every check runs here,
+    once, before anything is written; the loop calls unchecked kernels.
     """
     size = sources[0].size
     if any(a.shape != (size,) for a in (*sources, *out)):
@@ -189,19 +198,27 @@ def _apply_rows(
     coefficients = [[int(c) for c in row] for row in matrix]
     if any(not 0 <= c < field.size for row in coefficients for c in row):
         raise FieldError(f"coefficient outside GF(2^{field.w})")
+    lengths = [size] * len(sources) if lengths is None else lengths
+    if len(lengths) != len(sources) or any(not 0 <= n <= size for n in lengths):
+        raise CheckpointError(f"need one length in [0, {size}] per packet: {lengths}")
+    reach = [live_prefix(size, n) for n in lengths]
     scratch = np.empty(min(size, DEFAULT_CHUNK_BYTES), dtype=np.uint8)
     for start in range(0, size, DEFAULT_CHUNK_BYTES):
         end = min(size, start + DEFAULT_CHUNK_BYTES)
         blocks = [source[start:end] for source in sources]
+        live = [c for c, n in enumerate(reach) if start < n]
         product = scratch[: end - start]
         for buffer, row in zip(out, coefficients):
             acc = buffer[start:end]
-            field.mul_flat(row[0], blocks[0], acc)
-            for coeff, block in zip(row[1:], blocks[1:]):
-                if coeff == 1:
-                    field.xor_flat(block, acc)
-                elif coeff:
-                    field.mul_flat(coeff, block, product)
+            if not live:
+                acc.fill(0)
+                continue
+            field.mul_flat(row[live[0]], blocks[live[0]], acc)
+            for c in live[1:]:
+                if row[c] == 1:
+                    field.xor_flat(blocks[c], acc)
+                elif row[c]:
+                    field.mul_flat(row[c], blocks[c], product)
                     field.xor_flat(product, acc)
 
 
@@ -210,6 +227,7 @@ def encode_group_into(
     packets: list[np.ndarray],
     out: list[np.ndarray],
     rows: list[int] | None = None,
+    lengths: list[int] | None = None,
 ) -> None:
     """Fused encode + XOR reduction of one reduction group (Eqn. 6).
 
@@ -224,6 +242,7 @@ def encode_group_into(
         out: a flat contiguous uint8 packet-size buffer per wanted row,
             none overlapping a packet.
         rows: parity indices to compute (default: the first ``len(out)``).
+        lengths: each packet's payload length, to skip the padding past it.
     """
     if len(packets) != code.params.k:
         raise CheckpointError(
@@ -232,7 +251,7 @@ def encode_group_into(
     rows = range(len(out)) if rows is None else rows
     if len(rows) != len(out):
         raise CheckpointError(f"{len(rows)} parity rows for {len(out)} buffers")
-    _apply_rows(code.field, code.parity_matrix[list(rows)], packets, out)
+    _apply_rows(code.field, code.parity_matrix[list(rows)], packets, out, lengths)
 
 
 def decode_group_into(
@@ -240,6 +259,7 @@ def decode_group_into(
     available: dict[int, np.ndarray],
     lost: list[int],
     out: list[np.ndarray],
+    lengths: dict[int, int] | None = None,
 ) -> None:
     """Fused decode of a reduction group's *lost* data packets only.
 
@@ -256,6 +276,7 @@ def decode_group_into(
         lost: data chunk ids to reconstruct.
         out: a flat contiguous uint8 packet-size buffer per lost id,
             none overlapping an available packet.
+        lengths: chunk id -> live length (a parity's: its group's longest).
 
     Raises:
         DecodeError: with fewer than ``k`` chunks or a non-data ``lost`` id.
@@ -269,4 +290,5 @@ def decode_group_into(
         raise DecodeError(f"only data chunks 0..{k - 1} decode, got {list(lost)}")
     chosen = sorted(available, key=lambda c: (c >= k, c))[:k]
     rows = code.decoding_matrix(chosen)[list(lost)]
-    _apply_rows(code.field, rows, [available[c] for c in chosen], out)
+    hints = lengths and [lengths[c] for c in chosen]
+    _apply_rows(code.field, rows, [available[c] for c in chosen], out, hints)

@@ -249,10 +249,14 @@ class RepairExecutor:
             if item.kind == "parity":
                 rows_of.setdefault(item.r, []).append(item.idx)
         parity_of: dict[tuple[int, int], np.ndarray] = {}
+        lengths = engine.payload_lengths(version, range(engine.job.cluster.num_nodes))
         for r, rows in rows_of.items():
             group = [packets[target.data_group[j][r]] for j in range(target.k)]
             rebuilt = [np.empty_like(group[0]) for _ in rows]
-            encode_group_into(code, group, rebuilt, rows=rows)
+            encode_group_into(
+                code, group, rebuilt, rows=rows,
+                lengths=lengths and [lengths[g[r]] for g in target.data_group],
+            )
             parity_of.update({(r, i): buf for i, buf in zip(rows, rebuilt)})
 
         # --- stream: store each missing packet, then mark it done. ----
@@ -273,6 +277,7 @@ class RepairExecutor:
                 item.r,
                 payload,
                 epoch=ledger.epoch,
+                live=engine.live_bytes(target, lengths, item.kind, item.idx, item.r),
             )
             # The crash window sits between store and mark: a hit here
             # leaves the packet durable but unmarked — safe to redo.

@@ -164,7 +164,7 @@ class GradRepEngine(CheckpointEngine):
             )
             self.host.put(
                 home, self.anchor_key(version, "adig", worker),
-                chunk_digest(ckpt.packet.payload),
+                chunk_digest(ckpt.packet.payload, ckpt.packet.original_length),
             )
             self.host.put(
                 home, self.anchor_key(version, "ameta", worker),
@@ -186,7 +186,7 @@ class GradRepEngine(CheckpointEngine):
                 # An independent copy: bit rot on one anchor replica
                 # must not be visible on the other.
                 ("apkt", ckpt.packet.payload.copy()),
-                ("adig", chunk_digest(ckpt.packet.payload)),
+                ("adig", chunk_digest(ckpt.packet.payload, ckpt.packet.original_length)),
                 ("ameta", ckpt.metadata_blob),
             ):
                 self.host.put(buddy, self.anchor_key(version, kind, worker), value)

@@ -378,6 +378,9 @@ SAVE_OP_SPAN = "op.save"
 _STAGE_ROWS = {PIPELINE_STAGES[0]: "step3_encode", PIPELINE_STAGES[2]: "step3_transfer"}
 
 
+PADDING_METRICS = ("save.padding_share", "integrity.bytes_digested", "integrity.bytes_closed_form")
+
+
 def save_step_wall(spans: Iterable[Dict[str, Any]]) -> Dict[str, float]:
     """Wall seconds per save step, summed over the trace.
 
@@ -450,6 +453,8 @@ class TraceAnalysis:
     restore_phase_totals: Dict[str, float] = field(default_factory=dict)
     #: Wall seconds per save step (see :func:`save_step_wall`).
     save_step_wall: Dict[str, float] = field(default_factory=dict)
+    #: The ``PADDING_METRICS`` gauges of the last traced ECCheck save.
+    padding: Dict[str, float] = field(default_factory=dict)
     #: Wall seconds per restore step (see :func:`restore_step_wall`).
     restore_step_wall: Dict[str, float] = field(default_factory=dict)
     #: Elastic-membership spans: background repair (derive/stream/commit)
@@ -490,7 +495,9 @@ def analyze_trace(
     """
     if not trace.spans:
         raise ReproError("trace contains no spans; nothing to analyze")
+    gauges = trace.metrics.get("gauges", {})
     analysis = TraceAnalysis(
+        padding={name: gauges[name] for name in PADDING_METRICS if name in gauges},
         save_phase_totals=phase_totals(trace.spans, kind="save"),
         restore_phase_totals=phase_totals(trace.spans, kind="restore"),
         save_step_wall=save_step_wall(trace.spans),
@@ -540,6 +547,12 @@ def render_analysis(analysis: TraceAnalysis) -> str:
         lines += _phase_lines("restore phases (sim):", analysis.restore_phase_totals)
     if analysis.save_step_wall:
         lines += _phase_lines("save steps (wall):", analysis.save_step_wall)
+        if len(analysis.padding) == len(PADDING_METRICS):
+            share, crcd, folded = (analysis.padding[name] for name in PADDING_METRICS)
+            lines.append(
+                f"  padding {share:.1%} of packet bytes; landing digests CRC'd "
+                f"{crcd / 2**20:.2f} MiB, closed-form {folded / 2**20:.2f} MiB (last save)"
+            )
     if analysis.restore_step_wall:
         lines += _phase_lines("restore steps (wall):", analysis.restore_step_wall)
     if analysis.repair_phase_totals:

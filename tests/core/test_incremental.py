@@ -447,8 +447,17 @@ def test_delta_at_the_smallest_packet_size():
 # ---------------------------------------------------------------------------
 # Work proportionality: bytes encoded and digested follow the dirty ranges
 # ---------------------------------------------------------------------------
+def touched(size, live):
+    """The block-rounded live bytes a per-byte pass over a ``size``-byte
+    packet may touch (spelled out here, not imported: the oracle)."""
+    rounded = -(-live // DEFAULT_CHUNK_BYTES) * DEFAULT_CHUNK_BYTES
+    return rounded if size - rounded >= DEFAULT_CHUNK_BYTES else size
+
+
 class ByteCounters:
-    """Count the bytes reaching ``encode_group_into`` and ``zlib.crc32``."""
+    """Count the bytes ``encode_group_into`` is asked to read — a packet's
+    block-rounded live bytes when it is told a length — and the bytes that
+    reach ``zlib.crc32``."""
 
     def __init__(self, monkeypatch):
         import zlib
@@ -458,9 +467,10 @@ class ByteCounters:
         self.encoded = self.digested = 0
         encode, crc32 = eccheck.encode_group_into, zlib.crc32
 
-        def counting_encode(code, packets, out, *args):
-            self.encoded += sum(p.nbytes for p in packets)
-            return encode(code, packets, out, *args)
+        def counting_encode(code, packets, out, rows=None, lengths=None):
+            sizes = [p.nbytes for p in packets]
+            self.encoded += sum(map(touched, sizes, sizes if lengths is None else lengths))
+            return encode(code, packets, out, rows, lengths)
 
         def counting_crc32(data, *args):
             self.digested += memoryview(data).nbytes
@@ -481,7 +491,16 @@ def test_delta_save_touches_exactly_the_union_dirty_ranges(monkeypatch, dirty):
     engine.save()
     full = (counters.encoded, counters.digested)
     packet = engine._last_packets[0].nbytes
-    assert full == (job.world_size * packet, (plan.k + plan.m) * len(groups) * packet)
+    # A full save encodes and digests live bytes, not ``world x packet``:
+    # a data packet's own, a parity packet's group's longest.
+    lengths = [engine.host.get(0, ("meta", 1, w))[1] for w in range(job.world_size)]
+    longest = [max(lengths[w] for w in group.workers) for group in groups]
+    assert full == (
+        sum(touched(packet, n) for n in lengths),
+        sum(touched(packet, n) for n in lengths)
+        + plan.m * sum(touched(packet, n) for n in longest),
+    )
+    assert full[0] < 0.7 * job.world_size * packet  # two long shards, six short
 
     old = {w: p.copy() for w, p in engine._last_packets.items()}
     ADVANCES[dirty](job)
@@ -492,19 +511,26 @@ def test_delta_save_touches_exactly_the_union_dirty_ranges(monkeypatch, dirty):
         w: packet_delta(old[w], engine._last_packets[w])[1].dirty_runs for w in old
     }
     own = sum(end - start for w in runs for start, end in runs[w])
-    union = sum(
-        run.duration
-        for group in groups
-        for run in merge_intervals(
+    merged = {
+        group.index: merge_intervals(
             [Interval(*run) for w in group.workers for run in runs[w]]
         )
-    )
-    assert counters.encoded == plan.k * union
+        for group in groups
+    }
+    union = sum(run.duration for r in merged for run in merged[r])
+    # Of a group's union run, a worker whose payload ends before or inside
+    # it contributes only its block-rounded live part.
+    assert counters.encoded == sum(
+        touched(run.duration, min(max(lengths[w] - run.start, 0), run.duration))
+        for group in groups
+        for run in merged[group.index]
+        for w in group.workers
+    ) <= plan.k * union
     assert counters.digested == own + plan.m * union
     if dirty == "counters":
         assert own == union == 0
     if dirty == "one_tensor":
-        assert 0 < counters.encoded < 0.1 * full[0]
+        assert 0 < counters.encoded < 0.15 * full[0]  # of live bytes, no longer of padded ones
         assert 0 < counters.digested < 0.1 * full[1]
     # The ceiling is a full save's bytes, never more.
     assert counters.encoded <= full[0] and counters.digested <= full[1]

@@ -11,9 +11,11 @@ from repro.core.integrity import (
     corrupt_buffer,
     crc32_combine,
     crc32_zeros,
+    live_prefix,
     patch_digest,
     verify_chunk,
 )
+from repro.ec.kernels import DEFAULT_CHUNK_BYTES as BLOCK
 from repro.parallel.strategy import ParallelismSpec
 from repro.parallel.topology import ClusterSpec
 from repro.tensors.state_dict import state_dicts_equal
@@ -44,6 +46,16 @@ def test_digest_reads_array_memory_in_logical_order():
         assert chunk_digest(view) == zlib.crc32(view.tobytes())
     assert chunk_digest(np.zeros(0, dtype=np.uint8)) == zlib.crc32(b"")
     assert chunk_digest(memoryview(b"abc")) == chunk_digest(b"abc")
+
+
+def test_digest_is_of_the_arrays_bytes_not_its_values():
+    """A float array used to be value-cast to uint8 (1.5 -> 1, 300.0 -> 44)
+    before the CRC: two different arrays shared a digest."""
+    import zlib
+
+    written = np.array([1.5, 2.5, 300.0])
+    assert chunk_digest(written) == zlib.crc32(written.tobytes())
+    assert not verify_chunk(np.array([1.25, 2.75, 300.9]), chunk_digest(written))
 
 
 def test_corrupt_buffer_flips_bits():
@@ -109,6 +121,60 @@ def test_patched_digest_equals_the_digest_of_the_patched_buffer(size, seed, cuts
         digest = patch_digest(digest, size, start, piece)
     assert digest == chunk_digest(patched)
     assert verify_chunk(patched, digest)
+
+
+# ---------------------------------------------------------------------------
+# A length hint makes a check cheaper, never more lenient
+# ---------------------------------------------------------------------------
+HINT_SIZES = (0, 1, 7, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 10)
+
+
+def test_live_prefix_is_block_rounded_and_spares_a_whole_block_or_nothing():
+    size = 3 * BLOCK + 10
+    assert live_prefix(size, None) == size
+    assert [live_prefix(size, n) for n in (0, 1, BLOCK, BLOCK + 1)] == [
+        0, BLOCK, BLOCK, 2 * BLOCK
+    ]
+    # Rounded up, 2 * BLOCK + 1 leaves a 10-byte tail: not worth a closed form.
+    assert live_prefix(size, 2 * BLOCK) == 2 * BLOCK
+    assert live_prefix(size, 2 * BLOCK + 1) == size == live_prefix(size, size + 5)
+    assert live_prefix(2 * BLOCK - 1, 1) == 2 * BLOCK - 1  # spares less than a block
+    assert live_prefix(size, -5) == 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    size=st.sampled_from(HINT_SIZES),
+    seed=st.integers(0, 2**31 - 1),
+    flip=st.sampled_from(["nothing", "live", "padding", "digest"]),
+    data=st.data(),
+)
+def test_a_length_hint_never_changes_a_digest_or_a_verdict(size, seed, flip, data):
+    """Any hint in [0, size] — right, too long, or too short for a tail that
+    is not zero — with a bit flipped in the live part, the padding or the
+    digest: ``verify_chunk`` answers as it does unhinted, and wherever the
+    tail past the hint *is* zero the hinted digest is the plain CRC-32."""
+    import zlib
+
+    rng = np.random.default_rng(seed)
+    live = data.draw(st.integers(0, size))
+    payload = rng.integers(0, 256, size, dtype=np.uint8)
+    payload[live:] = 0
+    digest = zlib.crc32(payload)
+    assert chunk_digest(payload, live) == digest
+    if flip == "digest":
+        digest ^= 1 << data.draw(st.integers(0, 31))
+    elif flip == "live" and live:
+        corrupt_buffer(payload, data.draw(st.integers(0, live - 1)), mask=0x10)
+    elif flip == "padding" and live < size:
+        corrupt_buffer(payload, data.draw(st.integers(live, size - 1)), mask=0x01)
+    hint = data.draw(st.one_of(st.just(live), st.integers(0, size)))
+    truth = zlib.crc32(payload) == digest
+    assert verify_chunk(payload, digest) == truth
+    assert verify_chunk(payload, digest, hint) == truth
+    assert verify_chunk(payload.tobytes(), digest, hint) == truth
+    if not payload[hint:].any():
+        assert chunk_digest(payload, hint) == zlib.crc32(payload)
 
 
 def test_patch_digest_rejects_a_piece_outside_the_chunk():
@@ -216,3 +282,80 @@ def test_corruption_in_any_single_packet_is_detected():
     corrupt_chunk(engine, engine.placement.data_nodes[0], "data", 0, r=last_r)
     engine.restore(set())
     verify_all(job, reference)
+
+
+# ---------------------------------------------------------------------------
+# Rot in the padding is rot: the hinted checks see it like any other
+# ---------------------------------------------------------------------------
+def padded_packet(engine, kind, version=1):
+    """(node, idx, r, first padding byte) of a stored ``kind`` packet whose
+    length hint spares at least one whole block."""
+    plan = engine.placement_of(version)
+    nodes = plan.data_nodes if kind == "data" else plan.parity_nodes
+    for idx, node in enumerate(nodes):
+        lengths = engine.payload_lengths(version, [node])
+        for r in range(len(plan.data_group[0])):
+            live = engine.live_bytes(plan, lengths, kind, idx, r)
+            size = engine.host.get(node, ("chunk", version, kind, idx, r)).size
+            if live_prefix(size, live) < size:
+                return node, idx, r, live
+    raise AssertionError(f"no {kind} packet of this testbed carries a block of padding")
+
+
+def flip_at(engine, kind, where, version=1):
+    """Flip a bit of a padded ``kind`` packet: in its live part, in its
+    first padding byte, or in its last; returns (node, idx)."""
+    node, idx, r, live = padded_packet(engine, kind, version)
+    payload = engine.host.get(node, ("chunk", version, kind, idx, r))
+    index = {"live": live // 2, "padding": live, "last_byte": payload.size - 1}[where]
+    assert (where == "live") == bool(payload[index])  # padding is zero, state is not
+    corrupt_buffer(payload, index, mask=0x04)
+    return node, idx
+
+
+WHERE = ["live", "padding", "last_byte"]
+
+
+@pytest.mark.parametrize("where", WHERE)
+@pytest.mark.parametrize("kind", ["data", "parity"])
+def test_rot_anywhere_in_a_packet_is_refused_at_demotion_and_pruned(kind, where):
+    job, engine = make_engine()
+    engine.save()
+    job.advance()
+    engine.save()  # v1 is no longer the delta base: demotable
+    node, idx = flip_at(engine, kind, where)
+    assert not engine._chunk_intact(node, 1, kind, idx)
+    with pytest.raises(CheckpointError, match="not fully intact"):
+        engine.demote_version(1)
+    assert engine.prune_memory_index() == [1]
+    assert engine.memory_versions() == [2]
+
+
+@pytest.mark.parametrize("where", WHERE)
+@pytest.mark.parametrize("kind", ["data", "parity"])
+def test_rot_anywhere_in_a_packet_is_an_erasure_at_restore(kind, where):
+    job, engine = make_engine()
+    engine.save()
+    reference = job.snapshot_states()
+    job.advance()
+    node, idx = flip_at(engine, kind, where)
+    report = engine.restore(set())
+    verify_all(job, reference)
+    assert ("decode" in report.breakdown) == (kind == "data")
+    assert engine._chunk_intact(node, 1, kind, idx)  # rebuilt, digest and all
+    assert engine._memory_version_intact(1)
+
+
+@pytest.mark.parametrize("kind", ["data", "parity"])
+def test_a_version_without_metadata_records_still_verifies_in_full(kind):
+    """No record on the node, no hint: the full pass, with the same verdicts."""
+    job, engine = make_engine()
+    engine.save()
+    node, idx, r, live = padded_packet(engine, kind)
+    for holder in range(4):
+        for worker in range(job.world_size):
+            engine.host.delete(holder, ("meta", 1, worker))
+    assert engine.payload_lengths(1, [node]) is None
+    assert engine._chunk_intact(node, 1, kind, idx)
+    corrupt_buffer(engine.host.get(node, ("chunk", 1, kind, idx, r)), live, mask=0x04)
+    assert not engine._chunk_intact(node, 1, kind, idx)

@@ -21,6 +21,7 @@ from repro.core.protocol import (
 )
 from repro.ec.base import CodeParams, ErasureCode
 from repro.ec.cauchy import CauchyRSCode
+from repro.ec.kernels import DEFAULT_CHUNK_BYTES as BLOCK
 from repro.models.factory import build_worker_state_dict
 from repro.tensors.serialization import decompose_state_dict
 from repro.tensors.state_dict import state_dicts_equal
@@ -160,6 +161,25 @@ class _MatrixCode(ErasureCode):
 RAGGED_SIZES = (1, 7, 13, 64, 1000, 4098, 65536 + 10, 2 * 65536 + 6)
 
 
+def every_kind_in_every_column(data, w, k):
+    """A matrix with a 0, a 1 and a general coefficient in every column
+    position, an all-zero row, and up to three rows Hypothesis draws."""
+    general = st.integers(2, (1 << w) - 1)
+    kinds = [0, 1, None]  # None: a general coefficient
+    rows = [[kinds[(j + shift) % 3] for j in range(k)] for shift in range(3)]
+    rows.append([0] * k)
+    rows += data.draw(
+        st.lists(st.lists(st.sampled_from(kinds), min_size=k, max_size=k), max_size=3)
+    )
+    matrix = np.array(
+        [[data.draw(general) if c is None else c for c in row] for row in rows],
+        dtype=np.uint32,
+    )
+    for j in range(k):
+        assert {0, 1} < set(matrix[:, j].tolist())
+    return matrix
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     w=st.sampled_from([4, 8, 16]),
@@ -175,19 +195,8 @@ def test_apply_rows_equals_encode_packet_plus_xor_reduce(w, k, size, seed, data)
     next to an all-zero row and rows Hypothesis draws freely."""
     if w == 16:
         size += size % 2  # 16-bit words
-    general = st.integers(2, (1 << w) - 1)
-    kinds = [0, 1, None]  # None: a general coefficient
-    rows = [[kinds[(j + shift) % 3] for j in range(k)] for shift in range(3)]
-    rows.append([0] * k)
-    rows += data.draw(
-        st.lists(st.lists(st.sampled_from(kinds), min_size=k, max_size=k), max_size=3)
-    )
-    matrix = np.array(
-        [[data.draw(general) if c is None else c for c in row] for row in rows],
-        dtype=np.uint32,
-    )
-    for j in range(k):
-        assert {0, 1} < set(matrix[:, j].tolist())
+    matrix = every_kind_in_every_column(data, w, k)
+    rows = range(len(matrix))
     code = _MatrixCode(matrix, w)
     rng = np.random.default_rng(seed)
     sources = [
@@ -200,6 +209,59 @@ def test_apply_rows_equals_encode_packet_plus_xor_reduce(w, k, size, seed, data)
     for i, got in enumerate(out):
         assert np.array_equal(got, xor_reduce([encoded[j][i] for j in range(k)])), i
     assert all(np.array_equal(s, o) for s, o in zip(sources, originals))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    w=st.sampled_from([4, 8, 16]),
+    k=st.integers(1, 4),
+    size=st.sampled_from([BLOCK - 2, 2 * BLOCK, 2 * BLOCK + 10, 4 * BLOCK + 6]),
+    seed=st.integers(0, 2**16),
+    data=st.data(),
+)
+def test_apply_rows_told_the_lengths_writes_the_same_bytes(w, k, size, seed, data):
+    """Lengths make the kernel skip padding blocks, never change a byte:
+    on zero-tailed sources the hinted call equals the unhinted one — for
+    all-zero columns, lengths on and beside a block edge, hints longer
+    than the payload, and an output block no source reaches."""
+    matrix = every_kind_in_every_column(data, w, k)
+    edges = [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, size - BLOCK, size - 1, size]
+    length = st.sampled_from([n for n in edges if 0 <= n <= size])
+    rng = np.random.default_rng(seed)
+    sources, lengths = [], []
+    for _ in range(k):
+        live = data.draw(length)
+        source = rng.integers(0, min(256, 1 << w), size=size, dtype=np.uint8)
+        source[live:] = 0
+        sources.append(source)
+        lengths.append(max(live, data.draw(length)))  # never short, maybe long
+    field = _MatrixCode(matrix, w).field
+    want = [np.full(size, 0xEE, dtype=np.uint8) for _ in matrix]
+    _apply_rows(field, matrix, sources, want)
+    got = [np.full(size, 0xEE, dtype=np.uint8) for _ in matrix]
+    _apply_rows(field, matrix, sources, got, lengths)
+    assert all(np.array_equal(g, x) for g, x in zip(got, want)), lengths
+
+
+def test_lengths_reach_the_kernel_through_encode_and_decode():
+    """Unequal shards (one long packet, one short, one empty) encode and
+    decode to the same bytes told their lengths or not."""
+    code = CauchyRSCode(CodeParams(k=3, m=2, w=8))
+    rng = np.random.default_rng(23)
+    size, lengths = 3 * BLOCK + 64, [3 * BLOCK + 1, BLOCK - 5, 0]
+    packets = [rng.integers(0, 256, size=size, dtype=np.uint8) for _ in lengths]
+    for packet, live in zip(packets, lengths):
+        packet[live:] = 0
+    parity = [np.empty(size, dtype=np.uint8) for _ in range(2)]
+    encode_group_into(code, packets, parity, lengths=lengths)
+    assert all(np.array_equal(p, x) for p, x in zip(parity, code.encode(packets)))
+    chunks = dict(enumerate(packets + parity))
+    live_of = dict(enumerate(lengths + [max(lengths)] * 2))
+    for lost in ([0], [1, 2], [0, 2]):
+        available = {c: chunks[c] for c in chunks if c not in lost}
+        out = [np.full(size, 0xEE, dtype=np.uint8) for _ in lost]
+        decode_group_into(code, available, lost, out, lengths=live_of)
+        assert all(np.array_equal(o, packets[j]) for o, j in zip(out, lost)), lost
 
 
 def test_apply_rows_refuses_bad_arguments_before_writing():
@@ -226,6 +288,11 @@ def test_apply_rows_refuses_bad_arguments_before_writing():
         with pytest.raises(error):
             _apply_rows(f, bad_matrix, bad_sources, out)
         assert (shared == 0xEE).all() and (out[0] == 0xEE).all()
+    for bad_lengths in ([96, -1], [97, 0], [96]):  # negative, over-long, too few
+        out = fresh()
+        with pytest.raises(CheckpointError):
+            _apply_rows(f, matrix, sources, out, bad_lengths)
+        assert all((buffer == 0xEE).all() for buffer in out)
     strided = [sources[0], np.repeat(sources[1], 2)[::2]]
     out = fresh()
     _apply_rows(f, matrix, strided, out)

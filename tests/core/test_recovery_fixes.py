@@ -40,17 +40,21 @@ def count_fused_passes(monkeypatch):
 
     Returns ``(decodes, encodes)``: the ``lost`` ids of each
     ``decode_group_into`` call and the ``rows`` of each ``encode_group_into``.
+    Every pass must be told its packets' live lengths (the version's
+    metadata survives on every node in these tests).
     """
     decodes, encodes = [], []
     decode, encode = eccheck_module.decode_group_into, eccheck_module.encode_group_into
 
-    def counting_decode(code, available, lost, out):
+    def counting_decode(code, available, lost, out, lengths=None):
         decodes.append(list(lost))
-        return decode(code, available, lost, out)
+        assert set(lengths) == set(available)
+        return decode(code, available, lost, out, lengths)
 
-    def counting_encode(code, packets, out, rows=None):
+    def counting_encode(code, packets, out, rows=None, lengths=None):
         encodes.append(list(range(len(out))) if rows is None else list(rows))
-        return encode(code, packets, out, rows=rows)
+        assert len(lengths) == len(packets)
+        return encode(code, packets, out, rows=rows, lengths=lengths)
 
     monkeypatch.setattr(eccheck_module, "decode_group_into", counting_decode)
     monkeypatch.setattr(eccheck_module, "encode_group_into", counting_encode)

@@ -361,3 +361,33 @@ class TestAnalyzeTrace:
         assert "thread utilization (wall):" in text
         assert "idle-slot placement (sim):" in text
         assert "CROSSCHECK PROBLEM" not in text
+
+    def test_padding_line_closes_the_save_steps_section(self, traced_run):
+        """How much of a save's packets is padding, and what the landing
+        digests made of it: three gauges, recorded only when traced (gauges
+        because every counter is embedded in the traced campaign reports)."""
+        analysis = analyze_trace(traced_run.trace)
+        share = analysis.padding["save.padding_share"]
+        crcd = analysis.padding["integrity.bytes_digested"]
+        folded = analysis.padding["integrity.bytes_closed_form"]
+        engine = traced_run.engine
+        lengths = engine.payload_lengths(engine.version, [0])
+        packet = engine.host.get(0, ("chunk", engine.version, "data", 0, 0)).size
+        assert share == pytest.approx(1 - sum(lengths) / (len(lengths) * packet))
+        assert crcd + folded == 2 * len(lengths) * packet  # (k + m) / k = 2
+        assert "integrity.bytes_digested" not in traced_run.trace.metrics["counters"]
+        assert 0 < folded < crcd  # two long shards, six short ones
+        lines = render_analysis(analysis).splitlines()
+        section = lines[
+            lines.index("save steps (wall):") : lines.index("restore steps (wall):")
+        ]
+        assert section[-1] == (
+            f"  padding {share:.1%} of packet bytes; landing digests CRC'd "
+            f"{crcd / 2**20:.2f} MiB, closed-form {folded / 2**20:.2f} MiB (last save)"
+        )
+        assert sum("padding" in line for line in lines) == 1
+
+    def test_an_untraced_or_foreign_trace_prints_no_padding_line(self, traced_run):
+        trace = Trace(spans=traced_run.trace.spans, metrics={"counters": {}, "gauges": {}})
+        assert analyze_trace(trace).padding == {}
+        assert "padding" not in render_analysis(analyze_trace(trace))

@@ -235,6 +235,31 @@ def test_analyze_missing_file(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["analyze", "export-trace"])
+@pytest.mark.parametrize("cut", ["mid_line", "empty"])
+def test_a_truncated_trace_is_one_line_on_stderr_not_a_traceback(
+    traced_file, tmp_path, capsys, command, cut
+):
+    """A JSONL cut mid-line (a writer killed mid-write) or down to nothing
+    exits 2 with the reason, like a missing file — no traceback."""
+    whole = traced_file.read_bytes()
+    broken = tmp_path / "trunc.jsonl"
+    broken.write_bytes(whole[:-40] if cut == "mid_line" else b"")
+    code, text = run_cli(command, str(broken))
+    err = capsys.readouterr().err
+    assert code == 2 and text == ""
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+    assert ("invalid JSON" if cut == "mid_line" else "no spans") in err
+    assert not (tmp_path / "trunc.jsonl.perfetto.json").exists()
+
+
+def test_analyze_prints_the_padding_line_under_save_steps(traced_file):
+    code, text = run_cli("analyze", str(traced_file))
+    assert code == 0
+    steps = text.split("save steps (wall):", 1)[1].split("restore steps (wall):", 1)[0]
+    assert "\n  padding " in steps and "closed-form" in steps
+
+
 def test_fleet_campaign_command(tmp_path):
     import json
 
