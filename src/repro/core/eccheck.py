@@ -64,10 +64,12 @@ from repro.core.pipeline import (
 )
 from repro.core.protocol import (
     decode_group_into,
+    derived_digest,
     encode_group_into,
     packet_size_for,
     packetise,
     restore_state_dict,
+    xor_rows,
 )
 from repro.core.reduction import ReductionPlan, build_reduction_plan
 from repro.ec.base import CodeParams
@@ -510,7 +512,8 @@ class ECCheckEngine(CheckpointEngine):
             # What the landing digests CRC / fold in (gauges: counters enter traced reports).
             groups, metrics = self.reduction_plan.groups, tracer.metrics
             reach = [live_prefix(packet_size, n) for n in lengths]
-            crcd = sum(reach) + plan.m * sum(max(reach[w] for w in g.workers) for g in groups)
+            crcd_parities = plan.m - len(xor_rows(self.code))  # the rest are derived
+            crcd = sum(reach) + crcd_parities * sum(max(reach[w] for w in g.workers) for g in groups)
             stored = (len(reach) + plan.m * len(groups)) * packet_size
             metrics.gauge("save.padding_share").set(1 - sum(lengths) / (len(reach) * packet_size))
             metrics.gauge("integrity.bytes_digested").set(crcd)
@@ -542,20 +545,24 @@ class ECCheckEngine(CheckpointEngine):
         def stage_transfer(item):
             group, parity_packets = item
             r = group.index
+            # Landing digests: a data chunk's is its source packet's, taken
+            # before the copy lands; an all-ones parity row's is derived.
+            sources = [checkpoints[members[r]].packet for members in plan.data_group]
+            known = {j: chunk_digest(p.payload, p.original_length) for j, p in enumerate(sources)}
             # P2P: the reduced parity packets move to their parity nodes,
             # this group's data packets settle onto their data nodes.
             for i, parity_node in enumerate(plan.parity_nodes):
                 self._fire("mid_p2p", version=version, group=r, kind="parity", chunk=i)
                 self._store_chunk_packet(
                     parity_node, version, "parity", i, r, parity_packets[i],
+                    digest=derived_digest(self.code, known, plan.k + i, packet_size),
                     live=max(lengths[w] for w in group.workers),
                 )
-            for j, members in enumerate(plan.data_group):
+            for j, source in enumerate(sources):
                 self._fire("mid_p2p", version=version, group=r, kind="data", chunk=j)
                 self._store_chunk_packet(
                     plan.data_nodes[j], version, "data", j, r,
-                    checkpoints[members[r]].packet.payload.copy(),
-                    live=lengths[members[r]],
+                    source.payload.copy(), digest=known[j],
                 )
             return r
 
@@ -1306,8 +1313,10 @@ class ECCheckEngine(CheckpointEngine):
         A decoded data buffer *becomes* the stored chunk (install took its
         own copy); the lost parity rows — only those — are re-encoded in
         one fused pass per reduction group, straight into the buffers
-        that are stored.  Chunks that never left are not touched.
-        Returns the lost parity indices.
+        that are stored.  Chunks that never left are not touched.  A
+        rebuilt chunk's digest is derived (:func:`derived_digest`) from the
+        verified survivors' and the ones stored before it when algebra
+        determines it, else CRC'd.  Returns the lost parity indices.
         """
         code = self.code_for(plan.k, plan.m)
         groups = range(len(plan.data_group[0]))
@@ -1316,16 +1325,28 @@ class ECCheckEngine(CheckpointEngine):
             i for i in range(plan.m) if (plan.k + i) not in chunk_available
         ]
         lengths = self.payload_lengths(version, list(chunk_available.values()))
-        with obs.get_tracer().span("eccheck.restore.step4", step="step4_rebuild_redundancy"):
+        chunk_of = {c: ("data", c) if c < plan.k else ("parity", c - plan.k) for c in range(plan.k + plan.m)}
+        known = [  # per group: chunk id -> digest, the survivors' first
+            {c: self.host.get(node, self.digest_key(version, *chunk_of[c], r))
+             for c, node in chunk_available.items()}
+            for r in groups
+        ]
+        counts = {"restore.digests_crcd": 0, "restore.digests_derived": 0}
+
+        def store(node: int, cid: int, r: int, payload: np.ndarray) -> None:
+            digest = derived_digest(code, known[r], cid, payload.size)
+            counts["restore.digests_crcd" if digest is None else "restore.digests_derived"] += 1
+            if digest is None:
+                digest = chunk_digest(payload, self.live_bytes(plan, lengths, *chunk_of[cid], r))
+            known[r][cid] = digest
+            self._store_chunk_packet(node, version, *chunk_of[cid], r, payload, digest)
+
+        tracer = obs.get_tracer()
+        with tracer.span("eccheck.restore.step4", step="step4_rebuild_redundancy"):
             for j in lost_data:
                 for r in groups:
-                    self._store_chunk_packet(
-                        plan.data_nodes[j], version, "data", j, r, packets[(j, r)],
-                        live=self.live_bytes(plan, lengths, "data", j, r),
-                    )
-            if not lost_parities:
-                return lost_parities
-            for r in groups:
+                    store(plan.data_nodes[j], j, r, packets[(j, r)])
+            for r in groups if lost_parities else ():
                 group = [packets[(j, r)] for j in range(plan.k)]
                 rebuilt = [np.empty_like(group[0]) for _ in lost_parities]
                 encode_group_into(
@@ -1333,10 +1354,10 @@ class ECCheckEngine(CheckpointEngine):
                     lengths=lengths and [lengths[g[r]] for g in plan.data_group],
                 )
                 for i, packet in zip(lost_parities, rebuilt):
-                    self._store_chunk_packet(
-                        plan.parity_nodes[i], version, "parity", i, r, packet,
-                        live=self.live_bytes(plan, lengths, "parity", i, r),
-                    )
+                    store(plan.parity_nodes[i], plan.k + i, r, packet)
+        if tracer.enabled:  # gauges of the last restore: counters enter traced reports
+            for name, value in counts.items():
+                tracer.metrics.gauge(name).set(value)
         return lost_parities
 
     def _restore_from_backup(

@@ -17,6 +17,10 @@ CRC-32 is also *affine* over GF(2) — ``crc(a ^ b) = crc(a) ^ crc(b) ^
 crc(0^n)`` for ``n``-byte buffers — which is what lets a delta save derive
 a patched chunk's digest from the old digest and the dirty pieces alone
 (:func:`patch_digest`), the RAID small-write rule applied to the checksum.
+The same identity over ``n`` chunks (:func:`xor_digest`) gives a chunk
+that is the XOR of others — parity 0, or a data chunk rebuilt as parity 0
+XOR the rest — its digest without reading it: the digest of the bytes it
+*should* hold, so a wrong encode or decode fails the next verification.
 
 Padding is arithmetic, not work: a caller that holds a zero-padded
 packet's true length passes it as ``live``, and :func:`chunk_digest` CRCs
@@ -116,6 +120,15 @@ def patch_digest(digest: int, size: int, start: int, piece: np.ndarray) -> int:
             f"piece [{start}, {start + piece.size}) is outside a {size}-byte chunk"
         )
     return digest ^ _multmodp(_x8n(tail), chunk_digest(piece) ^ crc32_zeros(piece.size))
+
+
+def xor_digest(digests: list[int], size: int) -> int:
+    """Digest of the XOR of ``n`` ``size``-byte chunks from their digests:
+    ``crc(x_1 ^ ... ^ x_n) = XOR crc(x_i) ^ [n even] crc(0^size)``."""
+    out = crc32_zeros(size) if len(digests) % 2 == 0 else 0
+    for digest in digests:
+        out ^= digest
+    return out
 
 
 def verify_chunk(

@@ -21,12 +21,13 @@ any sum: told the payload lengths the metadata records, the fused kernel
 
 from __future__ import annotations
 
+import pickle
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.errors import CheckpointError, DecodeError, FieldError
-from repro.core.integrity import live_prefix
+from repro.core.integrity import live_prefix, xor_digest
 from repro.ec.base import ErasureCode
 from repro.ec.kernels import DEFAULT_CHUNK_BYTES, xor_reduce_arrays
 from repro.gf.field import GF
@@ -110,22 +111,32 @@ def build_worker_checkpoint(
     )
 
 
+#: What unpickling rotten bytes, or unpacking rows from what came out, raises.
+_ROTTEN_PICKLE = (pickle.UnpicklingError, EOFError, ValueError, TypeError, LookupError, AttributeError, ImportError)
+
+
 def restore_state_dict(
     metadata_blob: bytes, packet_payload: np.ndarray, device: str = CPU
 ) -> dict:
     """Inverse of :func:`build_worker_checkpoint`: packet bytes -> state_dict.
 
-    Every tensor is one copy out of ``packet_payload``, built on ``device``.
+    The live prefix is copied once, into a buffer the returned state owns,
+    and every tensor (on ``device``) views its slice of it: the state never
+    aliases ``packet_payload``, which may be a stored chunk.  A blob that
+    does not describe its bytes, or a short packet, is a ``DecodeError``.
     """
-    decomposition = Decomposition.from_metadata_blob(metadata_blob)
-    total = sum(meta.nbytes for meta in decomposition.tensor_meta)
+    try:
+        decomposition = Decomposition.from_metadata_blob(metadata_blob)
+        total = sum(meta.nbytes for meta in decomposition.tensor_meta)
+    except _ROTTEN_PICKLE as exc:
+        raise DecodeError(f"metadata blob is not a tensor layout: {exc!r}") from exc
     if packet_payload.nbytes < total:
         raise DecodeError(
             f"packet holds {packet_payload.nbytes} bytes but metadata "
             f"describes {total}"
         )
     decomposition.tensor_data = decomposition.split_tensor_bytes(
-        np.ascontiguousarray(packet_payload[:total], dtype=np.uint8)
+        np.array(packet_payload[:total], dtype=np.uint8)
     )
     return recompose_state_dict(decomposition, device)
 
@@ -166,6 +177,29 @@ def xor_reduce(encoded_packets: list[np.ndarray]) -> np.ndarray:
     if not encoded_packets:
         raise CheckpointError("nothing to reduce")
     return xor_reduce_arrays(encoded_packets)
+
+
+def xor_rows(code: ErasureCode) -> list[int]:
+    """Parity rows that are the plain XOR of the data chunks (all ones)."""
+    return [i for i, row in enumerate(code.parity_matrix) if all(int(c) == 1 for c in row)]
+
+
+def derived_digest(
+    code: ErasureCode, known: dict[int, int], cid: int, size: int
+) -> int | None:
+    """Chunk ``cid``'s digest by CRC-32 algebra, or None.
+
+    An all-ones parity row ``i`` makes any one of data chunks ``0..k-1``
+    and parity ``k + i`` the XOR of the other ``k``; if ``known`` (chunk
+    id -> digest) holds all of theirs, ``cid``'s follows by
+    :func:`~repro.core.integrity.xor_digest` without reading its bytes.
+    """
+    k = code.params.k
+    for i in xor_rows(code):
+        others = [c for c in (*range(k), k + i) if c != cid]
+        if len(others) == k and all(c in known for c in others):
+            return xor_digest([known[c] for c in others], size)
+    return None
 
 
 def _apply_rows(

@@ -379,6 +379,7 @@ _STAGE_ROWS = {PIPELINE_STAGES[0]: "step3_encode", PIPELINE_STAGES[2]: "step3_tr
 
 
 PADDING_METRICS = ("save.padding_share", "integrity.bytes_digested", "integrity.bytes_closed_form")
+RESTORE_DIGEST_METRICS = ("restore.digests_crcd", "restore.digests_derived")
 
 
 def save_step_wall(spans: Iterable[Dict[str, Any]]) -> Dict[str, float]:
@@ -457,6 +458,8 @@ class TraceAnalysis:
     padding: Dict[str, float] = field(default_factory=dict)
     #: Wall seconds per restore step (see :func:`restore_step_wall`).
     restore_step_wall: Dict[str, float] = field(default_factory=dict)
+    #: The ``RESTORE_DIGEST_METRICS`` gauges of the last traced restore.
+    restore_digests: Dict[str, float] = field(default_factory=dict)
     #: Elastic-membership spans: background repair (derive/stream/commit)
     #: and degraded regroups, empty for traces without an elastic run.
     repair_phase_totals: Dict[str, float] = field(default_factory=dict)
@@ -498,6 +501,7 @@ def analyze_trace(
     gauges = trace.metrics.get("gauges", {})
     analysis = TraceAnalysis(
         padding={name: gauges[name] for name in PADDING_METRICS if name in gauges},
+        restore_digests={n: gauges[n] for n in RESTORE_DIGEST_METRICS if n in gauges},
         save_phase_totals=phase_totals(trace.spans, kind="save"),
         restore_phase_totals=phase_totals(trace.spans, kind="restore"),
         save_step_wall=save_step_wall(trace.spans),
@@ -555,6 +559,12 @@ def render_analysis(analysis: TraceAnalysis) -> str:
             )
     if analysis.restore_step_wall:
         lines += _phase_lines("restore steps (wall):", analysis.restore_step_wall)
+        if len(analysis.restore_digests) == len(RESTORE_DIGEST_METRICS):
+            crcd, derived = (analysis.restore_digests[n] for n in RESTORE_DIGEST_METRICS)
+            lines.append(
+                f"  digests of rebuilt chunk packets: {crcd:.0f} CRC'd, "
+                f"{derived:.0f} derived by XOR algebra (last restore)"
+            )
     if analysis.repair_phase_totals:
         lines += _phase_lines("repair phases (sim):", analysis.repair_phase_totals)
     if analysis.regroup_phase_totals:

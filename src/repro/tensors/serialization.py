@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import ReproError
+from repro.errors import DecodeError, ReproError
 from repro.tensors.state_dict import (
     Path,
     flatten_state_dict,
@@ -133,11 +133,12 @@ class Decomposition:
         return np.concatenate([buf.reshape(-1) for buf in self.tensor_data], out=out)
 
     def split_tensor_bytes(self, blob: np.ndarray) -> list[np.ndarray]:
-        """Split a contiguous byte array back into per-tensor buffers."""
+        """Split a flat contiguous uint8 array into per-tensor buffers: views
+        of ``blob``, no copy."""
         out: list[np.ndarray] = []
         offset = 0
         for meta in self.tensor_meta:
-            out.append(np.ascontiguousarray(blob[offset : offset + meta.nbytes], dtype=np.uint8))
+            out.append(blob[offset : offset + meta.nbytes])
             offset += meta.nbytes
         if offset > blob.nbytes:
             raise ReproError(
@@ -202,11 +203,16 @@ def decompose_state_dict(
 def recompose_state_dict(decomposition: Decomposition, device: str = CPU) -> dict:
     """Rebuild the original state dict from a decomposition.
 
-    Every tensor is built on ``device`` with one copy of its buffer.
+    Every tensor on ``device`` is a *view* of its buffer: the caller owns
+    ``tensor_data`` and hands it over (``restore_state_dict`` slices one
+    fresh copy per worker, a copying ``decompose_state_dict`` made its
+    own).  A view numpy reports unaligned is copied, that tensor alone.
 
     Raises:
         ReproError: if tensor data is missing or sized inconsistently with
             the tensor metadata.
+        DecodeError: naming the row, if a row's dtype or shape does not
+            describe its bytes.
     """
     if len(decomposition.tensor_data) != len(decomposition.tensor_meta):
         raise ReproError(
@@ -214,12 +220,21 @@ def recompose_state_dict(decomposition: Decomposition, device: str = CPU) -> dic
             f"{len(decomposition.tensor_data)} buffers supplied"
         )
     flat: dict[Path, object] = dict(decomposition.non_tensor_kv)
-    for meta, raw in zip(decomposition.tensor_meta, decomposition.tensor_data):
+    dtypes: dict[str, np.dtype] = {}
+    for row, (meta, raw) in enumerate(zip(decomposition.tensor_meta, decomposition.tensor_data)):
         if raw.nbytes != meta.nbytes:
             raise ReproError(
                 f"tensor {meta.path!r} expects {meta.nbytes} bytes, got {raw.nbytes}"
             )
-        flat[meta.path] = SimTensor.from_bytes(
-            raw, np.dtype(meta.dtype), meta.shape, device
-        )
+        try:
+            dtype = dtypes.get(meta.dtype)
+            if dtype is None:
+                dtype = dtypes[meta.dtype] = np.dtype(meta.dtype)
+            data = raw.view(dtype).reshape(meta.shape)  # a view refuses object dtypes
+        except (TypeError, ValueError) as exc:
+            raise DecodeError(
+                f"metadata row {row} ({meta.path!r}: {meta.dtype!r} {meta.shape!r}, "
+                f"{meta.nbytes} bytes) does not describe its bytes: {exc}"
+            ) from exc
+        flat[meta.path] = SimTensor(data if data.flags.aligned else data.copy(), device)
     return unflatten_state_dict(flat)

@@ -36,7 +36,8 @@ def flatten_state_dict(state_dict: dict) -> dict[Path, Any]:
 
 
 def unflatten_state_dict(flat: dict[Path, Any]) -> dict:
-    """Inverse of :func:`flatten_state_dict`."""
+    """Inverse of :func:`flatten_state_dict`; a path that is both a leaf
+    and a subtree, in either order, is a ``ReproError``."""
     root: dict = {}
     for path, value in flat.items():
         if not path:
@@ -46,6 +47,8 @@ def unflatten_state_dict(flat: dict[Path, Any]) -> dict:
             node = node.setdefault(key, {})
             if not isinstance(node, dict):
                 raise ReproError(f"path collision at {path!r}")
+        if path[-1] in node:  # paths are unique: what is there is a subtree
+            raise ReproError(f"path collision at {path!r}")
         node[path[-1]] = value
     return root
 

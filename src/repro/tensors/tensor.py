@@ -75,7 +75,8 @@ class SimTensor:
     ) -> "SimTensor":
         """Rebuild a tensor from raw bytes plus its dtype/shape metadata.
 
-        The tensor owns its storage: exactly one copy out of ``raw``.
+        The tensor owns its storage: exactly one copy out of ``raw`` (the
+        full-serialization path; a restore views one buffer per worker).
         """
         if isinstance(raw, np.ndarray):
             buf = np.array(raw, order="C").reshape(-1).view(np.uint8)

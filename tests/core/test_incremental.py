@@ -492,15 +492,19 @@ def test_delta_save_touches_exactly_the_union_dirty_ranges(monkeypatch, dirty):
     full = (counters.encoded, counters.digested)
     packet = engine._last_packets[0].nbytes
     # A full save encodes and digests live bytes, not ``world x packet``:
-    # a data packet's own, a parity packet's group's longest.
+    # a data packet's own, a parity packet's group's longest — and CRCs
+    # no parity 0, whose digest is the XOR of its data packets'.
     lengths = [engine.host.get(0, ("meta", 1, w))[1] for w in range(job.world_size)]
     longest = [max(lengths[w] for w in group.workers) for group in groups]
+    parity_bytes = sum(touched(packet, n) for n in longest)
     assert full == (
         sum(touched(packet, n) for n in lengths),
-        sum(touched(packet, n) for n in lengths)
-        + plan.m * sum(touched(packet, n) for n in longest),
+        sum(touched(packet, n) for n in lengths) + (plan.m - 1) * parity_bytes,
     )
+    assert full[1] == 11_563_520  # 15,903,488 when parity 0 was CRC'd too
     assert full[0] < 0.7 * job.world_size * packet  # two long shards, six short
+    # A delta patches every parity digest: its ceiling CRCs parity 0 too.
+    digest_ceiling = full[1] + parity_bytes
 
     old = {w: p.copy() for w, p in engine._last_packets.items()}
     ADVANCES[dirty](job)
@@ -531,9 +535,9 @@ def test_delta_save_touches_exactly_the_union_dirty_ranges(monkeypatch, dirty):
         assert own == union == 0
     if dirty == "one_tensor":
         assert 0 < counters.encoded < 0.15 * full[0]  # of live bytes, no longer of padded ones
-        assert 0 < counters.digested < 0.1 * full[1]
+        assert 0 < counters.digested < 0.1 * digest_ceiling
     # The ceiling is a full save's bytes, never more.
-    assert counters.encoded <= full[0] and counters.digested <= full[1]
+    assert counters.encoded <= full[0] and counters.digested <= digest_ceiling
 
 
 # ---------------------------------------------------------------------------

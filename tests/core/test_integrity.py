@@ -1,5 +1,7 @@
 """Tests for chunk integrity verification and corruption recovery."""
 
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from repro.core.integrity import (
     live_prefix,
     patch_digest,
     verify_chunk,
+    xor_digest,
 )
 from repro.ec.kernels import DEFAULT_CHUNK_BYTES as BLOCK
 from repro.parallel.strategy import ParallelismSpec
@@ -359,3 +362,135 @@ def test_a_version_without_metadata_records_still_verifies_in_full(kind):
     assert engine._chunk_intact(node, 1, kind, idx)
     corrupt_buffer(engine.host.get(node, ("chunk", 1, kind, idx, r)), live, mask=0x04)
     assert not engine._chunk_intact(node, 1, kind, idx)
+
+
+# ---------------------------------------------------------------------------
+# Digests by algebra: a chunk that is the XOR of others is not CRC'd
+# ---------------------------------------------------------------------------
+@settings(deadline=None)
+@given(
+    n=st.integers(1, 6),
+    size=st.sampled_from([0, 1, 7, BLOCK - 1, BLOCK, BLOCK + 1]),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_xor_digest_is_the_crc_of_the_xor(n, size, seed):
+    import zlib
+
+    rng = np.random.default_rng(seed)
+    chunks = [rng.integers(0, 256, size, dtype=np.uint8) for _ in range(n)]
+    assert xor_digest([zlib.crc32(c) for c in chunks], size) == zlib.crc32(
+        reduce(np.bitwise_xor, chunks)
+    )
+
+
+#: name -> failed nodes, as a function of the placement: the ledger's four
+#: patterns. At (2, 2) parity 0 = d0 ^ d1, so of the chunks lost per group
+#: one digest is always derived and the rest CRC'd.
+LOSS_PATTERNS = {
+    "parity1": lambda plan: {plan.parity_nodes[0]},
+    "data1": lambda plan: {plan.data_nodes[0]},
+    "data2": lambda plan: set(plan.data_nodes[:2]),
+    "data1_parity1": lambda plan: {plan.data_nodes[0], plan.parity_nodes[0]},
+}
+
+
+def assert_every_digest_is_the_crc(engine, version):
+    """Returns how many of ``version``'s host digests it checked."""
+    import zlib
+
+    checked = 0
+    for node in range(4):
+        for key in engine.host.keys(node):
+            if key[0] == "digest" and key[1] == version:
+                chunk = engine.host.get(node, ("chunk",) + key[1:])
+                assert engine.host.get(node, key) == zlib.crc32(chunk), (node, key)
+                checked += 1
+    return checked
+
+
+class CRCCalls:
+    """Counts ``zlib.crc32`` calls made inside ``_rebuild_redundancy``."""
+
+    def __init__(self, monkeypatch, engine):
+        import zlib
+
+        self.calls, self.inside = 0, False
+        crc32, rebuild = zlib.crc32, engine._rebuild_redundancy
+
+        def counting_crc32(data, *args):
+            self.calls += self.inside
+            return crc32(data, *args)
+
+        def counted_rebuild(*args, **kwargs):
+            self.inside = True
+            try:
+                return rebuild(*args, **kwargs)
+            finally:
+                self.inside = False
+
+        monkeypatch.setattr(zlib, "crc32", counting_crc32)
+        monkeypatch.setattr(engine, "_rebuild_redundancy", counted_rebuild)
+
+
+@pytest.mark.parametrize("pattern", [*LOSS_PATTERNS, "disk_promotion"])
+def test_rebuilt_digests_equal_the_crc_and_one_per_group_is_derived(monkeypatch, pattern):
+    from repro import obs
+
+    job, engine = make_engine()
+    engine.save()
+    reference = job.snapshot_states()
+    plan = engine.placement
+    groups = len(plan.data_group[0])
+    job.advance()
+    if pattern == "disk_promotion":
+        engine.save()
+        engine.demote_version(1)
+        failed = set(range(4))  # every memory copy gone: v1 comes back from disk
+        lost = 0
+    else:
+        failed = LOSS_PATTERNS[pattern](plan)
+        nodes = list(plan.data_nodes) + list(plan.parity_nodes)
+        lost = sum(node in failed for node in nodes)
+    counter = CRCCalls(monkeypatch, engine)
+    job.fail_nodes(failed)
+    with obs.use_tracer() as tracer:
+        report = engine.restore(failed)
+    assert report.version == 1 and report.tier == ("disk" if lost == 0 else "memory")
+    verify_all(job, reference)
+    assert assert_every_digest_is_the_crc(engine, 1) == 4 * groups
+    # The parent CRC'd every rebuilt chunk packet: ``lost`` per group.
+    derived = groups if lost else 0
+    assert counter.calls == lost * groups - derived
+    gauges = tracer.metrics.snapshot()["gauges"]
+    assert gauges["restore.digests_crcd"] == counter.calls
+    assert gauges["restore.digests_derived"] == derived
+
+
+def test_a_wrong_decode_of_an_xor_row_chunk_is_caught_not_blessed(monkeypatch):
+    """d0 lost: it is rebuilt as p0 ^ d1 and its digest derived from theirs,
+    so a byte the decode got wrong is rot at the next check — a digest
+    CRC'd from the decoded bytes would have blessed it."""
+    from repro.core import eccheck
+
+    job, engine = make_engine()
+    engine.save()
+    reference = job.snapshot_states()
+    plan = engine.placement
+    decode = eccheck.decode_group_into
+
+    def wrong_decode(code, available, lost, out, lengths=None):
+        decode(code, available, lost, out, lengths)
+        corrupt_buffer(out[0], 3, mask=0x20)
+
+    monkeypatch.setattr(eccheck, "decode_group_into", wrong_decode)
+    failed = {plan.data_nodes[0]}
+    job.fail_nodes(failed)
+    engine.restore(failed)
+    monkeypatch.undo()
+    assert not engine._chunk_intact(plan.data_nodes[0], 1, "data", 0)
+    with pytest.raises(CheckpointError, match="not fully intact"):
+        engine.demote_version(1)
+    report = engine.restore(set())
+    assert report.breakdown["decode"] > 0  # the rebuilt d0 was an erasure
+    verify_all(job, reference)
+    assert engine._memory_version_intact(1)

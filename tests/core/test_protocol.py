@@ -1,6 +1,7 @@
 """Tests for the serialization-free encoding/decoding protocol."""
 
 import itertools
+import pickle
 
 import numpy as np
 import pytest
@@ -24,7 +25,8 @@ from repro.ec.cauchy import CauchyRSCode
 from repro.ec.kernels import DEFAULT_CHUNK_BYTES as BLOCK
 from repro.models.factory import build_worker_state_dict
 from repro.tensors.serialization import decompose_state_dict
-from repro.tensors.state_dict import state_dicts_equal
+from repro.tensors.state_dict import state_dicts_equal, tensor_items
+from repro.tensors.tensor import GPU, SimTensor
 
 
 @pytest.fixture
@@ -74,6 +76,74 @@ def test_restore_rejects_short_packet():
     wc = build_worker_checkpoint(0, state, packet_size=packet_size_for([1 << 16]))
     with pytest.raises(DecodeError):
         restore_state_dict(wc.metadata_blob, wc.packet.payload[:8])
+
+
+def mixed_state():
+    """float16 x 3, float64, int8 x 5, float32, a 0-byte tensor, a scalar:
+    most rows start off their dtype's alignment in the packed packet."""
+    rng = np.random.default_rng(7)
+    tensors = [
+        rng.standard_normal(n).astype(np.float16) for n in (3, 5, 1)
+    ] + [rng.standard_normal((2, 3))]
+    tensors += [rng.integers(-128, 127, n, dtype=np.int8) for n in (1, 2, 3, 4, 5)]
+    tensors += [
+        rng.standard_normal(6).astype(np.float32),
+        np.zeros((0, 4), dtype=np.float32),
+        np.array(2.5),
+    ]
+    return {
+        "model": {f"t{i}": SimTensor(t, GPU) for i, t in enumerate(tensors)},
+        "iteration": 3,
+    }
+
+
+def test_a_mixed_dtype_layout_restores_bit_exact_and_aligned():
+    state = mixed_state()
+    wc = build_worker_checkpoint(0, state, packet_size=packet_size_for([256]))
+    restored = restore_state_dict(
+        wc.metadata_blob, wc.packet.payload[: wc.packet.original_length], GPU
+    )
+    assert state_dicts_equal(state, restored)
+    tensors = [t for _, t in tensor_items(restored)]
+    assert all(t.data.flags.aligned and t.device == GPU for t in tensors)
+    # One buffer per worker, viewed: the aligned rows own no memory, and
+    # nothing is shared with the packet.
+    assert not tensors[0].data.flags.owndata
+    assert not any(np.shares_memory(t.data, wc.packet.payload) for t in tensors)
+
+
+def rotten_blobs():
+    """name -> (state, metadata blob that does not describe its bytes)."""
+    state = {
+        "model": {"w": SimTensor(np.arange(6, dtype=np.float32), GPU)},
+        "iteration": 3,
+    }
+    blob = decompose_state_dict(state).metadata_blob()
+    non_tensor, rows = pickle.loads(blob)
+    (path, dtype, shape, nbytes), = rows
+
+    def with_row(*row):
+        return pickle.dumps((non_tensor, [row]), protocol=pickle.HIGHEST_PROTOCOL)
+
+    return state, {
+        "truncated": blob[:-5],
+        "zeros": b"\x00" * 20,
+        "nbytes_short": with_row(path, dtype, shape, nbytes - 4),
+        "shape_too_long": with_row(path, dtype, (7,), nbytes),
+        "dtype_unknown": with_row(path, "floaty", shape, nbytes),
+    }
+
+
+@pytest.mark.parametrize(
+    "rot", ["truncated", "zeros", "nbytes_short", "shape_too_long", "dtype_unknown"]
+)
+def test_a_blob_that_does_not_describe_its_bytes_is_a_decode_error(rot):
+    """Each used to escape as UnpicklingError, ValueError or TypeError."""
+    state, blobs = rotten_blobs()
+    wc = build_worker_checkpoint(0, state, packet_size=packet_size_for([64]))
+    named = None if rot in ("truncated", "zeros") else r"row 0 \(\('model', 'w'\)"
+    with pytest.raises(DecodeError, match=named):
+        restore_state_dict(blobs[rot], wc.packet.payload)
 
 
 def test_encode_packet_applies_parity_coefficients(code):

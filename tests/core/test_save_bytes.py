@@ -190,6 +190,23 @@ def assert_owners_disjoint(job, buffers):
     assert unchanged()
     for view, before in zip(job_views, job_snapshot):
         view[:] = before
+    # A restored worker's tensors are views of one buffer: flipping a byte
+    # of one may move no other tensor of any worker and no buffer.  For
+    # real at each worker's first and last tensor; for every tensor by
+    # address: no two of these contiguous arrays may share a byte.
+    everything = job_views + [array for _, _, array in flat]
+    concatenated = np.concatenate(everything)
+    offsets = np.cumsum([0] + [a.size for a in everything])
+    counts = [len(list(tensor_items(job.state_of(w)))) for w in range(job.world_size)]
+    firsts = np.cumsum([0] + counts[:-1])
+    for index in {*firsts, *(firsts + np.array(counts) - 1)}:
+        view = job_views[index]
+        corrupt_buffer(view, view.size // 2)
+        moved = np.flatnonzero(np.concatenate(everything) != concatenated)
+        assert moved.tolist() == [offsets[index] + view.size // 2], index
+        corrupt_buffer(view, view.size // 2)
+    ranges = sorted((a.ctypes.data, a.nbytes) for a in everything if a.size)
+    assert all(start + size <= after for (start, size), (after, _) in zip(ranges, ranges[1:]))
 
 
 def crash_and_verify(job, engine, failed=frozenset({0, 2})):

@@ -387,6 +387,26 @@ class TestAnalyzeTrace:
         )
         assert sum("padding" in line for line in lines) == 1
 
+    def test_digests_line_closes_the_restore_steps_section(self, traced_run):
+        """How the last restore's rebuilt digests were made: two gauges (not
+        counters, which the traced campaign reports embed)."""
+        analysis = analyze_trace(traced_run.trace)
+        crcd = analysis.restore_digests["restore.digests_crcd"]
+        derived = analysis.restore_digests["restore.digests_derived"]
+        assert "restore.digests_crcd" not in traced_run.trace.metrics["counters"]
+        engine = traced_run.engine
+        plan = engine.placement_of(traced_run.recovery_reports[-1].version)
+        assert plan.parity_nodes[0] == 1  # the failed node held parity 0: all derived
+        assert (crcd, derived) == (0, len(plan.data_group[0]))
+        lines = render_analysis(analysis).splitlines()
+        start = lines.index("restore steps (wall):")
+        end = next(i for i in range(start + 1, len(lines)) if not lines[i].startswith(" "))
+        assert lines[end - 1] == (
+            "  digests of rebuilt chunk packets: 0 CRC'd, "
+            f"{derived:.0f} derived by XOR algebra (last restore)"
+        )
+        assert any("(unattributed)" in line for line in lines[start:end])
+
     def test_an_untraced_or_foreign_trace_prints_no_padding_line(self, traced_run):
         trace = Trace(spans=traced_run.trace.spans, metrics={"counters": {}, "gauges": {}})
         assert analyze_trace(trace).padding == {}

@@ -50,6 +50,18 @@ def test_unflatten_rejects_path_collision():
         unflatten_state_dict({("a",): 1, ("a", "b"): 2})
 
 
+@pytest.mark.parametrize("leaf_first", [True, False], ids=["leaf_first", "subtree_first"])
+def test_unflatten_rejects_a_leaf_and_a_subtree_at_one_path_in_either_order(leaf_first):
+    """The subtree first used to be overwritten by the leaf silently."""
+    leaf, subtree = (("a",), 2), (("a", "b"), 1)
+    flat = dict([leaf, subtree] if leaf_first else [subtree, leaf])
+    with pytest.raises(ReproError, match="path collision"):
+        unflatten_state_dict(flat)
+    # Also when another parent was walked in between.
+    with pytest.raises(ReproError, match="path collision"):
+        unflatten_state_dict({("x", "a", "b"): 1, ("y",): 0, ("x", "a"): 2})
+
+
 def test_tensor_items_only_tensors(sample):
     items = list(tensor_items(sample))
     assert len(items) == 2
