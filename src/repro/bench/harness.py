@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any
 
 from repro.errors import ReproError
 from repro.checkpoint.job import TrainingJob
@@ -102,11 +102,3 @@ class ExperimentTable:
         for row in cells:
             lines.append(" | ".join(cell.ljust(w) for cell, w in zip(row, widths)))
         return "\n".join(lines)
-
-
-def run_and_print(driver: Callable[[], ExperimentTable]) -> ExperimentTable:
-    """Run a driver and print its table (the bench targets' common body)."""
-    table = driver()
-    print()
-    print(table.render())
-    return table

@@ -39,6 +39,7 @@ from repro.chaos.harness import (
     recover,
 )
 from repro.chaos.injection import CrashPlan
+from repro.checkpoint.base import SupportsReplication
 from repro.checkpoint.manager import CheckpointManager
 from repro.obs.timeseries import ManualClock
 from repro.sim.failures import (
@@ -200,7 +201,7 @@ def _run_episode_impl(
     job, engine = build_testbed(
         engine_name, config.model, config.scale, config.seed * 7919 + episode
     )
-    if hasattr(engine, "replicate_iteration") and engine_name not in ENGINES:
+    if isinstance(engine, SupportsReplication):
         # The generic campaign's torn-version accounting assumes crashes
         # happen inside *saves*; streaming engines also crash inside
         # replicate calls, which the replay-aware hybrid campaign models.

@@ -62,6 +62,7 @@ from repro.chaos.harness import (
     recover,
 )
 from repro.chaos.injection import CrashPlan
+from repro.checkpoint.base import SupportsReplication
 from repro.checkpoint.manager import CheckpointManager
 from repro.obs.alerts import AlertRule
 from repro.obs.timeseries import ManualClock
@@ -425,7 +426,9 @@ def _run_episode_impl(
         recoveries=lambda: stats.recoveries,
         iterations_lost=lambda: stats.iterations_lost,
         log_depth=(
-            engine.log_depth if hasattr(engine, "log_depth") else lambda: 0.0
+            engine.log_depth
+            if isinstance(engine, SupportsReplication)
+            else lambda: 0.0
         ),
         torn_entries=lambda: len(torn_entries),
     )
@@ -465,11 +468,9 @@ def _run_episode_impl(
             if not crash_next_save(engine, plan, manager.step):
                 commit()
             elif point in GRAD_POINTS:
+                # Only a streaming engine has replicate crash points.
                 crash_point, crash_during = point, "replicate"
-                base = getattr(engine, "log", None)
-                torn_entries.append(
-                    (base.base_version if base else None, job.iteration)
-                )
+                torn_entries.append((engine.log.base_version, job.iteration))
                 clock.note("replicate_crash", point=point)
             else:
                 crash_point, crash_during = point, "save"

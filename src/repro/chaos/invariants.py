@@ -1,4 +1,4 @@
-"""Recoverability oracles and post-recovery invariant checks.
+"""Recoverability oracle and post-recovery invariant checks.
 
 Everything here re-derives, from raw storage contents only, what a
 correct engine *must* do — deliberately without calling the engines'
@@ -13,208 +13,215 @@ engine to restore; disagreement in either direction is a finding:
 The oracle must run *before* ``restore`` is invoked: restoring wipes the
 failed nodes' host stores, and the oracle reads the same survivor state
 the engine will see.
+
+Two storage rules carry every prediction and every check: a stored
+payload is *missing*, *corrupt* or *whole* (:func:`_state` — an EC chunk
+packet through :func:`_chunk_state`), and a writer's replicated payload
+must be whole on its home or its cross-rack buddy node (the replica
+rule of anchors and gradient-log entries).  Which rules an engine is
+judged by is one entry of :data:`_RULES`, keyed by engine name; the
+hybrid engine's entry is eccheck's, run on its inner engine, plus the
+gradient log's.
 """
 
 from __future__ import annotations
 
+from itertools import combinations
+from typing import Callable, NamedTuple
+
 from repro.core.integrity import verify_chunk
 from repro.tensors.state_dict import state_dicts_equal
 
+#: Store-key kinds of one gradient-log entry and of one anchor packet:
+#: payload, digest, metadata.
+_GRAD_KINDS = ("grad", "graddig", "gradmeta")
+_ANCHOR_KINDS = ("apkt", "adig", "ameta")
+_REFUSED = ("refused", None, None)
+
 
 # ----------------------------------------------------------------------
-# Pre-restore oracles: which version *should* a correct engine restore?
+# The storage rules.
 # ----------------------------------------------------------------------
-def _store_chunk_whole(
-    store, engine, node: int, version: int, kind: str, idx: int, groups: int
-) -> bool:
-    """Every reduction-group packet of a chunk present in ``store`` on
-    ``node`` and passing its CRC."""
-    for r in range(groups):
-        key = engine.chunk_key(version, kind, idx, r)
-        digest_key = engine.digest_key(version, kind, idx, r)
-        if not (store.contains(node, key) and store.contains(node, digest_key)):
-            return False
-        if not verify_chunk(store.get(node, key), store.get(node, digest_key)):
-            return False
-    return True
+def _state(store, node: int, keys: tuple) -> str:
+    """``"missing"`` unless every key is on ``node``, ``"corrupt"`` unless
+    the payload ``keys[0]`` passes the CRC stored under ``keys[1]``, else
+    ``"whole"``."""
+    if not all(store.contains(node, key) for key in keys):
+        return "missing"
+    if not verify_chunk(store.get(node, keys[0]), store.get(node, keys[1])):
+        return "corrupt"
+    return "whole"
 
 
-def _eccheck_memory_qualifies(
-    engine, version: int, survivors: list[int]
-) -> bool:
-    """>= k chunks whole on survivors, metadata reachable — the commit
-    rule, judged against the placement *this* version was written under
-    (elastic regroups mean adjacent versions can differ)."""
+def _chunk_state(
+    store, engine, node: int, version: int, kind: str, idx: int, r: int,
+    epoch: int | None = None,
+) -> str:
+    """The state of reduction-group packet ``r`` of a chunk on ``node``."""
+    chunk = engine.chunk_key(version, kind, idx, r, epoch=epoch)
+    return _state(
+        store, node, (chunk, engine.digest_key(version, kind, idx, r, epoch=epoch))
+    )
+
+
+def _chunk_whole(store, engine, node, version, kind, idx, groups) -> bool:
+    """Every reduction-group packet of a chunk whole on ``node``."""
+    return all(
+        _chunk_state(store, engine, node, version, kind, idx, r) == "whole"
+        for r in range(groups)
+    )
+
+
+def _chunks(plan) -> list[tuple[str, int, int]]:
+    """``(kind, idx, node)`` of every chunk of a placement, data first."""
+    return [("data", j, node) for j, node in enumerate(plan.data_nodes)] + [
+        ("parity", i, node) for i, node in enumerate(plan.parity_nodes)
+    ]
+
+
+def _keys(kinds: tuple[str, ...], tag: int, worker: int) -> tuple:
+    return tuple((kind, tag, worker) for kind in kinds)
+
+
+def _replica_nodes(job, worker: int) -> tuple[int, int]:
+    """A writer's home node and its cross-rack buddy."""
+    from repro.gradrep.gradlog import buddy_of  # placement rule, not recovery
+
+    home = job.node_of(worker)
+    return home, buddy_of(home, job.cluster.num_nodes, job.cluster.nodes_per_rack)
+
+
+def _replicated(engine, kinds, tag: int, live: set[int]) -> bool:
+    """Every writer's payload whole on a live home-or-buddy node."""
+    return all(
+        any(
+            _state(engine.host, node, _keys(kinds, tag, worker)) == "whole"
+            for node in _replica_nodes(engine.job, worker)
+            if node in live
+        )
+        for worker in engine.job.writers
+    )
+
+
+def _replica_violations(engine, kinds, tag: int, label: str) -> list[str]:
+    """Each home or buddy copy that is not whole, named by ``label`` (a
+    format string over ``worker``)."""
+    return [
+        f"{label.format(worker=worker)} {state} on node {node}"
+        for worker in engine.job.writers
+        for node in _replica_nodes(engine.job, worker)
+        if (state := _state(engine.host, node, _keys(kinds, tag, worker)))
+        != "whole"
+    ]
+
+
+def _group_writers(engine, group: list[int]) -> list[int]:
+    """The writers hosted on a base3 replication group's nodes."""
+    writers = set(engine.job.writers)
+    return [
+        w for n in group for w in engine.job.cluster.workers_of(n) if w in writers
+    ]
+
+
+# ----------------------------------------------------------------------
+# Recovery bases: (outcome, version, resume_iteration) a correct restore
+# must land on before any log replay.
+# ----------------------------------------------------------------------
+def _tier_holds(engine, store, version: int, nodes) -> bool:
+    """The commit rule on one tier, against the placement *this* version
+    was written under (elastic regroups mean adjacent versions can
+    differ): >= k chunks whole on ``nodes`` in host memory — every chunk
+    on the disk tier, which outlives its node — and every worker's
+    metadata record on one of ``nodes``."""
     plan = engine.placement_of(version)
     groups = len(plan.data_group[0])
-    whole = 0
-    for j, node in enumerate(plan.data_nodes):
-        if node in survivors and _store_chunk_whole(
-            engine.host, engine, node, version, "data", j, groups
-        ):
-            whole += 1
-    for i, node in enumerate(plan.parity_nodes):
-        if node in survivors and _store_chunk_whole(
-            engine.host, engine, node, version, "parity", i, groups
-        ):
-            whole += 1
-    if whole < plan.k:
+    whole = (
+        _chunk_whole(store, engine, node, version, kind, idx, groups)
+        for kind, idx, node in _chunks(plan)
+        if node in nodes
+    )
+    if store is engine.disk:
+        if not all(whole):
+            return False
+    elif sum(whole) < plan.k:
         return False
     return all(
-        any(
-            engine.host.contains(node, ("meta", version, worker))
-            for node in survivors
-        )
+        any(store.contains(node, ("meta", version, worker)) for node in nodes)
         for worker in range(engine.job.world_size)
     )
 
 
-def _eccheck_disk_qualifies(engine, version: int) -> bool:
-    """Whole version restorable from the local-disk tier: every chunk of
-    the version's plan verifies on its node's disk and every worker's
-    metadata survives on some disk.  Disks survive node failures, so
-    ``failed_nodes`` plays no role here."""
-    plan = engine.placement_of(version)
-    groups = len(plan.data_group[0])
-    for j, node in enumerate(plan.data_nodes):
-        if not _store_chunk_whole(
-            engine.disk, engine, node, version, "data", j, groups
-        ):
-            return False
-    for i, node in enumerate(plan.parity_nodes):
-        if not _store_chunk_whole(
-            engine.disk, engine, node, version, "parity", i, groups
-        ):
-            return False
-    all_nodes = range(engine.job.cluster.num_nodes)
-    return all(
-        any(
-            engine.disk.contains(node, ("meta", version, worker))
-            for node in all_nodes
-        )
-        for worker in range(engine.job.world_size)
-    )
-
-
-def eccheck_memory_version(engine, failed_nodes: set[int]) -> int | None:
-    """Newest in-memory version a correct ECCheck restore must accept.
-
-    A version qualifies when >= k chunks are whole on surviving nodes
-    (every reduction-group packet present and passing its CRC) and every
-    worker's metadata record is reachable on some survivor — the commit
-    rule.  Returns ``None`` when only the disk tier, the remote backup
-    (or nothing) can help.
-    """
-    survivors = [
-        n for n in range(engine.job.cluster.num_nodes) if n not in failed_nodes
-    ]
-    if not survivors:
-        return None
-    for version in range(engine.version, 0, -1):
-        if _eccheck_memory_qualifies(engine, version, survivors):
-            return version
-    return None
-
-
-def eccheck_disk_version(engine) -> int | None:
-    """Newest version fully restorable from the local-disk tier."""
-    for version in range(engine.version, 0, -1):
-        if _eccheck_disk_qualifies(engine, version):
-            return version
-    return None
-
-
-def eccheck_tier_version(
-    engine, failed_nodes: set[int]
-) -> tuple[str, int] | None:
-    """(tier, version) of the newest version restorable from memory or
-    disk — the combined newest-first walk a correct tiered restore does.
-    Memory is preferred at equal version (no promotion cost)."""
-    survivors = [
-        n for n in range(engine.job.cluster.num_nodes) if n not in failed_nodes
-    ]
-    for version in range(engine.version, 0, -1):
-        if survivors and _eccheck_memory_qualifies(engine, version, survivors):
-            return "memory", version
-        if _eccheck_disk_qualifies(engine, version):
-            return "disk", version
-    return None
-
-
-def remote_complete_version(engine) -> int | None:
-    """Newest remote version holding every writer's blob (None if none)."""
+def _remote_base(engine, survivors: list[int]) -> tuple:
+    """Newest remote version holding every writer's blob."""
     for version in range(engine.version, 0, -1):
         if all(
             engine.remote.contains(("ckpt", version, worker))
             for worker in engine.job.writers
         ):
-            return version
-    return None
+            return "backup", version, None
+    return _REFUSED
 
 
-def replication_memory_version(engine, failed_nodes: set[int]) -> int | None:
-    """Newest version a correct base3 restore must accept.
-
-    Requires a survivor in every replication group and the version fully
-    replicated across all survivors (full replication is base3's commit
-    record — a torn broadcast leaves some survivor without a peer's key).
-    """
-    groups = engine.groups()
-    if any(all(n in failed_nodes for n in g) for g in groups):
-        return None
-    writers = set(engine.job.writers)
+def _eccheck_base(engine, survivors: list[int]) -> tuple:
+    """Newest version first across memory and disk (memory preferred at
+    equal version: no promotion cost), then the remote backup."""
+    all_nodes = range(engine.job.cluster.num_nodes)
     for version in range(engine.version, 0, -1):
-        ok = True
-        for group in groups:
-            group_writers = [
-                w
-                for n in group
-                for w in engine.job.cluster.workers_of(n)
-                if w in writers
-            ]
-            for peer in group:
-                if peer in failed_nodes:
-                    continue
-                if not all(
-                    engine.host.contains(peer, ("ckpt", version, w))
-                    for w in group_writers
-                ):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return version
-    return None
+        if survivors and _tier_holds(engine, engine.host, version, survivors):
+            return "memory", version, None
+        if _tier_holds(engine, engine.disk, version, all_nodes):
+            return "disk", version, None
+    return _remote_base(engine, survivors)
+
+
+def _replication_base(engine, survivors: list[int]) -> tuple:
+    """base3: a survivor in every replication group and the version fully
+    replicated across all survivors (full replication is base3's commit
+    record — a torn broadcast leaves some survivor without a peer's key)."""
+    live = set(survivors)
+    groups = [(group, _group_writers(engine, group)) for group in engine.groups()]
+    if any(not live.intersection(group) for group, _ in groups):
+        return _REFUSED
+    for version in range(engine.version, 0, -1):
+        if all(
+            engine.host.contains(peer, ("ckpt", version, w))
+            for group, writers in groups
+            for peer in group
+            if peer in live
+            for w in writers
+        ):
+            return "memory", version, None
+    return _REFUSED
+
+
+def _anchor_base(engine, survivors: list[int]) -> tuple:
+    """gradrep: the ``("anchor", v)`` record on every survivor and every
+    writer's full packet verified on a surviving home-or-buddy node."""
+    if not survivors:
+        return _REFUSED
+    live = set(survivors)
+    for version in range(engine.version, 0, -1):
+        if all(
+            engine.host.contains(node, ("anchor", version)) for node in survivors
+        ) and _replicated(engine, _ANCHOR_KINDS, version, live):
+            record = engine.host.get(survivors[0], ("anchor", version))
+            return "memory", version, int(record["iteration"])
+    return _REFUSED
 
 
 # ----------------------------------------------------------------------
-# Gradient-stream oracles (gradrep / hybrid).  These re-derive the log's
-# replay commit rule from raw host keys — deliberately without calling
+# Gradient-stream oracle (gradrep / hybrid): the log's replay commit rule
+# re-derived from raw host keys — deliberately without calling
 # GradientLog's own query methods, so the hybrid campaign is a real
 # differential test of the engine against an independent reading of the
 # same bytes.
 # ----------------------------------------------------------------------
-def _grad_buddy(job, node: int) -> int:
-    from repro.gradrep.gradlog import buddy_of  # placement rule, not recovery
-
-    cluster = job.cluster
-    return buddy_of(
-        node, cluster.num_nodes, getattr(cluster, "nodes_per_rack", None)
-    )
-
-
 def grad_stream_seqs(engine, survivors: list[int]) -> list[int]:
     """Every log seq with any trace in survivor storage, ascending."""
     seqs = set()
     for node in survivors:
         for key in engine.host.keys(node):
-            if isinstance(key, tuple) and key[0] in (
-                "grad",
-                "graddig",
-                "gradmeta",
-                "gradcommit",
-            ):
+            if isinstance(key, tuple) and key[0] in (*_GRAD_KINDS, "gradcommit"):
                 seqs.add(key[1])
     return sorted(seqs)
 
@@ -233,32 +240,6 @@ def _grad_entry_committed(engine, seq: int, survivors: list[int]) -> dict | None
     return record
 
 
-def _grad_entry_intact(engine, seq: int, survivors: list[int]) -> bool:
-    """Every writer's delta verified on a surviving home-or-buddy node."""
-    live = set(survivors)
-    for worker in engine.job.writers:
-        home = engine.job.node_of(worker)
-        ok = False
-        for node in (home, _grad_buddy(engine.job, home)):
-            if node not in live:
-                continue
-            if not (
-                engine.host.contains(node, ("grad", seq, worker))
-                and engine.host.contains(node, ("graddig", seq, worker))
-                and engine.host.contains(node, ("gradmeta", seq, worker))
-            ):
-                continue
-            if verify_chunk(
-                engine.host.get(node, ("grad", seq, worker)),
-                engine.host.get(node, ("graddig", seq, worker)),
-            ):
-                ok = True
-                break
-        if not ok:
-            return False
-    return True
-
-
 def expected_replay_tail(
     engine, base_version: int, survivors: list[int]
 ) -> list[dict]:
@@ -270,160 +251,16 @@ def expected_replay_tail(
     delta) or based on a different version — everything after a gap
     XORs against the wrong predecessor state.
     """
+    live = set(survivors)
     tail: list[dict] = []
     for seq in grad_stream_seqs(engine, survivors):
         record = _grad_entry_committed(engine, seq, survivors)
         if record is None or record["base_version"] != base_version:
             break
-        if not _grad_entry_intact(engine, seq, survivors):
+        if not _replicated(engine, _GRAD_KINDS, seq, live):
             break
         tail.append(record)
     return tail
-
-
-def _gradrep_anchor_qualifies(
-    engine, version: int, survivors: list[int]
-) -> bool:
-    live = set(survivors)
-    for node in survivors:
-        if not engine.host.contains(node, ("anchor", version)):
-            return False
-    for worker in engine.job.writers:
-        home = engine.job.node_of(worker)
-        ok = False
-        for node in (home, _grad_buddy(engine.job, home)):
-            if node not in live:
-                continue
-            if not all(
-                engine.host.contains(node, (kind, version, worker))
-                for kind in ("apkt", "adig", "ameta")
-            ):
-                continue
-            if verify_chunk(
-                engine.host.get(node, ("apkt", version, worker)),
-                engine.host.get(node, ("adig", version, worker)),
-            ):
-                ok = True
-                break
-        if not ok:
-            return False
-    return True
-
-
-def gradrep_anchor_version(engine, failed_nodes: set[int]) -> int | None:
-    """Newest anchor a correct gradrep restore must accept.
-
-    The anchor commit rule mirrors the log's: the ``("anchor", v)``
-    record on every survivor, and every writer's full packet verified on
-    a surviving home-or-buddy node.
-    """
-    survivors = [
-        n for n in range(engine.job.cluster.num_nodes) if n not in failed_nodes
-    ]
-    if not survivors:
-        return None
-    for version in range(engine.version, 0, -1):
-        if _gradrep_anchor_qualifies(engine, version, survivors):
-            return version
-    return None
-
-
-def expected_recovery(engine, failed_nodes: set[int]) -> dict:
-    """Full recovery prediction: outcome, version, replay depth, resume.
-
-    Extends :func:`expected_outcome` with the temporal leg: how many log
-    entries a correct engine must replay on top of the restored base and
-    which absolute iteration the recovered state must correspond to
-    (``resume_iteration=None`` when the engine has no replay notion or
-    no committed tail survives — the manager's checkpoint ledger then
-    rules).
-    """
-    survivors = [
-        n for n in range(engine.job.cluster.num_nodes) if n not in failed_nodes
-    ]
-    name = engine.name
-    if name == "gradrep":
-        version = gradrep_anchor_version(engine, failed_nodes)
-        if version is None:
-            return {
-                "outcome": "refused",
-                "version": None,
-                "replayed": 0,
-                "resume_iteration": None,
-            }
-        anchor_iteration = int(
-            engine.host.get(survivors[0], ("anchor", version))["iteration"]
-        )
-        tail = expected_replay_tail(engine, version, survivors)
-        resume = int(tail[-1]["iteration"]) if tail else anchor_iteration
-        return {
-            "outcome": "memory",
-            "version": version,
-            "replayed": len(tail),
-            "resume_iteration": resume,
-        }
-    if name == "hybrid":
-        outcome, version = expected_outcome(engine.inner, failed_nodes)
-        if outcome == "refused":
-            return {
-                "outcome": "refused",
-                "version": None,
-                "replayed": 0,
-                "resume_iteration": None,
-            }
-        tail = expected_replay_tail(engine, version, survivors)
-        return {
-            "outcome": outcome,
-            "version": version,
-            "replayed": len(tail),
-            "resume_iteration": int(tail[-1]["iteration"]) if tail else None,
-        }
-    outcome, version = expected_outcome(engine, failed_nodes)
-    return {
-        "outcome": outcome,
-        "version": version,
-        "replayed": 0,
-        "resume_iteration": None,
-    }
-
-
-def expected_outcome(engine, failed_nodes: set[int]) -> tuple[str, int | None]:
-    """(outcome, version) a correct engine must produce for this failure.
-
-    Outcome is ``"memory"``, ``"disk"``, ``"backup"`` or ``"refused"``;
-    the version is the exact checkpoint version the restore must land on
-    (None when refusing is correct).  The tier hierarchy walks newest
-    version first across memory and disk (a version lost from memory but
-    demoted to disk recovers from disk), with the remote backup as the
-    catastrophic fallback.
-    """
-    name = engine.name
-    if name == "eccheck":
-        tiered = eccheck_tier_version(engine, failed_nodes)
-        if tiered is not None:
-            return tiered
-        backup = remote_complete_version(engine)
-        if backup is not None:
-            return "backup", backup
-        return "refused", None
-    if name == "base3":
-        version = replication_memory_version(engine, failed_nodes)
-        if version is not None:
-            return "memory", version
-        return "refused", None
-    if name in ("base1", "base2"):
-        version = remote_complete_version(engine)
-        if version is not None:
-            return "backup", version
-        return "refused", None
-    if name == "gradrep":
-        version = gradrep_anchor_version(engine, failed_nodes)
-        if version is not None:
-            return "memory", version
-        return "refused", None
-    if name == "hybrid":
-        return expected_outcome(engine.inner, failed_nodes)
-    raise ValueError(f"no oracle for engine {name!r}")
 
 
 # ----------------------------------------------------------------------
@@ -456,46 +293,20 @@ def check_eccheck_redundancy(engine, version: int) -> list[str]:
     placement uses — under a degraded regroup the chunk/metadata set
     lives entirely on the active subset.
     """
-    plan = (
-        engine.placement_of(version)
-        if hasattr(engine, "placement_of")
-        else engine.placement
-    )
-    groups = len(plan.data_group[0])
-    active = getattr(engine, "active_nodes", None) or list(
-        range(engine.job.cluster.num_nodes)
-    )
-    violations = []
-
-    def check_chunk(node: int, kind: str, idx: int) -> None:
-        for r in range(groups):
-            key = engine.chunk_key(version, kind, idx, r)
-            digest_key = engine.digest_key(version, kind, idx, r)
-            if not (
-                engine.host.contains(node, key)
-                and engine.host.contains(node, digest_key)
-            ):
-                violations.append(
-                    f"{kind} chunk {idx} packet {r} missing on node {node}"
-                )
-            elif not verify_chunk(
-                engine.host.get(node, key), engine.host.get(node, digest_key)
-            ):
-                violations.append(
-                    f"{kind} chunk {idx} packet {r} corrupt on node {node}"
-                )
-
-    for j, node in enumerate(plan.data_nodes):
-        check_chunk(node, "data", j)
-    for i, node in enumerate(plan.parity_nodes):
-        check_chunk(node, "parity", i)
-    for node in active:
-        for worker in range(engine.job.world_size):
-            if not engine.host.contains(node, ("meta", version, worker)):
-                violations.append(
-                    f"metadata for worker {worker} missing on node {node}"
-                )
-    return violations
+    plan = engine.placement_of(version)
+    violations = [
+        f"{kind} chunk {idx} packet {r} {state} on node {node}"
+        for kind, idx, node in _chunks(plan)
+        for r in range(len(plan.data_group[0]))
+        if (state := _chunk_state(engine.host, engine, node, version, kind, idx, r))
+        != "whole"
+    ]
+    return violations + [
+        f"metadata for worker {worker} missing on node {node}"
+        for node in engine.active_nodes
+        for worker in range(engine.job.world_size)
+        if not engine.host.contains(node, ("meta", version, worker))
+    ]
 
 
 def check_degraded_recoverable(engine, version: int) -> list[str]:
@@ -507,49 +318,20 @@ def check_degraded_recoverable(engine, version: int) -> list[str]:
     re-derives it from raw storage (missing/corrupt packets, double-
     hosted chunks and metadata gaps all surface here).
     """
-    from itertools import combinations
-
-    plan = (
-        engine.placement_of(version)
-        if hasattr(engine, "placement_of")
-        else engine.placement
-    )
+    plan = engine.placement_of(version)
     groups = len(plan.data_group[0])
-    active = getattr(engine, "active_nodes", None) or list(
-        range(engine.job.cluster.num_nodes)
-    )
+    active = engine.active_nodes
+    holders = [
+        node
+        for kind, idx, node in _chunks(plan)
+        if _chunk_whole(engine.host, engine, node, version, kind, idx, groups)
+    ]
     violations = []
-
-    def chunk_whole(node: int, kind: str, idx: int) -> bool:
-        for r in range(groups):
-            key = engine.chunk_key(version, kind, idx, r)
-            digest_key = engine.digest_key(version, kind, idx, r)
-            if not (
-                engine.host.contains(node, key)
-                and engine.host.contains(node, digest_key)
-            ):
-                return False
-            if not verify_chunk(
-                engine.host.get(node, key), engine.host.get(node, digest_key)
-            ):
-                return False
-        return True
-
-    holder: dict[int, int] = {}
-    for j, node in enumerate(plan.data_nodes):
-        if chunk_whole(node, "data", j):
-            holder[j] = node
-    for i, node in enumerate(plan.parity_nodes):
-        if chunk_whole(node, "parity", i):
-            holder[plan.k + i] = node
     for lost in combinations(active, plan.m):
-        lost_set = set(lost)
-        surviving_chunks = sum(
-            1 for node in holder.values() if node not in lost_set
-        )
+        surviving_chunks = sum(1 for node in holders if node not in lost)
         if surviving_chunks < plan.k:
             violations.append(
-                f"v{version}: losing nodes {sorted(lost_set)} leaves only "
+                f"v{version}: losing nodes {sorted(lost)} leaves only "
                 f"{surviving_chunks} of k={plan.k} chunks"
             )
     for worker in range(engine.job.world_size):
@@ -572,138 +354,146 @@ def check_repair_ledger(ledger, engine, version: int) -> list[str]:
     implies durable.  (The converse — present but unmarked — is fine:
     a crash between store and mark just redoes the transfer.)
     """
-    violations = []
-    epoch = getattr(ledger, "epoch", 0)
-    for item in ledger.done_items():
-        key = engine.chunk_key(version, item.kind, item.idx, item.r, epoch=epoch)
-        digest_key = engine.digest_key(
-            version, item.kind, item.idx, item.r, epoch=epoch
-        )
-        if not (
-            engine.host.contains(item.node, key)
-            and engine.host.contains(item.node, digest_key)
-        ):
-            violations.append(
-                f"ledger marked {item.kind}[{item.idx}].{item.r} done on "
-                f"node {item.node} but the packet is missing"
-            )
-        elif not verify_chunk(
-            engine.host.get(item.node, key),
-            engine.host.get(item.node, digest_key),
-        ):
-            violations.append(
-                f"ledger marked {item.kind}[{item.idx}].{item.r} done on "
-                f"node {item.node} but the packet is corrupt"
-            )
-    return violations
+    return [
+        f"ledger marked {item.kind}[{item.idx}].{item.r} done on "
+        f"node {item.node} but the packet is {state}"
+        for item in ledger.done_items()
+        if (state := _chunk_state(
+            engine.host, engine, item.node, version, item.kind, item.idx, item.r,
+            ledger.epoch,
+        )) != "whole"
+    ]
 
 
-def check_replication_redundancy(engine, version: int) -> list[str]:
+def _replication_redundancy(engine, version: int) -> list[str]:
     """Every group member holds every group writer's snapshot again."""
-    writers = set(engine.job.writers)
-    violations = []
-    for group in engine.groups():
-        group_writers = [
-            w
-            for n in group
-            for w in engine.job.cluster.workers_of(n)
-            if w in writers
-        ]
-        for peer in group:
-            for worker in group_writers:
-                if not engine.host.contains(peer, ("ckpt", version, worker)):
-                    violations.append(
-                        f"replica of worker {worker} missing on node {peer}"
-                    )
-    return violations
+    return [
+        f"replica of worker {worker} missing on node {peer}"
+        for group in engine.groups()
+        for peer in group
+        for worker in _group_writers(engine, group)
+        if not engine.host.contains(peer, ("ckpt", version, worker))
+    ]
 
 
-def check_gradlog_redundancy(engine) -> list[str]:
+def _anchor_redundancy(engine, version: int) -> list[str]:
+    """The anchor record on every node, every packet on home *and* buddy."""
+    violations = [
+        f"anchor v{version} record missing on node {node}"
+        for node in range(engine.job.cluster.num_nodes)
+        if not engine.host.contains(node, ("anchor", version))
+    ]
+    label = f"anchor v{version} packet of worker {{worker}}"
+    return violations + _replica_violations(engine, _ANCHOR_KINDS, version, label)
+
+
+def _log_redundancy(engine) -> list[str]:
     """Every kept log entry back at full redundancy.
 
     After recovery the tail must tolerate the next failure like any
     fresh entry: commit record on every node, every writer's delta
     verified on home *and* buddy.
     """
-    num_nodes = engine.job.cluster.num_nodes
-    all_nodes = list(range(num_nodes))
+    all_nodes = list(range(engine.job.cluster.num_nodes))
     violations = []
     for seq in grad_stream_seqs(engine, all_nodes):
-        record = _grad_entry_committed(engine, seq, all_nodes)
-        if record is None:
+        if _grad_entry_committed(engine, seq, all_nodes) is None:
             violations.append(
                 f"log entry seq={seq} commit record not on every node"
             )
-        for worker in engine.job.writers:
-            home = engine.job.node_of(worker)
-            for node in (home, _grad_buddy(engine.job, home)):
-                if not (
-                    engine.host.contains(node, ("grad", seq, worker))
-                    and engine.host.contains(node, ("graddig", seq, worker))
-                    and engine.host.contains(node, ("gradmeta", seq, worker))
-                ):
-                    violations.append(
-                        f"log entry seq={seq} worker {worker} delta missing "
-                        f"on node {node}"
-                    )
-                elif not verify_chunk(
-                    engine.host.get(node, ("grad", seq, worker)),
-                    engine.host.get(node, ("graddig", seq, worker)),
-                ):
-                    violations.append(
-                        f"log entry seq={seq} worker {worker} delta corrupt "
-                        f"on node {node}"
-                    )
+        label = f"log entry seq={seq} worker {{worker}} delta"
+        violations += _replica_violations(engine, _GRAD_KINDS, seq, label)
     return violations
 
 
-def check_gradrep_redundancy(engine, version: int) -> list[str]:
-    """Anchor fully replicated again plus the log tail redundant."""
-    num_nodes = engine.job.cluster.num_nodes
-    violations = []
-    for node in range(num_nodes):
-        if not engine.host.contains(node, ("anchor", version)):
-            violations.append(f"anchor v{version} record missing on node {node}")
-    for worker in engine.job.writers:
-        home = engine.job.node_of(worker)
-        for node in (home, _grad_buddy(engine.job, home)):
-            if not all(
-                engine.host.contains(node, (kind, version, worker))
-                for kind in ("apkt", "adig", "ameta")
-            ):
-                violations.append(
-                    f"anchor v{version} packet of worker {worker} missing "
-                    f"on node {node}"
-                )
-            elif not verify_chunk(
-                engine.host.get(node, ("apkt", version, worker)),
-                engine.host.get(node, ("adig", version, worker)),
-            ):
-                violations.append(
-                    f"anchor v{version} packet of worker {worker} corrupt "
-                    f"on node {node}"
-                )
-    return violations + check_gradlog_redundancy(engine)
+# ----------------------------------------------------------------------
+# The dispatch table and the two entry points campaigns call.
+# ----------------------------------------------------------------------
+class _Rule(NamedTuple):
+    """How the oracle judges one engine.
+
+    ``base(engine, survivors)`` is the ``(outcome, version,
+    resume_iteration)`` a correct restore lands on before any replay;
+    ``redundancy(engine, version)`` lists what an in-memory recovery left
+    below full redundancy; ``replays`` adds the gradient-log leg to both.
+    """
+
+    base: Callable
+    redundancy: Callable
+    replays: bool = False
+
+
+def _on_inner(rule: Callable) -> Callable:
+    return lambda engine, *args: rule(engine.inner, *args)
+
+
+_ECCHECK = _Rule(_eccheck_base, check_eccheck_redundancy)
+#: base1/base2 keep their redundancy remotely, checked by the base's walk.
+_REMOTE = _Rule(_remote_base, lambda engine, version: [])
+
+_RULES: dict[str, _Rule] = {
+    "eccheck": _ECCHECK,
+    "base1": _REMOTE,
+    "base2": _REMOTE,
+    "base3": _Rule(_replication_base, _replication_redundancy),
+    "gradrep": _Rule(_anchor_base, _anchor_redundancy, replays=True),
+    "hybrid": _Rule(
+        _on_inner(_ECCHECK.base), _on_inner(_ECCHECK.redundancy), replays=True
+    ),
+}
+
+
+def expected_recovery(engine, failed_nodes: set[int]) -> dict:
+    """Full recovery prediction: outcome, version, replay depth, resume.
+
+    Outcome is ``"memory"``, ``"disk"``, ``"backup"`` or ``"refused"``;
+    the version is the exact checkpoint version the restore must land on
+    (None when refusing is correct).  The tier hierarchy walks newest
+    version first across memory and disk (a version lost from memory but
+    demoted to disk recovers from disk), with the remote backup as the
+    catastrophic fallback.  The temporal leg says how many log entries a
+    correct engine must replay on top of the restored base and which
+    absolute iteration the recovered state must correspond to
+    (``resume_iteration=None`` when the engine has no replay notion or
+    no committed tail survives — the manager's checkpoint ledger then
+    rules).
+
+    Raises:
+        ValueError: for an engine the oracle has no rule for.
+    """
+    rule = _RULES.get(engine.name)
+    if rule is None:
+        raise ValueError(f"no oracle for engine {engine.name!r}")
+    nodes = range(engine.job.cluster.num_nodes)
+    survivors = [n for n in nodes if n not in failed_nodes]
+    outcome, version, resume = rule.base(engine, survivors)
+    tail = []
+    if rule.replays and version is not None:
+        tail = expected_replay_tail(engine, version, survivors)
+    if tail:
+        resume = int(tail[-1]["iteration"])
+    return {
+        "outcome": outcome,
+        "version": version,
+        "replayed": len(tail),
+        "resume_iteration": resume,
+    }
+
+
+def expected_outcome(engine, failed_nodes: set[int]) -> tuple[str, int | None]:
+    """``(outcome, version)`` of :func:`expected_recovery`."""
+    pred = expected_recovery(engine, failed_nodes)
+    return pred["outcome"], pred["version"]
 
 
 def check_redundancy(engine, version: int, from_backup: bool) -> list[str]:
-    """Dispatch the engine-appropriate redundancy check.
+    """The engine's redundancy rule, after an in-memory recovery.
 
     Backup restores rebuild GPU state but not the in-memory layout, so
-    redundancy is only asserted for in-memory recoveries; base1/base2
-    keep their redundancy in remote storage, already checked by the
-    oracle's completeness walk.
+    redundancy is only asserted for in-memory recoveries.
     """
-    if from_backup:
+    rule = _RULES.get(engine.name)
+    if from_backup or rule is None:
         return []
-    if engine.name == "eccheck":
-        return check_eccheck_redundancy(engine, version)
-    if engine.name == "base3":
-        return check_replication_redundancy(engine, version)
-    if engine.name == "gradrep":
-        return check_gradrep_redundancy(engine, version)
-    if engine.name == "hybrid":
-        return check_eccheck_redundancy(
-            engine.inner, version
-        ) + check_gradlog_redundancy(engine)
-    return []
+    violations = rule.redundancy(engine, version)
+    return violations + _log_redundancy(engine) if rule.replays else violations

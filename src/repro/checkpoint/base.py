@@ -15,7 +15,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
-from typing import Iterator
+from typing import Any, Iterator, Protocol, runtime_checkable
 
 from repro import obs
 from repro.errors import CheckpointError, RecoveryError
@@ -373,7 +373,7 @@ class CheckpointEngine(ABC):
         """
         if self.job.strategy.data_parallel == 1:
             return
-        if getattr(self.job, "sharding_style", "hybrid") == "fsdp":
+        if self.job.sharding_style == "fsdp":
             return
         from repro.tensors.state_dict import map_tensors
 
@@ -386,3 +386,45 @@ class CheckpointEngine(ABC):
                     self.job.state_dicts[replica] = map_tensors(
                         state, lambda t: t.to(t.device)
                     )
+
+
+# ----------------------------------------------------------------------
+# Optional engine capabilities.  Structural, so ``checkpoint`` names what
+# ``core`` and ``gradrep`` engines provide without importing them (both
+# import this module).  A caller checks one once, where it takes the
+# engine, and raises a typed error there — never a ``hasattr`` probe on
+# the hot path, where a misspelt name silently disables the feature.
+# ----------------------------------------------------------------------
+@runtime_checkable
+class SupportsRemoteBackup(Protocol):
+    """The low-frequency catastrophic backup (ECCheck's step 4)."""
+
+    def save_remote_backup(self) -> SaveReport: ...
+
+
+@runtime_checkable
+class SupportsReplication(Protocol):
+    """A per-iteration gradient log between checkpoints (Checkmate)."""
+
+    log: Any
+
+    def replicate_iteration(self) -> ReplicationReport: ...
+
+    def can_replicate(self) -> bool: ...
+
+    def log_depth(self) -> int: ...
+
+
+@runtime_checkable
+class SupportsTiers(Protocol):
+    """The memory -> local-disk tier stack (TierCheck) a TierPolicy drives."""
+
+    def memory_versions(self) -> list[int]: ...
+
+    def disk_versions(self) -> list[int]: ...
+
+    def delta_base_version(self) -> int | None: ...
+
+    def demote_version(self, version: int) -> DemotionReport: ...
+
+    def evict_disk_version(self, version: int) -> int: ...

@@ -168,10 +168,6 @@ class TrainingJob:
             if w in set(self.writers)
         )
 
-    def max_shard_bytes(self) -> int:
-        """Largest per-worker shard (packet padding target)."""
-        return max(self.logical_shard_bytes(w) for w in self.writers)
-
     # ------------------------------------------------------------------
     def state_of(self, worker: int) -> dict:
         """The worker's live state dict.

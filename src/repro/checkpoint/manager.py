@@ -31,7 +31,13 @@ from dataclasses import dataclass, field
 from repro import obs
 from repro.obs import timeseries as obs_timeseries
 from repro.errors import CheckpointError
-from repro.checkpoint.base import CheckpointEngine, RecoveryReport
+from repro.checkpoint.base import (
+    CheckpointEngine,
+    RecoveryReport,
+    SupportsRemoteBackup,
+    SupportsReplication,
+    SupportsTiers,
+)
 from repro.checkpoint.frequency import AdaptiveFrequencyTuner
 from repro.checkpoint.job import TrainingJob
 from repro.checkpoint.tiering import TierPolicy
@@ -94,14 +100,20 @@ class CheckpointManager:
             :class:`~repro.checkpoint.frequency.AdaptiveFrequencyTuner`
             (requires ``iteration_s``).
         iteration_s: baseline iteration seconds (for the adaptive tuner).
-        remote_backup_every: checkpoints between remote backups, for
-            engines exposing ``save_remote_backup`` (0 disables).
+        remote_backup_every: checkpoints between remote backups (0
+            disables); needs a :class:`SupportsRemoteBackup` engine.
         remote_backup_keep: complete remote backups to retain; older
             backups are GC'd after each new one lands (0 = keep all).
         tier_policy: when set, applied after every committed save — cold
             versions demote to the engine's local-disk tier and the disk
-            tier is GC'd.  Requires an engine with the tier API
-            (``demote_version`` / ``evict_disk_version``).
+            tier is GC'd.  Needs a :class:`SupportsTiers` engine.
+
+    A :class:`SupportsReplication` engine also logs every non-checkpoint
+    iteration to its gradient log.
+
+    Raises:
+        CheckpointError: for a bad knob, or a knob the engine has no
+            capability for.
     """
 
     def __init__(
@@ -127,11 +139,11 @@ class CheckpointManager:
             )
         if adaptive and (iteration_s is None or iteration_s <= 0):
             raise CheckpointError("adaptive mode needs a positive iteration_s")
-        if remote_backup_every and not hasattr(engine, "save_remote_backup"):
+        if remote_backup_every and not isinstance(engine, SupportsRemoteBackup):
             raise CheckpointError(
                 f"engine {engine.name!r} has no remote-backup path"
             )
-        if tier_policy is not None and not hasattr(engine, "demote_version"):
+        if tier_policy is not None and not isinstance(engine, SupportsTiers):
             raise CheckpointError(
                 f"engine {engine.name!r} has no tier API (demote_version)"
             )
@@ -146,6 +158,11 @@ class CheckpointManager:
             AdaptiveFrequencyTuner(interval=interval) if adaptive else None
         )
         self.stats = ManagerStats()
+        #: The engine as a replication target, resolved once (None: the
+        #: engine keeps no gradient log).
+        self._replicating = (
+            engine if isinstance(engine, SupportsReplication) else None
+        )
         self._last_checkpoint_iteration: int | None = None
         self._checkpoint_iteration_of_version: dict[int, int] = {}
         self._degraded_window: dict | None = None
@@ -224,7 +241,7 @@ class CheckpointManager:
             self.remote_backup_every
             and self.stats.checkpoints % self.remote_backup_every == 0
         ):
-            backup = self.engine.save_remote_backup()  # type: ignore[attr-defined]
+            backup = self.engine.save_remote_backup()
             self.stats.remote_backups += 1
             self.stats.backup_reports.append(backup)
             self._checkpoint_iteration_of_version[backup.version] = self.job.iteration
@@ -247,18 +264,15 @@ class CheckpointManager:
     def _replicate_if_supported(self) -> None:
         """Gradient-replicate this iteration on engines that stream.
 
-        Engines exposing ``replicate_iteration`` (gradrep/hybrid) protect
+        A :class:`SupportsReplication` engine (gradrep/hybrid) protects
         every iteration between checkpoints by logging the update to a
         buddy node; the manager drives that on each non-checkpoint step
         and accounts the recurring cost.
         """
-        replicate = getattr(self.engine, "replicate_iteration", None)
-        if replicate is None:
+        engine = self._replicating
+        if engine is None or not engine.can_replicate():
             return
-        can = getattr(self.engine, "can_replicate", None)
-        if can is not None and not can():
-            return
-        report = replicate()
+        report = engine.replicate_iteration()
         self.stats.replications += 1
         self.stats.total_replicate_s += report.replicate_time
         self.stats.bytes_replicated += report.bytes_replicated

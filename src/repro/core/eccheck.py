@@ -54,7 +54,6 @@ from repro.core.placement import (
     PlacementPlan,
     build_data_group,
     regroup_plan,
-    select_data_parity_nodes,
 )
 from repro.core.pipeline import (
     STAGE_TRANSFER,
@@ -136,7 +135,7 @@ class ECCheckEngine(CheckpointEngine):
     def __init__(self, job: TrainingJob, config: ECCheckConfig | None = None):
         super().__init__(job)
         self.config = config or ECCheckConfig()
-        if job.strategy.data_parallel != 1 and getattr(job, "sharding_style", "hybrid") != "fsdp":
+        if job.strategy.data_parallel != 1 and job.sharding_style != "fsdp":
             raise CheckpointError(
                 "ECCheckEngine expects data_parallel == 1 (or FSDP sharding); "
                 "replicated data parallelism already duplicates state "
@@ -185,34 +184,8 @@ class ECCheckEngine(CheckpointEngine):
             CheckpointError: if (k, m) does not match the cluster or k does
                 not divide the worker count.
         """
-        cfg = self.config
         n = self.job.cluster.num_nodes
-        if cfg.k + cfg.m != n:
-            raise CheckpointError(
-                f"k + m = {cfg.k + cfg.m} must equal node count {n}"
-            )
-        if cfg.k < 1 or cfg.m < 0:
-            raise CheckpointError(f"bad code shape k={cfg.k}, m={cfg.m}")
-        world = self.job.world_size
-        if world % cfg.k:
-            raise CheckpointError(
-                f"k={cfg.k} must divide world size {world}"
-            )
-        origin = self.job.cluster.origin_groups()
-        if cfg.use_sweepline_placement:
-            self.placement = select_data_parity_nodes(origin, cfg.k)
-        else:
-            data_group = build_data_group(world, cfg.k)
-            self.placement = PlacementPlan(
-                data_nodes=list(range(cfg.k)),
-                parity_nodes=list(range(cfg.k, n)),
-                data_group=data_group,
-            )
-        node_of = {w: self.job.node_of(w) for w in range(world)}
-        self.reduction_plan = build_reduction_plan(self.placement, node_of)
-        self.code = self.code_for(cfg.k, cfg.m)
-        self.active_nodes = list(range(n))
-        self._node_of_worker = None
+        self._install_layout(self.config.k, self.config.m, list(range(n)), None)
 
     # ------------------------------------------------------------------
     # Elastic reconfiguration: regroup to a (possibly shrunk) shape.
@@ -252,39 +225,8 @@ class ECCheckEngine(CheckpointEngine):
         active = sorted(active_nodes) if active_nodes is not None else list(range(n))
         if not active:
             raise CheckpointError("reconfigure needs at least one active node")
-        if k + m != len(active):
-            raise CheckpointError(
-                f"k + m = {k + m} must equal active node count {len(active)}"
-            )
-        if k < 1 or m < 0:
-            raise CheckpointError(f"bad code shape k={k}, m={m}")
-        world = self.job.world_size
-        if world % k:
-            raise CheckpointError(f"k={k} must divide world size {world}")
-        origin = self.job.cluster.origin_groups()
-        if self.config.use_sweepline_placement:
-            plan = regroup_plan(origin, active, k)
-        else:
-            plan = PlacementPlan(
-                data_nodes=active[:k],
-                parity_nodes=active[k:],
-                data_group=build_data_group(world, k),
-            )
-        if node_of_worker is None:
-            active_set = set(active)
-            node_of_worker = {}
-            for w in range(world):
-                home = self.job.node_of(w)
-                node_of_worker[w] = (
-                    home if home in active_set else active[w % len(active)]
-                )
-        self.placement = plan
-        self.reduction_plan = build_reduction_plan(plan, node_of_worker)
-        self.code = self.code_for(k, m)
+        plan = self._install_layout(k, m, active, node_of_worker)
         self.config = dataclass_replace(self.config, k=k, m=m)
-        self.active_nodes = active
-        identity = all(node_of_worker[w] == self.job.node_of(w) for w in range(world))
-        self._node_of_worker = None if identity else dict(node_of_worker)
         # A regroup invalidates the delta base (chunk layout changed).
         self._last_packets = {}
         self._last_full_version = None
@@ -298,6 +240,56 @@ class ECCheckEngine(CheckpointEngine):
                 active_nodes=list(active),
             )
             tracer.metrics.counter("elastic.reconfigures").inc()
+        return plan
+
+    def _install_layout(
+        self,
+        k: int,
+        m: int,
+        active: list[int],
+        node_of_worker: dict[int, int] | None,
+    ) -> PlacementPlan:
+        """Check a ``(k, m)`` shape over the ``active`` ranks, then derive and
+        install its placement, reduction plan and code.
+
+        The sweep line (or the naive "first k" ablation) picks data nodes
+        among ``active``.  ``node_of_worker`` defaults to the job topology,
+        with workers of inactive ranks rescheduled round-robin over the
+        active ones.  Nothing is installed when a check fails.
+
+        Raises:
+            CheckpointError: for an inconsistent shape.
+        """
+        if k + m != len(active):
+            raise CheckpointError(
+                f"k + m = {k + m} must equal active node count {len(active)}"
+            )
+        if k < 1 or m < 0:
+            raise CheckpointError(f"bad code shape k={k}, m={m}")
+        world = self.job.world_size
+        if world % k:
+            raise CheckpointError(f"k={k} must divide world size {world}")
+        if self.config.use_sweepline_placement:
+            plan = regroup_plan(self.job.cluster.origin_groups(), active, k)
+        else:
+            plan = PlacementPlan(
+                data_nodes=active[:k],
+                parity_nodes=active[k:],
+                data_group=build_data_group(world, k),
+            )
+        homes = [self.job.node_of(w) for w in range(world)]
+        if node_of_worker is None:
+            active_set = set(active)
+            node_of_worker = {
+                w: home if home in active_set else active[w % len(active)]
+                for w, home in enumerate(homes)
+            }
+        self.placement = plan
+        self.reduction_plan = build_reduction_plan(plan, node_of_worker)
+        self.code = self.code_for(k, m)
+        self.active_nodes = active
+        identity = all(node_of_worker[w] == home for w, home in enumerate(homes))
+        self._node_of_worker = None if identity else dict(node_of_worker)
         return plan
 
     def code_for(self, k: int, m: int) -> CauchyRSCode:

@@ -52,6 +52,7 @@ class NodeGroupView:
         g = job.cluster.gpus_per_node
         self.cluster = ClusterSpec(num_nodes=len(nodes), gpus_per_node=g)
         self.strategy = job.strategy  # only data_parallel is inspected
+        self.sharding_style = job.sharding_style
         self.time_model = job.time_model
         self._global_workers = [
             worker for node in nodes for worker in job.cluster.workers_of(node)

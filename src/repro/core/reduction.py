@@ -54,10 +54,6 @@ class ReductionPlan:
         """The paper's (W/k) * m reduction-operation count."""
         return len(self.groups) * self.m
 
-    def target_of(self, group_index: int, parity_index: int) -> int:
-        return self.groups[group_index].targets[parity_index]
-
-
 def select_targets_for_group(
     workers: list[int],
     m: int,

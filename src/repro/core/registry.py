@@ -15,6 +15,16 @@ they apply.  ``ECCheckConfig.engine`` names the engine, so
 Builders import their engine lazily: the registry lives in ``core`` but
 must not drag ``checkpoint``/``gradrep`` imports into every ``core``
 consumer (and import cycles lurk — ``gradrep`` itself imports ``core``).
+
+A name says which engine; what the engine can do beyond ``save`` /
+``restore`` is its type.  The optional capabilities are the structural
+protocols in :mod:`repro.checkpoint.base` — ``SupportsRemoteBackup``
+(eccheck, hybrid), ``SupportsReplication`` (gradrep, hybrid) and
+``SupportsTiers`` (eccheck) — which callers check once, where they take
+the engine; elastic membership needs an ``ECCheckEngine`` itself.  The
+chaos oracle keys its rules by name (``repro.chaos.invariants._RULES``),
+so a new engine registered here also needs an oracle rule before a
+campaign can judge it.
 """
 
 from __future__ import annotations
@@ -59,9 +69,8 @@ def build_engine(name: str, job, config=None, **kwargs):
 
 def build_engine_from_config(job, config, **kwargs):
     """Build the engine ``config.engine`` names (the CLI path)."""
-    return build_engine(
-        getattr(config, "engine", "eccheck"), job, config, **kwargs
-    )
+    name = config.engine if config is not None else "eccheck"
+    return build_engine(name, job, config, **kwargs)
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,8 @@ The coding stack has three levels:
 
 1. **Codes** (:class:`~repro.ec.base.ErasureCode` subclasses) own a
    systematic generator matrix over GF(2^w): Cauchy Reed-Solomon
-   (:class:`~repro.ec.cauchy.CauchyRSCode`, the scheme ECCheck uses),
-   classic Vandermonde Reed-Solomon, the repetition code used by
-   replication baselines, and a single-parity XOR code.
+   (:class:`~repro.ec.cauchy.CauchyRSCode`, the scheme ECCheck uses) and
+   classic Vandermonde Reed-Solomon.
 2. **Schedules** (:mod:`repro.ec.schedule`) compile a Cauchy bitmatrix into
    an explicit list of XOR operations, with an optimised variant that reuses
    intermediate parity rows.
@@ -41,8 +40,6 @@ from repro.ec.kernels import (
     xor_reduce_into,
 )
 from repro.ec.vandermonde import VandermondeRSCode, build_vandermonde_generator
-from repro.ec.replication import ReplicationCode
-from repro.ec.xor_code import SingleParityCode
 from repro.ec.schedule import XorSchedule, dumb_schedule, paar_schedule, smart_schedule
 from repro.ec.encoder import BlockEncoder, pad_and_split, reassemble
 
@@ -62,8 +59,6 @@ __all__ = [
     "xor_reduce_into",
     "VandermondeRSCode",
     "build_vandermonde_generator",
-    "ReplicationCode",
-    "SingleParityCode",
     "XorSchedule",
     "dumb_schedule",
     "paar_schedule",

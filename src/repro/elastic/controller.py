@@ -35,8 +35,10 @@ class ElasticClusterController:
     """Drives elastic membership for one manager/engine pair.
 
     Args:
-        manager: the checkpoint manager (its engine must expose
-            ``reconfigure``/``placement_of`` — i.e. be an ECCheck engine).
+        manager: the checkpoint manager.  Its engine must be an
+            :class:`~repro.core.eccheck.ECCheckEngine`: regroups and repairs
+            run on that engine's own layout helpers, which no capability
+            protocol could honestly describe.
         spare_pool: a :class:`~repro.sim.spares.SparePool`.
         policy: redundancy policy (default: a fresh
             :class:`~repro.elastic.policy.RedundancyPolicy`).
@@ -57,8 +59,11 @@ class ElasticClusterController:
         rng: np.random.Generator | None = None,
         timeline=None,
     ):
+        # Not at module level: core -> checkpoint.tiering -> elastic.
+        from repro.core.eccheck import ECCheckEngine
+
         engine = manager.engine
-        if not hasattr(engine, "reconfigure"):
+        if not isinstance(engine, ECCheckEngine):
             raise CheckpointError(
                 f"engine {engine.name!r} does not support elastic "
                 "reconfiguration"

@@ -208,19 +208,23 @@ class FleetScheduler:
                 else 0.0
             ),
         )
-        for tier in ("host", "disk", "remote"):
+        for tier, store_of in (
+            ("host", lambda engine: engine.host),
+            ("disk", lambda engine: engine.disk),
+            ("remote", lambda engine: engine.remote),
+        ):
             sampler.register_probe(
-                f"{tier}_bytes", self._tier_bytes_probe(tier)
+                f"{tier}_bytes", self._tier_bytes_probe(store_of)
             )
         sampler.attach(self.sim)
 
-    def _tier_bytes_probe(self, tier: str):
+    def _tier_bytes_probe(self, store_of):
         def probe(t: float) -> float:
             total = 0
             for tenant in self.tenants.values():
                 engine = tenant.engine
                 if engine is not None:
-                    total += getattr(engine, tier).total_bytes
+                    total += store_of(engine).total_bytes
             return float(total)
 
         return probe

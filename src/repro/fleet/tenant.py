@@ -132,9 +132,6 @@ class TenantRuntime:
         self.cold_refusals = 0
 
     # ------------------------------------------------------------------
-    def slots_of_ranks(self, ranks) -> list[int]:
-        return sorted(self.slots[r] for r in ranks)
-
     def ranks_of_slots(self, slots: set[int]) -> set[int]:
         return {r for r, s in self.slots.items() if s in slots}
 

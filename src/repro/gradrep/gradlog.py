@@ -86,9 +86,7 @@ class GradientLog:
 
     def buddy_node(self, node: int) -> int:
         cluster = self.job.cluster
-        return buddy_of(
-            node, cluster.num_nodes, getattr(cluster, "nodes_per_rack", None)
-        )
+        return buddy_of(node, cluster.num_nodes, cluster.nodes_per_rack)
 
     def depth(self) -> int:
         """Entries in the tail (the timeline's ``log_depth`` signal)."""

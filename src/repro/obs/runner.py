@@ -20,10 +20,10 @@ from repro.errors import ReproError
 from repro.obs import trace_io
 from repro.analysis.breakdown import normalise_breakdown, sum_breakdowns
 from repro.chaos.harness import build_testbed
+from repro.checkpoint.base import SupportsRemoteBackup, SupportsTiers
 from repro.checkpoint.manager import CheckpointManager
 from repro.checkpoint.tiering import TierPolicy
-
-ENGINES = ("eccheck", "base1", "base2", "base3", "gradrep", "hybrid")
+from repro.core.eccheck import ECCheckEngine
 
 
 def _snapshot_cache_gauges(tracer, engine) -> None:
@@ -36,14 +36,12 @@ def _snapshot_cache_gauges(tracer, engine) -> None:
 
     for key, value in schedule_cache_info().items():
         tracer.metrics.gauge(f"cache.{key}").set(float(value))
-    code = getattr(engine, "code", None)
-    if code is None:
+    if not isinstance(engine, ECCheckEngine):
         return
-    for key, value in code.decoding_cache_info().items():
+    for key, value in engine.code.decoding_cache_info().items():
         tracer.metrics.gauge(f"cache.decoding_{key}").set(float(value))
-    if hasattr(code, "decode_cache_info"):
-        for key, value in code.decode_cache_info().items():
-            tracer.metrics.gauge(f"cache.decode_{key}").set(float(value))
+    for key, value in engine.code.decode_cache_info().items():
+        tracer.metrics.gauge(f"cache.decode_{key}").set(float(value))
 
 
 def _phase_table(title: str, totals: dict[str, float], want: dict[str, float]) -> list[str]:
@@ -97,10 +95,10 @@ def run_traced_job(
     if output and out_dir:
         output = os.path.join(out_dir, os.path.basename(output))
     job, engine = build_testbed(engine_name, model, scale, seed)
-    supports_backup = hasattr(engine, "save_remote_backup")
+    supports_backup = isinstance(engine, SupportsRemoteBackup)
     tier_policy = None
     if tier_memory_versions > 0:
-        if not hasattr(engine, "demote_version"):
+        if not isinstance(engine, SupportsTiers):
             raise ReproError(
                 f"engine {engine_name!r} has no tier API; "
                 "--tier-keep needs eccheck"

@@ -101,10 +101,6 @@ class TimeModel:
         effective = self.encode_gbps * min(1.0, threads / self.encode_threads)
         return nbytes / gbps(effective)
 
-    def decode_time(self, nbytes: int) -> float:
-        """Seconds to decode ``nbytes`` (same kernel as encoding)."""
-        return self.encode_time(nbytes)
-
     def memcpy_time(self, nbytes: int) -> float:
         """Seconds for a host-memory buffer copy."""
         return nbytes / gbps(self.memcpy_gbps)
@@ -585,13 +581,6 @@ class PiggybackChannel:
         self.total_seconds = 0.0
         self.total_bytes = 0
         self.transfers = 0
-
-    @property
-    def replication_fraction(self) -> float:
-        """Trunk fraction a lone replication flow is granted."""
-        return self.replication_weight / (
-            self.replication_weight + self.collective_weight
-        )
 
     def transfer(self, nbytes: int) -> PiggybackSlice:
         """Ship ``nbytes`` over the shared trunk; returns the time slice.

@@ -1,4 +1,4 @@
-"""Tests for Vandermonde RS, replication, and single-parity codes."""
+"""Tests for Vandermonde RS and the Fig. 2 redundancy argument."""
 
 import itertools
 
@@ -7,9 +7,7 @@ import pytest
 
 from repro.errors import CodeConfigError
 from repro.ec.base import CodeParams
-from repro.ec.replication import ReplicationCode
 from repro.ec.vandermonde import VandermondeRSCode, build_vandermonde_generator
-from repro.ec.xor_code import SingleParityCode
 from repro.gf.field import GF
 from repro.gf.matrix import gf_matrank
 
@@ -54,63 +52,6 @@ def test_vandermonde_and_cauchy_tolerate_same_failures():
     for code in [VandermondeRSCode(params), CauchyRSCode(params)]:
         for survivors in itertools.combinations(range(5), 3):
             assert code.can_decode(set(survivors))
-
-
-# ---------------------------------------------------------------------------
-# Replication
-# ---------------------------------------------------------------------------
-def test_replication_parity_is_byte_copy():
-    rng = np.random.default_rng(0)
-    code = ReplicationCode(CodeParams(k=1, m=3, w=8))
-    data = random_blocks(rng, 1)
-    parity = code.encode(data)
-    assert len(parity) == 3
-    for p in parity:
-        assert np.array_equal(p, data[0])
-        assert p is not data[0]
-
-
-def test_replication_decodes_from_any_single_chunk():
-    rng = np.random.default_rng(1)
-    code = ReplicationCode(CodeParams(k=1, m=2, w=8))
-    data = random_blocks(rng, 1)
-    chunks = code.encode_all(data)
-    for i in range(3):
-        recovered = code.decode({i: chunks[i]})
-        assert np.array_equal(recovered[0], data[0])
-
-
-def test_replication_requires_k_equal_one():
-    with pytest.raises(ValueError):
-        ReplicationCode(CodeParams(k=2, m=1, w=8))
-
-
-# ---------------------------------------------------------------------------
-# Single parity (XOR)
-# ---------------------------------------------------------------------------
-def test_single_parity_is_xor_of_blocks():
-    rng = np.random.default_rng(2)
-    code = SingleParityCode(CodeParams(k=3, m=1, w=8))
-    data = random_blocks(rng, 3)
-    parity = code.encode(data)[0]
-    assert np.array_equal(parity, data[0] ^ data[1] ^ data[2])
-
-
-def test_single_parity_recovers_any_single_erasure():
-    rng = np.random.default_rng(3)
-    code = SingleParityCode(CodeParams(k=4, m=1, w=8))
-    data = random_blocks(rng, 4)
-    chunks = code.encode_all(data)
-    for lost in range(5):
-        available = {i: chunks[i] for i in range(5) if i != lost}
-        recovered = code.decode(available)
-        for original, rec in zip(data, recovered):
-            assert np.array_equal(original, rec)
-
-
-def test_single_parity_requires_m_equal_one():
-    with pytest.raises(CodeConfigError):
-        SingleParityCode(CodeParams(k=3, m=2, w=8))
 
 
 # ---------------------------------------------------------------------------
