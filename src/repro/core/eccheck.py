@@ -682,7 +682,7 @@ class ECCheckEngine(CheckpointEngine):
         )
 
     def _decompose_workers(self) -> tuple[list[Decomposition], int]:
-        """Flatten every worker's state once; size the cluster-wide packet."""
+        """Walk every worker's state once; size the cluster-wide packet."""
         decompositions = [
             decompose_state_dict(
                 self.job.state_of(w),
@@ -1280,16 +1280,18 @@ class ECCheckEngine(CheckpointEngine):
 
         Each tensor is one copy out of its packet straight onto the GPU,
         so ``packets`` may be (and are) the stored chunks themselves.
-        Replacement nodes also get the metadata copies they lost.
+        Replacement nodes also get the metadata copies they lost.  All or
+        nothing: a record's length also steered the decode of its group's
+        packets, so no state is replaced until every worker's is rebuilt.
         """
         with obs.get_tracer().span("eccheck.restore.step3", step="step3_install"):
-            for worker in range(self.job.world_size):
-                record = self._meta_record(version, worker, surviving)
-                blob, length = record
-                payload = packets[self.group_and_index(worker, plan)]
-                self.job.state_dicts[worker] = restore_state_dict(
-                    blob, payload[:length], GPU
-                )
+            records = [self._meta_record(version, w, surviving) for w in range(self.job.world_size)]
+            states = [
+                restore_state_dict(blob, packets[self.group_and_index(w, plan)][:length], GPU)
+                for w, (blob, length) in enumerate(records)
+            ]
+            for worker, record in enumerate(records):
+                self.job.state_dicts[worker] = states[worker]
                 for node in failed_nodes:
                     self.host.put(node, ("meta", version, worker), record)
 

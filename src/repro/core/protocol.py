@@ -89,7 +89,8 @@ def packetise(
             f"worker {worker} payload {length} exceeds packet size {packet_size}"
         )
     payload = np.empty(packet_size, dtype=np.uint8)
-    decomposition.concatenated_tensor_bytes(out=payload[:length])
+    if decomposition.tensor_data:
+        np.concatenate(decomposition.tensor_data, out=payload[:length])
     payload[length:] = 0
     return WorkerCheckpoint(
         worker=worker,
@@ -127,7 +128,7 @@ def restore_state_dict(
     """
     try:
         decomposition = Decomposition.from_metadata_blob(metadata_blob)
-        total = sum(meta.nbytes for meta in decomposition.tensor_meta)
+        total = decomposition.tensor_bytes
     except _ROTTEN_PICKLE as exc:
         raise DecodeError(f"metadata blob is not a tensor layout: {exc!r}") from exc
     if packet_payload.nbytes < total:

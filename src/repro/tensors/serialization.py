@@ -72,14 +72,8 @@ def serialized_size(state_dict: dict) -> int:
 # ---------------------------------------------------------------------------
 # Serialization-free decomposition (the ECCheck path)
 # ---------------------------------------------------------------------------
-@dataclass
-class TensorMeta:
-    """Everything needed to rebuild a tensor around raw bytes."""
-
-    path: Path
-    dtype: str
-    shape: tuple[int, ...]
-    nbytes: int
+#: One tensor's metadata row as the blob pickles it: (path, dtype, shape, nbytes).
+Row = tuple[Path, str, tuple[int, ...], int]
 
 
 @dataclass
@@ -88,25 +82,22 @@ class Decomposition:
 
     Attributes:
         non_tensor_kv: flattened non-tensor key-value pairs (tiny).
-        tensor_meta: ordered tensor keys with dtype/shape (tiny).
-        tensor_data: raw per-tensor byte buffers, in ``tensor_meta`` order
-            (the ~99.99% of the checkpoint that never gets serialized).
+        tensor_meta: one :data:`Row` per tensor, in state-dict order (tiny).
+        tensor_data: raw per-tensor flat uint8 buffers, in ``tensor_meta``
+            order (the ~99.99% of the checkpoint that never gets
+            serialized).
+        tensor_bytes: total tensor payload the rows describe.
     """
 
     non_tensor_kv: dict[Path, object]
-    tensor_meta: list[TensorMeta]
+    tensor_meta: list[Row]
     tensor_data: list[np.ndarray]
-
-    @property
-    def tensor_bytes(self) -> int:
-        """Total raw tensor payload in bytes."""
-        return sum(buf.nbytes for buf in self.tensor_data)
+    tensor_bytes: int
 
     def metadata_blob(self) -> bytes:
         """Serialize only the tiny components (what ECCheck broadcasts)."""
         return pickle.dumps(
-            (self.non_tensor_kv, [(m.path, m.dtype, m.shape, m.nbytes) for m in self.tensor_meta]),
-            protocol=pickle.HIGHEST_PROTOCOL,
+            (self.non_tensor_kv, self.tensor_meta), protocol=pickle.HIGHEST_PROTOCOL
         )
 
     @classmethod
@@ -114,32 +105,19 @@ class Decomposition:
         cls, blob: bytes, tensor_data: list[np.ndarray] | None = None
     ) -> "Decomposition":
         """Rebuild a decomposition from a broadcast metadata blob."""
-        non_tensor_kv, meta_rows = pickle.loads(blob)
-        meta = [TensorMeta(path, dtype, tuple(shape), nbytes) for path, dtype, shape, nbytes in meta_rows]
-        return cls(
-            non_tensor_kv=non_tensor_kv,
-            tensor_meta=meta,
-            tensor_data=list(tensor_data) if tensor_data is not None else [],
-        )
-
-    def concatenated_tensor_bytes(self, out: np.ndarray | None = None) -> np.ndarray:
-        """All tensor buffers as one contiguous uint8 array (encode input).
-
-        With ``out`` (uint8, exactly :attr:`tensor_bytes` long) the buffers
-        are written straight into it — the packetiser's single copy.
-        """
-        if not self.tensor_data:
-            return np.zeros(0, dtype=np.uint8) if out is None else out
-        return np.concatenate([buf.reshape(-1) for buf in self.tensor_data], out=out)
+        non_tensor_kv, rows = pickle.loads(blob)
+        total = sum(nbytes for _, _, _, nbytes in rows)  # each row has four fields
+        data = list(tensor_data) if tensor_data is not None else []
+        return cls(non_tensor_kv, rows, data, total)
 
     def split_tensor_bytes(self, blob: np.ndarray) -> list[np.ndarray]:
         """Split a flat contiguous uint8 array into per-tensor buffers: views
         of ``blob``, no copy."""
         out: list[np.ndarray] = []
         offset = 0
-        for meta in self.tensor_meta:
-            out.append(blob[offset : offset + meta.nbytes])
-            offset += meta.nbytes
+        for _, _, _, nbytes in self.tensor_meta:
+            out.append(blob[offset : offset + nbytes])
+            offset += nbytes
         if offset > blob.nbytes:
             raise ReproError(
                 f"tensor metadata wants {offset} bytes but blob has {blob.nbytes}"
@@ -153,6 +131,10 @@ def decompose_state_dict(
     dtype_names: list[tuple[np.dtype, str]] | None = None,
 ) -> Decomposition:
     """Step 1 of the ECCheck protocol: analyze and decompose.
+
+    One walk in insertion order yields all three components and the
+    running ``tensor_bytes``; paths are built from the live dict's keys as
+    ``flatten_state_dict`` builds them, so the blob pickles the same bytes.
 
     Tensors on the simulated GPU are (optionally) offloaded: their bytes are
     copied into CPU-side buffers, modelling the CUDA DtoH copy after which
@@ -173,31 +155,33 @@ def decompose_state_dict(
     """
     names = [] if dtype_names is None else dtype_names
     non_tensor_kv: dict[Path, object] = {}
-    tensor_meta: list[TensorMeta] = []
-    tensor_data: list[np.ndarray] = []
-    for path, value in flatten_state_dict(state_dict).items():
-        if isinstance(value, SimTensor):
-            index, dtype = len(tensor_meta), value.dtype
-            if index == len(names):
-                names.append((dtype, str(dtype)))
-            elif names[index][0] != dtype:
-                names[index] = (dtype, str(dtype))
-            tensor_meta.append(
-                TensorMeta(
-                    path=path,
-                    dtype=names[index][1],
-                    shape=value.shape,
-                    nbytes=value.nbytes,
-                )
-            )
-            view = value.byte_view()
-            tensor_data.append(view.copy() if offload_to_cpu else view)
-        else:
-            non_tensor_kv[path] = value
-    del names[len(tensor_meta):]
-    return Decomposition(
-        non_tensor_kv=non_tensor_kv, tensor_meta=tensor_meta, tensor_data=tensor_data
-    )
+    rows: list[Row] = []
+    views: list[np.ndarray] = []
+    total = 0
+
+    def walk(node: dict, path: Path) -> None:
+        nonlocal total
+        for key, value in node.items():
+            here = path + (key,)
+            if isinstance(value, SimTensor):
+                data = value.data
+                dtype, index = data.dtype, len(rows)
+                if index == len(names):
+                    names.append((dtype, str(dtype)))
+                elif names[index][0] is not dtype and names[index][0] != dtype:
+                    names[index] = (dtype, str(dtype))
+                rows.append((here, names[index][1], data.shape, data.nbytes))
+                total += data.nbytes
+                view = value.byte_view()
+                views.append(view.copy() if offload_to_cpu else view)
+            elif isinstance(value, dict):
+                walk(value, here)
+            else:
+                non_tensor_kv[here] = value
+
+    walk(state_dict, ())
+    del names[len(rows):]
+    return Decomposition(non_tensor_kv, rows, views, total)
 
 
 def recompose_state_dict(decomposition: Decomposition, device: str = CPU) -> dict:
@@ -221,20 +205,19 @@ def recompose_state_dict(decomposition: Decomposition, device: str = CPU) -> dic
         )
     flat: dict[Path, object] = dict(decomposition.non_tensor_kv)
     dtypes: dict[str, np.dtype] = {}
-    for row, (meta, raw) in enumerate(zip(decomposition.tensor_meta, decomposition.tensor_data)):
-        if raw.nbytes != meta.nbytes:
-            raise ReproError(
-                f"tensor {meta.path!r} expects {meta.nbytes} bytes, got {raw.nbytes}"
-            )
+    rows = zip(decomposition.tensor_meta, decomposition.tensor_data)
+    for row, ((path, name, shape, nbytes), raw) in enumerate(rows):
+        if raw.nbytes != nbytes:
+            raise ReproError(f"tensor {path!r} expects {nbytes} bytes, got {raw.nbytes}")
         try:
-            dtype = dtypes.get(meta.dtype)
+            dtype = dtypes.get(name)
             if dtype is None:
-                dtype = dtypes[meta.dtype] = np.dtype(meta.dtype)
-            data = raw.view(dtype).reshape(meta.shape)  # a view refuses object dtypes
+                dtype = dtypes[name] = np.dtype(name)
+            data = raw.view(dtype).reshape(shape)  # a view refuses object dtypes
         except (TypeError, ValueError) as exc:
             raise DecodeError(
-                f"metadata row {row} ({meta.path!r}: {meta.dtype!r} {meta.shape!r}, "
-                f"{meta.nbytes} bytes) does not describe its bytes: {exc}"
+                f"metadata row {row} ({path!r}: {name!r} {shape!r}, "
+                f"{nbytes} bytes) does not describe its bytes: {exc}"
             ) from exc
-        flat[meta.path] = SimTensor(data if data.flags.aligned else data.copy(), device)
+        flat[path] = SimTensor(data if data.flags.aligned else data.copy(), device)
     return unflatten_state_dict(flat)

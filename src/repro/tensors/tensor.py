@@ -9,7 +9,7 @@ checkpointing step 1 is an explicit operation with an observable byte count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,6 +31,8 @@ class SimTensor:
 
     data: np.ndarray
     device: str = GPU
+    #: ``(data, its flat uint8 view)`` as :meth:`byte_view` last built it.
+    _bytes: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.device not in _DEVICES:
@@ -62,8 +64,18 @@ class SimTensor:
         return SimTensor(self.data.copy(), device=device)
 
     def byte_view(self) -> np.ndarray:
-        """Flat uint8 view of the tensor's contiguous storage (no copy)."""
-        return self.data.reshape(-1).view(np.uint8)
+        """Flat uint8 view of the tensor's contiguous storage (no copy), kept
+        while ``data`` is the same array object: it sees every in-place write."""
+        cached = self._bytes
+        if cached is not None and cached[0] is self.data:
+            return cached[1]
+        view = self.data.reshape(-1).view(np.uint8)
+        self._bytes = (self.data, view)
+        return view
+
+    def __getstate__(self) -> dict:
+        # A clone has its own ``data``; a carried view would not be of it.
+        return {**self.__dict__, "_bytes": None}
 
     @classmethod
     def from_bytes(

@@ -494,7 +494,7 @@ def test_packetise_copies_views_once_and_zeroes_only_the_tail():
     decomposition = decompose_state_dict(state, offload_to_cpu=False)
     size = packet_size_for([decomposition.tensor_bytes]) + 64
     wc = packetise(3, decomposition, size)
-    reference = decompose_state_dict(state).concatenated_tensor_bytes()
+    reference = np.concatenate([t.data.reshape(-1).view(np.uint8) for _, t in tensor_items(state)])
     assert wc.worker == 3 and wc.packet.original_length == reference.nbytes
     assert np.array_equal(wc.packet.payload[: reference.nbytes], reference)
     assert not wc.packet.payload[reference.nbytes :].any()

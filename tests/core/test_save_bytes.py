@@ -59,7 +59,7 @@ def reference_version(engine, job, version):
     packets = []
     for d in decomps:
         packet = np.zeros(size, dtype=np.uint8)
-        packet[: d.tensor_bytes] = d.concatenated_tensor_bytes()
+        packet[: d.tensor_bytes] = np.concatenate(d.tensor_data)
         packets.append(packet)
     plan = engine.placement
     expected = {}

@@ -1,8 +1,18 @@
 """Tests for serialization and the serialization-free decomposition."""
 
+import pickle
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from repro.core.protocol import (
+    build_worker_checkpoint,
+    packet_size_for,
+    packetise,
+    restore_state_dict,
+)
 from repro.errors import ReproError
 from repro.models.factory import build_worker_state_dict
 from repro.tensors.serialization import (
@@ -13,8 +23,8 @@ from repro.tensors.serialization import (
     serialize_state_dict,
     serialized_size,
 )
-from repro.tensors.state_dict import state_dicts_equal, total_tensor_bytes
-from repro.tensors.tensor import CPU, SimTensor
+from repro.tensors.state_dict import flatten_state_dict, state_dicts_equal, total_tensor_bytes
+from repro.tensors.tensor import CPU, GPU, SimTensor
 
 
 @pytest.fixture
@@ -80,7 +90,7 @@ def test_recompose_from_broadcast_metadata(sd):
 
 def test_concatenate_and_split_tensor_bytes(sd):
     dec = decompose_state_dict(sd)
-    flat = dec.concatenated_tensor_bytes()
+    flat = np.concatenate(dec.tensor_data)
     assert flat.nbytes == dec.tensor_bytes
     parts = dec.split_tensor_bytes(flat)
     for original, part in zip(dec.tensor_data, parts):
@@ -126,30 +136,29 @@ def test_decompose_zero_copy_mode_views(sd):
 
 def test_empty_state_dict_decomposes():
     dec = decompose_state_dict({"iteration": 0})
-    assert dec.tensor_bytes == 0
-    assert dec.concatenated_tensor_bytes().nbytes == 0
+    assert dec.tensor_bytes == 0 and dec.tensor_meta == [] and dec.tensor_data == []
     assert state_dicts_equal(recompose_state_dict(dec), {"iteration": 0})
 
 
-def test_concatenate_into_a_caller_buffer(sd):
-    dec = decompose_state_dict(sd, offload_to_cpu=False)
-    out = np.full(dec.tensor_bytes, 0xAA, dtype=np.uint8)
-    assert dec.concatenated_tensor_bytes(out=out) is out
-    assert np.array_equal(out, decompose_state_dict(sd).concatenated_tensor_bytes())
-    empty = decompose_state_dict({"iteration": 0})
-    nothing = np.zeros(0, dtype=np.uint8)
-    assert empty.concatenated_tensor_bytes(out=nothing) is nothing
+def test_packetise_gathers_views_and_copies_alike(sd):
+    size = packet_size_for([total_tensor_bytes(sd)]) + 64
+    views = packetise(0, decompose_state_dict(sd, offload_to_cpu=False), size)
+    copies = packetise(0, decompose_state_dict(sd), size)
+    assert np.array_equal(views.packet.payload, copies.packet.payload)
+    assert views.packet.original_length == total_tensor_bytes(sd)
+    empty = packetise(0, decompose_state_dict({"iteration": 0}), 64)
+    assert empty.packet.original_length == 0 and not empty.packet.payload.any()
 
 
 def test_dtype_name_cache_keeps_the_metadata_blob_byte_identical(sd):
     """Cached rows must pickle exactly like a fresh ``str()`` per tensor."""
     names: list = []
     first = decompose_state_dict(sd, dtype_names=names)
-    assert [n for _, n in names] == [m.dtype for m in first.tensor_meta]
+    assert [n for _, n in names] == [row[1] for row in first.tensor_meta]
     cached_ids = [id(n) for _, n in names]
     again = decompose_state_dict(sd, dtype_names=names)
     assert [id(n) for _, n in names] == cached_ids  # no str() the second time
-    assert all(a.dtype is b.dtype for a, b in zip(first.tensor_meta, again.tensor_meta))
+    assert all(a[1] is b[1] for a, b in zip(first.tensor_meta, again.tensor_meta))
     assert again.metadata_blob() == decompose_state_dict(sd).metadata_blob()
     # One string object per row: sharing one per dtype would shrink the blob.
     assert len(set(cached_ids)) == len(cached_ids)
@@ -170,3 +179,84 @@ def test_dtype_name_cache_follows_the_live_layout(sd):
     assert shrunk.metadata_blob() == decompose_state_dict(sd).metadata_blob()
     assert len(names) == len(shrunk.tensor_meta)
     assert state_dicts_equal(recompose_state_dict(decompose_state_dict(sd)), sd)
+
+
+# ---------------------------------------------------------------------------
+# The one-walk decompose against the flatten-first decompose it replaced
+# ---------------------------------------------------------------------------
+def reference_decompose(state_dict, dtype_names):
+    """The flatten-first decompose the walk replaced, kept as its oracle:
+    ``(metadata blob, rows, payload bytes)``; updates ``dtype_names`` the
+    same way."""
+    non_tensor_kv, rows, buffers = {}, [], []
+    for path, value in flatten_state_dict(state_dict).items():
+        if isinstance(value, SimTensor):
+            index, dtype = len(rows), value.dtype
+            if index == len(dtype_names):
+                dtype_names.append((dtype, str(dtype)))
+            elif dtype_names[index][0] != dtype:
+                dtype_names[index] = (dtype, str(dtype))
+            rows.append((path, dtype_names[index][1], value.shape, value.nbytes))
+            buffers.append(value.data.reshape(-1).view(np.uint8).copy())
+        else:
+            non_tensor_kv[path] = value
+    del dtype_names[len(rows):]
+    blob = pickle.dumps((non_tensor_kv, rows), protocol=pickle.HIGHEST_PROTOCOL)
+    return blob, rows, b"".join(b.tobytes() for b in buffers)
+
+
+DTYPES = ("float64", "float32", "float16", "int8", "uint16", "int64")
+KEYS = st.one_of(
+    st.text("abw.", max_size=3),
+    st.integers(-3, 300),
+    st.tuples(st.integers(0, 2), st.text("xy", max_size=2)),
+)
+
+
+@st.composite
+def tensors(draw):
+    dtype = draw(st.sampled_from(DTYPES))
+    shape = tuple(draw(st.lists(st.integers(0, 3), max_size=3)))
+    seed = draw(st.integers(0, 2**16))
+    raw = np.random.default_rng(seed).integers(0, 256, int(np.prod(shape)) * np.dtype(dtype).itemsize)
+    return SimTensor(raw.astype(np.uint8).view(dtype).reshape(shape), GPU)
+
+
+LEAVES = st.one_of(
+    tensors(),
+    st.integers(-1, 1000),
+    st.text(max_size=4),
+    st.none(),
+    st.tuples(st.integers(0, 9), st.floats(allow_nan=False)),
+)
+STATES = st.dictionaries(
+    KEYS,
+    st.recursive(LEAVES, lambda inner: st.dictionaries(KEYS, inner, max_size=4), max_leaves=24),
+    max_size=6,
+)
+
+
+def assert_walk_matches_reference(state):
+    names, reference_names = [], []
+    for _ in range(2):  # the second pass runs on the populated dtype cache
+        dec = decompose_state_dict(state, offload_to_cpu=False, dtype_names=names)
+        blob, rows, payload = reference_decompose(state, reference_names)
+        assert dec.metadata_blob() == blob
+        assert dec.tensor_meta == rows
+        assert dec.tensor_bytes == len(payload)
+        size = packet_size_for([len(payload)])
+        packet = packetise(0, dec, size).packet.payload
+        assert packet.tobytes() == payload + bytes(size - len(payload))
+        assert names == reference_names
+    return size
+
+
+@given(STATES)
+def test_the_walk_pickles_and_packs_what_flatten_did(state):
+    """Mixed dtypes (float64 rows land at odd packet offsets), empty
+    sub-dicts, zero-size tensors, non-tensor leaves at every depth, int and
+    tuple keys; then the same on a state rebuilt around fresh key objects."""
+    size = assert_walk_matches_reference(state)
+    wc = build_worker_checkpoint(0, state, size)
+    restored = restore_state_dict(wc.metadata_blob, wc.packet.payload)
+    assert_walk_matches_reference(restored)

@@ -1,9 +1,13 @@
 """Tests for SimTensor."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
 from repro.errors import ReproError
+from repro.tensors.serialization import decompose_state_dict
 from repro.tensors.tensor import CPU, GPU, SimTensor
 
 
@@ -78,3 +82,39 @@ def test_non_contiguous_input_made_contiguous():
     base = np.arange(16, dtype=np.float32).reshape(4, 4)
     t = SimTensor(base.T)  # transpose is non-contiguous
     assert t.data.flags["C_CONTIGUOUS"]
+
+
+def test_byte_view_is_kept_while_data_is_the_same_array():
+    t = SimTensor(np.arange(6, dtype=np.float32))
+    first = t.byte_view()
+    decompose_state_dict({"t": t}, offload_to_cpu=False)
+    decompose_state_dict({"t": t}, offload_to_cpu=False)
+    assert t.byte_view() is first
+    t.data[1] = 5.0  # an in-place write is seen through the kept view
+    assert np.array_equal(first.view(np.float32), t.data)
+
+
+def test_reassigned_data_gets_a_fresh_view():
+    t = SimTensor(np.arange(6, dtype=np.float32))
+    stale = t.byte_view()
+    t.data = np.zeros(3, dtype=np.float64)
+    view = t.byte_view()
+    assert view is not stale and view.nbytes == 24
+    view[0] = 1
+    assert t.data.view(np.uint8)[0] == 1
+
+
+@pytest.mark.parametrize(
+    "clone",
+    [lambda t: pickle.loads(pickle.dumps(t)), copy.deepcopy],
+    ids=["pickle", "deepcopy"],
+)
+def test_a_clone_never_carries_the_original_s_view(clone):
+    """A naive cache hands the clone a detached copy of the original's view:
+    writes through it would reach neither array."""
+    t = SimTensor(np.arange(4, dtype=np.uint32))
+    t.byte_view()
+    twin = clone(t)
+    twin.byte_view()[0] = 77
+    assert twin.data[0] == 77 and t.data[0] == 0
+    assert twin.equal(SimTensor(np.array([77, 1, 2, 3], dtype=np.uint32)))
