@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Iterator, Protocol, runtime_checkable
 
 from repro import obs
-from repro.errors import CheckpointError, RecoveryError
+from repro.errors import CheckpointError, DecodeError, RecoveryError
 from repro.checkpoint.job import TrainingJob
 from repro.checkpoint.storage import HostMemoryStore, LocalDiskStore, RemoteStorage
 from repro.sim.network import (
@@ -328,10 +328,12 @@ class CheckpointEngine(ABC):
     def _restore_all_from_remote(self, version: int) -> tuple[float, int]:
         """Load every writer's state from remote; replicas copy from peers.
 
-        Returns ``(restore_makespan_seconds, bytes_read)``.
+        Returns ``(restore_makespan_seconds, bytes_read)``.  All or
+        nothing: every blob is deserialized before any state is replaced.
 
         Raises:
             RecoveryError: if the requested version is absent.
+            DecodeError: if a writer's blob does not deserialize.
         """
         requests = []
         total = 0
@@ -341,9 +343,17 @@ class CheckpointEngine(ABC):
                 raise RecoveryError(
                     f"remote storage lacks checkpoint v{version} for worker {worker}"
                 )
+        states = {}
         for worker in self.job.writers:
-            blob = self.remote.get(("ckpt", version, worker))
-            self.job.state_dicts[worker] = deserialize_state_dict(blob)
+            try:
+                blob = self.remote.get(("ckpt", version, worker))
+                states[worker] = deserialize_state_dict(blob)
+            except DecodeError as exc:
+                raise DecodeError(
+                    f"remote checkpoint v{version} of worker {worker}: {exc}"
+                ) from exc
+        for worker, state in states.items():
+            self.job.state_dicts[worker] = state
             logical = self.job.logical_shard_bytes(worker)
             total += logical
             requests.append(

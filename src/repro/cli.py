@@ -666,6 +666,9 @@ def _selftest(args, out) -> int:
         "tests/core/test_protocol.py",
         "tests/core/test_integrity.py",
         "tests/core/test_incremental.py",
+        # Any single lying commit record: harmless, or a typed refusal
+        # that installs nothing, over every <= m failure pattern.
+        "tests/core/test_lying_records.py",
         "tests/core/test_placement.py",
         "tests/core/test_selection_properties.py",
         # Step 1's walk against the flatten-first decompose it replaced.

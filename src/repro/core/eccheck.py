@@ -26,7 +26,9 @@ worker's ``state_dict``.
 Crash consistency: the byte work (encode -> XOR -> P2P chunk placement)
 runs *first* and the metadata broadcast runs *last*, as the commit record.
 ``restore`` only accepts a version whose metadata is complete on the
-survivors, so a crash anywhere inside ``save`` — at any of the
+survivors (one reader, :meth:`ECCheckEngine._records`, applies that rule
+and hands the record it read to every later step), so a crash anywhere
+inside ``save`` — at any of the
 :data:`~repro.core.eccheck.ECCheckEngine.crash_points` fault-injection
 hooks — leaves a torn version that recovery provably walks back past.
 """
@@ -395,73 +397,127 @@ class ECCheckEngine(CheckpointEngine):
         self.host.put(node, self.chunk_key(version, kind, idx, r, epoch), payload)
         self.host.put(node, self.digest_key(version, kind, idx, r, epoch), digest)
 
-    def _chunk_present(
-        self,
-        node: int,
-        version: int,
-        kind: str,
-        idx: int,
-        groups: int,
-        epoch: int | None = None,
-        store=None,
-    ) -> bool:
-        """All of a chunk's packets and digest records sit on ``node`` (RAM, or ``store``)."""
-        return all(
-            (store or self.host).contains(node, key_of(version, kind, idx, r, epoch))
-            for r in range(groups)
-            for key_of in (self.chunk_key, self.digest_key)
-        )
+    # ------------------------------------------------------------------
+    # One view of a stored version: its commit record, its whole chunks,
+    # and the mover that carries its keys between tiers.
+    # ------------------------------------------------------------------
+    def _records(self, version: int, nodes, store=None) -> list[tuple] | None:
+        """``version``'s commit record: per worker, the ``(metadata_blob,
+        length)`` of the first node in ``nodes`` (in that order) holding
+        one in ``store`` (default: host memory).  None when some worker's
+        is on none of them — the commit rule: such a version is torn.
 
-    def _chunk_intact(
-        self,
-        node: int,
-        version: int,
-        kind: str,
-        idx: int,
-        groups: int | None = None,
-        epoch: int | None = None,
-        store=None,
-    ) -> bool:
-        """All of a chunk's packets present and passing digest verification.
+        An operation resolves it once and hands it down, so every step
+        that reads a length or a blob (decode, install, rebuild, delta,
+        promotion, repair) sees the same record.
+        """
+        store = store or self.host
+        records = []
+        for worker in range(self.job.world_size):
+            key = ("meta", version, worker)
+            holder = next((node for node in nodes if store.contains(node, key)), None)
+            if holder is None:
+                return None
+            records.append(store.get(holder, key))
+        return records
 
-        ``groups`` is the reduction-group count of the placement the
-        version was saved under; defaults to the version's recorded plan.
-        ``store`` is the tier read (default: host memory).  A check is told
-        its packet's live length if the node holds the version's metadata.
+    def _put_records(self, version: int, records: list[tuple], nodes) -> None:
+        """Every node in ``nodes`` holds the operation's one record."""
+        for worker, record in enumerate(records):
+            for node in nodes:
+                self.host.put(node, ("meta", version, worker), record)
+
+    def _survey(
+        self, version: int, nodes, store=None, verify: bool = True, records=None
+    ) -> dict[int, int]:
+        """``version``'s chunks whole on ``nodes``: chunk id (0..k-1 data,
+        k.. parity) -> the node its placement put it on.
+
+        Whole means every packet and digest record of the chunk is in
+        ``store`` (default: host memory) under the version's epoch and,
+        with ``verify``, every packet passes its digest.  ``records`` only
+        tell a check where each packet's padding starts, which makes it
+        cheaper and never changes its verdict.
         """
         store = store or self.host
         plan = self.placement_of(version)
-        if groups is None:
-            groups = len(plan.data_group[0])
-        lengths = self.payload_lengths(version, [node], store)
-        return self._chunk_present(node, version, kind, idx, groups, epoch, store) and all(
-            verify_chunk(
-                store.get(node, self.chunk_key(version, kind, idx, r, epoch)),
-                store.get(node, self.digest_key(version, kind, idx, r, epoch)),
-                self.live_bytes(plan, lengths, kind, idx, r),
-            )
-            for r in range(groups)
-        )
+        groups = range(len(plan.data_group[0]))
+        placed = [("data", j, node) for j, node in enumerate(plan.data_nodes)]
+        placed += [("parity", i, node) for i, node in enumerate(plan.parity_nodes)]
+        whole = {}
+        for cid, (kind, idx, node) in enumerate(placed):
+            keys = [
+                (self.chunk_key(version, kind, idx, r), self.digest_key(version, kind, idx, r))
+                for r in groups
+            ]
+            if node not in nodes or not all(store.contains(node, k) for pair in keys for k in pair):
+                continue
+            if verify and not all(
+                verify_chunk(
+                    store.get(node, chunk),
+                    store.get(node, digest),
+                    self.live_bytes(plan, records, kind, idx, r),
+                )
+                for r, (chunk, digest) in zip(groups, keys)
+            ):
+                continue
+            whole[cid] = node
+        return whole
 
-    def payload_lengths(self, version: int, nodes, store=None) -> list[int] | None:
-        """Every worker's true payload length, from ``version``'s metadata
-        records on ``nodes``; None if some worker's is on none of them."""
-        store = store or self.host
-        records = [
-            next((store.get(n, key) for n in nodes if store.contains(n, key)), None)
-            for key in (("meta", version, w) for w in range(self.job.world_size))
-        ]
-        return None if None in records else [length for _, length in records]
+    def _whole(self, version: int, store=None, verify: bool = True) -> list[tuple] | None:
+        """``version``'s commit record if it is intact in a tier — all ``k +
+        m`` chunks whole in ``store`` and the record complete on its nodes
+        — else None."""
+        plan = self.placement_of(version)
+        nodes = range(self.job.cluster.num_nodes)
+        records = self._records(version, nodes, store)
+        if records is None:
+            return None
+        whole = self._survey(version, nodes, store, verify, records)
+        return records if len(whole) == plan.k + plan.m else None
+
+    def _move(
+        self, version: int, src, dst=None, copy: bool = False, epoch: int | None = None
+    ) -> list[int]:
+        """Carry ``version``'s keys out of tier ``src``, node by node.
+
+        Every chunk, digest and metadata key of the version (with
+        ``epoch``: only its chunk and digest keys of that storage epoch)
+        is put into tier ``dst`` — a copy, the ``src`` key kept, when
+        ``copy``: tiers must not share a buffer a fault could rot — and
+        deleted from ``src`` unless ``copy``; with no ``dst`` it is only
+        deleted.  Returns the bytes moved per node.
+        """
+        kinds = ("chunk", "digest", "meta") if epoch is None else ("chunk", "digest")
+        moved = [0] * self.job.cluster.num_nodes
+        for node in range(len(moved)):
+            for key in src.keys(node):
+                if not (
+                    isinstance(key, tuple)
+                    and len(key) >= 2
+                    and key[0] in kinds
+                    and key[1] == version
+                    and (epoch is None or (key[5] if len(key) > 5 else 0) == epoch)
+                ):
+                    continue
+                value = src.get(node, key)
+                moved[node] += _nbytes(value)
+                if dst is not None:
+                    tiered = value.copy() if copy and isinstance(value, np.ndarray) else value
+                    dst.put(node, key, tiered)
+                if not copy:
+                    src.delete(node, key)
+        return moved
 
     @staticmethod
     def live_bytes(
-        plan: PlacementPlan, lengths: list[int] | None, kind: str, idx: int, r: int
+        plan: PlacementPlan, records: list[tuple] | None, kind: str, idx: int, r: int
     ) -> int | None:
         """Bytes before chunk packet ``(kind, idx, r)``'s zero padding: its
-        worker's payload, or reduction group ``r``'s longest for a parity
-        (None without ``lengths``)."""
+        worker's payload length, or reduction group ``r``'s longest for a
+        parity (None without ``records``)."""
         members = [plan.data_group[idx]] if kind == "data" else plan.data_group
-        return lengths and max(lengths[group[r]] for group in members)
+        return records and max(records[group[r]][1] for group in members)
 
     # ------------------------------------------------------------------
     # eccheck.save
@@ -747,17 +803,16 @@ class ECCheckEngine(CheckpointEngine):
         # memory — not ``self.version``, which an interleaved remote backup
         # (chunkless) may have advanced past it.
         base = self._last_full_version
-        if (
-            not self._last_packets
-            or base is None
-            or not self._memory_version_intact(base, verify=False)
-        ):
+        records = None
+        if self._last_packets and base is not None:
+            records = self._whole(base, verify=False)
+        if records is None:
             return self.save()
         tracer = obs.get_tracer()
         with tracer.span(
             "eccheck.save_incremental", kind="save", version=self.version + 1
         ) as span:
-            report = self._save_delta(base, block_size, tracer)
+            report = self._save_delta(base, records, block_size, tracer)
             if report is not None:
                 span.add_sim(report.checkpoint_time)
                 if tracer.enabled:
@@ -767,8 +822,11 @@ class ECCheckEngine(CheckpointEngine):
                 return report
         return self.save()  # the packet size changed: nothing to XOR against
 
-    def _save_delta(self, base: int, block_size: int, tracer) -> SaveReport | None:
-        """The delta save proper; None (nothing mutated) if packets resized."""
+    def _save_delta(
+        self, base: int, records: list[tuple], block_size: int, tracer
+    ) -> SaveReport | None:
+        """The delta save proper, over the base's commit ``records``; None
+        (nothing mutated) if packets resized."""
         plan = self.placement
         version = self.version + 1
 
@@ -787,7 +845,7 @@ class ECCheckEngine(CheckpointEngine):
             }
             live = [  # old, new and so their delta are zero past the longer payload
                 max(length, checkpoints[w].packet.original_length)
-                for w, length in enumerate(self.payload_lengths(base, self.active_nodes))
+                for w, (_, length) in enumerate(records)
             ]
             deltas, summaries = zip(
                 *(
@@ -908,20 +966,6 @@ class ECCheckEngine(CheckpointEngine):
     # promotion on restore, and disk-tier GC (see checkpoint/tiering.py
     # for the policy that drives these).
     # ------------------------------------------------------------------
-    @staticmethod
-    def _is_version_key(key, version: int) -> bool:
-        return (
-            isinstance(key, tuple)
-            and len(key) >= 2
-            and key[0] in ("chunk", "digest", "meta")
-            and key[1] == version
-        )
-
-    @staticmethod
-    def _tier_copy(value):
-        """Decouple tiers (promotion): a mutation in one must not rot the other."""
-        return value.copy() if isinstance(value, np.ndarray) else value
-
     def memory_versions(self) -> list[int]:
         """Committed versions with chunks resident in host memory."""
         return sorted(self._chunk_versions)
@@ -933,24 +977,6 @@ class ECCheckEngine(CheckpointEngine):
     def delta_base_version(self) -> int | None:
         """Version the next incremental save XORs against (pinned hot)."""
         return self._last_full_version
-
-    def _memory_version_intact(self, version: int, verify: bool = True) -> bool:
-        """Every chunk of ``version`` whole in memory, metadata complete.
-
-        Presence of every packet and metadata coverage are settled before
-        any CRC is spent (a failure half-wipes versions far more often
-        than it rots one); ``verify=False`` stops there.
-        """
-        plan = self.placement_of(version)
-        groups = len(plan.data_group[0])
-        placed = [(node, "data", j) for j, node in enumerate(plan.data_nodes)]
-        placed += [(node, "parity", i) for i, node in enumerate(plan.parity_nodes)]
-        checks = [self._chunk_present] + ([self._chunk_intact] if verify else [])
-        return self._metadata_complete(version, list(self.active_nodes)) and all(
-            check(node, version, kind, idx, groups)
-            for check in checks
-            for node, kind, idx in placed
-        )
 
     def prune_memory_index(self, verify: bool = True) -> list[int]:
         """Drop no-longer-intact versions from the demotion candidate index.
@@ -969,8 +995,7 @@ class ECCheckEngine(CheckpointEngine):
         before anything reaches the disk tier either way.
         """
         stale = [
-            v for v in sorted(self._chunk_versions)
-            if not self._memory_version_intact(v, verify)
+            v for v in sorted(self._chunk_versions) if self._whole(v, verify=verify) is None
         ]
         self._chunk_versions.difference_update(stale)
         self._stale_versions.update(stale)
@@ -1016,25 +1041,17 @@ class ECCheckEngine(CheckpointEngine):
                 f"version {version} is the incremental-delta base; demoting "
                 "it would break the next save_incremental"
             )
-        if not self._memory_version_intact(version):
+        if self._whole(version) is None:
             raise CheckpointError(
                 f"version {version} is not fully intact in memory; refusing "
                 "a torn demotion"
             )
         tm = self.job.time_model
-        n = self.job.cluster.num_nodes
-        per_node_bytes = [0] * n
-        aged_out = {v for v in self._stale_versions if v < version}
-        self._stale_versions -= aged_out
-        for node in range(n):
-            for key in self.host.keys(node):
-                if self._is_version_key(key, version):
-                    value = self.host.get(node, key)
-                    self.disk.put(node, key, value)
-                    per_node_bytes[node] += _nbytes(value)
-                    self.host.delete(node, key)
-                elif any(self._is_version_key(key, v) for v in aged_out):
-                    self.host.delete(node, key)
+        per_node_bytes = self._move(version, self.host, self.disk)
+        aged_out = sorted(v for v in self._stale_versions if v < version)
+        self._stale_versions.difference_update(aged_out)
+        for stale in aged_out:
+            self._move(stale, self.host)
         demote_time = max(
             (tm.disk_write_time(b) for b in per_node_bytes if b), default=0.0
         )
@@ -1050,59 +1067,26 @@ class ECCheckEngine(CheckpointEngine):
 
     def evict_disk_version(self, version: int) -> int:
         """GC one version from the disk tier; returns bytes reclaimed."""
-        freed = 0
-        for node in range(self.job.cluster.num_nodes):
-            for key in self.disk.keys(node):
-                if self._is_version_key(key, version):
-                    freed += _nbytes(self.disk.get(node, key))
-                    self.disk.delete(node, key)
+        freed = sum(self._move(version, self.disk))
         self._disk_versions.discard(version)
         tracer = obs.get_tracer()
         if tracer.enabled and freed:
             tracer.metrics.counter("tier.disk_bytes_evicted").inc(freed)
         return freed
 
-    def _disk_version_intact(self, version: int) -> bool:
-        """Whole version restorable from disk: every chunk verifies and
-        every worker's metadata survives on some node's disk.
-
-        Derived purely from disk contents — never from the advisory
-        ``_disk_versions`` index — so the restore walk cannot be fooled
-        by a stale index after disk loss.
-        """
-        plan = self.placement_of(version)
-        groups = len(plan.data_group[0])
-        placed = [(node, "data", j) for j, node in enumerate(plan.data_nodes)]
-        placed += [(node, "parity", i) for i, node in enumerate(plan.parity_nodes)]
-        metadata = self.payload_lengths(version, range(self.job.cluster.num_nodes), self.disk)
-        return metadata is not None and all(
-            self._chunk_intact(node, version, kind, idx, groups, store=self.disk)
-            for node, kind, idx in placed
-        )
-
-    def _promote_version(self, version: int) -> tuple[float, int]:
+    def _promote_version(
+        self, version: int, records: list[tuple]
+    ) -> tuple[float, int]:
         """Copy a disk version back into host memory (disk copy kept).
 
         Returns ``(promote_seconds, bytes_read)``.  After the per-node
-        copy-back, metadata coverage is re-established on every active
-        node (a replacement machine's empty disk leaves gaps that the
-        surviving disks fill).
+        copy-back every active node holds ``records``, the commit record
+        the restore walk read off the disks (a replacement machine's empty
+        disk leaves gaps that the surviving disks fill).
         """
         tm = self.job.time_model
-        n = self.job.cluster.num_nodes
-        per_node_bytes = [0] * n
-        for node in range(n):
-            for key in self.disk.keys(node):
-                if self._is_version_key(key, version):
-                    value = self.disk.get(node, key)
-                    self.host.put(node, key, self._tier_copy(value))
-                    per_node_bytes[node] += _nbytes(value)
-        all_nodes = list(range(n))
-        for worker in range(self.job.world_size):
-            record = self._meta_record(version, worker, all_nodes)
-            for node in self.active_nodes:
-                if not self.host.contains(node, ("meta", version, worker)):
-                    self.host.put(node, ("meta", version, worker), record)
+        per_node_bytes = self._move(version, self.disk, self.host, copy=True)
+        self._put_records(version, records, self.active_nodes)
         promote_s = max(
             (tm.disk_read_time(b) for b in per_node_bytes if b), default=0.0
         )
@@ -1158,15 +1142,16 @@ class ECCheckEngine(CheckpointEngine):
         # A save interrupted by the crash may have left a torn version
         # behind; walk back to the newest version restorable from *any*
         # tier, exactly as a restart would: in-memory chunks first (>= k
-        # intact chunks plus complete metadata on the survivors), then the
-        # local-disk tier (which survives memory loss — including a full
-        # cluster power-cycle, where ``surviving`` is empty).  Each
+        # whole chunks plus a complete commit record on the survivors),
+        # then the local-disk tier (which survives memory loss — including
+        # a full cluster power-cycle, where ``surviving`` is empty).  Each
         # candidate is judged against the placement *it* was saved under —
         # elastic regroups mean adjacent versions can have different
         # layouts.  Demotion only ever moves versions older than everything
         # still in memory, so checking memory before disk per candidate
-        # preserves strict newest-first order across tiers.
-        version = None
+        # preserves strict newest-first order across tiers.  The record
+        # that admits a version is the one every later step reads.
+        version = records = None
         from_disk = False
         plan = self.placement
         chunk_available: dict[int, int] = {}
@@ -1176,14 +1161,14 @@ class ECCheckEngine(CheckpointEngine):
         with obs.get_tracer().span("eccheck.restore.step1", step="step1_locate_verify"):
             for candidate in range(latest, 0, -1):
                 plan_v = self.placement_of(candidate)
-                if surviving:
-                    available = self._surviving_chunks(candidate, failed_nodes)
-                    if len(available) >= plan_v.k and self._metadata_complete(
-                        candidate, surviving
-                    ):
+                records = self._records(candidate, surviving)
+                if records is not None:
+                    available = self._survey(candidate, surviving, records=records)
+                    if len(available) >= plan_v.k:
                         version, chunk_available, plan = candidate, available, plan_v
                         break
-                if self._disk_version_intact(candidate):
+                records = self._whole(candidate, self.disk)
+                if records is not None:
                     version, plan, from_disk = candidate, plan_v, True
                     break
             if from_disk:
@@ -1191,13 +1176,16 @@ class ECCheckEngine(CheckpointEngine):
                 # memory (failed nodes have rebooted with empty RAM but
                 # live disks), after which recovery proceeds as if
                 # nothing was lost.
-                promote_s, promote_bytes = self._promote_version(version)
-                chunk_available = self._surviving_chunks(version, set())
+                promote_s, promote_bytes = self._promote_version(version, records)
+                every = range(self.job.cluster.num_nodes)
+                chunk_available = self._survey(version, every, records=records)
                 recovery_failed = set()
         if version is None:
             return self._restore_from_backup(latest, failed_nodes)
 
-        report = self._recover(version, recovery_failed, chunk_available, plan)
+        report = self._recover(
+            version, recovery_failed, chunk_available, plan, records
+        )
         if from_disk:
             report.recovery_time += promote_s
             report.breakdown["promote_disk_read"] = promote_s
@@ -1206,50 +1194,27 @@ class ECCheckEngine(CheckpointEngine):
         return report
 
     # -- helpers --------------------------------------------------------
-    def _surviving_chunks(
-        self, version: int, failed_nodes: set[int]
-    ) -> dict[int, int]:
-        """chunk id (0..k-1 data, k.. parity) -> surviving node holding it."""
-        plan = self.placement_of(version)
-        groups = len(plan.data_group[0])
-        out: dict[int, int] = {}
-        for j, node in enumerate(plan.data_nodes):
-            if node not in failed_nodes and self._chunk_intact(
-                node, version, "data", j, groups
-            ):
-                out[j] = node
-        for i, node in enumerate(plan.parity_nodes):
-            if node not in failed_nodes and self._chunk_intact(
-                node, version, "parity", i, groups
-            ):
-                out[plan.k + i] = node
-        return out
-
-    def _metadata_complete(self, version: int, surviving: list[int]) -> bool:
-        """Every worker's metadata record reachable on some survivor."""
-        return self.payload_lengths(version, surviving) is not None
-
-    def _meta_record(self, version: int, worker: int, surviving: list[int]):
-        for node in surviving:
-            if self.host.contains(node, ("meta", version, worker)):
-                return self.host.get(node, ("meta", version, worker))
-        raise RecoveryError(
-            f"metadata for worker {worker} v{version} lost on all survivors"
-        )
-
     def _data_packets(
-        self, version: int, plan: PlacementPlan, chunk_available: dict[int, int]
+        self,
+        version: int,
+        plan: PlacementPlan,
+        chunk_available: dict[int, int],
+        records: list[tuple],
     ) -> dict[tuple[int, int], np.ndarray]:
         """``(data chunk j, group r) -> packet`` for all of ``version``'s data.
 
-        Surviving data chunks are read in place (``_surviving_chunks`` just
-        verified them); only the lost ones are decoded, one fused pass per
+        Surviving data chunks are read in place (the survey just verified
+        them); only the lost ones are decoded, one fused pass per
         reduction group into fresh buffers, from any ``k`` of the
         ``chunk_available`` chunks (id -> node) with data chunks preferred.
+        ``records``' lengths say where each packet's padding starts.
+
+        Raises:
+            CheckpointError: if a record's length runs past the packets: a
+                lie the install could not see, refused before anything is.
         """
         code = self.code_for(plan.k, plan.m)
         lost = [j for j in range(plan.k) if j not in chunk_available]
-        lengths = self.payload_lengths(version, list(chunk_available.values()))
         chunk_of = {c: ("data", c) if c < plan.k else ("parity", c - plan.k) for c in chunk_available}
         packets: dict[tuple[int, int], np.ndarray] = {}
         for r in range(len(plan.data_group[0])):
@@ -1259,13 +1224,17 @@ class ECCheckEngine(CheckpointEngine):
             }
             if lost:
                 decoded = [np.empty_like(next(iter(available.values()))) for _ in lost]
-                live = lengths and {
-                    cid: self.live_bytes(plan, lengths, *chunk_of[cid], r)
-                    for cid in available
+                live = {
+                    cid: self.live_bytes(plan, records, *chunk_of[cid], r) for cid in available
                 }
                 decode_group_into(code, available, lost, decoded, live)
                 available.update(zip(lost, decoded))
             packets.update({(j, r): available[j] for j in range(plan.k)})
+        size = packets[0, 0].size
+        if any(not 0 <= length <= size for _, length in records):
+            raise CheckpointError(
+                f"v{version}: a commit record's length is outside its {size}-byte packet"
+            )
         return packets
 
     def _install_packets(
@@ -1274,7 +1243,7 @@ class ECCheckEngine(CheckpointEngine):
         plan: PlacementPlan,
         packets: dict[tuple[int, int], np.ndarray],
         failed_nodes: set[int],
-        surviving: list[int],
+        records: list[tuple],
     ) -> None:
         """Every worker gets its state back; training can resume.
 
@@ -1282,18 +1251,17 @@ class ECCheckEngine(CheckpointEngine):
         so ``packets`` may be (and are) the stored chunks themselves.
         Replacement nodes also get the metadata copies they lost.  All or
         nothing: a record's length also steered the decode of its group's
-        packets, so no state is replaced until every worker's is rebuilt.
+        packets — the decode read the same ``records`` — so no state is
+        replaced until every worker's is rebuilt.
         """
         with obs.get_tracer().span("eccheck.restore.step3", step="step3_install"):
-            records = [self._meta_record(version, w, surviving) for w in range(self.job.world_size)]
             states = [
                 restore_state_dict(blob, packets[self.group_and_index(w, plan)][:length], GPU)
                 for w, (blob, length) in enumerate(records)
             ]
-            for worker, record in enumerate(records):
-                self.job.state_dicts[worker] = states[worker]
-                for node in failed_nodes:
-                    self.host.put(node, ("meta", version, worker), record)
+            for worker, state in enumerate(states):
+                self.job.state_dicts[worker] = state
+            self._put_records(version, records, failed_nodes)
 
     def _rebuild_redundancy(
         self,
@@ -1301,6 +1269,7 @@ class ECCheckEngine(CheckpointEngine):
         plan: PlacementPlan,
         packets: dict[tuple[int, int], np.ndarray],
         chunk_available: dict[int, int],
+        records: list[tuple],
     ) -> list[int]:
         """Background step: put back exactly the chunks that were lost.
 
@@ -1318,7 +1287,6 @@ class ECCheckEngine(CheckpointEngine):
         lost_parities = [
             i for i in range(plan.m) if (plan.k + i) not in chunk_available
         ]
-        lengths = self.payload_lengths(version, list(chunk_available.values()))
         chunk_of = {c: ("data", c) if c < plan.k else ("parity", c - plan.k) for c in range(plan.k + plan.m)}
         known = [  # per group: chunk id -> digest, the survivors' first
             {c: self.host.get(node, self.digest_key(version, *chunk_of[c], r))
@@ -1331,7 +1299,7 @@ class ECCheckEngine(CheckpointEngine):
             digest = derived_digest(code, known[r], cid, payload.size)
             counts["restore.digests_crcd" if digest is None else "restore.digests_derived"] += 1
             if digest is None:
-                digest = chunk_digest(payload, self.live_bytes(plan, lengths, *chunk_of[cid], r))
+                digest = chunk_digest(payload, self.live_bytes(plan, records, *chunk_of[cid], r))
             known[r][cid] = digest
             self._store_chunk_packet(node, version, *chunk_of[cid], r, payload, digest)
 
@@ -1345,7 +1313,7 @@ class ECCheckEngine(CheckpointEngine):
                 rebuilt = [np.empty_like(group[0]) for _ in lost_parities]
                 encode_group_into(
                     code, group, rebuilt, rows=lost_parities,
-                    lengths=lengths and [lengths[g[r]] for g in plan.data_group],
+                    lengths=[records[g[r]][1] for g in plan.data_group],
                 )
                 for i, packet in zip(lost_parities, rebuilt):
                     store(plan.parity_nodes[i], plan.k + i, r, packet)
@@ -1382,6 +1350,7 @@ class ECCheckEngine(CheckpointEngine):
         failed_nodes: set[int],
         chunk_available: dict[int, int],
         plan: PlacementPlan,
+        records: list[tuple],
     ) -> RecoveryReport:
         """Both recovery workflows of Fig. 7: one byte path, two bills.
 
@@ -1392,19 +1361,23 @@ class ECCheckEngine(CheckpointEngine):
         node failed OR its packets failed digest verification (silent
         corruption); either way it is an erasure.  ``plan`` is the
         placement ``version`` was saved under, so the matching (k, m) code
-        is used, not necessarily the live one.
+        is used, not necessarily the live one.  ``records`` is the commit
+        record that admitted the version: decode, install and rebuild all
+        read it.
         """
         tm = self.job.time_model
         surviving = [
             n for n in range(self.job.cluster.num_nodes) if n not in failed_nodes
         ]
         with obs.get_tracer().span("eccheck.restore.step2", step="step2_decode"):
-            packets = self._data_packets(version, plan, chunk_available)
-        self._install_packets(version, plan, packets, failed_nodes, surviving)
+            packets = self._data_packets(version, plan, chunk_available, records)
+        self._install_packets(version, plan, packets, failed_nodes, records)
         # Background: restore the full chunk layout (data + parity) so the
         # original fault-tolerance capacity returns; the re-encode is
         # billed as one pass per group however many parities were lost.
-        lost_parities = self._rebuild_redundancy(version, plan, packets, chunk_available)
+        lost_parities = self._rebuild_redundancy(
+            version, plan, packets, chunk_available, records
+        )
 
         logical_packet = self.logical_packet_bytes()
         groups = len(plan.data_group[0])

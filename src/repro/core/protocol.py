@@ -21,7 +21,6 @@ any sum: told the payload lengths the metadata records, the fused kernel
 
 from __future__ import annotations
 
-import pickle
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +31,7 @@ from repro.ec.base import ErasureCode
 from repro.ec.kernels import DEFAULT_CHUNK_BYTES, xor_reduce_arrays
 from repro.gf.field import GF
 from repro.tensors.serialization import (
+    ROTTEN_PICKLE,
     Decomposition,
     decompose_state_dict,
     recompose_state_dict,
@@ -112,10 +112,6 @@ def build_worker_checkpoint(
     )
 
 
-#: What unpickling rotten bytes, or unpacking rows from what came out, raises.
-_ROTTEN_PICKLE = (pickle.UnpicklingError, EOFError, ValueError, TypeError, LookupError, AttributeError, ImportError)
-
-
 def restore_state_dict(
     metadata_blob: bytes, packet_payload: np.ndarray, device: str = CPU
 ) -> dict:
@@ -129,7 +125,7 @@ def restore_state_dict(
     try:
         decomposition = Decomposition.from_metadata_blob(metadata_blob)
         total = decomposition.tensor_bytes
-    except _ROTTEN_PICKLE as exc:
+    except ROTTEN_PICKLE as exc:
         raise DecodeError(f"metadata blob is not a tensor layout: {exc!r}") from exc
     if packet_payload.nbytes < total:
         raise DecodeError(

@@ -230,8 +230,16 @@ class ElasticClusterController:
                 resuming call.
         """
         engine = self.engine
-        version = self._latest_repairable_version()
-        if version is None:
+        # The newest restorable version: >= k whole chunks anywhere, and a
+        # commit record complete on the live ranks.
+        nodes = range(engine.job.cluster.num_nodes)
+        for version in range(engine.latest_version(), 0, -1):
+            records = engine._records(version, self.membership.alive)
+            if records is not None and len(
+                engine._survey(version, nodes, records=records)
+            ) >= engine.placement_of(version).k:
+                break
+        else:
             return None
         target = engine.placement
         ledger = self.repair_ledger
@@ -256,18 +264,6 @@ class ElasticClusterController:
                 sim_time + report.repair_seconds
             )
         return report
-
-    def _latest_repairable_version(self) -> int | None:
-        """Newest version with >= k surviving chunks and full metadata."""
-        engine = self.engine
-        alive = self.membership.alive
-        for candidate in range(engine.latest_version(), 0, -1):
-            plan = engine.placement_of(candidate)
-            if len(engine._surviving_chunks(candidate, set())) < plan.k:
-                continue
-            if engine._metadata_complete(candidate, alive):
-                return candidate
-        return None
 
     # ------------------------------------------------------------------
     def maybe_adapt(self, sim_time: float) -> tuple[int, int] | None:

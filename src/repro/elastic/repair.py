@@ -115,18 +115,21 @@ def plan_repair(
     ``done`` set (the controller reuses the ledger across a crash), not
     from re-diffing storage.
     """
-    groups = len(target_plan.data_group[0])
+    groups = range(len(target_plan.data_group[0]))
     relayout = target_plan != engine.placement_of(version)
     epoch = generation if relayout else engine.epoch_of(version)
-    items: list[RepairItem] = []
-    for j, node in enumerate(target_plan.data_nodes):
-        for r in range(groups):
-            if relayout or not engine._chunk_intact(node, version, "data", j, groups):
-                items.append(RepairItem(node=node, kind="data", idx=j, r=r))
-    for i, node in enumerate(target_plan.parity_nodes):
-        for r in range(groups):
-            if relayout or not engine._chunk_intact(node, version, "parity", i, groups):
-                items.append(RepairItem(node=node, kind="parity", idx=i, r=r))
+    nodes = range(engine.job.cluster.num_nodes)
+    whole = {}
+    if not relayout:
+        whole = engine._survey(version, nodes, records=engine._records(version, nodes))
+    placed = [("data", j, node) for j, node in enumerate(target_plan.data_nodes)]
+    placed += [("parity", i, node) for i, node in enumerate(target_plan.parity_nodes)]
+    items = [
+        RepairItem(node=node, kind=kind, idx=idx, r=r)
+        for cid, (kind, idx, node) in enumerate(placed)
+        if cid not in whole
+        for r in groups
+    ]
     return RepairLedger(
         version=version,
         generation=generation,
@@ -198,7 +201,8 @@ class RepairExecutor:
         """Execute derive -> stream -> commit; returns the costed report.
 
         Raises:
-            RecoveryError: when fewer than ``k`` source chunks survive.
+            RecoveryError: when the version's commit record is incomplete
+                or fewer than ``k`` source chunks survive.
             InjectedCrash: propagated from an armed crash injector.
         """
         ledger = self.ledger
@@ -225,13 +229,21 @@ class RepairExecutor:
         ledger = self.ledger
         version = ledger.version
         target = ledger.target_plan
-        source = engine.placement_of(version)
         source_epoch = engine.epoch_of(version)
         tm = engine.job.time_model
         logical_packet = engine.logical_packet_bytes()
+        # One commit record for the whole run: derive, encode, stream and
+        # commit read the same lengths and rebroadcast the same blobs.
+        records = engine._records(version, range(engine.job.cluster.num_nodes))
+        if records is None:
+            raise RecoveryError(
+                f"v{version} has no complete commit record to repair from"
+            )
 
         # --- derive: every worker's packet from any k source chunks. ---
-        packets, decoded_groups = self._derive_worker_packets(version)
+        packets, decoded_groups, source_holder = self._derive_worker_packets(
+            version, records
+        )
         self._fire("post_derive", version=version, generation=ledger.generation)
         derive_seconds = 0.0
         if decoded_groups:
@@ -249,20 +261,18 @@ class RepairExecutor:
             if item.kind == "parity":
                 rows_of.setdefault(item.r, []).append(item.idx)
         parity_of: dict[tuple[int, int], np.ndarray] = {}
-        lengths = engine.payload_lengths(version, range(engine.job.cluster.num_nodes))
         for r, rows in rows_of.items():
             group = [packets[target.data_group[j][r]] for j in range(target.k)]
             rebuilt = [np.empty_like(group[0]) for _ in rows]
             encode_group_into(
                 code, group, rebuilt, rows=rows,
-                lengths=lengths and [lengths[g[r]] for g in target.data_group],
+                lengths=[records[g[r]][1] for g in target.data_group],
             )
             parity_of.update({(r, i): buf for i, buf in zip(rows, rebuilt)})
 
         # --- stream: store each missing packet, then mark it done. ----
         requests: list[TransferRequest] = []
         bytes_streamed = 0
-        source_holder = self._source_holder(version)
         for index, item in pending:
             if item.kind == "data":
                 # A copy: the packet may be a source chunk read in place.
@@ -277,7 +287,7 @@ class RepairExecutor:
                 item.r,
                 payload,
                 epoch=ledger.epoch,
-                live=engine.live_bytes(target, lengths, item.kind, item.idx, item.r),
+                live=engine.live_bytes(target, records, item.kind, item.idx, item.r),
             )
             # The crash window sits between store and mark: a hit here
             # leaves the packet durable but unmarked — safe to redo.
@@ -311,7 +321,8 @@ class RepairExecutor:
         # --- commit: metadata everywhere first, placement flip last. --
         self._fire("pre_commit", version=version, generation=ledger.generation)
         target_nodes = sorted(set(target.data_nodes) | set(target.parity_nodes))
-        meta_bytes = self._rebroadcast_metadata(version, target_nodes)
+        engine._put_records(version, records, target_nodes)
+        meta_bytes = sum(len(blob) for blob, _ in records)
         commit_seconds = (
             meta_bytes * max(0, len(target_nodes) - 1)
             / gbps(tm.inter_node_gbps)
@@ -322,7 +333,8 @@ class RepairExecutor:
         # now that the flip committed (a crash before this point leaves
         # the source epoch whole for restore, a crash after merely
         # leaks garbage).
-        self._collect_stale_chunks(version, source, source_epoch)
+        if source_epoch != engine.epoch_of(version):
+            engine._move(version, engine.host, epoch=source_epoch)
         return RepairReport(
             version=version,
             generation=ledger.generation,
@@ -336,8 +348,11 @@ class RepairExecutor:
         )
 
     # ------------------------------------------------------------------
-    def _derive_worker_packets(self, version: int) -> tuple[dict, int]:
-        """All worker packets of ``version``; (packets, groups decoded).
+    def _derive_worker_packets(
+        self, version: int, records: list[tuple]
+    ) -> tuple[dict, int, int]:
+        """All worker packets of ``version``: (packets, groups decoded, a
+        rank holding source chunks — the stream's nominal origin).
 
         Reads data chunks in place where whole; decodes only the lost
         ones of each source group from any ``k`` chunks otherwise.
@@ -347,7 +362,8 @@ class RepairExecutor:
         """
         engine = self.engine
         plan = engine.placement_of(version)
-        available = engine._surviving_chunks(version, set())
+        nodes = range(engine.job.cluster.num_nodes)
+        available = engine._survey(version, nodes, records=records)
         if len(available) < plan.k:
             raise RecoveryError(
                 f"repair of v{version} needs {plan.k} chunks, "
@@ -355,55 +371,9 @@ class RepairExecutor:
             )
         packets = {
             plan.data_group[j][r]: packet
-            for (j, r), packet in engine._data_packets(version, plan, available).items()
+            for (j, r), packet in engine._data_packets(
+                version, plan, available, records
+            ).items()
         }
-        all_data_whole = all(j in available for j in range(plan.k))
-        return packets, 0 if all_data_whole else len(plan.data_group[0])
-
-    def _collect_stale_chunks(
-        self, version: int, source: PlacementPlan, source_epoch: int
-    ) -> None:
-        """Delete the superseded epoch's chunk keys after a layout flip."""
-        engine = self.engine
-        if source_epoch == engine.epoch_of(version):
-            return
-        groups = len(source.data_group[0])
-        placed = [("data", j, node) for j, node in enumerate(source.data_nodes)]
-        placed += [
-            ("parity", i, node) for i, node in enumerate(source.parity_nodes)
-        ]
-        for kind, idx, node in placed:
-            for r in range(groups):
-                for key in (
-                    engine.chunk_key(version, kind, idx, r, epoch=source_epoch),
-                    engine.digest_key(version, kind, idx, r, epoch=source_epoch),
-                ):
-                    if engine.host.contains(node, key):
-                        engine.host.delete(node, key)
-
-    def _source_holder(self, version: int) -> int:
-        """A rank holding source chunks — the stream's nominal origin."""
-        available = self.engine._surviving_chunks(version, set())
-        if available:
-            return available[min(available)]
-        return 0
-
-    def _rebroadcast_metadata(self, version: int, nodes: list[int]) -> int:
-        """Ensure every node in ``nodes`` holds all metadata records."""
-        engine = self.engine
-        meta_bytes = 0
-        holders = list(range(engine.job.cluster.num_nodes))
-        for worker in range(engine.job.world_size):
-            record = None
-            for node in holders:
-                if engine.host.contains(node, ("meta", version, worker)):
-                    record = engine.host.get(node, ("meta", version, worker))
-                    break
-            if record is None:
-                raise RecoveryError(
-                    f"metadata for worker {worker} v{version} lost everywhere"
-                )
-            meta_bytes += len(record[0])
-            for node in nodes:
-                engine.host.put(node, ("meta", version, worker), record)
-        return meta_bytes
+        decoded = 0 if all(j in available for j in range(plan.k)) else len(plan.data_group[0])
+        return packets, decoded, available[min(available)]

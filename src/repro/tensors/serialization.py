@@ -31,6 +31,14 @@ from repro.tensors.state_dict import (
 from repro.tensors.tensor import CPU, SimTensor
 
 
+#: What unpickling rotten bytes, or unpacking what came out, raises: a blob
+#: that fails with one of these is refused as a :class:`~repro.errors.DecodeError`.
+ROTTEN_PICKLE = (
+    pickle.UnpicklingError, EOFError, ValueError, TypeError, LookupError, AttributeError,
+    ImportError,
+)
+
+
 # ---------------------------------------------------------------------------
 # Full serialization (the base1/base2 path)
 # ---------------------------------------------------------------------------
@@ -52,15 +60,21 @@ def serialize_state_dict(state_dict: dict) -> bytes:
 
 
 def deserialize_state_dict(blob: bytes) -> dict:
-    """Inverse of :func:`serialize_state_dict`; tensors land on CPU."""
-    portable = pickle.loads(blob)
+    """Inverse of :func:`serialize_state_dict`; tensors land on CPU.
+
+    Raises:
+        DecodeError: if the blob is not a serialized state dict.
+    """
     flat: dict[Path, object] = {}
-    for path, tagged in portable.items():
-        if tagged[0] == "__tensor__":
-            _, dtype, shape, raw = tagged
-            flat[path] = SimTensor.from_bytes(raw, np.dtype(dtype), tuple(shape), CPU)
-        else:
-            flat[path] = tagged[1]
+    try:
+        for path, tagged in pickle.loads(blob).items():
+            if tagged[0] == "__tensor__":
+                _, dtype, shape, raw = tagged
+                flat[path] = SimTensor.from_bytes(raw, np.dtype(dtype), tuple(shape), CPU)
+            else:
+                flat[path] = tagged[1]
+    except ROTTEN_PICKLE as exc:
+        raise DecodeError(f"blob is not a serialized state dict: {exc!r}") from exc
     return unflatten_state_dict(flat)
 
 

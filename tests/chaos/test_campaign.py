@@ -58,11 +58,16 @@ def test_single_episode_records_cycles():
 # Revert-detection: undo a fix, the campaign must notice
 # ---------------------------------------------------------------------------
 def test_campaign_catches_reverted_torn_version_walkback(monkeypatch):
-    """Reverting the metadata commit rule (treat every version as
-    committed) makes ECCheck try to restore torn versions — the campaign
-    must record invariant violations."""
+    """Reverting the commit rule (treat every version as committed: the
+    commit-record reader reads a missing record as an empty one instead of
+    calling the version torn) makes ECCheck try to restore torn versions —
+    the campaign must record invariant violations."""
+    records = ECCheckEngine._records
     monkeypatch.setattr(
-        ECCheckEngine, "_metadata_complete", lambda self, version, surviving: True
+        ECCheckEngine,
+        "_records",
+        lambda self, version, nodes, store=None: records(self, version, nodes, store)
+        or [(b"", 0)] * self.job.world_size,
     )
     report = run_campaign(ChaosConfig(episodes=8, seed=0, engines=("eccheck",)))
     assert report.violations

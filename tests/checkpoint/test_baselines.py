@@ -3,11 +3,12 @@ failure semantics, and the timing shapes the paper's figures rely on."""
 
 import pytest
 
-from repro.errors import CheckpointError, RecoveryError
+from repro.errors import CheckpointError, DecodeError, RecoveryError
 from repro.checkpoint.replication import GeminiReplicationEngine
 from repro.checkpoint.sync_remote import SyncRemoteEngine
 from repro.checkpoint.two_phase import TwoPhaseEngine
 from repro.tensors.state_dict import state_dicts_equal
+from tests.core.test_save_bytes import make_testbed
 
 
 def verify_full_restore(job, reference):
@@ -212,3 +213,39 @@ def test_base3_recovery_faster_than_remote(testbed_job):
     r1 = base1.restore({1})
     verify_full_restore(testbed_job, reference)
     assert r3.recovery_time < r1.recovery_time / 5
+
+
+# ---------------------------------------------------------------------------
+# The remote-tier install is all or nothing
+# ---------------------------------------------------------------------------
+def rot_last_remote_blob(engine, version):
+    """Truncate the last writer's blob of ``version``; returns that writer."""
+    worker = engine.job.writers[-1]
+    blob = engine.remote.get(("ckpt", version, worker))
+    engine.remote.put(("ckpt", version, worker), blob[: len(blob) // 2])
+    return worker
+
+
+def assert_refused_whole(engine, failed, version, worker):
+    job = engine.job
+    job.fail_nodes(failed)
+    before = dict(job.state_dicts)
+    with pytest.raises(DecodeError, match=f"v{version} of worker {worker}"):
+        engine.restore(failed)
+    assert all(job.state_dicts[w] is before[w] for w in before), "installed on a refusal"
+
+
+def test_base1_rotten_blob_of_the_last_writer_is_refused_whole():
+    job, _ = make_testbed()
+    engine = SyncRemoteEngine(job)
+    engine.save()
+    worker = rot_last_remote_blob(engine, 1)
+    assert len(job.writers) == 8
+    assert_refused_whole(engine, {0}, 1, worker)
+
+
+def test_eccheck_backup_fallback_rotten_blob_is_refused_whole():
+    job, engine = make_testbed()
+    engine.save_remote_backup()
+    worker = rot_last_remote_blob(engine, 1)
+    assert_refused_whole(engine, {0, 1, 2}, 1, worker)  # > m: only the backup is left

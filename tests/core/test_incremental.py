@@ -14,6 +14,7 @@ from repro.parallel.strategy import ParallelismSpec
 from repro.parallel.topology import ClusterSpec
 from repro.sim.timeline import Interval, merge_intervals
 from repro.tensors.state_dict import state_dicts_equal
+from tests.core.test_integrity import chunk_whole
 
 
 # ---------------------------------------------------------------------------
@@ -585,14 +586,14 @@ def test_rot_in_the_base_is_inherited_with_a_digest_that_flags_it(kind, inside):
     assert verify_chunk(clean_v2, digest)
     assert not verify_chunk(successor, digest)
     assert np.flatnonzero(successor != clean_v2).tolist() == [index]
-    assert not engine._chunk_intact(node, 2, kind, 0)
+    assert not chunk_whole(engine, node, 2, kind, 0)
     # One erasure by rot plus one node lost: still inside the m = 2 budget.
     lost = {next(n for n in range(4) if n != node)}
     job.advance()
     job.fail_nodes(lost)
     assert engine.restore(lost).version == 2
     verify(job, reference)
-    assert engine._memory_version_intact(2)  # the restore re-encoded it
+    assert engine._whole(2) is not None  # the restore re-encoded it
 
     # And the demotion gate keeps it off the disk tier.
     job, engine, *_ = rotten_delta(kind, inside)

@@ -204,6 +204,14 @@ def make_engine():
     return job, ECCheckEngine(job, ECCheckConfig(k=2, m=2))
 
 
+def chunk_whole(engine, node, version, kind, idx):
+    """The engine's survey finds chunk ``(kind, idx)`` of ``version`` whole on
+    ``node``, its checks hinted by the version's commit record."""
+    cid = idx if kind == "data" else engine.placement_of(version).k + idx
+    records = engine._records(version, range(engine.job.cluster.num_nodes))
+    return engine._survey(version, [node], records=records).get(cid) == node
+
+
 def corrupt_chunk(engine, node, kind, idx, r=0):
     payload = engine.host.get(node, ("chunk", engine.version, kind, idx, r))
     corrupt_buffer(payload, byte_index=1)
@@ -220,7 +228,7 @@ def test_save_stores_digests_beside_chunks():
     for node, kind, idx in [(0, "data", 0), (1, "parity", 0)]:
         for r in range(len(engine.placement.data_group[0])):
             assert engine.host.contains(node, ("digest", 1, kind, idx, r))
-    assert engine._chunk_intact(0, 1, "data", 0)
+    assert chunk_whole(engine, 0, 1, "data", 0)
 
 
 def test_corrupted_data_chunk_recovered_via_decode():
@@ -231,13 +239,13 @@ def test_corrupted_data_chunk_recovered_via_decode():
     reference = job.snapshot_states()
     job.advance()
     corrupt_chunk(engine, engine.placement.data_nodes[0], "data", 0)
-    assert not engine._chunk_intact(engine.placement.data_nodes[0], 1, "data", 0)
+    assert not chunk_whole(engine, engine.placement.data_nodes[0], 1, "data", 0)
     # No node failed — the restore is triggered by corruption alone.
     report = engine.restore(set())
     verify_all(job, reference)
     assert report.breakdown["decode"] > 0
     # The corrupted chunk was rebuilt and passes verification again.
-    assert engine._chunk_intact(engine.placement.data_nodes[0], 1, "data", 0)
+    assert chunk_whole(engine, engine.placement.data_nodes[0], 1, "data", 0)
 
 
 def test_corrupted_parity_chunk_reencoded_without_decode():
@@ -248,7 +256,7 @@ def test_corrupted_parity_chunk_reencoded_without_decode():
     report = engine.restore(set())
     verify_all(job, reference)
     assert "decode" not in report.breakdown  # data chunks were intact
-    assert engine._chunk_intact(engine.placement.parity_nodes[1], 1, "parity", 1)
+    assert chunk_whole(engine, engine.placement.parity_nodes[1], 1, "parity", 1)
 
 
 def test_corruption_plus_node_failure_within_budget():
@@ -296,9 +304,9 @@ def padded_packet(engine, kind, version=1):
     plan = engine.placement_of(version)
     nodes = plan.data_nodes if kind == "data" else plan.parity_nodes
     for idx, node in enumerate(nodes):
-        lengths = engine.payload_lengths(version, [node])
+        records = engine._records(version, [node])
         for r in range(len(plan.data_group[0])):
-            live = engine.live_bytes(plan, lengths, kind, idx, r)
+            live = engine.live_bytes(plan, records, kind, idx, r)
             size = engine.host.get(node, ("chunk", version, kind, idx, r)).size
             if live_prefix(size, live) < size:
                 return node, idx, r, live
@@ -327,7 +335,7 @@ def test_rot_anywhere_in_a_packet_is_refused_at_demotion_and_pruned(kind, where)
     job.advance()
     engine.save()  # v1 is no longer the delta base: demotable
     node, idx = flip_at(engine, kind, where)
-    assert not engine._chunk_intact(node, 1, kind, idx)
+    assert not chunk_whole(engine, node, 1, kind, idx)
     with pytest.raises(CheckpointError, match="not fully intact"):
         engine.demote_version(1)
     assert engine.prune_memory_index() == [1]
@@ -345,23 +353,23 @@ def test_rot_anywhere_in_a_packet_is_an_erasure_at_restore(kind, where):
     report = engine.restore(set())
     verify_all(job, reference)
     assert ("decode" in report.breakdown) == (kind == "data")
-    assert engine._chunk_intact(node, 1, kind, idx)  # rebuilt, digest and all
-    assert engine._memory_version_intact(1)
+    assert chunk_whole(engine, node, 1, kind, idx)  # rebuilt, digest and all
+    assert engine._whole(1) is not None
 
 
 @pytest.mark.parametrize("kind", ["data", "parity"])
 def test_a_version_without_metadata_records_still_verifies_in_full(kind):
-    """No record on the node, no hint: the full pass, with the same verdicts."""
+    """No commit record, no hint: the full pass, with the same verdicts."""
     job, engine = make_engine()
     engine.save()
     node, idx, r, live = padded_packet(engine, kind)
     for holder in range(4):
         for worker in range(job.world_size):
             engine.host.delete(holder, ("meta", 1, worker))
-    assert engine.payload_lengths(1, [node]) is None
-    assert engine._chunk_intact(node, 1, kind, idx)
+    assert engine._records(1, range(4)) is None
+    assert chunk_whole(engine, node, 1, kind, idx)
     corrupt_buffer(engine.host.get(node, ("chunk", 1, kind, idx, r)), live, mask=0x04)
-    assert not engine._chunk_intact(node, 1, kind, idx)
+    assert not chunk_whole(engine, node, 1, kind, idx)
 
 
 # ---------------------------------------------------------------------------
@@ -487,10 +495,10 @@ def test_a_wrong_decode_of_an_xor_row_chunk_is_caught_not_blessed(monkeypatch):
     job.fail_nodes(failed)
     engine.restore(failed)
     monkeypatch.undo()
-    assert not engine._chunk_intact(plan.data_nodes[0], 1, "data", 0)
+    assert not chunk_whole(engine, plan.data_nodes[0], 1, "data", 0)
     with pytest.raises(CheckpointError, match="not fully intact"):
         engine.demote_version(1)
     report = engine.restore(set())
     assert report.breakdown["decode"] > 0  # the rebuilt d0 was an erasure
     verify_all(job, reference)
-    assert engine._memory_version_intact(1)
+    assert engine._whole(1) is not None

@@ -1,19 +1,22 @@
-"""A lying commit record: what a wrong ``("meta", v, w)`` length does today.
+"""A lying commit record: what a wrong ``("meta", v, w)`` length does to a restore.
 
 Every node holds ``("meta", version, worker) -> (metadata_blob, length)``
 with no digest and no agreement between copies.  The length steers the
 decode (blocks past it are skipped as padding) and bounds the install.
-The decode reads each record from the first node holding a surviving
-chunk, the install from the lowest surviving node id.
+A restore reads the version's commit record once — per worker, the copy on
+the lowest-numbered survivor — and the decode, the install and the rebuild
+all read that one record.
 
 Under the ``data1_parity1`` failure on the 4 x 2 testbed (a data node and
-a parity node lost; chunk packets of data group 0 decoded) both read the
-same node, and each lie below is a typed refusal that installs nothing:
-the install is all or nothing, so a length that already steered the
-decode of *another* worker's packet cannot leave that worker's wrong
-bytes behind.  A fallback to another node's copy of the record would turn
-these refusals into recoveries: set the outcome in ``CASES`` to ``None``
-for each case it covers.
+a parity node lost; chunk packets of data group 0 decoded) the lie below
+sits on that survivor, so the restore reads it, and each lie is a typed
+refusal that installs nothing: the install is all or nothing, so a length
+that already steered the decode of *another* worker's packet cannot leave
+that worker's wrong bytes behind.  A lie on a node the restore does not
+read changes nothing (``test_lying_records.py`` sweeps every node, worker
+and failure pattern).  A fallback to another node's copy of the record
+would turn these refusals into recoveries: set the outcome in ``CASES`` to
+``None`` for each case it covers.
 """
 
 import pytest
@@ -70,14 +73,12 @@ def test_a_lying_length_on_the_first_survivor_is_refused_whole(case):
     assert all(job.state_dicts[w] is before[w] for w in before), "installed on a refusal"
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="a record only the decode reads is trusted: under data1 the decode reads "
-    "the first chunk holder's, the install a lower node id's, so a zero length on "
-    "the partner's record skips its live blocks and the lost worker's wrong bytes "
-    "install without a refusal (ROADMAP item 4)",
-)
 def test_a_lying_length_only_the_decode_reads_is_never_installed():
+    """Under ``data1`` the first holder of a surviving chunk (data node 1)
+    is not the lowest survivor.  The decode used to read the record there
+    and the install the lowest survivor's, so a zero length on the
+    partner's record skipped its live blocks and the lost worker's wrong
+    bytes installed without a refusal.  Both now read the same record."""
     job, engine, failed, committed, before = lie_then_fail(
         PARTNER,
         lambda length, packet: 0,

@@ -151,7 +151,7 @@ def test_losing_one_data_node_touches_only_the_lost_chunks(monkeypatch):
         engine.host.get(node, key) is value
         for (node, key), value in survivors_before.items()
     )
-    assert engine._memory_version_intact(1)
+    assert engine._whole(1) is not None
     verify(job, reference)
 
 

@@ -137,7 +137,7 @@ def test_no_buffer_is_shared_between_owners():
         job.advance()
         engine.save()
     engine.demote_version(1)  # a move: v1's arrays now belong to the disk
-    engine._promote_version(1)  # disk copy kept, memory gets its own
+    engine._promote_version(1, engine._whole(1, engine.disk))  # disk copy kept, memory gets its own
     # Workflow 1 rebuilds job state straight from the stored data chunks;
     # the saves after it hand their packets to the delta base.
     parity_node = engine.placement.parity_nodes[0]
@@ -156,8 +156,8 @@ def test_no_buffer_is_shared_between_owners():
             "disk": arrays_of(stored(engine.disk, 4)),
         },
     )
-    assert engine._memory_version_intact(report.version)
-    assert engine._disk_version_intact(1)
+    assert engine._whole(report.version) is not None
+    assert engine._whole(1, engine.disk) is not None
 
 
 def assert_owners_disjoint(job, buffers):

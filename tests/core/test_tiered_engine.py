@@ -63,7 +63,7 @@ def test_demote_moves_every_version_key_to_disk(engine, job):
         for key in engine.host.keys(node):
             assert not (isinstance(key, tuple) and key[1] == 1), key
     # The disk copy is complete enough to restore from on its own.
-    assert engine._disk_version_intact(1)
+    assert engine._whole(1, engine.disk) is not None
 
 
 def test_demote_refuses_unknown_and_double_demote(engine, job):
@@ -102,7 +102,7 @@ def test_demotion_decouples_tiers(engine, job):
             if isinstance(key, tuple) and key[0] == "chunk":
                 payload = engine.disk.get(node, key)
                 assert isinstance(payload, np.ndarray)
-    assert engine._disk_version_intact(1)
+    assert engine._whole(1, engine.disk) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +199,7 @@ def test_node_replacement_wipes_only_that_disk(engine, job):
     engine.on_node_replaced(0)
     assert engine.disk.node_bytes(0) == 0
     assert engine.disk.total_bytes > 0  # other disks untouched
-    assert not engine._disk_version_intact(1)
+    assert engine._whole(1, engine.disk) is None
 
 
 def test_gc_remote_backups_keeps_newest(engine, job):

@@ -371,7 +371,7 @@ class TestAnalyzeTrace:
         crcd = analysis.padding["integrity.bytes_digested"]
         folded = analysis.padding["integrity.bytes_closed_form"]
         engine = traced_run.engine
-        lengths = engine.payload_lengths(engine.version, [0])
+        lengths = [length for _, length in engine._records(engine.version, [0])]
         packet = engine.host.get(0, ("chunk", engine.version, "data", 0, 0)).size
         assert share == pytest.approx(1 - sum(lengths) / (len(lengths) * packet))
         assert crcd + folded == 2 * len(lengths) * packet  # (k + m) / k = 2
