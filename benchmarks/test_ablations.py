@@ -52,18 +52,15 @@ def test_ablation_cauchy_matrix(run_once):
 def test_ablation_encoding_throughput(run_once):
     table = run_once(ablation_encoding_throughput)
     print("\n" + table.render())
-    rates = {
-        (row["encoder"], row["threads"]): row["throughput_MiB_s"]
-        for row in table.rows
-    }
-    # All encoders achieve real throughput on this machine.
-    assert all(rate > 1 for rate in rates.values())
-    # The table reports the Cauchy vs Vandermonde comparison and the
-    # thread-pool scaling; exact ratios are machine-dependent, so only
-    # presence and positivity are asserted.
-    assert ("cauchy-field", 1) in rates
-    assert ("vandermonde-field", 1) in rates
-    assert ("cauchy-threadpool", 4) in rates
+    rows = {row["generator"]: row for row in table.rows}
+    assert set(rows) == {"cauchy-good", "vandermonde"}
+    # Both generators achieve real throughput on this machine.
+    assert all(row["throughput_MiB_s"] > 1 for row in rows.values())
+    # The XOR-minimised Cauchy generator needs one table gather per
+    # (2, 2) group where Vandermonde needs four, and the paper's claim
+    # (Cauchy RS encodes faster) holds on the path the engine runs.
+    assert rows["cauchy-good"]["multiplies"] < rows["vandermonde"]["multiplies"]
+    assert rows["cauchy-good"]["throughput_MiB_s"] > rows["vandermonde"]["throughput_MiB_s"]
 
 
 def test_ablation_rack_aware_grouping(run_once):

@@ -24,7 +24,8 @@ XOR the rest — its digest without reading it: the digest of the bytes it
 
 Padding is arithmetic, not work: a caller that holds a zero-padded
 packet's true length passes it as ``live``, and :func:`chunk_digest` CRCs
-the :func:`live_prefix` and folds the zero tail in by :func:`crc32_combine`.
+the :func:`~repro.ec.kernels.live_prefix` and folds the zero tail in by
+:func:`crc32_combine`.
 :func:`verify_chunk` first scans that the tail *is* zero (an order cheaper
 than a CRC), so a hint makes a check cheaper, never more lenient.
 """
@@ -36,7 +37,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from repro.ec.kernels import DEFAULT_CHUNK_BYTES as BLOCK
+from repro.ec.kernels import live_prefix
 from repro.errors import CheckpointError
 
 _POLY = 0xEDB88320  # the CRC-32 polynomial, reflected: bit 31 is x^0
@@ -76,14 +77,6 @@ def crc32_combine(crc_a: int, crc_b: int, len_b: int) -> int:
 def crc32_zeros(n: int) -> int:
     """CRC-32 of ``n`` zero bytes, in closed form."""
     return crc32_combine(0xFFFFFFFF, 0xFFFFFFFF, n)
-
-
-def live_prefix(size: int, live: int | None) -> int:
-    """Leading bytes of a ``size``-byte packet a pass touches when told its
-    payload is ``live`` long: that, rounded up to the 64 KiB work block, if
-    it spares a whole block (a :func:`_multmodp` outweighs less); else all."""
-    reach = size if live is None else -(-max(live, 0) // BLOCK) * BLOCK
-    return reach if size - reach >= BLOCK else size
 
 
 def _own_bytes(payload: np.ndarray | bytes) -> np.ndarray:

@@ -15,8 +15,8 @@ reduction combines them (Eqn. 6 of the paper).
 
 The padding is zero and the code linear, so a padding block adds nothing to
 any sum: told the payload lengths the metadata records, the fused kernel
-(:func:`_apply_rows`) skips every block past a packet's
-:func:`~repro.core.integrity.live_prefix` — same bytes out, fewer touched.
+(:func:`~repro.ec.kernels.apply_rows`) skips every block past a packet's
+:func:`~repro.ec.kernels.live_prefix` — same bytes out, fewer touched.
 """
 
 from __future__ import annotations
@@ -25,11 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import CheckpointError, DecodeError, FieldError
-from repro.core.integrity import live_prefix, xor_digest
+from repro.errors import CheckpointError, DecodeError
+from repro.core.integrity import xor_digest
 from repro.ec.base import ErasureCode
-from repro.ec.kernels import DEFAULT_CHUNK_BYTES, xor_reduce_arrays
-from repro.gf.field import GF
+from repro.ec.kernels import apply_rows, xor_reduce_arrays
 from repro.tensors.serialization import (
     ROTTEN_PICKLE,
     Decomposition,
@@ -167,9 +166,8 @@ def encode_packet(
 def xor_reduce(encoded_packets: list[np.ndarray]) -> np.ndarray:
     """XOR a reduction group's encoded packets into one parity packet.
 
-    Runs on uint64 lanes via the kernel layer whenever the packets are
-    contiguous and word-divisible (the common case: packets are
-    alignment-padded by the block encoder).
+    Runs on uint64 lanes whenever the packets are contiguous and
+    word-divisible (the common case: packets are alignment-padded).
     """
     if not encoded_packets:
         raise CheckpointError("nothing to reduce")
@@ -199,60 +197,6 @@ def derived_digest(
     return None
 
 
-def _apply_rows(
-    field: GF, matrix: np.ndarray, sources: list[np.ndarray], out: list[np.ndarray],
-    lengths: list[int] | None = None,
-) -> None:
-    """``out[n] = XOR_c matrix[n][c] * sources[c]`` over GF(2^w).
-
-    A block's first column is multiplied straight into the buffer and
-    every further column XORed in — a coefficient 0 is skipped, a 1 is
-    XORed straight from the source block, the rest go through one block
-    of scratch — so no ``rows x columns`` intermediates exist.  The
-    sources are walked in ``DEFAULT_CHUNK_BYTES`` blocks, all rows of a
-    block before the next: an input block is read from memory once and
-    the accumulators stay in cache.  Source ``c`` is zero from
-    ``lengths[c]`` on: blocks past its :func:`live_prefix` are not read, an
-    output block no source reaches is zero-filled.  Every check runs here,
-    once, before anything is written; the loop calls unchecked kernels.
-    """
-    size = sources[0].size
-    if any(a.shape != (size,) for a in (*sources, *out)):
-        raise CheckpointError(f"packets and buffers must all be flat, {size} bytes")
-    if any(a.dtype != np.uint8 for a in (*sources, *out)) or not all(
-        buffer.flags.c_contiguous for buffer in out
-    ):
-        raise FieldError("packets must be uint8, buffers contiguous uint8")
-    for n, buffer in enumerate(out):
-        if any(np.may_share_memory(buffer, a) for a in (*sources, *out[:n])):
-            raise FieldError("an output buffer overlaps a packet or another buffer")
-    coefficients = [[int(c) for c in row] for row in matrix]
-    if any(not 0 <= c < field.size for row in coefficients for c in row):
-        raise FieldError(f"coefficient outside GF(2^{field.w})")
-    lengths = [size] * len(sources) if lengths is None else lengths
-    if len(lengths) != len(sources) or any(not 0 <= n <= size for n in lengths):
-        raise CheckpointError(f"need one length in [0, {size}] per packet: {lengths}")
-    reach = [live_prefix(size, n) for n in lengths]
-    scratch = np.empty(min(size, DEFAULT_CHUNK_BYTES), dtype=np.uint8)
-    for start in range(0, size, DEFAULT_CHUNK_BYTES):
-        end = min(size, start + DEFAULT_CHUNK_BYTES)
-        blocks = [source[start:end] for source in sources]
-        live = [c for c, n in enumerate(reach) if start < n]
-        product = scratch[: end - start]
-        for buffer, row in zip(out, coefficients):
-            acc = buffer[start:end]
-            if not live:
-                acc.fill(0)
-                continue
-            field.mul_flat(row[live[0]], blocks[live[0]], acc)
-            for c in live[1:]:
-                if row[c] == 1:
-                    field.xor_flat(blocks[c], acc)
-                elif row[c]:
-                    field.mul_flat(row[c], blocks[c], product)
-                    field.xor_flat(product, acc)
-
-
 def encode_group_into(
     code: ErasureCode,
     packets: list[np.ndarray],
@@ -264,8 +208,8 @@ def encode_group_into(
 
     Writes parity packet ``rows[n]`` — ``XOR_j B(E'[i][j]) d_j`` over the
     group's ``k`` packets — into ``out[n]`` in one blocked pass (see
-    :func:`_apply_rows`).  Byte-identical to :func:`encode_packet` per
-    worker + :func:`xor_reduce` per parity.
+    :func:`~repro.ec.kernels.apply_rows`).  Byte-identical to
+    :func:`encode_packet` per worker + :func:`xor_reduce` per parity.
 
     Args:
         code: the (k, m) erasure code.
@@ -282,7 +226,7 @@ def encode_group_into(
     rows = range(len(out)) if rows is None else rows
     if len(rows) != len(out):
         raise CheckpointError(f"{len(rows)} parity rows for {len(out)} buffers")
-    _apply_rows(code.field, code.parity_matrix[list(rows)], packets, out, lengths)
+    apply_rows(code.field, code.parity_matrix[list(rows)], packets, out, lengths)
 
 
 def decode_group_into(
@@ -295,9 +239,9 @@ def decode_group_into(
     """Fused decode of a reduction group's *lost* data packets only.
 
     Writes data packet ``lost[n]`` into ``out[n]``: the matching rows of
-    the (cached) decoding matrix of any ``k`` available chunks — data
-    chunks preferred, as :meth:`ErasureCode.decode` chooses — applied in
-    one blocked pass (see :func:`_apply_rows`).  Byte-identical to the
+    the (cached) decoding matrix of the ``k`` available chunks
+    :meth:`ErasureCode.survivors` chooses, applied in one blocked pass
+    (see :func:`~repro.ec.kernels.apply_rows`).  Byte-identical to the
     same rows of ``code.decode(available)``.
 
     Args:
@@ -310,16 +254,15 @@ def decode_group_into(
         lengths: chunk id -> live length (a parity's: its group's longest).
 
     Raises:
-        DecodeError: with fewer than ``k`` chunks or a non-data ``lost`` id.
+        DecodeError: with fewer than ``k`` chunks, a non-data ``lost`` id
+            or an available id outside ``0..n-1``.
     """
     k = code.params.k
-    if len(available) < k:
-        raise DecodeError(f"need {k} chunks to decode, got {len(available)}")
+    chosen = code.survivors(available)
     if len(lost) != len(out):
         raise CheckpointError(f"{len(lost)} lost chunks for {len(out)} buffers")
     if any(not 0 <= j < k for j in lost):
         raise DecodeError(f"only data chunks 0..{k - 1} decode, got {list(lost)}")
-    chosen = sorted(available, key=lambda c: (c >= k, c))[:k]
     rows = code.decoding_matrix(chosen)[list(lost)]
     hints = lengths and [lengths[c] for c in chosen]
-    _apply_rows(code.field, rows, [available[c] for c in chosen], out, hints)
+    apply_rows(code.field, rows, [available[c] for c in chosen], out, hints)

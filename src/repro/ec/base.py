@@ -11,10 +11,12 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from collections import OrderedDict
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
+from repro.ec.kernels import apply_rows
 from repro.errors import CodeConfigError, DecodeError
 from repro.gf.field import GF
 from repro.gf.matrix import gf_matinv
@@ -143,19 +145,41 @@ class ErasureCode(ABC):
 
         return is_invertible(sub, self.field)
 
+    def survivors(self, available_ids: Iterable[int]) -> list[int]:
+        """The ``k`` chunk ids a decode reads from ``available_ids``.
+
+        Surviving data chunks first — each one kept is a free copy — then
+        the lowest parity ids.
+
+        Raises:
+            DecodeError: if fewer than ``k`` chunks are available.
+        """
+        k = self.params.k
+        ids = list(available_ids)
+        if len(ids) < k:
+            raise DecodeError(f"need {k} chunks to decode, got {len(ids)}")
+        return sorted(ids, key=lambda c: (c >= k, c))[:k]
+
     def decoding_matrix(self, available_ids: list[int]) -> np.ndarray:
         """The ``k x k`` matrix mapping the chosen surviving chunks to data.
 
-        ``available_ids`` must list exactly ``k`` distinct chunk ids.  The
-        returned matrix ``D`` satisfies ``data = D @ survivors`` over
-        GF(2^w).  This is the matrix the paper calls the decoding matrix
-        ``E'`` (Eqn. 5).
+        ``available_ids`` must list exactly ``k`` distinct chunk ids in
+        ``0..n-1``.  The returned matrix ``D`` satisfies ``data = D @
+        survivors`` over GF(2^w).  This is the matrix the paper calls the
+        decoding matrix ``E'`` (Eqn. 5).
+
+        Raises:
+            DecodeError: on a wrong count, a repeated id or an id outside
+                ``0..n-1`` (a negative id would otherwise index a row from
+                the end and decode wrong bytes without an error).
         """
         ids = list(available_ids)
         if len(ids) != self.params.k or len(set(ids)) != self.params.k:
             raise DecodeError(
                 f"need exactly k={self.params.k} distinct chunk ids, got {ids}"
             )
+        if any(not 0 <= i < self.params.n for i in ids):
+            raise DecodeError(f"chunk ids outside 0..{self.params.n - 1}: {ids}")
         key = tuple(ids)
         cached = self._decoding_cache.get(key)
         if cached is not None:
@@ -171,8 +195,9 @@ class ErasureCode(ABC):
             self._decoding_cache.popitem(last=False)
         return matrix
 
-    def decoding_cache_info(self) -> dict[str, int]:
-        """Hit/miss/size counters of the decoding-matrix LRU cache."""
+    def decode_cache_info(self) -> dict[str, int]:
+        """Hit/miss/size counters of the decoding-matrix LRU cache, the one
+        every decode (and every engine restore) looks up."""
         return {
             "hits": self._decoding_cache_hits,
             "misses": self._decoding_cache_misses,
@@ -180,24 +205,11 @@ class ErasureCode(ABC):
             "max_size": self.DECODING_CACHE_SIZE,
         }
 
-    def decode(self, available: dict[int, np.ndarray]) -> list[np.ndarray]:
-        """Reconstruct the ``k`` original data blocks.
-
-        Args:
-            available: mapping from chunk id (0..n-1) to its block.  Any
-                ``k`` chunks of an MDS code suffice; extra chunks are
-                ignored (data chunks are preferred to minimise work).
-
-        Raises:
-            DecodeError: if fewer than ``k`` chunks are available.
-        """
-        if len(available) < self.params.k:
-            raise DecodeError(
-                f"need {self.params.k} chunks to decode, got {len(available)}"
-            )
-        # Prefer surviving data chunks: each one we keep is a free copy.
-        ids = sorted(available, key=lambda i: (i >= self.params.k, i))
-        chosen = ids[: self.params.k]
+    def _survivor_blocks(
+        self, available: dict[int, np.ndarray]
+    ) -> tuple[np.ndarray, list[np.ndarray]]:
+        """The decoding matrix and the flat blocks of the chosen survivors."""
+        chosen = self.survivors(available)
         matrix = self.decoding_matrix(chosen)
         blocks = [
             np.ascontiguousarray(available[i], dtype=np.uint8).ravel() for i in chosen
@@ -205,6 +217,23 @@ class ErasureCode(ABC):
         sizes = {b.nbytes for b in blocks}
         if len(sizes) != 1:
             raise DecodeError(f"surviving blocks differ in size: {sorted(sizes)}")
+        return matrix, blocks
+
+    def decode(self, available: dict[int, np.ndarray]) -> list[np.ndarray]:
+        """Reconstruct the ``k`` original data blocks.
+
+        The field-arithmetic reference :meth:`decode_fast` is held to.
+
+        Args:
+            available: mapping from chunk id (0..n-1) to its block.  Any
+                ``k`` chunks of an MDS code suffice; extra chunks are
+                ignored (see :meth:`survivors`).
+
+        Raises:
+            DecodeError: with fewer than ``k`` chunks or an id outside
+                ``0..n-1``.
+        """
+        matrix, blocks = self._survivor_blocks(available)
         out: list[np.ndarray] = []
         for row in range(self.params.k):
             acc = np.zeros(blocks[0].shape, dtype=np.uint8)
@@ -217,20 +246,22 @@ class ErasureCode(ABC):
         return out
 
     # ------------------------------------------------------------------
-    # Fast-path dispatch.  Codes with a vectorised XOR kernel path (the
-    # Cauchy RS bitmatrix implementation) override these; everything that
-    # moves checkpoint bytes calls them, so the dispatch decision lives in
-    # one place instead of at every call site.
+    # The byte path: everything that moves checkpoint-sized buffers runs
+    # the one fused kernel, repro.ec.kernels.apply_rows.
     # ------------------------------------------------------------------
     def encode_fast(self, data_blocks: list[np.ndarray]) -> list[np.ndarray]:
-        """Encode via the fastest available path (byte-identical to
-        :meth:`encode`)."""
-        return self.encode(data_blocks)
+        """:meth:`encode` through the fused kernel (byte-identical)."""
+        blocks = self._check_blocks(data_blocks)
+        out = [np.empty(blocks[0].size, dtype=np.uint8) for _ in range(self.params.m)]
+        apply_rows(self.field, self.parity_matrix, blocks, out)
+        return out
 
     def decode_fast(self, available: dict[int, np.ndarray]) -> list[np.ndarray]:
-        """Decode via the fastest available path (byte-identical to
-        :meth:`decode`)."""
-        return self.decode(available)
+        """:meth:`decode` through the fused kernel (byte-identical)."""
+        matrix, blocks = self._survivor_blocks(available)
+        out = [np.empty(blocks[0].size, dtype=np.uint8) for _ in range(self.params.k)]
+        apply_rows(self.field, matrix, blocks, out)
+        return out
 
     def encode_all(self, data_blocks: list[np.ndarray]) -> list[np.ndarray]:
         """Return all ``n`` chunks: the data blocks followed by parity."""

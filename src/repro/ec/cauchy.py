@@ -7,49 +7,26 @@ GF(2) bitmatrix (:mod:`repro.gf.bitmatrix`), encoding becomes XOR-only,
 which is what lets ECCheck encode checkpoints on CPU without slowing GPU
 training.
 
-This module provides both paths:
-
-* the field-arithmetic path inherited from :class:`~repro.ec.base.ErasureCode`
-  (used as a cross-check and for decoding), and
-* :meth:`CauchyRSCode.encode_bitmatrix`, the XOR-only path driven by a
-  compiled :class:`~repro.ec.schedule.XorSchedule`.
+Bytes are coded by the fused kernel every code shares
+(:meth:`~repro.ec.base.ErasureCode.encode_fast`); the XOR-only bitmatrix
+encode survives as :meth:`CauchyRSCode.encode_bitmatrix_reference`, and
+the bitmatrix itself feeds the XOR-count ablations
+(:mod:`repro.ec.schedule`).
 """
 
 from __future__ import annotations
-
-from collections import OrderedDict
 
 import numpy as np
 
 from repro.errors import CodeConfigError
 from repro.ec.base import CodeParams, ErasureCode
-from repro.ec.kernels import (
-    DEFAULT_CHUNK_BYTES,
-    apply_schedule_blocks,
-    decompose_into,
-    padded_row_bytes,
-    recompose_into,
-    strip_bytes_for,
-)
-from repro.ec.schedule import XorSchedule, dumb_schedule, paar_schedule
 from repro.gf.bitmatrix import bitmatrix_from_matrix
 from repro.gf.field import GF
 
-# ----------------------------------------------------------------------
-# Compile-once caches.  A code's parity bitmatrix and its compiled XOR
-# schedule are functions of (k, m, w, good_matrix) alone, so every
-# CauchyRSCode instance with the same shape shares one compilation —
-# checkpoint engines create fresh codes per job, and without these caches
-# each one re-ran the Jerasure-style matrix/schedule construction.
-# ----------------------------------------------------------------------
+# A code's parity bitmatrix is a function of (k, m, w, good_matrix) alone,
+# so every CauchyRSCode instance with the same shape shares one expansion.
 _PARITY_BITMATRIX_CACHE: dict[tuple[int, int, int, bool], np.ndarray] = {}
-_SCHEDULE_CACHE: dict[tuple[int, int, int, bool], XorSchedule] = {}
-_CACHE_STATS = {
-    "bitmatrix_hits": 0,
-    "bitmatrix_misses": 0,
-    "schedule_hits": 0,
-    "schedule_misses": 0,
-}
+_CACHE_STATS = {"bitmatrix_hits": 0, "bitmatrix_misses": 0}
 
 
 def cached_parity_bitmatrix(code: "CauchyRSCode") -> np.ndarray:
@@ -67,26 +44,19 @@ def cached_parity_bitmatrix(code: "CauchyRSCode") -> np.ndarray:
     return bm
 
 
-def cached_schedule(code: "CauchyRSCode") -> XorSchedule:
-    """The Paar-compiled encode schedule, memoised per (k, m, w, good_matrix)."""
-    p = code.params
-    key = (p.k, p.m, p.w, code.good_matrix)
-    schedule = _SCHEDULE_CACHE.get(key)
-    if schedule is None:
-        _CACHE_STATS["schedule_misses"] += 1
-        schedule = paar_schedule(cached_parity_bitmatrix(code), p.k, p.m, p.w)
-        _SCHEDULE_CACHE[key] = schedule
-    else:
-        _CACHE_STATS["schedule_hits"] += 1
-    return schedule
-
-
 def schedule_cache_info() -> dict[str, int]:
-    """Hit/miss counters of the module-level compile caches."""
+    """Hit/miss counters of the module-level parity-bitmatrix cache.
+
+    The ``schedule_*`` keys named an encode-schedule cache that no byte
+    path uses any more; they stay for the readers of this key set and
+    always read 0.
+    """
     return dict(
         _CACHE_STATS,
         bitmatrix_entries=len(_PARITY_BITMATRIX_CACHE),
-        schedule_entries=len(_SCHEDULE_CACHE),
+        schedule_hits=0,
+        schedule_misses=0,
+        schedule_entries=0,
     )
 
 
@@ -177,19 +147,9 @@ class CauchyRSCode(ErasureCode):
         (b'abcdefgh', b'ijklmnop')
     """
 
-    #: Compiled decode schedules kept per survivor-id tuple (alongside the
-    #: base class's decoding-matrix cache): real recoveries decode the same
-    #: survivor set for every reduction group in a failure event.
-    DECODE_SCHEDULE_CACHE_SIZE = 64
-
     def __init__(self, params: CodeParams, good_matrix: bool = False):
         super().__init__(params)
         self.good_matrix = good_matrix
-        self._decode_schedule_cache: OrderedDict[tuple[int, ...], XorSchedule] = (
-            OrderedDict()
-        )
-        self._decode_schedule_hits = 0
-        self._decode_schedule_misses = 0
 
     def build_generator(self) -> np.ndarray:
         k, m = self.params.k, self.params.m
@@ -208,72 +168,17 @@ class CauchyRSCode(ErasureCode):
         """
         return cached_parity_bitmatrix(self)
 
-    # ------------------------------------------------------------------
-    # Fast XOR-only paths (word-packed kernels, cached schedules)
-    # ------------------------------------------------------------------
-    def encode_bitmatrix(
-        self,
-        data_blocks: list[np.ndarray],
-        chunk_bytes: int = DEFAULT_CHUNK_BYTES,
-    ) -> list[np.ndarray]:
-        """Encode with XOR operations only, via the parity bitmatrix.
-
-        The compiled (and cached) Paar schedule is executed by the
-        cache-blocked word-packed kernels in :mod:`repro.ec.kernels`.
-        Produces byte-identical output to :meth:`encode` (the field path) —
-        tests assert this equivalence.
-
-        Raises:
-            CodeConfigError: if block sizes are not divisible by ``w``.
-        """
-        blocks = self._check_blocks(data_blocks)
-        w = self.params.w
-        size = blocks[0].nbytes
-        if size % w:
-            raise CodeConfigError(
-                f"bitmatrix encoding needs block size divisible by w={w}, got {size}"
-            )
-        if not self.params.m:
-            return []
-        out = [np.empty(size, dtype=np.uint8) for _ in range(self.params.m)]
-        self.encode_bitmatrix_into(blocks, out, chunk_bytes=chunk_bytes)
-        return out
-
-    def encode_bitmatrix_into(
-        self,
-        blocks: list[np.ndarray],
-        out_blocks: list[np.ndarray],
-        chunk_bytes: int = DEFAULT_CHUNK_BYTES,
-    ) -> None:
-        """Encode ``blocks`` writing parity bytes directly into ``out_blocks``.
-
-        The zero-copy entry point used by the pool encoders: callers pass
-        ``m`` preallocated uint8 arrays *or views* (e.g. sub-range slices
-        of full parity blocks) the same size as the data blocks.  Inputs
-        must be contiguous uint8 arrays of equal size divisible by ``w``;
-        no validation copies are made here.
-
-        One kernel variant: the Paar schedule over the packbits
-        decompose.  Blocking never changes a byte; ``chunk_bytes`` is a
-        parameter so the tests can pin that.
-        """
-        apply_schedule_blocks(
-            cached_schedule(self).compiled_ops(),
-            blocks,
-            out_blocks,
-            self.params.w,
-            chunk_bytes,
-        )
-
     def encode_bitmatrix_reference(
         self, data_blocks: list[np.ndarray]
     ) -> list[np.ndarray]:
-        """The pre-kernel bitmatrix encoder, kept as the equivalence
-        suite's reference.
+        """The paper's XOR-only encode, kept as a reference.
 
-        Walks the parity bitmatrix row by row, XORing full-size strips with
-        one numpy call per 1-bit — no schedule, no word packing, no cache
-        blocking.
+        Walks the parity bitmatrix row by row, XORing full-size bit-plane
+        strips with one numpy call per 1-bit.  Byte-identical to
+        :meth:`encode` (the equivalence suite holds it there).
+
+        Raises:
+            CodeConfigError: if block sizes are not divisible by ``w``.
         """
         blocks = self._check_blocks(data_blocks)
         w = self.params.w
@@ -292,164 +197,14 @@ class CauchyRSCode(ErasureCode):
             parity_strips.append(acc)
         return _reference_bitplanes_to_blocks(parity_strips, self.params.m, w, size)
 
-    def _decode_schedule(self, ids: tuple[int, ...]) -> XorSchedule:
-        """Compiled XOR schedule for decoding from survivor set ``ids``.
-
-        LRU-cached per survivor tuple: the decoding bitmatrix expansion and
-        schedule compilation run once per distinct failure pattern instead
-        of once per reduction group.
-        """
-        schedule = self._decode_schedule_cache.get(ids)
-        if schedule is not None:
-            self._decode_schedule_hits += 1
-            self._decode_schedule_cache.move_to_end(ids)
-            return schedule
-        self._decode_schedule_misses += 1
-        matrix = self.decoding_matrix(list(ids))
-        bm = bitmatrix_from_matrix(matrix, self.field)
-        k, w = self.params.k, self.params.w
-        schedule = dumb_schedule(bm, k, k, w)
-        self._decode_schedule_cache[ids] = schedule
-        if len(self._decode_schedule_cache) > self.DECODE_SCHEDULE_CACHE_SIZE:
-            self._decode_schedule_cache.popitem(last=False)
-        return schedule
-
-    def decode_cache_info(self) -> dict[str, int]:
-        """Hit/miss/size counters of the decode-schedule LRU cache."""
-        return {
-            "hits": self._decode_schedule_hits,
-            "misses": self._decode_schedule_misses,
-            "size": len(self._decode_schedule_cache),
-            "max_size": self.DECODE_SCHEDULE_CACHE_SIZE,
-        }
-
-    def decode_bitmatrix(self, available: dict[int, np.ndarray]) -> list[np.ndarray]:
-        """Decode with XOR operations only.
-
-        The ``k x k`` decoding matrix (inverse of the surviving generator
-        rows) is expanded to its GF(2) bitmatrix and compiled to a cached
-        XOR schedule, so reconstruction — like encoding — runs through the
-        word-packed kernels.  Byte-identical to :meth:`decode`.
-
-        Raises:
-            DecodeError: with fewer than ``k`` chunks.
-            CodeConfigError: if block sizes are not divisible by ``w``.
-        """
-        from repro.errors import DecodeError
-
-        k, w = self.params.k, self.params.w
-        if len(available) < k:
-            raise DecodeError(f"need {k} chunks to decode, got {len(available)}")
-        ids = sorted(available, key=lambda i: (i >= k, i))[:k]
-        blocks = [
-            np.ascontiguousarray(available[i], dtype=np.uint8).ravel() for i in ids
-        ]
-        size = blocks[0].nbytes
-        if size % w:
-            raise CodeConfigError(
-                f"bitmatrix decoding needs block size divisible by w={w}, got {size}"
-            )
-        schedule = self._decode_schedule(tuple(ids))
-        out = [np.empty(size, dtype=np.uint8) for _ in range(k)]
-        apply_schedule_blocks(schedule.compiled_ops(), blocks, out, w)
-        return out
-
-    def decode_bitmatrix_reference(
-        self, available: dict[int, np.ndarray]
-    ) -> list[np.ndarray]:
-        """The pre-kernel bitmatrix decoder, kept as the equivalence
-        suite's reference.
-
-        Re-expands the decoding bitmatrix on every call and XORs full-size
-        strips row by row — the cost profile the schedule cache and the
-        word-packed kernels remove.
-        """
-        from repro.errors import DecodeError
-
-        k, w = self.params.k, self.params.w
-        if len(available) < k:
-            raise DecodeError(f"need {k} chunks to decode, got {len(available)}")
-        ids = sorted(available, key=lambda i: (i >= k, i))[:k]
-        matrix = self.decoding_matrix(ids)
-        bm = bitmatrix_from_matrix(matrix, self.field)
-        blocks = [
-            np.ascontiguousarray(available[i], dtype=np.uint8).ravel() for i in ids
-        ]
-        size = blocks[0].nbytes
-        if size % w:
-            raise CodeConfigError(
-                f"bitmatrix decoding needs block size divisible by w={w}, got {size}"
-            )
-        strips = _reference_blocks_to_bitplanes(blocks, w)
-        out_strips = []
-        for r in range(k * w):
-            acc = np.zeros(strips[0].shape, dtype=np.uint8)
-            for c in np.nonzero(bm[r])[0]:
-                np.bitwise_xor(acc, strips[int(c)], out=acc)
-            out_strips.append(acc)
-        return _reference_bitplanes_to_blocks(out_strips, k, w, size)
-
-    # ------------------------------------------------------------------
-    # Fast-path dispatch (see ErasureCode.encode_fast / decode_fast)
-    # ------------------------------------------------------------------
-    def encode_fast(self, data_blocks: list[np.ndarray]) -> list[np.ndarray]:
-        """Bitmatrix kernels when the block size allows, else field path."""
-        blocks = self._check_blocks(data_blocks)
-        if self.params.m and blocks[0].nbytes % self.params.w == 0:
-            return self.encode_bitmatrix(blocks)
-        return self.encode(blocks)
-
-    def decode_fast(self, available: dict[int, np.ndarray]) -> list[np.ndarray]:
-        """Bitmatrix kernels when the block size allows, else field path."""
-        if len(available) >= self.params.k and available:
-            sizes = {np.asarray(b).nbytes for b in available.values()}
-            if len(sizes) == 1 and sizes.pop() % self.params.w == 0:
-                return self.decode_bitmatrix(available)
-        return self.decode(available)
-
-
-def _blocks_to_bitplanes(blocks: list[np.ndarray], w: int) -> list[np.ndarray]:
-    """Split each block into ``w`` bit-plane strips.
-
-    Jerasure's packed layout stores bit-plane ``i`` of a block as the bytes
-    ``block[i*strip : (i+1)*strip]`` where consecutive words are interleaved
-    across strips.  We use the simpler "column" layout: word ``t`` of the
-    block contributes bit ``i`` to position ``t`` of strip ``i``.  Strips are
-    packed back into bytes so XOR stays byte-wise.
-
-    Implemented on the vectorised kernels (mask + ``packbits``); layout is
-    byte-identical to the historical per-plane shift loop.
-    """
-    out: list[np.ndarray] = []
-    for block in blocks:
-        block = np.ascontiguousarray(block, dtype=np.uint8).ravel()
-        strip = strip_bytes_for(block.size, w)
-        rows = np.empty((w, strip), dtype=np.uint8)
-        decompose_into(block, w, rows)
-        out.extend(rows[i] for i in range(w))
-    return out
-
-
-def _bitplanes_to_blocks(
-    strips: list[np.ndarray], count: int, w: int, size: int
-) -> list[np.ndarray]:
-    """Inverse of :func:`_blocks_to_bitplanes` for ``count`` output blocks."""
-    out: list[np.ndarray] = []
-    for b in range(count):
-        rows = np.stack(
-            [np.ascontiguousarray(s, dtype=np.uint8) for s in strips[b * w : (b + 1) * w]]
-        )
-        block = np.empty(size, dtype=np.uint8)
-        recompose_into(rows, w, block)
-        out.append(block)
-    return out
-
 
 def _reference_blocks_to_bitplanes(blocks: list[np.ndarray], w: int) -> list[np.ndarray]:
-    """Pre-kernel bit-plane split (per-plane shift/compare loop).
+    """Split each block into ``w`` bit-plane strips.
 
-    Kept verbatim so :meth:`CauchyRSCode.encode_bitmatrix_reference` shares
-    no code with the kernels the equivalence suite holds against it.
+    Word ``t`` of a block contributes bit ``i`` to position ``t`` of strip
+    ``i``; strips are packed into bytes so XOR stays byte-wise.  The only
+    bit-plane code in the package: the bitmatrix reference and
+    :meth:`~repro.ec.schedule.XorSchedule.apply` run on it.
     """
     out: list[np.ndarray] = []
     for block in blocks:
@@ -470,7 +225,7 @@ def _reference_blocks_to_bitplanes(blocks: list[np.ndarray], w: int) -> list[np.
 def _reference_bitplanes_to_blocks(
     strips: list[np.ndarray], count: int, w: int, size: int
 ) -> list[np.ndarray]:
-    """Pre-kernel inverse of :func:`_reference_blocks_to_bitplanes`."""
+    """Inverse of :func:`_reference_blocks_to_bitplanes` for ``count`` blocks."""
     if w == 8:
         n_words, dtype = size, np.uint8
     elif w == 16:

@@ -1,22 +1,19 @@
-"""Shared-memory process-pool encoder: the GIL-free encode fast path.
+"""Shared-memory process-pool encoder: the GIL-free encoder backend.
 
-``ThreadPoolEncoder`` tops out well below memory bandwidth because only
-the XOR stage of the kernel pipeline reliably releases the GIL — the
-bit-plane decompose/recompose stages run short numpy calls that
-re-acquire it, so adding threads mostly adds lock convoy.  This module
-moves the fan-out across *processes* instead:
+``ThreadPoolEncoder`` tops out well below memory bandwidth because the
+kernel's per-block numpy calls are short and each re-acquires the GIL,
+so adding threads mostly adds lock convoy.  This module moves the
+fan-out across *processes* instead:
 
 * The encoder owns two ``multiprocessing.shared_memory`` segments — one
   carved into ``k`` data-block slots, one into ``m`` parity slots — and
   stages each encode call's blocks into the data segment once.
-* Worker processes attach the segments **by name** and run the same
-  compiled-schedule kernels over zero-copy numpy views of their assigned
-  stripe.  A task submission is a tuple of names and byte offsets; tensor
-  bytes are never pickled.
+* Worker processes attach the segments **by name** and run the fused
+  kernel (:func:`repro.ec.kernels.apply_rows`) over zero-copy numpy
+  views of their assigned stripe.  A task submission is a tuple of names
+  and byte offsets; tensor bytes are never pickled.
 * Stripe assignment reuses :func:`repro.ec.threadpool.split_ranges` — the
-  identical word-aligned splitting the thread pool uses — so each
-  sub-range's kernel invocation, and therefore the output bytes, are
-  byte-identical to the serial path.
+  identical word-aligned splitting the thread pool uses.
 
 Lifecycle: segments are unlinked on :meth:`close`, on a worker crash
 (``BrokenProcessPool`` tears the pool down and releases the segments
@@ -43,14 +40,15 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from multiprocessing import get_context
 from multiprocessing import shared_memory
-from typing import Any
 
 import numpy as np
 
 from repro import obs
 from repro.errors import CodeConfigError, EncodeError
-from repro.ec.base import CodeParams, ErasureCode
+from repro.ec.base import ErasureCode
+from repro.ec.kernels import apply_rows
 from repro.ec.threadpool import EncodeStats, ThreadPoolEncoder, split_ranges
+from repro.gf.field import GF
 
 #: Prefix of every shared-memory segment this module creates; the test
 #: suite sweeps ``/dev/shm`` for it to prove nothing leaks.
@@ -75,7 +73,7 @@ def _round_slot(nbytes: int) -> int:
 # ---------------------------------------------------------------------------
 
 _WORKER_SEGMENTS: dict[str, shared_memory.SharedMemory] = {}
-_WORKER_CODES: dict[tuple, Any] = {}
+_WORKER_FIELDS: dict[int, GF] = {}
 
 
 def _attach_segment(name: str) -> shared_memory.SharedMemory:
@@ -109,47 +107,33 @@ def _evict_stale_segments(keep: set[str]) -> None:
             pass
 
 
-def _worker_code(k: int, m: int, w: int, good_matrix: bool):
-    code = _WORKER_CODES.get((k, m, w, good_matrix))
-    if code is None:
-        from repro.ec.cauchy import CauchyRSCode
-
-        code = CauchyRSCode(CodeParams(k=k, m=m, w=w), good_matrix=good_matrix)
-        _WORKER_CODES[(k, m, w, good_matrix)] = code
-    return code
+def _worker_field(w: int) -> GF:
+    field = _WORKER_FIELDS.get(w)
+    if field is None:
+        field = _WORKER_FIELDS[w] = GF(w)
+    return field
 
 
 def _worker_encode(task: tuple) -> tuple[int, float, float]:
     """Encode one stripe of the shared segments; returns (pid, t0, t1).
 
-    The task carries only segment names, the code shape and byte offsets.
-    Timestamps are ``perf_counter`` readings for the parent's span
-    reconstruction.
+    The task carries only segment names, the word size, the ``m x k``
+    parity matrix and byte offsets.  Timestamps are ``perf_counter``
+    readings for the parent's span reconstruction.
     """
-    (
-        data_name,
-        parity_name,
-        k,
-        m,
-        w,
-        good_matrix,
-        data_stride,
-        parity_stride,
-        start,
-        end,
-    ) = task
+    data_name, parity_name, w, parity, data_stride, parity_stride, start, end = task
+    m, k = len(parity), len(parity[0])
     t0 = time.perf_counter()
     data_seg = _attach_segment(data_name)
     parity_seg = _attach_segment(parity_name)
     _evict_stale_segments({data_name, parity_name})
-    code = _worker_code(k, m, w, good_matrix)
     dbuf = np.frombuffer(data_seg.buf, dtype=np.uint8)
     pbuf = np.frombuffer(parity_seg.buf, dtype=np.uint8)
     ins = [dbuf[j * data_stride + start : j * data_stride + end] for j in range(k)]
     outs = [
         pbuf[i * parity_stride + start : i * parity_stride + end] for i in range(m)
     ]
-    code.encode_bitmatrix_into(ins, outs)
+    apply_rows(_worker_field(w), np.asarray(parity), ins, outs)
     return (os.getpid(), t0, time.perf_counter())
 
 
@@ -182,12 +166,11 @@ class SharedMemoryProcessPoolEncoder:
 
     Byte-identical to ``code.encode`` (the same guarantee — and the same
     stripe splitting — as :class:`~repro.ec.threadpool.ThreadPoolEncoder`),
-    but immune to the GIL: each worker process drives the compiled
-    schedule over its stripe of the shared segments.
+    but immune to the GIL: each worker process runs the fused kernel over
+    its stripe of the shared segments.
 
     Args:
-        code: the erasure code to apply (needs the bitmatrix kernel path
-            for the pooled route; anything else falls back to serial).
+        code: the erasure code to apply.
         workers: pool size (default: ``min(4, cpu_count)``).
         min_subtask_bytes: stripe floor; stripes smaller than this are
             merged so small buffers skip process overhead entirely.
@@ -235,7 +218,7 @@ class SharedMemoryProcessPoolEncoder:
     def reconfigure(self, code: ErasureCode) -> None:
         """Swap to a new code shape, releasing the old segments.
 
-        The worker pool survives (workers cache codes per shape); the
+        The worker pool survives (tasks carry the parity rows); the
         segments are unlinked immediately — encode is synchronous, so no
         worker can hold a stripe of them mid-flight — and the next encode
         allocates fresh ones sized for the new ``(k, m)``.  This is the
@@ -296,14 +279,6 @@ class SharedMemoryProcessPoolEncoder:
 
     # -- encode ----------------------------------------------------------
 
-    def _can_fast_path(self, size: int) -> bool:
-        return (
-            hasattr(self.code, "encode_bitmatrix_into")
-            and self.code.params.m > 0
-            and size > 0
-            and size % self.code.params.w == 0
-        )
-
     def encode(self, data_blocks: list[np.ndarray]) -> list[np.ndarray]:
         """Parallel encode; returns ``m`` parity blocks, byte-identical to
         ``code.encode(data_blocks)``.
@@ -313,28 +288,12 @@ class SharedMemoryProcessPoolEncoder:
                 are released and the pool respawns on the next encode).
         """
         params = self.code.params
-        blocks = [
-            np.ascontiguousarray(b, dtype=np.uint8).ravel() for b in data_blocks
-        ]
-        if len(blocks) != params.k:
-            raise CodeConfigError(
-                f"expected {params.k} blocks, got {len(blocks)}"
-            )
+        blocks = self.code._check_blocks(data_blocks)
         size = blocks[0].nbytes
-        if any(b.nbytes != size for b in blocks):
-            raise CodeConfigError("data blocks differ in size")
-        fast = self._can_fast_path(size)
-        ranges = (
-            split_ranges(size, self.workers, self.min_subtask_bytes, params.w)
-            if fast
-            else [(0, size)]
-        )
-        if not fast:
-            mode = "serial"
-        elif self.workers == 1 or len(ranges) == 1:
-            mode = "single"
-        else:
-            mode = "pool"
+        ranges = split_ranges(size, self.workers, self.min_subtask_bytes, params.w)
+        # No parity rows means no parity segment to share: single-shot.
+        pooled = self.workers > 1 and len(ranges) > 1 and params.m > 0
+        mode = "pool" if pooled else "single"
 
         tracer = obs.get_tracer()
         with tracer.span(
@@ -342,23 +301,18 @@ class SharedMemoryProcessPoolEncoder:
             nbytes=size * params.k,
             sub_tasks=len(ranges) if mode == "pool" else 1,
             workers=self.workers,
-            fast_path=fast,
             mode=mode,
         ) as span:
-            if mode == "serial":
-                parity = self.code.encode(blocks)
-                worker_times: list[tuple[int, float, float]] = []
-            elif mode == "single":
+            if mode == "single":
                 parity = [np.empty(size, dtype=np.uint8) for _ in range(params.m)]
-                self.code.encode_bitmatrix_into(blocks, parity)
-                worker_times = []
+                apply_rows(self.code.field, self.code.parity_matrix, blocks, parity)
+                worker_times: list[tuple[int, float, float]] = []
             else:
                 parity, worker_times = self._encode_pooled(blocks, size, ranges)
         self.last_stats = EncodeStats(
             sub_tasks=len(ranges) if mode == "pool" else 1,
             bytes_encoded=size * params.k,
             threads=self.workers,
-            fast_path=fast,
             mode=mode,
             backend="process",
         )
@@ -387,7 +341,7 @@ class SharedMemoryProcessPoolEncoder:
         self._ensure_segments(size)
         data_seg, parity_seg = self._state["segments"]
         stride = self._stride
-        good = bool(getattr(self.code, "good_matrix", False))
+        parity_rows = tuple(map(tuple, self.code.parity_matrix.tolist()))
         # Stage the input blocks into the data segment (one memcpy each;
         # workers then touch only their stripe, zero-copy).
         dview = np.frombuffer(data_seg.buf, dtype=np.uint8)
@@ -397,10 +351,8 @@ class SharedMemoryProcessPoolEncoder:
             (
                 data_seg.name,
                 parity_seg.name,
-                params.k,
-                params.m,
                 params.w,
-                good,
+                parity_rows,
                 stride,
                 stride,
                 start,

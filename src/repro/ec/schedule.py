@@ -1,9 +1,11 @@
 """XOR schedule compilation for bitmatrix (Cauchy RS) encoding.
 
 A parity bitmatrix row says which data bit-planes XOR together to form one
-parity bit-plane.  A *schedule* makes that explicit as a list of operations
-so the encoder's hot loop is just "XOR these strips into that strip", with
-no matrix inspection.
+parity bit-plane.  A *schedule* makes that explicit as a list of
+operations, and its XOR count is the cost the paper's XOR-only encoder
+pays.  No byte path runs a schedule (bytes go through the fused kernel,
+:func:`repro.ec.kernels.apply_rows`); the compilers feed the XOR-count
+ablations, and :meth:`XorSchedule.apply` proves each one computes the code.
 
 Three compilers are provided:
 
@@ -17,8 +19,8 @@ Three compilers are provided:
   (Paar's algorithm for GF(2) matrices): the most frequent source pair
   across all rows becomes a temp strip, rows substitute the temp, repeat.
   Cuts the (12, 4, 8) good-matrix schedule from 1556 dumb / 1231 smart
-  XORs to ~900 at the default temp budget, at the cost of extra workspace
-  rows for the temps.
+  XORs to ~900 at the default temp budget, at the cost of one extra strip
+  per temp.
 
 Strip numbering: data strips are ``0 .. k*w - 1``; parity strip ``r`` is
 ``k*w + r``; temp strip ``t`` (Paar schedules only) is ``(k + m)*w + t``.
@@ -32,12 +34,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import CodeConfigError
-from repro.ec.kernels import (
-    CompiledOp,
-    padded_row_bytes,
-    run_compiled_ops,
-    schedule_workspace_rows,
-)
 
 
 @dataclass(frozen=True)
@@ -70,43 +66,14 @@ class XorSchedule:
     w: int
     ops: list[XorOp] = field(default_factory=list)
     n_temps: int = 0
-    _compiled: list[CompiledOp] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     @property
     def total_xors(self) -> int:
         """Total strip-sized XORs across the whole schedule."""
         return sum(op.xor_count for op in self.ops)
 
-    def compiled_ops(self) -> list[CompiledOp]:
-        """The ops lowered for the kernel executor, compiled once.
-
-        Each entry is ``(dest, sources)`` with the base (if any) folded in
-        as the first source and ``sources`` an index array, so the hot loop
-        fancy-indexes the workspace instead of iterating Python tuples and
-        never needs a separate copy/zero prologue.
-        """
-        if self._compiled is None:
-            merged = [
-                (
-                    op.dest,
-                    np.asarray(
-                        ((op.base,) if op.base is not None else ()) + op.sources,
-                        dtype=np.intp,
-                    ),
-                )
-                for op in self.ops
-            ]
-            self._compiled = _batch_binary_runs(merged)
-        return self._compiled
-
     def apply(self, data_strips: list[np.ndarray]) -> list[np.ndarray]:
-        """Execute the schedule on concrete data strips.
-
-        Strips are staged into one ``(n_strips, row)`` workspace whose rows
-        are padded to whole uint64 words, so every XOR runs word-packed
-        (see :mod:`repro.ec.kernels`).
+        """Execute the schedule on concrete data strips, one op at a time.
 
         Args:
             data_strips: ``k * w`` equal-size uint8 arrays.
@@ -118,62 +85,17 @@ class XorSchedule:
             raise CodeConfigError(
                 f"expected {self.k * self.w} data strips, got {len(data_strips)}"
             )
+        strips = dict(enumerate(data_strips))
+        for op in self.ops:
+            if op.base is None:
+                acc = np.zeros_like(data_strips[0])
+            else:
+                acc = strips[op.base].copy()
+            for source in op.sources:
+                np.bitwise_xor(acc, strips[source], out=acc)
+            strips[op.dest] = acc
         n_data = self.k * self.w
-        strip = data_strips[0].size
-        ops = self.compiled_ops()
-        n_rows = schedule_workspace_rows(ops, n_data + self.m * self.w)
-        work = np.zeros((n_rows, padded_row_bytes(strip)), dtype=np.uint8)
-        for i, s in enumerate(data_strips):
-            work[i, :strip] = s
-        run_compiled_ops(work.view(np.uint64), ops)
-        return [work[n_data + r, :strip].copy() for r in range(self.m * self.w)]
-
-
-def _batch_binary_runs(merged: list[tuple[int, np.ndarray]]) -> list[CompiledOp]:
-    """Fuse runs of independent two-source ops into single batched ops.
-
-    A run of consecutive ops whose destinations are contiguous rows, each
-    XOR of exactly two sources, none of which is a destination written
-    earlier in the same run, becomes one ``(slice, [A, B])`` op — one
-    gather-XOR ufunc call per run instead of one per op.  Paar schedules
-    number their temps level-major precisely so these runs appear.
-    """
-    batched: list[CompiledOp] = []
-    run: list[tuple[int, np.ndarray]] = []
-
-    def flush() -> None:
-        if len(run) >= 2:
-            batched.append(
-                (
-                    slice(run[0][0], run[-1][0] + 1),
-                    [
-                        np.asarray([srcs[0] for _, srcs in run], dtype=np.intp),
-                        np.asarray([srcs[1] for _, srcs in run], dtype=np.intp),
-                    ],
-                )
-            )
-        else:
-            batched.extend(run)
-        run.clear()
-
-    run_dests: set[int] = set()
-    for dest, srcs in merged:
-        extends = (
-            srcs.size == 2
-            and (not run or dest == run[-1][0] + 1)
-            and int(srcs[0]) not in run_dests
-            and int(srcs[1]) not in run_dests
-        )
-        if not extends:
-            flush()
-            run_dests.clear()
-        if srcs.size == 2:
-            run.append((dest, srcs))
-            run_dests.add(dest)
-        else:
-            batched.append((dest, srcs))
-    flush()
-    return batched
+        return [strips[n_data + r] for r in range(self.m * self.w)]
 
 
 def dumb_schedule(parity_bitmatrix: np.ndarray, k: int, m: int, w: int) -> XorSchedule:
@@ -257,15 +179,11 @@ def paar_schedule(
     find the pair of source strips that co-occurs in the most rows, compute
     it once into a temp strip, and substitute the temp everywhere.  Temps
     may themselves pair with data strips or other temps, so the elimination
-    compounds.  ``max_temps`` bounds the extra workspace rows (temps live
-    past the parity strips and cost one row of L2 each in the chunked
-    executor — more temps means fewer XORs but a bigger working set, and
-    the end-to-end optimum is well below the XOR-count optimum);
-    ``min_occurrence`` stops when sharing no longer pays.
+    compounds.  ``max_temps`` bounds the extra strips (temps live past the
+    parity strips); ``min_occurrence`` stops when sharing no longer pays.
 
     Like the other compilers this never changes the output bytes, only the
-    op list.  The result is memoised per code shape by
-    :func:`repro.ec.cauchy.cached_schedule`, so compile cost is one-time.
+    op list.
     """
     bm = np.asarray(parity_bitmatrix, dtype=np.uint8)
     _validate_bitmatrix(bm, k, m, w)
@@ -295,32 +213,13 @@ def paar_schedule(
                 row.discard(a)
                 row.discard(b)
                 row.add(temp_id)
-    # Renumber temps level-major (a temp's level is one past its deepest
-    # temp operand).  Each level is a run of independent ops on contiguous
-    # rows, which compiled_ops() fuses into one gather-XOR call per level.
-    levels = [0] * len(temp_defs)
-    for t, (a, b) in enumerate(temp_defs):
-        lv = 0
-        for operand in (a, b):
-            if operand >= first_temp:
-                lv = max(lv, levels[operand - first_temp] + 1)
-        levels[t] = lv
-    order = sorted(range(len(temp_defs)), key=lambda t: (levels[t], t))
-    renumber = {
-        first_temp + old: first_temp + new for new, old in enumerate(order)
-    }
-
-    def remap(strip_id: int) -> int:
-        return renumber.get(strip_id, strip_id)
-
     schedule = XorSchedule(k=k, m=m, w=w, n_temps=len(temp_defs))
-    for old in order:
-        a, b = temp_defs[old]
-        schedule.ops.append(
-            XorOp(dest=remap(first_temp + old), base=remap(a), sources=(remap(b),))
-        )
+    # Creation order is dependency order: a temp pairs only strips that
+    # existed when it was made.
+    for t, (a, b) in enumerate(temp_defs):
+        schedule.ops.append(XorOp(dest=first_temp + t, base=a, sources=(b,)))
     for r in range(n_parity):
-        cols = sorted(remap(c) for c in rows[r])
+        cols = sorted(rows[r])
         if cols:
             op = XorOp(dest=n_data + r, base=cols[0], sources=tuple(cols[1:]))
         else:

@@ -1,25 +1,24 @@
 """Thread-pool-parallelised encoding, mirroring ECCheck's Sec. IV-A.
 
 The paper accelerates CPU encoding by splitting each contiguous encoding
-task into sub-tasks handled by a thread pool.  numpy XOR/multiply release
-the GIL for large buffers, so even in CPython a pool gives real parallelism
-on multi-core hosts; on single-core hosts the chunking is still exercised
-(and is what the pipelined executor in :mod:`repro.core.pipeline` feeds on).
+task into sub-tasks handled by a thread pool.  Each sub-task runs the one
+fused kernel (:func:`repro.ec.kernels.apply_rows`) over its byte range;
+numpy's gathers and XORs release the GIL for large buffers, so even in
+CPython a pool gives real parallelism on multi-core hosts.
 
 Two pieces here are shared with the shared-memory process pool
 (:mod:`repro.ec.procpool`), forming the common dispatch interface every
 encoder backend implements:
 
-* :func:`split_ranges` — the word-aligned sub-range splitter (identical
-  stripe assignment means identical per-range kernel invocations, which
-  is what makes every backend byte-identical to the serial path);
+* :func:`split_ranges` — the word-aligned sub-range splitter;
 * :class:`EncodeStats` — the per-call accounting record, including which
   execution ``mode`` the call actually took.
 
-:class:`ThreadPoolEncoder` produces byte-identical output to the serial
-encoder — tests assert this for every chunk count.  Because the GIL can
-make pooled encoding *slower* than single-shot (bit-plane decompose runs
-under the GIL; only the XOR stage reliably releases it), the encoder
+The kernel works word by word, so any word-aligned split encodes to the
+same bytes: :class:`ThreadPoolEncoder` is byte-identical to
+``code.encode`` — tests assert this for every chunk count.  Because the
+GIL can make pooled encoding *slower* than single-shot (the kernel's
+per-block numpy calls are short, and each re-acquires it), the encoder
 self-calibrates per payload-size bucket: the first call at a bucket runs
 single-shot, the second runs pooled, and later calls take whichever
 measured faster.  Either way the bytes are identical — the calibration
@@ -37,7 +36,7 @@ import numpy as np
 from repro import obs
 from repro.errors import CodeConfigError
 from repro.ec.base import ErasureCode
-from repro.ec.kernels import range_alignment
+from repro.ec.kernels import apply_rows, range_alignment
 
 
 @dataclass
@@ -47,9 +46,8 @@ class EncodeStats:
     sub_tasks: int
     bytes_encoded: int
     threads: int
-    fast_path: bool = False
-    #: Execution route actually taken: ``"pool"`` (fanned out to workers),
-    #: ``"single"`` (single-shot fallback), or ``"serial"`` (no fast path).
+    #: Execution route actually taken: ``"pool"`` (fanned out to workers)
+    #: or ``"single"`` (one kernel call over the whole block).
     mode: str = "pool"
     #: Which encoder backend produced this record.
     backend: str = "thread"
@@ -61,11 +59,8 @@ def split_ranges(
     """Byte ranges covering ``block_size``, aligned to the kernel word.
 
     Boundaries honour :func:`repro.ec.kernels.range_alignment` (8 bytes,
-    16 for w=16) so every sub-range — including the last, whenever the
-    block size itself is divisible by ``w`` — is a valid independent
-    input for the word-packed bitmatrix kernels.  Both pool encoders use
-    this splitter, so their per-range kernel calls (and therefore their
-    output bytes) are identical to each other and to the serial path.
+    16 for w=16), so every range but the last runs on ``uint64`` lanes
+    and never splits a 16-bit word.  Both pool encoders use this splitter.
     """
     word = range_alignment(w)
     target = max(min_subtask_bytes, block_size // max(parts, 1))
@@ -121,15 +116,6 @@ class ThreadPoolEncoder:
             block_size, self.threads, self.min_subtask_bytes, self.code.params.w
         )
 
-    def _can_fast_path(self, size: int) -> bool:
-        """True when the bitmatrix kernel path applies to this encode."""
-        return (
-            hasattr(self.code, "encode_bitmatrix_into")
-            and self.code.params.m > 0
-            and size > 0
-            and size % self.code.params.w == 0
-        )
-
     def _pick_mode(self, size: int, n_ranges: int) -> str:
         """Choose pooled vs single-shot execution for this call.
 
@@ -139,7 +125,7 @@ class ThreadPoolEncoder:
         negative (the GIL-serialisation failure mode this fixes) loses
         the measurement and every later call at that size falls back.
         """
-        if self.threads == 1 or n_ranges == 1:
+        if self.threads == 1 or n_ranges <= 1:
             return "single"
         if not self.adaptive:
             return "pool"
@@ -154,65 +140,41 @@ class ThreadPoolEncoder:
         """Parallel encode; returns ``m`` parity blocks, byte-identical to
         ``code.encode(data_blocks)``.
 
-        When the code exposes the bitmatrix kernel path
-        (:meth:`~repro.ec.cauchy.CauchyRSCode.encode_bitmatrix_into`) and the
-        block size is divisible by ``w``, each worker drives the compiled
-        schedule over its sub-range and writes parity bytes directly into
-        views of the preallocated output blocks — no per-range temporaries.
+        Each worker runs the fused kernel over its sub-range and writes
+        parity bytes directly into views of the preallocated output
+        blocks — no per-range temporaries.
         """
-        blocks = [np.ascontiguousarray(b, dtype=np.uint8).ravel() for b in data_blocks]
-        if len(blocks) != self.code.params.k:
-            raise CodeConfigError(
-                f"expected {self.code.params.k} blocks, got {len(blocks)}"
-            )
+        blocks = self.code._check_blocks(data_blocks)
         size = blocks[0].nbytes
-        if any(b.nbytes != size for b in blocks):
-            raise CodeConfigError("data blocks differ in size")
         ranges = self._split_ranges(size)
         parity = [np.empty(size, dtype=np.uint8) for _ in range(self.code.params.m)]
-        fast = self._can_fast_path(size)
-        mode = self._pick_mode(size, len(ranges)) if fast else "serial"
+        mode = self._pick_mode(size, len(ranges))
 
-        if fast:
+        def encode_range(rng: tuple[int, int]) -> None:
+            start, end = rng
+            apply_rows(
+                self.code.field,
+                self.code.parity_matrix,
+                [b[start:end] for b in blocks],
+                [out[start:end] for out in parity],
+            )
 
-            def encode_range(rng: tuple[int, int]) -> None:
-                start, end = rng
-                self.code.encode_bitmatrix_into(
-                    [b[start:end] for b in blocks],
-                    [out[start:end] for out in parity],
-                )
-
-        else:
-
-            def encode_range(rng: tuple[int, int]) -> None:
-                start, end = rng
-                sub_parity = self.code.encode([b[start:end] for b in blocks])
-                for out, piece in zip(parity, sub_parity):
-                    out[start:end] = piece
-
-        sub_tasks = 1 if mode == "single" else len(ranges)
+        sub_tasks = len(ranges) if mode == "pool" else 1
         tracer = obs.get_tracer()
         with tracer.span(
             "threadpool.encode",
             nbytes=size * len(blocks),
             sub_tasks=sub_tasks,
-            fast_path=fast,
             mode=mode,
         ):
             started = self._clock()
             if mode == "single":
-                # One kernel invocation over the whole block: identical
-                # bytes (the kernel is chunk-blocked internally) without
-                # the pool's per-range workspace setup.
-                self.code.encode_bitmatrix_into(blocks, parity)
-            elif mode == "pool":
+                encode_range((0, size))
+            else:
                 with ThreadPoolExecutor(max_workers=self.threads) as pool:
                     list(pool.map(encode_range, ranges))
-            else:
-                for rng in ranges:
-                    encode_range(rng)
             elapsed = self._clock() - started
-        if fast and self.adaptive and mode in ("single", "pool"):
+        if self.adaptive:
             cal = self._calibration.setdefault(size.bit_length(), {})
             # Keep the best observation per mode: transient noise (a GC
             # pause during calibration) must not pin a wrong winner.
@@ -221,7 +183,6 @@ class ThreadPoolEncoder:
             sub_tasks=sub_tasks,
             bytes_encoded=size * len(blocks),
             threads=self.threads,
-            fast_path=fast,
             mode=mode,
             backend="thread",
         )
@@ -230,8 +191,5 @@ class ThreadPoolEncoder:
             m.counter("encoder.calls").inc()
             m.counter("encoder.bytes_encoded").inc(size * len(blocks))
             m.counter("encoder.sub_tasks").inc(sub_tasks)
-            m.counter(
-                "encoder.fast_path_calls" if fast else "encoder.slow_path_calls"
-            ).inc()
             m.counter(f"encoder.mode_{mode}_calls").inc()
         return parity

@@ -1,10 +1,12 @@
 """Classic Vandermonde Reed-Solomon code.
 
 Included as the baseline coding scheme the paper's Cauchy choice is measured
-against: the Vandermonde construction needs genuine GF(2^w) multiplications
-per word on the encode path, whereas the Cauchy bitmatrix path is XOR-only.
-The ablation benchmark (``benchmarks/test_ablations.py``) compares their
-throughput.
+against: the Vandermonde construction's parity coefficients are general
+GF(2^w) multiplications (all four at (2, 2)), whereas the XOR-minimised
+Cauchy generator makes most of them 1, a plain XOR (three of four at
+(2, 2); its bitmatrix form is XOR-only throughout).  The
+ablation benchmark (``benchmarks/test_ablations.py``) compares their
+throughput on the engine's encode path.
 
 A raw Vandermonde matrix is not systematic; we derive the systematic form by
 column-reducing the top ``k x k`` block to the identity.  Column operations

@@ -27,10 +27,9 @@ from repro.core.eccheck import ECCheckEngine
 
 
 def _snapshot_cache_gauges(tracer, engine) -> None:
-    """Surface the compile/decode cache counters as gauges.
+    """Surface the library and decode cache counters as gauges.
 
-    ``cache.decoding_*`` is the decoding-matrix cache the restore hits;
-    the schedule and decode-schedule gauges read the library.
+    ``cache.decode_*`` is the decoding-matrix cache the restore hits.
     """
     from repro.ec.cauchy import schedule_cache_info
 
@@ -38,8 +37,6 @@ def _snapshot_cache_gauges(tracer, engine) -> None:
         tracer.metrics.gauge(f"cache.{key}").set(float(value))
     if not isinstance(engine, ECCheckEngine):
         return
-    for key, value in engine.code.decoding_cache_info().items():
-        tracer.metrics.gauge(f"cache.decoding_{key}").set(float(value))
     for key, value in engine.code.decode_cache_info().items():
         tracer.metrics.gauge(f"cache.decode_{key}").set(float(value))
 

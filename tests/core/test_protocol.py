@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from repro.errors import CheckpointError, DecodeError, FieldError
 from repro.core.protocol import (
-    _apply_rows,
     build_worker_checkpoint,
     decode_group_into,
     encode_group_into,
@@ -22,7 +21,7 @@ from repro.core.protocol import (
 )
 from repro.ec.base import CodeParams, ErasureCode
 from repro.ec.cauchy import CauchyRSCode
-from repro.ec.kernels import DEFAULT_CHUNK_BYTES as BLOCK
+from repro.ec.kernels import DEFAULT_CHUNK_BYTES as BLOCK, apply_rows
 from repro.models.factory import build_worker_state_dict
 from repro.tensors.serialization import decompose_state_dict
 from repro.tensors.state_dict import state_dicts_equal, tensor_items
@@ -274,7 +273,7 @@ def test_apply_rows_equals_encode_packet_plus_xor_reduce(w, k, size, seed, data)
     ]
     originals = [source.copy() for source in sources]
     out = [np.full(size, 0xEE, dtype=np.uint8) for _ in rows]
-    _apply_rows(code.field, matrix, sources, out)
+    apply_rows(code.field, matrix, sources, out)
     encoded = [encode_packet(code, j, sources[j]) for j in range(k)]
     for i, got in enumerate(out):
         assert np.array_equal(got, xor_reduce([encoded[j][i] for j in range(k)])), i
@@ -307,9 +306,9 @@ def test_apply_rows_told_the_lengths_writes_the_same_bytes(w, k, size, seed, dat
         lengths.append(max(live, data.draw(length)))  # never short, maybe long
     field = _MatrixCode(matrix, w).field
     want = [np.full(size, 0xEE, dtype=np.uint8) for _ in matrix]
-    _apply_rows(field, matrix, sources, want)
+    apply_rows(field, matrix, sources, want)
     got = [np.full(size, 0xEE, dtype=np.uint8) for _ in matrix]
-    _apply_rows(field, matrix, sources, got, lengths)
+    apply_rows(field, matrix, sources, got, lengths)
     assert all(np.array_equal(g, x) for g, x in zip(got, want)), lengths
 
 
@@ -356,16 +355,16 @@ def test_apply_rows_refuses_bad_arguments_before_writing():
     ]
     for error, bad_matrix, bad_sources, out in refused:
         with pytest.raises(error):
-            _apply_rows(f, bad_matrix, bad_sources, out)
+            apply_rows(f, bad_matrix, bad_sources, out)
         assert (shared == 0xEE).all() and (out[0] == 0xEE).all()
     for bad_lengths in ([96, -1], [97, 0], [96]):  # negative, over-long, too few
         out = fresh()
         with pytest.raises(CheckpointError):
-            _apply_rows(f, matrix, sources, out, bad_lengths)
+            apply_rows(f, matrix, sources, out, bad_lengths)
         assert all((buffer == 0xEE).all() for buffer in out)
     strided = [sources[0], np.repeat(sources[1], 2)[::2]]
     out = fresh()
-    _apply_rows(f, matrix, strided, out)
+    apply_rows(f, matrix, strided, out)
     assert np.array_equal(out[0], sources[0] ^ f.mul_region(7, sources[1]))
     assert np.array_equal(out[1], sources[1])
 
@@ -487,6 +486,20 @@ def test_fused_group_decode_rejects_bad_input(code):
         decode_group_into(code, survivors, [0], [np.empty(128, dtype=np.uint8)[::2]])
     # Nothing lost is nothing to do (and nothing to invert).
     decode_group_into(code, survivors, [], [])
+
+
+def test_fused_group_decode_rejects_chunk_ids_outside_the_code(code):
+    """-3 once decoded as chunk 1 (wrong bytes, no error) and 4 of a
+    4-chunk code raised an untyped IndexError: both are refused, typed,
+    before a byte is written."""
+    rng = np.random.default_rng(10)
+    packets = [rng.integers(0, 256, size=64, dtype=np.uint8) for _ in range(2)]
+    chunks = code.encode_all(packets)
+    for available in ({-3: chunks[3], 2: chunks[2]}, {0: chunks[0], 4: chunks[3]}):
+        out = [np.full(64, 0xEE, dtype=np.uint8)]
+        with pytest.raises(DecodeError):
+            decode_group_into(code, available, [1], out)
+        assert (out[0] == 0xEE).all()
 
 
 def test_packetise_copies_views_once_and_zeroes_only_the_tail():

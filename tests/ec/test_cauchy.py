@@ -56,6 +56,19 @@ def test_any_k_of_n_decodes_exactly(k, m):
             assert np.array_equal(original, rec), survivors
 
 
+@pytest.mark.parametrize("decode", ["decode", "decode_fast"])
+def test_decode_rejects_chunk_ids_outside_the_code(decode):
+    """-3 once decoded as chunk 1 (wrong bytes, no error) and 4 of a
+    4-chunk code raised an untyped IndexError: decoding_matrix, which
+    every decode reaches, refuses both as a DecodeError."""
+    code = CauchyRSCode(CodeParams(k=2, m=2, w=8))
+    rng = np.random.default_rng(1)
+    chunks = code.encode_all(random_blocks(rng, 2, 64))
+    for available in ({-3: chunks[3], 2: chunks[2]}, {0: chunks[0], 4: chunks[3]}):
+        with pytest.raises(DecodeError):
+            getattr(code, decode)(available)
+
+
 def test_decode_with_insufficient_chunks_raises():
     code = CauchyRSCode(CodeParams(k=3, m=2, w=8))
     rng = np.random.default_rng(0)
@@ -109,7 +122,7 @@ def test_bitmatrix_encode_matches_field_encode(w):
     else:
         data = random_blocks(rng, 3, size)
     field_parity = code.encode(data)
-    xor_parity = code.encode_bitmatrix(data)
+    xor_parity = code.encode_bitmatrix_reference(data)
     for a, b in zip(field_parity, xor_parity):
         assert np.array_equal(a, b)
 
@@ -117,7 +130,7 @@ def test_bitmatrix_encode_matches_field_encode(w):
 def test_bitmatrix_encode_requires_divisible_size():
     code = CauchyRSCode(CodeParams(k=2, m=1, w=8))
     with pytest.raises(CodeConfigError):
-        code.encode_bitmatrix([np.zeros(9, dtype=np.uint8)] * 2)
+        code.encode_bitmatrix_reference([np.zeros(9, dtype=np.uint8)] * 2)
 
 
 def test_w16_code_round_trip():

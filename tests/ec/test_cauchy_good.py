@@ -1,11 +1,11 @@
-"""Tests for the 'good' Cauchy construction and XOR-only decoding."""
+"""Tests for the 'good' Cauchy construction and the fused-kernel decode."""
 
 import itertools
 
 import numpy as np
 import pytest
 
-from repro.errors import CodeConfigError, DecodeError
+from repro.errors import DecodeError
 from repro.ec.base import CodeParams
 from repro.ec.cauchy import (
     CauchyRSCode,
@@ -72,10 +72,10 @@ def test_good_code_bitmatrix_encode_cheaper():
 
 
 # ---------------------------------------------------------------------------
-# XOR-only decode
+# Fused-kernel decode
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize("good", [False, True])
-def test_decode_bitmatrix_matches_field_decode(good):
+def test_decode_fast_matches_field_decode(good):
     rng = np.random.default_rng(7)
     code = CauchyRSCode(CodeParams(k=3, m=2, w=8), good_matrix=good)
     data = random_blocks(rng, 3, size=128)
@@ -83,16 +83,16 @@ def test_decode_bitmatrix_matches_field_decode(good):
     for survivors in itertools.combinations(range(5), 3):
         available = {i: chunks[i] for i in survivors}
         via_field = code.decode(dict(available))
-        via_xor = code.decode_bitmatrix(dict(available))
-        for a, b in zip(via_field, via_xor):
+        via_kernel = code.decode_fast(dict(available))
+        for a, b in zip(via_field, via_kernel):
             assert np.array_equal(a, b), survivors
 
 
-def test_decode_bitmatrix_validation():
+def test_decode_fast_validation():
     code = CauchyRSCode(CodeParams(k=2, m=1, w=8))
     with pytest.raises(DecodeError):
-        code.decode_bitmatrix({0: np.zeros(8, dtype=np.uint8)})
-    with pytest.raises(CodeConfigError):
-        code.decode_bitmatrix(
-            {0: np.zeros(9, dtype=np.uint8), 1: np.zeros(9, dtype=np.uint8)}
+        code.decode_fast({0: np.zeros(8, dtype=np.uint8)})
+    with pytest.raises(DecodeError):
+        code.decode_fast(
+            {0: np.zeros(9, dtype=np.uint8), 1: np.zeros(8, dtype=np.uint8)}
         )

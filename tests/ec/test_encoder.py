@@ -1,4 +1,4 @@
-"""Tests for payload-level block encoding and the thread-pool encoder."""
+"""Tests for a code's round trip on blocks and the thread-pool encoder."""
 
 import itertools
 
@@ -8,59 +8,31 @@ import pytest
 from repro.errors import CodeConfigError, DecodeError
 from repro.ec.base import CodeParams
 from repro.ec.cauchy import CauchyRSCode
-from repro.ec.encoder import BlockEncoder, pad_and_split, reassemble
 from repro.ec.threadpool import ThreadPoolEncoder
-
-
-def test_pad_and_split_round_trip():
-    payload = b"hello world, this is a checkpoint payload"
-    blocks, original = pad_and_split(payload, k=3)
-    assert original == len(payload)
-    assert len(blocks) == 3
-    assert len({b.nbytes for b in blocks}) == 1
-    assert reassemble(blocks, original) == payload
-
-
-def test_pad_and_split_empty_payload():
-    blocks, original = pad_and_split(b"", k=2)
-    assert original == 0
-    assert all(b.nbytes > 0 for b in blocks)
-    assert reassemble(blocks, 0) == b""
-
-
-def test_pad_and_split_accepts_numpy():
-    arr = np.arange(100, dtype=np.uint8)
-    blocks, original = pad_and_split(arr, k=4)
-    assert original == 100
-    assert reassemble(blocks, original) == arr.tobytes()
-
-
-def test_pad_and_split_rejects_bad_k():
-    with pytest.raises(CodeConfigError):
-        pad_and_split(b"x", k=0)
+from tests.ec.test_fast_equivalence import payload_blocks
 
 
 def test_block_encoder_round_trip_every_survivor_set():
-    enc = BlockEncoder(CauchyRSCode(CodeParams(k=3, m=2, w=8)))
+    code = CauchyRSCode(CodeParams(k=3, m=2, w=8))
     payload = bytes(range(256)) * 3 + b"tail"
-    encoded = enc.encode(payload)
-    assert len(encoded.chunks) == 5
+    chunks = code.encode_all(payload_blocks(payload, 3))
+    assert len(chunks) == 5
     for survivors in itertools.combinations(range(5), 3):
-        available = {i: encoded.chunks[i] for i in survivors}
-        assert enc.decode(available, encoded.original_length) == payload
+        decoded = code.decode_fast({i: chunks[i] for i in survivors})
+        assert np.concatenate(decoded).tobytes()[: len(payload)] == payload
 
 
 def test_block_encoder_insufficient_survivors():
-    enc = BlockEncoder(CauchyRSCode(CodeParams(k=3, m=2, w=8)))
-    encoded = enc.encode(b"payload")
+    code = CauchyRSCode(CodeParams(k=3, m=2, w=8))
+    chunks = code.encode_all(payload_blocks(b"payload", 3))
     with pytest.raises(DecodeError):
-        enc.decode({0: encoded.chunks[0]}, encoded.original_length)
+        code.decode_fast({0: chunks[0]})
 
 
 def test_block_encoder_chunk_bytes():
-    enc = BlockEncoder(CauchyRSCode(CodeParams(k=2, m=1, w=8)))
-    encoded = enc.encode(b"x" * 100)
-    assert encoded.chunk_bytes() == encoded.chunks[0].nbytes
+    code = CauchyRSCode(CodeParams(k=2, m=1, w=8))
+    chunks = code.encode_all(payload_blocks(b"x" * 101, 2))
+    assert {chunk.nbytes for chunk in chunks} == {51}
 
 
 @pytest.mark.parametrize("threads", [1, 2, 4])

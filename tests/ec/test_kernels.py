@@ -1,22 +1,22 @@
-"""Tests for the word-packed GF(2) kernel layer (repro.ec.kernels)."""
+"""Tests for the kernel layer (repro.ec.kernels) and, on the reference
+bit-planes, the XOR schedules the ablations count."""
 
 import numpy as np
 import pytest
 
 from repro.errors import CodeConfigError
 from repro.ec.base import CodeParams
-from repro.ec.cauchy import CauchyRSCode, cached_parity_bitmatrix
+from repro.ec.cauchy import (
+    CauchyRSCode,
+    _reference_bitplanes_to_blocks,
+    _reference_blocks_to_bitplanes,
+    cached_parity_bitmatrix,
+)
 from repro.ec.kernels import (
     DEFAULT_CHUNK_BYTES,
     WORD_BYTES,
-    apply_schedule_blocks,
-    decompose_into,
-    padded_row_bytes,
+    apply_rows,
     range_alignment,
-    recompose_into,
-    run_compiled_ops,
-    schedule_workspace_rows,
-    strip_bytes_for,
     xor_reduce_arrays,
     xor_reduce_into,
 )
@@ -32,11 +32,9 @@ def _roundtrip(w: int, n_bytes: int, seed: int = 0) -> None:
     # w-bit field element, high bits zero.
     top = 256 if w >= 8 else 1 << w
     block = rng.integers(0, top, size=n_bytes, dtype=np.uint8)
-    strip = strip_bytes_for(n_bytes, w)
-    rows = np.empty((w, padded_row_bytes(strip)), dtype=np.uint8)
-    decompose_into(block, w, rows)
-    out = np.empty(n_bytes, dtype=np.uint8)
-    recompose_into(rows, w, out)
+    strips = _reference_blocks_to_bitplanes([block], w)
+    assert len(strips) == w
+    (out,) = _reference_bitplanes_to_blocks(strips, 1, w, n_bytes)
     assert np.array_equal(out, block)
 
 
@@ -56,11 +54,8 @@ def test_roundtrip_sizes_not_multiple_of_packing(w):
 
 
 def test_decompose_rejects_unsupported_w():
-    rows = np.empty((3, 8), dtype=np.uint8)
     with pytest.raises(CodeConfigError):
-        decompose_into(np.zeros(24, dtype=np.uint8), 3, rows)
-    with pytest.raises(CodeConfigError):
-        recompose_into(rows, 3, np.zeros(24, dtype=np.uint8))
+        _reference_blocks_to_bitplanes([np.zeros(24, dtype=np.uint8)], 3)
 
 
 def test_range_alignment():
@@ -71,53 +66,46 @@ def test_range_alignment():
 
 
 def test_strip_bytes_for():
-    assert strip_bytes_for(64, 8) == 8
-    assert strip_bytes_for(13, 8) == 2
-    assert strip_bytes_for(64, 16) == 4
-    assert strip_bytes_for(64, 1) == 8
+    """A strip packs one bit per word: ceil(words / 8) bytes."""
+    for n_bytes, w, strip in ((64, 8, 8), (13, 8, 2), (64, 16, 4), (64, 1, 8)):
+        block = np.zeros(n_bytes, dtype=np.uint8)
+        assert _reference_blocks_to_bitplanes([block], w)[0].size == strip
 
 
 @pytest.mark.parametrize("w", [4, 8])
 def test_chunk_size_independence(w):
-    """Encoding must not depend on the cache-blocking chunk size."""
+    """The kernel is blockwise: running it over any split of the bytes —
+    what the pool encoders do — writes the bytes one whole call does."""
     code = CauchyRSCode(CodeParams(k=4, m=2, w=w))
     rng = np.random.default_rng(7)
-    size = 96 * 1024 + 8 * w  # not a multiple of any chunk size below
-    blocks = [rng.integers(0, 256, size=size, dtype=np.uint8) for _ in range(4)]
+    size = 96 * 1024 + 8 * w  # not a multiple of any split below
+    blocks = [rng.integers(0, 1 << w, size=size, dtype=np.uint8) for _ in range(4)]
     want = code.encode(blocks)
-    for chunk in (1024, 8192, 40960, DEFAULT_CHUNK_BYTES, 2 * size):
-        got = code.encode_bitmatrix(blocks, chunk_bytes=chunk)
+    for split in (1024, 8192, 40960, DEFAULT_CHUNK_BYTES, 2 * size):
+        got = [np.full(size, 0xEE, dtype=np.uint8) for _ in range(2)]
+        for start in range(0, size, split):
+            end = min(size, start + split)
+            apply_rows(
+                code.field,
+                code.parity_matrix,
+                [b[start:end] for b in blocks],
+                [g[start:end] for g in got],
+            )
         for a, b in zip(got, want):
-            assert np.array_equal(a, b), f"chunk_bytes={chunk} diverged"
-
-
-def test_apply_schedule_blocks_rejects_misaligned_size():
-    ops = []
-    # 24 bytes: a multiple of w=8 but not of w=16.
-    blocks = [np.zeros(24, dtype=np.uint8) for _ in range(2)]
-    out = [np.zeros(24, dtype=np.uint8)]
-    with pytest.raises(CodeConfigError):
-        apply_schedule_blocks(ops, blocks, out, 16)
-    apply_schedule_blocks(ops, blocks, out, 8)
-    # 13 bytes is not a multiple of w=8 either; callers fall back to the
-    # field path for such sizes (see ThreadPoolEncoder._can_fast_path).
-    odd = [np.zeros(13, dtype=np.uint8) for _ in range(2)]
-    with pytest.raises(CodeConfigError):
-        apply_schedule_blocks(ops, odd, [np.zeros(13, dtype=np.uint8)], 8)
+            assert np.array_equal(a, b), f"split={split} diverged"
 
 
 @pytest.mark.parametrize("compiler", [dumb_schedule, smart_schedule, paar_schedule])
 def test_schedule_compilers_agree(compiler):
-    """All compilers produce byte-identical parity through the kernels."""
+    """Every compiler's schedule, run by XorSchedule.apply on the
+    reference bit-planes, computes the code's parity."""
     code = CauchyRSCode(CodeParams(k=6, m=3, w=8))
-    bm = cached_parity_bitmatrix(code)
-    sched = compiler(bm, 6, 3, 8)
+    sched = compiler(cached_parity_bitmatrix(code), 6, 3, 8)
     rng = np.random.default_rng(11)
     blocks = [rng.integers(0, 256, size=4096, dtype=np.uint8) for _ in range(6)]
-    out = [np.empty(4096, dtype=np.uint8) for _ in range(3)]
-    apply_schedule_blocks(sched.compiled_ops(), blocks, out, 8, 1024)
-    want = code.encode(blocks)
-    for a, b in zip(out, want):
+    parity_strips = sched.apply(_reference_blocks_to_bitplanes(blocks, 8))
+    got = _reference_bitplanes_to_blocks(parity_strips, 3, 8, 4096)
+    for a, b in zip(got, code.encode(blocks)):
         assert np.array_equal(a, b)
 
 
@@ -128,37 +116,15 @@ def test_paar_schedule_reduces_xors_and_uses_temps():
     paar = paar_schedule(bm, 12, 4, 8)
     assert paar.n_temps > 0
     assert paar.total_xors < dumb.total_xors
-    # Temps address rows past the block strips, and the workspace sizing
-    # helper accounts for them (including through batched slice ops).
-    rows = schedule_workspace_rows(paar.compiled_ops(), (12 + 4) * 8)
-    assert rows == (12 + 4) * 8 + paar.n_temps
-
-
-def test_batched_ops_match_scalar_execution():
-    """The level-batched lowering must equal op-by-op execution."""
-    code = CauchyRSCode(CodeParams(k=8, m=4, w=8))
-    bm = cached_parity_bitmatrix(code)
-    sched = paar_schedule(bm, 8, 4, 8)
-    compiled = sched.compiled_ops()
-    assert any(type(dest) is slice for dest, _ in compiled), (
-        "expected at least one batched level in a Paar schedule"
-    )
-    # Scalar reference: expand every batched op back into per-row ops.
-    scalar_ops = []
-    for dest, srcs in compiled:
-        if type(dest) is slice:
-            a, b = srcs
-            for i, d in enumerate(range(dest.start, dest.stop)):
-                scalar_ops.append((d, np.asarray([a[i], b[i]], dtype=np.intp)))
-        else:
-            scalar_ops.append((dest, srcs))
-    n_rows = schedule_workspace_rows(compiled, (8 + 4) * 8)
-    rng = np.random.default_rng(3)
-    work_a = rng.integers(0, 256, size=(n_rows, 64), dtype=np.uint8)
-    work_b = work_a.copy()
-    run_compiled_ops(work_a.view(np.uint64), compiled)
-    run_compiled_ops(work_b.view(np.uint64), scalar_ops)
-    assert np.array_equal(work_a, work_b)
+    # Temps are the strips past the data and parity ones, each produced
+    # before any op reads it.
+    first_temp = (12 + 4) * 8
+    temps = sorted(op.dest for op in paar.ops if op.dest >= first_temp)
+    assert temps == list(range(first_temp, first_temp + paar.n_temps))
+    produced = set(range(12 * 8))
+    for op in paar.ops:
+        assert {op.base, *op.sources} - {None} <= produced
+        produced.add(op.dest)
 
 
 def test_xor_reduce_helpers():

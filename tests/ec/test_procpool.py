@@ -25,6 +25,7 @@ from repro.ec.procpool import (
     make_encoder,
 )
 from repro.ec.threadpool import ThreadPoolEncoder
+from repro.ec.vandermonde import VandermondeRSCode
 from repro.obs.trace_io import validate_spans
 
 
@@ -64,7 +65,7 @@ def test_pooled_encode_matches_serial(encoder):
         assert np.array_equal(a, b)
     stats = encoder.last_stats
     assert stats.mode == "pool" and stats.backend == "process"
-    assert stats.fast_path and stats.sub_tasks > 1
+    assert stats.sub_tasks > 1
 
 
 def test_tiny_payload_stays_in_process(encoder):
@@ -74,15 +75,6 @@ def test_tiny_payload_stays_in_process(encoder):
         assert np.array_equal(a, b)
     assert encoder.last_stats.mode == "single"
     assert encoder.last_stats.sub_tasks == 1
-
-
-def test_misaligned_size_takes_serial_path(encoder):
-    blocks = _blocks(4, 123, seed=2)  # 123 % 8 != 0: no kernel path
-    parity = encoder.encode(blocks)
-    for a, b in zip(parity, encoder.code.encode(blocks)):
-        assert np.array_equal(a, b)
-    assert encoder.last_stats.mode == "serial"
-    assert not encoder.last_stats.fast_path
 
 
 def test_wrong_block_count_raises(encoder):
@@ -100,8 +92,8 @@ def test_matches_threadpool_backend(encoder):
 
 @settings(deadline=None, max_examples=10)
 @given(
-    # Ragged sizes: multiples of w exercise pooled/single kernel dispatch,
-    # the rest take the serial field path; 0 is the empty-block edge.
+    # Ragged sizes: sub-ranges whose last one ends off the word alignment,
+    # pooled and single-shot; 0 is the empty-block edge.
     size=st.integers(min_value=0, max_value=40_000),
     seed=st.integers(min_value=0, max_value=2**31),
 )
@@ -123,6 +115,21 @@ def test_reconfigure_grid_matches_serial(encoder, k, m, w):
             parity = encoder.encode(blocks)
             for a, b in zip(parity, code.encode(blocks)):
                 assert np.array_equal(a, b), f"(k={k}, m={m}, w={w}) size={size}"
+    finally:
+        encoder.reconfigure(CauchyRSCode(CodeParams(k=4, m=2, w=8)))
+
+
+def test_pooled_encode_runs_the_codes_own_rows(encoder):
+    """Workers are sent the parity rows, not a code shape to rebuild: a
+    Vandermonde code pools to its own parity, not a Cauchy code's."""
+    code = VandermondeRSCode(CodeParams(k=4, m=2, w=8))
+    encoder.reconfigure(code)
+    try:
+        blocks = _blocks(4, 96 * 1024, seed=14)
+        parity = encoder.encode(blocks)
+        assert encoder.last_stats.mode == "pool"
+        for a, b in zip(parity, code.encode(blocks)):
+            assert np.array_equal(a, b)
     finally:
         encoder.reconfigure(CauchyRSCode(CodeParams(k=4, m=2, w=8)))
 

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 from repro.ec.base import CodeParams
 from repro.ec.cauchy import CauchyRSCode
-from repro.ec.encoder import BlockEncoder
 from repro.ec.vandermonde import VandermondeRSCode
+from tests.ec.test_fast_equivalence import payload_blocks
 
 code_params = st.tuples(
     st.integers(min_value=1, max_value=6),  # k
@@ -20,8 +20,8 @@ code_params = st.tuples(
 def test_any_k_survivors_recover_payload(params, payload, data):
     """For random (k, m, payload, survivor set): decode is exact."""
     k, m = params
-    enc = BlockEncoder(CauchyRSCode(CodeParams(k=k, m=m, w=8)))
-    encoded = enc.encode(payload)
+    code = CauchyRSCode(CodeParams(k=k, m=m, w=8))
+    chunks = code.encode_all(payload_blocks(payload, k))
     n = k + m
     survivors = data.draw(
         st.lists(
@@ -31,8 +31,8 @@ def test_any_k_survivors_recover_payload(params, payload, data):
             unique=True,
         )
     )
-    available = {i: encoded.chunks[i] for i in survivors}
-    assert enc.decode(available, encoded.original_length) == payload
+    decoded = code.decode_fast({i: chunks[i] for i in survivors})
+    assert np.concatenate(decoded).tobytes()[: len(payload)] == payload
 
 
 @given(params=code_params, seed=st.integers(min_value=0, max_value=2**32 - 1))
@@ -59,14 +59,15 @@ def test_cauchy_and_vandermonde_encode_decode_agree_on_data(params, seed):
 )
 @settings(max_examples=30, deadline=None)
 def test_bitmatrix_path_equals_field_path(seed, size):
-    """XOR-only Cauchy encoding is byte-identical to field arithmetic."""
+    """XOR-only Cauchy encoding is byte-identical to field arithmetic, and
+    so is the fused kernel."""
     rng = np.random.default_rng(seed)
     code = CauchyRSCode(CodeParams(k=2, m=2, w=8))
     blocks = [rng.integers(0, 256, size=size, dtype=np.uint8) for _ in range(2)]
     field = code.encode(blocks)
-    xored = code.encode_bitmatrix(blocks)
-    for a, b in zip(field, xored):
-        assert np.array_equal(a, b)
+    for path in (code.encode_bitmatrix_reference, code.encode_fast):
+        for a, b in zip(field, path(blocks)):
+            assert np.array_equal(a, b)
 
 
 @given(payload=st.binary(min_size=0, max_size=512))
@@ -74,10 +75,9 @@ def test_bitmatrix_path_equals_field_path(seed, size):
 def test_parity_linearity(payload):
     """Parity of (A xor B) == parity(A) xor parity(B): codes are linear."""
     code = CauchyRSCode(CodeParams(k=2, m=2, w=8))
-    enc = BlockEncoder(code)
-    a = enc.encode(payload)
-    zeros = enc.encode(bytes(len(payload)))
-    assert a.chunk_bytes() == zeros.chunk_bytes()
+    a = code.encode_all(payload_blocks(payload, 2))
+    zeros = code.encode_all(payload_blocks(bytes(len(payload)), 2))
+    assert a[0].nbytes == zeros[0].nbytes
     # XOR of the encodings equals the encoding of the XOR (payload ^ 0 = payload).
     for i in range(4):
-        assert np.array_equal(a.chunks[i] ^ zeros.chunks[i], a.chunks[i])
+        assert np.array_equal(a[i] ^ zeros[i], a[i])

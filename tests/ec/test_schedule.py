@@ -5,7 +5,11 @@ import pytest
 
 from repro.errors import CodeConfigError
 from repro.ec.base import CodeParams
-from repro.ec.cauchy import CauchyRSCode, _blocks_to_bitplanes, _bitplanes_to_blocks
+from repro.ec.cauchy import (
+    CauchyRSCode,
+    _reference_bitplanes_to_blocks,
+    _reference_blocks_to_bitplanes,
+)
 from repro.ec.schedule import dumb_schedule, smart_schedule
 
 
@@ -15,11 +19,11 @@ def code():
 
 
 def encode_via_schedule(code, schedule, data):
-    strips = _blocks_to_bitplanes(
+    strips = _reference_blocks_to_bitplanes(
         [np.ascontiguousarray(d, dtype=np.uint8) for d in data], code.params.w
     )
     parity_strips = schedule.apply(strips)
-    return _bitplanes_to_blocks(
+    return _reference_bitplanes_to_blocks(
         parity_strips, code.params.m, code.params.w, data[0].nbytes
     )
 
