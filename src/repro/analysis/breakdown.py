@@ -47,9 +47,10 @@ def serialization_fraction(
 def sum_breakdowns(breakdowns: list[dict[str, float]]) -> dict[str, float]:
     """Phase-wise sum over several report breakdowns.
 
-    The aggregate the trace crosscheck and the critical-path analyzer
-    both reconcile against: for a run with N saves, the traced per-phase
-    totals must equal this sum over the N ``SaveReport`` breakdowns.
+    The aggregate the trace crosscheck
+    (:func:`repro.obs.trace_io.reconcile_phases`) reconciles against: for
+    a run with N saves, the traced per-phase totals must equal this sum
+    over the N ``SaveReport`` breakdowns.
     """
     total: dict[str, float] = {}
     for breakdown in breakdowns:

@@ -41,7 +41,6 @@ from typing import ClassVar
 import numpy as np
 
 from repro import obs
-from repro.analysis.breakdown import sum_breakdowns
 from repro.chaos.campaign import (
     FAILURE_MODES,
     FAILURE_MODE_WEIGHTS,
@@ -66,7 +65,7 @@ from repro.checkpoint.base import SupportsReplication
 from repro.checkpoint.manager import CheckpointManager
 from repro.obs.alerts import AlertRule
 from repro.obs.timeseries import ManualClock
-from repro.obs.trace_io import crosscheck_totals, phase_totals
+from repro.obs.trace_io import crosscheck_totals, reconcile_phases
 
 #: The differential triple; order fixes the crossover table rows.
 HYBRID_ENGINES = ("eccheck", "gradrep", "hybrid")
@@ -375,24 +374,6 @@ def run_hybrid_episode(
     )
 
 
-def _reconcile_phases(
-    result: HybridEpisodeResult, spans: list[dict], reports: dict[str, list]
-) -> None:
-    """Traced phase sums must equal report breakdowns at 1e-9."""
-    for kind, kind_reports in reports.items():
-        breakdowns = [r.breakdown for r in kind_reports]
-        traced = phase_totals(spans, kind=kind)
-        if not traced and not breakdowns:
-            continue
-        reported = sum_breakdowns(breakdowns)
-        for problem in crosscheck_totals(traced, breakdowns):
-            result.violations.append(f"{kind} phase reconciliation: {problem}")
-        result.phases[kind] = {
-            "traced": {k: traced[k] for k in sorted(traced)},
-            "reported": {k: reported[k] for k in sorted(reported)},
-        }
-
-
 def _run_episode_impl(
     engine_name: str,
     episode: int,
@@ -550,15 +531,15 @@ def _run_episode_impl(
         "replayed_iterations": stats.replayed_iterations,
         "bytes_replicated": stats.bytes_replicated,
     }
-    _reconcile_phases(
-        result,
+    result.phases, problems = reconcile_phases(
         [r for r in tracer.records() if r["type"] == "span"],
         {
-            "save": stats.save_reports,
-            "replicate": stats.replicate_reports,
-            "restore": recovery_reports,
+            "save": [r.breakdown for r in stats.save_reports],
+            "replicate": [r.breakdown for r in stats.replicate_reports],
+            "restore": [r.breakdown for r in recovery_reports],
         },
     )
+    result.violations += [f"phase reconciliation: {p}" for p in problems]
     return result
 
 

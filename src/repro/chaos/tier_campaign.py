@@ -55,7 +55,7 @@ from repro.chaos.injection import CrashPlan
 from repro.checkpoint.manager import CheckpointManager
 from repro.checkpoint.tiering import TierPolicy
 from repro.obs.timeseries import ManualClock
-from repro.obs.trace_io import crosscheck_totals, phase_totals
+from repro.obs.trace_io import reconcile_phases
 
 P_CRASH = 0.4
 
@@ -67,9 +67,6 @@ SCENARIOS = (
     "disk_replacement",
 )
 SCENARIO_WEIGHTS = (0.10, 0.20, 0.40, 0.15, 0.15)
-
-#: Reconciliation tolerance for traced-vs-reported phase totals.
-REL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -84,8 +81,8 @@ class TierChaosConfig:
     #: Disk-tier retention depth handed to the :class:`TierPolicy`.
     disk_versions: int = 8
     #: Run each episode under a collecting tracer, reconcile per-tier
-    #: phase totals against report breakdowns at :data:`REL_TOL`, and
-    #: attach a trace summary to the episode.
+    #: phase totals against report breakdowns at ``trace_io.REL_TOL``,
+    #: and attach a trace summary to the episode.
     trace: bool = False
     #: Attach a per-episode telemetry timeline sampled against a clock
     #: derived from save/recovery durations.
@@ -359,18 +356,16 @@ def _run_tier_episode_impl(
 
     # -- traced mode: reconcile per-tier phase totals at 1e-9 ------------
     if tracer is not None:
-        spans = [r for r in tracer.records() if r["type"] == "span"]
-        for label, kind, breakdowns in (
-            ("tier", "tier", [r.breakdown for r in stats.demote_reports]),
-            ("restore", "restore", restore_breakdowns),
-        ):
-            problems = crosscheck_totals(
-                phase_totals(spans, kind=kind), breakdowns, rel_tol=REL_TOL
-            )
-            result.violations.extend(
-                f"traced {label} phases do not reconcile: {p}"
-                for p in problems
-            )
+        _, problems = reconcile_phases(
+            [r for r in tracer.records() if r["type"] == "span"],
+            {
+                "tier": [r.breakdown for r in stats.demote_reports],
+                "restore": restore_breakdowns,
+            },
+        )
+        result.violations += [
+            f"traced phases do not reconcile: {p}" for p in problems
+        ]
     clock.close()
     return result
 

@@ -24,13 +24,10 @@ from repro.obs import metrics as _metrics_mod
 from repro.obs.alerts import AlertEngine, AlertRule, default_fleet_rules
 from repro.obs.critical_path import (
     IdleSlotReport,
-    PipelineCriticalPath,
     TraceAnalysis,
     analyze_trace,
     idle_slot_report,
-    pipeline_critical_path,
     render_analysis,
-    thread_utilization,
     tier_byte_flow,
 )
 from repro.obs.dashboard import render_dashboard, write_dashboard
@@ -53,6 +50,7 @@ from repro.obs.trace_io import (
     crosscheck_totals,
     load_trace,
     phase_totals,
+    reconcile_phases,
     summarize,
     validate_spans,
     write_jsonl,
@@ -124,7 +122,6 @@ __all__ = [
     "MetricsRegistry",
     "NULL_TRACER",
     "NullTracer",
-    "PipelineCriticalPath",
     "SeriesBuffer",
     "Span",
     "TenantSeries",
@@ -142,14 +139,13 @@ __all__ = [
     "install",
     "load_trace",
     "phase_totals",
-    "pipeline_critical_path",
     "provenance_stamp",
+    "reconcile_phases",
     "record_phases",
     "render_analysis",
     "render_dashboard",
     "tier_byte_flow",
     "summarize",
-    "thread_utilization",
     "use_sampler",
     "use_tracer",
     "validate_chrome_trace",

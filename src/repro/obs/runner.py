@@ -18,7 +18,7 @@ import sys
 from repro import obs
 from repro.errors import ReproError
 from repro.obs import trace_io
-from repro.analysis.breakdown import normalise_breakdown, sum_breakdowns
+from repro.obs.critical_path import ordered_kinds, phase_table
 from repro.chaos.harness import build_testbed
 from repro.checkpoint.base import SupportsRemoteBackup, SupportsTiers
 from repro.checkpoint.manager import CheckpointManager
@@ -27,31 +27,11 @@ from repro.core.eccheck import ECCheckEngine
 
 
 def _snapshot_cache_gauges(tracer, engine) -> None:
-    """Surface the library and decode cache counters as gauges.
-
-    ``cache.decode_*`` is the decoding-matrix cache the restore hits.
-    """
-    from repro.ec.cauchy import schedule_cache_info
-
-    for key, value in schedule_cache_info().items():
-        tracer.metrics.gauge(f"cache.{key}").set(float(value))
+    """Surface the decoding-matrix cache the restore hits as ``cache.decode_*``."""
     if not isinstance(engine, ECCheckEngine):
         return
     for key, value in engine.code.decode_cache_info().items():
         tracer.metrics.gauge(f"cache.decode_{key}").set(float(value))
-
-
-def _phase_table(title: str, totals: dict[str, float], want: dict[str, float]) -> list[str]:
-    lines = [title, f"  {'phase':<28} {'traced_s':>12} {'reports_s':>12} {'share':>7}"]
-    grand = sum(totals.values())
-    shares = normalise_breakdown(totals) if grand > 0 else {p: 0.0 for p in totals}
-    for phase in sorted(totals):
-        lines.append(
-            f"  {phase:<28} {totals[phase]:>12.6f} {want.get(phase, 0.0):>12.6f} "
-            f"{shares[phase]:>6.1%}"
-        )
-    lines.append(f"  {'total':<28} {grand:>12.6f}")
-    return lines
 
 
 def run_traced_job(
@@ -65,22 +45,21 @@ def run_traced_job(
     seed: int = 0,
     output: str = "TRACE_run.jsonl",
     out_dir: str | None = None,
-    rel_tol: float = 1e-9,
     keep_failed: bool = False,
     tier_memory_versions: int = 0,
     out=None,
 ) -> int:
     """Run a traced save/restore job; return 0 iff the trace reconciles.
 
-    Emits ``output`` (JSONL, schema v1) and prints per-phase sim-time
-    tables for the save and restore paths, each cross-checked against the
-    engine's report breakdowns via
-    :func:`repro.obs.trace_io.crosscheck_totals`.
+    Emits ``output`` (JSONL, schema v1) and prints a per-phase sim-time
+    table per span kind (save, restore, replicate, tier), each reconciled
+    against the manager's report breakdowns of that kind by
+    :func:`repro.obs.trace_io.reconcile_phases`.
 
     ``tier_memory_versions > 0`` runs the manager under a
     :class:`~repro.checkpoint.tiering.TierPolicy` with that hot-tier
-    depth (engines with the tier API only); demotion spans are
-    cross-checked against the demotion report breakdowns the same way.
+    depth (engines with the tier API only), which adds demotion
+    (``tier``) spans.
 
     ``out_dir`` places the trace file (and any relative ``output`` path)
     inside a directory, created if needed.  The trace is written
@@ -120,67 +99,46 @@ def run_traced_job(
     spans = [r for r in tracer.records() if r["type"] == "span"]
     problems = trace_io.validate_spans(spans)
 
-    save_breakdowns = [r.breakdown for r in manager.stats.save_reports]
-    save_breakdowns += [r.breakdown for r in manager.stats.backup_reports]
-    save_totals = trace_io.phase_totals(spans, kind="save")
-    problems += trace_io.crosscheck_totals(save_totals, save_breakdowns, rel_tol)
-    restore_breakdowns = [r.breakdown for r in recovery_reports]
-    restore_totals = trace_io.phase_totals(spans, kind="restore")
-    problems += trace_io.crosscheck_totals(restore_totals, restore_breakdowns, rel_tol)
-    tier_breakdowns = [r.breakdown for r in manager.stats.demote_reports]
-    tier_totals = trace_io.phase_totals(spans, kind="tier")
-    problems += trace_io.crosscheck_totals(tier_totals, tier_breakdowns, rel_tol)
-    replicate_breakdowns = [
-        r.breakdown for r in manager.stats.replicate_reports
-    ]
-    replicate_totals = trace_io.phase_totals(spans, kind="replicate")
-    problems += trace_io.crosscheck_totals(
-        replicate_totals, replicate_breakdowns, rel_tol
+    stats = manager.stats
+    sections, mismatches = trace_io.reconcile_phases(
+        spans,
+        {
+            "save": [r.breakdown for r in stats.save_reports + stats.backup_reports],
+            "restore": [r.breakdown for r in recovery_reports],
+            "replicate": [r.breakdown for r in stats.replicate_reports],
+            "tier": [r.breakdown for r in stats.demote_reports],
+        },
     )
+    problems += mismatches
 
     events = len(tracer.records()) - len(spans)
     print(
-        f"traced {engine_name}: {manager.stats.checkpoints} checkpoints, "
-        f"{manager.stats.remote_backups} backups, "
-        f"{manager.stats.recoveries} recoveries "
+        f"traced {engine_name}: {stats.checkpoints} checkpoints, "
+        f"{stats.remote_backups} backups, "
+        f"{stats.recoveries} recoveries "
         f"({len(spans)} spans, {events} events)",
         file=out,
     )
-    if save_totals:
-        table = _phase_table(
-            "save phases:", save_totals, sum_breakdowns(save_breakdowns)
-        )
-        print("\n".join(table), file=out)
-    if restore_totals:
-        table = _phase_table(
-            "restore phases:", restore_totals, sum_breakdowns(restore_breakdowns)
-        )
-        print("\n".join(table), file=out)
-    if replicate_totals:
-        table = _phase_table(
-            "replicate phases:",
-            replicate_totals,
-            sum_breakdowns(replicate_breakdowns),
-        )
-        print("\n".join(table), file=out)
-        print(
-            f"  gradient stream: {manager.stats.replications} replications "
-            f"({manager.stats.bytes_replicated} B over the trunk), "
-            f"{manager.stats.replayed_iterations} iterations replayed",
-            file=out,
-        )
-    if tier_totals:
-        table = _phase_table(
-            "tier phases:", tier_totals, sum_breakdowns(tier_breakdowns)
-        )
-        print("\n".join(table), file=out)
-        print(
-            f"  tier stack: {manager.stats.demotions} demotions "
-            f"({manager.stats.bytes_to_disk} B to disk), "
-            f"{manager.stats.evictions} evictions "
-            f"({manager.stats.disk_bytes_evicted} B reclaimed)",
-            file=out,
-        )
+    for kind in ordered_kinds(sections):
+        traced = sections[kind]["traced"]
+        if not traced:
+            continue
+        print("\n".join(phase_table(f"{kind} phases (sim):", traced)), file=out)
+        if kind == "replicate":
+            print(
+                f"  gradient stream: {stats.replications} replications "
+                f"({stats.bytes_replicated} B over the trunk), "
+                f"{stats.replayed_iterations} iterations replayed",
+                file=out,
+            )
+        elif kind == "tier":
+            print(
+                f"  tier stack: {stats.demotions} demotions "
+                f"({stats.bytes_to_disk} B to disk), "
+                f"{stats.evictions} evictions "
+                f"({stats.disk_bytes_evicted} B reclaimed)",
+                file=out,
+            )
     counters = tracer.metrics.snapshot()["counters"]
     for name in sorted(counters):
         print(f"  counter {name} = {counters[name]}", file=out)
@@ -214,5 +172,8 @@ def run_traced_job(
         for problem in problems:
             print(f"TRACE PROBLEM: {problem}", file=out)
         return 1
-    print(f"crosscheck OK: phase totals match reports within {rel_tol:g}", file=out)
+    print(
+        f"crosscheck OK: phase totals match reports within {trace_io.REL_TOL:g}",
+        file=out,
+    )
     return 0

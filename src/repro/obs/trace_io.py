@@ -20,8 +20,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, List, Mapping, Tuple
 
+from repro.analysis.breakdown import sum_breakdowns
 from repro.errors import ReproError
 from repro.obs.provenance import write_atomic
 from repro.obs.tracer import Tracer
@@ -130,44 +131,55 @@ def validate_spans(spans: Iterable[Dict[str, Any]]) -> List[str]:
     return problems
 
 
-def phase_totals(
-    spans: Iterable[Dict[str, Any]],
-    kind: Optional[str] = None,
-) -> Dict[str, float]:
-    """Sum ``sim_s`` per ``attrs["phase"]`` over phase-tagged spans.
+#: Relative tolerance of every traced-vs-reported phase reconciliation.
+REL_TOL = 1e-9
+
+
+def _costed_phases(spans: Iterable[Dict[str, Any]]):
+    """``(kind, phase, sim_s)`` of every phase-tagged, costed span.
 
     Spans without a phase tag or without a simulated duration (e.g. a
     save torn by an injected crash before it was costed) contribute
     nothing, which is exactly what reconciling against completed
     ``SaveReport``/``RecoveryReport`` objects requires.
     """
-    totals: Dict[str, float] = {}
     for span in spans:
         attrs = span.get("attrs") or {}
         phase = attrs.get("phase")
-        if phase is None or span.get("sim_s") is None:
-            continue
-        if kind is not None and attrs.get("kind") != kind:
-            continue
-        totals[phase] = totals.get(phase, 0.0) + span["sim_s"]
+        if phase is not None and span.get("sim_s") is not None:
+            yield attrs.get("kind"), phase, span["sim_s"]
+
+
+def phase_totals(spans: Iterable[Dict[str, Any]]) -> Dict[str, float]:
+    """Sum ``sim_s`` per ``attrs["phase"]`` over every span kind."""
+    totals: Dict[str, float] = {}
+    for _, phase, sim_s in _costed_phases(spans):
+        totals[phase] = totals.get(phase, 0.0) + sim_s
+    return totals
+
+
+def phase_totals_by_kind(
+    spans: Iterable[Dict[str, Any]],
+) -> Dict[str, Dict[str, float]]:
+    """:func:`phase_totals` for every span kind present, keyed by kind."""
+    totals: Dict[str, Dict[str, float]] = {}
+    for kind, phase, sim_s in _costed_phases(spans):
+        kind_totals = totals.setdefault(kind, {})
+        kind_totals[phase] = kind_totals.get(phase, 0.0) + sim_s
     return totals
 
 
 def crosscheck_totals(
     trace_totals: Dict[str, float],
     report_breakdowns: Iterable[Dict[str, float]],
-    rel_tol: float = 1e-9,
 ) -> List[str]:
     """Reconcile traced phase sums against report breakdowns.
 
     For every phase the trace recorded, the traced total must equal the
-    sum of that key over the report breakdowns to within ``rel_tol``
+    sum of that key over the report breakdowns to within :data:`REL_TOL`
     relative tolerance.  Returns a list of mismatch descriptions.
     """
-    expected: Dict[str, float] = {}
-    for breakdown in report_breakdowns:
-        for key, value in breakdown.items():
-            expected[key] = expected.get(key, 0.0) + float(value)
+    expected = sum_breakdowns(report_breakdowns)
     problems: List[str] = []
     for phase, traced in sorted(trace_totals.items()):
         want = expected.get(phase)
@@ -175,11 +187,41 @@ def crosscheck_totals(
             problems.append(f"phase {phase!r} traced but absent from reports")
             continue
         scale = max(abs(traced), abs(want), 1e-300)
-        if abs(traced - want) / scale > rel_tol:
+        if abs(traced - want) / scale > REL_TOL:
             problems.append(
                 f"phase {phase!r}: traced {traced!r} != reported {want!r}"
             )
     return problems
+
+
+def reconcile_phases(
+    spans: Iterable[Dict[str, Any]],
+    breakdowns_by_kind: Mapping[str, Iterable[Dict[str, float]]],
+) -> Tuple[Dict[str, Dict[str, Dict[str, float]]], List[str]]:
+    """Traced phase sums against report breakdowns, per span kind.
+
+    ``breakdowns_by_kind`` maps each span kind the caller holds reports
+    for (``"save"``, ``"restore"``, ``"replicate"``, ``"tier"``, ...) to
+    those reports' breakdowns.  Returns ``(sections, problems)``:
+    ``sections[kind]`` is ``{"traced": ..., "reported": ...}``, both keyed
+    by phase in sorted order, for every named kind with spans or reports
+    (a kind with neither is left out); each problem starts with its kind.
+    """
+    traced_by_kind = phase_totals_by_kind(spans)
+    sections: Dict[str, Dict[str, Dict[str, float]]] = {}
+    problems: List[str] = []
+    for kind, breakdowns in breakdowns_by_kind.items():
+        breakdowns = list(breakdowns)
+        traced = traced_by_kind.get(kind, {})
+        if not traced and not breakdowns:
+            continue
+        reported = sum_breakdowns(breakdowns)
+        problems += [f"{kind} {p}" for p in crosscheck_totals(traced, [reported])]
+        sections[kind] = {
+            "traced": {phase: traced[phase] for phase in sorted(traced)},
+            "reported": {phase: reported[phase] for phase in sorted(reported)},
+        }
+    return sections, problems
 
 
 def summarize(tracer: Tracer) -> Dict[str, Any]:

@@ -77,11 +77,12 @@ def test_sum_breakdowns():
 @pytest.mark.parametrize("engine_name", ["eccheck", "base1", "base2", "base3"])
 def test_breakdown_figures_agree_with_trace_analyzer(engine_name):
     """The figures' per-phase sim-seconds (summed report breakdowns) and the
-    critical-path analyzer's traced totals must agree at 1e-9 for every
-    engine -- the same reconciliation `repro analyze` performs."""
+    trace's per-kind phase totals must agree at 1e-9 for every engine --
+    the reconciliation `repro trace` performs, and what `repro analyze`
+    prints."""
     from tests.obs.conftest import run_traced_episode
     from repro.analysis.breakdown import sum_breakdowns
-    from repro.obs.trace_io import Trace
+    from repro.obs.trace_io import Trace, reconcile_phases
     from repro.obs.critical_path import analyze_trace
 
     episode = run_traced_episode(engine_name, iterations=4, interval=2)
@@ -91,22 +92,25 @@ def test_breakdown_figures_agree_with_trace_analyzer(engine_name):
         events=episode.events,
         metrics=episode.tracer.metrics.snapshot(),
     )
-    analysis = analyze_trace(
-        trace,
-        save_breakdowns=episode.save_breakdowns,
-        restore_breakdowns=episode.restore_breakdowns,
-        rel_tol=1e-9,
+    sections, problems = reconcile_phases(
+        trace.spans,
+        {
+            "save": episode.save_breakdowns,
+            "restore": episode.restore_breakdowns,
+        },
     )
-    assert analysis.crosscheck_problems == []
+    assert problems == []
+    analysis = analyze_trace(trace)
     # Every traced phase total matches the engine-report aggregate exactly
     # within tolerance, both ways of slicing the same physics.
-    expected = sum_breakdowns(episode.save_breakdowns)
-    for phase, traced in analysis.save_phase_totals.items():
-        assert traced == pytest.approx(expected[phase], rel=1e-9), (
-            f"{engine_name}: save phase {phase}"
-        )
-    expected = sum_breakdowns(episode.restore_breakdowns)
-    for phase, traced in analysis.restore_phase_totals.items():
-        assert traced == pytest.approx(expected[phase], rel=1e-9), (
-            f"{engine_name}: restore phase {phase}"
-        )
+    for kind, breakdowns in (
+        ("save", episode.save_breakdowns),
+        ("restore", episode.restore_breakdowns),
+    ):
+        assert analysis.phase_totals[kind] == sections[kind]["traced"]
+        expected = sum_breakdowns(breakdowns)
+        assert sections[kind]["reported"] == expected
+        for phase, traced in analysis.phase_totals[kind].items():
+            assert traced == pytest.approx(expected[phase], rel=1e-9), (
+                f"{engine_name}: {kind} phase {phase}"
+            )

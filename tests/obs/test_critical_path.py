@@ -1,201 +1,17 @@
-"""Critical-path / utilization / idle-slot analyses: synthetic DAGs with
-brute-force cross-checks, plus invariants on a real traced run."""
-
-import itertools
+"""Trace analysis behind ``repro analyze``: per-kind phase totals,
+wall-clock step attribution and idle-slot placement, on a real traced
+run."""
 
 import pytest
 
 from repro.errors import ReproError
 from repro.obs.critical_path import (
-    PIPELINE_STAGES,
     analyze_trace,
     idle_slot_report,
-    pipeline_critical_path,
     render_analysis,
     save_step_wall,
-    thread_utilization,
 )
-from repro.obs.trace_io import Trace
-
-
-def _span(sid, name, start, wall, parent=None, thread="MainThread", **attrs):
-    return {
-        "id": sid,
-        "parent": parent,
-        "name": name,
-        "start": start,
-        "wall_s": wall,
-        "sim_s": None,
-        "thread": thread,
-        "attrs": attrs,
-    }
-
-
-def _pipeline_spans(walls, parent=100):
-    """Stage spans for a save: walls[stage][item] wall seconds.
-
-    Starts are synthesised in dependency order so queue-order sorting
-    sees items in sequence.
-    """
-    spans = [_span(parent, "engine.save", 0.0, 1000.0)]
-    sid = parent + 1
-    finish = {}
-    for s, stage_walls in enumerate(walls):
-        for i, wall in enumerate(stage_walls):
-            start = max(
-                finish.get((s, i - 1), 0.0), finish.get((s - 1, i), 0.0)
-            )
-            finish[(s, i)] = start + wall
-            spans.append(
-                _span(
-                    sid,
-                    PIPELINE_STAGES[s],
-                    start,
-                    wall,
-                    parent=parent,
-                    thread=f"worker-{s}",
-                )
-            )
-            sid += 1
-    return spans
-
-
-def _brute_force_critical(walls):
-    """Max-weight monotone path from (0, 0) to (last stage, last item)."""
-    stages, items = len(walls), len(walls[0])
-    best = 0.0
-    # A monotone lattice path is a choice of which steps are "next item".
-    for item_steps in itertools.combinations(
-        range(stages + items - 2), items - 1
-    ):
-        s = i = 0
-        total = walls[0][0]
-        for step in range(stages + items - 2):
-            if step in item_steps:
-                i += 1
-            else:
-                s += 1
-            total += walls[s][i]
-        best = max(best, total)
-    return best
-
-
-class TestPipelineCriticalPath:
-    @pytest.mark.parametrize(
-        "walls",
-        [
-            [[5.0, 1.0], [4.0, 1.0], [1.0, 1.0]],
-            [[1.0, 1.0, 1.0], [1.0, 9.0, 1.0], [2.0, 1.0, 3.0]],
-            [[0.5], [0.25], [0.125]],
-            [[1.0, 2.0, 3.0, 4.0], [4.0, 3.0, 2.0, 1.0], [1.0, 1.0, 1.0, 1.0]],
-        ],
-    )
-    def test_matches_brute_force(self, walls):
-        (report,) = pipeline_critical_path(_pipeline_spans(walls))
-        assert report.items == len(walls[0])
-        want = _brute_force_critical(walls)
-        assert report.critical_wall_s == pytest.approx(want, rel=1e-12)
-
-    def test_path_is_a_valid_chain(self):
-        walls = [[1.0, 2.0, 3.0], [3.0, 2.0, 1.0], [1.0, 5.0, 1.0]]
-        (report,) = pipeline_critical_path(_pipeline_spans(walls))
-        # Monotone through the DAG, one dependency edge per hop.
-        for a, b in zip(report.path, report.path[1:]):
-            assert (b.stage, b.item) in (
-                (a.stage + 1, a.item),
-                (a.stage, a.item + 1),
-            )
-        assert (report.path[0].stage, report.path[0].item) == (0, 0)
-        last = report.path[-1]
-        assert (last.stage, last.item) == (len(walls) - 1, report.items - 1)
-        assert report.critical_wall_s == pytest.approx(
-            sum(n.wall_s for n in report.path)
-        )
-
-    def test_totals_and_bottleneck(self):
-        walls = [[5.0, 1.0], [1.0, 1.0], [1.0, 2.0]]
-        (report,) = pipeline_critical_path(_pipeline_spans(walls))
-        assert report.stage_wall_totals == {
-            "pipeline.encode": 6.0,
-            "pipeline.xor_reduce": 2.0,
-            "pipeline.transfer": 3.0,
-        }
-        assert report.bottleneck_stage == "pipeline.encode"
-        assert report.serial_wall_s == pytest.approx(11.0)
-        assert 1.0 <= report.overlap_efficiency <= len(PIPELINE_STAGES)
-
-    def test_torn_save_with_uneven_items_is_skipped(self):
-        spans = _pipeline_spans([[1.0, 1.0], [1.0, 1.0], [1.0, 1.0]])
-        spans = [
-            s
-            for s in spans
-            if not (s["name"] == "pipeline.transfer" and s["start"] > 0)
-        ]
-        assert pipeline_critical_path(spans) == []
-
-    def test_non_pipeline_spans_are_ignored(self):
-        spans = [
-            _span(1, "engine.save", 0.0, 1.0),
-            _span(2, "engine.save.step1", 0.0, 0.5, parent=1),
-        ]
-        assert pipeline_critical_path(spans) == []
-
-    def test_traced_run_has_one_path_per_pipelined_save(self, traced_run):
-        reports = pipeline_critical_path(traced_run.trace.spans)
-        assert len(reports) == len(traced_run.trace.spans_named("eccheck.save"))
-        for report in reports:
-            assert report.items >= 1
-            # The longest chain of the pipeline DAG is part of the serial
-            # work, and holds at least the busiest stage.
-            assert report.critical_wall_s <= report.serial_wall_s + 1e-9
-            assert (
-                max(report.stage_wall_totals.values())
-                <= report.critical_wall_s + 1e-9
-            )
-            assert report.bottleneck_stage in PIPELINE_STAGES
-            assert sum(report.stage_wall_totals.values()) == pytest.approx(
-                report.serial_wall_s
-            )
-            # The runner executes the stages in line, one span after the
-            # other on one thread: the makespan is the serial work plus
-            # the gaps between spans, so the "overlap" reads just under 1.
-            assert report.serial_wall_s <= report.makespan_wall_s + 1e-9
-            assert 0.5 < report.overlap_efficiency <= 1.0 + 1e-9
-
-
-class TestThreadUtilization:
-    def test_leaf_spans_only(self):
-        spans = [
-            _span(1, "outer", 0.0, 10.0),
-            _span(2, "inner", 1.0, 2.0, parent=1),
-            _span(3, "inner", 2.0, 4.0, parent=1, thread="worker"),
-        ]
-        util = thread_utilization(spans)
-        assert util["MainThread"]["busy_s"] == pytest.approx(2.0)
-        assert util["MainThread"]["busy_fraction"] == pytest.approx(0.2)
-        assert util["worker"]["busy_s"] == pytest.approx(4.0)
-        assert util["worker"]["busy_fraction"] == pytest.approx(0.4)
-
-    def test_overlapping_leaves_merge(self):
-        spans = [
-            _span(1, "a", 0.0, 5.0),
-            _span(2, "b", 3.0, 5.0),
-        ]
-        util = thread_utilization(spans)
-        assert util["MainThread"]["busy_s"] == pytest.approx(8.0)
-        assert util["MainThread"]["spans"] == 2
-
-    def test_empty(self):
-        assert thread_utilization([]) == {}
-
-    def test_traced_run_bounds(self, traced_run):
-        util = thread_utilization(traced_run.trace.spans)
-        # One thread does all of it: the save starts no stage workers.
-        assert set(util) == {"MainThread"}
-        for stats in util.values():
-            assert 0.0 <= stats["busy_fraction"] <= 1.0
-            assert stats["busy_s"] >= 0.0
-            assert stats["spans"] >= 1
+from repro.obs.trace_io import Trace, reconcile_phases
 
 
 class TestIdleSlotReport:
@@ -239,17 +55,19 @@ class TestIdleSlotReport:
 
 class TestAnalyzeTrace:
     def test_crosschecks_against_reports(self, traced_run):
-        analysis = analyze_trace(
-            traced_run.trace,
-            save_breakdowns=traced_run.save_breakdowns,
-            restore_breakdowns=traced_run.restore_breakdowns,
-            rel_tol=1e-9,
+        sections, problems = reconcile_phases(
+            traced_run.trace.spans,
+            {
+                "save": traced_run.save_breakdowns,
+                "restore": traced_run.restore_breakdowns,
+            },
         )
-        assert analysis.crosscheck_problems == []
-        assert analysis.save_phase_totals
-        assert analysis.restore_phase_totals
-        assert analysis.critical_paths
-        assert analysis.utilization
+        assert problems == []
+        analysis = analyze_trace(traced_run.trace)
+        assert analysis.phase_totals["save"]
+        assert analysis.phase_totals["restore"]
+        for kind, section in sections.items():
+            assert analysis.phase_totals[kind] == section["traced"]
         assert analysis.idle_slots is not None
 
     def test_restore_steps_account_for_the_restore_wall_time(self, traced_run):
@@ -341,10 +159,23 @@ class TestAnalyzeTrace:
         perturbed = [dict(b) for b in traced_run.save_breakdowns]
         key = next(iter(perturbed[0]))
         perturbed[0][key] *= 1.0 + 1e-6
-        analysis = analyze_trace(
-            traced_run.trace, save_breakdowns=perturbed, rel_tol=1e-9
+        _, problems = reconcile_phases(traced_run.trace.spans, {"save": perturbed})
+        assert problems
+        assert all(p.startswith(f"save phase {key!r}") for p in problems)
+
+    def test_an_engine_trace_runs_its_stages_in_line(self, traced_run):
+        """Why ``repro analyze`` has no critical path or per-thread
+        utilization: every span of an engine run is on one thread, and no
+        two of a save's stage spans overlap in wall time."""
+        spans = traced_run.trace.spans
+        assert {s["thread"] for s in spans} == {"MainThread"}
+        stages = sorted(
+            (s for s in spans if s["name"].startswith("pipeline.")),
+            key=lambda s: s["start"],
         )
-        assert analysis.crosscheck_problems
+        assert stages
+        for a, b in zip(stages, stages[1:]):
+            assert a["start"] + a["wall_s"] <= b["start"] + 1e-6
 
     def test_empty_trace_raises(self):
         with pytest.raises(ReproError):
@@ -357,8 +188,6 @@ class TestAnalyzeTrace:
         assert "restore phases (sim):" in text
         assert "save steps (wall):" in text
         assert "restore steps (wall):" in text
-        assert "pipeline critical paths (wall):" in text
-        assert "thread utilization (wall):" in text
         assert "idle-slot placement (sim):" in text
         assert "CROSSCHECK PROBLEM" not in text
 

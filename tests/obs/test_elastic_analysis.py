@@ -6,7 +6,7 @@ import pytest
 
 from repro import obs
 from repro.obs import analyze_trace, load_trace, render_analysis
-from repro.obs.trace_io import write_jsonl
+from repro.obs.trace_io import reconcile_phases, write_jsonl
 from repro.checkpoint.job import TrainingJob
 from repro.checkpoint.manager import CheckpointManager
 from repro.core.eccheck import ECCheckConfig, ECCheckEngine
@@ -48,19 +48,24 @@ def traced_elastic_run(tmp_path):
 
 def test_repair_and_regroup_totals_reconcile(traced_elastic_run):
     trace, controller = traced_elastic_run
-    analysis = analyze_trace(
-        trace,
-        repair_breakdowns=[r.breakdown() for r in controller.repair_reports],
-        regroup_breakdowns=controller.regroup_reports,
+    sections, problems = reconcile_phases(
+        trace.spans,
+        {
+            "repair": [r.breakdown() for r in controller.repair_reports],
+            "regroup": controller.regroup_reports,
+        },
     )
-    assert analysis.crosscheck_problems == []
-    assert set(analysis.repair_phase_totals) == {
+    assert problems == []
+    analysis = analyze_trace(trace)
+    assert analysis.phase_totals["repair"] == sections["repair"]["traced"]
+    assert analysis.phase_totals["regroup"] == sections["regroup"]["traced"]
+    assert set(analysis.phase_totals["repair"]) == {
         "repair_derive",
         "repair_stream",
         "repair_commit",
     }
-    assert analysis.repair_phase_totals["repair_stream"] > 0
-    assert analysis.regroup_phase_totals["regroup_plan"] > 0
+    assert analysis.phase_totals["repair"]["repair_stream"] > 0
+    assert analysis.phase_totals["regroup"]["regroup_plan"] > 0
     rendered = render_analysis(analysis)
     assert "repair phases (sim):" in rendered
     assert "regroup phases (sim):" in rendered
@@ -70,8 +75,8 @@ def test_tampered_breakdown_is_flagged(traced_elastic_run):
     trace, controller = traced_elastic_run
     breakdowns = [r.breakdown() for r in controller.repair_reports]
     breakdowns[0]["repair_stream"] *= 1.5
-    analysis = analyze_trace(trace, repair_breakdowns=breakdowns)
-    assert any("repair_stream" in p for p in analysis.crosscheck_problems)
+    _, problems = reconcile_phases(trace.spans, {"repair": breakdowns})
+    assert any(p.startswith("repair phase 'repair_stream'") for p in problems)
 
 
 def test_non_elastic_trace_has_empty_elastic_sections(tmp_path):
@@ -88,6 +93,6 @@ def test_non_elastic_trace_has_empty_elastic_sections(tmp_path):
         path = tmp_path / "plain_trace.jsonl"
         write_jsonl(tracer, str(path), nodes=4)
     analysis = analyze_trace(load_trace(str(path)))
-    assert analysis.repair_phase_totals == {}
-    assert analysis.regroup_phase_totals == {}
+    assert "repair" not in analysis.phase_totals
+    assert "regroup" not in analysis.phase_totals
     assert "repair phases (sim):" not in render_analysis(analysis)

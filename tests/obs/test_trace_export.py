@@ -184,17 +184,16 @@ class TestSimProcess:
         )
 
     def test_phase_track_totals_match_trace_phase_totals(self, traced_run):
-        from repro.obs.trace_io import phase_totals
+        from repro.obs.trace_io import phase_totals_by_kind
 
         events = [e for e in _events(traced_run) if e["pid"] == SIM_PID]
         phases = [e for e in events if e["ph"] == "X" and e["cat"] == "phase"]
         exported: dict = {}
         for phase in phases:
             exported[phase["name"]] = exported.get(phase["name"], 0.0) + phase["dur"]
-        expected = phase_totals(traced_run.trace.spans, kind="save")
-        for name, sim_s in phase_totals(
-            traced_run.trace.spans, kind="restore"
-        ).items():
+        by_kind = phase_totals_by_kind(traced_run.trace.spans)
+        expected = dict(by_kind["save"])
+        for name, sim_s in by_kind["restore"].items():
             expected[name] = expected.get(name, 0.0) + sim_s
         assert set(exported) == set(expected)
         for name, total_us in exported.items():

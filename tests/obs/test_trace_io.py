@@ -86,7 +86,10 @@ def test_phase_totals_filters_kind_and_skips_uncosted():
         {"attrs": {"kind": "save", "phase": "torn"}, "sim_s": None},
         {"attrs": {}, "sim_s": 4.0},
     ]
-    assert trace_io.phase_totals(spans, kind="save") == {"p": 3.0}
+    assert trace_io.phase_totals_by_kind(spans) == {
+        "save": {"p": 3.0},
+        "restore": {"p": 8.0},
+    }
     assert trace_io.phase_totals(spans) == {"p": 11.0}
 
 
@@ -100,6 +103,71 @@ def test_crosscheck_totals_detects_mismatch_and_extra_phase():
     assert any("ghost" in p for p in problems)
     # Within tolerance is clean.
     assert trace_io.crosscheck_totals({"a": 1.5 * (1 + 1e-12)}, reports) == []
+
+
+#: Two reports' breakdowns per span kind, the way engines and the elastic
+#: controller emit them (one phase-tagged span per breakdown entry).
+RECONCILE_TABLE = {
+    "save": [{"step1": 0.25, "step3": 1.5}, {"step1": 0.5, "step3": 1.25}],
+    "restore": [{"fetch_packets": 0.125, "htod": 0.0625}],
+    "replicate": [{"replicate_dtoh": 0.2, "replicate_piggyback": 3.9}] * 2,
+    "tier": [{"demote_disk_write": 0.003}, {"demote_disk_write": 0.004}],
+    "repair": [{"repair_derive": 0.1, "repair_stream": 2.0, "repair_commit": 0.01}],
+    "regroup": [{"regroup_plan": 0.05}, {"regroup_plan": 0.05}],
+}
+
+
+def _reconcile_spans(table):
+    spans = [
+        {"attrs": {"kind": kind, "phase": phase}, "sim_s": seconds}
+        for kind, breakdowns in table.items()
+        for breakdown in breakdowns
+        for phase, seconds in breakdown.items()
+    ]
+    # A torn save and an untagged span contribute nothing.
+    spans.append({"attrs": {"kind": "save", "phase": "step1"}, "sim_s": None})
+    spans.append({"attrs": {}, "sim_s": 9.0})
+    return spans
+
+
+@pytest.mark.parametrize("kind", sorted(RECONCILE_TABLE))
+def test_reconcile_phases_one_rule_for_every_span_kind(kind):
+    spans = _reconcile_spans(RECONCILE_TABLE)
+
+    # Traced totals equal the reports: one section per kind, no problem.
+    sections, problems = trace_io.reconcile_phases(spans, RECONCILE_TABLE)
+    assert problems == []
+    assert set(sections) == set(RECONCILE_TABLE)
+    want = {}
+    for breakdown in RECONCILE_TABLE[kind]:
+        for phase, seconds in breakdown.items():
+            want[phase] = want.get(phase, 0.0) + seconds
+    assert sections[kind] == {"traced": want, "reported": want}
+    assert list(sections[kind]["traced"]) == sorted(want)
+
+    # A perturbed breakdown is flagged, and only under its own kind.
+    perturbed = dict(RECONCILE_TABLE)
+    perturbed[kind] = [dict(b) for b in RECONCILE_TABLE[kind]]
+    phase = sorted(perturbed[kind][0])[0]
+    perturbed[kind][0][phase] *= 1.0 + 1e-6
+    _, problems = trace_io.reconcile_phases(spans, perturbed)
+    assert len(problems) == 1
+    assert problems[0].startswith(f"{kind} phase {phase!r}: traced ")
+
+    # A kind with neither spans nor reports is left out; one with spans
+    # but no reports is not.
+    others = {k: v for k, v in RECONCILE_TABLE.items() if k != kind}
+    sections, problems = trace_io.reconcile_phases(
+        _reconcile_spans(others), {**others, kind: []}
+    )
+    assert problems == []
+    assert set(sections) == set(others)
+    sections, problems = trace_io.reconcile_phases(spans, {**others, kind: []})
+    assert sections[kind]["reported"] == {}
+    assert problems and all(
+        p.startswith(f"{kind} phase ") and p.endswith("absent from reports")
+        for p in problems
+    )
 
 
 def test_summarize_digest():

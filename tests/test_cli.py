@@ -225,9 +225,30 @@ def test_analyze_subcommand(traced_file):
     code, text = run_cli("analyze", str(traced_file))
     assert code == 0
     assert "save phases (sim):" in text
-    assert "pipeline critical paths (wall):" in text
-    assert "thread utilization (wall):" in text
     assert "idle-slot placement (sim):" in text
+
+
+def _table_lines(text, title):
+    """One titled phase table: its title, phase rows and total row."""
+    lines = text.splitlines()
+    start = lines.index(title)
+    end = next(i for i in range(start, len(lines)) if lines[i].startswith("  total "))
+    return lines[start : end + 1]
+
+
+def test_analyze_prints_the_replicate_phases_trace_reported(tmp_path):
+    """`repro analyze` reports every span kind the trace holds: a gradrep
+    trace's replicate phases, with the totals `repro trace` printed."""
+    code, traced = run_cli(
+        "trace", "--engine", "gradrep",
+        "--out-dir", str(tmp_path), "--output", "gradrep.jsonl",
+    )
+    assert code == 0
+    code, analyzed = run_cli("analyze", str(tmp_path / "gradrep.jsonl"))
+    assert code == 0
+    table = _table_lines(analyzed, "replicate phases (sim):")
+    assert len(table) > 2 and float(table[-1].split()[1].rstrip("s")) > 0
+    assert table == _table_lines(traced, "replicate phases (sim):")
 
 
 def test_analyze_missing_file(tmp_path):
