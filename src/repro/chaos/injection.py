@@ -2,7 +2,7 @@
 
 Engines expose named *crash points* — step boundaries inside their save
 flow (post-encode, post-XOR, mid-P2P, pre-metadata-broadcast, ...) — and
-call :meth:`~repro.checkpoint.base.CheckpointEngine._fire` at each one.
+call :meth:`~repro.checkpoint.base.CheckpointEngine.fire` at each one.
 When a campaign arms an engine with a :class:`CrashInjector`, the injector
 raises :class:`InjectedCrash` at the planned point, aborting the save
 mid-flight exactly where a real process crash would: whatever chunk

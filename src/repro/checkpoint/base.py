@@ -188,14 +188,17 @@ class CheckpointEngine(ABC):
         #: mid-flight, leaving a genuine torn version behind.
         self.crash_injector = None
 
-    def _fire(self, point: str, **context) -> None:
-        """Consult the armed crash injector (no-op when unarmed).
+    def fire(self, point: str, injector=None, **context) -> None:
+        """Consult a crash injector at ``point`` (no-op when unarmed).
 
+        The one crash hook: the save flows consult the engine's armed
+        ``crash_injector``, an elastic repair passes its own ``injector``.
         When a tracer is installed, an injector that actually fires (i.e.
-        raises to abort the save) is logged as one ``crash_point_fired``
-        event plus a pair of fire counters before the crash propagates.
+        raises to abort the operation) is logged as one
+        ``crash_point_fired`` event plus a pair of fire counters before the
+        crash propagates.
         """
-        injector = self.crash_injector
+        injector = self.crash_injector if injector is None else injector
         if injector is not None:
             try:
                 injector(point, **context)
@@ -325,24 +328,27 @@ class CheckpointEngine(ABC):
                 reclaimed += self.remote.delete(key)
         return reclaimed
 
-    def _restore_all_from_remote(self, version: int) -> tuple[float, int]:
-        """Load every writer's state from remote; replicas copy from peers.
+    def _restore_newest_remote(self, breakdown_key: str) -> RecoveryReport:
+        """Restore the newest complete remote version; replicas copy from peers.
 
-        Returns ``(restore_makespan_seconds, bytes_read)``.  All or
-        nothing: every blob is deserialized before any state is replaced.
+        The one remote fallback: base1's and base2's restore, and ECCheck's
+        when nothing is left in memory or on disk.  The load is billed under
+        ``breakdown_key``.  All or nothing: every blob is deserialized
+        before any state is replaced.
 
         Raises:
-            RecoveryError: if the requested version is absent.
+            RecoveryError: if no complete remote version exists.
             DecodeError: if a writer's blob does not deserialize.
         """
+        # A crash mid-persist leaves some workers' blobs missing: walk back
+        # past such torn versions to the newest complete one.
+        version = self._latest_complete_remote_version()
+        if version is None:
+            raise RecoveryError(
+                f"{self.name}: no complete remote checkpoint to restore"
+            )
         requests = []
         total = 0
-        for worker in self.job.writers:
-            key = ("ckpt", version, worker)
-            if not self.remote.contains(key):
-                raise RecoveryError(
-                    f"remote storage lacks checkpoint v{version} for worker {worker}"
-                )
         states = {}
         for worker in self.job.writers:
             try:
@@ -374,7 +380,15 @@ class CheckpointEngine(ABC):
             tm.htod_time(self.job.logical_shard_bytes(w))
             for w in self.job.writers
         )
-        return result.makespan + deserialize + htod, total
+        load_time = result.makespan + deserialize + htod
+        return RecoveryReport(
+            engine=self.name,
+            version=version,
+            recovery_time=load_time,
+            breakdown={breakdown_key: load_time},
+            bytes_from_remote=total,
+            tier="remote",
+        )
 
     def _restore_dp_replicas(self) -> None:
         """Copy restored writer state onto data-parallel replicas.

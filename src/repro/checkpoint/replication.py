@@ -89,7 +89,7 @@ class GeminiReplicationEngine(CheckpointEngine):
             bytes_dtoh += logical
             dtoh_times.append(tm.dtoh_time(logical))
         stall = max(dtoh_times)
-        self._fire("post_snapshot", version=self.version)
+        self.fire("post_snapshot", version=self.version)
 
         # Broadcast each node's data to its group peers.
         requests = []
@@ -100,7 +100,7 @@ class GeminiReplicationEngine(CheckpointEngine):
                 for peer in group:
                     if peer == node:
                         continue
-                    self._fire(
+                    self.fire(
                         "mid_broadcast", version=self.version, src=node, dst=peer
                     )
                     for worker in self.job.cluster.workers_of(node):

@@ -10,7 +10,6 @@ the critical path, so stall time equals checkpoint time.
 from __future__ import annotations
 
 from repro import obs
-from repro.errors import RecoveryError
 from repro.checkpoint.base import CheckpointEngine, RecoveryReport, SaveReport
 from repro.sim.network import REMOTE, TransferRequest
 from repro.tensors.serialization import serialize_state_dict
@@ -42,7 +41,7 @@ class SyncRemoteEngine(CheckpointEngine):
         bytes_to_remote = 0
         serialize_times = {}
         for worker in self.job.writers:
-            self._fire("mid_persist", version=self.version, worker=worker)
+            self.fire("mid_persist", version=self.version, worker=worker)
             blob = serialize_state_dict(self.job.state_of(worker))
             self.remote.put(("ckpt", self.version, worker), blob)
             logical = self.job.logical_shard_bytes(worker)
@@ -87,19 +86,4 @@ class SyncRemoteEngine(CheckpointEngine):
     def _restore_impl(self, failed_nodes: set[int]) -> RecoveryReport:
         self.on_failure(failed_nodes)
         self.latest_version()  # raises if nothing was ever saved
-        # Walk back past torn remote versions (a crash mid-persist leaves
-        # some workers' blobs missing) to the newest complete one.
-        version = self._latest_complete_remote_version()
-        if version is None:
-            raise RecoveryError(
-                f"{self.name}: no complete remote checkpoint to restore"
-            )
-        load_time, bytes_read = self._restore_all_from_remote(version)
-        return RecoveryReport(
-            engine=self.name,
-            version=version,
-            recovery_time=load_time,
-            breakdown={"load_remote": load_time},
-            bytes_from_remote=bytes_read,
-            tier="remote",
-        )
+        return self._restore_newest_remote("load_remote")

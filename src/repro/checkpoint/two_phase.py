@@ -12,7 +12,6 @@ high checkpoint frequencies.
 from __future__ import annotations
 
 from repro import obs
-from repro.errors import RecoveryError
 from repro.checkpoint.base import CheckpointEngine, RecoveryReport, SaveReport
 from repro.sim.network import REMOTE, TransferRequest
 from repro.tensors.serialization import serialize_state_dict
@@ -55,13 +54,13 @@ class TwoPhaseEngine(CheckpointEngine):
             bytes_dtoh += logical
             dtoh_times.append(tm.dtoh_time(logical))
         stall = max(dtoh_times, default=0.0)
-        self._fire("post_snapshot", version=self.version)
+        self.fire("post_snapshot", version=self.version)
 
         # Phase 2 — persist: serialize the snapshot, stream to remote.
         requests = []
         bytes_to_remote = 0
         for worker, snapshot in snapshots.items():
-            self._fire("mid_persist", version=self.version, worker=worker)
+            self.fire("mid_persist", version=self.version, worker=worker)
             blob = serialize_state_dict(snapshot)
             self.remote.put(("ckpt", self.version, worker), blob)
             logical = self.job.logical_shard_bytes(worker)
@@ -122,20 +121,4 @@ class TwoPhaseEngine(CheckpointEngine):
     def _restore_impl(self, failed_nodes: set[int]) -> RecoveryReport:
         self.on_failure(failed_nodes)
         self.latest_version()  # raises if nothing was ever saved
-        # A crash between snapshot and persist (or mid-persist) leaves the
-        # latest version torn in remote storage; walk back to the newest
-        # version every writer completed.
-        version = self._latest_complete_remote_version()
-        if version is None:
-            raise RecoveryError(
-                f"{self.name}: no complete remote checkpoint to restore"
-            )
-        load_time, bytes_read = self._restore_all_from_remote(version)
-        return RecoveryReport(
-            engine=self.name,
-            version=version,
-            recovery_time=load_time,
-            breakdown={"load_remote": load_time},
-            bytes_from_remote=bytes_read,
-            tier="remote",
-        )
+        return self._restore_newest_remote("load_remote")

@@ -41,7 +41,7 @@ from dataclasses import dataclass, replace as dataclass_replace
 import numpy as np
 
 from repro import obs
-from repro.errors import CheckpointError, RecoveryError
+from repro.errors import CheckpointError
 from repro.checkpoint.base import (
     CheckpointEngine,
     DemotionReport,
@@ -323,6 +323,24 @@ class ECCheckEngine(CheckpointEngine):
         if epoch is not None:
             self._epoch_of_version[version] = epoch
 
+    def commit_repair(
+        self, version: int, plan: PlacementPlan, epoch: int, records: list[tuple]
+    ) -> None:
+        """Commit a repair that put ``version`` back together as ``plan``
+        lays it out, under storage ``epoch``.
+
+        Every node of ``plan`` gets the commit ``records`` first; the flip
+        (:meth:`set_placement_of`) comes last, mirroring the save's
+        metadata-last rule.  A superseded epoch's chunks are dead weight
+        once it lands and are collected: a crash before the flip leaves
+        the old epoch whole for restore, a crash after merely leaks.
+        """
+        source_epoch = self.epoch_of(version)
+        self._put_records(version, records, sorted({*plan.data_nodes, *plan.parity_nodes}))
+        self.set_placement_of(version, plan, epoch)
+        if source_epoch != epoch:
+            self._move(version, self.host, epoch=source_epoch)
+
     def epoch_of(self, version: int) -> int:
         """The storage epoch the version's authoritative chunks live under."""
         return self._epoch_of_version.get(version, 0)
@@ -476,6 +494,18 @@ class ECCheckEngine(CheckpointEngine):
         whole = self._survey(version, nodes, store, verify, records)
         return records if len(whole) == plan.k + plan.m else None
 
+    def decodable(self, version: int, nodes) -> tuple[list[tuple], dict[int, int]] | None:
+        """Whether ``version`` can be decoded from ``nodes`` alone: its
+        commit record is complete there and at least ``k`` of its chunks
+        are whole there.  Returns ``(records, whole)`` — the record every
+        later step reads and the whole chunks (id -> node) — or None.
+        """
+        records = self._records(version, nodes)
+        if records is None:
+            return None
+        whole = self._survey(version, nodes, records=records)
+        return (records, whole) if len(whole) >= self.placement_of(version).k else None
+
     def _move(
         self, version: int, src, dst=None, copy: bool = False, epoch: int | None = None
     ) -> list[int]:
@@ -600,14 +630,14 @@ class ECCheckEngine(CheckpointEngine):
             # P2P: the reduced parity packets move to their parity nodes,
             # this group's data packets settle onto their data nodes.
             for i, parity_node in enumerate(plan.parity_nodes):
-                self._fire("mid_p2p", version=version, group=r, kind="parity", chunk=i)
+                self.fire("mid_p2p", version=version, group=r, kind="parity", chunk=i)
                 self._store_chunk_packet(
                     parity_node, version, "parity", i, r, parity_packets[i],
                     digest=derived_digest(self.code, known, plan.k + i, packet_size),
                     live=max(lengths[w] for w in group.workers),
                 )
             for j, source in enumerate(sources):
-                self._fire("mid_p2p", version=version, group=r, kind="data", chunk=j)
+                self.fire("mid_p2p", version=version, group=r, kind="data", chunk=j)
                 self._store_chunk_packet(
                     plan.data_nodes[j], version, "data", j, r,
                     source.payload.copy(), digest=known[j],
@@ -617,7 +647,7 @@ class ECCheckEngine(CheckpointEngine):
         def stage_hook(stage, item):
             point = ("post_encode", "post_xor", "post_transfer")[stage]
             group = item if stage == STAGE_TRANSFER else item[0].index
-            self._fire(point, version=version, group=group)
+            self.fire(point, version=version, group=group)
 
         with tracer.span(
             "eccheck.save.step3",
@@ -656,10 +686,10 @@ class ECCheckEngine(CheckpointEngine):
             phase="step2_metadata_broadcast",
             version=version,
         ) as step2_span:
-            self._fire("pre_metadata_broadcast", version=version)
+            self.fire("pre_metadata_broadcast", version=version)
             meta_bytes = 0
             for worker, wc in checkpoints.items():
-                self._fire("mid_metadata_broadcast", version=version, worker=worker)
+                self.fire("mid_metadata_broadcast", version=version, worker=worker)
                 record = (wc.metadata_blob, wc.packet.original_length)
                 meta_bytes += len(wc.metadata_blob)
                 for node in self.active_nodes:
@@ -870,7 +900,7 @@ class ECCheckEngine(CheckpointEngine):
             chunk[1] = patch_digest(chunk[1], packet_size, start, piece)
 
         def store(node: int, kind: str, idx: int, r: int, chunk: list) -> None:
-            self._fire("mid_p2p", version=version, group=r, kind=kind, chunk=idx)
+            self.fire("mid_p2p", version=version, group=r, kind=kind, chunk=idx)
             self._store_chunk_packet(node, version, kind, idx, r, *chunk)
 
         # Step 3: per reduction group, encode the union of its workers'
@@ -1153,23 +1183,19 @@ class ECCheckEngine(CheckpointEngine):
         # that admits a version is the one every later step reads.
         version = records = None
         from_disk = False
-        plan = self.placement
         chunk_available: dict[int, int] = {}
         promote_s = 0.0
         promote_bytes = 0
         recovery_failed = failed_nodes
         with obs.get_tracer().span("eccheck.restore.step1", step="step1_locate_verify"):
             for candidate in range(latest, 0, -1):
-                plan_v = self.placement_of(candidate)
-                records = self._records(candidate, surviving)
-                if records is not None:
-                    available = self._survey(candidate, surviving, records=records)
-                    if len(available) >= plan_v.k:
-                        version, chunk_available, plan = candidate, available, plan_v
-                        break
+                found = self.decodable(candidate, surviving)
+                if found is not None:
+                    version, (records, chunk_available) = candidate, found
+                    break
                 records = self._whole(candidate, self.disk)
                 if records is not None:
-                    version, plan, from_disk = candidate, plan_v, True
+                    version, from_disk = candidate, True
                     break
             if from_disk:
                 # Promotion re-materialises the whole version in host
@@ -1181,11 +1207,9 @@ class ECCheckEngine(CheckpointEngine):
                 chunk_available = self._survey(version, every, records=records)
                 recovery_failed = set()
         if version is None:
-            return self._restore_from_backup(latest, failed_nodes)
+            return self._restore_newest_remote("load_remote_backup")
 
-        report = self._recover(
-            version, recovery_failed, chunk_available, plan, records
-        )
+        report = self._recover(version, recovery_failed, chunk_available, records)
         if from_disk:
             report.recovery_time += promote_s
             report.breakdown["promote_disk_read"] = promote_s
@@ -1194,33 +1218,31 @@ class ECCheckEngine(CheckpointEngine):
         return report
 
     # -- helpers --------------------------------------------------------
-    def _data_packets(
-        self,
-        version: int,
-        plan: PlacementPlan,
-        chunk_available: dict[int, int],
-        records: list[tuple],
-    ) -> dict[tuple[int, int], np.ndarray]:
-        """``(data chunk j, group r) -> packet`` for all of ``version``'s data.
+    def data_packets(
+        self, version: int, whole: dict[int, int], records: list[tuple]
+    ) -> dict[int, np.ndarray]:
+        """``worker -> packet`` for all of ``version``'s data.
 
-        Surviving data chunks are read in place (the survey just verified
+        Whole data chunks are read in place (the survey just verified
         them); only the lost ones are decoded, one fused pass per
         reduction group into fresh buffers, from any ``k`` of the
-        ``chunk_available`` chunks (id -> node) with data chunks preferred.
-        ``records``' lengths say where each packet's padding starts.
+        ``whole`` chunks (id -> node, see :meth:`decodable`) with data
+        chunks preferred.  ``records``' lengths say where each packet's
+        padding starts.
 
         Raises:
             CheckpointError: if a record's length runs past the packets: a
                 lie the install could not see, refused before anything is.
         """
+        plan = self.placement_of(version)
         code = self.code_for(plan.k, plan.m)
-        lost = [j for j in range(plan.k) if j not in chunk_available]
-        chunk_of = {c: ("data", c) if c < plan.k else ("parity", c - plan.k) for c in chunk_available}
-        packets: dict[tuple[int, int], np.ndarray] = {}
+        lost = [j for j in range(plan.k) if j not in whole]
+        chunk_of = {c: ("data", c) if c < plan.k else ("parity", c - plan.k) for c in whole}
+        packets: dict[int, np.ndarray] = {}
         for r in range(len(plan.data_group[0])):
             available = {
                 cid: self.host.get(node, self.chunk_key(version, *chunk_of[cid], r))
-                for cid, node in chunk_available.items()
+                for cid, node in whole.items()
             }
             if lost:
                 decoded = [np.empty_like(next(iter(available.values()))) for _ in lost]
@@ -1229,8 +1251,8 @@ class ECCheckEngine(CheckpointEngine):
                 }
                 decode_group_into(code, available, lost, decoded, live)
                 available.update(zip(lost, decoded))
-            packets.update({(j, r): available[j] for j in range(plan.k)})
-        size = packets[0, 0].size
+            packets.update({members[r]: available[j] for j, members in enumerate(plan.data_group)})
+        size = packets[0].size
         if any(not 0 <= length <= size for _, length in records):
             raise CheckpointError(
                 f"v{version}: a commit record's length is outside its {size}-byte packet"
@@ -1240,8 +1262,7 @@ class ECCheckEngine(CheckpointEngine):
     def _install_packets(
         self,
         version: int,
-        plan: PlacementPlan,
-        packets: dict[tuple[int, int], np.ndarray],
+        packets: dict[int, np.ndarray],
         failed_nodes: set[int],
         records: list[tuple],
     ) -> None:
@@ -1256,100 +1277,87 @@ class ECCheckEngine(CheckpointEngine):
         """
         with obs.get_tracer().span("eccheck.restore.step3", step="step3_install"):
             states = [
-                restore_state_dict(blob, packets[self.group_and_index(w, plan)][:length], GPU)
+                restore_state_dict(blob, packets[w][:length], GPU)
                 for w, (blob, length) in enumerate(records)
             ]
             for worker, state in enumerate(states):
                 self.job.state_dicts[worker] = state
             self._put_records(version, records, failed_nodes)
 
-    def _rebuild_redundancy(
+    def put_back(
         self,
         version: int,
+        packets: dict[int, np.ndarray],
         plan: PlacementPlan,
-        packets: dict[tuple[int, int], np.ndarray],
-        chunk_available: dict[int, int],
+        wanted: list[tuple[int, int]],
+        epoch: int,
+        whole: dict[int, int],
         records: list[tuple],
-    ) -> list[int]:
-        """Background step: put back exactly the chunks that were lost.
+        landed=None,
+    ) -> tuple[int, int]:
+        """Store ``version``'s chunk packets ``wanted`` — ``(chunk id, group
+        r)`` pairs, in that order — as ``plan`` lays them out, under
+        storage ``epoch``: the one step that puts rebuilt chunks back, for
+        the restore's step 4 and the elastic repair alike.
 
-        A decoded data buffer *becomes* the stored chunk (install took its
-        own copy); the lost parity rows — only those — are re-encoded in
-        one fused pass per reduction group, straight into the buffers
-        that are stored.  Chunks that never left are not touched.  A
-        rebuilt chunk's digest is derived (:func:`derived_digest`) from the
-        verified survivors' and the ones stored before it when algebra
-        determines it, else CRC'd.  Returns the lost parity indices.
+        ``packets`` are every worker's (:meth:`data_packets`).  The wanted
+        parity rows are re-encoded first, one fused pass per reduction
+        group.  A decoded data packet is stored as it is; one read in place
+        (its chunk is in ``whole``, the survivors :meth:`decodable` found)
+        is stored as a copy, so no two keys share a buffer.  A digest is
+        derived (:func:`derived_digest`) when algebra determines it from
+        the digests known — the ``whole`` chunks' when ``plan`` and
+        ``epoch`` are the version's own (a relayout knows none), then each
+        stored before it — else CRC'd.  ``landed(n)`` is called once
+        ``wanted[n]`` is stored.  Returns ``(digests CRC'd, derived)``.
         """
         code = self.code_for(plan.k, plan.m)
+        source = self.placement_of(version)
         groups = range(len(plan.data_group[0]))
-        lost_data = [j for j in range(plan.k) if j not in chunk_available]
-        lost_parities = [
-            i for i in range(plan.m) if (plan.k + i) not in chunk_available
-        ]
-        chunk_of = {c: ("data", c) if c < plan.k else ("parity", c - plan.k) for c in range(plan.k + plan.m)}
-        known = [  # per group: chunk id -> digest, the survivors' first
+        chunk_of = [("data", j) for j in range(plan.k)] + [("parity", i) for i in range(plan.m)]
+        nodes = [*plan.data_nodes, *plan.parity_nodes]
+        seeds = whole if plan == source and epoch == self.epoch_of(version) else {}
+        known = [  # per group: chunk id -> digest, the verified survivors' first
             {c: self.host.get(node, self.digest_key(version, *chunk_of[c], r))
-             for c, node in chunk_available.items()}
+             for c, node in seeds.items()}
             for r in groups
         ]
-        counts = {"restore.digests_crcd": 0, "restore.digests_derived": 0}
-
-        def store(node: int, cid: int, r: int, payload: np.ndarray) -> None:
+        in_place = {w for j in whole if j < source.k for w in source.data_group[j]}
+        rows: dict[int, list[int]] = defaultdict(list)
+        for cid, r in wanted:
+            if cid >= plan.k:
+                rows[r].append(cid - plan.k)
+        parity: dict[tuple[int, int], np.ndarray] = {}
+        for r, lost in rows.items():
+            group = [packets[members[r]] for members in plan.data_group]
+            rebuilt = [np.empty_like(group[0]) for _ in lost]
+            encode_group_into(
+                code, group, rebuilt, rows=lost,
+                lengths=[records[members[r]][1] for members in plan.data_group],
+            )
+            parity.update({(plan.k + i, r): packet for i, packet in zip(lost, rebuilt)})
+        counts = [0, 0]
+        for n, (cid, r) in enumerate(wanted):
+            if cid >= plan.k:
+                payload = parity[cid, r]
+            else:
+                worker = plan.data_group[cid][r]
+                payload = packets[worker].copy() if worker in in_place else packets[worker]
             digest = derived_digest(code, known[r], cid, payload.size)
-            counts["restore.digests_crcd" if digest is None else "restore.digests_derived"] += 1
+            counts[digest is not None] += 1
             if digest is None:
                 digest = chunk_digest(payload, self.live_bytes(plan, records, *chunk_of[cid], r))
             known[r][cid] = digest
-            self._store_chunk_packet(node, version, *chunk_of[cid], r, payload, digest)
-
-        tracer = obs.get_tracer()
-        with tracer.span("eccheck.restore.step4", step="step4_rebuild_redundancy"):
-            for j in lost_data:
-                for r in groups:
-                    store(plan.data_nodes[j], j, r, packets[(j, r)])
-            for r in groups if lost_parities else ():
-                group = [packets[(j, r)] for j in range(plan.k)]
-                rebuilt = [np.empty_like(group[0]) for _ in lost_parities]
-                encode_group_into(
-                    code, group, rebuilt, rows=lost_parities,
-                    lengths=[records[g[r]][1] for g in plan.data_group],
-                )
-                for i, packet in zip(lost_parities, rebuilt):
-                    store(plan.parity_nodes[i], plan.k + i, r, packet)
-        if tracer.enabled:  # gauges of the last restore: counters enter traced reports
-            for name, value in counts.items():
-                tracer.metrics.gauge(name).set(value)
-        return lost_parities
-
-    def _restore_from_backup(
-        self, version: int, failed_nodes: set[int]
-    ) -> RecoveryReport:
-        """Catastrophic fallback: more than m failures, load from remote."""
-        # A backup interrupted mid-persist is torn just like an in-memory
-        # version: only versions holding every writer's blob are loadable.
-        backup = self._latest_complete_remote_version()
-        if backup is None:
-            raise RecoveryError(
-                f"{len(failed_nodes)} failures exceed parity m={self.config.m} "
-                "and no complete remote backup exists"
-            )
-        load_time, bytes_read = self._restore_all_from_remote(backup)
-        return RecoveryReport(
-            engine=self.name,
-            version=backup,
-            recovery_time=load_time,
-            breakdown={"load_remote_backup": load_time},
-            bytes_from_remote=bytes_read,
-            tier="remote",
-        )
+            self._store_chunk_packet(nodes[cid], version, *chunk_of[cid], r, payload, digest, epoch)
+            if landed is not None:
+                landed(n)
+        return counts[0], counts[1]
 
     def _recover(
         self,
         version: int,
         failed_nodes: set[int],
         chunk_available: dict[int, int],
-        plan: PlacementPlan,
         records: list[tuple],
     ) -> RecoveryReport:
         """Both recovery workflows of Fig. 7: one byte path, two bills.
@@ -1359,28 +1367,37 @@ class ECCheckEngine(CheckpointEngine):
         workflow 1 when every data chunk is intact (data nodes re-send),
         workflow 2 otherwise.  A data chunk may be unavailable because its
         node failed OR its packets failed digest verification (silent
-        corruption); either way it is an erasure.  ``plan`` is the
-        placement ``version`` was saved under, so the matching (k, m) code
-        is used, not necessarily the live one.  ``records`` is the commit
-        record that admitted the version: decode, install and rebuild all
-        read it.
+        corruption); either way it is an erasure.  The placement
+        ``version`` was saved under picks the (k, m) code, not necessarily
+        the live one.  ``records`` is the commit record that admitted the
+        version: decode, install and rebuild all read it.
         """
         tm = self.job.time_model
+        plan = self.placement_of(version)
         surviving = [
             n for n in range(self.job.cluster.num_nodes) if n not in failed_nodes
         ]
-        with obs.get_tracer().span("eccheck.restore.step2", step="step2_decode"):
-            packets = self._data_packets(version, plan, chunk_available, records)
-        self._install_packets(version, plan, packets, failed_nodes, records)
-        # Background: restore the full chunk layout (data + parity) so the
-        # original fault-tolerance capacity returns; the re-encode is
-        # billed as one pass per group however many parities were lost.
-        lost_parities = self._rebuild_redundancy(
-            version, plan, packets, chunk_available, records
-        )
+        tracer = obs.get_tracer()
+        with tracer.span("eccheck.restore.step2", step="step2_decode"):
+            packets = self.data_packets(version, chunk_available, records)
+        self._install_packets(version, packets, failed_nodes, records)
+        # Background: put back exactly the chunks that were lost, so the
+        # original fault-tolerance capacity returns: each lost data chunk,
+        # then each group's lost parity rows.  The re-encode is billed as
+        # one pass per group however many parities were lost.
+        groups = len(plan.data_group[0])
+        lost_parities = [i for i in range(plan.m) if plan.k + i not in chunk_available]
+        wanted = [(j, r) for j in range(plan.k) if j not in chunk_available for r in range(groups)]
+        wanted += [(plan.k + i, r) for r in range(groups) for i in lost_parities]
+        with tracer.span("eccheck.restore.step4", step="step4_rebuild_redundancy"):
+            crcd, derived = self.put_back(
+                version, packets, plan, wanted, self.epoch_of(version), chunk_available, records
+            )
+        if tracer.enabled:  # gauges of the last restore: counters enter traced reports
+            tracer.metrics.gauge("restore.digests_crcd").set(crcd)
+            tracer.metrics.gauge("restore.digests_derived").set(derived)
 
         logical_packet = self.logical_packet_bytes()
-        groups = len(plan.data_group[0])
         if all(j in chunk_available for j in range(plan.k)):
             breakdown, bytes_inter, redo_requests = self._bill_resend(plan, lost_parities)
         else:

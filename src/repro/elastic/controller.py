@@ -230,14 +230,9 @@ class ElasticClusterController:
                 resuming call.
         """
         engine = self.engine
-        # The newest restorable version: >= k whole chunks anywhere, and a
-        # commit record complete on the live ranks.
-        nodes = range(engine.job.cluster.num_nodes)
+        # The newest version decodable on the live ranks.
         for version in range(engine.latest_version(), 0, -1):
-            records = engine._records(version, self.membership.alive)
-            if records is not None and len(
-                engine._survey(version, nodes, records=records)
-            ) >= engine.placement_of(version).k:
+            if engine.decodable(version, self.membership.alive) is not None:
                 break
         else:
             return None

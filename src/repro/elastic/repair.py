@@ -7,32 +7,37 @@ whole in host memory and emits a :class:`RepairLedger` of missing chunk
 packets; the executor then
 
 1. **derives** every worker packet from any ``k`` surviving chunks of
-   the version's *source* placement (reading data chunks directly and
-   decoding only when some are gone),
-2. **streams** the target layout's missing packets to their nodes,
-   marking each ledger item done only *after* the bytes (and digest)
-   landed — so a crash mid-stream leaves a ledger whose ``done`` set is
-   a sound lower bound and the repair resumes idempotently, and
-3. **commits**: metadata is rebroadcast to every target node first, and
-   the version is re-pointed at the target placement last — the flip is
-   the commit record, mirroring the save flow's metadata-last rule.
+   the version's *source* placement — the engine's ``decodable`` and
+   ``data_packets``, exactly as a restore collects them (data chunks read
+   in place, only lost ones decoded),
+2. **streams** the target layout's missing packets to their nodes
+   through the engine's ``put_back``, the routine a restore's step 4
+   stores its rebuilt chunks with (one fused re-encode per group,
+   derived digests where algebra allows), marking each ledger item done
+   only *after* the bytes (and digest) landed — so a crash mid-stream
+   leaves a ledger whose ``done`` set is a sound lower bound and the
+   repair resumes idempotently, and
+3. **commits** through the engine's ``commit_repair``: metadata is
+   rebroadcast to every target node first, and the version is re-pointed
+   at the target placement last — the flip is the commit record,
+   mirroring the save flow's metadata-last rule.
 
-Transfers are costed through the cluster network model and, when a
-training timeline is supplied, packed into profiled idle slots exactly
-like checkpoint traffic (paper Sec. IV-B3) so repair never contends
-with activation/gradient exchanges.
+A stored version is read and written only through those public engine
+methods, and the three crash points fire through the engine's crash
+hook, so a traced run counts them as it counts a save's.  Transfers are
+costed through the cluster network model and, when a training timeline
+is supplied, packed into profiled idle slots exactly like checkpoint
+traffic (paper Sec. IV-B3) so repair never contends with
+activation/gradient exchanges.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro import obs
 from repro.errors import RecoveryError
 from repro.core.placement import PlacementPlan
-from repro.core.protocol import encode_group_into
 from repro.core.scheduler import pack_into_slots, profile_idle_slots
 from repro.sim.network import TransferRequest, gbps
 
@@ -105,7 +110,8 @@ def plan_repair(
     """Diff the target layout against host memory; ledger the gaps.
 
     Every (node, kind, idx, r) packet the target placement expects that
-    is missing or digest-corrupt becomes a ledger item.  When the repair
+    is missing or digest-corrupt becomes a ledger item (every one, when
+    the version is not decodable — the executor refuses it).  When the repair
     *changes* layout, the storage diff is unsafe: chunk keys carry no
     layout identity, so a stale packet of the old shape can sit under the
     exact key the target expects, digest-valid but encoding different
@@ -118,10 +124,10 @@ def plan_repair(
     groups = range(len(target_plan.data_group[0]))
     relayout = target_plan != engine.placement_of(version)
     epoch = generation if relayout else engine.epoch_of(version)
-    nodes = range(engine.job.cluster.num_nodes)
     whole = {}
     if not relayout:
-        whole = engine._survey(version, nodes, records=engine._records(version, nodes))
+        found = engine.decodable(version, range(engine.job.cluster.num_nodes))
+        whole = found[1] if found else {}
     placed = [("data", j, node) for j, node in enumerate(target_plan.data_nodes)]
     placed += [("parity", i, node) for i, node in enumerate(target_plan.parity_nodes)]
     items = [
@@ -175,8 +181,9 @@ class RepairExecutor:
         ledger: the generation's work list (see :func:`plan_repair`).
         crash_injector: optional
             :class:`~repro.chaos.injection.CrashInjector` armed on
-            :data:`REPAIR_CRASH_POINTS`; raises mid-run like a real
-            process crash, leaving the ledger partially marked.
+            :data:`REPAIR_CRASH_POINTS` and consulted through the engine's
+            crash hook; raises mid-run like a real process crash, leaving
+            the ledger partially marked.
     """
 
     crash_points = REPAIR_CRASH_POINTS
@@ -186,23 +193,13 @@ class RepairExecutor:
         self.ledger = ledger
         self.crash_injector = crash_injector
 
-    def _fire(self, point: str, **context) -> None:
-        if self.crash_injector is not None:
-            try:
-                self.crash_injector(point, **context)
-            except BaseException:
-                tracer = obs.get_tracer()
-                if tracer.enabled:
-                    tracer.event("repair_crash_fired", point=point, **context)
-                raise
-
     # ------------------------------------------------------------------
     def run(self, timeline=None) -> RepairReport:
         """Execute derive -> stream -> commit; returns the costed report.
 
         Raises:
-            RecoveryError: when the version's commit record is incomplete
-                or fewer than ``k`` source chunks survive.
+            RecoveryError: when the version is not decodable: its commit
+                record is incomplete or fewer than ``k`` chunks survive.
             InjectedCrash: propagated from an armed crash injector.
         """
         ledger = self.ledger
@@ -229,82 +226,54 @@ class RepairExecutor:
         ledger = self.ledger
         version = ledger.version
         target = ledger.target_plan
-        source_epoch = engine.epoch_of(version)
         tm = engine.job.time_model
         logical_packet = engine.logical_packet_bytes()
-        # One commit record for the whole run: derive, encode, stream and
-        # commit read the same lengths and rebroadcast the same blobs.
-        records = engine._records(version, range(engine.job.cluster.num_nodes))
-        if records is None:
-            raise RecoveryError(
-                f"v{version} has no complete commit record to repair from"
-            )
+        context = {"version": version, "generation": ledger.generation}
 
         # --- derive: every worker's packet from any k source chunks. ---
-        packets, decoded_groups, source_holder = self._derive_worker_packets(
-            version, records
-        )
-        self._fire("post_derive", version=version, generation=ledger.generation)
+        # One commit record for the whole run: derive, encode, stream and
+        # commit read the same lengths and rebroadcast the same blobs.
+        found = engine.decodable(version, range(engine.job.cluster.num_nodes))
+        if found is None:
+            raise RecoveryError(
+                f"v{version} is not decodable: it needs a complete commit "
+                f"record and {engine.placement_of(version).k} whole chunks"
+            )
+        records, whole = found
+        packets = engine.data_packets(version, whole, records)
+        engine.fire("post_derive", self.crash_injector, **context)
+        source = engine.placement_of(version)
         derive_seconds = 0.0
-        if decoded_groups:
+        if any(j not in whole for j in range(source.k)):
             derive_seconds = tm.encode_time(
-                engine.placement_of(version).k * logical_packet * decoded_groups,
+                source.k * logical_packet * len(source.data_group[0]),
                 threads=engine.config.encode_threads,
             )
 
-        # --- compute the target layout's missing parity rows: one fused
-        # pass per group, straight into the buffers that are stored. ----
-        pending = ledger.pending()
-        code = engine.code_for(target.k, target.m)
-        rows_of: dict[int, list[int]] = {}
-        for _, item in pending:
-            if item.kind == "parity":
-                rows_of.setdefault(item.r, []).append(item.idx)
-        parity_of: dict[tuple[int, int], np.ndarray] = {}
-        for r, rows in rows_of.items():
-            group = [packets[target.data_group[j][r]] for j in range(target.k)]
-            rebuilt = [np.empty_like(group[0]) for _ in rows]
-            encode_group_into(
-                code, group, rebuilt, rows=rows,
-                lengths=[records[g[r]][1] for g in target.data_group],
-            )
-            parity_of.update({(r, i): buf for i, buf in zip(rows, rebuilt)})
-
         # --- stream: store each missing packet, then mark it done. ----
+        pending = ledger.pending()
+        source_holder = whole[min(whole)]  # the stream's nominal origin
         requests: list[TransferRequest] = []
-        bytes_streamed = 0
-        for index, item in pending:
-            if item.kind == "data":
-                # A copy: the packet may be a source chunk read in place.
-                payload = packets[target.data_group[item.idx][item.r]].copy()
-            else:
-                payload = parity_of[item.r, item.idx]
-            engine._store_chunk_packet(
-                item.node,
-                version,
-                item.kind,
-                item.idx,
-                item.r,
-                payload,
-                epoch=ledger.epoch,
-                live=engine.live_bytes(target, records, item.kind, item.idx, item.r),
-            )
+
+        def landed(n: int) -> None:
+            index, item = pending[n]
             # The crash window sits between store and mark: a hit here
             # leaves the packet durable but unmarked — safe to redo.
-            self._fire(
-                "mid_stream",
-                version=version,
-                generation=ledger.generation,
-                item=(item.node, item.kind, item.idx, item.r),
+            engine.fire(
+                "mid_stream", self.crash_injector,
+                **context, item=(item.node, item.kind, item.idx, item.r),
             )
             ledger.mark_done(index)
             requests.append(
-                TransferRequest(
-                    src=source_holder, dst=item.node, nbytes=logical_packet
-                )
+                TransferRequest(src=source_holder, dst=item.node, nbytes=logical_packet)
             )
-            if source_holder != item.node:
-                bytes_streamed += logical_packet
+
+        wanted = [
+            (item.idx + (target.k if item.kind == "parity" else 0), item.r)
+            for _, item in pending
+        ]
+        engine.put_back(version, packets, target, wanted, ledger.epoch, whole, records, landed)
+        bytes_streamed = logical_packet * sum(q.src != q.dst for q in requests)
         stream_seconds = (
             engine.network.simulate(requests).makespan if requests else 0.0
         )
@@ -319,22 +288,14 @@ class RepairExecutor:
             )
 
         # --- commit: metadata everywhere first, placement flip last. --
-        self._fire("pre_commit", version=version, generation=ledger.generation)
-        target_nodes = sorted(set(target.data_nodes) | set(target.parity_nodes))
-        engine._put_records(version, records, target_nodes)
+        engine.fire("pre_commit", self.crash_injector, **context)
+        engine.commit_repair(version, target, ledger.epoch, records)
+        ledger.committed = True
+        target_nodes = len({*target.data_nodes, *target.parity_nodes})
         meta_bytes = sum(len(blob) for blob, _ in records)
         commit_seconds = (
-            meta_bytes * max(0, len(target_nodes) - 1)
-            / gbps(tm.inter_node_gbps)
+            meta_bytes * max(0, target_nodes - 1) / gbps(tm.inter_node_gbps)
         )
-        engine.set_placement_of(version, target, epoch=ledger.epoch)
-        ledger.committed = True
-        # The superseded epoch's chunks are dead weight; collect them
-        # now that the flip committed (a crash before this point leaves
-        # the source epoch whole for restore, a crash after merely
-        # leaks garbage).
-        if source_epoch != engine.epoch_of(version):
-            engine._move(version, engine.host, epoch=source_epoch)
         return RepairReport(
             version=version,
             generation=ledger.generation,
@@ -346,34 +307,3 @@ class RepairExecutor:
             bytes_streamed=bytes_streamed,
             slot_assignments=assignments,
         )
-
-    # ------------------------------------------------------------------
-    def _derive_worker_packets(
-        self, version: int, records: list[tuple]
-    ) -> tuple[dict, int, int]:
-        """All worker packets of ``version``: (packets, groups decoded, a
-        rank holding source chunks — the stream's nominal origin).
-
-        Reads data chunks in place where whole; decodes only the lost
-        ones of each source group from any ``k`` chunks otherwise.
-
-        Raises:
-            RecoveryError: when fewer than ``k`` chunks survive.
-        """
-        engine = self.engine
-        plan = engine.placement_of(version)
-        nodes = range(engine.job.cluster.num_nodes)
-        available = engine._survey(version, nodes, records=records)
-        if len(available) < plan.k:
-            raise RecoveryError(
-                f"repair of v{version} needs {plan.k} chunks, "
-                f"only {len(available)} survive"
-            )
-        packets = {
-            plan.data_group[j][r]: packet
-            for (j, r), packet in engine._data_packets(
-                version, plan, available, records
-            ).items()
-        }
-        decoded = 0 if all(j in available for j in range(plan.k)) else len(plan.data_group[0])
-        return packets, decoded, available[min(available)]

@@ -95,7 +95,7 @@ class GradRepEngine(CheckpointEngine):
             collective_weight=self.config.collective_weight,
             replication_weight=self.config.replication_weight,
         )
-        self.log = GradientLog(self.host, job, fire=self._fire)
+        self.log = GradientLog(self.host, job, fire=self.fire)
         #: Last replicated packet bytes per writer — the XOR base of the
         #: next delta.  Cleared by restore/reconfigure; an empty dict
         #: means the next replicate must wait for a fresh anchor.
@@ -171,14 +171,14 @@ class GradRepEngine(CheckpointEngine):
                 ckpt.metadata_blob,
             )
         stall = max(dtoh_times)
-        self._fire("post_snapshot_packets", version=version)
+        self.fire("post_snapshot_packets", version=version)
 
         # Buddy replication rides the shared trunk (piggyback pricing).
         trunk_bytes = 0
         for worker, ckpt in checkpoints.items():
             home = self.log.home_of(worker)
             buddy = self.log.buddy_node(home)
-            self._fire(
+            self.fire(
                 "mid_anchor_replicate", version=version, worker=worker,
                 dst=buddy,
             )
@@ -196,9 +196,9 @@ class GradRepEngine(CheckpointEngine):
         # Commit record broadcast — byte work first, metadata last.
         meta_bytes = sum(len(c.metadata_blob) for c in checkpoints.values())
         record = {"iteration": int(self.job.iteration)}
-        self._fire("pre_anchor_commit", version=version)
+        self.fire("pre_anchor_commit", version=version)
         for node in range(self.job.cluster.num_nodes):
-            self._fire("mid_anchor_broadcast", version=version, dst=node)
+            self.fire("mid_anchor_broadcast", version=version, dst=node)
             self.host.put(node, ("anchor", version), dict(record))
         commit_time = self._trunk_time(meta_bytes * self.job.cluster.num_nodes)
 

@@ -65,7 +65,7 @@ class GradientLog:
     """The gradient-log tail hanging off one committed base version.
 
     Owns only byte placement and the commit discipline; all timing lives
-    in the engines.  ``fire`` is the owning engine's ``_fire`` so crash
+    in the engines.  ``fire`` is the owning engine's ``fire`` so crash
     injection reaches every store/broadcast boundary.
     """
 

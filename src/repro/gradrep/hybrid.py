@@ -66,7 +66,7 @@ class HybridEngine(GradRepEngine):
         self.disk = self.inner.disk
         self.remote = self.inner.remote
         self.network = self.inner.network
-        self.log = GradientLog(self.host, job, fire=self._fire)
+        self.log = GradientLog(self.host, job, fire=self.fire)
 
     # ------------------------------------------------------------------
     @property

@@ -18,6 +18,7 @@ from repro.core.integrity import (
     verify_chunk,
     xor_digest,
 )
+from repro.core.protocol import xor_rows
 from repro.ec.kernels import DEFAULT_CHUNK_BYTES as BLOCK
 from repro.parallel.strategy import ParallelismSpec
 from repro.parallel.topology import ClusterSpec
@@ -417,61 +418,99 @@ def assert_every_digest_is_the_crc(engine, version):
 
 
 class CRCCalls:
-    """Counts ``zlib.crc32`` calls made inside ``_rebuild_redundancy``."""
+    """Counts ``zlib.crc32`` calls made inside ``put_back``, the one routine
+    that stores rebuilt chunks for the restore and the elastic repair."""
 
     def __init__(self, monkeypatch, engine):
         import zlib
 
         self.calls, self.inside = 0, False
-        crc32, rebuild = zlib.crc32, engine._rebuild_redundancy
+        crc32, put_back = zlib.crc32, engine.put_back
 
         def counting_crc32(data, *args):
             self.calls += self.inside
             return crc32(data, *args)
 
-        def counted_rebuild(*args, **kwargs):
+        def counted_put_back(*args, **kwargs):
             self.inside = True
             try:
-                return rebuild(*args, **kwargs)
+                return put_back(*args, **kwargs)
             finally:
                 self.inside = False
 
         monkeypatch.setattr(zlib, "crc32", counting_crc32)
-        monkeypatch.setattr(engine, "_rebuild_redundancy", counted_rebuild)
+        monkeypatch.setattr(engine, "put_back", counted_put_back)
 
 
-@pytest.mark.parametrize("pattern", [*LOSS_PATTERNS, "disk_promotion"])
+#: The restore after each ledger pattern and a disk promotion; a same-layout
+#: repair of each ledger pattern's gaps; and a relayout repair, (2, 2) ->
+#: (1, 2) over the three nodes left when parity 1's node is gone.
+RECOVERIES = [
+    *LOSS_PATTERNS,
+    "disk_promotion",
+    *(f"repair_{name}" for name in LOSS_PATTERNS),
+    "relayout",
+]
+
+
+@pytest.mark.parametrize("pattern", RECOVERIES)
 def test_rebuilt_digests_equal_the_crc_and_one_per_group_is_derived(monkeypatch, pattern):
+    """Every digest put back is its chunk's CRC, and the ones an all-ones
+    row determines are derived: at (2, 2) one lost chunk per group
+    (DESIGN.md's table); in a relayout, which starts knowing no digest, the
+    all-ones parity rows, from the data chunks stored before them."""
     from repro import obs
+    from repro.elastic.repair import RepairExecutor, plan_repair
 
     job, engine = make_engine()
     engine.save()
     reference = job.snapshot_states()
     plan = engine.placement
-    groups = len(plan.data_group[0])
     job.advance()
+    repair = pattern.startswith("repair_") or pattern == "relayout"
     if pattern == "disk_promotion":
         engine.save()
         engine.demote_version(1)
         failed = set(range(4))  # every memory copy gone: v1 comes back from disk
-        lost = 0
+    elif pattern == "relayout":
+        failed = {plan.parity_nodes[1]}
     else:
-        failed = LOSS_PATTERNS[pattern](plan)
-        nodes = list(plan.data_nodes) + list(plan.parity_nodes)
-        lost = sum(node in failed for node in nodes)
+        failed = LOSS_PATTERNS[pattern.removeprefix("repair_")](plan)
     counter = CRCCalls(monkeypatch, engine)
-    job.fail_nodes(failed)
     with obs.use_tracer() as tracer:
-        report = engine.restore(failed)
-    assert report.version == 1 and report.tier == ("disk" if lost == 0 else "memory")
-    verify_all(job, reference)
-    assert assert_every_digest_is_the_crc(engine, 1) == 4 * groups
-    # The parent CRC'd every rebuilt chunk packet: ``lost`` per group.
-    derived = groups if lost else 0
-    assert counter.calls == lost * groups - derived
+        if repair:
+            for node in failed:
+                engine.host.wipe(node)
+            if pattern == "relayout":
+                engine.reconfigure(1, 2, active_nodes=sorted(set(range(4)) - failed))
+            RepairExecutor(engine, plan_repair(engine, 1, engine.placement, 1)).run()
+        else:
+            job.fail_nodes(failed)
+            report = engine.restore(failed)
+            assert report.version == 1
+            assert report.tier == ("disk" if pattern == "disk_promotion" else "memory")
+            verify_all(job, reference)
+    layout = engine.placement_of(1)
+    groups = len(layout.data_group[0])
+    assert assert_every_digest_is_the_crc(engine, 1) == (layout.k + layout.m) * groups
+    if pattern == "relayout":
+        # Every target chunk is restaged, and every all-ones parity row is
+        # derived: at (1, 2) both rows, each a copy of the one data chunk.
+        rebuilt = layout.k + layout.m
+        derived = len(xor_rows(engine.code_for(layout.k, layout.m))) * groups
+        assert derived == layout.m * groups
+    else:
+        nodes = list(plan.data_nodes) + list(plan.parity_nodes)
+        rebuilt = sum(node in failed for node in nodes) * (pattern != "disk_promotion")
+        derived = groups if rebuilt else 0
+    # The parent CRC'd every chunk packet a repair stored.
+    assert counter.calls == rebuilt * groups - derived
     gauges = tracer.metrics.snapshot()["gauges"]
-    assert gauges["restore.digests_crcd"] == counter.calls
-    assert gauges["restore.digests_derived"] == derived
+    if repair:  # the restore's gauges are the restore's alone
+        assert "restore.digests_crcd" not in gauges
+    else:
+        assert gauges["restore.digests_crcd"] == counter.calls
+        assert gauges["restore.digests_derived"] == derived
 
 
 def test_a_wrong_decode_of_an_xor_row_chunk_is_caught_not_blessed(monkeypatch):

@@ -21,6 +21,7 @@ import zlib
 import numpy as np
 import pytest
 
+from repro.chaos.injection import CrashInjector, CrashPlan, InjectedCrash
 from repro.checkpoint.job import TrainingJob
 from repro.checkpoint.manager import CheckpointManager
 from repro.checkpoint.tiering import TierPolicy
@@ -517,6 +518,23 @@ def test_repair_stores_what_decode_and_encode_produce(relayout):
     job.fail_nodes(lost)
     assert engine.restore(lost).version == 1
     assert all(state_dicts_equal(job.state_of(w), committed[w]) for w in committed)
+
+
+def test_a_repair_cut_before_its_commit_shares_no_buffer():
+    """A data packet the repair read in place is staged as a copy: until
+    the commit flip collects the source epoch, both layouts' keys hold
+    its bytes, and rot in one must not reach the other."""
+    job, engine = make_testbed()
+    job.advance()
+    engine.save()
+    dead = engine.placement.parity_nodes[1]
+    engine.host.wipe(dead)
+    engine.reconfigure(1, 2, active_nodes=[n for n in range(4) if n != dead])
+    ledger = plan_repair(engine, 1, engine.placement, 1)
+    with pytest.raises(InjectedCrash):
+        RepairExecutor(engine, ledger, CrashInjector(CrashPlan("pre_commit"))).run()
+    assert ledger.complete and not ledger.committed
+    assert_owners_disjoint(job, {"host": arrays_of(stored(engine.host, 4))})
 
 
 def _modules_loaded_by(imports):

@@ -49,6 +49,26 @@ def test_traced_episode_attaches_reconciled_summary():
     assert result.trace_summary["spans"] > 0
 
 
+def test_traced_repair_crashes_are_counted_like_save_crashes():
+    """A repair crash fires through the engine's one crash hook: each is a
+    ``crash_point_fired`` event and bumps the same counters a save crash
+    does, so a traced run's events and counters agree."""
+    config = ElasticConfig(episodes=8, seed=0, trace=True)
+    fired = set()
+    for index in (0, 7):  # a post_derive and a mid_stream repair crash
+        result = run_elastic_episode(index, config)
+        events = result.trace_summary["event_counts"]
+        counters = result.trace_summary["counters"]
+        assert events["crash_point_fired"] == counters["chaos.crash_points_fired"]
+        assert "repair_crash_fired" not in events
+        for cycle in result.cycles:
+            point = cycle.get("repair_crash")
+            if point:
+                fired.add(point)
+                assert counters[f"chaos.crash_points_fired.{point}"] >= 1
+    assert fired == {"post_derive", "mid_stream"}
+
+
 def test_episode_records_redundancy_ledger():
     result = run_elastic_episode(0, ElasticConfig(episodes=1, seed=6))
     for entry in result.redundancy_ledger:

@@ -1,4 +1,6 @@
-"""No feature probes on engines: capabilities are types, checked once.
+"""No feature probes on engines, and no reads of their privates.
+
+Capabilities are types, checked once.
 
 A ``hasattr(engine, "x")`` or ``getattr(job, "x", default)`` with a
 literal name is a feature probe: a typo in it silently disables the
@@ -9,6 +11,11 @@ expression names an ``engine``, ``job``, ``cluster`` or ``ledger``,
 anywhere in ``src/repro/`` outside the coding library ``ec/``.  Value
 reflection stays legal (``getattr(value, "nbytes", None)``, a tracer's
 thread-local, dataclass fields, parsed CLI arguments).
+
+An engine's underscored members are its own business: no module reads one
+through an ``engine`` or ``inner`` (a wrapping engine's core) expression,
+so what the elastic controller and repair read and write of a stored
+version is the engine's public surface.
 """
 
 from __future__ import annotations
@@ -18,6 +25,16 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 SUBJECTS = {"engine", "job", "cluster", "ledger"}
+OWNERS = {"engine", "inner"}
+
+
+def names(expr: ast.AST) -> set[str]:
+    """Every variable and attribute name in ``expr``."""
+    return {
+        part.id if isinstance(part, ast.Name) else part.attr
+        for part in ast.walk(expr)
+        if isinstance(part, (ast.Name, ast.Attribute))
+    }
 
 
 def probes(source: str) -> list[tuple[int, str]]:
@@ -33,12 +50,7 @@ def probes(source: str) -> list[tuple[int, str]]:
             and isinstance(node.args[1].value, str)
         ):
             continue
-        named = {
-            part.id if isinstance(part, ast.Name) else part.attr
-            for part in ast.walk(node.args[0])
-            if isinstance(part, (ast.Name, ast.Attribute))
-        }
-        if named & SUBJECTS:
+        if names(node.args[0]) & SUBJECTS:
             found.append((node.lineno, ast.unparse(node)))
     return found
 
@@ -60,5 +72,39 @@ def test_no_feature_probes_outside_the_coding_library():
         for path in sorted(SRC.rglob("*.py"))
         if path.relative_to(SRC).parts[0] != "ec"
         for line, text in probes(path.read_text())
+    ]
+    assert offenders == []
+
+
+def private_reads(source: str) -> list[tuple[int, str]]:
+    """``(line, text)`` of every underscored, non-dunder attribute read on
+    an expression naming an engine."""
+    return [
+        (node.lineno, ast.unparse(node))
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.ctx, ast.Load)
+        and node.attr.startswith("_")
+        and not (node.attr.startswith("__") and node.attr.endswith("__"))
+        and names(node.value) & OWNERS
+    ]
+
+
+def test_the_lint_tells_private_engine_reads_from_public_ones():
+    assert private_reads("engine._records(version, nodes)")
+    assert private_reads("self.engine._survey(version, nodes)")
+    assert private_reads("self.inner._move(version, src)")
+    assert private_reads("tenant.engine.host._stores")
+    assert not private_reads("engine.decodable(version, nodes)")
+    assert not private_reads("self._records(version, nodes)")  # an engine's own
+    assert not private_reads("engine.__class__")
+    assert not private_reads("job._state")
+
+
+def test_no_private_engine_reads_in_src():
+    offenders = [
+        f"{path.relative_to(SRC)}:{line}: {text}"
+        for path in sorted(SRC.rglob("*.py"))
+        for line, text in private_reads(path.read_text())
     ]
     assert offenders == []
