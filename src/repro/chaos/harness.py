@@ -134,7 +134,7 @@ def build_testbed(engine: str, model: str, scale: float, seed: int):
         scale=scale,
         seed=seed,
     )
-    config = ECCheckConfig(k=2, m=2, encode_threads=2, engine=engine)
+    config = ECCheckConfig(k=2, m=2, encode_threads=2)
     return job, build_engine(engine, job, config, group_size=2)
 
 

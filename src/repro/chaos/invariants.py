@@ -17,11 +17,12 @@ the engine will see.
 Two storage rules carry every prediction and every check: a stored
 payload is *missing*, *corrupt* or *whole* (:func:`_state` — an EC chunk
 packet through :func:`_chunk_state`), and a writer's replicated payload
-must be whole on its home or its cross-rack buddy node (the replica
-rule of anchors and gradient-log entries).  Which rules an engine is
-judged by is one entry of :data:`_RULES`, keyed by engine name; the
-hybrid engine's entry is eccheck's, run on its inner engine, plus the
-gradient log's.
+must be whole on its home or its cross-rack buddy node, under a commit
+record identical on every survivor (:func:`_replicated`,
+:func:`_committed` — the replica rule of anchors and gradient-log
+entries).  Which rules an engine is judged by is one entry of
+:data:`_RULES`, keyed by engine name; the hybrid engine's entry is
+eccheck's, run on its inner engine, plus the gradient log's.
 """
 
 from __future__ import annotations
@@ -101,6 +102,21 @@ def _replicated(engine, kinds, tag: int, live: set[int]) -> bool:
         )
         for worker in engine.job.writers
     )
+
+
+def _committed(engine, key: tuple, survivors) -> dict | None:
+    """The commit record under ``key`` iff identical on *every* survivor
+    (the commit rule of anchors and log entries alike)."""
+    record = None
+    for node in survivors:
+        if not engine.host.contains(node, key):
+            return None
+        found = engine.host.get(node, key)
+        if record is None:
+            record = found
+        elif found != record:
+            return None
+    return record
 
 
 def _replica_violations(engine, kinds, tag: int, label: str) -> list[str]:
@@ -195,16 +211,15 @@ def _replication_base(engine, survivors: list[int]) -> tuple:
 
 
 def _anchor_base(engine, survivors: list[int]) -> tuple:
-    """gradrep: the ``("anchor", v)`` record on every survivor and every
-    writer's full packet verified on a surviving home-or-buddy node."""
+    """gradrep: the ``("anchor", v)`` record identical on every survivor
+    and every writer's full packet verified on a surviving home-or-buddy
+    node."""
     if not survivors:
         return _REFUSED
     live = set(survivors)
     for version in range(engine.version, 0, -1):
-        if all(
-            engine.host.contains(node, ("anchor", version)) for node in survivors
-        ) and _replicated(engine, _ANCHOR_KINDS, version, live):
-            record = engine.host.get(survivors[0], ("anchor", version))
+        record = _committed(engine, ("anchor", version), survivors)
+        if record is not None and _replicated(engine, _ANCHOR_KINDS, version, live):
             return "memory", version, int(record["iteration"])
     return _REFUSED
 
@@ -226,20 +241,6 @@ def grad_stream_seqs(engine, survivors: list[int]) -> list[int]:
     return sorted(seqs)
 
 
-def _grad_entry_committed(engine, seq: int, survivors: list[int]) -> dict | None:
-    """The entry's commit record iff identical on *every* survivor."""
-    record = None
-    for node in survivors:
-        if not engine.host.contains(node, ("gradcommit", seq)):
-            return None
-        found = engine.host.get(node, ("gradcommit", seq))
-        if record is None:
-            record = found
-        elif found != record:
-            return None
-    return record
-
-
 def expected_replay_tail(
     engine, base_version: int, survivors: list[int]
 ) -> list[dict]:
@@ -254,7 +255,7 @@ def expected_replay_tail(
     live = set(survivors)
     tail: list[dict] = []
     for seq in grad_stream_seqs(engine, survivors):
-        record = _grad_entry_committed(engine, seq, survivors)
+        record = _committed(engine, ("gradcommit", seq), survivors)
         if record is None or record["base_version"] != base_version:
             break
         if not _replicated(engine, _GRAD_KINDS, seq, live):
@@ -397,7 +398,7 @@ def _log_redundancy(engine) -> list[str]:
     all_nodes = list(range(engine.job.cluster.num_nodes))
     violations = []
     for seq in grad_stream_seqs(engine, all_nodes):
-        if _grad_entry_committed(engine, seq, all_nodes) is None:
+        if _committed(engine, ("gradcommit", seq), all_nodes) is None:
             violations.append(
                 f"log entry seq={seq} commit record not on every node"
             )

@@ -28,20 +28,13 @@ from repro.core.reduction import ReductionGroup, ReductionPlan, build_reduction_
 from repro.core.eccheck import ECCheckConfig, ECCheckEngine
 from repro.core.grouped import GroupedECCheckEngine, GroupingPlan, plan_grouping
 from repro.core.integrity import chunk_digest, verify_chunk
-from repro.core.registry import (
-    build_engine,
-    build_engine_from_config,
-    engine_names,
-    register_engine,
-)
+from repro.core.registry import build_engine, engine_names
 
 __all__ = [
     "ECCheckConfig",
     "ECCheckEngine",
     "build_engine",
-    "build_engine_from_config",
     "engine_names",
-    "register_engine",
     "GroupedECCheckEngine",
     "GroupingPlan",
     "plan_grouping",

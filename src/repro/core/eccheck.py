@@ -98,10 +98,10 @@ class ECCheckConfig:
         use_pipelining: overlap encode / XOR / P2P per buffer (False =
             strictly sequential steps, the ablation baseline).
         packet_alignment: packets are padded to a multiple of this.
-        engine: which checkpoint engine this config drives (resolved by
-            :func:`repro.core.registry.build_engine`); non-EC engines
-            ignore the coding parameters, and the hybrid engine feeds
-            them to its inner EC core.
+
+    :func:`repro.core.registry.build_engine` hands the config to every
+    engine: non-EC engines ignore the coding parameters, and the hybrid
+    engine feeds them to its inner EC core.
     """
 
     k: int = 2
@@ -112,7 +112,6 @@ class ECCheckConfig:
     use_sweepline_placement: bool = True
     use_pipelining: bool = True
     packet_alignment: int = 64
-    engine: str = "eccheck"
 
 
 class ECCheckEngine(CheckpointEngine):

@@ -7,7 +7,7 @@ DESIGN.md "Gradient replication & hybrid recovery".
 """
 
 from repro.gradrep.engine import GradRepConfig, GradRepEngine
-from repro.gradrep.gradlog import GradientLog, buddy_of
+from repro.gradrep.gradlog import GradientLog, ReplicaStore, buddy_of
 from repro.gradrep.hybrid import HybridEngine
 
 __all__ = [
@@ -15,5 +15,6 @@ __all__ = [
     "GradRepEngine",
     "GradientLog",
     "HybridEngine",
+    "ReplicaStore",
     "buddy_of",
 ]

@@ -25,14 +25,14 @@ from repro.checkpoint.base import (
 )
 from repro.checkpoint.job import TrainingJob
 from repro.core.incremental import packet_delta
-from repro.core.integrity import chunk_digest, verify_chunk
+from repro.core.integrity import chunk_digest
 from repro.core.protocol import (
     build_worker_checkpoint,
     packet_size_for,
     restore_state_dict,
 )
 from repro.errors import CheckpointError, RecoveryError
-from repro.gradrep.gradlog import GradientLog
+from repro.gradrep.gradlog import GradientLog, ReplicaStore
 from repro.sim.network import PiggybackChannel, TransferRequest, gbps
 from repro.tensors.tensor import GPU
 
@@ -96,6 +96,7 @@ class GradRepEngine(CheckpointEngine):
             replication_weight=self.config.replication_weight,
         )
         self.log = GradientLog(self.host, job, fire=self.fire)
+        self.anchors = ReplicaStore(self.host, job, ("apkt", "adig", "ameta"), "anchor")
         #: Last replicated packet bytes per writer — the XOR base of the
         #: next delta.  Cleared by restore/reconfigure; an empty dict
         #: means the next replicate must wait for a fresh anchor.
@@ -126,9 +127,6 @@ class GradRepEngine(CheckpointEngine):
             for worker in self.job.writers
         }
 
-    def anchor_key(self, version: int, kind: str, worker: int) -> tuple:
-        return (kind, version, worker)
-
     # ------------------------------------------------------------------
     # Anchor save: full packets replicated home + buddy, commit last.
     # ------------------------------------------------------------------
@@ -151,24 +149,18 @@ class GradRepEngine(CheckpointEngine):
         version = self.version
         tm = self.job.time_model
         checkpoints = self._build_packets()
+        digests: dict[int, int] = {}
         dtoh_times = [0.0]
         bytes_dtoh = 0
         for worker, ckpt in checkpoints.items():
             logical = self.job.logical_shard_bytes(worker)
             bytes_dtoh += logical
             dtoh_times.append(tm.dtoh_time(logical))
-            home = self.log.home_of(worker)
-            self.host.put(
-                home, self.anchor_key(version, "apkt", worker),
-                ckpt.packet.payload,
-            )
-            self.host.put(
-                home, self.anchor_key(version, "adig", worker),
-                chunk_digest(ckpt.packet.payload, ckpt.packet.original_length),
-            )
-            self.host.put(
-                home, self.anchor_key(version, "ameta", worker),
-                ckpt.metadata_blob,
+            packet = ckpt.packet
+            digests[worker] = chunk_digest(packet.payload, packet.original_length)
+            home, _ = self.anchors.replicas(worker)
+            self.anchors.put(
+                home, version, worker, packet.payload, digests[worker], ckpt.metadata_blob
             )
         stall = max(dtoh_times)
         self.fire("post_snapshot_packets", version=version)
@@ -176,20 +168,14 @@ class GradRepEngine(CheckpointEngine):
         # Buddy replication rides the shared trunk (piggyback pricing).
         trunk_bytes = 0
         for worker, ckpt in checkpoints.items():
-            home = self.log.home_of(worker)
-            buddy = self.log.buddy_node(home)
-            self.fire(
-                "mid_anchor_replicate", version=version, worker=worker,
-                dst=buddy,
+            _, buddy = self.anchors.replicas(worker)
+            self.fire("mid_anchor_replicate", version=version, worker=worker, dst=buddy)
+            # An independent copy: bit rot on one anchor replica must
+            # not be visible on the other.
+            self.anchors.put(
+                buddy, version, worker,
+                ckpt.packet.payload.copy(), digests[worker], ckpt.metadata_blob,
             )
-            for kind, value in (
-                # An independent copy: bit rot on one anchor replica
-                # must not be visible on the other.
-                ("apkt", ckpt.packet.payload.copy()),
-                ("adig", chunk_digest(ckpt.packet.payload, ckpt.packet.original_length)),
-                ("ameta", ckpt.metadata_blob),
-            ):
-                self.host.put(buddy, self.anchor_key(version, kind, worker), value)
             trunk_bytes += self.job.logical_shard_bytes(worker)
         slice_ = self.piggyback.transfer(trunk_bytes)
 
@@ -199,7 +185,7 @@ class GradRepEngine(CheckpointEngine):
         self.fire("pre_anchor_commit", version=version)
         for node in range(self.job.cluster.num_nodes):
             self.fire("mid_anchor_broadcast", version=version, dst=node)
-            self.host.put(node, ("anchor", version), dict(record))
+            self.anchors.put_commit(node, version, record)
         commit_time = self._trunk_time(meta_bytes * self.job.cluster.num_nodes)
 
         # The anchor supersedes the old tail and re-bases the stream.
@@ -324,31 +310,9 @@ class GradRepEngine(CheckpointEngine):
     # ------------------------------------------------------------------
     # Recovery: newest committed anchor + bounded replay.
     # ------------------------------------------------------------------
-    def _anchor_recoverable(self, version: int, live_nodes: list[int]) -> bool:
-        live = set(live_nodes)
-        for node in live_nodes:
-            if not self.host.contains(node, ("anchor", version)):
-                return False
-        for worker in self.job.writers:
-            home = self.log.home_of(worker)
-            if not any(
-                self._anchor_verified(node, version, worker)
-                for node in (home, self.log.buddy_node(home))
-                if node in live
-            ):
-                return False
-        return True
-
-    def _anchor_verified(self, node: int, version: int, worker: int) -> bool:
-        if not all(
-            self.host.contains(node, self.anchor_key(version, kind, worker))
-            for kind in ("apkt", "adig", "ameta")
-        ):
-            return False
-        return verify_chunk(
-            self.host.get(node, self.anchor_key(version, "apkt", worker)),
-            self.host.get(node, self.anchor_key(version, "adig", worker)),
-        )
+    #: Whether an empty replay still installs the bases it was handed
+    #: (gradrep's bases are anchor packets nothing else has installed).
+    installs_bases = True
 
     def restore(self, failed_nodes: set[int]) -> RecoveryReport:
         tracer = obs.get_tracer()
@@ -364,99 +328,106 @@ class GradRepEngine(CheckpointEngine):
             obs.record_phases(tracer, span, report.breakdown, kind="restore")
         return report
 
-    def _restore_impl(self, failed_nodes: set[int]) -> RecoveryReport:
-        self.on_failure(failed_nodes)
-        self._stream_packets = {}
-        latest = self.latest_version()
-        tm = self.job.time_model
-        live = [
-            n
-            for n in range(self.job.cluster.num_nodes)
-            if n not in failed_nodes
-        ]
-        if not live:
-            raise RecoveryError(f"{self.name}: every node failed")
-        version = next(
-            (
-                v
-                for v in range(latest, 0, -1)
-                if self._anchor_recoverable(v, live)
-            ),
-            None,
-        )
-        if version is None:
-            raise RecoveryError(
-                f"{self.name}: no committed anchor survives failures "
-                f"{sorted(failed_nodes)}"
-            )
-        anchor_iteration = int(
-            self.host.get(live[0], ("anchor", version))["iteration"]
-        )
+    def _replay_tail(
+        self,
+        version: int,
+        bases: dict[int, tuple[np.ndarray, bytes]],
+        failed_nodes: set[int],
+    ) -> tuple[list[tuple[int, dict]], set[int]]:
+        """Replay the committed tail onto each writer's base.
 
-        # Replay applies only to the tail based on this exact anchor.
+        ``bases`` maps every writer to the ``(payload, metadata)`` of the
+        restored base ``version``.  Only a tail based on exactly that
+        version replays.  The replayed state is installed (a restored
+        base alone only when :attr:`installs_bases`), the dead suffix is
+        pruned, the kept entries are re-replicated onto the wiped ranks
+        and the stream re-seeds on the replayed packets.  Returns the
+        tail and the writers that fetched some delta from their buddy.
+        """
+        live = [n for n in range(self.job.cluster.num_nodes) if n not in failed_nodes]
         tail = (
             self.log.replayable_tail(version, live)
             if self.log.base_version == version
             else []
         )
+        install = bool(tail) or self.installs_bases
+        payloads: dict[int, np.ndarray] = {}
+        fetched: set[int] = set()
+        for worker, (base, base_meta) in bases.items():
+            payload, meta, buddy_fetches = self.log.replay_packet(
+                base, worker, tail, live
+            )
+            payloads[worker] = payload
+            if buddy_fetches:
+                fetched.add(worker)
+            if install:
+                self.job.state_dicts[worker] = restore_state_dict(
+                    meta if meta is not None else base_meta, payload, GPU
+                )
+        if install:
+            self._restore_dp_replicas()
+        self.log.prune_to([seq for seq, _ in tail])
+        self.log.restore_redundancy(set(failed_nodes))
+        self._stream_packets = {
+            worker: payload.copy() for worker, payload in payloads.items()
+        }
+        return tail, fetched
+
+    @staticmethod
+    def _replay_shares(tail: list[tuple[int, dict]], worker: int) -> list[int]:
+        """Full-scale dirty bytes of ``worker``'s delta in each tail entry."""
+        return [int(r["worker_logical"].get(worker, 0)) for _, r in tail]
+
+    def _restore_impl(self, failed_nodes: set[int]) -> RecoveryReport:
+        self.on_failure(failed_nodes)
+        self._stream_packets = {}
+        latest = self.latest_version()
+        tm = self.job.time_model
+        live = [n for n in range(self.job.cluster.num_nodes) if n not in failed_nodes]
+        if not live:
+            raise RecoveryError(f"{self.name}: every node failed")
+        for version in range(latest, 0, -1):
+            record = self.anchors.committed(version, live)
+            if record is not None and self.anchors.intact(version, live):
+                break
+        else:
+            raise RecoveryError(
+                f"{self.name}: no committed anchor survives failures "
+                f"{sorted(failed_nodes)}"
+            )
+        anchor_iteration = int(record["iteration"])
 
         requests = []
-        replay_requests = []
         bytes_inter_node = 0
         htod_times = [0.0]
-        replay_bytes = 0
-        final_payloads: dict[int, np.ndarray] = {}
+        bases: dict[int, tuple[np.ndarray, bytes]] = {}
         for worker in self.job.writers:
-            home = self.log.home_of(worker)
-            buddy = self.log.buddy_node(home)
+            home, _ = self.anchors.replicas(worker)
             logical = self.job.logical_shard_bytes(worker)
             htod_times.append(tm.htod_time(logical))
-            source = next(
-                n
-                for n in (home, buddy)
-                if n in set(live) and self._anchor_verified(n, version, worker)
-            )
-            base_payload = self.host.get(
-                source, self.anchor_key(version, "apkt", worker)
-            )
-            base_meta = self.host.get(
-                source, self.anchor_key(version, "ameta", worker)
-            )
+            payload, meta, source = self.anchors.read(version, worker, live)
             if source != home:
                 # The anchor copy crosses back over the trunk.
                 requests.append(
                     TransferRequest(src=source, dst=home, nbytes=logical)
                 )
                 bytes_inter_node += logical
-                # Re-populate the wiped home so redundancy holds again.
-                for kind in ("apkt", "adig", "ameta"):
-                    value = self.host.get(
-                        source, self.anchor_key(version, kind, worker)
-                    )
-                    if kind == "apkt":
-                        value = value.copy()
-                    self.host.put(
-                        home, self.anchor_key(version, kind, worker), value
-                    )
-            payload, meta, buddy_fetches = self.log.replay_packet(
-                base_payload, worker, tail, live
-            )
-            if buddy_fetches:
-                for seq, record in tail:
-                    share = int(record["worker_logical"].get(worker, 0))
-                    if share and home in failed_nodes:
+            bases[worker] = (payload, meta)
+        tail, fetched = self._replay_tail(version, bases, failed_nodes)
+
+        replay_requests = []
+        replay_bytes = 0
+        for worker in self.job.writers:
+            home, buddy = self.anchors.replicas(worker)
+            shares = self._replay_shares(tail, worker)
+            if worker in fetched and home in failed_nodes:
+                for share in shares:
+                    if share:
                         replay_requests.append(
                             TransferRequest(src=buddy, dst=home, nbytes=share)
                         )
                         bytes_inter_node += share
-            replay_bytes += sum(
-                int(r["worker_logical"].get(worker, 0)) for _, r in tail
-            )
-            final_payloads[worker] = payload
-            self.job.state_dicts[worker] = restore_state_dict(
-                meta if meta is not None else base_meta, payload, GPU
-            )
-        self._restore_dp_replicas()
+            replay_bytes += sum(shares)
 
         fetch = self.network.simulate(requests).makespan if requests else 0.0
         replay_fetch = (
@@ -470,51 +441,17 @@ class GradRepEngine(CheckpointEngine):
             int(tail[-1][1]["iteration"]) if tail else anchor_iteration
         )
 
-        # Background redundancy: prune the dead tail, re-replicate the
-        # surviving one, re-broadcast commit/anchor records to wiped ranks.
+        # Background redundancy: the log tail was re-replicated by the
+        # replay; the anchor comes back onto its wiped or rotten copies.
         self.log.base_version = version
         self.log.base_iteration = anchor_iteration
-        self.log.prune_to([seq for seq, _ in tail])
-        self.log.restore_redundancy(set(failed_nodes))
-        for node in failed_nodes:
-            self.host.put(
-                node, ("anchor", version), {"iteration": anchor_iteration}
-            )
-        # Wiped buddy/home anchor copies come back from the survivor.
-        for worker in self.job.writers:
-            home = self.log.home_of(worker)
-            buddy = self.log.buddy_node(home)
-            source = next(
-                n
-                for n in (home, buddy)
-                if self._anchor_verified(n, version, worker)
-            )
-            for node in (home, buddy):
-                if node != source and not self._anchor_verified(
-                    node, version, worker
-                ):
-                    for kind in ("apkt", "adig", "ameta"):
-                        value = self.host.get(
-                            source, self.anchor_key(version, kind, worker)
-                        )
-                        if kind == "apkt":
-                            value = value.copy()
-                        self.host.put(
-                            node,
-                            self.anchor_key(version, kind, worker),
-                            value,
-                        )
+        self.anchors.rereplicate(version, set(failed_nodes))
         redo_bytes = sum(
             self.job.logical_shard_bytes(w)
             for w in self.job.writers
-            if self.log.home_of(w) in failed_nodes
-            or self.log.buddy_node(self.log.home_of(w)) in failed_nodes
+            if any(n in failed_nodes for n in self.anchors.replicas(w))
         )
         redo_time = self._trunk_time(redo_bytes) if redo_bytes else 0.0
-        self._stream_packets = {
-            worker: payload.copy()
-            for worker, payload in final_payloads.items()
-        }
         return RecoveryReport(
             engine=self.name,
             version=version,

@@ -1,4 +1,4 @@
-"""Replicated per-iteration gradient log (Checkmate-style, PAPERS.md).
+"""Buddy-replicated records and the per-iteration gradient log.
 
 Instead of snapshotting state every checkpoint interval, a gradient-
 replication engine ships the *per-iteration update* — the XOR delta
@@ -7,31 +7,39 @@ between consecutive packetised states, computed by
 every iteration.  Recovery is then **temporal**: restore the last
 committed base checkpoint and re-apply the logged deltas in order.
 
-Log entry layout in the engine's host store (per node):
+Both kinds of record the gradrep engines keep — anchor packets and log
+entries — are one :class:`ReplicaStore` family each, with one key
+layout in the engine's host store (per node):
 
-* ``("grad", seq, worker)`` — the worker's XOR delta payload;
-* ``("graddig", seq, worker)`` — CRC-32 of that payload;
-* ``("gradmeta", seq, worker)`` — the worker's metadata blob *at that
-  iteration* (tensor layout plus the non-tensor fields — iteration
+* ``(payload, tag, worker)`` — the worker's payload (``apkt`` for an
+  anchor's full packet, ``grad`` for a log entry's XOR delta);
+* ``(digest, tag, worker)`` — CRC-32 of that payload (``adig`` /
+  ``graddig``);
+* ``(metadata, tag, worker)`` — the worker's metadata blob (``ameta`` /
+  ``gradmeta``: tensor layout plus the non-tensor fields — iteration
   counter, optimizer step — that packet bytes alone cannot restore);
-* ``("gradcommit", seq)`` — the commit record ``{"iteration",
-  "base_version", "packet_size"}``, broadcast to **every** node last.
+* ``(commit, tag)`` — the commit record (``("anchor", version)``:
+  ``{"iteration"}``; ``("gradcommit", seq)``: ``{"iteration",
+  "base_version", "packet_size", ...}``), broadcast to **every** node
+  last.
 
 **Replay commit rule.**  Payload bytes land on the home node and its
-buddy first; the commit record is broadcast only afterwards.  An entry
-is replayable after a failure iff
+buddy first; the commit record is broadcast only afterwards.  A record
+— an anchor, or a log entry — is usable after a failure iff
 
-1. every surviving node holds its commit record (a broadcast torn by a
-   crash leaves at least one survivor without it — the entry is torn and
-   must never be replayed),
+1. every surviving node holds an identical commit record (a broadcast
+   torn by a crash leaves at least one survivor without it, and a
+   rewritten copy disagrees — the record is torn and must never be
+   used),
 2. for every writer, some surviving node out of {home, buddy} holds a
-   payload whose digest verifies (bit rot demotes the entry to torn),
-3. the entry's ``base_version`` matches the restored base and its seq is
-   contiguous with the replayed prefix (a gap ends the replay).
+   payload whose digest verifies (bit rot demotes the record to torn),
+3. for a log entry, its ``base_version`` matches the restored base and
+   its seq is contiguous with the replayed prefix (a gap ends the
+   replay).
 
 The same rule is re-derived independently from raw storage by the chaos
 oracle (:func:`repro.chaos.invariants.expected_recovery`), which is what
-makes the hybrid campaign a real differential test.
+makes the gradrep and hybrid campaigns real differential tests.
 """
 
 from __future__ import annotations
@@ -61,17 +69,135 @@ def buddy_of(node: int, num_nodes: int, nodes_per_rack: int | None) -> int:
     return buddy
 
 
+class ReplicaStore:
+    """One buddy-replicated record family in a host store.
+
+    ``kinds`` names the payload, digest and metadata keys of one writer's
+    record, ``commit`` the commit record's key; ``tag`` is the anchor
+    version or the log seq.  Each writer's record lives on its home node
+    and on the home's cross-rack buddy.  Every read goes through
+    :meth:`whole` and :meth:`committed`: a record is used only when its
+    commit record is identical on every live node and some live replica
+    of each writer passes its digest.
+    """
+
+    def __init__(self, host, job, kinds: tuple[str, str, str], commit: str):
+        self.host = host
+        self.job = job
+        self.kinds = kinds
+        self.commit = commit
+
+    def replicas(self, worker: int) -> tuple[int, int]:
+        """``(home, buddy)`` of a writer's record."""
+        home, cluster = self.job.node_of(worker), self.job.cluster
+        return home, buddy_of(home, cluster.num_nodes, cluster.nodes_per_rack)
+
+    def _keys(self, tag: int, worker: int) -> list[tuple]:
+        return [(kind, tag, worker) for kind in self.kinds]
+
+    # -- writes ---------------------------------------------------------
+    def put(
+        self, node: int, tag: int, worker: int,
+        payload: np.ndarray, digest: int, metadata: bytes,
+    ) -> None:
+        """Store one writer's ``(payload, digest, metadata)`` on ``node``."""
+        for key, value in zip(self._keys(tag, worker), (payload, digest, metadata)):
+            self.host.put(node, key, value)
+
+    def put_commit(self, node: int, tag: int, record: dict) -> None:
+        self.host.put(node, (self.commit, tag), dict(record))
+
+    # -- reads ----------------------------------------------------------
+    def whole(self, node: int, tag: int, worker: int) -> bool:
+        """``node`` holds all three keys and the payload passes its digest."""
+        payload, digest, meta = self._keys(tag, worker)
+        if not all(self.host.contains(node, key) for key in (payload, digest, meta)):
+            return False
+        return verify_chunk(self.host.get(node, payload), self.host.get(node, digest))
+
+    def committed(self, tag: int, live_nodes) -> dict | None:
+        """The commit record iff *every* live node holds an identical one."""
+        record: dict | None = None
+        for node in live_nodes:
+            if not self.host.contains(node, (self.commit, tag)):
+                return None
+            found = self.host.get(node, (self.commit, tag))
+            if record is None:
+                record = found
+            elif found != record:
+                return None
+        return record
+
+    def intact(self, tag: int, live_nodes) -> bool:
+        """Every writer whole on a live home or buddy node."""
+        live = set(live_nodes)
+        return all(
+            any(self.whole(node, tag, worker) for node in self.replicas(worker) if node in live)
+            for worker in self.job.writers
+        )
+
+    def read(self, tag: int, worker: int, live_nodes) -> tuple[np.ndarray, bytes, int]:
+        """A whole live copy ``(payload, metadata, node)``, home first.
+
+        Raises:
+            RecoveryError: when no live home or buddy copy is whole.
+        """
+        live = set(live_nodes)
+        for node in self.replicas(worker):
+            if node in live and self.whole(node, tag, worker):
+                payload, _, meta = self._keys(tag, worker)
+                return self.host.get(node, payload), self.host.get(node, meta), node
+        raise RecoveryError(
+            f"{self.commit} record {tag} of worker {worker} has no whole "
+            f"surviving copy"
+        )
+
+    # -- redundancy -----------------------------------------------------
+    def rereplicate(self, tag: int, wiped_nodes: set[int]) -> int:
+        """Put a committed record back at full redundancy after a failure.
+
+        Each home or buddy node without a whole copy gets one from a node
+        that has it (an independent payload copy), and every wiped node
+        gets the commit record.  A record not committed on the nodes
+        that kept their memory is left alone.  Returns the payload bytes
+        copied (the engine prices the transfer).
+        """
+        nodes = range(self.job.cluster.num_nodes)
+        record = self.committed(tag, [n for n in nodes if n not in wiped_nodes])
+        if record is None:
+            return 0
+        copied = 0
+        for worker in self.job.writers:
+            replicas = self.replicas(worker)
+            holders = [n for n in replicas if self.whole(n, tag, worker)]
+            if not holders:
+                continue
+            payload, digest, meta = (
+                self.host.get(holders[0], key) for key in self._keys(tag, worker)
+            )
+            for node in replicas:
+                if node not in holders:
+                    self.put(node, tag, worker, payload.copy(), digest, meta)
+                    copied += payload.nbytes
+        for node in wiped_nodes:
+            self.put_commit(node, tag, record)
+        return copied
+
+
 class GradientLog:
     """The gradient-log tail hanging off one committed base version.
 
-    Owns only byte placement and the commit discipline; all timing lives
-    in the engines.  ``fire`` is the owning engine's ``fire`` so crash
-    injection reaches every store/broadcast boundary.
+    Owns only the tail's bookkeeping and the commit discipline of an
+    append; its entries are the :class:`ReplicaStore` ``entries``, and
+    all timing lives in the engines.  ``fire`` is the owning engine's
+    ``fire`` so crash injection reaches every store/broadcast boundary.
     """
 
     def __init__(self, host, job, fire=None):
-        self.host = host
         self.job = job
+        self.entries = ReplicaStore(
+            host, job, ("grad", "graddig", "gradmeta"), "gradcommit"
+        )
         self._fire = fire or (lambda point, **ctx: None)
         self.base_version: int | None = None
         self.base_iteration: int | None = None
@@ -79,14 +205,6 @@ class GradientLog:
         #: Live entry seqs in append order (bookkeeping only — replay and
         #: the oracle always re-derive survivability from raw storage).
         self.seqs: list[int] = []
-
-    # -- placement ------------------------------------------------------
-    def home_of(self, worker: int) -> int:
-        return self.job.node_of(worker)
-
-    def buddy_node(self, node: int) -> int:
-        cluster = self.job.cluster
-        return buddy_of(node, cluster.num_nodes, cluster.nodes_per_rack)
 
     def depth(self) -> int:
         """Entries in the tail (the timeline's ``log_depth`` signal)."""
@@ -109,14 +227,12 @@ class GradientLog:
         re-derives replayability from raw keys and would otherwise see
         entries the engine no longer tracks).
         """
+        host = self.entries.host
+        families = (*self.entries.kinds, self.entries.commit)
         for node in range(self.job.cluster.num_nodes):
-            for key in list(self.host.keys(node)):
-                if (
-                    isinstance(key, tuple)
-                    and key[0] in ("grad", "graddig", "gradmeta", "gradcommit")
-                    and key[1] not in keep
-                ):
-                    self.host.delete(node, key)
+            for key in list(host.keys(node)):
+                if isinstance(key, tuple) and key[0] in families and key[1] not in keep:
+                    host.delete(node, key)
 
     def prune_to(self, keep_seqs: list[int]) -> None:
         """Keep only ``keep_seqs`` (the replayed prefix); drop the rest —
@@ -149,19 +265,13 @@ class GradientLog:
         self.next_seq += 1
         self._fire("pre_grad_store", seq=seq, iteration=iteration)
         for worker, delta in deltas.items():
-            home = self.home_of(worker)
+            home, buddy = self.entries.replicas(worker)
             digest = chunk_digest(delta)
-            for node in (home, self.buddy_node(home)):
-                if node != home:
-                    self._fire(
-                        "mid_grad_replicate", seq=seq, worker=worker, dst=node
-                    )
-                # The buddy holds an independent copy: bit rot on one
-                # replica must not be visible on the other.
-                payload = delta if node == home else delta.copy()
-                self.host.put(node, ("grad", seq, worker), payload)
-                self.host.put(node, ("graddig", seq, worker), digest)
-                self.host.put(node, ("gradmeta", seq, worker), metadata[worker])
+            self.entries.put(home, seq, worker, delta, digest, metadata[worker])
+            self._fire("mid_grad_replicate", seq=seq, worker=worker, dst=buddy)
+            # The buddy holds an independent copy: bit rot on one
+            # replica must not be visible on the other.
+            self.entries.put(buddy, seq, worker, delta.copy(), digest, metadata[worker])
         worker_logical = dict(worker_logical or {})
         record = {
             "iteration": int(iteration),
@@ -173,49 +283,11 @@ class GradientLog:
         self._fire("pre_grad_commit", seq=seq, iteration=iteration)
         for node in range(self.job.cluster.num_nodes):
             self._fire("mid_grad_broadcast", seq=seq, dst=node)
-            self.host.put(node, ("gradcommit", seq), dict(record))
+            self.entries.put_commit(node, seq, record)
         self.seqs.append(seq)
         return seq
 
     # -- replay-side queries (survivor storage only) --------------------
-    def committed_record(self, seq: int, live_nodes: list[int]) -> dict | None:
-        """The commit record iff *every* live node holds it, else None."""
-        record: dict | None = None
-        for node in live_nodes:
-            if not self.host.contains(node, ("gradcommit", seq)):
-                return None
-            found = self.host.get(node, ("gradcommit", seq))
-            if record is None:
-                record = found
-            elif found != record:
-                return None
-        return record
-
-    def entry_intact(self, seq: int, live_nodes: list[int]) -> bool:
-        """True iff every writer's payload verifies on some survivor."""
-        live = set(live_nodes)
-        for worker in self.job.writers:
-            home = self.home_of(worker)
-            if not any(
-                self._holds_verified(node, seq, worker)
-                for node in (home, self.buddy_node(home))
-                if node in live
-            ):
-                return False
-        return True
-
-    def _holds_verified(self, node: int, seq: int, worker: int) -> bool:
-        if not (
-            self.host.contains(node, ("grad", seq, worker))
-            and self.host.contains(node, ("graddig", seq, worker))
-            and self.host.contains(node, ("gradmeta", seq, worker))
-        ):
-            return False
-        return verify_chunk(
-            self.host.get(node, ("grad", seq, worker)),
-            self.host.get(node, ("graddig", seq, worker)),
-        )
-
     def replayable_tail(
         self, base_version: int, live_nodes: list[int]
     ) -> list[tuple[int, dict]]:
@@ -226,35 +298,13 @@ class GradientLog:
         """
         tail: list[tuple[int, dict]] = []
         for seq in self.seqs:
-            record = self.committed_record(seq, live_nodes)
+            record = self.entries.committed(seq, live_nodes)
             if record is None or record["base_version"] != base_version:
                 break
-            if not self.entry_intact(seq, live_nodes):
+            if not self.entries.intact(seq, live_nodes):
                 break
             tail.append((seq, record))
         return tail
-
-    def collect(
-        self, seq: int, worker: int, live_nodes: list[int]
-    ) -> tuple[np.ndarray, bytes, bool]:
-        """A verified ``(payload, metadata, from_buddy)`` for one writer.
-
-        Raises:
-            RecoveryError: when no survivor holds a verified copy.
-        """
-        live = set(live_nodes)
-        home = self.home_of(worker)
-        for node in (home, self.buddy_node(home)):
-            if node in live and self._holds_verified(node, seq, worker):
-                return (
-                    self.host.get(node, ("grad", seq, worker)),
-                    self.host.get(node, ("gradmeta", seq, worker)),
-                    node != home,
-                )
-        raise RecoveryError(
-            f"gradient-log entry seq={seq} worker={worker} has no verified "
-            f"surviving copy"
-        )
 
     def replay_packet(
         self,
@@ -272,59 +322,15 @@ class GradientLog:
         payload = base_payload
         metadata: bytes | None = None
         buddy_fetches = 0
+        home, _ = self.entries.replicas(worker)
         for seq, _record in tail:
-            delta, meta, from_buddy = self.collect(seq, worker, live_nodes)
+            delta, metadata, node = self.entries.read(seq, worker, live_nodes)
             payload = apply_delta(payload, delta)
-            metadata = meta
-            buddy_fetches += int(from_buddy)
+            buddy_fetches += int(node != home)
         return payload, metadata, buddy_fetches
 
-    # -- redundancy -----------------------------------------------------
     def restore_redundancy(self, wiped_nodes: set[int]) -> int:
-        """Re-replicate surviving entries onto wiped ranks.
-
-        After recovery the tail must tolerate the next failure like any
-        other entry: home/buddy copies and commit records that lived on a
-        wiped rank are re-pushed from survivors.  Returns logical real
-        bytes copied (the engine prices the transfer).
-        """
-        copied = 0
-        for seq in self.seqs:
-            live = [
-                n
-                for n in range(self.job.cluster.num_nodes)
-                if n not in wiped_nodes
-            ]
-            record = self.committed_record(seq, live)
-            if record is None:
-                continue
-            for worker in self.job.writers:
-                home = self.home_of(worker)
-                buddy = self.buddy_node(home)
-                holders = [
-                    n for n in (home, buddy)
-                    if self._holds_verified(n, seq, worker)
-                ]
-                if not holders:
-                    continue
-                source = holders[0]
-                for node in (home, buddy):
-                    if node not in holders:
-                        payload = self.host.get(
-                            source, ("grad", seq, worker)
-                        ).copy()
-                        self.host.put(node, ("grad", seq, worker), payload)
-                        self.host.put(
-                            node,
-                            ("graddig", seq, worker),
-                            self.host.get(source, ("graddig", seq, worker)),
-                        )
-                        self.host.put(
-                            node,
-                            ("gradmeta", seq, worker),
-                            self.host.get(source, ("gradmeta", seq, worker)),
-                        )
-                        copied += payload.nbytes
-            for node in wiped_nodes:
-                self.host.put(node, ("gradcommit", seq), dict(record))
-        return copied
+        """Re-replicate the kept entries onto wiped ranks, so the tail
+        tolerates the next failure like any fresh entry.  Returns logical
+        real bytes copied (the engine prices the transfer)."""
+        return sum(self.entries.rereplicate(seq, wiped_nodes) for seq in self.seqs)

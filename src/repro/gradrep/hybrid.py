@@ -26,10 +26,8 @@ from repro import obs
 from repro.checkpoint.base import RecoveryReport, SaveReport
 from repro.checkpoint.job import TrainingJob
 from repro.core.eccheck import ECCheckConfig, ECCheckEngine
-from repro.core.protocol import restore_state_dict
 from repro.gradrep.engine import GradRepConfig, GradRepEngine
 from repro.gradrep.gradlog import GradientLog
-from repro.tensors.tensor import GPU
 
 
 class HybridEngine(GradRepEngine):
@@ -43,6 +41,8 @@ class HybridEngine(GradRepEngine):
     """
 
     name = "hybrid"
+    #: The inner EC restore already installed the base.
+    installs_bases = False
 
     crash_points = ECCheckEngine.crash_points + (
         "pre_grad_store",
@@ -132,12 +132,8 @@ class HybridEngine(GradRepEngine):
         self, inner_report: RecoveryReport, failed_nodes: set[int]
     ) -> RecoveryReport:
         tm = self.job.time_model
-        live = [
-            n
-            for n in range(self.job.cluster.num_nodes)
-            if n not in failed_nodes
-        ]
         version = inner_report.version
+        rebranded = dataclasses.replace(inner_report, engine=self.name)
         if self.log.base_version != version:
             # The restored base predates (or postdates via remote
             # weirdness) the stream's base — the tail XORs against state
@@ -146,56 +142,32 @@ class HybridEngine(GradRepEngine):
             self.log.rebase(None, None)
             self._stream_packets = {}
             return dataclasses.replace(
-                self.inner_report_rebranded(inner_report),
-                replayed_iterations=0,
-                resume_iteration=None,
+                rebranded, replayed_iterations=0, resume_iteration=None
             )
 
-        tail = self.log.replayable_tail(version, live)
-        base_packets = self._build_packets()  # restored state == base state
+        bases = {  # restored state == base state
+            worker: (ckpt.packet.payload, ckpt.metadata_blob)
+            for worker, ckpt in self._build_packets().items()
+        }
+        tail, fetched = self._replay_tail(version, bases, failed_nodes)
         fetch_bytes = 0
         replay_bytes = 0
-        final_payloads = {}
         for worker in self.job.writers:
-            home = self.log.home_of(worker)
-            base = base_packets[worker]
-            payload, meta, buddy_fetches = self.log.replay_packet(
-                base.packet.payload, worker, tail, live
-            )
-            worker_replay = sum(
-                int(r["worker_logical"].get(worker, 0)) for _, r in tail
-            )
+            worker_replay = sum(self._replay_shares(tail, worker))
             replay_bytes += worker_replay
-            if buddy_fetches and home in failed_nodes:
+            home, _ = self.log.entries.replicas(worker)
+            if worker in fetched and home in failed_nodes:
                 fetch_bytes += worker_replay
-            final_payloads[worker] = payload
-            if tail:
-                self.job.state_dicts[worker] = restore_state_dict(
-                    meta if meta is not None else base.metadata_blob, payload, GPU
-                )
-        if tail:
-            self._restore_dp_replicas()
         replay_fetch = self._trunk_time(fetch_bytes) if fetch_bytes else 0.0
         replay_apply = tm.memcpy_time(replay_bytes) if replay_bytes else 0.0
         replay_htod = (
             max(
-                tm.htod_time(
-                    sum(int(r["worker_logical"].get(w, 0)) for _, r in tail)
-                )
+                tm.htod_time(sum(self._replay_shares(tail, w)))
                 for w in self.job.writers
             )
             if tail
             else 0.0
         )
-
-        # Tail hygiene: drop the dead suffix, re-replicate the surviving
-        # prefix onto the wiped ranks so the next failure is survivable.
-        self.log.prune_to([seq for seq, _ in tail])
-        self.log.restore_redundancy(set(failed_nodes))
-        self._stream_packets = {
-            worker: payload.copy()
-            for worker, payload in final_payloads.items()
-        }
         resume = (
             int(tail[-1][1]["iteration"]) if tail else self.log.base_iteration
         )
@@ -208,7 +180,7 @@ class HybridEngine(GradRepEngine):
             }
         )
         return dataclasses.replace(
-            self.inner_report_rebranded(inner_report),
+            rebranded,
             recovery_time=inner_report.recovery_time
             + replay_fetch
             + replay_apply
@@ -218,8 +190,3 @@ class HybridEngine(GradRepEngine):
             replayed_iterations=len(tail),
             resume_iteration=resume,
         )
-
-    def inner_report_rebranded(
-        self, inner_report: RecoveryReport
-    ) -> RecoveryReport:
-        return dataclasses.replace(inner_report, engine=self.name)

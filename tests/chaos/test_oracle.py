@@ -34,7 +34,7 @@ def make_setup(name, interval, **manager_kwargs):
         seed=13,
     )
     engine = build_engine(
-        name, job, ECCheckConfig(k=2, m=2, encode_threads=2, engine=name)
+        name, job, ECCheckConfig(k=2, m=2, encode_threads=2)
     )
     return job, engine, CheckpointManager(job, engine, interval, **manager_kwargs)
 
@@ -88,8 +88,7 @@ def chunk_faults(ec, version):
 def log_faults(engine):
     seq = engine.log.seqs[0]
     worker = engine.job.writers[-1]
-    home = engine.job.node_of(worker)
-    buddy = engine.log.buddy_node(home)
+    home, buddy = engine.log.entries.replicas(worker)
     return [
         (flip, buddy, ("grad", seq, worker),
          f"log entry seq={seq} worker {worker} delta corrupt on node {buddy}"),
@@ -104,8 +103,7 @@ def log_faults(engine):
 
 def anchor_faults(engine, version):
     worker = engine.job.writers[0]
-    home = engine.job.node_of(worker)
-    buddy = engine.log.buddy_node(home)
+    home, buddy = engine.anchors.replicas(worker)
     label = f"anchor v{version} packet of worker {worker}"
     return [
         (flip, home, ("apkt", version, worker), f"{label} corrupt on node {home}"),

@@ -135,7 +135,7 @@ def test_the_memo_is_bounded():
 
 def test_hybrid_engine_shares_its_inner_engines_bills():
     job = make_job()
-    hybrid = HybridEngine(job, ECCheckConfig(k=2, m=2, engine="hybrid"))
+    hybrid = HybridEngine(job, ECCheckConfig(k=2, m=2))
     assert hybrid.network is hybrid.inner.network
     bills, simulations = audit(hybrid.network)
     job.advance()

@@ -1,16 +1,11 @@
-"""Engine registry: lookup, dispatch, and duplicate protection."""
+"""Engine registry: lookup and dispatch by name."""
 
 import pytest
 
 from repro.errors import CheckpointError
 from repro.checkpoint.job import TrainingJob
 from repro.core.eccheck import ECCheckConfig
-from repro.core.registry import (
-    build_engine,
-    build_engine_from_config,
-    engine_names,
-    register_engine,
-)
+from repro.core.registry import build_engine, engine_names
 from repro.parallel.strategy import ParallelismSpec
 from repro.parallel.topology import ClusterSpec
 
@@ -36,30 +31,12 @@ def test_unknown_engine_raises_with_the_known_names():
         build_engine("no-such-engine", make_job())
 
 
-def test_duplicate_registration_raises():
-    with pytest.raises(CheckpointError, match="already registered"):
-        register_engine("eccheck", lambda job, config, **kw: None)
-
-
 def test_build_engine_names_match_instances():
     job = make_job()
     config = ECCheckConfig(k=2, m=2, encode_threads=2)
     for name in ("eccheck", "gradrep", "hybrid"):
         engine = build_engine(name, job, config)
         assert engine.name == name
-
-
-def test_build_engine_from_config_dispatches_on_the_engine_field():
-    job = make_job()
-    config = ECCheckConfig(k=2, m=2, encode_threads=2, engine="hybrid")
-    engine = build_engine_from_config(job, config)
-    assert engine.name == "hybrid"
     # The hybrid wraps a real EC engine built from the same config.
     assert engine.inner.name == "eccheck"
-    assert engine.inner.config.k == 2
-
-
-def test_build_engine_from_config_defaults_to_eccheck():
-    job = make_job()
-    engine = build_engine_from_config(job, ECCheckConfig(k=2, m=2, encode_threads=2))
-    assert engine.name == "eccheck"
+    assert engine.inner.config is config

@@ -29,7 +29,7 @@ def make_setup(name, interval=4, seed=13):
         seed=seed,
     )
     engine = build_engine(
-        name, job, ECCheckConfig(k=2, m=2, encode_threads=2, engine=name)
+        name, job, ECCheckConfig(k=2, m=2, encode_threads=2)
     )
     manager = CheckpointManager(job, engine, interval=interval)
     return job, engine, manager

@@ -21,7 +21,7 @@ def make_engine(name="gradrep", seed=11):
         seed=seed,
     )
     engine = build_engine(
-        name, job, ECCheckConfig(k=2, m=2, encode_threads=2, engine=name)
+        name, job, ECCheckConfig(k=2, m=2, encode_threads=2)
     )
     return job, engine
 
@@ -75,8 +75,7 @@ def test_append_places_home_buddy_and_broadcasts_commit():
     log = seeded_log(engine, entries=1)
     seq = log.seqs[0]
     for worker in engine.job.writers:
-        home = log.home_of(worker)
-        for node in (home, log.buddy_node(home)):
+        for node in log.entries.replicas(worker):
             assert engine.host.contains(node, ("grad", seq, worker))
             assert engine.host.contains(node, ("graddig", seq, worker))
             assert engine.host.contains(node, ("gradmeta", seq, worker))
@@ -108,8 +107,7 @@ def test_bit_rot_demotes_the_entry():
     log = seeded_log(engine, entries=1)
     seq = log.seqs[0]
     worker = engine.job.writers[0]
-    home = log.home_of(worker)
-    for node in (home, log.buddy_node(home)):
+    for node in log.entries.replicas(worker):
         engine.host.get(node, ("grad", seq, worker))[0] ^= 0xFF
     assert log.replayable_tail(1, [0, 1, 2, 3]) == []
 
@@ -139,15 +137,14 @@ def test_rebase_scrubs_raw_storage_not_just_bookkeeping():
             ), key
 
 
-def test_collect_raises_when_no_verified_copy_survives():
+def test_read_raises_when_no_whole_copy_survives():
     _, engine = make_engine()
     log = seeded_log(engine, entries=1)
     seq = log.seqs[0]
     worker = engine.job.writers[0]
-    home = log.home_of(worker)
+    replicas = log.entries.replicas(worker)
     with pytest.raises(RecoveryError):
-        log.collect(seq, worker, [n for n in range(4)
-                                  if n not in (home, log.buddy_node(home))])
+        log.entries.read(seq, worker, [n for n in range(4) if n not in replicas])
 
 
 def test_restore_redundancy_recreates_wiped_copies():
@@ -161,8 +158,7 @@ def test_restore_redundancy_recreates_wiped_copies():
     for seq in log.seqs:
         assert engine.host.contains(1, ("gradcommit", seq))
     for worker in engine.job.writers:
-        home = log.home_of(worker)
-        for node in (home, log.buddy_node(home)):
+        for node in log.entries.replicas(worker):
             for seq in log.seqs:
                 assert engine.host.contains(node, ("grad", seq, worker))
 
