@@ -1,22 +1,17 @@
 #!/usr/bin/env python3
-"""Group-based ECCheck on a larger cluster (the paper's future-work knob).
+"""Planning node groups for a larger cluster (the paper's future-work knob).
 
 Raising fault tolerance by adding parity nodes raises every device's
 checkpoint traffic (m shard-sizes per device).  Grouping bounds that cost:
-split the cluster into groups, run ECCheck inside each.  This example uses
-the grouping planner to pick the cheapest configuration meeting a target
-recovery rate, then drives the real grouped engine through a 4-node
-concurrent failure.
+split the cluster into groups and erasure code inside each.  This example
+uses the closed-form grouping planner to pick the cheapest configuration
+meeting a target cluster recovery rate.
 
 Run:
     python examples/grouped_large_cluster.py
 """
 
-from repro.checkpoint.job import TrainingJob
-from repro.core.grouped import GroupedECCheckEngine, plan_grouping
-from repro.parallel.strategy import ParallelismSpec
-from repro.parallel.topology import ClusterSpec
-from repro.tensors.state_dict import state_dicts_equal
+from repro.analysis.grouping import plan_grouping
 
 
 def main() -> None:
@@ -29,34 +24,6 @@ def main() -> None:
     print(f"  -> predicted recovery rate {plan.cluster_recovery_rate:.6f}")
     print(f"  -> per-device checkpoint traffic: {plan.per_device_comm_units} "
           f"shard-size(s)")
-
-    job = TrainingJob.create(
-        model="gpt2-h1024-L32",
-        cluster=ClusterSpec(num_nodes=num_nodes, gpus_per_node=1),
-        strategy=ParallelismSpec(pipeline_parallel=num_nodes),
-        scale=5e-4,
-    )
-    engine = GroupedECCheckEngine(job, group_size=plan.group_size, k=plan.k)
-    job.advance(10)
-    report = engine.save()
-    print(f"\ngrouped save: {report.checkpoint_time:.2f}s "
-          f"(stall {report.stall_time:.2f}s), "
-          f"{report.bytes_inter_node / 2**30:.1f} GiB moved")
-
-    reference = job.snapshot_states()
-    # One failure per group's budget, spread over the cluster.
-    failed = set()
-    for gid, nodes in enumerate(engine.groups):
-        failed.update(nodes[: min(plan.m, 1)])
-    print(f"\ncrashing nodes {sorted(failed)} (one per group)")
-    job.fail_nodes(failed)
-    recovery = engine.restore(failed)
-    exact = all(
-        state_dicts_equal(job.state_of(w), reference[w])
-        for w in range(job.world_size)
-    )
-    print(f"recovered in {recovery.recovery_time:.2f}s, bit-exact: {exact}")
-    assert exact
 
 
 if __name__ == "__main__":

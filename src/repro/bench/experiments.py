@@ -612,7 +612,7 @@ def ablation_rack_aware_grouping(
     rack-correlated failures: aligned groups die with their rack while
     transversal groups lose at most one member per rack outage.
     """
-    from repro.core.grouped import (
+    from repro.analysis.grouping import (
         rack_aligned_groups,
         rack_failure_survivable,
         rack_transversal_groups,

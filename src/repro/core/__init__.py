@@ -16,6 +16,9 @@ Modules map one-to-one onto the paper's design sections:
 * :mod:`repro.core.eccheck` — the engine tying it together
   (``initialize`` / ``save`` / ``load``), including both recovery
   workflows (Sec. III-B).
+
+Splitting a large cluster into node groups (the paper's future work) is
+closed-form planning, not another engine: see :mod:`repro.analysis.grouping`.
 """
 
 from repro.core.placement import (
@@ -26,7 +29,6 @@ from repro.core.placement import (
 )
 from repro.core.reduction import ReductionGroup, ReductionPlan, build_reduction_plan
 from repro.core.eccheck import ECCheckConfig, ECCheckEngine
-from repro.core.grouped import GroupedECCheckEngine, GroupingPlan, plan_grouping
 from repro.core.integrity import chunk_digest, verify_chunk
 from repro.core.registry import build_engine, engine_names
 
@@ -35,9 +37,6 @@ __all__ = [
     "ECCheckEngine",
     "build_engine",
     "engine_names",
-    "GroupedECCheckEngine",
-    "GroupingPlan",
-    "plan_grouping",
     "chunk_digest",
     "verify_chunk",
     "PlacementPlan",

@@ -1,31 +1,16 @@
-"""Tests for rack-aware grouping and correlated failure handling."""
+"""Tests for rack topology and rack-correlated failure sampling."""
 
 import numpy as np
 import pytest
 
-from repro.errors import CheckpointError, RecoveryError, ReproError, SimulationError
-from repro.checkpoint.job import TrainingJob
-from repro.core.grouped import (
-    GroupedECCheckEngine,
+from repro.analysis.grouping import (
     rack_aligned_groups,
     rack_failure_survivable,
     rack_transversal_groups,
 )
-from repro.parallel.strategy import ParallelismSpec
+from repro.errors import ReproError, SimulationError
 from repro.parallel.topology import ClusterSpec
 from repro.sim.failures import sample_correlated_failures
-from repro.tensors.state_dict import state_dicts_equal
-
-
-def make_racked_job(num_nodes=8, nodes_per_rack=4, gpus=1, scale=1e-3):
-    return TrainingJob.create(
-        "gpt2-h1024-L16",
-        ClusterSpec(num_nodes=num_nodes, gpus_per_node=gpus,
-                    nodes_per_rack=nodes_per_rack),
-        strategy=ParallelismSpec(pipeline_parallel=num_nodes * gpus),
-        scale=scale,
-        seed=31,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -54,92 +39,6 @@ def test_rack_validation():
         cluster.rack_of(8)
     with pytest.raises(ReproError):
         cluster.nodes_of_rack(2)
-
-
-# ---------------------------------------------------------------------------
-# Group construction
-# ---------------------------------------------------------------------------
-def test_aligned_groups_follow_node_order():
-    cluster = ClusterSpec(8, 1, nodes_per_rack=4)
-    assert rack_aligned_groups(cluster, 2) == [[0, 1], [2, 3], [4, 5], [6, 7]]
-    with pytest.raises(CheckpointError):
-        rack_aligned_groups(cluster, 3)
-
-
-def test_transversal_groups_take_one_node_per_rack():
-    cluster = ClusterSpec(8, 1, nodes_per_rack=4)
-    groups = rack_transversal_groups(cluster, 2)
-    assert groups == [[0, 4], [1, 5], [2, 6], [3, 7]]
-    for nodes in groups:
-        racks = {cluster.rack_of(n) for n in nodes}
-        assert len(racks) == len(nodes)  # every member in a distinct rack
-
-
-def test_transversal_requires_rack_structure_and_matching_size():
-    with pytest.raises(CheckpointError):
-        rack_transversal_groups(ClusterSpec(8, 1), 2)
-    with pytest.raises(CheckpointError):
-        rack_transversal_groups(ClusterSpec(8, 1, nodes_per_rack=4), 4)
-
-
-def test_rack_failure_survivable_predicate():
-    groups = [[0, 4], [1, 5]]
-    assert rack_failure_survivable(groups, {0, 1}, m=1)
-    assert not rack_failure_survivable(groups, {0, 4}, m=1)
-
-
-# ---------------------------------------------------------------------------
-# The payoff: transversal groups survive a whole-rack outage
-# ---------------------------------------------------------------------------
-def test_transversal_grouping_survives_rack_outage_aligned_does_not():
-    """A full rack fails.  Rack-aligned groups of 2 (both members in the
-    rack) are unrecoverable; transversal groups lose one member each and
-    recover bit-exactly."""
-    rack = set(ClusterSpec(8, 1, nodes_per_rack=4).nodes_of_rack(0))
-
-    # Aligned: groups [0,1], [2,3] are entirely inside rack 0 -> fatal.
-    job = make_racked_job()
-    aligned = GroupedECCheckEngine(job, group_size=2, k=1)
-    aligned.save()
-    job.fail_nodes(rack)
-    with pytest.raises(RecoveryError):
-        aligned.restore(rack)
-
-    # Transversal: every group loses exactly one of its two members.
-    job = make_racked_job()
-    transversal = GroupedECCheckEngine(
-        job, group_size=2, k=1,
-        groups=rack_transversal_groups(job.cluster, 2),
-    )
-    transversal.save()
-    reference = job.snapshot_states()
-    job.advance()
-    job.fail_nodes(rack)
-    transversal.restore(rack)
-    for worker, expected in reference.items():
-        assert state_dicts_equal(job.state_of(worker), expected), worker
-
-
-def test_noncontiguous_group_round_trip_with_node_failure():
-    job = make_racked_job()
-    engine = GroupedECCheckEngine(
-        job, group_size=2, k=1,
-        groups=rack_transversal_groups(job.cluster, 2),
-    )
-    engine.save()
-    reference = job.snapshot_states()
-    job.fail_nodes({5})  # member of group [1, 5]
-    engine.restore({5})
-    for worker, expected in reference.items():
-        assert state_dicts_equal(job.state_of(worker), expected), worker
-
-
-def test_groups_must_partition_cluster():
-    job = make_racked_job()
-    with pytest.raises(CheckpointError):
-        GroupedECCheckEngine(job, group_size=2, k=1, groups=[[0, 1], [0, 2]])
-    with pytest.raises(CheckpointError):
-        GroupedECCheckEngine(job, group_size=2, k=1, groups=[[0, 1, 2]])
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,15 @@
 """Engine registry: lookup and dispatch by name."""
 
+import importlib
+import inspect
+import pkgutil
+
 import pytest
 
+import repro
 from repro.errors import CheckpointError
+from repro.chaos.invariants import _RULES
+from repro.checkpoint.base import CheckpointEngine
 from repro.checkpoint.job import TrainingJob
 from repro.core.eccheck import ECCheckConfig
 from repro.core.registry import build_engine, engine_names
@@ -20,10 +27,28 @@ def make_job(seed=5):
     )
 
 
+def _concrete_engine_names() -> set[str]:
+    """The name of every concrete CheckpointEngine subclass defined under
+    ``repro``, found by importing each of the package's modules."""
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        if not info.name.endswith(".__main__"):
+            importlib.import_module(info.name)
+    names, pending = set(), [CheckpointEngine]
+    while pending:
+        for cls in pending.pop().__subclasses__():
+            pending.append(cls)
+            if cls.__module__.startswith("repro.") and not inspect.isabstract(cls):
+                names.add(cls.name)
+    return names
+
+
 def test_all_builtin_engines_are_registered():
-    names = engine_names()
-    for expected in ("eccheck", "base1", "base2", "base3", "gradrep", "hybrid"):
-        assert expected in names
+    """An engine no campaign can build, or no oracle rule can judge, must
+    not exist: each one has a registry builder and an oracle rule."""
+    names = _concrete_engine_names()
+    assert {"eccheck", "hybrid"} <= names
+    assert names <= set(engine_names()), names - set(engine_names())
+    assert names <= set(_RULES), names - set(_RULES)
 
 
 def test_unknown_engine_raises_with_the_known_names():
