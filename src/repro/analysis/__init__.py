@@ -35,16 +35,8 @@ from repro.analysis.breakdown import (
     serialization_fraction,
     sum_breakdowns,
 )
-from repro.analysis.memory import (
-    equal_redundancy_k,
-    erasure_memory_factor,
-    replication_memory_factor,
-)
 
 __all__ = [
-    "equal_redundancy_k",
-    "erasure_memory_factor",
-    "replication_memory_factor",
     "cluster_recovery_rate",
     "erasure_recovery_rate",
     "montecarlo_recovery_rate",

@@ -19,17 +19,20 @@ from repro.analysis.recovery_rate import (
     erasure_recovery_rate,
     replication_recovery_rate,
 )
-from repro.bench.harness import ExperimentTable, all_engines, make_testbed_job
-from repro.checkpoint.replication import GeminiReplicationEngine
-from repro.checkpoint.sync_remote import SyncRemoteEngine
-from repro.checkpoint.two_phase import TwoPhaseEngine
+from repro.bench.harness import (
+    ENGINES,
+    PAPER_CONFIG,
+    ExperimentTable,
+    all_engines,
+    make_testbed_job,
+)
 from repro.core.eccheck import ECCheckConfig, ECCheckEngine
+from repro.core.registry import build_engine
 from repro.core.scheduler import profile_idle_slots, schedule_checkpoint_comm
 from repro.models.config import CheckpointSizeModel, get_model_config, table1_configs
 from repro.sim.network import TimeModel, gbps
 from repro.sim.timeline import pipeline_schedule_timeline
 
-ENGINES = ("base1", "base2", "base3", "eccheck")
 FIG10_MODELS = [cfg.name for cfg in table1_configs()]
 
 
@@ -235,12 +238,7 @@ def fig13_recovery_time(
             row: dict[str, object] = {}
             for engine_name in ENGINES:
                 job = make_testbed_job(model=name)
-                engine = {
-                    "base1": lambda j: SyncRemoteEngine(j),
-                    "base2": lambda j: TwoPhaseEngine(j),
-                    "base3": lambda j: GeminiReplicationEngine(j),
-                    "eccheck": lambda j: ECCheckEngine(j, ECCheckConfig(k=2, m=2)),
-                }[engine_name](job)
+                engine = build_engine(engine_name, job, PAPER_CONFIG)
                 engine.save()
                 job.fail_nodes(failed)
                 try:
@@ -466,9 +464,9 @@ def build_engine_profiles(model: str = "gpt2-5.3B"):
 
     profiles = []
 
-    def measured(engine_name, factory, failed, durable_every):
+    def measured(engine_name, failed):
         job = make_testbed_job(model=model)
-        engine = factory(job)
+        engine = build_engine(engine_name, job, PAPER_CONFIG)
         save = engine.save()
         job.fail_nodes(failed)
         memory_recovery = 0.0
@@ -480,7 +478,7 @@ def build_engine_profiles(model: str = "gpt2-5.3B"):
 
     # base1 — remote only; every save is durable.
     job = make_testbed_job(model=model)
-    b1 = SyncRemoteEngine(job)
+    b1 = build_engine("base1", job, PAPER_CONFIG)
     save1 = b1.save()
     job.fail_nodes({0})
     remote_recovery = b1.restore({0}).recovery_time
@@ -495,7 +493,7 @@ def build_engine_profiles(model: str = "gpt2-5.3B"):
         )
     )
     # base2 — async persist, still remote-durable per save.
-    save2, _ = measured("base2", lambda j: TwoPhaseEngine(j), {0}, True)
+    save2, _ = measured("base2", {0})
     profiles.append(
         EngineProfile(
             name="base2", stall_s=save2.stall_time,
@@ -507,7 +505,7 @@ def build_engine_profiles(model: str = "gpt2-5.3B"):
         )
     )
     # base3 — survives one failure per replication group.
-    save3, mem3 = measured("base3", lambda j: GeminiReplicationEngine(j), {1, 3}, False)
+    save3, mem3 = measured("base3", {1, 3})
     profiles.append(
         EngineProfile(
             name="base3", stall_s=save3.stall_time,
@@ -519,12 +517,7 @@ def build_engine_profiles(model: str = "gpt2-5.3B"):
     )
     # eccheck — survives any <= m failures; use the slower decode-path
     # recovery time as the conservative in-memory number.
-    save4, mem4 = measured(
-        "eccheck",
-        lambda j: ECCheckEngine(j, ECCheckConfig(k=2, m=2)),
-        {2, 3},
-        False,
-    )
+    save4, mem4 = measured("eccheck", {2, 3})
     profiles.append(
         EngineProfile(
             name="eccheck", stall_s=save4.stall_time,

@@ -7,10 +7,8 @@ from typing import Any
 
 from repro.errors import ReproError
 from repro.checkpoint.job import TrainingJob
-from repro.checkpoint.replication import GeminiReplicationEngine
-from repro.checkpoint.sync_remote import SyncRemoteEngine
-from repro.checkpoint.two_phase import TwoPhaseEngine
-from repro.core.eccheck import ECCheckConfig, ECCheckEngine
+from repro.core.eccheck import ECCheckConfig
+from repro.core.registry import build_engine
 from repro.parallel.strategy import ParallelismSpec
 from repro.parallel.topology import ClusterSpec
 from repro.sim.network import TimeModel
@@ -19,6 +17,11 @@ from repro.sim.network import TimeModel
 # enough that every tensor is non-degenerate.  Timing results come from the
 # *logical* byte accounting and are scale-independent.
 BENCH_SCALE = 2e-4
+
+#: The paper's four engines, in its tables' column order.
+ENGINES = ("base1", "base2", "base3", "eccheck")
+#: ECCheck's coding shape on the 4-node testbed (``k = m = n/2``).
+PAPER_CONFIG = ECCheckConfig(k=2, m=2)
 
 
 def make_testbed_job(
@@ -44,14 +47,9 @@ def make_testbed_job(
     )
 
 
-def all_engines(job: TrainingJob, k: int = 2, m: int = 2) -> dict[str, Any]:
-    """Fresh instances of every engine on the same job."""
-    return {
-        "base1": SyncRemoteEngine(job),
-        "base2": TwoPhaseEngine(job),
-        "base3": GeminiReplicationEngine(job),
-        "eccheck": ECCheckEngine(job, ECCheckConfig(k=k, m=m)),
-    }
+def all_engines(job: TrainingJob) -> dict[str, Any]:
+    """Fresh instances of the paper's four engines on the same job."""
+    return {name: build_engine(name, job, PAPER_CONFIG) for name in ENGINES}
 
 
 @dataclass

@@ -135,7 +135,7 @@ def build_testbed(engine: str, model: str, scale: float, seed: int):
         seed=seed,
     )
     config = ECCheckConfig(k=2, m=2, encode_threads=2)
-    return job, build_engine(engine, job, config, group_size=2)
+    return job, build_engine(engine, job, config)
 
 
 def observed_episode(body, *, config, trace: bool, alert_rules=None):

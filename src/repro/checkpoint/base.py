@@ -13,8 +13,7 @@ the replication baseline.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from collections import OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Iterator, Protocol, runtime_checkable
 
 from repro import obs
@@ -24,9 +23,7 @@ from repro.checkpoint.storage import HostMemoryStore, LocalDiskStore, RemoteStor
 from repro.sim.network import (
     REMOTE,
     ClusterNetwork,
-    TimeModel,
     TransferRequest,
-    TransferResult,
 )
 from repro.tensors.serialization import deserialize_state_dict, serialize_state_dict
 
@@ -131,40 +128,6 @@ class DemotionReport:
     bytes_to_disk: int = 0
 
 
-class BilledNetwork(ClusterNetwork):
-    """An engine's network: the flow simulation plus a memo of its bills.
-
-    A save's transfer plan repeats save after save, a failure pattern's
-    restore plans likewise, so :meth:`bill` runs ``simulate`` (the uncached
-    primitive) once per distinct plan.  The key holds the ``time_model`` of
-    the moment, so replacing it — the fleet arbiter does, around a save —
-    is never served a stale bill.
-    """
-
-    #: Plans kept (LRU); a delta save's plan rarely repeats, hence a bound.
-    BILL_CACHE_SIZE = 64
-
-    def __init__(self, num_nodes: int, time_model: TimeModel | None = None):
-        super().__init__(num_nodes, time_model)
-        self._bills: OrderedDict[tuple, TransferResult] = OrderedDict()
-
-    def bill(self, requests: list[TransferRequest]) -> TransferResult:
-        """:meth:`simulate`'s result for ``requests``; its lists are copies."""
-        key = (self.time_model, tuple(requests))
-        result = self._bills.get(key)
-        if result is None:
-            result = self._bills[key] = self.simulate(requests)
-            if len(self._bills) > self.BILL_CACHE_SIZE:
-                self._bills.popitem(last=False)
-        else:
-            self._bills.move_to_end(key)
-        return replace(
-            result,
-            flow_finish_times=list(result.flow_finish_times),
-            request_finish_times=list(result.request_finish_times),
-        )
-
-
 class CheckpointEngine(ABC):
     """Base class for all checkpoint engines."""
 
@@ -180,7 +143,7 @@ class CheckpointEngine(ABC):
         self.host = HostMemoryStore(job.cluster.num_nodes)
         self.disk = LocalDiskStore(job.cluster.num_nodes)
         self.remote = RemoteStorage()
-        self.network = BilledNetwork(job.cluster.num_nodes, job.time_model)
+        self.network = ClusterNetwork(job.cluster.num_nodes, job.time_model)
         self.version = 0
         #: When set (a callable ``(point, **context)``), the save flow
         #: consults it at every crash point; the callable may raise
@@ -285,7 +248,7 @@ class CheckpointEngine(ABC):
                     src=self.job.node_of(worker), dst=REMOTE, nbytes=logical
                 )
             )
-        result = self.network.simulate(requests)
+        result = self.network.bill(requests)
         return result.makespan, total
 
     def _complete_remote_versions(self) -> Iterator[int]:
@@ -368,7 +331,7 @@ class CheckpointEngine(ABC):
                 )
             )
         self._restore_dp_replicas()
-        result = self.network.simulate(requests)
+        result = self.network.bill(requests)
         tm = self.job.time_model
         deserialize = max(
             tm.deserialize_time(self.job.logical_shard_bytes(w))

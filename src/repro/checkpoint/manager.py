@@ -4,8 +4,7 @@ The engines expose mechanism (``save``/``restore``); this manager adds the
 policy layer the paper's ``eccheck.initialize`` / ``eccheck.save`` /
 ``eccheck.load`` functions imply:
 
-* decides *when* to checkpoint (fixed interval or the adaptive CheckFreq
-  tuner fed with measured overhead),
+* decides *when* to checkpoint (every ``interval`` iterations),
 * schedules low-frequency remote backups (ECCheck's step 4) when the
   engine supports them, GC'ing old backups past a retention depth,
 * applies the tier policy after each committed save: cold versions are
@@ -38,7 +37,6 @@ from repro.checkpoint.base import (
     SupportsReplication,
     SupportsTiers,
 )
-from repro.checkpoint.frequency import AdaptiveFrequencyTuner
 from repro.checkpoint.job import TrainingJob
 from repro.checkpoint.tiering import TierPolicy
 
@@ -96,10 +94,6 @@ class CheckpointManager:
         job: the training job (its ``iteration`` counter is the clock).
         engine: any :class:`~repro.checkpoint.base.CheckpointEngine`.
         interval: iterations between checkpoints.
-        adaptive: adapt the interval from measured stall overhead using
-            :class:`~repro.checkpoint.frequency.AdaptiveFrequencyTuner`
-            (requires ``iteration_s``).
-        iteration_s: baseline iteration seconds (for the adaptive tuner).
         remote_backup_every: checkpoints between remote backups (0
             disables); needs a :class:`SupportsRemoteBackup` engine.
         remote_backup_keep: complete remote backups to retain; older
@@ -121,8 +115,6 @@ class CheckpointManager:
         job: TrainingJob,
         engine: CheckpointEngine,
         interval: int = 16,
-        adaptive: bool = False,
-        iteration_s: float | None = None,
         remote_backup_every: int = 0,
         remote_backup_keep: int = 0,
         tier_policy: TierPolicy | None = None,
@@ -137,8 +129,6 @@ class CheckpointManager:
             raise CheckpointError(
                 f"remote_backup_keep must be >= 0, got {remote_backup_keep}"
             )
-        if adaptive and (iteration_s is None or iteration_s <= 0):
-            raise CheckpointError("adaptive mode needs a positive iteration_s")
         if remote_backup_every and not isinstance(engine, SupportsRemoteBackup):
             raise CheckpointError(
                 f"engine {engine.name!r} has no remote-backup path"
@@ -150,13 +140,9 @@ class CheckpointManager:
         self.job = job
         self.engine = engine
         self.interval = interval
-        self.iteration_s = iteration_s
         self.remote_backup_every = remote_backup_every
         self.remote_backup_keep = remote_backup_keep
         self.tier_policy = tier_policy
-        self.tuner = (
-            AdaptiveFrequencyTuner(interval=interval) if adaptive else None
-        )
         self.stats = ManagerStats()
         #: The engine as a replication target, resolved once (None: the
         #: engine keeps no gradient log).
@@ -168,17 +154,13 @@ class CheckpointManager:
         self._degraded_window: dict | None = None
 
     # ------------------------------------------------------------------
-    @property
-    def current_interval(self) -> int:
-        return self.tuner.interval if self.tuner else self.interval
-
     def due(self) -> bool:
         """True if a checkpoint is due at the job's current iteration."""
         if self._last_checkpoint_iteration is None:
             return True
         return (
             self.job.iteration - self._last_checkpoint_iteration
-            >= self.current_interval
+            >= self.interval
         )
 
     def iteration_of_version(self, version: int) -> int:
@@ -234,9 +216,6 @@ class CheckpointManager:
             tracer.metrics.histogram("manager.checkpoint_s").observe(
                 report.checkpoint_time
             )
-        if self.tuner and self.iteration_s:
-            observed = report.stall_time / (self.current_interval * self.iteration_s)
-            self.tuner.observe(observed)
         if (
             self.remote_backup_every
             and self.stats.checkpoints % self.remote_backup_every == 0

@@ -114,7 +114,7 @@ class GeminiReplicationEngine(CheckpointEngine):
                             src=node, dst=peer, nbytes=node_bytes, start_delay=stall
                         )
                     )
-        result = self.network.simulate(requests)
+        result = self.network.bill(requests)
         return SaveReport(
             engine=self.name,
             version=self.version,
@@ -229,7 +229,7 @@ class GeminiReplicationEngine(CheckpointEngine):
                 snapshot, lambda t: t.to(GPU)
             )
         self._restore_dp_replicas()
-        transfer = self.network.simulate(requests).makespan if requests else 0.0
+        transfer = self.network.bill(requests).makespan if requests else 0.0
         htod = max(htod_times)
         recovery_time = max(transfer, max(local_copy_times)) + htod
 
@@ -252,7 +252,7 @@ class GeminiReplicationEngine(CheckpointEngine):
                 redo_requests.append(
                     TransferRequest(src=peer, dst=node, nbytes=peer_bytes)
                 )
-        redo_time = self.network.simulate(redo_requests).makespan if redo_requests else 0.0
+        redo_time = self.network.bill(redo_requests).makespan if redo_requests else 0.0
         return RecoveryReport(
             engine=self.name,
             version=version,

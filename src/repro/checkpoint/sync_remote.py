@@ -56,7 +56,7 @@ class SyncRemoteEngine(CheckpointEngine):
                     start_delay=serialize_times[worker],
                 )
             )
-        result = self.network.simulate(requests)
+        result = self.network.bill(requests)
         serialize_phase = max(serialize_times.values())
         total = result.makespan
         report = SaveReport(

@@ -7,19 +7,9 @@ and remote backups survive everything.  The policy decides, after every
 committed checkpoint, which versions are *demoted* from memory to disk and
 which disk versions are *evicted* (GC).
 
-The cost model unifies the two control loops that already exist:
-
-* :func:`repro.checkpoint.frequency.young_daly_interval` prices how much
-  history is worth keeping in the fast tier.  ``sqrt(2 * C * MTBF)`` is the
-  optimal spacing between events that cost ``C`` to recover from under a
-  given failure rate; with ``C`` set to the *promotion* cost (reading a
-  version back from disk), versions younger than one Young-Daly window are
-  the ones a typical failure will actually want, so they stay in memory.
-  Dividing by the checkpoint cadence converts the window into a version
-  count (:func:`recommend_memory_depth`).
-* :class:`repro.elastic.policy.RedundancyPolicy` supplies the online MTBF
-  estimate from the observed failure stream, so the memory depth adapts:
-  flaky clusters hold more versions hot, quiet clusters demote eagerly.
+The policy keeps the ``memory_versions`` newest versions in memory and
+the ``disk_versions`` newest demoted ones on disk; remote backups, when
+enabled, cover deeper history.
 
 Demotion is asynchronous — it happens after the save commits and its time
 is reported off the training critical path — and conservative: the
@@ -30,11 +20,8 @@ longer fully intact in memory are skipped rather than torn-demoted.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.checkpoint.frequency import young_daly_interval
-from repro.elastic.policy import RedundancyPolicy
 from repro.errors import CheckpointError
 
 
@@ -51,67 +38,20 @@ class TierDecision:
     evict: tuple[int, ...] = ()
 
 
-def recommend_memory_depth(
-    checkpoint_interval_s: float,
-    mtbf_s: float,
-    promote_cost_s: float,
-    min_depth: int = 1,
-    max_depth: int = 16,
-) -> int:
-    """Versions to keep in the fast tier: one Young-Daly window of history.
-
-    ``young_daly_interval(promote_cost_s, mtbf_s)`` is the horizon within
-    which paying the disk-promotion cost on failure would dominate the
-    memory saved by demoting; versions checkpointed inside that horizon
-    stay in memory.  The result is clamped to ``[min_depth, max_depth]``.
-
-    Raises:
-        CheckpointError: for non-positive inputs or a bad clamp range.
-    """
-    if checkpoint_interval_s <= 0:
-        raise CheckpointError(
-            f"checkpoint_interval_s must be positive, got {checkpoint_interval_s}"
-        )
-    if not 1 <= min_depth <= max_depth:
-        raise CheckpointError("need 1 <= min_depth <= max_depth")
-    window_s = young_daly_interval(promote_cost_s, mtbf_s)
-    depth = math.ceil(window_s / checkpoint_interval_s)
-    return max(min_depth, min(max_depth, depth))
-
-
 @dataclass
 class TierPolicy:
-    """Per-version tier placement from checkpoint frequency + MTBF.
-
-    With ``adaptive=False`` the depths are static knobs.  With
-    ``adaptive=True`` the memory depth is re-derived on every
-    :meth:`decide` from the :class:`RedundancyPolicy` MTBF estimate (feed
-    it via :meth:`observe_failure`); until enough failures have been
-    observed the static ``memory_versions`` applies.
+    """Per-version tier placement by age.
 
     Attributes:
-        memory_versions: static fast-tier depth (and the adaptive floor's
-            fallback before an MTBF estimate exists).
+        memory_versions: how many versions the fast (host-memory) tier
+            keeps; older ones are demoted to disk.
         disk_versions: how many versions the disk tier retains; older
             demoted versions are evicted (remote backups, when enabled,
             cover deeper history).
-        adaptive: derive the memory depth from the failure stream.
-        checkpoint_interval_s: wall seconds between committed checkpoints
-            (cadence, for converting the Young-Daly window into versions).
-        promote_cost_s: cost of promoting one version disk -> memory.
-        min_memory_versions / max_memory_versions: adaptive clamps.
-        redundancy_policy: MTBF estimator (owned here; share it with the
-            elastic controller to pool failure observations).
     """
 
     memory_versions: int = 2
     disk_versions: int = 8
-    adaptive: bool = False
-    checkpoint_interval_s: float = 60.0
-    promote_cost_s: float = 5.0
-    min_memory_versions: int = 1
-    max_memory_versions: int = 16
-    redundancy_policy: RedundancyPolicy = field(default_factory=RedundancyPolicy)
 
     def __post_init__(self) -> None:
         if self.memory_versions < 1:
@@ -122,37 +62,6 @@ class TierPolicy:
             raise CheckpointError(
                 f"disk_versions must be >= 0, got {self.disk_versions}"
             )
-        if not 1 <= self.min_memory_versions <= self.max_memory_versions:
-            raise CheckpointError(
-                "need 1 <= min_memory_versions <= max_memory_versions"
-            )
-        if self.checkpoint_interval_s <= 0:
-            raise CheckpointError(
-                f"checkpoint_interval_s must be positive, "
-                f"got {self.checkpoint_interval_s}"
-            )
-        if self.promote_cost_s <= 0:
-            raise CheckpointError(
-                f"promote_cost_s must be positive, got {self.promote_cost_s}"
-            )
-
-    def observe_failure(self, sim_time: float, count: int = 1) -> None:
-        """Feed one failure event into the MTBF estimator."""
-        self.redundancy_policy.observe_failure(sim_time, count)
-
-    def memory_depth(self) -> int:
-        """Fast-tier depth currently in force."""
-        if self.adaptive:
-            mtbf = self.redundancy_policy.mtbf_estimate()
-            if mtbf is not None:
-                return recommend_memory_depth(
-                    self.checkpoint_interval_s,
-                    mtbf,
-                    self.promote_cost_s,
-                    min_depth=self.min_memory_versions,
-                    max_depth=self.max_memory_versions,
-                )
-        return self.memory_versions
 
     def decide(
         self,
@@ -172,9 +81,10 @@ class TierPolicy:
         Returns:
             The demotions and disk evictions to apply, newest-first.
         """
-        depth = self.memory_depth()
         in_memory = sorted(set(memory_versions), reverse=True)
-        demote = tuple(v for v in in_memory[depth:] if v != pinned)
+        demote = tuple(
+            v for v in in_memory[self.memory_versions:] if v != pinned
+        )
         disk_after = sorted(set(disk_versions) | set(demote), reverse=True)
         evict = tuple(disk_after[self.disk_versions:])
         return TierDecision(demote=demote, evict=evict)

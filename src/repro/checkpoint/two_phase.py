@@ -74,7 +74,7 @@ class TwoPhaseEngine(CheckpointEngine):
                     start_delay=stall + serialize,
                 )
             )
-        result = self.network.simulate(requests)
+        result = self.network.bill(requests)
         # Attribute the persist phase along the *critical* request — the one
         # whose flow finishes last — using its actual start delay.  Splitting
         # ``makespan - stall - max(serialize_times)`` instead misattributes

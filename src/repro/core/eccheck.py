@@ -80,6 +80,10 @@ from repro.sim.timeline import Interval, merge_intervals
 from repro.tensors.serialization import Decomposition, decompose_state_dict
 from repro.tensors.tensor import GPU
 
+#: Size of one data/encoding buffer (64 MB in the paper's settings); sets
+#: the pipelining granularity of step 3.
+BUFFER_BYTES = 64 * 2**20
+
 
 @dataclass(frozen=True)
 class ECCheckConfig:
@@ -89,8 +93,6 @@ class ECCheckConfig:
         k: number of data nodes.
         m: number of parity nodes (``k + m`` must equal the node count).
         w: GF(2^w) word size of the Cauchy RS code.
-        buffer_bytes: size of one data/encoding buffer (64 MB in the
-            paper's settings); sets the pipelining granularity.
         encode_threads: CPU encoding threads the ``TimeModel`` bills
             encode/decode seconds for.
         use_sweepline_placement: pick data nodes by max-overlap sweep line
@@ -107,7 +109,6 @@ class ECCheckConfig:
     k: int = 2
     m: int = 2
     w: int = 8
-    buffer_bytes: int = 64 * 2**20
     encode_threads: int = 4
     use_sweepline_placement: bool = True
     use_pipelining: bool = True
@@ -788,7 +789,7 @@ class ECCheckEngine(CheckpointEngine):
         logical_packet: int,
     ) -> float:
         """Makespan of step 3 with/without pipelined buffer execution."""
-        buffers = max(1, -(-logical_packet // self.config.buffer_bytes))
+        buffers = max(1, -(-logical_packet // BUFFER_BYTES))
         stage_times = [
             encode_total / buffers,
             xor_total / buffers,

@@ -173,37 +173,27 @@ class PlacementPlan:
         raise ShardingError(f"node {node} is in neither role")
 
 
-def build_data_group(
-    world_size: int, k: int, allow_uneven: bool = False
-) -> list[list[int]]:
-    """Partition workers into ``k`` consecutive groups.
+def build_data_group(world_size: int, k: int) -> list[list[int]]:
+    """Partition workers into ``k`` equal consecutive groups.
 
-    By default the groups must be exactly equal (the paper's layout, and
-    what the XOR-reduction plan requires).  With ``allow_uneven`` the
-    partition is balanced instead — group sizes differ by at most one,
-    larger groups first — which elastic regrouping uses when a shrunk
-    ``k'`` does not divide the world size.
+    Equal groups are the paper's layout and what the XOR-reduction plan
+    requires; an elastic regroup picks only a ``k'`` that divides the
+    world size.
 
     Raises:
-        ShardingError: if ``k`` is out of range, or (without
-            ``allow_uneven``) does not divide the world size.
+        ShardingError: if ``k`` is out of range or does not divide the
+            world size.
     """
     if k < 1 or k > world_size:
         raise ShardingError(
             f"k={k} out of range [1, world size {world_size}]"
         )
-    if world_size % k and not allow_uneven:
+    if world_size % k:
         raise ShardingError(
             f"k={k} must divide world size {world_size}"
         )
-    base, extra = divmod(world_size, k)
-    groups: list[list[int]] = []
-    start = 0
-    for j in range(k):
-        size = base + (1 if j < extra else 0)
-        groups.append(list(range(start, start + size)))
-        start += size
-    return groups
+    size = world_size // k
+    return [list(range(j * size, (j + 1) * size)) for j in range(k)]
 
 
 def select_data_parity_nodes(
@@ -232,7 +222,6 @@ def regroup_plan(
     origin_group: list[list[int]],
     active_nodes: list[int],
     k: int,
-    allow_uneven: bool = False,
 ) -> PlacementPlan:
     """Placement over a *subset* of nodes, for elastic regrouping.
 
@@ -247,12 +236,12 @@ def regroup_plan(
     Args:
         origin_group: the *full* cluster's per-node worker intervals.
         active_nodes: surviving node ids, ascending.
-        k: number of data chunks; ``m = len(active_nodes) - k``.
-        allow_uneven: permit ``k`` not dividing the world size
-            (balanced groups, sizes differing by at most one).
+        k: number of data chunks; ``m = len(active_nodes) - k``; must
+            divide the world size.
 
     Raises:
-        ShardingError: for an empty/invalid subset or out-of-range ``k``.
+        ShardingError: for an empty/invalid subset, or a ``k`` out of
+            range or not dividing the world size.
     """
     if not active_nodes:
         raise ShardingError("active_nodes must be non-empty")
@@ -264,7 +253,7 @@ def regroup_plan(
     if not 1 <= k <= len(active_nodes):
         raise ShardingError(f"k={k} out of range [1, {len(active_nodes)}]")
     world_size = sum(len(g) for g in origin_group)
-    data_group = build_data_group(world_size, k, allow_uneven=allow_uneven)
+    data_group = build_data_group(world_size, k)
     active_origin = [origin_group[node] for node in active_nodes]
     local = max_overlap_pairing_sweepline(active_origin, data_group)
     data_nodes = [active_nodes[i] for i in local]

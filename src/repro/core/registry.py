@@ -6,10 +6,9 @@ is the one table from an engine's name to the function that constructs
 it, so a new engine plugs in with one entry there instead of edits in
 five files.
 
-Builders take ``(job, config, **kwargs)`` where ``config`` is an
-:class:`~repro.core.eccheck.ECCheckConfig` (or ``None`` for defaults) —
-non-EC engines ignore the coding fields but honour shared knobs where
-they apply.
+Builders take ``(job, config)`` where ``config`` is an
+:class:`~repro.core.eccheck.ECCheckConfig` (or ``None`` for defaults);
+only the EC engines (eccheck, hybrid) read it.
 
 Builders import their engine lazily: the registry lives in ``core`` but
 must not drag ``checkpoint``/``gradrep`` imports into every ``core``
@@ -38,7 +37,7 @@ def engine_names() -> tuple[str, ...]:
     return tuple(_BUILDERS)
 
 
-def build_engine(name: str, job, config=None, **kwargs):
+def build_engine(name: str, job, config=None):
     """Instantiate the engine named ``name`` for ``job``.
 
     Raises:
@@ -49,48 +48,46 @@ def build_engine(name: str, job, config=None, **kwargs):
         raise CheckpointError(
             f"unknown engine {name!r}; registered: {', '.join(_BUILDERS)}"
         )
-    return builder(job, config, **kwargs)
+    return builder(job, config)
 
 
 # ---------------------------------------------------------------------------
 # Built-in engines.
 # ---------------------------------------------------------------------------
-def _build_eccheck(job, config, **kwargs):
+def _build_eccheck(job, config):
     from repro.core.eccheck import ECCheckEngine
 
     return ECCheckEngine(job, config)
 
 
-def _build_base1(job, config, **kwargs):
+def _build_base1(job, config):
     from repro.checkpoint.sync_remote import SyncRemoteEngine
 
     return SyncRemoteEngine(job)
 
 
-def _build_base2(job, config, **kwargs):
+def _build_base2(job, config):
     from repro.checkpoint.two_phase import TwoPhaseEngine
 
     return TwoPhaseEngine(job)
 
 
-def _build_base3(job, config, **kwargs):
+def _build_base3(job, config):
     from repro.checkpoint.replication import GeminiReplicationEngine
 
-    return GeminiReplicationEngine(
-        job, group_size=kwargs.get("group_size", 2)
-    )
+    return GeminiReplicationEngine(job)
 
 
-def _build_gradrep(job, config, **kwargs):
+def _build_gradrep(job, config):
     from repro.gradrep import GradRepEngine
 
-    return GradRepEngine(job, kwargs.get("gradrep_config"))
+    return GradRepEngine(job)
 
 
-def _build_hybrid(job, config, **kwargs):
+def _build_hybrid(job, config):
     from repro.gradrep import HybridEngine
 
-    return HybridEngine(job, config, kwargs.get("gradrep_config"))
+    return HybridEngine(job, config)
 
 
 _BUILDERS: dict[str, Callable] = {

@@ -26,6 +26,7 @@ import numpy as np
 
 from repro import obs
 from repro.errors import CheckpointError
+from repro.core.eccheck import ECCheckEngine
 from repro.elastic.membership import MembershipLog, MembershipView
 from repro.elastic.policy import RedundancyPolicy, choose_degraded_shape
 from repro.elastic.repair import RepairReport, plan_repair, RepairExecutor
@@ -45,9 +46,6 @@ class ElasticClusterController:
         redundancy_floor: minimum parity count a degraded regroup may
             keep; below it, degraded checkpointing is refused.
         rng: numpy generator for replacement-delay sampling.
-        timeline: optional training
-            :class:`~repro.sim.timeline.IterationTimeline`; repairs
-            schedule their transfers into its profiled idle slots.
     """
 
     def __init__(
@@ -57,11 +55,7 @@ class ElasticClusterController:
         policy: RedundancyPolicy | None = None,
         redundancy_floor: int = 1,
         rng: np.random.Generator | None = None,
-        timeline=None,
     ):
-        # Not at module level: core -> checkpoint.tiering -> elastic.
-        from repro.core.eccheck import ECCheckEngine
-
         engine = manager.engine
         if not isinstance(engine, ECCheckEngine):
             raise CheckpointError(
@@ -78,7 +72,6 @@ class ElasticClusterController:
         self.policy = policy or RedundancyPolicy()
         self.redundancy_floor = redundancy_floor
         self.rng = rng if rng is not None else np.random.default_rng(0)
-        self.timeline = timeline
         self.membership = MembershipView(engine.job.cluster.num_nodes)
         self.log = MembershipLog()
         #: Full-strength shape; adaptation updates it.
@@ -250,7 +243,7 @@ class ElasticClusterController:
         self.repair_ledger = ledger
         self.log.record(sim_time, "repair_started", **ledger.progress())
         executor = RepairExecutor(engine, ledger, crash_injector)
-        report = executor.run(self.timeline)
+        report = executor.run()
         self.repair_reports.append(report)
         self.repair_ledger = None
         self.log.record(sim_time, "repair_committed", **ledger.progress())

@@ -71,6 +71,12 @@ def choose_degraded_shape(
     return candidates[0] if candidates else None
 
 
+#: Lower clamp on the recommended parity count.
+MIN_M = 1
+#: Failures to see before trusting the MTBF estimate.
+MIN_OBSERVATIONS = 2
+
+
 @dataclass
 class RedundancyPolicy:
     """MTBF-driven recommender for the full-strength ``(k, m)`` split.
@@ -78,7 +84,7 @@ class RedundancyPolicy:
     Call :meth:`observe_failure` for every failure event; :meth:`recommend`
     then proposes a split whose parity count covers the failures expected
     within one repair window (the time the cluster needs to return to full
-    redundancy), clamped to ``[min_m, max_m]`` and to shapes where ``k``
+    redundancy), clamped to ``[MIN_M, max_m]`` and to shapes where ``k``
     divides the world size.  Adjustment is AIMD-shaped: the recommendation
     can jump up by several parities at once, but steps down one at a time
     and only after a quiet period.
@@ -86,23 +92,22 @@ class RedundancyPolicy:
     Attributes:
         repair_window_s: assumed exposure window per failure (provisioning
             + repair time); more failures expected inside it -> more parity.
-        min_m / max_m: clamps on the recommended parity count.
-        min_observations: failures to see before trusting the estimate.
+        max_m: upper clamp on the recommended parity count.
+        failure_times: the observed failure stream (fed by
+            :meth:`observe_failure`).
     """
 
     repair_window_s: float = 1800.0
-    min_m: int = 1
     max_m: int = 8
-    min_observations: int = 2
-    failure_times: list[float] = field(default_factory=list)
+    failure_times: list[float] = field(default_factory=list, init=False)
 
     def __post_init__(self) -> None:
         if self.repair_window_s <= 0:
             raise CheckpointError(
                 f"repair_window_s must be positive, got {self.repair_window_s}"
             )
-        if not 1 <= self.min_m <= self.max_m:
-            raise CheckpointError("need 1 <= min_m <= max_m")
+        if self.max_m < MIN_M:
+            raise CheckpointError(f"max_m must be >= {MIN_M}, got {self.max_m}")
 
     def observe_failure(self, sim_time: float, count: int = 1) -> None:
         """Record ``count`` simultaneous failures at ``sim_time``.
@@ -121,7 +126,7 @@ class RedundancyPolicy:
 
     def mtbf_estimate(self) -> float | None:
         """Mean seconds between observed failures (None = too few data)."""
-        if len(self.failure_times) < max(2, self.min_observations):
+        if len(self.failure_times) < MIN_OBSERVATIONS:
             return None
         span = self.failure_times[-1] - self.failure_times[0]
         if span <= 0:
@@ -144,7 +149,7 @@ class RedundancyPolicy:
         if mtbf is None:
             return None
         expected = self.repair_window_s / mtbf
-        target_m = max(self.min_m, min(self.max_m, math.ceil(expected)))
+        target_m = max(MIN_M, min(self.max_m, math.ceil(expected)))
         if target_m > current_m:
             m = min(int(target_m), n - 1)
         elif target_m < current_m:

@@ -25,10 +25,7 @@ packets; the executor then
 A stored version is read and written only through those public engine
 methods, and the three crash points fire through the engine's crash
 hook, so a traced run counts them as it counts a save's.  Transfers are
-costed through the cluster network model and, when a training timeline
-is supplied, packed into profiled idle slots exactly like checkpoint
-traffic (paper Sec. IV-B3) so repair never contends with
-activation/gradient exchanges.
+costed through the cluster network model.
 """
 
 from __future__ import annotations
@@ -38,7 +35,6 @@ from dataclasses import dataclass, field
 from repro import obs
 from repro.errors import RecoveryError
 from repro.core.placement import PlacementPlan
-from repro.core.scheduler import pack_into_slots, profile_idle_slots
 from repro.sim.network import TransferRequest, gbps
 
 #: Fault-injection hooks inside a repair run, in execution order.
@@ -157,9 +153,6 @@ class RepairReport:
     stream_seconds: float
     commit_seconds: float
     bytes_streamed: int
-    #: (iteration, Interval) idle-slot assignments when a timeline was
-    #: supplied; empty means the transfer was costed unscheduled.
-    slot_assignments: list = field(default_factory=list)
 
     @property
     def repair_seconds(self) -> float:
@@ -194,7 +187,7 @@ class RepairExecutor:
         self.crash_injector = crash_injector
 
     # ------------------------------------------------------------------
-    def run(self, timeline=None) -> RepairReport:
+    def run(self) -> RepairReport:
         """Execute derive -> stream -> commit; returns the costed report.
 
         Raises:
@@ -211,7 +204,7 @@ class RepairExecutor:
             version=version,
             generation=ledger.generation,
         ) as span:
-            report = self._run_impl(timeline)
+            report = self._run_impl()
             span.add_sim(report.repair_seconds)
             obs.record_phases(tracer, span, report.breakdown(), kind="repair")
             if tracer.enabled:
@@ -221,7 +214,7 @@ class RepairExecutor:
                 )
         return report
 
-    def _run_impl(self, timeline) -> RepairReport:
+    def _run_impl(self) -> RepairReport:
         engine = self.engine
         ledger = self.ledger
         version = ledger.version
@@ -275,17 +268,8 @@ class RepairExecutor:
         engine.put_back(version, packets, target, wanted, ledger.epoch, whole, records, landed)
         bytes_streamed = logical_packet * sum(q.src != q.dst for q in requests)
         stream_seconds = (
-            engine.network.simulate(requests).makespan if requests else 0.0
+            engine.network.bill(requests).makespan if requests else 0.0
         )
-
-        # --- schedule the stream into profiled idle slots. ------------
-        assignments: list = []
-        if timeline is not None and stream_seconds > 0:
-            profile = profile_idle_slots(timeline)
-            stage = min(profile.slots_per_stage) if profile.slots_per_stage else 0
-            assignments = pack_into_slots(
-                profile.slots_per_stage.get(stage, []), stream_seconds
-            )
 
         # --- commit: metadata everywhere first, placement flip last. --
         engine.fire("pre_commit", self.crash_injector, **context)
@@ -305,5 +289,4 @@ class RepairExecutor:
             stream_seconds=stream_seconds,
             commit_seconds=commit_seconds,
             bytes_streamed=bytes_streamed,
-            slot_assignments=assignments,
         )

@@ -77,6 +77,13 @@ class AdmissionQueue:
         return len(self._heap)
 
 
+#: Log-normal shape of the spare provisioning delay.
+SPARE_SIGMA = 0.4
+#: Stall-breaking rounds :meth:`FleetScheduler.run` tries before it
+#: gives up on draining the fleet.
+MAX_STALL_ROUNDS = 1000
+
+
 class FleetScheduler:
     """Runs a tenant mix over one shared simulated fleet.
 
@@ -84,9 +91,9 @@ class FleetScheduler:
         fleet: slot/domain topology.
         seed: integer sequence; every internal stream derives from it.
         arbitration: ``"fair"`` or ``"priority"`` (both arbiters).
-        time_model: baseline (unshared) time model for every tenant.
         spares: initial fleet-wide spare inventory.
-        spare_median_delay_s / spare_sigma: provisioning delay shape.
+        spare_median_delay_s: median provisioning delay (log-normal
+            with shape :data:`SPARE_SIGMA`).
         depot_median_delay_s: median time a failed machine spends at the
             depot before returning to inventory (or a freed slot being
             re-racked).
@@ -101,10 +108,8 @@ class FleetScheduler:
         fleet: FleetSpec,
         seed=(0,),
         arbitration: str = "fair",
-        time_model: TimeModel | None = None,
         spares: int = 6,
         spare_median_delay_s: float = 120.0,
-        spare_sigma: float = 0.4,
         depot_median_delay_s: float = 900.0,
         cross_rack_gbps: float = 200.0,
         mtbf_hours: dict[str, float] | None = None,
@@ -112,7 +117,7 @@ class FleetScheduler:
     ):
         self.fleet = fleet
         self.sim = Simulator()
-        self.base_time_model = time_model or TimeModel()
+        self.base_time_model = TimeModel()
         self.remote_arbiter = BandwidthArbiter(
             gbps(self.base_time_model.remote_storage_gbps), mode=arbitration
         )
@@ -124,7 +129,7 @@ class FleetScheduler:
         self.pool = SparePool(
             size=spares,
             median_delay_s=spare_median_delay_s,
-            sigma=spare_sigma,
+            sigma=SPARE_SIGMA,
             rng=np.random.default_rng([*seed, 1]),
             queue_when_exhausted=True,
         )
@@ -649,13 +654,13 @@ class FleetScheduler:
         self._try_admit()
 
     # ------------------------------------------------------------------
-    def run(self, max_stall_rounds: int = 1000) -> None:
+    def run(self) -> None:
         """Run to completion: drain events, breaking spare-starvation
         deadlocks by killing stalled tenants (their wait is already in
         the starvation ledger) until every submitted tenant finished.
         """
         self.sim.run()
-        for _ in range(max_stall_rounds):
+        for _ in range(MAX_STALL_ROUNDS):
             stalled = [
                 t
                 for t in self.tenants.values()
@@ -670,5 +675,5 @@ class FleetScheduler:
             self._try_admit()
             self.sim.run()
         raise SimulationError(
-            f"fleet failed to drain after {max_stall_rounds} stall rounds"
+            f"fleet failed to drain after {MAX_STALL_ROUNDS} stall rounds"
         )

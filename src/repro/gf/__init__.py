@@ -19,15 +19,12 @@ from repro.gf.matrix import (
     gf_matinv,
     gf_matmul,
     gf_matrank,
-    gf_matvec,
     is_invertible,
 )
 from repro.gf.bitmatrix import (
     bitmatrix_from_element,
     bitmatrix_from_matrix,
-    bitmatrix_invert,
     bitmatrix_matmul,
-    bitmatrix_rank,
 )
 
 __all__ = [
@@ -37,11 +34,8 @@ __all__ = [
     "gf_matinv",
     "gf_matmul",
     "gf_matrank",
-    "gf_matvec",
     "is_invertible",
     "bitmatrix_from_element",
     "bitmatrix_from_matrix",
-    "bitmatrix_invert",
     "bitmatrix_matmul",
-    "bitmatrix_rank",
 ]

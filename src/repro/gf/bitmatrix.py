@@ -94,57 +94,3 @@ def bitmatrix_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if selected.shape[0]:
             out[i] = np.bitwise_xor.reduce(selected, axis=0)
     return out
-
-
-def bitmatrix_rank(mat: np.ndarray) -> int:
-    """Rank over GF(2) via elimination."""
-    work = np.asarray(mat, dtype=np.uint8).copy()
-    rows, cols = work.shape
-    rank = 0
-    for col in range(cols):
-        pivot = -1
-        for row in range(rank, rows):
-            if work[row, col]:
-                pivot = row
-                break
-        if pivot < 0:
-            continue
-        if pivot != rank:
-            work[[rank, pivot]] = work[[pivot, rank]]
-        for row in range(rows):
-            if row != rank and work[row, col]:
-                work[row] ^= work[rank]
-        rank += 1
-        if rank == rows:
-            break
-    return rank
-
-
-def bitmatrix_invert(mat: np.ndarray) -> np.ndarray:
-    """Invert a square binary matrix over GF(2).
-
-    Raises:
-        MatrixError: if the matrix is singular or not square.
-    """
-    mat = np.asarray(mat, dtype=np.uint8)
-    n, m = mat.shape
-    if n != m:
-        raise MatrixError(f"cannot invert non-square matrix of shape {mat.shape}")
-    work = mat.copy()
-    inv = np.eye(n, dtype=np.uint8)
-    for col in range(n):
-        pivot = -1
-        for row in range(col, n):
-            if work[row, col]:
-                pivot = row
-                break
-        if pivot < 0:
-            raise MatrixError("bitmatrix is singular over GF(2)")
-        if pivot != col:
-            work[[col, pivot]] = work[[pivot, col]]
-            inv[[col, pivot]] = inv[[pivot, col]]
-        for row in range(n):
-            if row != col and work[row, col]:
-                work[row] ^= work[col]
-                inv[row] ^= inv[col]
-    return inv

@@ -45,14 +45,6 @@ def gf_matmul(a: np.ndarray, b: np.ndarray, field: GF) -> np.ndarray:
     return out
 
 
-def gf_matvec(a: np.ndarray, v: np.ndarray, field: GF) -> np.ndarray:
-    """Matrix-vector product over GF(2^w)."""
-    v = np.asarray(v, dtype=np.uint32)
-    if v.ndim != 1:
-        raise MatrixError(f"expected a vector, got shape {v.shape}")
-    return gf_matmul(a, v[:, None], field)[:, 0]
-
-
 def gf_matinv(mat: np.ndarray, field: GF) -> np.ndarray:
     """Invert a square matrix over GF(2^w) by Gauss-Jordan elimination.
 

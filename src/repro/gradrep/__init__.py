@@ -6,12 +6,11 @@ than spatial (reconstruct chunks from surviving redundancy).  See
 DESIGN.md "Gradient replication & hybrid recovery".
 """
 
-from repro.gradrep.engine import GradRepConfig, GradRepEngine
+from repro.gradrep.engine import GradRepEngine
 from repro.gradrep.gradlog import GradientLog, ReplicaStore, buddy_of
 from repro.gradrep.hybrid import HybridEngine
 
 __all__ = [
-    "GradRepConfig",
     "GradRepEngine",
     "GradientLog",
     "HybridEngine",

@@ -12,8 +12,6 @@ single iteration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro import obs
@@ -54,21 +52,15 @@ def _canonical_state_dict(state_dict):
     return state_dict
 
 
-@dataclass(frozen=True)
-class GradRepConfig:
-    """Knobs of the gradient-replication engine.
-
-    ``collective_weight`` / ``replication_weight`` shape the piggyback
-    share of the cross-rack trunk (see
-    :class:`~repro.sim.network.PiggybackChannel`); ``delta_block_size``
-    is the dirty-block granularity fed to
-    :func:`~repro.core.incremental.packet_delta`.
-    """
-
-    packet_alignment: int = 64
-    delta_block_size: int = 64 * 1024
-    collective_weight: float = 3.0
-    replication_weight: float = 1.0
+#: Packet alignment of the replicated packets.
+PACKET_ALIGNMENT = 64
+#: Dirty-block granularity fed to
+#: :func:`~repro.core.incremental.packet_delta`.
+DELTA_BLOCK_SIZE = 64 * 1024
+#: Weights shaping the piggyback share of the cross-rack trunk (see
+#: :class:`~repro.sim.network.PiggybackChannel`).
+COLLECTIVE_WEIGHT = 3.0
+REPLICATION_WEIGHT = 1.0
 
 
 class GradRepEngine(CheckpointEngine):
@@ -87,13 +79,12 @@ class GradRepEngine(CheckpointEngine):
         "mid_grad_broadcast",
     )
 
-    def __init__(self, job: TrainingJob, config: GradRepConfig | None = None):
+    def __init__(self, job: TrainingJob):
         super().__init__(job)
-        self.config = config or GradRepConfig()
         self.piggyback = PiggybackChannel(
             job.time_model,
-            collective_weight=self.config.collective_weight,
-            replication_weight=self.config.replication_weight,
+            collective_weight=COLLECTIVE_WEIGHT,
+            replication_weight=REPLICATION_WEIGHT,
         )
         self.log = GradientLog(self.host, job, fire=self.fire)
         self.anchors = ReplicaStore(self.host, job, ("apkt", "adig", "ameta"), "anchor")
@@ -113,7 +104,7 @@ class GradRepEngine(CheckpointEngine):
                     sum(t.nbytes for _, t in tensor_items(self.job.state_of(w)))
                     for w in self.job.writers
                 ],
-                alignment=self.config.packet_alignment,
+                alignment=PACKET_ALIGNMENT,
             )
         return self._packet_size
 
@@ -249,7 +240,7 @@ class GradRepEngine(CheckpointEngine):
                     f"{old.nbytes} -> {new.nbytes}"
                 )
             delta, summary = packet_delta(
-                old, new, block_size=self.config.delta_block_size
+                old, new, block_size=DELTA_BLOCK_SIZE
             )
             deltas[worker] = delta
             metadata[worker] = ckpt.metadata_blob
@@ -429,9 +420,9 @@ class GradRepEngine(CheckpointEngine):
                         bytes_inter_node += share
             replay_bytes += sum(shares)
 
-        fetch = self.network.simulate(requests).makespan if requests else 0.0
+        fetch = self.network.bill(requests).makespan if requests else 0.0
         replay_fetch = (
-            self.network.simulate(replay_requests).makespan
+            self.network.bill(replay_requests).makespan
             if replay_requests
             else 0.0
         )

@@ -26,7 +26,7 @@ from repro import obs
 from repro.checkpoint.base import RecoveryReport, SaveReport
 from repro.checkpoint.job import TrainingJob
 from repro.core.eccheck import ECCheckConfig, ECCheckEngine
-from repro.gradrep.engine import GradRepConfig, GradRepEngine
+from repro.gradrep.engine import GradRepEngine
 from repro.gradrep.gradlog import GradientLog
 
 
@@ -55,13 +55,12 @@ class HybridEngine(GradRepEngine):
         self,
         job: TrainingJob,
         config: ECCheckConfig | None = None,
-        gradrep_config: GradRepConfig | None = None,
     ):
         # The inner engine must exist before the base constructor runs:
         # assigning ``crash_injector = None`` there goes through the
         # property below, which mirrors onto the inner engine.
         self.inner = ECCheckEngine(job, config)
-        super().__init__(job, gradrep_config)
+        super().__init__(job)
         self.host = self.inner.host
         self.disk = self.inner.disk
         self.remote = self.inner.remote

@@ -21,6 +21,7 @@ CPU erasure-coding throughput the paper cites as achievable.
 from __future__ import annotations
 
 import dataclasses
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from repro.errors import SimulationError
@@ -327,13 +328,40 @@ class ClusterNetwork:
     Intra-node transfers ride the node's NVLink; inter-node transfers use
     the source's TX and destination's RX NIC links; remote transfers are
     additionally squeezed through the storage's aggregate link.
+
+    A transfer plan is priced with :meth:`bill`.  A save's plan repeats
+    save after save, a failure pattern's restore plans likewise, so
+    :meth:`bill` keeps a memo and runs :meth:`simulate` (the uncached
+    flow simulation) once per distinct plan.  The key holds the
+    ``time_model`` of the moment, so replacing it — the fleet arbiter
+    does, around a save — is never served a stale bill.
     """
+
+    #: Plans kept (LRU); a delta save's plan rarely repeats, hence a bound.
+    BILL_CACHE_SIZE = 64
 
     def __init__(self, num_nodes: int, time_model: TimeModel | None = None):
         if num_nodes < 1:
             raise SimulationError(f"num_nodes must be >= 1, got {num_nodes}")
         self.num_nodes = num_nodes
         self.time_model = time_model or TimeModel()
+        self._bills: OrderedDict[tuple, TransferResult] = OrderedDict()
+
+    def bill(self, requests: list[TransferRequest]) -> "TransferResult":
+        """:meth:`simulate`'s result for ``requests``; its lists are copies."""
+        key = (self.time_model, tuple(requests))
+        result = self._bills.get(key)
+        if result is None:
+            result = self._bills[key] = self.simulate(requests)
+            if len(self._bills) > self.BILL_CACHE_SIZE:
+                self._bills.popitem(last=False)
+        else:
+            self._bills.move_to_end(key)
+        return dataclasses.replace(
+            result,
+            flow_finish_times=list(result.flow_finish_times),
+            request_finish_times=list(result.request_finish_times),
+        )
 
     def _build(self, sim: Simulator) -> Network:
         tm = self.time_model
@@ -372,7 +400,7 @@ class ClusterNetwork:
             raise SimulationError(f"bad node {node!r}")
 
     def simulate(self, requests: list[TransferRequest]) -> "TransferResult":
-        """Run all transfers to completion and report timings."""
+        """Run all transfers to completion and report timings (uncached)."""
         sim = Simulator()
         net = self._build(sim)
         flows: list[Flow] = []
@@ -518,7 +546,7 @@ class TransferResult:
 
     ``flow_finish_times`` is ordered by flow *launch* (ascending start
     delay); ``request_finish_times`` is aligned with the request list the
-    caller passed to :meth:`ClusterNetwork.simulate`, so per-request cost
+    caller passed to :meth:`ClusterNetwork.bill`, so per-request cost
     attribution does not depend on launch order.
     """
 

@@ -26,7 +26,6 @@ from repro.tensors.serialization import (
     recompose_state_dict,
     serialize_state_dict,
     deserialize_state_dict,
-    serialized_size,
 )
 
 __all__ = [
@@ -40,5 +39,4 @@ __all__ = [
     "recompose_state_dict",
     "serialize_state_dict",
     "deserialize_state_dict",
-    "serialized_size",
 ]

@@ -78,11 +78,6 @@ def deserialize_state_dict(blob: bytes) -> dict:
     return unflatten_state_dict(flat)
 
 
-def serialized_size(state_dict: dict) -> int:
-    """Byte size of the fully serialized checkpoint."""
-    return len(serialize_state_dict(state_dict))
-
-
 # ---------------------------------------------------------------------------
 # Serialization-free decomposition (the ECCheck path)
 # ---------------------------------------------------------------------------

@@ -1,37 +1,17 @@
-"""Tests for host-memory redundancy accounting (Fig. 15's premise)."""
+"""Host-memory redundancy of the engines' real stores (Fig. 15's premise).
+
+Grouped replication with group size ``G`` stores ``G`` copies of each
+node's data; ECCheck stores one chunk of ``W/k`` packets per node, i.e.
+``n/k`` times a node's own share — at ``k = m = n/2`` the same ``2x``.
+"""
 
 import pytest
 
-from repro.errors import ReproError
-from repro.analysis.memory import (
-    equal_redundancy_k,
-    erasure_memory_factor,
-    replication_memory_factor,
-)
 from repro.checkpoint.job import TrainingJob
 from repro.checkpoint.replication import GeminiReplicationEngine
 from repro.core.eccheck import ECCheckConfig, ECCheckEngine
 from repro.parallel.strategy import ParallelismSpec
 from repro.parallel.topology import ClusterSpec
-
-
-def test_factors_and_equal_redundancy_point():
-    assert replication_memory_factor(2) == 2.0
-    assert erasure_memory_factor(4, 2) == 2.0
-    assert erasure_memory_factor(8, 4) == 2.0
-    assert equal_redundancy_k(4, 2) == 2
-    assert equal_redundancy_k(8, 2) == 4
-    # Erasure coding can also trade memory down: k > n/2 stores less.
-    assert erasure_memory_factor(4, 3) < replication_memory_factor(2)
-
-
-def test_validation():
-    with pytest.raises(ReproError):
-        replication_memory_factor(0)
-    with pytest.raises(ReproError):
-        erasure_memory_factor(4, 5)
-    with pytest.raises(ReproError):
-        equal_redundancy_k(5, 2)
 
 
 def test_fig15_premise_engines_use_identical_host_memory():
@@ -97,4 +77,4 @@ def test_erasure_chunk_bytes_match_n_over_k_factor():
         assert chunk_bytes == groups * packet  # one chunk = W/k packets
     own = job.cluster.gpus_per_node * packet
     factor = (groups * packet) / own
-    assert factor == erasure_memory_factor(4, 2)
+    assert factor == 4 / 2  # n / k

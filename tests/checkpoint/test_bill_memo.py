@@ -1,4 +1,4 @@
-"""The engine's memo of transfer bills (``BilledNetwork.bill``).
+"""The network's memo of transfer bills (``ClusterNetwork.bill``).
 
 A bill served from the memo must be indistinguishable from a fresh
 ``ClusterNetwork.simulate``: same numbers, lists the caller owns, never
@@ -9,7 +9,6 @@ import dataclasses
 
 import pytest
 
-from repro.checkpoint.base import BilledNetwork
 from repro.checkpoint.job import TrainingJob
 from repro.core.eccheck import ECCheckConfig, ECCheckEngine
 from repro.gradrep.hybrid import HybridEngine
@@ -82,7 +81,7 @@ def test_cached_bills_equal_a_fresh_simulation_field_by_field():
 
 
 def test_a_returned_list_is_the_callers_to_mutate():
-    network = BilledNetwork(4)
+    network = ClusterNetwork(4)
     requests = [TransferRequest(0, 1, 1e6), TransferRequest(2, 1, 2e6)]
     first = network.bill(requests)
     want = dataclasses.asdict(first)
@@ -116,8 +115,8 @@ def test_a_replaced_time_model_is_never_served_a_stale_bill():
 
 
 def test_the_memo_is_bounded():
-    network = BilledNetwork(4)
-    capacity = BilledNetwork.BILL_CACHE_SIZE
+    network = ClusterNetwork(4)
+    capacity = ClusterNetwork.BILL_CACHE_SIZE
     simulations = []
     simulate = network.simulate
     network.simulate = lambda requests: simulations.append(1) or simulate(requests)

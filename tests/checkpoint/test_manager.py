@@ -135,16 +135,6 @@ def test_remote_backup_keep_reclaims_bytes_on_a_base_engine():
     assert reclaimed == sum(written) - engine.remote.total_bytes > 0
 
 
-def test_adaptive_mode_widens_interval_when_over_budget():
-    # iteration_s tiny -> measured overhead fraction is huge -> back off.
-    job, engine, manager = make_setup(
-        interval=2, adaptive=True, iteration_s=1e-4
-    )
-    job.advance()
-    manager.step()
-    assert manager.current_interval > 2
-
-
 def test_stats_accumulate():
     job, engine, manager = make_setup(interval=1)
     for _ in range(3):
@@ -161,8 +151,6 @@ def test_validation():
         CheckpointManager(job, engine, interval=0)
     with pytest.raises(CheckpointError):
         CheckpointManager(job, engine, remote_backup_every=-1)
-    with pytest.raises(CheckpointError):
-        CheckpointManager(job, engine, adaptive=True)  # missing iteration_s
     base1 = SyncRemoteEngine(job)
     with pytest.raises(CheckpointError):
         CheckpointManager(job, base1, remote_backup_every=2)

@@ -1,53 +1,9 @@
 """Tests for the tier placement policy (memory -> disk -> remote)."""
 
-import math
-
 import pytest
 
 from repro.errors import CheckpointError
-from repro.checkpoint.frequency import young_daly_interval
-from repro.checkpoint.tiering import (
-    TierDecision,
-    TierPolicy,
-    recommend_memory_depth,
-)
-
-
-# ---------------------------------------------------------------------------
-# recommend_memory_depth: the Young-Daly cost model
-# ---------------------------------------------------------------------------
-def test_depth_is_one_young_daly_window_of_versions():
-    window = young_daly_interval(5.0, 10_000.0)
-    assert recommend_memory_depth(60.0, 10_000.0, 5.0, max_depth=100) == (
-        math.ceil(window / 60.0)
-    )
-
-
-def test_depth_grows_with_flakier_clusters():
-    # The Young-Daly window grows with MTBF, so a quiet cluster keeps
-    # more history hot while a flaky one demotes eagerly — when failures
-    # land often, only the newest versions are ever worth promoting.
-    flaky = recommend_memory_depth(60.0, 1_000.0, 5.0, max_depth=1000)
-    quiet = recommend_memory_depth(60.0, 1_000_000.0, 5.0, max_depth=1000)
-    assert flaky < quiet
-
-
-def test_depth_grows_with_promotion_cost():
-    cheap = recommend_memory_depth(60.0, 100_000.0, 1.0, max_depth=1000)
-    dear = recommend_memory_depth(60.0, 100_000.0, 100.0, max_depth=1000)
-    assert cheap < dear
-
-
-def test_depth_clamps():
-    assert recommend_memory_depth(1e9, 100.0, 1.0, min_depth=2) == 2
-    assert recommend_memory_depth(0.001, 1e9, 100.0, max_depth=4) == 4
-
-
-def test_depth_validation():
-    with pytest.raises(CheckpointError):
-        recommend_memory_depth(0.0, 100.0, 1.0)
-    with pytest.raises(CheckpointError):
-        recommend_memory_depth(60.0, 100.0, 1.0, min_depth=5, max_depth=2)
+from repro.checkpoint.tiering import TierDecision, TierPolicy
 
 
 # ---------------------------------------------------------------------------
@@ -87,40 +43,8 @@ def test_decide_disk_depth_zero_evicts_every_demotion():
     assert decision.evict == (1,)
 
 
-# ---------------------------------------------------------------------------
-# Adaptive depth from the MTBF estimator
-# ---------------------------------------------------------------------------
-def test_adaptive_falls_back_to_static_without_estimate():
-    policy = TierPolicy(memory_versions=3, adaptive=True)
-    assert policy.memory_depth() == 3
-
-
-def test_adaptive_depth_tracks_observed_failures():
-    policy = TierPolicy(
-        memory_versions=3,
-        adaptive=True,
-        checkpoint_interval_s=60.0,
-        promote_cost_s=5.0,
-        max_memory_versions=1000,
-    )
-    # Failures every 1000 s -> MTBF estimate near 1000 s.
-    for i in range(1, 6):
-        policy.observe_failure(i * 1000.0)
-    mtbf = policy.redundancy_policy.mtbf_estimate()
-    assert mtbf is not None
-    assert policy.memory_depth() == recommend_memory_depth(
-        60.0, mtbf, 5.0, max_depth=1000
-    )
-
-
 def test_policy_validation():
     with pytest.raises(CheckpointError):
         TierPolicy(memory_versions=0)
     with pytest.raises(CheckpointError):
         TierPolicy(disk_versions=-1)
-    with pytest.raises(CheckpointError):
-        TierPolicy(checkpoint_interval_s=0.0)
-    with pytest.raises(CheckpointError):
-        TierPolicy(promote_cost_s=0.0)
-    with pytest.raises(CheckpointError):
-        TierPolicy(min_memory_versions=5, max_memory_versions=2)

@@ -1,4 +1,4 @@
-"""Tests for elastic regrouping primitives: uneven data groups and
+"""Tests for elastic regrouping primitives: equal data groups and
 placement over a surviving-node subset."""
 
 import pytest
@@ -11,29 +11,15 @@ from repro.parallel.topology import ClusterSpec
 
 
 # ---------------------------------------------------------------------------
-# build_data_group with allow_uneven
+# build_data_group
 # ---------------------------------------------------------------------------
-def test_uneven_partition_balanced_larger_first():
-    assert build_data_group(8, 3, allow_uneven=True) == [
-        [0, 1, 2],
-        [3, 4, 5],
-        [6, 7],
-    ]
-    assert build_data_group(7, 2, allow_uneven=True) == [
-        [0, 1, 2, 3],
-        [4, 5, 6],
-    ]
-
-
-def test_uneven_flag_does_not_change_even_partitions():
-    assert build_data_group(8, 2, allow_uneven=True) == build_data_group(8, 2)
-
-
-def test_uneven_still_rejects_out_of_range_k():
+def test_build_data_group_rejects_bad_k():
     with pytest.raises(ShardingError):
-        build_data_group(8, 0, allow_uneven=True)
+        build_data_group(8, 0)
     with pytest.raises(ShardingError):
-        build_data_group(8, 9, allow_uneven=True)
+        build_data_group(8, 9)
+    with pytest.raises(ShardingError):
+        build_data_group(8, 3)
 
 
 @given(
@@ -41,16 +27,14 @@ def test_uneven_still_rejects_out_of_range_k():
     k=st.integers(min_value=1, max_value=16),
 )
 @settings(max_examples=200, deadline=None)
-def test_uneven_partition_covers_workers_with_balanced_sizes(world, k):
-    if k > world:
+def test_partition_covers_workers_in_equal_groups(world, k):
+    if k > world or world % k:
         with pytest.raises(ShardingError):
-            build_data_group(world, k, allow_uneven=True)
+            build_data_group(world, k)
         return
-    groups = build_data_group(world, k, allow_uneven=True)
+    groups = build_data_group(world, k)
     assert [w for g in groups for w in g] == list(range(world))
-    sizes = [len(g) for g in groups]
-    assert max(sizes) - min(sizes) <= 1
-    assert sizes == sorted(sizes, reverse=True)
+    assert {len(g) for g in groups} == {world // k}
 
 
 # ---------------------------------------------------------------------------
@@ -75,11 +59,9 @@ def test_regroup_validates_subset_and_k():
         regroup_plan(origin, [0, 5], k=1)
     with pytest.raises(ShardingError):
         regroup_plan(origin, [0, 2], k=3)
-    # k=3 does not divide 8 workers: rejected unless uneven is allowed.
+    # k=3 does not divide 8 workers.
     with pytest.raises(ShardingError):
         regroup_plan(origin, [0, 1, 2, 3], k=3)
-    plan = regroup_plan(origin, [0, 1, 2, 3], k=3, allow_uneven=True)
-    assert plan.k == 3
 
 
 @given(

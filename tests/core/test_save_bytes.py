@@ -296,7 +296,7 @@ def test_host_and_disk_bytes_stay_bounded_across_recoveries(driver):
         set(plan.data_nodes[:2]),
         {plan.data_nodes[0], plan.parity_nodes[0]},
     ]
-    bound = (policy.memory_depth() + policy.disk_versions + 1) * version_bytes(engine, job)
+    bound = (policy.memory_versions + policy.disk_versions + 1) * version_bytes(engine, job)
     peak = 0
 
     def held():
@@ -343,7 +343,7 @@ def test_host_and_disk_bytes_stay_bounded_across_recoveries(driver):
         held()
     # The bound is not vacuous: a torn remnant waiting to age out was held
     # on top of the retained versions at some point, yet nothing grew.
-    retained = policy.memory_depth() + policy.disk_versions
+    retained = policy.memory_versions + policy.disk_versions
     assert peak > 0.75 * retained * version_bytes(engine, job)
     held_versions = {
         key[1]

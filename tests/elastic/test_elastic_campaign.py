@@ -84,7 +84,7 @@ def test_campaign_catches_broken_repair_commit(monkeypatch):
     repaired version unrestorable under its new placement — the final
     redundancy/restore invariants must flag it."""
 
-    def no_op_run(self, timeline=None):
+    def no_op_run(self):
         ledger = self.ledger
         for index, _ in ledger.pending():
             ledger.mark_done(index)

@@ -144,4 +144,4 @@ def test_policy_validates_construction():
     with pytest.raises(CheckpointError):
         RedundancyPolicy(repair_window_s=0.0)
     with pytest.raises(CheckpointError):
-        RedundancyPolicy(min_m=3, max_m=2)
+        RedundancyPolicy(max_m=0)

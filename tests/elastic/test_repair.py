@@ -192,20 +192,3 @@ def test_ledger_mark_done_bounds():
     ledger = RepairLedger(version=1, generation=0, target_plan=None, items=[])
     with pytest.raises(RecoveryError):
         ledger.mark_done(0)
-
-
-def test_idle_slot_scheduling_assigns_transfer_windows():
-    from repro.sim.timeline import pipeline_schedule_timeline
-
-    job, engine = make_engine()
-    engine.save()
-    wiped = engine.placement.data_nodes[0]
-    engine.host.wipe(wiped)
-    timeline = pipeline_schedule_timeline(
-        stages=4, microbatches=8, forward_time=0.35, activation_bytes=200e6
-    )
-    ledger = plan_repair(engine, 1, engine.placement)
-    report = RepairExecutor(engine, ledger).run(timeline)
-    assert report.stream_seconds > 0
-    assert report.slot_assignments  # transfers landed in profiled slots
-    assert check_eccheck_redundancy(engine, 1) == []

@@ -3,13 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.errors import MatrixError
 from repro.gf.bitmatrix import (
     bitmatrix_from_element,
     bitmatrix_from_matrix,
-    bitmatrix_invert,
     bitmatrix_matmul,
-    bitmatrix_rank,
 )
 from repro.gf.field import GF
 
@@ -68,32 +65,11 @@ def test_bitmatrix_from_matrix_block_structure():
     assert not big[4:, 4:].any()
 
 
-def test_bitmatrix_invert_round_trip():
-    f = GF(4)
-    mat = np.array([[1, 2], [3, 4]], dtype=np.uint32)
-    bm = bitmatrix_from_matrix(mat, f)
-    inv = bitmatrix_invert(bm)
-    assert np.array_equal(bitmatrix_matmul(bm, inv), np.eye(8, dtype=np.uint8))
-
-
-def test_bitmatrix_invert_singular_raises():
-    singular = np.array([[1, 1], [1, 1]], dtype=np.uint8)
-    with pytest.raises(MatrixError):
-        bitmatrix_invert(singular)
-
-
-def test_bitmatrix_invert_non_square_raises():
-    with pytest.raises(MatrixError):
-        bitmatrix_invert(np.zeros((2, 3), dtype=np.uint8))
-
-
-def test_bitmatrix_rank():
-    assert bitmatrix_rank(np.eye(4, dtype=np.uint8)) == 4
-    assert bitmatrix_rank(np.zeros((3, 3), dtype=np.uint8)) == 0
-    assert bitmatrix_rank(np.array([[1, 1], [1, 1]], dtype=np.uint8)) == 1
-
-
 def test_invertible_element_bitmatrix_is_full_rank():
     f = GF(8)
     for e in [1, 2, 77, 255]:
-        assert bitmatrix_rank(bitmatrix_from_element(e, f)) == 8
+        # Full rank over GF(2): the inverse element's bitmatrix inverts it.
+        product = bitmatrix_matmul(
+            bitmatrix_from_element(e, f), bitmatrix_from_element(f.inv(e), f)
+        )
+        assert np.array_equal(product, np.eye(8, dtype=np.uint8))

@@ -10,7 +10,6 @@ from repro.gf.matrix import (
     gf_matinv,
     gf_matmul,
     gf_matrank,
-    gf_matvec,
     is_invertible,
 )
 
@@ -44,13 +43,6 @@ def test_matmul_associative(f8):
 def test_matmul_shape_mismatch(f8):
     with pytest.raises(MatrixError):
         gf_matmul(np.zeros((2, 3)), np.zeros((2, 3)), f8)
-
-
-def test_matvec_matches_matmul_column(f8):
-    rng = np.random.default_rng(3)
-    a = random_matrix(rng, 4, 4, 256)
-    v = rng.integers(0, 256, size=4, dtype=np.uint32)
-    assert np.array_equal(gf_matvec(a, v, f8), gf_matmul(a, v[:, None], f8)[:, 0])
 
 
 @pytest.mark.parametrize("w", [4, 8, 16])

@@ -141,7 +141,7 @@ def test_remote_aggregate_bandwidth_is_shared():
     tm = TimeModel()
     cn = ClusterNetwork(num_nodes=4, time_model=tm)
     shard = 1e9  # 1 GB per node
-    result = cn.simulate(
+    result = cn.bill(
         [TransferRequest(src=n, dst=REMOTE, nbytes=shard) for n in range(4)]
     )
     expected = 4 * shard / gbps(tm.remote_storage_gbps)
@@ -153,7 +153,7 @@ def test_inter_node_transfers_run_in_parallel():
     tm = TimeModel()
     cn = ClusterNetwork(num_nodes=4, time_model=tm)
     nbytes = 5e9
-    result = cn.simulate(
+    result = cn.bill(
         [
             TransferRequest(src=0, dst=1, nbytes=nbytes),
             TransferRequest(src=2, dst=3, nbytes=nbytes),
@@ -166,7 +166,7 @@ def test_fan_in_contends_on_receiver_nic():
     tm = TimeModel()
     cn = ClusterNetwork(num_nodes=3, time_model=tm)
     nbytes = 1e9
-    result = cn.simulate(
+    result = cn.bill(
         [
             TransferRequest(src=0, dst=2, nbytes=nbytes),
             TransferRequest(src=1, dst=2, nbytes=nbytes),
@@ -178,7 +178,7 @@ def test_fan_in_contends_on_receiver_nic():
 def test_start_delay_staggers_flows():
     tm = TimeModel()
     cn = ClusterNetwork(num_nodes=2, time_model=tm)
-    result = cn.simulate(
+    result = cn.bill(
         [TransferRequest(src=0, dst=1, nbytes=1e9, start_delay=3.0)]
     )
     assert result.makespan == pytest.approx(3.0 + 1e9 / gbps(tm.inter_node_gbps))

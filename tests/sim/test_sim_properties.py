@@ -90,7 +90,7 @@ def test_contention_never_speeds_a_flow_up(extra, base):
 def test_remote_uploads_bounded_by_aggregate_bandwidth(shard, nodes):
     tm = TimeModel()
     cn = ClusterNetwork(num_nodes=nodes, time_model=tm)
-    result = cn.simulate(
+    result = cn.bill(
         [TransferRequest(src=n, dst=REMOTE, nbytes=shard) for n in range(nodes)]
     )
     lower = nodes * shard / gbps(tm.remote_storage_gbps)

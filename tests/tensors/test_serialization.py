@@ -21,7 +21,6 @@ from repro.tensors.serialization import (
     deserialize_state_dict,
     recompose_state_dict,
     serialize_state_dict,
-    serialized_size,
 )
 from repro.tensors.state_dict import flatten_state_dict, state_dicts_equal, total_tensor_bytes
 from repro.tensors.tensor import CPU, GPU, SimTensor
@@ -46,9 +45,9 @@ def test_deserialized_tensors_on_cpu(sd):
     assert all(t.device == CPU for _, t in tensor_items(restored))
 
 
-def test_serialized_size_exceeds_tensor_bytes(sd):
+def test_serialization_adds_overhead_to_tensor_bytes(sd):
     # Serialization adds structure overhead on top of the raw tensor bytes.
-    assert serialized_size(sd) > total_tensor_bytes(sd)
+    assert len(serialize_state_dict(sd)) > total_tensor_bytes(sd)
 
 
 def test_decompose_separates_components(sd):
