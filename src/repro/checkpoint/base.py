@@ -12,7 +12,6 @@ the replication baseline.
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Protocol, runtime_checkable
 
@@ -128,7 +127,7 @@ class DemotionReport:
     bytes_to_disk: int = 0
 
 
-class CheckpointEngine(ABC):
+class CheckpointEngine:
     """Base class for all checkpoint engines."""
 
     name: str = "abstract"
@@ -181,11 +180,26 @@ class CheckpointEngine(ABC):
                 raise
 
     # ------------------------------------------------------------------
-    @abstractmethod
+    # The traced envelope: one root span per operation, named
+    # ``<engine>.save`` / ``<engine>.restore``, billed the report's time
+    # and carrying its breakdown as phases.  Engines that record more
+    # (eccheck's step spans, gradrep's replay depth) override these.
+    # ------------------------------------------------------------------
     def save(self) -> SaveReport:
         """Checkpoint the job's current state; returns timing/traffic."""
+        tracer = obs.get_tracer()
+        with tracer.span(
+            f"{self.name}.save", kind="save", version=self.version + 1
+        ) as span:
+            report = self._save_impl()
+            span.add_sim(report.checkpoint_time)
+            obs.record_phases(tracer, span, report.breakdown, kind="save")
+            if tracer.enabled and report.bytes_inter_node:
+                tracer.metrics.counter("p2p.bytes_inter_node").inc(
+                    report.bytes_inter_node
+                )
+        return report
 
-    @abstractmethod
     def restore(self, failed_nodes: set[int]) -> RecoveryReport:
         """Recover all workers' state after the given nodes failed.
 
@@ -198,6 +212,23 @@ class CheckpointEngine(ABC):
             RecoveryError: when the failure pattern is unrecoverable from
                 in-memory state (callers may then fall back to remote).
         """
+        tracer = obs.get_tracer()
+        with tracer.span(
+            f"{self.name}.restore", kind="restore", failed=sorted(failed_nodes)
+        ) as span:
+            report = self._restore_impl(failed_nodes)
+            span.set(version=report.version)
+            span.add_sim(report.recovery_time)
+            obs.record_phases(tracer, span, report.breakdown, kind="restore")
+        return report
+
+    def _save_impl(self) -> SaveReport:
+        """The save itself, untraced: bump ``version`` and write it."""
+        raise NotImplementedError
+
+    def _restore_impl(self, failed_nodes: set[int]) -> RecoveryReport:
+        """The restore itself, untraced (see :meth:`restore`)."""
+        raise NotImplementedError
 
     # ------------------------------------------------------------------
     def on_failure(self, failed_nodes: set[int]) -> None:

@@ -105,7 +105,6 @@ class AdaptiveFrequencyTuner:
     max_interval: int = 10_000
     headroom: float = 0.5  # tighten when overhead < headroom * budget
     additive_step: int = 1
-    observations: int = 0
 
     def __post_init__(self) -> None:
         if self.interval < 1:
@@ -131,7 +130,6 @@ class AdaptiveFrequencyTuner:
             raise CheckpointError(
                 f"overhead fraction must be >= 0, got {measured_overhead_fraction}"
             )
-        self.observations += 1
         if measured_overhead_fraction > self.overhead_budget:
             # Over budget: back off multiplicatively.
             scale = measured_overhead_fraction / self.overhead_budget

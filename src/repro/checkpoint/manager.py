@@ -62,7 +62,6 @@ class ManagerStats:
     skipped_demotions: int = 0
     bytes_to_disk: int = 0
     disk_bytes_evicted: int = 0
-    total_demote_s: float = 0.0
     demote_reports: list = field(default_factory=list)
     #: Remote bytes reclaimed by backup GC (``remote_backup_keep``).
     remote_bytes_reclaimed: int = 0
@@ -279,7 +278,6 @@ class CheckpointManager:
                 continue
             self.stats.demotions += 1
             self.stats.bytes_to_disk += report.bytes_to_disk
-            self.stats.total_demote_s += report.demote_time
             self.stats.demote_reports.append(report)
         for version in decision.evict:
             self.stats.disk_bytes_evicted += engine.evict_disk_version(version)

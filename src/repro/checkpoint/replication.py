@@ -11,7 +11,6 @@ Fig. 13b and Fig. 15 exercise.
 
 from __future__ import annotations
 
-from repro import obs
 from repro.errors import CheckpointError, RecoveryError
 from repro.checkpoint.base import CheckpointEngine, RecoveryReport, SaveReport
 from repro.checkpoint.job import TrainingJob
@@ -60,20 +59,6 @@ class GeminiReplicationEngine(CheckpointEngine):
         return self.groups()[node // self.group_size]
 
     # ------------------------------------------------------------------
-    def save(self) -> SaveReport:
-        tracer = obs.get_tracer()
-        with tracer.span(
-            "base3.save", kind="save", version=self.version + 1
-        ) as span:
-            report = self._save_impl()
-            span.add_sim(report.checkpoint_time)
-            obs.record_phases(tracer, span, report.breakdown, kind="save")
-            if tracer.enabled:
-                tracer.metrics.counter("p2p.bytes_inter_node").inc(
-                    report.bytes_inter_node
-                )
-        return report
-
     def _save_impl(self) -> SaveReport:
         self.version += 1
         tm = self.job.time_model
@@ -155,17 +140,6 @@ class GeminiReplicationEngine(CheckpointEngine):
                     if not self.host.contains(peer, ("ckpt", version, worker)):
                         return False
         return True
-
-    def restore(self, failed_nodes: set[int]) -> RecoveryReport:
-        tracer = obs.get_tracer()
-        with tracer.span(
-            "base3.restore", kind="restore", failed=sorted(failed_nodes)
-        ) as span:
-            report = self._restore_impl(failed_nodes)
-            span.set(version=report.version)
-            span.add_sim(report.recovery_time)
-            obs.record_phases(tracer, span, report.breakdown, kind="restore")
-        return report
 
     def _restore_impl(self, failed_nodes: set[int]) -> RecoveryReport:
         self.on_failure(failed_nodes)

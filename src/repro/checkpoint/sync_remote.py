@@ -9,7 +9,6 @@ the critical path, so stall time equals checkpoint time.
 
 from __future__ import annotations
 
-from repro import obs
 from repro.checkpoint.base import CheckpointEngine, RecoveryReport, SaveReport
 from repro.sim.network import REMOTE, TransferRequest
 from repro.tensors.serialization import serialize_state_dict
@@ -23,16 +22,6 @@ class SyncRemoteEngine(CheckpointEngine):
     #: Fault injection: fires before each worker's blob lands in remote
     #: storage, so a crash leaves a torn remote version behind.
     crash_points = ("mid_persist",)
-
-    def save(self) -> SaveReport:
-        tracer = obs.get_tracer()
-        with tracer.span(
-            "base1.save", kind="save", version=self.version + 1
-        ) as span:
-            report = self._save_impl()
-            span.add_sim(report.checkpoint_time)
-            obs.record_phases(tracer, span, report.breakdown, kind="save")
-        return report
 
     def _save_impl(self) -> SaveReport:
         self.version += 1
@@ -70,17 +59,6 @@ class SyncRemoteEngine(CheckpointEngine):
             },
             bytes_to_remote=bytes_to_remote,
         )
-        return report
-
-    def restore(self, failed_nodes: set[int]) -> RecoveryReport:
-        tracer = obs.get_tracer()
-        with tracer.span(
-            "base1.restore", kind="restore", failed=sorted(failed_nodes)
-        ) as span:
-            report = self._restore_impl(failed_nodes)
-            span.set(version=report.version)
-            span.add_sim(report.recovery_time)
-            obs.record_phases(tracer, span, report.breakdown, kind="restore")
         return report
 
     def _restore_impl(self, failed_nodes: set[int]) -> RecoveryReport:

@@ -11,7 +11,6 @@ high checkpoint frequencies.
 
 from __future__ import annotations
 
-from repro import obs
 from repro.checkpoint.base import CheckpointEngine, RecoveryReport, SaveReport
 from repro.sim.network import REMOTE, TransferRequest
 from repro.tensors.serialization import serialize_state_dict
@@ -27,16 +26,6 @@ class TwoPhaseEngine(CheckpointEngine):
     #: Fault injection: after the snapshot phase (checkpoint exists only
     #: in volatile host memory) and before each worker's remote persist.
     crash_points = ("post_snapshot", "mid_persist")
-
-    def save(self) -> SaveReport:
-        tracer = obs.get_tracer()
-        with tracer.span(
-            "base2.save", kind="save", version=self.version + 1
-        ) as span:
-            report = self._save_impl()
-            span.add_sim(report.checkpoint_time)
-            obs.record_phases(tracer, span, report.breakdown, kind="save")
-        return report
 
     def _save_impl(self) -> SaveReport:
         self.version += 1
@@ -106,17 +95,6 @@ class TwoPhaseEngine(CheckpointEngine):
             bytes_dtoh=bytes_dtoh,
             bytes_to_remote=bytes_to_remote,
         )
-
-    def restore(self, failed_nodes: set[int]) -> RecoveryReport:
-        tracer = obs.get_tracer()
-        with tracer.span(
-            "base2.restore", kind="restore", failed=sorted(failed_nodes)
-        ) as span:
-            report = self._restore_impl(failed_nodes)
-            span.set(version=report.version)
-            span.add_sim(report.recovery_time)
-            obs.record_phases(tracer, span, report.breakdown, kind="restore")
-        return report
 
     def _restore_impl(self, failed_nodes: set[int]) -> RecoveryReport:
         self.on_failure(failed_nodes)

@@ -80,6 +80,8 @@ def _add_campaign_flags(parser, episodes, report, rounds="", trace=False) -> Non
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.core.registry import engine_names
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="ECCheck reproduction: regenerate the paper's experiments.",
@@ -233,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument(
         "--engine",
         default="eccheck",
-        choices=("eccheck", "base1", "base2", "base3", "gradrep", "hybrid"),
+        choices=engine_names(),
         help="checkpoint engine to trace",
     )
     trace.add_argument(

@@ -1,12 +1,12 @@
 """Elastic cluster membership for erasure-coded checkpointing.
 
-Three cooperating pieces layered on the existing engines:
+Four cooperating pieces layered on the existing engines:
 
 * :mod:`~repro.elastic.membership` — who is in the cluster: per-rank
-  liveness, the node-id identity ledger, and a time-ordered event log.
+  liveness.
 * :mod:`~repro.elastic.repair` — background redundancy repair: when a
   spare joins, a planner derives the lost chunks from any ``k``
-  survivors and streams them through idle-slot scheduled transfers,
+  survivors and puts them back through the engine's restore routine,
   tracked by a crash-consistent resumable ledger.
 * :mod:`~repro.elastic.policy` — degraded-shape selection under a
   redundancy floor, plus an online MTBF-driven ``(k, m)`` recommender.
@@ -15,14 +15,12 @@ Three cooperating pieces layered on the existing engines:
 """
 
 from repro.elastic.controller import ElasticClusterController
-from repro.elastic.membership import MembershipEvent, MembershipLog, MembershipView
+from repro.elastic.membership import MembershipView
 from repro.elastic.policy import RedundancyPolicy, choose_degraded_shape
 from repro.elastic.repair import RepairExecutor, RepairItem, RepairLedger, plan_repair
 
 __all__ = [
     "ElasticClusterController",
-    "MembershipEvent",
-    "MembershipLog",
     "MembershipView",
     "RedundancyPolicy",
     "RepairExecutor",

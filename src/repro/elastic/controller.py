@@ -27,7 +27,7 @@ import numpy as np
 from repro import obs
 from repro.errors import CheckpointError
 from repro.core.eccheck import ECCheckEngine
-from repro.elastic.membership import MembershipLog, MembershipView
+from repro.elastic.membership import MembershipView
 from repro.elastic.policy import RedundancyPolicy, choose_degraded_shape
 from repro.elastic.repair import RepairReport, plan_repair, RepairExecutor
 
@@ -73,7 +73,6 @@ class ElasticClusterController:
         self.redundancy_floor = redundancy_floor
         self.rng = rng if rng is not None else np.random.default_rng(0)
         self.membership = MembershipView(engine.job.cluster.num_nodes)
-        self.log = MembershipLog()
         #: Full-strength shape; adaptation updates it.
         self.full_k = engine.config.k
         self.full_m = engine.config.m
@@ -104,22 +103,12 @@ class ElasticClusterController:
         Raises:
             RecoveryError: propagated when nothing is recoverable.
         """
-        job = self.engine.job
         fresh = self.membership.fail(set(failed_ranks))
-        for rank in sorted(fresh):
-            self.log.record(
-                sim_time, "failure", rank=rank, node_id=job.node_id_of(rank)
-            )
         if fresh:
             self.policy.observe_failure(sim_time, count=len(fresh))
         # An in-flight repair's target layout may now be unreachable:
         # abort the generation; a fresh plan is drawn at the next join.
         if self.repair_ledger is not None and not self.repair_ledger.committed:
-            self.log.record(
-                sim_time,
-                "repair_aborted",
-                **self.repair_ledger.progress(),
-            )
             self.repair_ledger = None
         self.manager.mark_degraded(
             sim_time, cause="failure", failed_ranks=self.membership.dead
@@ -131,17 +120,8 @@ class ElasticClusterController:
         for rank in sorted(self.membership.dead):
             self.engine.host.wipe(rank)
         for rank in sorted(fresh):
-            request = self.spare_pool.request(rank, sim_time, self.rng)
-            if request is None:
-                self.log.record(sim_time, "spare_refused", rank=rank)
-            else:
-                self.log.record(
-                    sim_time,
-                    "spare_requested",
-                    rank=rank,
-                    ready_at=request.ready_at,
-                )
-        self._regroup(sim_time)
+            self.spare_pool.request(rank, sim_time, self.rng)
+        self._regroup()
         return report
 
     # ------------------------------------------------------------------
@@ -193,12 +173,11 @@ class ElasticClusterController:
         migrated = {
             w: job.state_dicts.get(w) for w in job.cluster.workers_of(rank)
         }
-        node_id = self.manager.register_replacement(rank)
+        self.manager.register_replacement(rank)
         for worker, state in migrated.items():
             job.state_dicts[worker] = state
         self.membership.join(rank)
-        self.log.record(sim_time, "join", rank=rank, node_id=node_id)
-        self._regroup(sim_time)
+        self._regroup()
         report = self.run_repair(
             sim_time, crash_injector=repair_crash_injector
         )
@@ -241,12 +220,10 @@ class ElasticClusterController:
                 engine, version, target, generation=self.repair_generation
             )
         self.repair_ledger = ledger
-        self.log.record(sim_time, "repair_started", **ledger.progress())
         executor = RepairExecutor(engine, ledger, crash_injector)
         report = executor.run()
         self.repair_reports.append(report)
         self.repair_ledger = None
-        self.log.record(sim_time, "repair_committed", **ledger.progress())
         if self.membership.at_full_strength:
             self.manager.mark_fully_redundant(
                 sim_time + report.repair_seconds
@@ -270,13 +247,12 @@ class ElasticClusterController:
             return None
         k, m = recommendation
         self.full_k, self.full_m = k, m
-        self.log.record(sim_time, "reconfigure", k=k, m=m)
-        self._regroup(sim_time)
+        self._regroup()
         self.run_repair(sim_time)
         return recommendation
 
     # ------------------------------------------------------------------
-    def _regroup(self, sim_time: float) -> None:
+    def _regroup(self) -> None:
         """Point the engine at the best shape for the current members."""
         engine = self.engine
         active = self.membership.alive
@@ -291,12 +267,6 @@ class ElasticClusterController:
             )
         if shape is None:
             self.checkpointing_blocked = True
-            self.log.record(
-                sim_time,
-                "checkpointing_blocked",
-                active=tuple(active),
-                floor=self.redundancy_floor,
-            )
             return
         k, m = shape
         self.checkpointing_blocked = False
@@ -311,6 +281,3 @@ class ElasticClusterController:
                 tracer, span, {"regroup_plan": seconds}, kind="regroup"
             )
         self.regroup_reports.append({"regroup_plan": seconds})
-        self.log.record(
-            sim_time, "regroup", k=k, m=m, active=tuple(active)
-        )

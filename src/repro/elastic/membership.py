@@ -1,11 +1,8 @@
-"""Cluster membership: rank liveness and the node lifecycle event log.
+"""Cluster membership: which ranks are alive.
 
 A *rank* is a cluster slot (0..num_nodes-1) — the address placement,
 host stores and the network use.  A *node id* is the machine identity
 occupying it (see :class:`~repro.checkpoint.job.TrainingJob.node_ids`).
-This module tracks which ranks are alive and records every lifecycle
-transition (healthy -> failed -> replaced/rejoined) so campaigns and
-reports can replay what happened and when.
 """
 
 from __future__ import annotations
@@ -13,82 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import ShardingError
-
-#: Lifecycle transitions a :class:`MembershipLog` accepts.
-EVENT_KINDS = (
-    "failure",
-    "spare_requested",
-    "spare_refused",
-    "join",
-    "regroup",
-    "checkpointing_blocked",
-    "repair_started",
-    "repair_committed",
-    "repair_aborted",
-    "reconfigure",
-)
-
-
-@dataclass(frozen=True)
-class MembershipEvent:
-    """One node-lifecycle transition at a point in simulated time."""
-
-    time: float
-    kind: str
-    rank: int | None = None
-    node_id: int | None = None
-    detail: tuple = ()
-
-    def to_dict(self) -> dict:
-        return {
-            "time": self.time,
-            "kind": self.kind,
-            "rank": self.rank,
-            "node_id": self.node_id,
-            "detail": dict(self.detail),
-        }
-
-
-class MembershipLog:
-    """Append-only, time-ordered record of membership events."""
-
-    def __init__(self) -> None:
-        self.events: list[MembershipEvent] = []
-
-    def record(
-        self,
-        time: float,
-        kind: str,
-        rank: int | None = None,
-        node_id: int | None = None,
-        **detail,
-    ) -> MembershipEvent:
-        """Append one event.
-
-        Raises:
-            ShardingError: for an unknown event kind or time regression.
-        """
-        if kind not in EVENT_KINDS:
-            raise ShardingError(f"unknown membership event kind {kind!r}")
-        if self.events and time < self.events[-1].time:
-            raise ShardingError(
-                f"event time {time} precedes log tail {self.events[-1].time}"
-            )
-        event = MembershipEvent(
-            time=float(time),
-            kind=kind,
-            rank=rank,
-            node_id=node_id,
-            detail=tuple(sorted(detail.items())),
-        )
-        self.events.append(event)
-        return event
-
-    def of_kind(self, kind: str) -> list[MembershipEvent]:
-        return [e for e in self.events if e.kind == kind]
-
-    def to_list(self) -> list[dict]:
-        return [e.to_dict() for e in self.events]
 
 
 @dataclass

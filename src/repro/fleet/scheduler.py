@@ -144,7 +144,6 @@ class FleetScheduler:
         self.down_slots: set[int] = set()
         self.slot_owner: dict[int, str] = {}
         self.submitted: dict[str, float] = {}
-        self._finalized: list[str] = []
         #: Scheduler-owned metrics: only *deterministic* control-plane
         #: counters/histograms live here (admissions, failures, sim-time
         #: waits), so flushing a snapshot into the episode record keeps
@@ -627,7 +626,6 @@ class FleetScheduler:
             tenant.manager is not None and tenant.manager.degraded
         )
         self.slo_records[name] = record
-        self._finalized.append(name)
         returned = self.pool.cancel_tenant(name)
         if returned:
             promoted = self.pool.restock(0, self.sim.now)

@@ -129,7 +129,6 @@ class TenantRuntime:
         self.driver = None  # attached by the scheduler
         self.failure_events = 0
         self.refused_events = 0
-        self.cold_refusals = 0
 
     # ------------------------------------------------------------------
     def ranks_of_slots(self, slots: set[int]) -> set[int]:

@@ -121,20 +121,6 @@ class GradRepEngine(CheckpointEngine):
     # ------------------------------------------------------------------
     # Anchor save: full packets replicated home + buddy, commit last.
     # ------------------------------------------------------------------
-    def save(self) -> SaveReport:
-        tracer = obs.get_tracer()
-        with tracer.span(
-            f"{self.name}.save", kind="save", version=self.version + 1
-        ) as span:
-            report = self._save_impl()
-            span.add_sim(report.checkpoint_time)
-            obs.record_phases(tracer, span, report.breakdown, kind="save")
-            if tracer.enabled:
-                tracer.metrics.counter("p2p.bytes_inter_node").inc(
-                    report.bytes_inter_node
-                )
-        return report
-
     def _save_impl(self) -> SaveReport:
         self.version += 1
         version = self.version

@@ -606,9 +606,6 @@ class PiggybackChannel:
         self.replication_weight = float(replication_weight)
         self.arbiter = BandwidthArbiter(gbps(time_model.inter_node_gbps))
         self.arbiter.acquire("collective", weight=self.collective_weight)
-        self.total_seconds = 0.0
-        self.total_bytes = 0
-        self.transfers = 0
 
     def transfer(self, nbytes: int) -> PiggybackSlice:
         """Ship ``nbytes`` over the shared trunk; returns the time slice.
@@ -633,7 +630,4 @@ class PiggybackChannel:
             )
         finally:
             self.arbiter.release("replication")
-        self.total_seconds += slice_.seconds
-        self.total_bytes += slice_.nbytes
-        self.transfers += 1
         return slice_

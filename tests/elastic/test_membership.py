@@ -1,9 +1,9 @@
-"""Tests for the membership view and the lifecycle event log."""
+"""Tests for the membership view."""
 
 import pytest
 
 from repro.errors import ShardingError
-from repro.elastic.membership import MembershipLog, MembershipView
+from repro.elastic.membership import MembershipView
 
 
 def test_view_starts_at_full_strength():
@@ -42,28 +42,3 @@ def test_view_rejects_empty_cluster():
     with pytest.raises(ShardingError):
         MembershipView(0)
 
-
-def test_log_records_in_time_order():
-    log = MembershipLog()
-    log.record(1.0, "failure", rank=2, node_id=2)
-    log.record(5.0, "join", rank=2, node_id=4)
-    assert [e.kind for e in log.events] == ["failure", "join"]
-    with pytest.raises(ShardingError):
-        log.record(4.0, "failure", rank=0)
-
-
-def test_log_rejects_unknown_kind():
-    log = MembershipLog()
-    with pytest.raises(ShardingError):
-        log.record(0.0, "teleport", rank=0)
-
-
-def test_log_filtering_and_serialization():
-    log = MembershipLog()
-    log.record(0.0, "failure", rank=1, node_id=1)
-    log.record(2.0, "regroup", k=1, m=2, active=(0, 2, 3))
-    assert [e.rank for e in log.of_kind("failure")] == [1]
-    payload = log.to_list()
-    assert payload[1]["kind"] == "regroup"
-    assert payload[1]["detail"]["k"] == 1
-    assert payload[1]["detail"]["active"] == (0, 2, 3)
