@@ -157,8 +157,7 @@ class CheckpointEngine:
         ``crash_injector``, an elastic repair passes its own ``injector``.
         When a tracer is installed, an injector that actually fires (i.e.
         raises to abort the operation) is logged as one
-        ``crash_point_fired`` event plus a pair of fire counters before the
-        crash propagates.
+        ``crash_point_fired`` event before the crash propagates.
         """
         injector = self.crash_injector if injector is None else injector
         if injector is not None:
@@ -173,10 +172,6 @@ class CheckpointEngine:
                         point=point,
                         **context,
                     )
-                    tracer.metrics.counter("chaos.crash_points_fired").inc()
-                    tracer.metrics.counter(
-                        f"chaos.crash_points_fired.{point}"
-                    ).inc()
                 raise
 
     # ------------------------------------------------------------------

@@ -63,8 +63,6 @@ class ManagerStats:
     bytes_to_disk: int = 0
     disk_bytes_evicted: int = 0
     demote_reports: list = field(default_factory=list)
-    #: Remote bytes reclaimed by backup GC (``remote_backup_keep``).
-    remote_bytes_reclaimed: int = 0
     #: Node replacements registered through the manager.
     replacements: int = 0
     #: Total simulated seconds spent below full redundancy (closed
@@ -208,13 +206,6 @@ class CheckpointManager:
                 stall_s=report.stall_time,
                 checkpoint_s=report.checkpoint_time,
             )
-            tracer.metrics.counter("manager.checkpoints").inc()
-            tracer.metrics.histogram("manager.stall_s").observe(
-                report.stall_time
-            )
-            tracer.metrics.histogram("manager.checkpoint_s").observe(
-                report.checkpoint_time
-            )
         if (
             self.remote_backup_every
             and self.stats.checkpoints % self.remote_backup_every == 0
@@ -230,11 +221,8 @@ class CheckpointManager:
                     version=backup.version,
                     iteration=self.job.iteration,
                 )
-                tracer.metrics.counter("manager.remote_backups").inc()
             if self.remote_backup_keep:
-                self.stats.remote_bytes_reclaimed += self.engine.gc_remote_backups(
-                    self.remote_backup_keep
-                )
+                self.engine.gc_remote_backups(self.remote_backup_keep)
         if self.tier_policy is not None:
             self._apply_tier_policy()
         return True
@@ -255,10 +243,6 @@ class CheckpointManager:
         self.stats.total_replicate_s += report.replicate_time
         self.stats.bytes_replicated += report.bytes_replicated
         self.stats.replicate_reports.append(report)
-        tracer = obs.get_tracer()
-        if tracer.enabled:
-            tracer.metrics.counter("manager.replications").inc()
-            tracer.metrics.gauge("manager.log_depth").set(report.log_depth)
 
     def _apply_tier_policy(self) -> None:
         """Demote cold versions to disk and GC the disk tier (async)."""
@@ -320,7 +304,6 @@ class CheckpointManager:
                 replayed_iterations=report.replayed_iterations,
                 recovery_s=report.recovery_time,
             )
-            tracer.metrics.counter("manager.recoveries").inc()
         return report
 
     # ------------------------------------------------------------------
@@ -396,9 +379,6 @@ class CheckpointManager:
                 engine=self.engine.name,
                 degraded_seconds=entry["degraded_seconds"],
             )
-            tracer.metrics.gauge("manager.degraded_seconds").set(
-                self.stats.degraded_seconds
-            )
         sampler = obs_timeseries.active()
         if sampler is not None:
             sampler.record_transition(
@@ -429,7 +409,6 @@ class CheckpointManager:
                 rank=rank,
                 node_id=new_id,
             )
-            tracer.metrics.counter("manager.replacements").inc()
         return new_id
 
 

@@ -241,7 +241,6 @@ class ECCheckEngine(CheckpointEngine):
                 m=m,
                 active_nodes=list(active),
             )
-            tracer.metrics.counter("elastic.reconfigures").inc()
         return plan
 
     def _install_layout(
@@ -1054,11 +1053,6 @@ class ECCheckEngine(CheckpointEngine):
             span.add_sim(report.demote_time)
             span.set(bytes_to_disk=report.bytes_to_disk)
             obs.record_phases(tracer, span, report.breakdown, kind="tier")
-            if tracer.enabled:
-                tracer.metrics.counter("tier.demotions").inc()
-                tracer.metrics.counter("tier.bytes_to_disk").inc(
-                    report.bytes_to_disk
-                )
         return report
 
     def _demote_impl(self, version: int) -> DemotionReport:
@@ -1145,12 +1139,6 @@ class ECCheckEngine(CheckpointEngine):
             if tracer.enabled:
                 tracer.metrics.counter("restore.bytes_inter_node").inc(
                     report.bytes_inter_node
-                )
-                tracer.metrics.counter("restore.bytes_from_remote").inc(
-                    report.bytes_from_remote
-                )
-                tracer.metrics.counter("tier.bytes_from_disk").inc(
-                    report.bytes_from_disk
                 )
         return report
 

@@ -8,7 +8,7 @@ buffers overlap.  Two faces of that design live here:
   run per item, in order, **on the calling thread**.  Threads were
   measured and lost (two threads of ``np.take`` or ``zlib.crc32`` are
   slower than one on a two-vCPU host; DESIGN.md "Step 3 runs in line");
-  the stage boundaries survive as spans, counters and crash points.
+  the stage boundaries survive as spans and crash points.
 * :func:`pipeline_makespan` — the analytic makespan of a B-buffer
   three-stage pipeline, used by the timing model: with per-buffer stage
   times ``t1, t2, t3``, the makespan is
@@ -28,13 +28,6 @@ STAGE_ENCODE, STAGE_XOR_REDUCE, STAGE_TRANSFER = 0, 1, 2
 
 #: Trace-span names per stage (see :mod:`repro.obs`).
 _STAGE_SPAN_NAMES = ("pipeline.encode", "pipeline.xor_reduce", "pipeline.transfer")
-
-#: Items-processed counters per stage, bumped once a run completes.
-_STAGE_COUNTERS = (
-    "pipeline.items_encoded",
-    "pipeline.items_reduced",
-    "pipeline.items_transferred",
-)
 
 
 def pipeline_makespan(stage_times: list[float], buffers: int) -> float:
@@ -107,7 +100,4 @@ class PipelinedRunner:
                 if self.item_hook is not None:
                     self.item_hook(index, item)
             results.append(item)
-        if tracer.enabled:
-            for counter in _STAGE_COUNTERS:
-                tracer.metrics.counter(counter).inc(len(results))
         return results

@@ -317,11 +317,6 @@ class SharedMemoryProcessPoolEncoder:
             backend="process",
         )
         if tracer.enabled:
-            metrics = tracer.metrics
-            metrics.counter("procpool.calls").inc()
-            metrics.counter("procpool.bytes_encoded").inc(size * params.k)
-            metrics.counter("procpool.sub_tasks").inc(self.last_stats.sub_tasks)
-            metrics.counter(f"procpool.mode_{mode}_calls").inc()
             for (pid, t0, t1), (start, end) in zip(worker_times, ranges):
                 tracer.record_span(
                     "procpool.worker",

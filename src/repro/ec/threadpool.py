@@ -186,10 +186,4 @@ class ThreadPoolEncoder:
             mode=mode,
             backend="thread",
         )
-        if tracer.enabled:
-            m = tracer.metrics
-            m.counter("encoder.calls").inc()
-            m.counter("encoder.bytes_encoded").inc(size * len(blocks))
-            m.counter("encoder.sub_tasks").inc(sub_tasks)
-            m.counter(f"encoder.mode_{mode}_calls").inc()
         return parity

@@ -79,8 +79,6 @@ class ElasticClusterController:
         self.checkpointing_blocked = False
         self.repair_ledger = None
         self.repair_generation = 0
-        self.repair_reports: list[RepairReport] = []
-        self.regroup_reports: list[dict] = []
 
     # ------------------------------------------------------------------
     @property
@@ -222,7 +220,6 @@ class ElasticClusterController:
         self.repair_ledger = ledger
         executor = RepairExecutor(engine, ledger, crash_injector)
         report = executor.run()
-        self.repair_reports.append(report)
         self.repair_ledger = None
         if self.membership.at_full_strength:
             self.manager.mark_fully_redundant(
@@ -280,4 +277,3 @@ class ElasticClusterController:
             obs.record_phases(
                 tracer, span, {"regroup_plan": seconds}, kind="regroup"
             )
-        self.regroup_reports.append({"regroup_plan": seconds})

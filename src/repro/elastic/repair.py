@@ -208,7 +208,6 @@ class RepairExecutor:
             span.add_sim(report.repair_seconds)
             obs.record_phases(tracer, span, report.breakdown(), kind="repair")
             if tracer.enabled:
-                tracer.metrics.counter("elastic.repairs_committed").inc()
                 tracer.metrics.gauge("elastic.repair_items").set(
                     report.items_repaired
                 )

@@ -148,9 +148,8 @@ class FleetScheduler:
         #: counters/histograms live here (admissions, failures, sim-time
         #: waits), so flushing a snapshot into the episode record keeps
         #: same-seed reruns byte-identical.  The kernel-level registry
-        #: (``obs.metrics.active()``) is deliberately NOT installed for
-        #: fleet runs — the thread-pool encoder's adaptive mode choice is
-        #: wall-clock-driven, so its counters vary run to run.
+        #: (``obs.metrics.active()``, the installed tracer's) is a
+        #: different one; fleet runs install no tracer of their own.
         self.metrics = MetricsRegistry()
         #: Optional telemetry sampler (see :meth:`attach_sampler`).
         self.sampler = None

@@ -142,17 +142,6 @@ def run_traced_job(
     counters = tracer.metrics.snapshot()["counters"]
     for name in sorted(counters):
         print(f"  counter {name} = {counters[name]}", file=out)
-    histograms = tracer.metrics.snapshot()["histograms"]
-    for name in sorted(histograms):
-        h = histograms[name]
-        if not h["count"]:
-            continue
-        print(
-            f"  histogram {name}: n={h['count']} mean={h['mean']:.6f} "
-            f"p50={h['p50']:.6f} p95={h['p95']:.6f} p99={h['p99']:.6f} "
-            f"max={h['max']:.6f}",
-            file=out,
-        )
     if output and problems and not keep_failed:
         print(f"crosscheck failed; trace not written to {output}", file=out)
     elif output:

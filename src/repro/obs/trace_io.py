@@ -134,6 +134,11 @@ def validate_spans(spans: Iterable[Dict[str, Any]]) -> List[str]:
 #: Relative tolerance of every traced-vs-reported phase reconciliation.
 REL_TOL = 1e-9
 
+#: Breakdown keys that refine a phase rather than add one, so no span
+#: carries them: step 3's compute / communication split (Fig. 11) and a
+#: delta save's dirty share.
+DETAIL_KEYS = frozenset({"step3_encode_compute", "step3_comm", "dirty_fraction"})
+
 
 def _costed_phases(spans: Iterable[Dict[str, Any]]):
     """``(kind, phase, sim_s)`` of every phase-tagged, costed span.
@@ -177,10 +182,15 @@ def crosscheck_totals(
 
     For every phase the trace recorded, the traced total must equal the
     sum of that key over the report breakdowns to within :data:`REL_TOL`
-    relative tolerance.  Returns a list of mismatch descriptions.
+    relative tolerance, and every reported key outside
+    :data:`DETAIL_KEYS` must have been traced.  Returns a list of
+    mismatch descriptions.
     """
     expected = sum_breakdowns(report_breakdowns)
-    problems: List[str] = []
+    problems: List[str] = [
+        f"phase {phase!r} reported but never traced"
+        for phase in sorted(expected.keys() - trace_totals.keys() - DETAIL_KEYS)
+    ]
     for phase, traced in sorted(trace_totals.items()):
         want = expected.get(phase)
         if want is None:

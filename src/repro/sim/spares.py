@@ -104,7 +104,6 @@ class SparePool:
     sigma: float = 0.5
     pending: list[SpareRequest] = field(default_factory=list)
     dispensed: int = 0
-    refused: int = 0
     rng: np.random.Generator | None = None
     queue_when_exhausted: bool = False
     waiting: list[SpareWaiter] = field(default_factory=list)
@@ -166,8 +165,6 @@ class SparePool:
                 self.waiting.append(
                     SpareWaiter(rank=rank, requested_at=sim_time, tenant=tenant)
                 )
-            else:
-                self.refused += 1
             return None
         if source is None:
             raise SimulationError(

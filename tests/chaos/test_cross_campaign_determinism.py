@@ -74,10 +74,10 @@ GOLDEN = {
     "fleet": "2a48389332fe08fc4674bde6bdfe134db4dcc2a95cf81417828b071755d6dad2",
     "hybrid": "ac76dbdf190c666d30fd718026bdb99325615b5ba333cdf5e44b14d691638a22",
     "chaos-traced-timeline": (
-        "c91066ee065050d157b8762d42048fdf8d8ac1075cdb3caf761b7970b58d7fd5"
+        "6a6880a14d1056787efe3b8796497f6e45ce7f4f88fdbd573e201054a795aeac"
     ),
     "tier-traced-timeline": (
-        "f6f8dd8196da1f9d0cbe058f606e379abc3eb205225f2807a8b16cda5fc7b0b3"
+        "98a030664e7e72a6c538d8c285f63606cadffe0f7b926a59fd46916c2980eb41"
     ),
 }
 RUNNERS = {**{case.id: case.values[0] for case in CASES}, **INSTRUMENTED}

@@ -36,6 +36,6 @@ def test_full_campaign_with_tracing_has_zero_violations():
         summary = episode.trace_summary
         assert summary is not None
         assert summary["nesting_problems"] == []
-        # Every injected crash surfaced exactly as many trace events.
-        fired = summary["counters"].get("chaos.crash_points_fired", 0)
-        assert summary["event_counts"].get("crash_point_fired", 0) == fired
+        # Every cycle's injected crash surfaced as exactly one trace event.
+        crashed = sum(1 for cycle in episode.cycles if cycle["crash_point"])
+        assert summary["event_counts"].get("crash_point_fired", 0) == crashed

@@ -122,17 +122,22 @@ def test_remote_backup_keep_reclaims_bytes_on_a_base_engine():
     manager = CheckpointManager(
         job, engine, interval=1, remote_backup_every=1, remote_backup_keep=1
     )
-    written = []
+    written = {}
     put = engine.remote.put
-    engine.remote.put = lambda key, blob: (written.append(len(blob)), put(key, blob))
+
+    def recording_put(key, blob):
+        written[key] = len(blob)
+        return put(key, blob)
+
+    engine.remote.put = recording_put
     for _ in range(3):
         job.advance()
         manager.step()
     assert manager.stats.remote_backups == 3
     # One backup stays; everything older was deleted as it aged out.
     assert {key[1] for key in engine.remote.keys()} == {engine.version}
-    reclaimed = manager.stats.remote_bytes_reclaimed
-    assert reclaimed == sum(written) - engine.remote.total_bytes > 0
+    kept = sum(n for key, n in written.items() if key[1] == engine.version)
+    assert engine.remote.total_bytes == kept < sum(written.values())
 
 
 def test_stats_accumulate():

@@ -192,7 +192,7 @@ def test_spare_refused_when_pool_exhausted():
     controller.on_failure({1}, 10.0)
     # The request was refused: nothing pending, nothing to dispense.
     assert controller.spare_pool.pending == []
-    assert controller.spare_pool.refused == 1
+    assert controller.spare_pool.remaining == 0
     assert controller.poll_spares(1e9) == []
     # Operator intervention: a manual join still works.
     controller.on_spare_join(1, 500.0)

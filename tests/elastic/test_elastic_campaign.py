@@ -3,12 +3,14 @@ and revert-detection of the elastic recovery machinery."""
 
 import json
 
+from repro import obs
 from repro.chaos.elastic_campaign import (
     ElasticConfig,
     run_elastic_campaign,
     run_elastic_episode,
 )
-from repro.elastic.repair import RepairExecutor
+from repro.chaos.injection import InjectedCrash
+from repro.elastic.repair import REPAIR_CRASH_POINTS, RepairExecutor
 
 
 def test_smoke_campaign_has_zero_violations():
@@ -49,23 +51,33 @@ def test_traced_episode_attaches_reconciled_summary():
     assert result.trace_summary["spans"] > 0
 
 
-def test_traced_repair_crashes_are_counted_like_save_crashes():
-    """A repair crash fires through the engine's one crash hook: each is a
-    ``crash_point_fired`` event and bumps the same counters a save crash
-    does, so a traced run's events and counters agree."""
-    config = ElasticConfig(episodes=8, seed=0, trace=True)
+def test_traced_repair_crashes_are_counted_like_save_crashes(monkeypatch):
+    """A repair crash fires through the engine's one crash hook: each
+    injected crash, save or repair, is one ``crash_point_fired`` event
+    naming its point."""
+    raised = []
+    init = InjectedCrash.__init__
+
+    def counting_init(self, point, hits, context):
+        raised.append(point)
+        init(self, point, hits, context)
+
+    monkeypatch.setattr(InjectedCrash, "__init__", counting_init)
+    config = ElasticConfig(episodes=8, seed=0)
     fired = set()
     for index in (0, 7):  # a post_derive and a mid_stream repair crash
-        result = run_elastic_episode(index, config)
-        events = result.trace_summary["event_counts"]
-        counters = result.trace_summary["counters"]
-        assert events["crash_point_fired"] == counters["chaos.crash_points_fired"]
-        assert "repair_crash_fired" not in events
-        for cycle in result.cycles:
-            point = cycle.get("repair_crash")
-            if point:
-                fired.add(point)
-                assert counters[f"chaos.crash_points_fired.{point}"] >= 1
+        raised.clear()
+        with obs.use_tracer() as tracer:
+            result = run_elastic_episode(index, config)
+        events = [r for r in tracer.records() if r["type"] == "event"]
+        assert not [e for e in events if e["name"] == "repair_crash_fired"]
+        points = [
+            e["fields"]["point"] for e in events if e["name"] == "crash_point_fired"
+        ]
+        assert points == raised
+        repaired = {c["repair_crash"] for c in result.cycles if c.get("repair_crash")}
+        assert repaired == set(points) & set(REPAIR_CRASH_POINTS)
+        fired |= repaired
     assert fired == {"post_derive", "mid_stream"}
 
 

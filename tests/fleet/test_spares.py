@@ -26,7 +26,7 @@ def test_refused_request_leaves_stream_untouched():
     before = _state(rng)
     assert pool.request(3, sim_time=1.0) is None
     assert _state(rng) == before
-    assert pool.refused == 1
+    assert pool.pending == [] and pool.remaining == 0
 
 
 def test_queued_request_leaves_stream_untouched():
@@ -50,7 +50,8 @@ def test_delay_sampled_lazily_on_grant_only():
         req = pool.request(rank, sim_time=10.0)
         if req is not None:
             granted.append(req)
-    assert len(granted) == 2 and pool.refused == 3
+    assert len(granted) == 2 and pool.pending == granted
+    assert pool.remaining == 0
 
     replay = np.random.default_rng(9)
     expected = [

@@ -40,20 +40,19 @@ def traced_elastic_run(tmp_path):
         controller.on_failure({1}, 20.0)
         job.advance()
         manager.step()
-        assert controller.poll_spares(1e9) == [1]
+        repair = controller.on_spare_join(1, 1e9)
+        assert repair is not None
         path = tmp_path / "elastic_trace.jsonl"
         write_jsonl(tracer, str(path), nodes=4)
-    return load_trace(str(path)), controller
+    # One regroup at the failure, one at the join, each billed the plan.
+    regroups = [{"regroup_plan": job.time_model.decompose_overhead_s}] * 2
+    return load_trace(str(path)), [repair.breakdown()], regroups
 
 
 def test_repair_and_regroup_totals_reconcile(traced_elastic_run):
-    trace, controller = traced_elastic_run
+    trace, repairs, regroups = traced_elastic_run
     sections, problems = reconcile_phases(
-        trace.spans,
-        {
-            "repair": [r.breakdown() for r in controller.repair_reports],
-            "regroup": controller.regroup_reports,
-        },
+        trace.spans, {"repair": repairs, "regroup": regroups}
     )
     assert problems == []
     analysis = analyze_trace(trace)
@@ -72,8 +71,7 @@ def test_repair_and_regroup_totals_reconcile(traced_elastic_run):
 
 
 def test_tampered_breakdown_is_flagged(traced_elastic_run):
-    trace, controller = traced_elastic_run
-    breakdowns = [r.breakdown() for r in controller.repair_reports]
+    trace, breakdowns, _ = traced_elastic_run
     breakdowns[0]["repair_stream"] *= 1.5
     _, problems = reconcile_phases(trace.spans, {"repair": breakdowns})
     assert any(p.startswith("repair phase 'repair_stream'") for p in problems)

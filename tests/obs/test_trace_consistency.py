@@ -67,13 +67,9 @@ def test_traced_episode_reconciles(crash_point):
     assert trace_io.validate_spans(spans) == []
 
     # The injected crash shows up exactly once in the event log, at the
-    # armed point, and matches the fired-counter.
+    # armed point.
     fired = [e for e in events if e["name"] == "crash_point_fired"]
-    assert len(fired) == 1
-    assert fired[0]["fields"]["point"] == crash_point
-    counters = tracer.metrics.snapshot()["counters"]
-    assert counters["chaos.crash_points_fired"] == 1
-    assert counters[f"chaos.crash_points_fired.{crash_point}"] == 1
+    assert [e["fields"]["point"] for e in fired] == [crash_point]
 
     # The torn save left an uncosted span: kind=save span with sim_s None.
     torn = [
@@ -135,7 +131,10 @@ def test_traced_runner_end_to_end(tmp_path):
     assert trace.spans_named("eccheck.save")
     assert trace.spans_named("pipeline.encode")
     assert trace.events_named("recovery")
-    assert trace.metrics["counters"]["manager.checkpoints"] > 0
+    # Nothing crashes, so every save span commits one checkpoint.
+    assert len(trace.events_named("checkpoint")) == len(
+        trace.spans_named("eccheck.save")
+    ) > 0
     # The decoding-matrix cache the restore hits surfaces as gauges, and
     # no other cache does.
     cache_gauges = [g for g in trace.metrics["gauges"] if g.startswith("cache.")]

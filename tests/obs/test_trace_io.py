@@ -99,10 +99,29 @@ def test_crosscheck_totals_detects_mismatch_and_extra_phase():
     problems = trace_io.crosscheck_totals(
         {"a": 1.5 + 1e-6, "ghost": 1.0}, reports
     )
-    assert len(problems) == 2
-    assert any("ghost" in p for p in problems)
+    assert problems == [
+        "phase 'b' reported but never traced",
+        f"phase 'a': traced {1.5 + 1e-6!r} != reported 1.5",
+        "phase 'ghost' traced but absent from reports",
+    ]
     # Within tolerance is clean.
-    assert trace_io.crosscheck_totals({"a": 1.5 * (1 + 1e-12)}, reports) == []
+    assert trace_io.crosscheck_totals(
+        {"a": 1.5 * (1 + 1e-12), "b": 2.0}, reports
+    ) == []
+
+
+def test_crosscheck_totals_flags_reports_with_no_spans():
+    # A detail key refines a traced phase; no span carries it.
+    reports = [{"a": 1.0, "b": 0.0, **dict.fromkeys(trace_io.DETAIL_KEYS, 0.5)}]
+    assert trace_io.crosscheck_totals({}, reports) == [
+        "phase 'a' reported but never traced",
+        "phase 'b' reported but never traced",
+    ]
+    _, problems = trace_io.reconcile_phases([], {"restore": reports})
+    assert problems == [
+        "restore phase 'a' reported but never traced",
+        "restore phase 'b' reported but never traced",
+    ]
 
 
 #: Two reports' breakdowns per span kind, the way engines and the elastic
