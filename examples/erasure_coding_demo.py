@@ -22,7 +22,7 @@ from repro.ec.threadpool import ThreadPoolEncoder
 
 def main() -> None:
     k, m = 3, 2
-    code = CauchyRSCode(CodeParams(k=k, m=m, w=8))
+    code = CauchyRSCode(CodeParams(k=k, m=m))
     print(f"Cauchy RS code: k={k} data chunks, m={m} parity chunks, GF(2^8)")
     print("generator matrix (systematic):")
     print(code.generator_matrix)

@@ -6,7 +6,7 @@ Checkpoint with Erasure Coding in Distributed DNN Training" (ICDCS 2025).
 Layout
 ------
 ``repro.gf``
-    Finite-field arithmetic over GF(2^w) and GF(2) bitmatrices.
+    Finite-field arithmetic over GF(2^8) and GF(2) bitmatrices.
 ``repro.ec``
     Erasure codes (Cauchy Reed-Solomon, Vandermonde RS, replication, XOR
     parity) plus block encoders and XOR schedules.

@@ -68,26 +68,6 @@ def cluster_recovery_rate(group_rate: float, num_groups: int) -> float:
     return float(group_rate**num_groups)
 
 
-def eqn1_paper_form(p: float) -> float:
-    """Eqn. 1 exactly as printed (n=4, pairwise replication)."""
-    _check_p(p)
-    return float(
-        (1 - p) ** 4
-        + comb(4, 1) * p * (1 - p) ** 3
-        + (comb(4, 2) - 2) * p**2 * (1 - p) ** 2
-    )
-
-
-def eqn2_paper_form(p: float) -> float:
-    """Eqn. 2 exactly as printed (n=4, m=2)."""
-    _check_p(p)
-    return float(
-        (1 - p) ** 4
-        + comb(4, 1) * p * (1 - p) ** 3
-        + comb(4, 2) * p**2 * (1 - p) ** 2
-    )
-
-
 def montecarlo_recovery_rate(
     survives,
     n: int,

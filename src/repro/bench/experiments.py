@@ -399,8 +399,9 @@ def ablation_xor_schedule() -> ExperimentTable:
         "Ablation — XOR schedule compilation (total strip XORs)",
         ["k", "m", "w", "dumb_xors", "smart_xors", "savings_pct"],
     )
-    for k, m, w in [(2, 2, 8), (4, 2, 8), (6, 3, 8), (4, 4, 8)]:
-        code = CauchyRSCode(CodeParams(k=k, m=m, w=w))
+    for k, m in [(2, 2), (4, 2), (6, 3), (4, 4)]:
+        code = CauchyRSCode(CodeParams(k=k, m=m))
+        w = code.params.w
         dumb = dumb_schedule(code.parity_bitmatrix, k, m, w).total_xors
         smart = smart_schedule(code.parity_bitmatrix, k, m, w).total_xors
         table.add_row(
@@ -423,7 +424,7 @@ def ablation_encoding_throughput(payload_mib: int = 8) -> ExperimentTable:
     from repro.ec.cauchy import CauchyRSCode
     from repro.ec.vandermonde import VandermondeRSCode
 
-    params = CodeParams(k=2, m=2, w=8)
+    params = CodeParams(k=2, m=2)
     rng = np.random.default_rng(0)
     packets = [
         rng.integers(0, 256, size=payload_mib * 2**20 // 4, dtype=np.uint8)
@@ -580,9 +581,9 @@ def ablation_cauchy_matrix() -> ExperimentTable:
         ["k", "m", "original", "good", "good_plus_smart", "savings_pct"],
     )
     for k, m in [(2, 2), (4, 2), (6, 3), (4, 4)]:
-        w = 8
-        plain = CauchyRSCode(CodeParams(k=k, m=m, w=w))
-        good = CauchyRSCode(CodeParams(k=k, m=m, w=w), good_matrix=True)
+        plain = CauchyRSCode(CodeParams(k=k, m=m))
+        good = CauchyRSCode(CodeParams(k=k, m=m), good_matrix=True)
+        w = plain.params.w
         original = dumb_schedule(plain.parity_bitmatrix, k, m, w).total_xors
         good_cost = dumb_schedule(good.parity_bitmatrix, k, m, w).total_xors
         combined = smart_schedule(good.parity_bitmatrix, k, m, w).total_xors

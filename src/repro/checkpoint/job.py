@@ -233,10 +233,6 @@ class TrainingJob:
             for worker in self.cluster.workers_of(node):
                 self.state_dicts[worker] = None
 
-    def failed_workers(self) -> list[int]:
-        """Workers currently without live state."""
-        return [w for w, s in self.state_dicts.items() if s is None]
-
     # ------------------------------------------------------------------
     # Node identity: ranks are cluster slots, node ids are machines.
     # ------------------------------------------------------------------

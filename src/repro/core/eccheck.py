@@ -92,7 +92,6 @@ class ECCheckConfig:
     Attributes:
         k: number of data nodes.
         m: number of parity nodes (``k + m`` must equal the node count).
-        w: GF(2^w) word size of the Cauchy RS code.
         encode_threads: CPU encoding threads the ``TimeModel`` bills
             encode/decode seconds for.
         use_sweepline_placement: pick data nodes by max-overlap sweep line
@@ -103,12 +102,12 @@ class ECCheckConfig:
 
     :func:`repro.core.registry.build_engine` hands the config to every
     engine: non-EC engines ignore the coding parameters, and the hybrid
-    engine feeds them to its inner EC core.
+    engine feeds them to its inner EC core.  The code's field is not a
+    tunable: every code runs GF(2^8) (:mod:`repro.gf.tables`).
     """
 
     k: int = 2
     m: int = 2
-    w: int = 8
     encode_threads: int = 4
     use_sweepline_placement: bool = True
     use_pipelining: bool = True
@@ -173,7 +172,7 @@ class ECCheckEngine(CheckpointEngine):
         #: layout-changing repair bumps it to its generation so staged
         #: chunks become authoritative only at the placement flip.
         self._epoch_of_version: dict[int, int] = {}
-        self._code_cache: dict[tuple[int, int, int], CauchyRSCode] = {}
+        self._code_cache: dict[tuple[int, int], CauchyRSCode] = {}
         self.initialize()
 
     # ------------------------------------------------------------------
@@ -297,11 +296,9 @@ class ECCheckEngine(CheckpointEngine):
         """The (cached) Cauchy RS code for a chunk shape, on the XOR-minimised
         generator (Sec. IV-A): parity 0 is the plain XOR of the data chunks,
         and at (2, 2) one coefficient of four needs a multiplication."""
-        key = (k, m, self.config.w)
+        key = (k, m)
         if key not in self._code_cache:
-            self._code_cache[key] = CauchyRSCode(
-                CodeParams(k=k, m=m, w=self.config.w), good_matrix=True
-            )
+            self._code_cache[key] = CauchyRSCode(CodeParams(k=k, m=m), good_matrix=True)
         return self._code_cache[key]
 
     def placement_of(self, version: int) -> PlacementPlan:

@@ -164,14 +164,6 @@ class PlacementPlan:
     def m(self) -> int:
         return len(self.parity_nodes)
 
-    def chunk_of_node(self, node: int) -> tuple[str, int]:
-        """(kind, chunk index) stored by ``node``; kind is 'data'/'parity'."""
-        if node in self.data_nodes:
-            return ("data", self.data_nodes.index(node))
-        if node in self.parity_nodes:
-            return ("parity", self.parity_nodes.index(node))
-        raise ShardingError(f"node {node} is in neither role")
-
 
 def build_data_group(world_size: int, k: int) -> list[list[int]]:
     """Partition workers into ``k`` equal consecutive groups.
@@ -261,17 +253,3 @@ def regroup_plan(
     return PlacementPlan(
         data_nodes=data_nodes, parity_nodes=parity_nodes, data_group=data_group
     )
-
-
-def p2p_data_transfer_count(plan: PlacementPlan, origin_group: list[list[int]]) -> int:
-    """Data packets that must move during P2P placement.
-
-    Data node ``j`` must end up holding every packet of data group ``j``;
-    packets already resident on it move for free.  This is the quantity the
-    sweep-line selection minimises (Fig. 9 of the paper).
-    """
-    moves = 0
-    for j, workers in enumerate(plan.data_group):
-        resident = set(origin_group[plan.data_nodes[j]])
-        moves += sum(1 for w in workers if w not in resident)
-    return moves

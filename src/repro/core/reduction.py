@@ -136,13 +136,3 @@ def build_reduction_plan(
             targets = []
         groups.append(ReductionGroup(index=r, workers=workers, targets=targets))
     return ReductionPlan(groups=groups, k=k, m=m)
-
-
-def reduction_communication_volume(
-    plan: ReductionPlan, packet_bytes: int
-) -> int:
-    """Bytes moved during XOR reduction: (k-1) packet sends per reduction.
-
-    Matches the paper's Sec. V-F accounting of ``(W/k) * m * (k-1) * s``.
-    """
-    return plan.total_reductions * (plan.k - 1) * packet_bytes

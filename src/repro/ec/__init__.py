@@ -1,13 +1,13 @@
 """Erasure codes, the one kernel that codes bytes, and the XOR-count ablations.
 
 1. **Codes** (:class:`~repro.ec.base.ErasureCode` subclasses) own a
-   systematic generator matrix over GF(2^w): Cauchy Reed-Solomon
+   systematic generator matrix over GF(2^8): Cauchy Reed-Solomon
    (:class:`~repro.ec.cauchy.CauchyRSCode`, the scheme ECCheck uses) and
    classic Vandermonde Reed-Solomon.  ``encode`` / ``decode`` are the
    field-arithmetic references; ``encode_fast`` / ``decode_fast`` code
    the same bytes through the kernel.
 2. **The kernel** (:mod:`repro.ec.kernels`): :func:`apply_rows` applies
-   GF(2^w) rows over cache-sized blocks.  Every byte path — the engine's
+   GF(2^8) rows over cache-sized blocks.  Every byte path — the engine's
    fused group encode and decode, ``encode_fast`` / ``decode_fast`` and
    the pools — runs it.
 3. **Schedules** (:mod:`repro.ec.schedule`) compile a Cauchy bitmatrix
@@ -33,7 +33,6 @@ from repro.ec.kernels import (
     DEFAULT_CHUNK_BYTES,
     WORD_BYTES,
     apply_rows,
-    range_alignment,
     xor_reduce_arrays,
     xor_reduce_into,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "DEFAULT_CHUNK_BYTES",
     "WORD_BYTES",
     "apply_rows",
-    "range_alignment",
     "xor_reduce_arrays",
     "xor_reduce_into",
     "VandermondeRSCode",

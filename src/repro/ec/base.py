@@ -2,7 +2,7 @@
 
 A code is systematic: chunk ids ``0..k-1`` are the original data chunks and
 ``k..k+m-1`` are parity chunks.  Every concrete code supplies a
-``(k + m) x k`` generator matrix over GF(2^w) whose top ``k`` rows form the
+``(k + m) x k`` generator matrix over GF(2^8) whose top ``k`` rows form the
 identity; encoding and decoding are implemented once here in terms of that
 matrix, using the vectorised region operations from :mod:`repro.gf.field`.
 """
@@ -13,6 +13,7 @@ from abc import ABC, abstractmethod
 from collections import OrderedDict
 from collections.abc import Iterable
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -20,6 +21,7 @@ from repro.ec.kernels import apply_rows
 from repro.errors import CodeConfigError, DecodeError
 from repro.gf.field import GF
 from repro.gf.matrix import gf_matinv
+from repro.gf.tables import W
 
 
 @dataclass(frozen=True)
@@ -29,20 +31,18 @@ class CodeParams:
     Attributes:
         k: number of data chunks.
         m: number of parity chunks; the code tolerates any ``m`` erasures.
-        w: word size of the underlying field GF(2^w).
+        w: word size of the field, read-only: every code runs GF(2^8).
     """
 
     k: int
     m: int
-    w: int = 8
+    w: ClassVar[int] = W
 
     def __post_init__(self) -> None:
         if self.k < 1:
             raise CodeConfigError(f"k must be >= 1, got {self.k}")
         if self.m < 0:
             raise CodeConfigError(f"m must be >= 0, got {self.m}")
-        if self.w not in (1, 2, 4, 8, 16):
-            raise CodeConfigError(f"unsupported word size w={self.w}")
 
     @property
     def n(self) -> int:
@@ -51,10 +51,10 @@ class CodeParams:
 
 
 class ErasureCode(ABC):
-    """A systematic MDS (or repetition) erasure code over GF(2^w).
+    """A systematic MDS (or repetition) erasure code over GF(2^8).
 
-    Subclasses provide :meth:`build_generator`; encoding, decodability
-    checks, and decoding are inherited.
+    Subclasses provide :meth:`build_generator`; encoding and decoding are
+    inherited.
     """
 
     #: Decoding matrices kept per survivor-id tuple.  Real recoveries
@@ -64,7 +64,7 @@ class ErasureCode(ABC):
 
     def __init__(self, params: CodeParams):
         self.params = params
-        self.field = GF(params.w)
+        self.field = GF(W)
         self._generator: np.ndarray | None = None
         self._decoding_cache: OrderedDict[tuple[int, ...], np.ndarray] = OrderedDict()
         self._decoding_cache_hits = 0
@@ -73,7 +73,7 @@ class ErasureCode(ABC):
     # ------------------------------------------------------------------
     @abstractmethod
     def build_generator(self) -> np.ndarray:
-        """Return the ``(k + m) x k`` generator matrix over GF(2^w)."""
+        """Return the ``(k + m) x k`` generator matrix over GF(2^8)."""
 
     @property
     def generator_matrix(self) -> np.ndarray:
@@ -104,9 +104,6 @@ class ErasureCode(ABC):
         sizes = {b.nbytes for b in blocks}
         if len(sizes) != 1:
             raise CodeConfigError(f"data blocks differ in size: {sorted(sizes)}")
-        size = sizes.pop()
-        if self.params.w == 16 and size % 2:
-            raise CodeConfigError("block size must be even for w=16")
         return [np.ascontiguousarray(b, dtype=np.uint8).ravel() for b in blocks]
 
     def encode(self, data_blocks: list[np.ndarray]) -> list[np.ndarray]:
@@ -128,23 +125,6 @@ class ErasureCode(ABC):
             out.append(acc)
         return out
 
-    def can_decode(self, available_ids: set[int] | list[int]) -> bool:
-        """True if the given chunk ids suffice to reconstruct all data.
-
-        For MDS codes this is ``len(ids) >= k`` with an invertible submatrix
-        (always invertible for MDS constructions); checked explicitly so the
-        repetition code can override nothing.
-        """
-        ids = sorted(set(available_ids))
-        if any(i < 0 or i >= self.params.n for i in ids):
-            raise CodeConfigError(f"chunk ids out of range: {ids}")
-        if len(ids) < self.params.k:
-            return False
-        sub = self.generator_matrix[ids[: self.params.k]]
-        from repro.gf.matrix import is_invertible
-
-        return is_invertible(sub, self.field)
-
     def survivors(self, available_ids: Iterable[int]) -> list[int]:
         """The ``k`` chunk ids a decode reads from ``available_ids``.
 
@@ -165,7 +145,7 @@ class ErasureCode(ABC):
 
         ``available_ids`` must list exactly ``k`` distinct chunk ids in
         ``0..n-1``.  The returned matrix ``D`` satisfies ``data = D @
-        survivors`` over GF(2^w).  This is the matrix the paper calls the
+        survivors`` over GF(2^8).  This is the matrix the paper calls the
         decoding matrix ``E'`` (Eqn. 5).
 
         Raises:
@@ -262,11 +242,6 @@ class ErasureCode(ABC):
         out = [np.empty(blocks[0].size, dtype=np.uint8) for _ in range(self.params.k)]
         apply_rows(self.field, matrix, blocks, out)
         return out
-
-    def encode_all(self, data_blocks: list[np.ndarray]) -> list[np.ndarray]:
-        """Return all ``n`` chunks: the data blocks followed by parity."""
-        blocks = self._check_blocks(data_blocks)
-        return [b.copy() for b in blocks] + self.encode(blocks)
 
     def __repr__(self) -> str:
         p = self.params

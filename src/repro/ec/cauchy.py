@@ -1,6 +1,6 @@
 """Cauchy Reed-Solomon code — the coding scheme ECCheck adopts.
 
-A Cauchy matrix ``C[i][j] = 1 / (x_i + y_j)`` over GF(2^w) (with all
+A Cauchy matrix ``C[i][j] = 1 / (x_i + y_j)`` over GF(2^8) (with all
 ``x_i``, ``y_j`` distinct) has the property that every square submatrix is
 invertible, so ``[I; C]`` is the generator of an MDS code.  Projected to a
 GF(2) bitmatrix (:mod:`repro.gf.bitmatrix`), encoding becomes XOR-only,
@@ -22,17 +22,17 @@ from repro.errors import CodeConfigError
 from repro.ec.base import CodeParams, ErasureCode
 from repro.gf.bitmatrix import bitmatrix_from_matrix
 from repro.gf.field import GF
+from repro.gf.tables import W
 
-# A code's parity bitmatrix is a function of (k, m, w, good_matrix) alone,
+# A code's parity bitmatrix is a function of (k, m, good_matrix) alone,
 # so every CauchyRSCode instance with the same shape shares one expansion.
-_PARITY_BITMATRIX_CACHE: dict[tuple[int, int, int, bool], np.ndarray] = {}
+_PARITY_BITMATRIX_CACHE: dict[tuple[int, int, bool], np.ndarray] = {}
 _CACHE_STATS = {"bitmatrix_hits": 0, "bitmatrix_misses": 0}
 
 
 def cached_parity_bitmatrix(code: "CauchyRSCode") -> np.ndarray:
-    """The code's parity bitmatrix, memoised per (k, m, w, good_matrix)."""
-    p = code.params
-    key = (p.k, p.m, p.w, code.good_matrix)
+    """The code's parity bitmatrix, memoised per (k, m, good_matrix)."""
+    key = (code.params.k, code.params.m, code.good_matrix)
     bm = _PARITY_BITMATRIX_CACHE.get(key)
     if bm is None:
         _CACHE_STATS["bitmatrix_misses"] += 1
@@ -61,7 +61,7 @@ def schedule_cache_info() -> dict[str, int]:
 
 
 def build_cauchy_matrix(k: int, m: int, field: GF) -> np.ndarray:
-    """Build an ``m x k`` Cauchy matrix over GF(2^w).
+    """Build an ``m x k`` Cauchy matrix over GF(2^8).
 
     Uses ``x_i = i`` for parity rows and ``y_j = m + j`` for data columns,
     the same convention as Jerasure's ``cauchy_original_coding_matrix``.
@@ -126,10 +126,10 @@ def build_cauchy_good_matrix(k: int, m: int, field: GF) -> np.ndarray:
 
 
 class CauchyRSCode(ErasureCode):
-    """Systematic Cauchy Reed-Solomon code over GF(2^w).
+    """Systematic Cauchy Reed-Solomon code over GF(2^8).
 
     Args:
-        params: the (k, m, w) code shape.
+        params: the (k, m) code shape.
         good_matrix: use the XOR-minimised "good" Cauchy construction
             instead of the original one.  The checkpoint engines do
             (``ECCheckEngine.code_for``); the library default stays
@@ -138,7 +138,7 @@ class CauchyRSCode(ErasureCode):
             billed by bytes); wall time and the parity bytes do.
 
     Example:
-        >>> code = CauchyRSCode(CodeParams(k=2, m=2, w=8))
+        >>> code = CauchyRSCode(CodeParams(k=2, m=2))
         >>> data = [np.frombuffer(b"abcdefgh", dtype=np.uint8).copy(),
         ...         np.frombuffer(b"ijklmnop", dtype=np.uint8).copy()]
         >>> parity = code.encode(data)
@@ -178,66 +178,49 @@ class CauchyRSCode(ErasureCode):
         :meth:`encode` (the equivalence suite holds it there).
 
         Raises:
-            CodeConfigError: if block sizes are not divisible by ``w``.
+            CodeConfigError: if block sizes are not divisible by ``W`` = 8.
         """
         blocks = self._check_blocks(data_blocks)
-        w = self.params.w
         size = blocks[0].nbytes
-        if size % w:
+        if size % W:
             raise CodeConfigError(
-                f"bitmatrix encoding needs block size divisible by w={w}, got {size}"
+                f"bitmatrix encoding needs block size divisible by w={W}, got {size}"
             )
-        data_strips = _reference_blocks_to_bitplanes(blocks, w)
+        data_strips = _reference_blocks_to_bitplanes(blocks)
         bm = self.parity_bitmatrix
         parity_strips = []
-        for r in range(self.params.m * w):
+        for r in range(self.params.m * W):
             acc = np.zeros(data_strips[0].shape, dtype=np.uint8)
             for c in np.nonzero(bm[r])[0]:
                 np.bitwise_xor(acc, data_strips[int(c)], out=acc)
             parity_strips.append(acc)
-        return _reference_bitplanes_to_blocks(parity_strips, self.params.m, w, size)
+        return _reference_bitplanes_to_blocks(parity_strips, self.params.m, size)
 
 
-def _reference_blocks_to_bitplanes(blocks: list[np.ndarray], w: int) -> list[np.ndarray]:
-    """Split each block into ``w`` bit-plane strips.
+def _reference_blocks_to_bitplanes(blocks: list[np.ndarray]) -> list[np.ndarray]:
+    """Split each block into ``W`` = 8 bit-plane strips.
 
-    Word ``t`` of a block contributes bit ``i`` to position ``t`` of strip
+    Byte ``t`` of a block contributes bit ``i`` to position ``t`` of strip
     ``i``; strips are packed into bytes so XOR stays byte-wise.  The only
     bit-plane code in the package: the bitmatrix reference and
     :meth:`~repro.ec.schedule.XorSchedule.apply` run on it.
     """
-    out: list[np.ndarray] = []
-    for block in blocks:
-        if w == 8:
-            words = block
-        elif w == 16:
-            words = block.view(np.uint16)
-        elif w in (1, 2, 4):
-            words = block & ((1 << w) - 1)
-        else:
-            raise CodeConfigError(f"unsupported w={w} for bitplanes")
-        for i in range(w):
-            bits = ((words >> i) & 1).astype(np.uint8)
-            out.append(np.packbits(bits))
-    return out
+    return [
+        np.packbits(((block >> i) & 1).astype(np.uint8))
+        for block in blocks
+        for i in range(W)
+    ]
 
 
 def _reference_bitplanes_to_blocks(
-    strips: list[np.ndarray], count: int, w: int, size: int
+    strips: list[np.ndarray], count: int, size: int
 ) -> list[np.ndarray]:
-    """Inverse of :func:`_reference_blocks_to_bitplanes` for ``count`` blocks."""
-    if w == 8:
-        n_words, dtype = size, np.uint8
-    elif w == 16:
-        n_words, dtype = size // 2, np.uint16
-    else:
-        n_words, dtype = size, np.uint8
+    """Inverse of :func:`_reference_blocks_to_bitplanes` for ``count``
+    ``size``-byte blocks."""
     out: list[np.ndarray] = []
     for b in range(count):
-        words = np.zeros(n_words, dtype=np.uint32)
-        for i in range(w):
-            bits = np.unpackbits(strips[b * w + i])[:n_words]
-            words |= bits.astype(np.uint32) << i
-        block = words.astype(dtype)
-        out.append(block.view(np.uint8).reshape(-1)[:size].copy())
+        block = np.zeros(size, dtype=np.uint8)
+        for i in range(W):
+            block |= np.unpackbits(strips[b * W + i])[:size] << i
+        out.append(block)
     return out

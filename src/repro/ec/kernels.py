@@ -1,4 +1,4 @@
-"""The one byte-moving kernel: GF(2^w) rows applied over blocked regions.
+"""The one byte-moving kernel: GF(2^8) rows applied over blocked regions.
 
 Every encode and decode that touches checkpoint bytes — the engine's
 fused per-group encode and decode (:mod:`repro.core.protocol`), the
@@ -30,17 +30,6 @@ WORD_BYTES = 8
 DEFAULT_CHUNK_BYTES = 64 * 1024
 
 
-def range_alignment(w: int) -> int:
-    """Byte alignment a sub-range boundary must honour for word size ``w``.
-
-    ``WORD_BYTES`` keeps every sub-range on ``uint64`` lanes; ``w = 16``
-    additionally needs two-byte words, and 16 is the least common multiple.
-    """
-    if w == 16:
-        return 16
-    return WORD_BYTES
-
-
 def live_prefix(size: int, live: int | None) -> int:
     """Leading bytes of a ``size``-byte packet a pass touches when told its
     payload is ``live`` long: that, rounded up to the 64 KiB work block, if
@@ -54,7 +43,7 @@ def apply_rows(
     field: GF, matrix: np.ndarray, sources: list[np.ndarray], out: list[np.ndarray],
     lengths: list[int] | None = None,
 ) -> None:
-    """``out[n] = XOR_c matrix[n][c] * sources[c]`` over GF(2^w).
+    """``out[n] = XOR_c matrix[n][c] * sources[c]`` over GF(2^8).
 
     A block's first column is multiplied straight into the buffer and
     every further column XORed in — a coefficient 0 is skipped, a 1 is
@@ -79,7 +68,7 @@ def apply_rows(
             raise FieldError("an output buffer overlaps a packet or another buffer")
     coefficients = [[int(c) for c in row] for row in matrix]
     if any(not 0 <= c < field.size for row in coefficients for c in row):
-        raise FieldError(f"coefficient outside GF(2^{field.w})")
+        raise FieldError("coefficient outside GF(2^8)")
     lengths = [size] * len(sources) if lengths is None else lengths
     if len(lengths) != len(sources) or any(not 0 <= n <= size for n in lengths):
         raise CheckpointError(f"need one length in [0, {size}] per packet: {lengths}")

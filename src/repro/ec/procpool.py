@@ -49,6 +49,7 @@ from repro.ec.base import ErasureCode
 from repro.ec.kernels import apply_rows
 from repro.ec.threadpool import EncodeStats, ThreadPoolEncoder, split_ranges
 from repro.gf.field import GF
+from repro.gf.tables import W
 
 #: Prefix of every shared-memory segment this module creates; the test
 #: suite sweeps ``/dev/shm`` for it to prove nothing leaks.
@@ -73,7 +74,6 @@ def _round_slot(nbytes: int) -> int:
 # ---------------------------------------------------------------------------
 
 _WORKER_SEGMENTS: dict[str, shared_memory.SharedMemory] = {}
-_WORKER_FIELDS: dict[int, GF] = {}
 
 
 def _attach_segment(name: str) -> shared_memory.SharedMemory:
@@ -107,21 +107,14 @@ def _evict_stale_segments(keep: set[str]) -> None:
             pass
 
 
-def _worker_field(w: int) -> GF:
-    field = _WORKER_FIELDS.get(w)
-    if field is None:
-        field = _WORKER_FIELDS[w] = GF(w)
-    return field
-
-
 def _worker_encode(task: tuple) -> tuple[int, float, float]:
     """Encode one stripe of the shared segments; returns (pid, t0, t1).
 
-    The task carries only segment names, the word size, the ``m x k``
-    parity matrix and byte offsets.  Timestamps are ``perf_counter``
-    readings for the parent's span reconstruction.
+    The task carries only segment names, the ``m x k`` parity matrix and
+    byte offsets.  Timestamps are ``perf_counter`` readings for the
+    parent's span reconstruction.
     """
-    data_name, parity_name, w, parity, data_stride, parity_stride, start, end = task
+    data_name, parity_name, parity, data_stride, parity_stride, start, end = task
     m, k = len(parity), len(parity[0])
     t0 = time.perf_counter()
     data_seg = _attach_segment(data_name)
@@ -133,7 +126,7 @@ def _worker_encode(task: tuple) -> tuple[int, float, float]:
     outs = [
         pbuf[i * parity_stride + start : i * parity_stride + end] for i in range(m)
     ]
-    apply_rows(_worker_field(w), np.asarray(parity), ins, outs)
+    apply_rows(GF(W), np.asarray(parity), ins, outs)
     return (os.getpid(), t0, time.perf_counter())
 
 
@@ -290,7 +283,7 @@ class SharedMemoryProcessPoolEncoder:
         params = self.code.params
         blocks = self.code._check_blocks(data_blocks)
         size = blocks[0].nbytes
-        ranges = split_ranges(size, self.workers, self.min_subtask_bytes, params.w)
+        ranges = split_ranges(size, self.workers, self.min_subtask_bytes)
         # No parity rows means no parity segment to share: single-shot.
         pooled = self.workers > 1 and len(ranges) > 1 and params.m > 0
         mode = "pool" if pooled else "single"
@@ -346,7 +339,6 @@ class SharedMemoryProcessPoolEncoder:
             (
                 data_seg.name,
                 parity_seg.name,
-                params.w,
                 parity_rows,
                 stride,
                 stride,

@@ -36,7 +36,7 @@ import numpy as np
 from repro import obs
 from repro.errors import CodeConfigError
 from repro.ec.base import ErasureCode
-from repro.ec.kernels import apply_rows, range_alignment
+from repro.ec.kernels import WORD_BYTES, apply_rows
 
 
 @dataclass
@@ -54,15 +54,15 @@ class EncodeStats:
 
 
 def split_ranges(
-    block_size: int, parts: int, min_subtask_bytes: int, w: int
+    block_size: int, parts: int, min_subtask_bytes: int
 ) -> list[tuple[int, int]]:
     """Byte ranges covering ``block_size``, aligned to the kernel word.
 
-    Boundaries honour :func:`repro.ec.kernels.range_alignment` (8 bytes,
-    16 for w=16), so every range but the last runs on ``uint64`` lanes
-    and never splits a 16-bit word.  Both pool encoders use this splitter.
+    Boundaries fall on :data:`repro.ec.kernels.WORD_BYTES`, so every range
+    but the last runs on ``uint64`` lanes.  Both pool encoders use this
+    splitter.
     """
-    word = range_alignment(w)
+    word = WORD_BYTES
     target = max(min_subtask_bytes, block_size // max(parts, 1))
     target = max(word, (target // word) * word)
     ranges = []
@@ -112,9 +112,7 @@ class ThreadPoolEncoder:
         self._clock = time.perf_counter  # injectable for tests
 
     def _split_ranges(self, block_size: int) -> list[tuple[int, int]]:
-        return split_ranges(
-            block_size, self.threads, self.min_subtask_bytes, self.code.params.w
-        )
+        return split_ranges(block_size, self.threads, self.min_subtask_bytes)
 
     def _pick_mode(self, size: int, n_ranges: int) -> str:
         """Choose pooled vs single-shot execution for this call.

@@ -2,7 +2,7 @@
 
 Included as the baseline coding scheme the paper's Cauchy choice is measured
 against: the Vandermonde construction's parity coefficients are general
-GF(2^w) multiplications (all four at (2, 2)), whereas the XOR-minimised
+GF(2^8) multiplications (all four at (2, 2)), whereas the XOR-minimised
 Cauchy generator makes most of them 1, a plain XOR (three of four at
 (2, 2); its bitmatrix form is XOR-only throughout).  The
 ablation benchmark (``benchmarks/test_ablations.py``) compares their
@@ -25,7 +25,7 @@ from repro.gf.matrix import gf_matinv, gf_matmul
 
 
 def build_vandermonde_generator(k: int, m: int, field: GF) -> np.ndarray:
-    """Systematic ``(k + m) x k`` Reed-Solomon generator over GF(2^w).
+    """Systematic ``(k + m) x k`` Reed-Solomon generator over GF(2^8).
 
     Rows evaluate the message polynomial at ``k + m`` distinct points; the
     top block is then normalised to the identity.

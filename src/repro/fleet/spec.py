@@ -88,9 +88,6 @@ class FleetSpec:
     def switch_of(self, slot: int) -> int:
         return self.rack_of(slot) // self.racks_per_switch
 
-    def power_of(self, slot: int) -> int:
-        return self.switch_of(slot) // self.switches_per_power
-
     def _check_slot(self, slot: int) -> None:
         if not 0 <= slot < self.num_slots:
             raise SimulationError(f"slot {slot} outside fleet of {self.num_slots}")

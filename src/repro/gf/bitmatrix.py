@@ -1,4 +1,4 @@
-"""GF(2) bitmatrix projection of GF(2^w) matrices.
+"""GF(2) bitmatrix projection of GF(2^8) matrices.
 
 Cauchy Reed-Solomon coding (the scheme ECCheck adopts) rewrites every field
 multiplication as a small binary matrix acting on the bit-decomposition of a
@@ -13,46 +13,40 @@ Bitmatrices here are numpy uint8 arrays containing 0/1.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from repro.errors import MatrixError
 from repro.gf.field import GF
 
 
-# All w x w element bitmatrices of a field, built once per word size and
-# fancy-indexed afterwards (bitmatrix expansion sits on the schedule-compile
-# and decode paths, where it used to dominate with per-element Python loops).
-_ELEMENT_TABLES: dict[int, np.ndarray] = {}
-
-
+@lru_cache(maxsize=None)
 def element_bitmatrix_table(field: GF) -> np.ndarray:
-    """A ``(2^w, w, w)`` table: entry ``e`` is the bitmatrix of ``e``.
+    """A ``(256, 8, 8)`` table: entry ``e`` is the bitmatrix of ``e``.
 
-    Built lazily, once per field, by rotating one vectorised column at a
-    time: column ``j`` of every element's matrix holds the bits of
-    ``e * 2^j``, so ``w`` ``mul_array`` passes over all ``2^w`` elements
-    produce the whole table.
+    Built once, by rotating one vectorised column at a time: column ``j``
+    of every element's matrix holds the bits of ``e * 2^j``, so eight
+    ``mul_array`` passes over all 256 elements produce the whole
+    table (bitmatrix expansion sits on the schedule-compile and decode
+    paths, where per-element Python loops used to dominate).
     """
-    table = _ELEMENT_TABLES.get(field.w)
-    if table is None:
-        w = field.w
-        table = np.zeros((field.size, w, w), dtype=np.uint8)
-        col = np.arange(field.size, dtype=np.uint32)  # e * 2^0
-        two = np.full(field.size, 2, dtype=np.uint32)
-        shifts = np.arange(w, dtype=np.uint32)
-        for j in range(w):
-            table[:, :, j] = (col[:, None] >> shifts[None, :]) & 1
-            if j + 1 < w:  # GF(2) has no element 2; skip the dead last pass
-                col = field.mul_array(col, two)
-        table.setflags(write=False)
-        _ELEMENT_TABLES[field.w] = table
+    w = field.w
+    table = np.zeros((field.size, w, w), dtype=np.uint8)
+    col = np.arange(field.size, dtype=np.uint32)  # e * 2^0
+    two = np.full(field.size, 2, dtype=np.uint32)
+    shifts = np.arange(w, dtype=np.uint32)
+    for j in range(w):
+        table[:, :, j] = (col[:, None] >> shifts[None, :]) & 1
+        col = field.mul_array(col, two)
+    table.setflags(write=False)
     return table
 
 
 def bitmatrix_from_element(e: int, field: GF) -> np.ndarray:
     """The ``w x w`` binary matrix representing multiplication by ``e``.
 
-    Column ``j`` contains the bits (LSB first) of ``e * 2^j`` in GF(2^w).
+    Column ``j`` contains the bits (LSB first) of ``e * 2^j`` in GF(2^8).
     ``B(e) @ bits(v) == bits(e * v)`` over GF(2) for every field element
     ``v``.
     """

@@ -1,4 +1,4 @@
-"""Scalar and vectorised arithmetic over GF(2^w).
+"""Scalar and vectorised arithmetic over GF(2^8).
 
 :class:`GF` wraps the log/antilog tables from :mod:`repro.gf.tables` with a
 clean API.  Two kinds of operations are exposed:
@@ -9,13 +9,12 @@ clean API.  Two kinds of operations are exposed:
   ``mul_region_into``) used on the hot encoding path, where a single field
   constant multiplies an entire packet.
 
-Region operations use per-constant lookup tables: for w = 8 a 256-entry
-table, widened on the hot path to a 65 536-entry *pair table* that
-multiplies two bytes per lookup (GF-Complete's "w=8 TABLE DOUBLE"); for
-w = 16 a pair of 256-entry tables (the product distributes over the high
-and low bytes of each 16-bit word); for w <= 4 values are packed one per
-byte.  This mirrors how CPU erasure-coding libraries such as Jerasure
-implement ``galois_w08_region_multiply``.
+Region operations use per-constant lookup tables: a 256-entry table,
+widened on the hot path to a 65 536-entry *pair table* that multiplies
+two bytes per lookup (GF-Complete's "w=8 TABLE DOUBLE").  This mirrors
+how CPU erasure-coding libraries such as Jerasure implement
+``galois_w08_region_multiply``.  GF(2^8) is the only field: every byte
+is one element.
 """
 
 from __future__ import annotations
@@ -25,16 +24,15 @@ from functools import lru_cache
 import numpy as np
 
 from repro.errors import FieldError
-from repro.gf.tables import PRIMITIVE_POLYNOMIALS, build_tables
-
-SUPPORTED_WORD_SIZES: tuple[int, ...] = tuple(sorted(PRIMITIVE_POLYNOMIALS))
+from repro.gf.tables import EXP, LOG, W
 
 
 class GF:
-    """Arithmetic in the finite field GF(2^w).
+    """Arithmetic in the finite field GF(2^8).
 
-    Instances are cached per word size (``GF(8) is GF(8)``), so construction
-    is cheap to repeat.
+    ``GF(8)`` names the field by its word size, as Jerasure's calls do; it
+    is the one field there is (``GF(8) is GF(8)``), and any other word
+    size is refused.
 
     Example:
         >>> f = GF(8)
@@ -44,24 +42,20 @@ class GF:
         1
     """
 
-    _instances: dict[int, "GF"] = {}
+    w = W
+    size = 1 << W
+    order = size - 1
+    exp = EXP
+    log = LOG
+
+    _instance: "GF | None" = None
 
     def __new__(cls, w: int) -> "GF":
-        if w not in PRIMITIVE_POLYNOMIALS:
-            raise FieldError(
-                f"unsupported word size w={w}; supported: {list(SUPPORTED_WORD_SIZES)}"
-            )
-        if w not in cls._instances:
-            instance = super().__new__(cls)
-            instance._init(w)
-            cls._instances[w] = instance
-        return cls._instances[w]
-
-    def _init(self, w: int) -> None:
-        self.w = w
-        self.size = 1 << w
-        self.order = self.size - 1
-        self.exp, self.log = build_tables(w)
+        if w != W:
+            raise FieldError(f"unsupported word size w={w}; the field is GF(2^{W})")
+        if cls._instance is None:
+            cls._instance = super().__new__(cls)
+        return cls._instance
 
     # ------------------------------------------------------------------
     # Scalar operations
@@ -93,7 +87,7 @@ class GF:
         """
         self._check(a, b)
         if b == 0:
-            raise FieldError("division by zero in GF(2^w)")
+            raise FieldError("division by zero in GF(2^8)")
         if a == 0:
             return 0
         return int(self.exp[int(self.log[a]) - int(self.log[b]) + self.order])
@@ -138,53 +132,15 @@ class GF:
     # ------------------------------------------------------------------
     @lru_cache(maxsize=4096)
     def _region_table(self, c: int) -> np.ndarray:
-        """Lookup table(s) that map raw bytes to ``c * value`` bytes.
-
-        For w <= 8 the result is a single 256-entry table; for w = 16 the
-        result is a ``(2, 256)`` array of uint16 whose rows correspond to the
-        high and low byte contributions.
-        """
-        if self.w <= 4:
-            # One packed value per nibble pair is overkill for a simulator;
-            # store one value per byte (high bits of the byte must be zero).
-            values = np.arange(256, dtype=np.uint32)
-            masked = values & (self.size - 1)
-            return self.mul_array(np.full(256, c, dtype=np.uint32), masked).astype(
-                np.uint8
-            )
-        if self.w == 8:
-            values = np.arange(256, dtype=np.uint32)
-            return self.mul_array(np.full(256, c, dtype=np.uint32), values).astype(
-                np.uint8
-            )
-        if self.w == 16:
-            lo = np.arange(256, dtype=np.uint32)
-            hi = lo << 8
-            c_arr = np.full(256, c, dtype=np.uint32)
-            table = np.empty((2, 256), dtype=np.uint16)
-            table[0] = self.mul_array(c_arr, hi).astype(np.uint16)
-            table[1] = self.mul_array(c_arr, lo).astype(np.uint16)
-            return table
-        raise FieldError(f"region operations unsupported for w={self.w}")
-
-    def words_view(self, buf: np.ndarray) -> np.ndarray:
-        """View a uint8 buffer as an array of field words.
-
-        For w <= 8 this is the buffer itself; for w = 16 it is a uint16 view
-        (the buffer length must be even).
-        """
-        buf = np.ascontiguousarray(buf, dtype=np.uint8)
-        if self.w <= 8:
-            return buf
-        if self.w == 16:
-            if buf.size % 2:
-                raise FieldError("buffer length must be a multiple of 2 for w=16")
-            return buf.view(np.uint16)
-        raise FieldError(f"region operations unsupported for w={self.w}")
+        """The 256-entry table that maps a byte ``v`` to ``c * v``."""
+        values = np.arange(256, dtype=np.uint32)
+        return self.mul_array(np.full(256, c, dtype=np.uint32), values).astype(
+            np.uint8
+        )
 
     @lru_cache(maxsize=64)
     def _pair_table(self, c: int) -> np.ndarray:
-        """w = 8 only: ``c * (two bytes)`` per uint16 lookup (128 KiB).
+        """``c * (two bytes)`` per uint16 lookup (128 KiB).
 
         Entry ``hi << 8 | lo`` holds ``t[hi] << 8 | t[lo]``, which is the
         product of both bytes of a uint16 word under either byte order.
@@ -207,15 +163,7 @@ class GF:
             dst.fill(0)
         elif c == 1:
             dst[:] = src
-        elif self.w == 16:
-            words = self.words_view(src)
-            table = self._region_table(c)
-            np.bitwise_xor(
-                table[0][(words >> 8).astype(np.uint8)],
-                table[1][(words & 0xFF).astype(np.uint8)],
-                out=dst.view(np.uint16),
-            )
-        elif self.w == 8 and src.flags.c_contiguous and src.size % 2 == 0:
+        elif src.flags.c_contiguous and src.size % 2 == 0:
             # mode="wrap" is safe (a uint16 cannot exceed the table) and
             # skips the bounds-checking pass that buffers ``out``.
             np.take(
@@ -259,7 +207,7 @@ class GF:
         self.mul_flat(c, buf.reshape(-1), out.reshape(-1))
 
     def mul_region(self, c: int, buf: np.ndarray) -> np.ndarray:
-        """Return ``c * buf`` where ``buf`` is a uint8 buffer of field words."""
+        """Return ``c * buf`` where ``buf`` is a uint8 buffer of field elements."""
         buf = np.asarray(buf, dtype=np.uint8)
         out = np.empty(buf.shape, dtype=np.uint8)
         self.mul_region_into(c, buf, out)

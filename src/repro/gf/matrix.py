@@ -1,4 +1,4 @@
-"""Matrix algebra over GF(2^w).
+"""Matrix algebra over GF(2^8).
 
 Matrices are plain numpy ``uint32`` arrays whose entries are field elements.
 These routines back the construction and inversion of erasure-coding
@@ -22,12 +22,12 @@ def _as_matrix(mat: np.ndarray) -> np.ndarray:
 
 
 def gf_eye(n: int) -> np.ndarray:
-    """Identity matrix of size ``n`` over any GF(2^w)."""
+    """Identity matrix of size ``n`` over GF(2^8)."""
     return np.eye(n, dtype=np.uint32)
 
 
 def gf_matmul(a: np.ndarray, b: np.ndarray, field: GF) -> np.ndarray:
-    """Matrix product over GF(2^w)."""
+    """Matrix product over GF(2^8)."""
     a = _as_matrix(a)
     b = _as_matrix(b)
     if a.shape[1] != b.shape[0]:
@@ -46,7 +46,7 @@ def gf_matmul(a: np.ndarray, b: np.ndarray, field: GF) -> np.ndarray:
 
 
 def gf_matinv(mat: np.ndarray, field: GF) -> np.ndarray:
-    """Invert a square matrix over GF(2^w) by Gauss-Jordan elimination.
+    """Invert a square matrix over GF(2^8) by Gauss-Jordan elimination.
 
     Raises:
         MatrixError: if the matrix is singular or not square.
@@ -65,7 +65,7 @@ def gf_matinv(mat: np.ndarray, field: GF) -> np.ndarray:
                 pivot = row
                 break
         if pivot < 0:
-            raise MatrixError("matrix is singular over GF(2^w)")
+            raise MatrixError("matrix is singular over GF(2^8)")
         if pivot != col:
             work[[col, pivot]] = work[[pivot, col]]
             inv[[col, pivot]] = inv[[pivot, col]]
@@ -87,7 +87,7 @@ def gf_matinv(mat: np.ndarray, field: GF) -> np.ndarray:
 
 
 def gf_matrank(mat: np.ndarray, field: GF) -> int:
-    """Rank of a matrix over GF(2^w)."""
+    """Rank of a matrix over GF(2^8)."""
     work = _as_matrix(mat).astype(np.uint32).copy()
     rows, cols = work.shape
     rank = 0
@@ -118,7 +118,7 @@ def gf_matrank(mat: np.ndarray, field: GF) -> int:
 
 
 def is_invertible(mat: np.ndarray, field: GF) -> bool:
-    """True if the square matrix has full rank over GF(2^w)."""
+    """True if the square matrix has full rank over GF(2^8)."""
     mat = _as_matrix(mat)
     if mat.shape[0] != mat.shape[1]:
         return False

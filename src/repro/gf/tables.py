@@ -1,85 +1,47 @@
-"""Log/antilog table construction for GF(2^w).
+"""Log/antilog tables of GF(2^8), the one field of the coding stack.
 
-The tables follow the classic construction used by Jerasure: pick a primitive
-polynomial for the field, enumerate powers of the generator ``x`` (element 2),
+The tables follow the classic construction used by Jerasure: take the
+primitive polynomial, enumerate powers of the generator ``x`` (element 2),
 and record ``exp[i] = x^i`` together with the inverse mapping
 ``log[exp[i]] = i``.  Multiplication then reduces to an addition of logs
-modulo ``2^w - 1``.
+modulo ``2^8 - 1``.
 
-Only the word sizes the paper's coding stack needs are supported; Jerasure
-likewise special-cases w in {8, 16, 32} and we add the small sizes used by
-tests and teaching examples.
+Every code the package builds — the engines', the ablations', the
+examples' — runs at w = 8, the word size Jerasure's Cauchy RS defaults
+to, so the field is fixed here rather than chosen per code.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
-from repro.errors import FieldError
+#: Word size of the field: every element is one byte.
+W = 8
 
-# Primitive polynomials, expressed with the leading x^w term included, as in
-# Jerasure's defaults (e.g. 0x11D = x^8 + x^4 + x^3 + x^2 + 1 for w = 8).
-PRIMITIVE_POLYNOMIALS: dict[int, int] = {
-    1: 0b11,          # x + 1
-    2: 0b111,         # x^2 + x + 1
-    4: 0b10011,       # x^4 + x + 1
-    8: 0x11D,         # x^8 + x^4 + x^3 + x^2 + 1
-    16: 0x1100B,      # x^16 + x^12 + x^3 + x + 1
-}
+#: Jerasure's default for w = 8, leading term included:
+#: x^8 + x^4 + x^3 + x^2 + 1.
+PRIMITIVE_POLYNOMIAL = 0x11D
 
 
-@lru_cache(maxsize=None)
-def build_tables(w: int) -> tuple[np.ndarray, np.ndarray]:
-    """Return ``(exp, log)`` tables for GF(2^w).
-
-    ``exp`` has length ``2 * (2^w - 1)`` so products of two logs can be looked
-    up without a modulo operation.  ``log`` has length ``2^w``; ``log[0]`` is
-    a sentinel (it is never a valid input to multiplication by logs).
-
-    Raises:
-        FieldError: if ``w`` is not one of the supported word sizes.
-    """
-    if w not in PRIMITIVE_POLYNOMIALS:
-        raise FieldError(
-            f"unsupported word size w={w}; supported: {sorted(PRIMITIVE_POLYNOMIALS)}"
-        )
-    poly = PRIMITIVE_POLYNOMIALS[w]
-    order = (1 << w) - 1
+def _exp_log() -> tuple[np.ndarray, np.ndarray]:
+    """``(exp, log)``: ``exp`` has length ``2 * 255`` so products of two
+    logs are looked up without a modulo; ``log[0]`` is a sentinel 0 (it
+    is never a valid input to multiplication by logs)."""
+    order = (1 << W) - 1
     exp = np.zeros(2 * order, dtype=np.uint32)
-    log = np.zeros(1 << w, dtype=np.uint32)
-
+    log = np.zeros(1 << W, dtype=np.uint32)
     value = 1
     for i in range(order):
         exp[i] = value
         log[value] = i
         value <<= 1
-        if value & (1 << w):
-            value ^= poly
+        if value & (1 << W):
+            value ^= PRIMITIVE_POLYNOMIAL
     # Duplicate the cycle so exp[log_a + log_b] never needs a modulo.
-    exp[order : 2 * order] = exp[:order]
-    # log[0] is undefined; keep 0 as the sentinel and guard in callers.
-    log[0] = 0
+    exp[order:] = exp[:order]
+    exp.setflags(write=False)
+    log.setflags(write=False)
     return exp, log
 
 
-@lru_cache(maxsize=None)
-def mul_table(w: int) -> np.ndarray:
-    """Full multiplication table for small fields (w <= 8).
-
-    Returns a ``(2^w, 2^w)`` uint32 array with ``table[a, b] = a * b`` in
-    GF(2^w).  Used for fast vectorised products and for brute-force
-    verification in tests.
-    """
-    if w > 8:
-        raise FieldError("full multiplication tables are only built for w <= 8")
-    exp, log = build_tables(w)
-    size = 1 << w
-    a = np.arange(size, dtype=np.uint32)
-    table = np.zeros((size, size), dtype=np.uint32)
-    nz = a[1:]
-    # table[a, b] = exp[log[a] + log[b]] for a, b != 0.
-    logs = log[nz]
-    table[1:, 1:] = exp[(logs[:, None] + logs[None, :])]
-    return table
+EXP, LOG = _exp_log()

@@ -57,12 +57,6 @@ class Trace:
     events: List[Dict[str, Any]] = field(default_factory=list)
     metrics: Dict[str, Any] = field(default_factory=dict)
 
-    def events_named(self, name: str) -> List[Dict[str, Any]]:
-        return [e for e in self.events if e["name"] == name]
-
-    def spans_named(self, name: str) -> List[Dict[str, Any]]:
-        return [s for s in self.spans if s["name"] == name]
-
 
 def load_trace(path: str) -> Trace:
     """Parse a JSONL trace written by :func:`write_jsonl`."""

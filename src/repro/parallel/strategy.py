@@ -83,22 +83,6 @@ class ParallelismSpec:
             + coords.dp_rank * self.tensor_parallel * self.pipeline_parallel
         )
 
-    def tp_group(self, worker: int) -> list[int]:
-        """Workers sharing this worker's tensor-parallel group."""
-        coords = self.coords_of(worker)
-        return [
-            self.worker_of(RankCoords(tp, coords.pp_rank, coords.dp_rank))
-            for tp in range(self.tensor_parallel)
-        ]
-
-    def pp_group(self, worker: int) -> list[int]:
-        """Workers along this worker's pipeline."""
-        coords = self.coords_of(worker)
-        return [
-            self.worker_of(RankCoords(coords.tp_rank, pp, coords.dp_rank))
-            for pp in range(self.pipeline_parallel)
-        ]
-
     def dp_group(self, worker: int) -> list[int]:
         """Data-parallel replicas of this worker's shard."""
         coords = self.coords_of(worker)

@@ -77,11 +77,6 @@ class ClusterSpec:
         self._check_worker(worker)
         return worker // self.gpus_per_node
 
-    def local_rank(self, worker: int) -> int:
-        """The worker's GPU index within its node."""
-        self._check_worker(worker)
-        return worker % self.gpus_per_node
-
     def workers_of(self, node: int) -> list[int]:
         """All workers on ``node``, in order."""
         if not 0 <= node < self.num_nodes:
@@ -92,10 +87,6 @@ class ClusterSpec:
     def origin_groups(self) -> list[list[int]]:
         """Physical worker intervals per node (the paper's origin_group)."""
         return [self.workers_of(node) for node in range(self.num_nodes)]
-
-    def same_node(self, a: int, b: int) -> bool:
-        """True if two workers share a machine (NVLink vs network)."""
-        return self.node_of(a) == self.node_of(b)
 
     def _check_worker(self, worker: int) -> None:
         if not 0 <= worker < self.world_size:

@@ -533,12 +533,6 @@ class BandwidthArbiter:
         """Sum of granted rates (== capacity when any claims are live)."""
         return sum(c.rate for c in self.claims.values())
 
-    def fraction_of(self, name: str) -> float:
-        """Current capacity fraction granted to ``name`` (1.0 if alone)."""
-        if name not in self.claims:
-            raise SimulationError(f"unknown claim {name!r}")
-        return self.claims[name].fraction
-
 
 @dataclass(frozen=True)
 class TransferResult:

@@ -132,14 +132,6 @@ class IterationTimeline:
             return 0.0
         return total_duration(self.idle_slots(stage)) / self.iteration_time
 
-    def min_idle_seconds(self) -> float:
-        """Idle seconds of the busiest stage (the scheduling bottleneck)."""
-        if not self.stage_busy:
-            return self.iteration_time
-        return min(
-            total_duration(self.idle_slots(stage)) for stage in self.stage_busy
-        )
-
 
 def pipeline_schedule_timeline(
     stages: int,

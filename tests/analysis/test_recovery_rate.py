@@ -1,5 +1,7 @@
 """Tests for the recovery-rate math (Eqns. 1-2, Figs. 3 and 15)."""
 
+from math import comb
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,8 +10,6 @@ from hypothesis import strategies as st
 from repro.errors import ReproError
 from repro.analysis.recovery_rate import (
     cluster_recovery_rate,
-    eqn1_paper_form,
-    eqn2_paper_form,
     erasure_recovery_rate,
     erasure_survives,
     montecarlo_recovery_rate,
@@ -18,6 +18,24 @@ from repro.analysis.recovery_rate import (
 )
 
 probabilities = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+
+
+def eqn1_paper_form(p: float) -> float:
+    """Eqn. 1 exactly as printed (n=4, pairwise replication)."""
+    return (
+        (1 - p) ** 4
+        + comb(4, 1) * p * (1 - p) ** 3
+        + (comb(4, 2) - 2) * p**2 * (1 - p) ** 2
+    )
+
+
+def eqn2_paper_form(p: float) -> float:
+    """Eqn. 2 exactly as printed (n=4, m=2)."""
+    return (
+        (1 - p) ** 4
+        + comb(4, 1) * p * (1 - p) ** 3
+        + comb(4, 2) * p**2 * (1 - p) ** 2
+    )
 
 
 @given(p=probabilities)

@@ -30,7 +30,7 @@ from repro.tensors.tensor import GPU, SimTensor
 
 @pytest.fixture
 def code():
-    return CauchyRSCode(CodeParams(k=2, m=2, w=8))
+    return CauchyRSCode(CodeParams(k=2, m=2))
 
 
 def make_state(seed, shape=(40, 8)):
@@ -187,7 +187,7 @@ def test_distributed_encode_equals_direct_matrix_encode(code):
 )
 def test_fused_group_encode_equals_both_oracles(k, m, half_size, seed, data):
     """encode_group_into == code.encode == encode_packet + xor_reduce."""
-    code = CauchyRSCode(CodeParams(k=k, m=m, w=8))
+    code = CauchyRSCode(CodeParams(k=k, m=m))
     rng = np.random.default_rng(seed)
     size = 2 * half_size  # ragged (not word-divisible) but even
     packets = [rng.integers(0, 256, size=size, dtype=np.uint8) for _ in range(k)]
@@ -216,9 +216,9 @@ class _MatrixCode(ErasureCode):
     """A systematic code around an arbitrary parity block (no MDS claim):
     the unfused reference functions read their coefficients from a code."""
 
-    def __init__(self, parity: np.ndarray, w: int):
+    def __init__(self, parity: np.ndarray):
         m, k = parity.shape
-        super().__init__(CodeParams(k=k, m=m, w=w))
+        super().__init__(CodeParams(k=k, m=m))
         self._parity = parity
 
     def build_generator(self) -> np.ndarray:
@@ -230,10 +230,10 @@ class _MatrixCode(ErasureCode):
 RAGGED_SIZES = (1, 7, 13, 64, 1000, 4098, 65536 + 10, 2 * 65536 + 6)
 
 
-def every_kind_in_every_column(data, w, k):
+def every_kind_in_every_column(data, k):
     """A matrix with a 0, a 1 and a general coefficient in every column
     position, an all-zero row, and up to three rows Hypothesis draws."""
-    general = st.integers(2, (1 << w) - 1)
+    general = st.integers(2, 255)
     kinds = [0, 1, None]  # None: a general coefficient
     rows = [[kinds[(j + shift) % 3] for j in range(k)] for shift in range(3)]
     rows.append([0] * k)
@@ -251,26 +251,21 @@ def every_kind_in_every_column(data, w, k):
 
 @settings(max_examples=40, deadline=None)
 @given(
-    w=st.sampled_from([4, 8, 16]),
     k=st.integers(1, 5),
     size=st.sampled_from(RAGGED_SIZES),
     seed=st.integers(0, 2**16),
     data=st.data(),
 )
-def test_apply_rows_equals_encode_packet_plus_xor_reduce(w, k, size, seed, data):
+def test_apply_rows_equals_encode_packet_plus_xor_reduce(k, size, seed, data):
     """The fused kernel against the unfused reference, on matrices built to
     put a 0, a 1 and a general coefficient in *every* column position —
     column 0, which is multiplied straight into the buffer, included —
     next to an all-zero row and rows Hypothesis draws freely."""
-    if w == 16:
-        size += size % 2  # 16-bit words
-    matrix = every_kind_in_every_column(data, w, k)
+    matrix = every_kind_in_every_column(data, k)
     rows = range(len(matrix))
-    code = _MatrixCode(matrix, w)
+    code = _MatrixCode(matrix)
     rng = np.random.default_rng(seed)
-    sources = [
-        rng.integers(0, min(256, 1 << w), size=size, dtype=np.uint8) for _ in range(k)
-    ]
+    sources = [rng.integers(0, 256, size=size, dtype=np.uint8) for _ in range(k)]
     originals = [source.copy() for source in sources]
     out = [np.full(size, 0xEE, dtype=np.uint8) for _ in rows]
     apply_rows(code.field, matrix, sources, out)
@@ -282,29 +277,28 @@ def test_apply_rows_equals_encode_packet_plus_xor_reduce(w, k, size, seed, data)
 
 @settings(max_examples=40, deadline=None)
 @given(
-    w=st.sampled_from([4, 8, 16]),
     k=st.integers(1, 4),
     size=st.sampled_from([BLOCK - 2, 2 * BLOCK, 2 * BLOCK + 10, 4 * BLOCK + 6]),
     seed=st.integers(0, 2**16),
     data=st.data(),
 )
-def test_apply_rows_told_the_lengths_writes_the_same_bytes(w, k, size, seed, data):
+def test_apply_rows_told_the_lengths_writes_the_same_bytes(k, size, seed, data):
     """Lengths make the kernel skip padding blocks, never change a byte:
     on zero-tailed sources the hinted call equals the unhinted one — for
     all-zero columns, lengths on and beside a block edge, hints longer
     than the payload, and an output block no source reaches."""
-    matrix = every_kind_in_every_column(data, w, k)
+    matrix = every_kind_in_every_column(data, k)
     edges = [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, size - BLOCK, size - 1, size]
     length = st.sampled_from([n for n in edges if 0 <= n <= size])
     rng = np.random.default_rng(seed)
     sources, lengths = [], []
     for _ in range(k):
         live = data.draw(length)
-        source = rng.integers(0, min(256, 1 << w), size=size, dtype=np.uint8)
+        source = rng.integers(0, 256, size=size, dtype=np.uint8)
         source[live:] = 0
         sources.append(source)
         lengths.append(max(live, data.draw(length)))  # never short, maybe long
-    field = _MatrixCode(matrix, w).field
+    field = _MatrixCode(matrix).field
     want = [np.full(size, 0xEE, dtype=np.uint8) for _ in matrix]
     apply_rows(field, matrix, sources, want)
     got = [np.full(size, 0xEE, dtype=np.uint8) for _ in matrix]
@@ -315,7 +309,7 @@ def test_apply_rows_told_the_lengths_writes_the_same_bytes(w, k, size, seed, dat
 def test_lengths_reach_the_kernel_through_encode_and_decode():
     """Unequal shards (one long packet, one short, one empty) encode and
     decode to the same bytes told their lengths or not."""
-    code = CauchyRSCode(CodeParams(k=3, m=2, w=8))
+    code = CauchyRSCode(CodeParams(k=3, m=2))
     rng = np.random.default_rng(23)
     size, lengths = 3 * BLOCK + 64, [3 * BLOCK + 1, BLOCK - 5, 0]
     packets = [rng.integers(0, 256, size=size, dtype=np.uint8) for _ in lengths]
@@ -336,7 +330,7 @@ def test_lengths_reach_the_kernel_through_encode_and_decode():
 def test_apply_rows_refuses_bad_arguments_before_writing():
     """Every check runs once, up front: a refused call has written nothing,
     and a strided *source* is merely slow, not refused."""
-    f = CauchyRSCode(CodeParams(k=2, m=2, w=8)).field
+    f = CauchyRSCode(CodeParams(k=2, m=2)).field
     rng = np.random.default_rng(5)
     sources = [rng.integers(0, 256, size=96, dtype=np.uint8) for _ in range(2)]
     matrix = np.array([[1, 7], [0, 1]], dtype=np.uint32)
@@ -372,7 +366,7 @@ def test_apply_rows_refuses_bad_arguments_before_writing():
 @pytest.mark.parametrize("extra", [0, 2, 7, 2 * 65536 + 4098])
 def test_fused_group_encode_across_block_boundaries(extra):
     """Packets longer than one cache block, with even, odd and ragged tails."""
-    code = CauchyRSCode(CodeParams(k=3, m=2, w=8))
+    code = CauchyRSCode(CodeParams(k=3, m=2))
     rng = np.random.default_rng(extra)
     size = 65536 + extra
     packets = [rng.integers(0, 256, size=size, dtype=np.uint8) for _ in range(3)]
@@ -430,7 +424,7 @@ def assert_lost_chunks_come_back(code, packets, erased):
 @pytest.mark.parametrize("m", range(1, 5))
 def test_fused_group_decode_every_erasure_pattern(k, m):
     """Every way of losing <= m of the k + m chunks, at a ragged even size."""
-    code = CauchyRSCode(CodeParams(k=k, m=m, w=8))
+    code = CauchyRSCode(CodeParams(k=k, m=m))
     rng = np.random.default_rng(16 * k + m)
     size = 2 * (11 * k + m)
     packets = [rng.integers(0, 256, size=size, dtype=np.uint8) for _ in range(k)]
@@ -447,7 +441,7 @@ def test_fused_group_decode_every_erasure_pattern(k, m):
     data=st.data(),
 )
 def test_fused_group_decode_equals_both_oracles(k, m, size, seed, data):
-    code = CauchyRSCode(CodeParams(k=k, m=m, w=8))
+    code = CauchyRSCode(CodeParams(k=k, m=m))
     rng = np.random.default_rng(seed)
     packets = [rng.integers(0, 256, size=size, dtype=np.uint8) for _ in range(k)]
     erased = data.draw(st.sets(st.integers(0, k + m - 1), max_size=m))
@@ -456,7 +450,7 @@ def test_fused_group_decode_equals_both_oracles(k, m, size, seed, data):
 
 @pytest.mark.parametrize("extra", [0, 2, 7, 2 * 65536 + 4098])
 def test_fused_group_decode_across_block_boundaries(extra):
-    code = CauchyRSCode(CodeParams(k=3, m=2, w=8))
+    code = CauchyRSCode(CodeParams(k=3, m=2))
     rng = np.random.default_rng(extra)
     size = 65536 + extra
     packets = [rng.integers(0, 256, size=size, dtype=np.uint8) for _ in range(3)]
@@ -494,7 +488,7 @@ def test_fused_group_decode_rejects_chunk_ids_outside_the_code(code):
     before a byte is written."""
     rng = np.random.default_rng(10)
     packets = [rng.integers(0, 256, size=64, dtype=np.uint8) for _ in range(2)]
-    chunks = code.encode_all(packets)
+    chunks = packets + code.encode(packets)
     for available in ({-3: chunks[3], 2: chunks[2]}, {0: chunks[0], 4: chunks[3]}):
         out = [np.full(64, 0xEE, dtype=np.uint8)]
         with pytest.raises(DecodeError):

@@ -6,7 +6,6 @@ from repro.errors import ShardingError
 from repro.core.placement import select_data_parity_nodes
 from repro.core.reduction import (
     build_reduction_plan,
-    reduction_communication_volume,
     select_targets_for_group,
 )
 from repro.parallel.topology import ClusterSpec
@@ -113,7 +112,7 @@ def test_communication_volume_formula():
     placement, node_of, cluster = make_plan(4, 4, k=2)
     plan = build_reduction_plan(placement, node_of)
     s = 1000
-    volume = reduction_communication_volume(plan, s)
+    volume = plan.total_reductions * (plan.k - 1) * s  # (k-1) sends each
     W, k, m = cluster.world_size, 2, 2
     assert volume == (W // k) * m * (k - 1) * s
 

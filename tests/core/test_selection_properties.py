@@ -16,10 +16,10 @@ from repro.core.placement import (
     build_data_group,
     max_overlap_pairing_bruteforce,
     max_overlap_pairing_sweepline,
-    p2p_data_transfer_count,
     select_data_parity_nodes,
 )
 from repro.core.reduction import build_reduction_plan, select_targets_for_group
+from tests.core.test_placement import p2p_data_transfer_count
 
 
 # ----------------------------------------------------------------------

@@ -51,9 +51,9 @@ def test_good_matrix_stays_mds(k, m):
 
 def test_good_code_round_trip_every_survivor_set():
     rng = np.random.default_rng(0)
-    code = CauchyRSCode(CodeParams(k=3, m=2, w=8), good_matrix=True)
+    code = CauchyRSCode(CodeParams(k=3, m=2), good_matrix=True)
     data = random_blocks(rng, 3)
-    chunks = code.encode_all(data)
+    chunks = data + code.encode(data)
     for survivors in itertools.combinations(range(5), 3):
         recovered = code.decode({i: chunks[i] for i in survivors})
         for original, rec in zip(data, recovered):
@@ -63,7 +63,7 @@ def test_good_code_round_trip_every_survivor_set():
 def test_good_code_bitmatrix_encode_cheaper():
     from repro.ec.schedule import dumb_schedule
 
-    params = CodeParams(k=4, m=2, w=8)
+    params = CodeParams(k=4, m=2)
     plain = CauchyRSCode(params)
     good = CauchyRSCode(params, good_matrix=True)
     plain_cost = dumb_schedule(plain.parity_bitmatrix, 4, 2, 8).total_xors
@@ -77,9 +77,9 @@ def test_good_code_bitmatrix_encode_cheaper():
 @pytest.mark.parametrize("good", [False, True])
 def test_decode_fast_matches_field_decode(good):
     rng = np.random.default_rng(7)
-    code = CauchyRSCode(CodeParams(k=3, m=2, w=8), good_matrix=good)
+    code = CauchyRSCode(CodeParams(k=3, m=2), good_matrix=good)
     data = random_blocks(rng, 3, size=128)
-    chunks = code.encode_all(data)
+    chunks = data + code.encode(data)
     for survivors in itertools.combinations(range(5), 3):
         available = {i: chunks[i] for i in survivors}
         via_field = code.decode(dict(available))
@@ -89,7 +89,7 @@ def test_decode_fast_matches_field_decode(good):
 
 
 def test_decode_fast_validation():
-    code = CauchyRSCode(CodeParams(k=2, m=1, w=8))
+    code = CauchyRSCode(CodeParams(k=2, m=1))
     with pytest.raises(DecodeError):
         code.decode_fast({0: np.zeros(8, dtype=np.uint8)})
     with pytest.raises(DecodeError):

@@ -13,9 +13,10 @@ from tests.ec.test_fast_equivalence import payload_blocks
 
 
 def test_block_encoder_round_trip_every_survivor_set():
-    code = CauchyRSCode(CodeParams(k=3, m=2, w=8))
+    code = CauchyRSCode(CodeParams(k=3, m=2))
     payload = bytes(range(256)) * 3 + b"tail"
-    chunks = code.encode_all(payload_blocks(payload, 3))
+    blocks = payload_blocks(payload, 3)
+    chunks = blocks + code.encode(blocks)
     assert len(chunks) == 5
     for survivors in itertools.combinations(range(5), 3):
         decoded = code.decode_fast({i: chunks[i] for i in survivors})
@@ -23,22 +24,24 @@ def test_block_encoder_round_trip_every_survivor_set():
 
 
 def test_block_encoder_insufficient_survivors():
-    code = CauchyRSCode(CodeParams(k=3, m=2, w=8))
-    chunks = code.encode_all(payload_blocks(b"payload", 3))
+    code = CauchyRSCode(CodeParams(k=3, m=2))
+    blocks = payload_blocks(b"payload", 3)
+    chunks = blocks + code.encode(blocks)
     with pytest.raises(DecodeError):
         code.decode_fast({0: chunks[0]})
 
 
 def test_block_encoder_chunk_bytes():
-    code = CauchyRSCode(CodeParams(k=2, m=1, w=8))
-    chunks = code.encode_all(payload_blocks(b"x" * 101, 2))
+    code = CauchyRSCode(CodeParams(k=2, m=1))
+    blocks = payload_blocks(b"x" * 101, 2)
+    chunks = blocks + code.encode(blocks)
     assert {chunk.nbytes for chunk in chunks} == {51}
 
 
 @pytest.mark.parametrize("threads", [1, 2, 4])
 def test_threadpool_encoder_matches_serial(threads):
     rng = np.random.default_rng(threads)
-    code = CauchyRSCode(CodeParams(k=3, m=2, w=8))
+    code = CauchyRSCode(CodeParams(k=3, m=2))
     blocks = [rng.integers(0, 256, size=32768, dtype=np.uint8) for _ in range(3)]
     serial = code.encode(blocks)
     pooled = ThreadPoolEncoder(code, threads=threads, min_subtask_bytes=1024).encode(
@@ -48,18 +51,8 @@ def test_threadpool_encoder_matches_serial(threads):
         assert np.array_equal(a, b)
 
 
-def test_threadpool_encoder_w16_alignment():
-    rng = np.random.default_rng(9)
-    code = CauchyRSCode(CodeParams(k=2, m=2, w=16))
-    blocks = [rng.integers(0, 256, size=10000, dtype=np.uint8) for _ in range(2)]
-    serial = code.encode(blocks)
-    pooled = ThreadPoolEncoder(code, threads=3, min_subtask_bytes=512).encode(blocks)
-    for a, b in zip(serial, pooled):
-        assert np.array_equal(a, b)
-
-
 def test_threadpool_encoder_records_stats():
-    code = CauchyRSCode(CodeParams(k=2, m=1, w=8))
+    code = CauchyRSCode(CodeParams(k=2, m=1))
     enc = ThreadPoolEncoder(code, threads=2, min_subtask_bytes=64)
     blocks = [np.zeros(1024, dtype=np.uint8)] * 2
     enc.encode(blocks)
@@ -69,7 +62,7 @@ def test_threadpool_encoder_records_stats():
 
 
 def test_threadpool_encoder_tiny_buffer_single_task():
-    code = CauchyRSCode(CodeParams(k=2, m=1, w=8))
+    code = CauchyRSCode(CodeParams(k=2, m=1))
     enc = ThreadPoolEncoder(code, threads=8, min_subtask_bytes=4096)
     blocks = [np.ones(16, dtype=np.uint8)] * 2
     parity = enc.encode(blocks)
@@ -78,7 +71,7 @@ def test_threadpool_encoder_tiny_buffer_single_task():
 
 
 def test_threadpool_encoder_validates_input():
-    code = CauchyRSCode(CodeParams(k=2, m=1, w=8))
+    code = CauchyRSCode(CodeParams(k=2, m=1))
     enc = ThreadPoolEncoder(code, threads=2)
     with pytest.raises(CodeConfigError):
         enc.encode([np.zeros(8, dtype=np.uint8)])
@@ -95,7 +88,7 @@ def test_threadpool_encoder_validates_input():
 
 
 def _adaptive_encoder(**kwargs):
-    code = CauchyRSCode(CodeParams(k=3, m=2, w=8))
+    code = CauchyRSCode(CodeParams(k=3, m=2))
     enc = ThreadPoolEncoder(code, threads=4, min_subtask_bytes=1024, **kwargs)
     rng = np.random.default_rng(0)
     blocks = [rng.integers(0, 256, size=65536, dtype=np.uint8) for _ in range(3)]
@@ -152,7 +145,7 @@ def test_non_adaptive_always_pools():
 
 
 def test_single_thread_never_pools():
-    code = CauchyRSCode(CodeParams(k=2, m=1, w=8))
+    code = CauchyRSCode(CodeParams(k=2, m=1))
     enc = ThreadPoolEncoder(code, threads=1, min_subtask_bytes=64)
     blocks = [np.ones(4096, dtype=np.uint8)] * 2
     parity = enc.encode(blocks)

@@ -4,7 +4,6 @@ bit-planes, the XOR schedules the ablations count."""
 import numpy as np
 import pytest
 
-from repro.errors import CodeConfigError
 from repro.ec.base import CodeParams
 from repro.ec.cauchy import (
     CauchyRSCode,
@@ -14,72 +13,50 @@ from repro.ec.cauchy import (
 )
 from repro.ec.kernels import (
     DEFAULT_CHUNK_BYTES,
-    WORD_BYTES,
     apply_rows,
-    range_alignment,
     xor_reduce_arrays,
     xor_reduce_into,
 )
 from repro.ec.schedule import dumb_schedule, paar_schedule, smart_schedule
 
 
-ALL_W = [1, 2, 4, 8, 16]
-
-
-def _roundtrip(w: int, n_bytes: int, seed: int = 0) -> None:
+def _roundtrip(n_bytes: int, seed: int = 0) -> None:
     rng = np.random.default_rng(seed)
-    # Repo convention (see GF._region_table): for w < 8 each byte holds one
-    # w-bit field element, high bits zero.
-    top = 256 if w >= 8 else 1 << w
-    block = rng.integers(0, top, size=n_bytes, dtype=np.uint8)
-    strips = _reference_blocks_to_bitplanes([block], w)
-    assert len(strips) == w
-    (out,) = _reference_bitplanes_to_blocks(strips, 1, w, n_bytes)
+    block = rng.integers(0, 256, size=n_bytes, dtype=np.uint8)
+    strips = _reference_blocks_to_bitplanes([block])
+    assert len(strips) == 8
+    (out,) = _reference_bitplanes_to_blocks(strips, 1, n_bytes)
     assert np.array_equal(out, block)
 
 
-@pytest.mark.parametrize("w", ALL_W)
+@pytest.mark.parametrize("w", [8])
 def test_decompose_recompose_roundtrip(w):
-    word = 2 if w == 16 else 1
-    for n in (word, 8 * word, 13 * word, 52 * word, 1000 * word, 4096 * word):
-        _roundtrip(w, n, seed=w * 1000 + n)
+    for n in (1, 8, 13, 52, 1000, 4096):
+        _roundtrip(n, seed=w * 1000 + n)
 
 
-@pytest.mark.parametrize("w", ALL_W)
+@pytest.mark.parametrize("w", [8])
 def test_roundtrip_sizes_not_multiple_of_packing(w):
     # Sizes whose strips end mid-byte exercise the packbits padding bits.
-    word = 2 if w == 16 else 1
-    for n_words in (1, 3, 7, 9, 15, 17, 63):
-        _roundtrip(w, n_words * word, seed=n_words)
-
-
-def test_decompose_rejects_unsupported_w():
-    with pytest.raises(CodeConfigError):
-        _reference_blocks_to_bitplanes([np.zeros(24, dtype=np.uint8)], 3)
-
-
-def test_range_alignment():
-    assert range_alignment(16) == 16
-    for w in (1, 2, 4, 8):
-        assert range_alignment(w) == WORD_BYTES
-    assert DEFAULT_CHUNK_BYTES % range_alignment(16) == 0
+    for n_bytes in (1, 3, 7, 9, 15, 17, 63):
+        _roundtrip(n_bytes, seed=n_bytes)
 
 
 def test_strip_bytes_for():
-    """A strip packs one bit per word: ceil(words / 8) bytes."""
-    for n_bytes, w, strip in ((64, 8, 8), (13, 8, 2), (64, 16, 4), (64, 1, 8)):
+    """A strip packs one bit per byte of the block: ceil(bytes / 8) bytes."""
+    for n_bytes, strip in ((64, 8), (13, 2), (1, 1)):
         block = np.zeros(n_bytes, dtype=np.uint8)
-        assert _reference_blocks_to_bitplanes([block], w)[0].size == strip
+        assert _reference_blocks_to_bitplanes([block])[0].size == strip
 
 
-@pytest.mark.parametrize("w", [4, 8])
+@pytest.mark.parametrize("w", [8])
 def test_chunk_size_independence(w):
     """The kernel is blockwise: running it over any split of the bytes —
     what the pool encoders do — writes the bytes one whole call does."""
-    code = CauchyRSCode(CodeParams(k=4, m=2, w=w))
+    code = CauchyRSCode(CodeParams(k=4, m=2))
     rng = np.random.default_rng(7)
     size = 96 * 1024 + 8 * w  # not a multiple of any split below
-    blocks = [rng.integers(0, 1 << w, size=size, dtype=np.uint8) for _ in range(4)]
+    blocks = [rng.integers(0, 256, size=size, dtype=np.uint8) for _ in range(4)]
     want = code.encode(blocks)
     for split in (1024, 8192, 40960, DEFAULT_CHUNK_BYTES, 2 * size):
         got = [np.full(size, 0xEE, dtype=np.uint8) for _ in range(2)]
@@ -99,18 +76,18 @@ def test_chunk_size_independence(w):
 def test_schedule_compilers_agree(compiler):
     """Every compiler's schedule, run by XorSchedule.apply on the
     reference bit-planes, computes the code's parity."""
-    code = CauchyRSCode(CodeParams(k=6, m=3, w=8))
+    code = CauchyRSCode(CodeParams(k=6, m=3))
     sched = compiler(cached_parity_bitmatrix(code), 6, 3, 8)
     rng = np.random.default_rng(11)
     blocks = [rng.integers(0, 256, size=4096, dtype=np.uint8) for _ in range(6)]
-    parity_strips = sched.apply(_reference_blocks_to_bitplanes(blocks, 8))
-    got = _reference_bitplanes_to_blocks(parity_strips, 3, 8, 4096)
+    parity_strips = sched.apply(_reference_blocks_to_bitplanes(blocks))
+    got = _reference_bitplanes_to_blocks(parity_strips, 3, 4096)
     for a, b in zip(got, code.encode(blocks)):
         assert np.array_equal(a, b)
 
 
 def test_paar_schedule_reduces_xors_and_uses_temps():
-    code = CauchyRSCode(CodeParams(k=12, m=4, w=8))
+    code = CauchyRSCode(CodeParams(k=12, m=4))
     bm = cached_parity_bitmatrix(code)
     dumb = dumb_schedule(bm, 12, 4, 8)
     paar = paar_schedule(bm, 12, 4, 8)

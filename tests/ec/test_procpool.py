@@ -44,7 +44,7 @@ def _segment_files(enc):
 @pytest.fixture(scope="module")
 def encoder():
     enc = SharedMemoryProcessPoolEncoder(
-        CauchyRSCode(CodeParams(k=4, m=2, w=8)),
+        CauchyRSCode(CodeParams(k=4, m=2)),
         workers=2,
         min_subtask_bytes=4096,
     )
@@ -104,10 +104,10 @@ def test_encode_matches_serial_on_ragged_sizes(encoder, size, seed):
         assert np.array_equal(a, b)
 
 
-@pytest.mark.parametrize("k,m,w", [(2, 1, 8), (3, 2, 16), (5, 3, 8)])
+@pytest.mark.parametrize("k,m,w", [(2, 1, 8), (5, 3, 8)])
 def test_reconfigure_grid_matches_serial(encoder, k, m, w):
     """One live pool re-pointed across shapes stays byte-correct."""
-    code = CauchyRSCode(CodeParams(k=k, m=m, w=w))
+    code = CauchyRSCode(CodeParams(k=k, m=m))
     encoder.reconfigure(code)
     try:
         for size in (17 * w, 48 * 1024):
@@ -116,13 +116,13 @@ def test_reconfigure_grid_matches_serial(encoder, k, m, w):
             for a, b in zip(parity, code.encode(blocks)):
                 assert np.array_equal(a, b), f"(k={k}, m={m}, w={w}) size={size}"
     finally:
-        encoder.reconfigure(CauchyRSCode(CodeParams(k=4, m=2, w=8)))
+        encoder.reconfigure(CauchyRSCode(CodeParams(k=4, m=2)))
 
 
 def test_pooled_encode_runs_the_codes_own_rows(encoder):
     """Workers are sent the parity rows, not a code shape to rebuild: a
     Vandermonde code pools to its own parity, not a Cauchy code's."""
-    code = VandermondeRSCode(CodeParams(k=4, m=2, w=8))
+    code = VandermondeRSCode(CodeParams(k=4, m=2))
     encoder.reconfigure(code)
     try:
         blocks = _blocks(4, 96 * 1024, seed=14)
@@ -131,7 +131,7 @@ def test_pooled_encode_runs_the_codes_own_rows(encoder):
         for a, b in zip(parity, code.encode(blocks)):
             assert np.array_equal(a, b)
     finally:
-        encoder.reconfigure(CauchyRSCode(CodeParams(k=4, m=2, w=8)))
+        encoder.reconfigure(CauchyRSCode(CodeParams(k=4, m=2)))
 
 
 # ----------------------------------------------------------------------
@@ -141,7 +141,7 @@ def test_pooled_encode_runs_the_codes_own_rows(encoder):
 
 def test_clean_shutdown_unlinks_segments():
     enc = SharedMemoryProcessPoolEncoder(
-        CauchyRSCode(CodeParams(k=2, m=1, w=8)), workers=2, min_subtask_bytes=4096
+        CauchyRSCode(CodeParams(k=2, m=1)), workers=2, min_subtask_bytes=4096
     )
     enc.encode(_blocks(2, 64 * 1024, seed=5))
     live = _segment_files(enc)
@@ -157,7 +157,7 @@ def test_clean_shutdown_unlinks_segments():
 
 def test_context_manager_cleans_up():
     with SharedMemoryProcessPoolEncoder(
-        CauchyRSCode(CodeParams(k=2, m=1, w=8)), workers=2, min_subtask_bytes=4096
+        CauchyRSCode(CodeParams(k=2, m=1)), workers=2, min_subtask_bytes=4096
     ) as enc:
         enc.encode(_blocks(2, 64 * 1024, seed=6))
         names = enc.segment_names()
@@ -168,13 +168,13 @@ def test_context_manager_cleans_up():
 
 def test_reconfigure_reallocates_segments():
     enc = SharedMemoryProcessPoolEncoder(
-        CauchyRSCode(CodeParams(k=2, m=2, w=8)), workers=2, min_subtask_bytes=4096
+        CauchyRSCode(CodeParams(k=2, m=2)), workers=2, min_subtask_bytes=4096
     )
     try:
         enc.encode(_blocks(2, 64 * 1024, seed=7))
         old_names = enc.segment_names()
         assert old_names
-        new_code = CauchyRSCode(CodeParams(k=3, m=1, w=8))
+        new_code = CauchyRSCode(CodeParams(k=3, m=1))
         enc.reconfigure(new_code)
         # Old segments are gone immediately: nothing resizes under workers.
         assert enc.segment_names() == []
@@ -191,7 +191,7 @@ def test_reconfigure_reallocates_segments():
 
 def test_worker_crash_raises_and_unlinks():
     enc = SharedMemoryProcessPoolEncoder(
-        CauchyRSCode(CodeParams(k=2, m=1, w=8)), workers=2, min_subtask_bytes=4096
+        CauchyRSCode(CodeParams(k=2, m=1)), workers=2, min_subtask_bytes=4096
     )
     try:
         blocks = _blocks(2, 128 * 1024, seed=9)
@@ -220,7 +220,7 @@ def test_worker_crash_raises_and_unlinks():
 
 def test_finalizer_releases_orphaned_encoder():
     enc = SharedMemoryProcessPoolEncoder(
-        CauchyRSCode(CodeParams(k=2, m=1, w=8)), workers=2, min_subtask_bytes=4096
+        CauchyRSCode(CodeParams(k=2, m=1)), workers=2, min_subtask_bytes=4096
     )
     enc.encode(_blocks(2, 64 * 1024, seed=10))
     names = enc.segment_names()
@@ -269,7 +269,7 @@ def test_worker_spans_nest_under_encode_span(encoder):
 
 
 def test_make_encoder_backends():
-    code = CauchyRSCode(CodeParams(k=2, m=1, w=8))
+    code = CauchyRSCode(CodeParams(k=2, m=1))
     assert isinstance(make_encoder(code, "thread"), ThreadPoolEncoder)
     proc = make_encoder(code, "process", threads=2)
     assert isinstance(proc, SharedMemoryProcessPoolEncoder)

@@ -20,8 +20,9 @@ code_params = st.tuples(
 def test_any_k_survivors_recover_payload(params, payload, data):
     """For random (k, m, payload, survivor set): decode is exact."""
     k, m = params
-    code = CauchyRSCode(CodeParams(k=k, m=m, w=8))
-    chunks = code.encode_all(payload_blocks(payload, k))
+    code = CauchyRSCode(CodeParams(k=k, m=m))
+    blocks = payload_blocks(payload, k)
+    chunks = blocks + code.encode(blocks)
     n = k + m
     survivors = data.draw(
         st.lists(
@@ -43,8 +44,8 @@ def test_cauchy_and_vandermonde_encode_decode_agree_on_data(params, seed):
     rng = np.random.default_rng(seed)
     blocks = [rng.integers(0, 256, size=48, dtype=np.uint8) for _ in range(k)]
     for cls in (CauchyRSCode, VandermondeRSCode):
-        code = cls(CodeParams(k=k, m=m, w=8))
-        chunks = code.encode_all(blocks)
+        code = cls(CodeParams(k=k, m=m))
+        chunks = blocks + code.encode(blocks)
         # Lose the first min(m, k) data chunks — worst case for decoding.
         lost = set(range(min(m, k)))
         available = {i: chunks[i] for i in range(k + m) if i not in lost}
@@ -62,7 +63,7 @@ def test_bitmatrix_path_equals_field_path(seed, size):
     """XOR-only Cauchy encoding is byte-identical to field arithmetic, and
     so is the fused kernel."""
     rng = np.random.default_rng(seed)
-    code = CauchyRSCode(CodeParams(k=2, m=2, w=8))
+    code = CauchyRSCode(CodeParams(k=2, m=2))
     blocks = [rng.integers(0, 256, size=size, dtype=np.uint8) for _ in range(2)]
     field = code.encode(blocks)
     for path in (code.encode_bitmatrix_reference, code.encode_fast):
@@ -74,9 +75,11 @@ def test_bitmatrix_path_equals_field_path(seed, size):
 @settings(max_examples=40, deadline=None)
 def test_parity_linearity(payload):
     """Parity of (A xor B) == parity(A) xor parity(B): codes are linear."""
-    code = CauchyRSCode(CodeParams(k=2, m=2, w=8))
-    a = code.encode_all(payload_blocks(payload, 2))
-    zeros = code.encode_all(payload_blocks(bytes(len(payload)), 2))
+    code = CauchyRSCode(CodeParams(k=2, m=2))
+    blocks = payload_blocks(payload, 2)
+    zero_blocks = payload_blocks(bytes(len(payload)), 2)
+    a = blocks + code.encode(blocks)
+    zeros = zero_blocks + code.encode(zero_blocks)
     assert a[0].nbytes == zeros[0].nbytes
     # XOR of the encodings equals the encoding of the XOR (payload ^ 0 = payload).
     for i in range(4):

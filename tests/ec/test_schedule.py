@@ -15,17 +15,15 @@ from repro.ec.schedule import dumb_schedule, smart_schedule
 
 @pytest.fixture
 def code():
-    return CauchyRSCode(CodeParams(k=3, m=2, w=8))
+    return CauchyRSCode(CodeParams(k=3, m=2))
 
 
 def encode_via_schedule(code, schedule, data):
     strips = _reference_blocks_to_bitplanes(
-        [np.ascontiguousarray(d, dtype=np.uint8) for d in data], code.params.w
+        [np.ascontiguousarray(d, dtype=np.uint8) for d in data]
     )
     parity_strips = schedule.apply(strips)
-    return _reference_bitplanes_to_blocks(
-        parity_strips, code.params.m, code.params.w, data[0].nbytes
-    )
+    return _reference_bitplanes_to_blocks(parity_strips, code.params.m, data[0].nbytes)
 
 
 @pytest.mark.parametrize("compiler", [dumb_schedule, smart_schedule])

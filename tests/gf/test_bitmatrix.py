@@ -19,13 +19,13 @@ def value_of(bits):
     return int(sum(int(b) << i for i, b in enumerate(bits)))
 
 
-@pytest.mark.parametrize("w", [4, 8])
+@pytest.mark.parametrize("w", [8])
 def test_bitmatrix_represents_multiplication(w):
-    """B(e) @ bits(v) == bits(e * v) for all (e, v) in small fields."""
+    """B(e) @ bits(v) == bits(e * v) on sampled (e, v)."""
     f = GF(w)
     rng = np.random.default_rng(0)
-    elements = range(f.size) if w == 4 else rng.integers(0, 256, size=12)
-    values = range(f.size) if w == 4 else rng.integers(0, 256, size=12)
+    elements = rng.integers(0, 256, size=12)
+    values = rng.integers(0, 256, size=12)
     for e in elements:
         bm = bitmatrix_from_element(int(e), f)
         for v in values:
@@ -55,14 +55,14 @@ def test_bitmatrix_multiplicativity():
 
 
 def test_bitmatrix_from_matrix_block_structure():
-    f = GF(4)
+    f = GF(8)
     mat = np.array([[1, 2], [3, 0]], dtype=np.uint32)
     big = bitmatrix_from_matrix(mat, f)
-    assert big.shape == (8, 8)
-    assert np.array_equal(big[:4, :4], bitmatrix_from_element(1, f))
-    assert np.array_equal(big[:4, 4:], bitmatrix_from_element(2, f))
-    assert np.array_equal(big[4:, :4], bitmatrix_from_element(3, f))
-    assert not big[4:, 4:].any()
+    assert big.shape == (16, 16)
+    assert np.array_equal(big[:8, :8], bitmatrix_from_element(1, f))
+    assert np.array_equal(big[:8, 8:], bitmatrix_from_element(2, f))
+    assert np.array_equal(big[8:, :8], bitmatrix_from_element(3, f))
+    assert not big[8:, 8:].any()
 
 
 def test_invertible_element_bitmatrix_is_full_rank():

@@ -1,15 +1,15 @@
-"""Tests for scalar and region arithmetic in GF(2^w)."""
+"""Tests for scalar and region arithmetic in GF(2^8)."""
 
 import numpy as np
 import pytest
 
+from repro.ec.base import CodeParams
 from repro.errors import FieldError
 from repro.gf.field import GF
 
 
 def test_instances_are_cached_per_word_size():
     assert GF(8) is GF(8)
-    assert GF(8) is not GF(4)
 
 
 def test_invalid_word_size():
@@ -17,7 +17,18 @@ def test_invalid_word_size():
         GF(5)
 
 
-@pytest.mark.parametrize("w", [2, 4, 8, 16])
+def test_gf256_is_the_only_field():
+    """GF(2^8) is the one field: no other word size constructs, and a code
+    cannot ask for one."""
+    for w in (1, 2, 4, 16):
+        with pytest.raises(FieldError):
+            GF(w)
+    with pytest.raises(TypeError):
+        CodeParams(k=2, m=2, w=16)
+    assert CodeParams(k=2, m=2).w == 8
+
+
+@pytest.mark.parametrize("w", [8])
 def test_multiplicative_identity_and_zero(w):
     f = GF(w)
     for a in [0, 1, 2, f.size - 1]:
@@ -30,9 +41,12 @@ def test_known_gf256_products():
     # With polynomial 0x11D: 2 * 128 = 256 mod poly = 0x11D ^ 0x100 = 0x1D.
     assert f.mul(2, 128) == 0x1D
     assert f.mul(3, 7) == 9  # (x+1)(x^2+x+1) = x^3 + 1
+    assert f.mul(0x80, 0x80) == 0x13  # x^14 = x^6 * (x^4 + x^3 + x^2 + 1)
+    assert f.mul(0xFF, 0xFF) == 0xE2
+    assert f.inv(2) == 0x8E  # 2 * 0x8E = 0x11C = 1 + 0x11D
 
 
-@pytest.mark.parametrize("w", [4, 8])
+@pytest.mark.parametrize("w", [8])
 def test_inverse_round_trip_all_elements(w):
     f = GF(w)
     for a in range(1, f.size):
@@ -80,7 +94,7 @@ def test_pow_zero_base():
 
 def test_out_of_range_values_rejected():
     with pytest.raises(FieldError):
-        GF(4).mul(16, 1)
+        GF(8).mul(256, 1)
     with pytest.raises(FieldError):
         GF(8).mul(-1, 1)
 
@@ -95,20 +109,14 @@ def test_mul_array_matches_scalar():
         assert f.mul(int(x), int(y)) == int(z)
 
 
-@pytest.mark.parametrize("w", [4, 8, 16])
+@pytest.mark.parametrize("w", [8])
 def test_mul_region_matches_scalar(w):
     f = GF(w)
     rng = np.random.default_rng(w)
-    if w == 16:
-        words = rng.integers(0, 1 << 16, size=64, dtype=np.uint16)
-        buf = words.view(np.uint8)
-    else:
-        buf = rng.integers(0, f.size, size=64, dtype=np.uint8)
+    buf = rng.integers(0, f.size, size=64, dtype=np.uint8)
     for c in [0, 1, 2, f.size - 1, f.size // 2 + 1]:
         out = f.mul_region(c, buf)
-        words_in = f.words_view(buf)
-        words_out = f.words_view(out)
-        for x, y in zip(words_in, words_out):
+        for x, y in zip(buf, out):
             assert f.mul(c, int(x)) == int(y), (c, int(x))
 
 
@@ -130,56 +138,38 @@ def test_mul_region_xor_into_accumulates():
     assert not acc.any()  # x ^ x == 0 in GF(2^w)
 
 
-def test_w16_region_requires_even_length():
-    f = GF(16)
-    with pytest.raises(FieldError):
-        f.words_view(np.zeros(3, dtype=np.uint8))
-
-
 # ---------------------------------------------------------------------------
-# Region kernels: pair-table gather (w=8), 256-entry gather fallback, w=16
+# Region kernels: pair-table gather, 256-entry gather fallback
 # ---------------------------------------------------------------------------
 REGION_SIZES = [0, 1, 2, 63, 64, 65, 4097]
 
 
-def _region_input(f, rng, size, strided):
-    """``size`` bytes of field words, optionally as a stride-2 view."""
-    high = min(f.size, 256)
-    base = rng.integers(0, high, size=2 * size if strided else size, dtype=np.uint8)
+def _region_input(rng, size, strided):
+    """``size`` random bytes, optionally as a stride-2 view."""
+    base = rng.integers(0, 256, size=2 * size if strided else size, dtype=np.uint8)
     return base[::2] if strided else base
 
 
 def _region_reference(f, c, buf):
     """``c * buf`` through ``mul_array`` (log/antilog, not the region tables)."""
-    words = f.words_view(buf).astype(np.uint32)
-    product = f.mul_array(np.full(words.shape, c, dtype=np.uint32), words)
-    return product.astype(np.uint16 if f.w == 16 else np.uint8).view(np.uint8)
+    values = np.asarray(buf, dtype=np.uint32).ravel()
+    product = f.mul_array(np.full(values.shape, c, dtype=np.uint32), values)
+    return product.astype(np.uint8)
 
 
 @pytest.mark.parametrize("strided", [False, True], ids=["contiguous", "strided"])
-@pytest.mark.parametrize("w", [4, 8, 16])
+@pytest.mark.parametrize("w", [8])
 def test_region_ops_match_scalar_for_every_constant_and_size(w, strided):
     f = GF(w)
     rng = np.random.default_rng(w)
-    constants = list(range(min(f.size, 256)))
-    if w == 16:
-        constants += [0x100, 0x1234, 0x8001, f.size - 1]
     for size in REGION_SIZES:
-        buf = _region_input(f, rng, size, strided)
+        buf = _region_input(rng, size, strided)
         before = buf.copy()
-        if w == 16 and size % 2:
-            # Half a word: only the copy/zero fast paths have an answer.
-            for fn in (f.mul_region, lambda c, b: f.mul_region_into(c, b, before)):
-                with pytest.raises(FieldError):
-                    fn(2, buf)
-            continue
-        probe = [int(x) for x in f.words_view(buf)[:8]]
-        for c in constants:
+        probe = [int(x) for x in buf[:8]]
+        for c in range(f.size):
             expected = _region_reference(f, c, buf)
             # Scalar ``mul`` pins the vectorised reference on a prefix.
-            assert [f.mul(c, x) for x in probe] == list(
-                f.words_view(expected)[: len(probe)]
-            )
+            assert [f.mul(c, x) for x in probe] == list(expected[: len(probe)])
             assert np.array_equal(f.mul_region(c, buf), expected), (c, size)
             out = np.full(size, 0xAA, dtype=np.uint8)
             f.mul_region_into(c, buf, out)

@@ -1,4 +1,4 @@
-"""Property-based tests (hypothesis) for GF(2^w) field axioms."""
+"""Property-based tests (hypothesis) for GF(2^8) field axioms."""
 
 import numpy as np
 from hypothesis import given, settings

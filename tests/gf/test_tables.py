@@ -1,68 +1,57 @@
-"""Tests for GF(2^w) log/antilog table construction."""
+"""Tests for the GF(2^8) log/antilog tables."""
 
-import numpy as np
 import pytest
 
-from repro.errors import FieldError
-from repro.gf.tables import PRIMITIVE_POLYNOMIALS, build_tables, mul_table
+from repro.gf.tables import EXP, LOG, PRIMITIVE_POLYNOMIAL, W
 
 
-@pytest.mark.parametrize("w", sorted(PRIMITIVE_POLYNOMIALS))
+def slow_mul(a: int, b: int) -> int:
+    """Carry-less multiply, then reduce by the primitive polynomial."""
+    product = 0
+    for bit in range(W):
+        if (b >> bit) & 1:
+            product ^= a << bit
+    for bit in range(2 * W - 2, W - 1, -1):
+        if (product >> bit) & 1:
+            product ^= PRIMITIVE_POLYNOMIAL << (bit - W)
+    return product
+
+
+@pytest.mark.parametrize("w", [8])
 def test_exp_enumerates_all_nonzero_elements(w):
-    exp, _ = build_tables(w)
     order = (1 << w) - 1
-    assert sorted(int(v) for v in exp[:order]) == list(range(1, 1 << w))
+    assert sorted(int(v) for v in EXP[:order]) == list(range(1, 1 << w))
 
 
-@pytest.mark.parametrize("w", sorted(PRIMITIVE_POLYNOMIALS))
+@pytest.mark.parametrize("w", [8])
 def test_log_inverts_exp(w):
-    exp, log = build_tables(w)
     order = (1 << w) - 1
     for i in range(order):
-        assert log[int(exp[i])] == i
+        assert LOG[int(EXP[i])] == i
 
 
-@pytest.mark.parametrize("w", [4, 8])
+@pytest.mark.parametrize("w", [8])
 def test_exp_table_doubled_for_modless_lookup(w):
-    exp, _ = build_tables(w)
     order = (1 << w) - 1
-    assert np.array_equal(exp[:order], exp[order : 2 * order])
+    assert (EXP[:order] == EXP[order : 2 * order]).all()
 
 
 def test_generator_is_primitive_for_w8():
     # x = 2 must generate the full multiplicative group: its order is 255.
-    exp, _ = build_tables(8)
-    assert int(exp[0]) == 1
-    seen = {int(exp[i]) for i in range(255)}
+    assert int(EXP[0]) == 1
+    seen = {int(EXP[i]) for i in range(255)}
     assert len(seen) == 255
 
 
-def test_unsupported_word_size_rejected():
-    with pytest.raises(FieldError):
-        build_tables(3)
+def test_tables_match_manual_polynomial_multiplication():
+    """exp[log a + log b] is the carry-less product reduced by 0x11D."""
+    assert PRIMITIVE_POLYNOMIAL == 0x11D
+    for a in range(1, 256):
+        for b in range(1, 256, 7):
+            assert int(EXP[int(LOG[a]) + int(LOG[b])]) == slow_mul(a, b), (a, b)
 
 
-def test_mul_table_matches_manual_polynomial_multiplication():
-    # Carry-less multiply then reduce by the primitive polynomial.
-    w = 4
-    poly = PRIMITIVE_POLYNOMIALS[w]
-    table = mul_table(w)
-
-    def slow_mul(a, b):
-        product = 0
-        for bit in range(w):
-            if (b >> bit) & 1:
-                product ^= a << bit
-        for bit in range(2 * w - 2, w - 1, -1):
-            if (product >> bit) & 1:
-                product ^= poly << (bit - w)
-        return product
-
-    for a in range(16):
-        for b in range(16):
-            assert int(table[a, b]) == slow_mul(a, b), (a, b)
-
-
-def test_mul_table_rejects_large_w():
-    with pytest.raises(FieldError):
-        mul_table(16)
+def test_tables_are_read_only():
+    for table in (EXP, LOG):
+        with pytest.raises(ValueError):
+            table[1] = 0

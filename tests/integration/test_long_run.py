@@ -110,17 +110,6 @@ def test_all_engines_restore_identical_state():
         verify(job, reference)
 
 
-def test_eccheck_with_w16_code_round_trip():
-    job = make_job(seed=13)
-    engine = ECCheckEngine(job, ECCheckConfig(k=2, m=2, w=16))
-    job.advance()
-    engine.save()
-    reference = job.snapshot_states()
-    job.fail_nodes({0, 2})
-    engine.restore({0, 2})
-    verify(job, reference)
-
-
 def test_catastrophic_failure_then_backup_cycle():
     """> m failures -> remote backup restore -> training continues -> new
     in-memory checkpoints work again."""

@@ -52,14 +52,15 @@ def protocol_cases(draw):
 @settings(max_examples=40, deadline=None)
 def test_random_state_dicts_survive_random_erasures(case):
     k, m, states, survivors = case
-    code = CauchyRSCode(CodeParams(k=k, m=m, w=8))
+    code = CauchyRSCode(CodeParams(k=k, m=m))
     packet_size = packet_size_for(
         [total_tensor_bytes(sd) for sd in states], alignment=64
     )
     checkpoints = [
         build_worker_checkpoint(w, states[w], packet_size) for w in range(k)
     ]
-    chunks = code.encode_all([wc.packet.payload for wc in checkpoints])
+    packets = [wc.packet.payload for wc in checkpoints]
+    chunks = packets + code.encode(packets)
     available = {cid: chunks[cid] for cid in survivors}
     recovered = code.decode(available)
     for w in range(k):

@@ -14,6 +14,10 @@ from repro.obs.critical_path import (
 from repro.obs.trace_io import Trace, reconcile_phases
 
 
+def _spans(trace: Trace, name: str) -> list[dict]:
+    return [s for s in trace.spans if s["name"] == name]
+
+
 class TestIdleSlotReport:
     def test_traced_run_invariants(self, traced_run):
         report = idle_slot_report(traced_run.trace)
@@ -79,7 +83,7 @@ class TestAnalyzeTrace:
             "step1_locate_verify", "step2_decode", "step3_install",
             "step4_rebuild_redundancy", "(unattributed)",
         }
-        restores = traced_run.trace.spans_named("eccheck.restore")
+        restores = _spans(traced_run.trace, "eccheck.restore")
         assert sum(steps.values()) == pytest.approx(sum(s["wall_s"] for s in restores))
         assert 0 <= steps["(unattributed)"] < 0.25 * sum(steps.values())
         for span in traced_run.trace.spans:
@@ -94,12 +98,12 @@ class TestAnalyzeTrace:
             "step1_decompose_dtoh", "step2_metadata_broadcast", "step3_encode",
             "step3_transfer", "step3_other", "(unattributed)",
         }
-        saves = traced_run.trace.spans_named("eccheck.save")
+        saves = _spans(traced_run.trace, "eccheck.save")
         assert sum(steps.values()) == pytest.approx(
             sum(s["wall_s"] for s in saves), rel=1e-9
         )
         assert steps["step3_encode"] == pytest.approx(
-            sum(s["wall_s"] for s in traced_run.trace.spans_named("pipeline.encode"))
+            sum(s["wall_s"] for s in _spans(traced_run.trace, "pipeline.encode"))
         )
         assert all(wall >= 0 for wall in steps.values())
 

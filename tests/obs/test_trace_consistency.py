@@ -128,13 +128,13 @@ def test_traced_runner_end_to_end(tmp_path):
     assert trace.meta["schema"] == trace_io.SCHEMA_VERSION
     assert trace.meta["engine"] == "eccheck"
     assert trace_io.validate_spans(trace.spans) == []
-    assert trace.spans_named("eccheck.save")
-    assert trace.spans_named("pipeline.encode")
-    assert trace.events_named("recovery")
+    span_names = [s["name"] for s in trace.spans]
+    event_names = [e["name"] for e in trace.events]
+    assert "eccheck.save" in span_names
+    assert "pipeline.encode" in span_names
+    assert "recovery" in event_names
     # Nothing crashes, so every save span commits one checkpoint.
-    assert len(trace.events_named("checkpoint")) == len(
-        trace.spans_named("eccheck.save")
-    ) > 0
+    assert event_names.count("checkpoint") == span_names.count("eccheck.save") > 0
     # The decoding-matrix cache the restore hits surfaces as gauges, and
     # no other cache does.
     cache_gauges = [g for g in trace.metrics["gauges"] if g.startswith("cache.")]

@@ -32,8 +32,10 @@ def test_write_and_load_roundtrip(tmp_path):
     assert trace.meta["schema"] == trace_io.SCHEMA_VERSION
     assert trace.meta["engine"] == "eccheck"
     assert len(trace.spans) == 2
-    assert trace.spans_named("save.step1")[0]["sim_s"] == 0.25
-    assert trace.events_named("checkpoint")[0]["fields"] == {"version": 1}
+    (step1,) = [s for s in trace.spans if s["name"] == "save.step1"]
+    assert step1["sim_s"] == 0.25
+    (event,) = trace.events
+    assert (event["name"], event["fields"]) == ("checkpoint", {"version": 1})
     assert trace.metrics["counters"]["saves"] == 1
 
 

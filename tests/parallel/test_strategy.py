@@ -31,14 +31,19 @@ def test_paper_testbed_tp_groups_on_one_node():
     spec = ParallelismSpec(tensor_parallel=4, pipeline_parallel=4)
     spec.validate_cluster(cluster)
     for worker in range(16):
-        group = spec.tp_group(worker)
+        c = spec.coords_of(worker)
+        group = [
+            spec.worker_of(RankCoords(tp, c.pp_rank, c.dp_rank))
+            for tp in range(spec.tensor_parallel)
+        ]
         nodes = {cluster.node_of(w) for w in group}
         assert len(nodes) == 1
 
 
 def test_pp_group_spans_stages():
     spec = ParallelismSpec(tensor_parallel=4, pipeline_parallel=4)
-    assert spec.pp_group(0) == [0, 4, 8, 12]
+    stages = [spec.worker_of(RankCoords(0, pp, 0)) for pp in range(4)]
+    assert stages == [0, 4, 8, 12]
 
 
 def test_dp_group():

@@ -14,7 +14,7 @@ def test_node_of_and_local_rank():
     cluster = ClusterSpec(num_nodes=3, gpus_per_node=2)
     assert cluster.node_of(0) == 0
     assert cluster.node_of(5) == 2
-    assert cluster.local_rank(5) == 1
+    assert cluster.workers_of(2).index(5) == 1  # local rank
 
 
 def test_workers_of():
@@ -29,8 +29,8 @@ def test_origin_groups_matches_paper_fig9():
 
 def test_same_node():
     cluster = ClusterSpec(2, 2)
-    assert cluster.same_node(0, 1)
-    assert not cluster.same_node(1, 2)
+    assert cluster.node_of(0) == cluster.node_of(1)
+    assert cluster.node_of(1) != cluster.node_of(2)
 
 
 def test_bounds_checking():

@@ -112,13 +112,6 @@ def test_more_microbatches_increase_iteration_time():
     assert long.iteration_time > short.iteration_time
 
 
-def test_min_idle_seconds_is_bottleneck(timeline):
-    per_stage = [
-        total_duration(timeline.idle_slots(s)) for s in range(4)
-    ]
-    assert timeline.min_idle_seconds() == pytest.approx(min(per_stage))
-
-
 def test_invalid_parameters_rejected():
     with pytest.raises(SimulationError):
         pipeline_schedule_timeline(0, 4, 0.1, 1e6)
@@ -130,6 +123,6 @@ def test_invalid_parameters_rejected():
 
 def test_empty_timeline_idle():
     tl = IterationTimeline(iteration_time=1.0)
-    assert tl.min_idle_seconds() == 1.0
+    assert tl.idle_fraction(0) == 1.0
     tl_zero = IterationTimeline(iteration_time=0.0)
     assert tl_zero.idle_fraction(0) == 0.0

@@ -24,7 +24,7 @@ ROOT = Path(__file__).resolve().parents[1]
 CALLER_DIRS = ("src", "benchmarks")
 
 #: Config dataclasses: every init field is an option.
-CONFIGS = ("ECCheckConfig", "TierPolicy", "RedundancyPolicy")
+CONFIGS = ("ECCheckConfig", "TierPolicy", "RedundancyPolicy", "CodeParams")
 #: ``(owner class or None, function)``: every defaulted parameter is an
 #: option.  ``__init__`` is reached through calls to the class's name.
 FUNCTIONS = (
@@ -39,10 +39,6 @@ FUNCTIONS = (
 #: Options no caller under ``src/`` or ``benchmarks/`` sets, each kept
 #: for a stated reason.
 ALLOWED = {
-    ("ECCheckConfig", "w"): (
-        "the code's GF word size; tests/integration/test_long_run.py runs "
-        "the engine at w=16"
-    ),
     ("ECCheckConfig", "packet_alignment"): (
         "read by the wall-clock ledger (benchmarks/perf/layers.py)"
     ),
