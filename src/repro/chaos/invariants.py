@@ -73,13 +73,6 @@ def _chunk_whole(store, engine, node, version, kind, idx, groups) -> bool:
     )
 
 
-def _chunks(plan) -> list[tuple[str, int, int]]:
-    """``(kind, idx, node)`` of every chunk of a placement, data first."""
-    return [("data", j, node) for j, node in enumerate(plan.data_nodes)] + [
-        ("parity", i, node) for i, node in enumerate(plan.parity_nodes)
-    ]
-
-
 def _keys(kinds: tuple[str, ...], tag: int, worker: int) -> tuple:
     return tuple((kind, tag, worker) for kind in kinds)
 
@@ -153,7 +146,7 @@ def _tier_holds(engine, store, version: int, nodes) -> bool:
     groups = len(plan.data_group[0])
     whole = (
         _chunk_whole(store, engine, node, version, kind, idx, groups)
-        for kind, idx, node in _chunks(plan)
+        for kind, idx, node in plan.chunks
         if node in nodes
     )
     if store is engine.disk:
@@ -297,7 +290,7 @@ def check_eccheck_redundancy(engine, version: int) -> list[str]:
     plan = engine.placement_of(version)
     violations = [
         f"{kind} chunk {idx} packet {r} {state} on node {node}"
-        for kind, idx, node in _chunks(plan)
+        for kind, idx, node in plan.chunks
         for r in range(len(plan.data_group[0]))
         if (state := _chunk_state(engine.host, engine, node, version, kind, idx, r))
         != "whole"
@@ -324,7 +317,7 @@ def check_degraded_recoverable(engine, version: int) -> list[str]:
     active = engine.active_nodes
     holders = [
         node
-        for kind, idx, node in _chunks(plan)
+        for kind, idx, node in plan.chunks
         if _chunk_whole(engine.host, engine, node, version, kind, idx, groups)
     ]
     violations = []

@@ -9,13 +9,14 @@ Modules map one-to-one onto the paper's design sections:
   target selection for the k=m / k>m / k<m cases (Sec. IV-B2).
 * :mod:`repro.core.protocol` — the serialization-free encoding/decoding
   protocol over decomposed ``state_dict`` components (Sec. III-C).
-* :mod:`repro.core.pipeline` — pipelined encode / XOR / P2P execution
-  (Sec. IV-C).
+* :mod:`repro.core.pipeline` — encode / XOR / P2P stages, run in line,
+  and the pipelined makespan the bill uses (Sec. IV-C).
 * :mod:`repro.core.scheduler` — checkpoint communication scheduling into
   profiled network idle slots (Sec. IV-B3).
 * :mod:`repro.core.eccheck` — the engine tying it together
-  (``initialize`` / ``save`` / ``load``), including both recovery
-  workflows (Sec. III-B).
+  (``initialize`` / ``save`` / ``load``), one module per concern:
+  ``layout``, ``stored``, ``save``, ``tiers`` and ``restore`` (both
+  recovery workflows, Sec. III-B).
 
 Splitting a large cluster into node groups (the paper's future work) is
 closed-form planning, not another engine: see :mod:`repro.analysis.grouping`.

@@ -164,6 +164,13 @@ class PlacementPlan:
     def m(self) -> int:
         return len(self.parity_nodes)
 
+    @property
+    def chunks(self) -> list[tuple[str, int, int]]:
+        """``(kind, idx, node)`` of every chunk, by chunk id: data first."""
+        return [("data", j, node) for j, node in enumerate(self.data_nodes)] + [
+            ("parity", i, node) for i, node in enumerate(self.parity_nodes)
+        ]
+
 
 def build_data_group(world_size: int, k: int) -> list[list[int]]:
     """Partition workers into ``k`` equal consecutive groups.
@@ -191,23 +198,15 @@ def build_data_group(world_size: int, k: int) -> list[list[int]]:
 def select_data_parity_nodes(
     origin_group: list[list[int]], k: int
 ) -> PlacementPlan:
-    """Full placement: sweep-line data-node choice, rest become parity.
+    """Full placement: sweep-line data-node choice, rest become parity —
+    :func:`regroup_plan` over every node.
 
     Args:
         origin_group: physical worker intervals per node (see
             :meth:`repro.parallel.topology.ClusterSpec.origin_groups`).
         k: number of data nodes; ``m = len(origin_group) - k``.
     """
-    n = len(origin_group)
-    if not 1 <= k <= n:
-        raise ShardingError(f"k={k} out of range [1, {n}]")
-    world_size = sum(len(g) for g in origin_group)
-    data_group = build_data_group(world_size, k)
-    data_nodes = max_overlap_pairing_sweepline(origin_group, data_group)
-    parity_nodes = [node for node in range(n) if node not in set(data_nodes)]
-    return PlacementPlan(
-        data_nodes=data_nodes, parity_nodes=parity_nodes, data_group=data_group
-    )
+    return regroup_plan(origin_group, list(range(len(origin_group))), k)
 
 
 def regroup_plan(

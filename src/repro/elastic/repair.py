@@ -124,11 +124,9 @@ def plan_repair(
     if not relayout:
         found = engine.decodable(version, range(engine.job.cluster.num_nodes))
         whole = found[1] if found else {}
-    placed = [("data", j, node) for j, node in enumerate(target_plan.data_nodes)]
-    placed += [("parity", i, node) for i, node in enumerate(target_plan.parity_nodes)]
     items = [
         RepairItem(node=node, kind=kind, idx=idx, r=r)
-        for cid, (kind, idx, node) in enumerate(placed)
+        for cid, (kind, idx, node) in enumerate(target_plan.chunks)
         if cid not in whole
         for r in groups
     ]

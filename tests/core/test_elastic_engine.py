@@ -100,7 +100,7 @@ def test_positive_epoch_suffixes_keys():
         "chunk", 1, "data", 0, 2, 3,
     )
     # Defaulting follows the version's committed epoch.
-    engine.set_placement_of(1, engine.placement, epoch=3)
+    engine.commit_repair(1, engine.placement, 3, [])
     assert engine.epoch_of(1) == 3
     assert engine.chunk_key(1, "data", 0, 2) == ("chunk", 1, "data", 0, 2, 3)
     # Other versions are unaffected.
@@ -108,11 +108,18 @@ def test_positive_epoch_suffixes_keys():
     assert engine.chunk_key(2, "data", 0, 2) == ("chunk", 2, "data", 0, 2)
 
 
-def test_set_placement_without_epoch_keeps_epoch():
+def test_commit_repair_collects_only_a_superseded_epoch():
     job, engine = make_engine()
-    engine.set_placement_of(1, engine.placement, epoch=2)
-    engine.set_placement_of(1, engine.placement)
+    engine.save()
+    records, _ = engine.decodable(1, range(4))
+    node = engine.placement.data_nodes[0]
+    engine.commit_repair(1, engine.placement, 0, records)  # same epoch: kept
+    assert engine.epoch_of(1) == 0
+    assert engine.host.contains(node, ("chunk", 1, "data", 0, 0))
+    engine.commit_repair(1, engine.placement, 2, records)
     assert engine.epoch_of(1) == 2
+    assert not engine.host.contains(node, ("chunk", 1, "data", 0, 0))
+    assert engine.host.contains(node, ("meta", 1, 0))
 
 
 def test_save_writes_under_the_bare_epoch_zero_keys():

@@ -262,7 +262,7 @@ def test_rejected_block_size_leaves_the_engine_untouched():
     for expected_version in (0, 1):  # with and without a delta base
         before = (
             engine.version,
-            dict(engine._placement_of_version),
+            dict(engine._layouts),
             engine.memory_versions(),
             engine.delta_base_version(),
         )
@@ -270,7 +270,7 @@ def test_rejected_block_size_leaves_the_engine_untouched():
             engine.save_incremental(block_size=0)
         assert before == (
             engine.version,
-            engine._placement_of_version,
+            engine._layouts,
             engine.memory_versions(),
             engine.delta_base_version(),
         )
@@ -413,7 +413,7 @@ def test_delta_chain_is_byte_identical_to_full_saves(block_size, dirty):
     full_engine.save()
     delta_engine.save()
     # The last 64 KiB work chunk of every packet is ragged.
-    assert delta_engine._last_packets[0].nbytes % DEFAULT_CHUNK_BYTES
+    assert delta_engine._delta_base.packets[0].nbytes % DEFAULT_CHUNK_BYTES
     for version in range(2, 6):
         ADVANCES[dirty](job_a)
         ADVANCES[dirty](job_b)
@@ -436,7 +436,7 @@ def test_delta_at_the_smallest_packet_size():
     job_b, delta_engine = make_engine(seed=45, scale=5e-5)
     full_engine.save()
     delta_engine.save()
-    packet = delta_engine._last_packets[0].nbytes
+    packet = delta_engine._delta_base.packets[0].nbytes
     assert packet < 5 * DEFAULT_CHUNK_BYTES and packet % DEFAULT_CHUNK_BYTES
     for job in (job_a, job_b):
         job.advance(dirty_tensor_fraction=0.1)
@@ -463,10 +463,10 @@ class ByteCounters:
     def __init__(self, monkeypatch):
         import zlib
 
-        from repro.core import eccheck
+        from repro.core import save
 
         self.encoded = self.digested = 0
-        encode, crc32 = eccheck.encode_group_into, zlib.crc32
+        encode, crc32 = save.encode_group_into, zlib.crc32
 
         def counting_encode(code, packets, out, rows=None, lengths=None):
             sizes = [p.nbytes for p in packets]
@@ -477,7 +477,7 @@ class ByteCounters:
             self.digested += memoryview(data).nbytes
             return crc32(data, *args)
 
-        monkeypatch.setattr(eccheck, "encode_group_into", counting_encode)
+        monkeypatch.setattr(save, "encode_group_into", counting_encode)
         monkeypatch.setattr(zlib, "crc32", counting_crc32)
 
     def reset(self):
@@ -491,7 +491,7 @@ def test_delta_save_touches_exactly_the_union_dirty_ranges(monkeypatch, dirty):
     counters = ByteCounters(monkeypatch)
     engine.save()
     full = (counters.encoded, counters.digested)
-    packet = engine._last_packets[0].nbytes
+    packet = engine._delta_base.packets[0].nbytes
     # A full save encodes and digests live bytes, not ``world x packet``:
     # a data packet's own, a parity packet's group's longest — and CRCs
     # no parity 0, whose digest is the XOR of its data packets'.
@@ -507,13 +507,13 @@ def test_delta_save_touches_exactly_the_union_dirty_ranges(monkeypatch, dirty):
     # A delta patches every parity digest: its ceiling CRCs parity 0 too.
     digest_ceiling = full[1] + parity_bytes
 
-    old = {w: p.copy() for w, p in engine._last_packets.items()}
+    old = {w: p.copy() for w, p in engine._delta_base.packets.items()}
     ADVANCES[dirty](job)
     counters.reset()
     report = engine.save_incremental()
     assert "dirty_fraction" in report.breakdown
     runs = {
-        w: packet_delta(old[w], engine._last_packets[w])[1].dirty_runs for w in old
+        w: packet_delta(old[w], engine._delta_base.packets[w])[1].dirty_runs for w in old
     }
     own = sum(end - start for w in runs for start, end in runs[w])
     merged = {

@@ -280,7 +280,7 @@ def test_corruption_beyond_budget_falls_back_or_raises():
     corrupt_chunk(engine, engine.placement.data_nodes[0], "data", 0)
     corrupt_chunk(engine, engine.placement.data_nodes[1], "data", 1)
     corrupt_chunk(engine, engine.placement.parity_nodes[0], "parity", 0)
-    with pytest.raises(RecoveryError):
+    with pytest.raises(RecoveryError, match="no version in memory or on disk is decodable"):
         engine.restore(set())
 
 
@@ -517,19 +517,19 @@ def test_a_wrong_decode_of_an_xor_row_chunk_is_caught_not_blessed(monkeypatch):
     """d0 lost: it is rebuilt as p0 ^ d1 and its digest derived from theirs,
     so a byte the decode got wrong is rot at the next check — a digest
     CRC'd from the decoded bytes would have blessed it."""
-    from repro.core import eccheck
+    from repro.core import stored
 
     job, engine = make_engine()
     engine.save()
     reference = job.snapshot_states()
     plan = engine.placement
-    decode = eccheck.decode_group_into
+    decode = stored.decode_group_into
 
     def wrong_decode(code, available, lost, out, lengths=None):
         decode(code, available, lost, out, lengths)
         corrupt_buffer(out[0], 3, mask=0x20)
 
-    monkeypatch.setattr(eccheck, "decode_group_into", wrong_decode)
+    monkeypatch.setattr(stored, "decode_group_into", wrong_decode)
     failed = {plan.data_nodes[0]}
     job.fail_nodes(failed)
     engine.restore(failed)

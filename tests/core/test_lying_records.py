@@ -44,7 +44,7 @@ def saved():
     job.advance()
     engine.save()
     stored = {n: {key: engine.host.get(n, key) for key in engine.host.keys(n)} for n in range(NODES)}
-    packet = engine._last_packets[0].nbytes
+    packet = engine._delta_base.packets[0].nbytes
     return job, engine, packet, job.snapshot_states(), dict(job.state_dicts), stored
 
 

@@ -49,7 +49,7 @@ def lie_then_fail(worker, lie, failed_of, liar_of):
     failed = failed_of(plan)
     key, liar = ("meta", engine.version, worker), liar_of(plan, failed)
     blob, length = engine.host.get(liar, key)
-    engine.host.put(liar, key, (blob, lie(length, engine._last_packets[0].nbytes)))
+    engine.host.put(liar, key, (blob, lie(length, engine._delta_base.packets[0].nbytes)))
     job.advance()  # uncommitted work the failure destroys
     job.fail_nodes(failed)
     return job, engine, failed, committed, dict(job.state_dicts)

@@ -12,7 +12,7 @@
 
 import pytest
 
-from repro.core import eccheck as eccheck_module
+from repro.core import stored as stored_module
 from repro.checkpoint.job import TrainingJob
 from repro.checkpoint.replication import GeminiReplicationEngine
 from repro.checkpoint.sync_remote import SyncRemoteEngine
@@ -44,7 +44,7 @@ def count_fused_passes(monkeypatch):
     metadata survives on every node in these tests).
     """
     decodes, encodes = [], []
-    decode, encode = eccheck_module.decode_group_into, eccheck_module.encode_group_into
+    decode, encode = stored_module.decode_group_into, stored_module.encode_group_into
 
     def counting_decode(code, available, lost, out, lengths=None):
         decodes.append(list(lost))
@@ -56,8 +56,8 @@ def count_fused_passes(monkeypatch):
         assert len(lengths) == len(packets)
         return encode(code, packets, out, rows=rows, lengths=lengths)
 
-    monkeypatch.setattr(eccheck_module, "decode_group_into", counting_decode)
-    monkeypatch.setattr(eccheck_module, "encode_group_into", counting_encode)
+    monkeypatch.setattr(stored_module, "decode_group_into", counting_decode)
+    monkeypatch.setattr(stored_module, "encode_group_into", counting_encode)
     return decodes, encodes
 
 
@@ -260,7 +260,7 @@ def test_restore_clears_the_delta_base_pointer():
     job.fail_nodes({1})
     engine.restore({1})
     assert engine.delta_base_version() is None
-    assert not engine._last_packets
+    assert engine._delta_base is None
 
 
 def test_incremental_with_wiped_base_chunks_falls_back_to_full():

@@ -152,7 +152,7 @@ def test_no_buffer_is_shared_between_owners():
     assert_owners_disjoint(
         job,
         {
-            "last_packets": dict(engine._last_packets),
+            "last_packets": dict(engine._delta_base.packets),
             "host": arrays_of(stored(engine.host, 4)),
             "disk": arrays_of(stored(engine.disk, 4)),
         },

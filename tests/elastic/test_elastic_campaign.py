@@ -100,9 +100,7 @@ def test_campaign_catches_broken_repair_commit(monkeypatch):
         ledger = self.ledger
         for index, _ in ledger.pending():
             ledger.mark_done(index)
-        self.engine.set_placement_of(
-            ledger.version, ledger.target_plan, epoch=ledger.epoch
-        )
+        self.engine._layouts[ledger.version] = (ledger.target_plan, ledger.epoch)
         ledger.committed = True
         from repro.elastic.repair import RepairReport
 

@@ -8,8 +8,6 @@ import numpy as np
 import pytest
 
 from repro.errors import RecoveryError
-
-pytestmark = pytest.mark.tier2  # long-haul: excluded from tier-1 runs
 from repro.checkpoint.job import TrainingJob
 from repro.checkpoint.replication import GeminiReplicationEngine
 from repro.checkpoint.sync_remote import SyncRemoteEngine
