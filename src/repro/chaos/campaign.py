@@ -36,6 +36,7 @@ from repro.chaos.harness import (
     crash_next_save,
     observed_episode,
     predict,
+    record_failure,
     recover,
 )
 from repro.chaos.injection import CrashPlan
@@ -244,7 +245,6 @@ def _run_episode_impl(
             if crash_next_save(engine, plan, manager.step):
                 crash_point = point
                 ledger.torn.add(engine.version)
-                clock.note("save_crash", point=point)
             else:
                 commit()
 
@@ -257,8 +257,6 @@ def _run_episode_impl(
                 pick=lambda n: int(rng.integers(n)),
                 mask=lambda: int(rng.integers(1, 256)),
             )
-            if corrupted is not None:
-                clock.note("corruption", where=corrupted)
 
         # -- sample a failure -------------------------------------------
         mode = str(
@@ -275,7 +273,7 @@ def _run_episode_impl(
 
         # -- oracle, then recover ---------------------------------------
         expectation = predict(engine, failed)
-        clock.note("failure", mode=mode, ranks=sorted(failed))
+        record_failure(failed, mode=mode)
         recovery = recover(ledger, expectation, lambda: manager.on_failure(failed))
         cycle = {
             "crash_point": crash_point,

@@ -46,6 +46,7 @@ from repro.chaos.harness import (
     crash_next_save,
     observed_episode,
     predict,
+    record_failure,
     recover,
 )
 from repro.chaos.injection import CrashInjector, CrashPlan, InjectedCrash
@@ -263,7 +264,7 @@ def _run_episode_impl(
             )
             if failed:
                 clock.spend(float(rng.uniform(1.0, 10.0)))
-                clock.note("failure", ranks=sorted(failed))
+                record_failure(failed)
                 cycle = {
                     "kind": "failure",
                     "num_failed": len(failed),
@@ -312,7 +313,6 @@ def _run_episode_impl(
             controller.run_repair(clock.t)
             joined = controller.poll_spares(clock.t)
         for rank in joined:
-            clock.note("spare_join", rank=rank)
             result.cycles.append(
                 {
                     "kind": "join",

@@ -224,7 +224,8 @@ def crash_next_save(engine, plan: CrashPlan, step: Callable[[], object]) -> bool
 
 
 def corrupt_stored_payload(store, num_nodes, pick, mask, kinds=("chunk",)):
-    """Flip bits in one stored payload (silent rot); describes the victim.
+    """Flip bits in one stored payload (silent rot); describes the victim
+    and records it as a ``corruption`` event.
 
     ``pick(n)`` chooses an index below ``n`` — first among the
     ``repr``-sorted keys whose family is in ``kinds``, then among the
@@ -244,7 +245,14 @@ def corrupt_stored_payload(store, num_nodes, pick, mask, kinds=("chunk",)):
     node, key = candidates[pick(len(candidates))]
     payload = store.get(node, key)
     corrupt_buffer(payload, byte_index=pick(payload.size), mask=mask())
-    return f"node {node} {key}"
+    where = f"node {node} {key}"
+    obs.event("corruption", where=where)
+    return where
+
+
+def record_failure(failed, **fields) -> None:
+    """Record the machine failure a scenario injects (its one record)."""
+    obs.event("failure", ranks=sorted(failed), **fields)
 
 
 # -- The recovery judge ------------------------------------------------

@@ -58,6 +58,7 @@ from repro.chaos.harness import (
     crash_next_save,
     observed_episode,
     predict,
+    record_failure,
     recover,
 )
 from repro.chaos.injection import CrashPlan
@@ -452,18 +453,14 @@ def _run_episode_impl(
                 # Only a streaming engine has replicate crash points.
                 crash_point, crash_during = point, "replicate"
                 torn_entries.append((engine.log.base_version, job.iteration))
-                clock.note("replicate_crash", point=point)
             else:
                 crash_point, crash_during = point, "save"
                 ledger.torn.add(engine.version)
-                clock.note("save_crash", point=point)
 
         # -- maybe rot a stored payload ---------------------------------
         corrupted = None
         if round_spec["corrupt"] is not None:
             corrupted = _corrupt_from_spec(engine, round_spec["corrupt"])
-            if corrupted is not None:
-                clock.note("corruption", where=corrupted)
 
         # -- the shared failure -----------------------------------------
         failed = set(round_spec["failed"])
@@ -474,7 +471,7 @@ def _run_episode_impl(
         # -- oracle, then recover ---------------------------------------
         expectation = predict(engine, failed)
         lost_before = stats.iterations_lost
-        clock.note("failure", mode=mode, ranks=sorted(failed))
+        record_failure(failed, mode=mode)
         recovery = recover(
             ledger,
             expectation,

@@ -39,6 +39,7 @@ from typing import ClassVar
 
 import numpy as np
 
+from repro import obs
 from repro.chaos.campaign import outcome_table, tally
 from repro.chaos.harness import (
     CampaignReport,
@@ -282,7 +283,7 @@ def _run_tier_episode_impl(
 
         if not failed and crash_point is None:
             continue  # nothing happened this round
-        clock.note("tier_loss", scenario=scenario, ranks=sorted(failed))
+        obs.event("tier_loss", scenario=scenario, ranks=sorted(failed))
 
         # -- oracle, then recover ---------------------------------------
         expectation = predict(engine, failed)

@@ -155,23 +155,19 @@ class CheckpointEngine:
 
         The one crash hook: the save flows consult the engine's armed
         ``crash_injector``, an elastic repair passes its own ``injector``.
-        When a tracer is installed, an injector that actually fires (i.e.
-        raises to abort the operation) is logged as one
-        ``crash_point_fired`` event before the crash propagates.
+        An injector that actually fires (i.e. raises to abort the
+        operation) is recorded as one ``crash_point_fired`` event before
+        the crash propagates; the point's ``context`` rides nested, as
+        its keys (a chunk's ``kind``) may collide with the record's own.
         """
         injector = self.crash_injector if injector is None else injector
         if injector is not None:
             try:
                 injector(point, **context)
             except BaseException:
-                tracer = obs.get_tracer()
-                if tracer.enabled:
-                    tracer.event(
-                        "crash_point_fired",
-                        engine=self.name,
-                        point=point,
-                        **context,
-                    )
+                obs.event(
+                    "crash_point_fired", engine=self.name, point=point, context=context
+                )
                 raise
 
     # ------------------------------------------------------------------

@@ -196,16 +196,6 @@ class CheckpointManager:
         self.stats.save_reports.append(report)
         self._last_checkpoint_iteration = self.job.iteration
         self._checkpoint_iteration_of_version[report.version] = self.job.iteration
-        tracer = obs.get_tracer()
-        if tracer.enabled:
-            tracer.event(
-                "checkpoint",
-                engine=self.engine.name,
-                version=report.version,
-                iteration=self.job.iteration,
-                stall_s=report.stall_time,
-                checkpoint_s=report.checkpoint_time,
-            )
         if (
             self.remote_backup_every
             and self.stats.checkpoints % self.remote_backup_every == 0
@@ -214,13 +204,6 @@ class CheckpointManager:
             self.stats.remote_backups += 1
             self.stats.backup_reports.append(backup)
             self._checkpoint_iteration_of_version[backup.version] = self.job.iteration
-            if tracer.enabled:
-                tracer.event(
-                    "remote_backup",
-                    engine=self.engine.name,
-                    version=backup.version,
-                    iteration=self.job.iteration,
-                )
             if self.remote_backup_keep:
                 self.engine.gc_remote_backups(self.remote_backup_keep)
         if self.tier_policy is not None:
@@ -295,15 +278,14 @@ class CheckpointManager:
         self.stats.replayed_iterations += report.replayed_iterations
         self.job.iteration = resume_iteration
         self._last_checkpoint_iteration = restored_iteration
-        if tracer.enabled:
-            tracer.event(
-                "recovery",
-                engine=self.engine.name,
-                version=report.version,
-                iterations_lost=iterations_lost,
-                replayed_iterations=report.replayed_iterations,
-                recovery_s=report.recovery_time,
-            )
+        obs.event(
+            "recovery",
+            engine=self.engine.name,
+            version=report.version,
+            iterations_lost=iterations_lost,
+            replayed_iterations=report.replayed_iterations,
+            recovery_s=report.recovery_time,
+        )
         return report
 
     # ------------------------------------------------------------------
@@ -372,13 +354,6 @@ class CheckpointManager:
         self.stats.redundancy_ledger.append(entry)
         self.stats.degraded_seconds += entry["degraded_seconds"]
         self._degraded_window = None
-        tracer = obs.get_tracer()
-        if tracer.enabled:
-            tracer.event(
-                "fully_redundant",
-                engine=self.engine.name,
-                degraded_seconds=entry["degraded_seconds"],
-            )
         sampler = obs_timeseries.active()
         if sampler is not None:
             sampler.record_transition(
@@ -401,14 +376,7 @@ class CheckpointManager:
         new_id = self.job.replace_node(rank, node_id)
         self.engine.on_node_replaced(rank)
         self.stats.replacements += 1
-        tracer = obs.get_tracer()
-        if tracer.enabled:
-            tracer.event(
-                "node_replaced",
-                engine=self.engine.name,
-                rank=rank,
-                node_id=new_id,
-            )
+        obs.event("node_replaced", engine=self.engine.name, rank=rank, node_id=new_id)
         return new_id
 
 

@@ -76,9 +76,7 @@ class Layout:
         plan = self._install_layout(k, m, active, node_of_worker)
         self.config = dataclass_replace(self.config, k=k, m=m)
         self._delta_base = None  # a regroup changes the chunk layout
-        tracer = obs.get_tracer()
-        if tracer.enabled:
-            tracer.event("reconfigure", engine=self.name, k=k, m=m, active_nodes=list(active))
+        obs.event("reconfigure", engine=self.name, k=k, m=m, active_nodes=list(active))
         return plan
 
     def _install_layout(

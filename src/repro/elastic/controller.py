@@ -175,6 +175,7 @@ class ElasticClusterController:
         for worker, state in migrated.items():
             job.state_dicts[worker] = state
         self.membership.join(rank)
+        obs.event("spare_join", rank=rank)
         self._regroup()
         report = self.run_repair(
             sim_time, crash_injector=repair_crash_injector

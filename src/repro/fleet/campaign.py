@@ -31,6 +31,7 @@ from repro.chaos.harness import CampaignReport, EpisodeRecord, observed_episode
 from repro.fleet.scheduler import FleetScheduler
 from repro.fleet.spec import FleetSpec, TenantSpec
 from repro.obs.alerts import default_fleet_rules
+from repro.obs.metrics import Histogram
 from repro.obs.timeseries import crosscheck_timeline
 
 
@@ -94,12 +95,24 @@ class FleetEpisodeResult(EpisodeRecord):
     starvation: dict = field(default_factory=dict)
     sim_seconds: float = 0.0
     events_processed: int = 0
-    #: Snapshot of the scheduler-owned deterministic metrics registry
-    #: (counters/gauges/histograms), flushed at episode end.
-    metrics: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {**super().to_dict(), "sim_seconds": round(self.sim_seconds, 6)}
+
+    def durations(self) -> dict[str, list[float]]:
+        """Admission waits, degraded windows and recovery times, read
+        off the cycles and the tenants' SLO records."""
+        return {
+            "fleet.admission_wait_s": [
+                c["wait_s"] for c in self.cycles if c["kind"] == "admit"
+            ],
+            "fleet.degraded_window_s": [
+                x for t in self.tenants for x in t.get("time_to_full_redundancy", [])
+            ],
+            "fleet.recovery_s": [
+                c["recovery_s"] for c in self.cycles if "recovery_s" in c
+            ],
+        }
 
 
 def aggregate_slos(tenants: list[dict]) -> dict:
@@ -235,15 +248,16 @@ class FleetReport(CampaignReport):
             f"recoveries={agg['recoveries']}",
         ]
         for episode in self.episodes:
-            for name, h in sorted(
-                episode.metrics.get("histograms", {}).items()
-            ):
-                if not h.get("count"):
+            for name, values in episode.durations().items():
+                if not values:
                     continue
+                h = Histogram(name)
+                for value in values:
+                    h.observe(value)
                 lines.append(
-                    f"  episode {episode.episode} {name}: n={h['count']} "
-                    f"mean={h['mean']:.1f}s p50={h['p50']:.1f}s "
-                    f"p95={h['p95']:.1f}s p99={h['p99']:.1f}s"
+                    f"  episode {episode.episode} {name}: n={h.count} "
+                    f"mean={h.mean:.1f}s p50={h.percentile(50):.1f}s "
+                    f"p95={h.percentile(95):.1f}s p99={h.percentile(99):.1f}s"
                 )
             if episode.starvation:
                 queued = sum(
@@ -364,7 +378,6 @@ def run_fleet_episode(
             starvation=scheduler.pool.starvation_summary(),
             sim_seconds=scheduler.sim.now,
             events_processed=scheduler.sim.processed,
-            metrics=scheduler.metrics.snapshot(),
         )
 
     # Never traced here: a caller's own tracer (the wall-clock ledger's)

@@ -37,10 +37,10 @@ import heapq
 
 import numpy as np
 
+from repro import obs
 from repro.chaos.harness import predict, recover
 from repro.errors import SimulationError
 from repro.checkpoint.manager import ScheduledJobDriver
-from repro.obs.metrics import MetricsRegistry
 from repro.fleet.spec import FleetSpec, TenantSpec
 from repro.fleet.tenant import TenantRuntime
 from repro.sim.events import Simulator
@@ -144,13 +144,6 @@ class FleetScheduler:
         self.down_slots: set[int] = set()
         self.slot_owner: dict[int, str] = {}
         self.submitted: dict[str, float] = {}
-        #: Scheduler-owned metrics: only *deterministic* control-plane
-        #: counters/histograms live here (admissions, failures, sim-time
-        #: waits), so flushing a snapshot into the episode record keeps
-        #: same-seed reruns byte-identical.  The kernel-level registry
-        #: (``obs.metrics.active()``, the installed tracer's) is a
-        #: different one; fleet runs install no tracer of their own.
-        self.metrics = MetricsRegistry()
         #: Optional telemetry sampler (see :meth:`attach_sampler`).
         self.sampler = None
         trace_rng = np.random.default_rng([*seed, 0])
@@ -258,6 +251,19 @@ class FleetScheduler:
             "iteration": lambda t: float(job.iteration),
         }
 
+    def _cycle(self, entry: dict) -> dict:
+        """Keep one cycle entry, stamped with the sim time; returns it.
+
+        The cycles are the episode's one log of control-plane facts: the
+        report's counts and wait/recovery distributions are read off
+        them.  A fact the telemetry sinks also record is passed in as
+        ``obs.event(...)``'s record, so the entry and the event are one
+        call and cannot drift.
+        """
+        entry["t"] = round(self.sim.now, 6)
+        self.cycles.append(entry)
+        return entry
+
     # ------------------------------------------------------------------
     # Admission
     # ------------------------------------------------------------------
@@ -307,10 +313,6 @@ class FleetScheduler:
         )
         tenant.driver = driver
         driver.start(spec.iteration_s)
-        self.metrics.counter("fleet.admissions").inc()
-        self.metrics.histogram("fleet.admission_wait_s").observe(
-            self.sim.now - self.submitted[spec.name]
-        )
         if self.sampler is not None:
             self.sampler.watch_tenant(
                 spec.name,
@@ -318,11 +320,10 @@ class FleetScheduler:
                 self._tenant_probes(tenant),
                 t=self.sim.now,
             )
-        self.cycles.append(
+        self._cycle(
             {
                 "kind": "admit",
                 "tenant": spec.name,
-                "t": round(self.sim.now, 6),
                 "slots": slots,
                 "wait_s": round(self.sim.now - self.submitted[spec.name], 6),
             }
@@ -444,24 +445,13 @@ class FleetScheduler:
                 self.sim.schedule(
                     self._depot_delay(), lambda: self._on_depot_return()
                 )
-        self.metrics.counter("fleet.domain_failures").inc()
-        self.metrics.counter(f"fleet.domain_failures.{event.kind}").inc()
-        if self.sampler is not None:
-            self.sampler.note_event(
-                self.sim.now,
+        self._cycle(
+            obs.event(
                 "domain_failure",
                 domain=f"{event.kind}{event.index}",
                 slots=len(slots),
                 tenants=sorted(by_tenant),
             )
-        self.cycles.append(
-            {
-                "kind": "domain_failure",
-                "domain": f"{event.kind}{event.index}",
-                "t": round(self.sim.now, 6),
-                "slots": len(slots),
-                "tenants": sorted(by_tenant),
-            }
         )
         for name in sorted(by_tenant):
             tenant = self.tenants.get(name)
@@ -492,15 +482,6 @@ class FleetScheduler:
     def _handle_tenant_failure(self, tenant, ranks: set[int], event) -> None:
         name = tenant.spec.name
         tenant.failure_events += 1
-        self.metrics.counter("fleet.tenant_failures").inc()
-        if self.sampler is not None:
-            self.sampler.note_event(
-                self.sim.now,
-                "tenant_failure",
-                tenant=name,
-                cause=f"{event.kind}{event.index}",
-                ranks=sorted(int(r) for r in ranks),
-            )
         driver = tenant.driver
         if not driver.done:
             driver.pause()
@@ -514,14 +495,18 @@ class FleetScheduler:
         pending_before = sum(
             1 for r in self.pool.pending if r.tenant == name
         )
-        cycle = {
-            "kind": "tenant_failure",
-            "tenant": name,
-            "t": round(self.sim.now, 6),
-            "cause": f"{event.kind}{event.index}",
-            "ranks": sorted(int(r) for r in ranks),
-            "expected": expectation.kind,
-        }
+        # The failure is recorded before the restore.  The judged outcome
+        # goes into the cycle entry only: in the trace and the timeline,
+        # the manager's ``recovery`` event already holds it.
+        cycle = self._cycle(
+            obs.event(
+                "tenant_failure",
+                tenant=name,
+                cause=f"{event.kind}{event.index}",
+                ranks=sorted(int(r) for r in ranks),
+                expected=expectation.kind,
+            )
+        )
         try:
             # A restore older than the snapshot window has no reference
             # bytes left to compare; redundancy and lost work are audited
@@ -545,15 +530,11 @@ class FleetScheduler:
                 outcome += f":{type(recovery.error).__name__}"
                 detail = f"engine error: {recovery.error}"
             cycle["outcome"] = outcome
-            self.cycles.append(cycle)
             self._finalize_tenant(tenant, "killed", detail)
             return
-        self.metrics.counter("fleet.recoveries").inc()
-        self.metrics.counter(f"fleet.recoveries.{outcome}").inc()
-        self.metrics.histogram("fleet.recovery_s").observe(report.recovery_time)
         cycle["outcome"] = outcome
         cycle["version"] = report.version
-        self.cycles.append(cycle)
+        cycle["recovery_s"] = round(report.recovery_time, 6)
         # Spares the controller just requested: poll when provisioned.
         new_pending = [
             r for r in self.pool.pending if r.tenant == name
@@ -562,13 +543,7 @@ class FleetScheduler:
         if controller.can_checkpoint:
             driver.resume(report.recovery_time)
         else:
-            self.cycles.append(
-                {
-                    "kind": "blocked",
-                    "tenant": name,
-                    "t": round(self.sim.now, 6),
-                }
-            )
+            self._cycle({"kind": "blocked", "tenant": name})
 
     # ------------------------------------------------------------------
     # Spare arrivals
@@ -582,19 +557,7 @@ class FleetScheduler:
         for rank in joined:
             slot = tenant.slots[rank]
             self.down_slots.discard(slot)
-            self.metrics.counter("fleet.spare_joins").inc()
-            if self.sampler is not None:
-                self.sampler.note_event(
-                    self.sim.now, "spare_join", tenant=name, rank=int(rank)
-                )
-            self.cycles.append(
-                {
-                    "kind": "join",
-                    "tenant": name,
-                    "t": round(self.sim.now, 6),
-                    "rank": int(rank),
-                }
-            )
+            self._cycle({"kind": "join", "tenant": name, "rank": int(rank)})
         if joined and controller.can_checkpoint and not tenant.driver.done:
             tenant.driver.resume()
 
@@ -611,12 +574,6 @@ class FleetScheduler:
         tenant.outcome_detail = detail
         if tenant.driver is not None:
             tenant.driver.pause()
-        self.metrics.counter(f"fleet.tenants_{state}").inc()
-        if tenant.manager is not None:
-            for entry in tenant.manager.stats.redundancy_ledger:
-                self.metrics.histogram("fleet.degraded_window_s").observe(
-                    entry["degraded_seconds"]
-                )
         if self.sampler is not None:
             # Freeze the series before release() drops the manager.
             self.sampler.unwatch(name, self.sim.now)
@@ -640,13 +597,8 @@ class FleetScheduler:
                 )
             else:
                 self.free_slots.append(slot)
-        self.cycles.append(
-            {
-                "kind": state,
-                "tenant": name,
-                "t": round(self.sim.now, 6),
-                **({"detail": detail} if detail else {}),
-            }
+        self._cycle(
+            {"kind": state, "tenant": name, **({"detail": detail} if detail else {})}
         )
         self._try_admit()
 

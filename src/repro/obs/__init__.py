@@ -6,6 +6,10 @@ attribute test per call site until :func:`install` (or the
 :func:`use_tracer` context manager) activates a collecting
 :class:`~repro.obs.tracer.Tracer`.
 
+Point events go through one recorder, :func:`event`, which writes
+each fact to every installed sink: the tracer's record stream and the
+active sampler's timeline.
+
 Typical use::
 
     from repro import obs
@@ -21,6 +25,7 @@ from contextlib import contextmanager
 from typing import Iterator, Optional
 
 from repro.obs import metrics as _metrics_mod
+from repro.obs import timeseries as _timeseries_mod
 from repro.obs.alerts import AlertEngine, AlertRule, default_fleet_rules
 from repro.obs.critical_path import (
     IdleSlotReport,
@@ -92,6 +97,26 @@ def use_tracer(tracer: Optional[Tracer] = None) -> Iterator[Tracer]:
         install(previous if previous is not NULL_TRACER else None)
 
 
+def event(kind: str, /, **fields) -> dict:
+    """Record one fact in every installed sink; returns it as a record.
+
+    The one recorder of point events: the installed tracer's record
+    stream when one is enabled, and the active sampler's timeline when
+    one is installed, stamped with the sampler's sim time.  With neither
+    installed it writes nothing.  Call it once per fact, at the layer
+    that knows the fact (``tests/test_event_sites.py`` holds every kind
+    to one call site).  The returned ``{"kind": kind, **fields}`` lets a
+    caller that also keeps the fact in its own report (the fleet
+    scheduler's cycles) keep the record it recorded.
+    """
+    if _TRACER.enabled:
+        _TRACER.event(kind, **fields)
+    sampler = _timeseries_mod.active()
+    if sampler is not None:
+        sampler.note_event(sampler.now, kind, **fields)
+    return {"kind": kind, **fields}
+
+
 def record_phases(tracer, parent, breakdown, kind: str) -> None:
     """Attach one phase-tagged child span per breakdown entry.
 
@@ -133,6 +158,7 @@ __all__ = [
     "crosscheck_timeline",
     "crosscheck_totals",
     "default_fleet_rules",
+    "event",
     "export_chrome_trace",
     "get_tracer",
     "idle_slot_report",

@@ -25,8 +25,9 @@ Firing is edge-triggered with hysteresis: a (rule, scope-instance) pair
 alerts once when its condition first becomes true and re-arms only after
 the condition observes false.  Each alert record carries the triggering
 samples, a flight-recorder dump of the last N samples of the relevant
-series, and the most recent correlated event (domain failure, tenant
-failure, spare grant) that preceded the firing.
+series, and the most recent event that preceded the firing — for a
+tenant's alert, the most recent one naming that tenant (its
+``tenant_failure``, or the ``domain_failure`` that hit it), if any does.
 """
 
 from __future__ import annotations
@@ -210,7 +211,7 @@ class AlertEngine:
             "triggering_samples": self._tail(buffer, rule.signal, 4),
             "flight_recorder": self._flight_recorder(buffer),
         }
-        correlated = self._correlated_event(sampler, t)
+        correlated = self._correlated_event(sampler, t, tenant)
         if correlated is not None:
             record["correlated_event"] = correlated
         self.alerts.append(record)
@@ -235,15 +236,19 @@ class AlertEngine:
             },
         }
 
-    def _correlated_event(self, sampler, t: float) -> Optional[dict]:
-        """The most recent sampler event at or before the firing time."""
-        best = None
+    def _correlated_event(self, sampler, t: float, tenant) -> Optional[dict]:
+        """The most recent sampler event at or before the firing time;
+        for a tenant's alert, the most recent naming the tenant, if any."""
+        best = named = None
         for event in sampler.events:
-            if event["t"] <= t + 1e-12:
-                best = event
-            else:
+            if event["t"] > t + 1e-12:
                 break
-        return best
+            best = event
+            if tenant is not None and (
+                event.get("tenant") == tenant or tenant in event.get("tenants", ())
+            ):
+                named = event
+        return named or best
 
     # -- export --------------------------------------------------------
     def violation_count(self) -> int:

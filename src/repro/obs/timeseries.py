@@ -15,8 +15,9 @@ Design constraints, mirroring :mod:`repro.obs.metrics`:
    ``now`` stay untouched), never draws from any rng, and only *reads*
    probe state.  A samples-on vs samples-off run is byte-identical in
    every field except the new ``timeline`` section.
-2. **Zero cost when disabled.**  Hot call sites (``CheckpointManager``
-   transition marks) guard on :func:`active`, a single module-attribute
+2. **Zero cost when disabled.**  The event recorder ``obs.event`` is
+   the one hot call site; it (and the manager's once-per-window
+   transition marks) guards on :func:`active`, a single module-attribute
    load returning ``None`` unless a sampler was installed.
 3. **Bounded memory.**  Series live in capacity-bounded columnar ring
    buffers; integrals are accumulated online at observe time, so dropping
@@ -219,6 +220,7 @@ class TimeSeriesSampler:
         self.samples = 0
         self._next_tick: Optional[float] = None
         self._last_t = 0.0
+        self._clock_t = 0.0
         self._sim = None
 
     # -- wiring --------------------------------------------------------
@@ -266,14 +268,22 @@ class TimeSeriesSampler:
     def detach(self) -> None:
         if self._sim is not None:
             self._sim.on_advance = None
+            self._clock_t = self._sim.now
             self._sim = None
 
     # -- clock ---------------------------------------------------------
+    @property
+    def now(self) -> float:
+        """Sim time: the attached simulator's clock, else the last
+        :meth:`advance` of a manual clock."""
+        return self._sim.now if self._sim is not None else self._clock_t
+
     def _on_advance(self, old_now: float, new_now: float) -> None:
         self._backfill(new_now)
 
     def advance(self, t: float) -> None:
         """Manual-clock campaigns: the clock moved to ``t``."""
+        self._clock_t = t
         if self._next_tick is None:
             self._next_tick = self._last_t + self.period_s
         self._backfill(t)
@@ -324,8 +334,8 @@ class TimeSeriesSampler:
         )
         self.sample(t, "transition")
 
-    def note_event(self, t: float, kind: str, **fields) -> None:
-        """Record a correlated event (domain failure, spare grant, ...)."""
+    def note_event(self, t: float, kind: str, /, **fields) -> None:
+        """Append one event at sim time ``t`` (``obs.event`` is the caller)."""
         if len(self.events) >= self.capacity:
             self.events_dropped += 1
             return
@@ -364,7 +374,9 @@ class ManualClock:
     The chaos, tier and hybrid campaigns *derive* the clock from the
     durations the engine's own reports claim; the elastic campaign draws
     its time steps.  Without a sampler every call only keeps ``t``, so a
-    campaign script never branches on whether telemetry is on.
+    campaign script never branches on whether telemetry is on.  Events
+    are not the clock's: ``obs.event`` stamps them with the sampler's
+    :attr:`~TimeSeriesSampler.now`, the last time this clock spent to.
     """
 
     def __init__(self, sampler: Optional[TimeSeriesSampler] = None) -> None:
@@ -384,10 +396,6 @@ class ManualClock:
             self.t += float(duration)
         if durations and self.sampler is not None:
             self.sampler.advance(self.t)
-
-    def note(self, kind: str, **fields) -> None:
-        if self.sampler is not None:
-            self.sampler.note_event(self.t, kind, **fields)
 
     def close(self) -> None:
         if self.sampler is not None:

@@ -3,7 +3,7 @@
 Converts a parsed :class:`~repro.obs.trace_io.Trace` into the Chrome
 trace-event JSON format (the ``chrome://tracing`` / Perfetto "JSON v1"
 schema): one ``"X"`` complete event per span, one ``"i"`` instant event
-per point event (crash points, checkpoints, recoveries), and ``"M"``
+per point event (crash points, injected failures, recoveries), and ``"M"``
 metadata events naming the tracks.
 
 Two processes ("pid"s) structure the view:

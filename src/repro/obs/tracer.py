@@ -138,7 +138,11 @@ class NullTracer:
 
         tr = get_tracer()
         if tr.enabled:
-            tr.event("checkpoint", version=..., nbytes=...)
+            tr.metrics.gauge("save.padding_share").set(padding / total)
+
+    Point events are not written here but through ``obs.event``, the
+    one recorder, which forwards them to an enabled tracer's
+    :meth:`Tracer.event`.
     """
 
     __slots__ = ("metrics",)

@@ -78,9 +78,11 @@ def test_chaos_timeline_notes_injected_events():
         for episode in report.to_dict()["episodes"]
         for e in episode["timeline"].get("events", [])
     }
-    # Seeded chaos at episodes=6/seed=3 injects failures; save-crash and
-    # corruption events depend on the draw, failure does not.
+    # Seeded chaos at episodes=6/seed=3 injects failures; crash and
+    # corruption events depend on the draw, failure does not.  A save
+    # crash is the engine's ``crash_point_fired``, not a campaign note.
     assert "failure" in kinds
+    assert kinds <= {"failure", "corruption", "crash_point_fired", "recovery"}
 
 
 def test_elastic_timeline_reconciles_with_redundancy_ledger():

@@ -66,18 +66,21 @@ INSTRUMENTED = {
 
 #: sha-256 of ``to_json(provenance=False)``, computed at the parent of
 #: the commit that introduced ``chaos/harness.py`` (PR 20).  A change that
-#: is *meant* to alter a report regenerates its entry and says why.
+#: is *meant* to alter a report regenerates its entry and says why: the
+#: fleet entry lost its episode ``metrics`` section (the cycles hold every
+#: fact it counted) and the two traced-timeline entries record each event
+#: once, through one recorder, into both the trace and the timeline.
 GOLDEN = {
     "chaos": "983fc0611fa2cb0b665aaaa24e015d2b5fb10e658c73a56af7037cae87e2a55f",
     "elastic": "0638eb9e76ad3560ae072d7ae979144b8b4fbb04918f9d816223b60b244a9efa",
     "tier": "a7183dabc5820b9ef6da09de61955276eb7ceee14ba846ab86af8ac58bf2cfee",
-    "fleet": "2a48389332fe08fc4674bde6bdfe134db4dcc2a95cf81417828b071755d6dad2",
+    "fleet": "306d35dde9e898403ff1691a66d0ce70a2da17a60045fb5c8aa71870777686ad",
     "hybrid": "ac76dbdf190c666d30fd718026bdb99325615b5ba333cdf5e44b14d691638a22",
     "chaos-traced-timeline": (
-        "6a6880a14d1056787efe3b8796497f6e45ce7f4f88fdbd573e201054a795aeac"
+        "a2295413dcdbe09735463172e6ddae2395f6d9aaf984ac5dba92cb0f4cbd226c"
     ),
     "tier-traced-timeline": (
-        "98a030664e7e72a6c538d8c285f63606cadffe0f7b926a59fd46916c2980eb41"
+        "e413237e0dbd920af7b73343bd51cb7869b918995df5da048b4c427cd4828bae"
     ),
 }
 RUNNERS = {**{case.id: case.values[0] for case in CASES}, **INSTRUMENTED}

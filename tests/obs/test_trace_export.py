@@ -81,7 +81,6 @@ class TestWallProcess:
         ]
         assert len(instants) == len(traced_run.trace.events)
         names = {e["name"] for e in instants}
-        assert "checkpoint" in names
         assert "recovery" in names
 
     def test_threads_get_named_tracks(self, traced_run):

@@ -14,7 +14,7 @@ def _traced_sample():
     with tracer.span("save", kind="save", version=1) as save:
         with tracer.span("save.step1", kind="save", phase="step1") as s1:
             pass
-        tracer.event("checkpoint", version=1)
+        tracer.event("recovery", version=1)
         s1.add_sim(0.25)
         save.add_sim(1.0)
     tracer.metrics.counter("saves").inc()
@@ -35,7 +35,7 @@ def test_write_and_load_roundtrip(tmp_path):
     (step1,) = [s for s in trace.spans if s["name"] == "save.step1"]
     assert step1["sim_s"] == 0.25
     (event,) = trace.events
-    assert (event["name"], event["fields"]) == ("checkpoint", {"version": 1})
+    assert (event["name"], event["fields"]) == ("recovery", {"version": 1})
     assert trace.metrics["counters"]["saves"] == 1
 
 
@@ -196,7 +196,7 @@ def test_summarize_digest():
     assert summary["spans"] == 2
     assert summary["events"] == 1
     assert summary["span_counts"]["save.step1"] == 1
-    assert summary["event_counts"]["checkpoint"] == 1
+    assert summary["event_counts"]["recovery"] == 1
     assert summary["phase_sim_totals"] == {"step1": 0.25}
     assert summary["nesting_problems"] == []
     assert summary["counters"]["saves"] == 1

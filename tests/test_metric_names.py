@@ -26,10 +26,6 @@ KINDS = frozenset({"counter", "gauge", "histogram"})
 #: What :func:`metric_name` returns for a name that is not written out.
 COMPUTED = "<computed name>"
 
-#: The fleet scheduler's own registry is flushed into each episode of the
-#: fleet report; no trace holds it.
-FLEET = "the fleet report's metrics section (the scheduler's own registry)"
-
 #: Metric name (or f-string prefix) -> the fact only it records.
 METRICS = {
     "p2p.bytes_inter_node": "inter-node bytes of every save; the idle-slot report reads the total",
@@ -46,17 +42,6 @@ METRICS = {
     "elastic.repair_items": "items the last elastic repair rebuilt",
     "cache.decode_": "the decoding-matrix cache's hits, misses and size at the end of a traced run",
     "kernels.xor_reduce_bytes": "bytes xor_reduce_into folded",
-    "fleet.admissions": FLEET,
-    "fleet.admission_wait_s": FLEET,
-    "fleet.domain_failures": FLEET,
-    "fleet.domain_failures.": FLEET,
-    "fleet.tenant_failures": FLEET,
-    "fleet.recoveries": FLEET,
-    "fleet.recoveries.": FLEET,
-    "fleet.recovery_s": FLEET,
-    "fleet.spare_joins": FLEET,
-    "fleet.tenants_": FLEET,
-    "fleet.degraded_window_s": FLEET,
 }
 
 
