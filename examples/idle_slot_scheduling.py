@@ -12,11 +12,7 @@ Run:
 
 from repro.bench.harness import make_testbed_job
 from repro.core.eccheck import ECCheckConfig, ECCheckEngine
-from repro.core.scheduler import (
-    pack_into_slots,
-    profile_idle_slots,
-    schedule_checkpoint_comm,
-)
+from repro.core.scheduler import profile_idle_slots, schedule_checkpoint_comm
 from repro.sim.network import gbps
 from repro.sim.timeline import pipeline_schedule_timeline
 
@@ -49,16 +45,6 @@ def main() -> None:
         print(f"{interval:>10d} {str(outcome.fits_in_idle):>6s} "
               f"{outcome.overflow_seconds:>13.3f}s "
               f"{outcome.added_iteration_seconds:>14.4f}s")
-
-    # Concrete slot assignment for one stage.
-    slots = profile.slots_per_stage[1]
-    assignments = pack_into_slots(slots, comm[1])
-    print(f"\nstage 1 traffic packs into {len(assignments)} slot windows "
-          f"across {1 + max(it for it, _ in assignments)} iteration(s):")
-    for iteration, window in assignments[:6]:
-        print(f"  iter {iteration}: [{window.start:7.3f}s, {window.end:7.3f}s)")
-    if len(assignments) > 6:
-        print(f"  ... {len(assignments) - 6} more")
 
 
 if __name__ == "__main__":

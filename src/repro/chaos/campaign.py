@@ -68,8 +68,8 @@ class ChaosConfig:
     seed: int = 0
     engines: tuple[str, ...] = ENGINES
     max_rounds: int = 3
-    model: str = "gpt2-h1024-L16"
-    scale: float = 5e-4
+    model: ClassVar[str] = "gpt2-h1024-L16"
+    scale: ClassVar[float] = 5e-4
     #: Run each episode under a collecting tracer and attach a trace
     #: summary (span/event counts, phase totals, fired crash points) to
     #: the episode in ``CHAOS_report.json``.

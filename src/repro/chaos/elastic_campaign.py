@@ -83,8 +83,8 @@ class ElasticConfig:
     episodes: int = 30
     seed: int = 0
     max_rounds: int = 3
-    model: str = "gpt2-h1024-L16"
-    scale: float = 5e-4
+    model: ClassVar[str] = "gpt2-h1024-L16"
+    scale: ClassVar[float] = 5e-4
     redundancy_floor: int = 1
     #: Run each episode under a collecting tracer and attach a trace
     #: summary to the episode in ``ELASTIC_report.json``.

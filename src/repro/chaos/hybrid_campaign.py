@@ -94,8 +94,8 @@ class HybridChaosConfig:
     max_rounds: int = 3
     #: Checkpoint interval — also scales the log-depth alert thresholds.
     interval: int = 3
-    model: str = "gpt2-h1024-L16"
-    scale: float = 5e-4
+    model: ClassVar[str] = "gpt2-h1024-L16"
+    scale: ClassVar[float] = 5e-4
     #: Baseline iteration seconds, used only to convert "iterations lost
     #: per failure" into seconds for the crossover computation.
     iteration_s: float = 1.0

@@ -93,7 +93,7 @@ def _replicated(engine, kinds, tag: int, live: set[int]) -> bool:
             for node in _replica_nodes(engine.job, worker)
             if node in live
         )
-        for worker in engine.job.writers
+        for worker in range(engine.job.world_size)
     )
 
 
@@ -117,7 +117,7 @@ def _replica_violations(engine, kinds, tag: int, label: str) -> list[str]:
     format string over ``worker``)."""
     return [
         f"{label.format(worker=worker)} {state} on node {node}"
-        for worker in engine.job.writers
+        for worker in range(engine.job.world_size)
         for node in _replica_nodes(engine.job, worker)
         if (state := _state(engine.host, node, _keys(kinds, tag, worker)))
         != "whole"
@@ -126,10 +126,7 @@ def _replica_violations(engine, kinds, tag: int, label: str) -> list[str]:
 
 def _group_writers(engine, group: list[int]) -> list[int]:
     """The writers hosted on a base3 replication group's nodes."""
-    writers = set(engine.job.writers)
-    return [
-        w for n in group for w in engine.job.cluster.workers_of(n) if w in writers
-    ]
+    return [w for n in group for w in engine.job.cluster.workers_of(n)]
 
 
 # ----------------------------------------------------------------------
@@ -165,7 +162,7 @@ def _remote_base(engine, survivors: list[int]) -> tuple:
     for version in range(engine.version, 0, -1):
         if all(
             engine.remote.contains(("ckpt", version, worker))
-            for worker in engine.job.writers
+            for worker in range(engine.job.world_size)
         ):
             return "backup", version, None
     return _REFUSED
@@ -271,7 +268,7 @@ def check_restored_states(job, expected_states: dict[int, dict]) -> list[str]:
             continue
         reference = expected_states.get(worker)
         if reference is None:
-            continue  # non-writer replica of an FSDP-less layout
+            continue  # the caller holds no reference for this worker
         if not state_dicts_equal(state, reference):
             violations.append(
                 f"worker {worker} state differs from the checkpointed bytes"

@@ -77,10 +77,10 @@ class TierChaosConfig:
     episodes: int = 20
     seed: int = 0
     max_rounds: int = 3
-    model: str = "gpt2-h1024-L16"
-    scale: float = 5e-4
+    model: ClassVar[str] = "gpt2-h1024-L16"
+    scale: ClassVar[float] = 5e-4
     #: Disk-tier retention depth handed to the :class:`TierPolicy`.
-    disk_versions: int = 8
+    disk_versions: ClassVar[int] = 8
     #: Run each episode under a collecting tracer, reconcile per-tier
     #: phase totals against report breakdowns at ``trace_io.REL_TOL``,
     #: and attach a trace summary to the episode.

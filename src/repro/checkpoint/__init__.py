@@ -23,19 +23,11 @@ from repro.checkpoint.base import CheckpointEngine, RecoveryReport, SaveReport
 from repro.checkpoint.sync_remote import SyncRemoteEngine
 from repro.checkpoint.two_phase import TwoPhaseEngine
 from repro.checkpoint.replication import GeminiReplicationEngine
-from repro.checkpoint.frequency import (
-    AdaptiveFrequencyTuner,
-    overhead_bounded_interval,
-    young_daly_interval,
-)
 from repro.checkpoint.manager import CheckpointManager, ManagerStats
 
 __all__ = [
     "CheckpointManager",
     "ManagerStats",
-    "AdaptiveFrequencyTuner",
-    "overhead_bounded_interval",
-    "young_daly_interval",
     "TrainingJob",
     "HostMemoryStore",
     "RemoteStorage",

@@ -260,7 +260,7 @@ class CheckpointEngine:
         """
         requests = []
         total = 0
-        for worker in self.job.writers:
+        for worker in range(self.job.world_size):
             blob = serialize_state_dict(self.job.state_of(worker))
             self.remote.put(("ckpt", version, worker), blob)
             logical = self.job.logical_shard_bytes(worker)
@@ -283,7 +283,7 @@ class CheckpointEngine:
         for version in range(self.version, 0, -1):
             if all(
                 self.remote.contains(("ckpt", version, worker))
-                for worker in self.job.writers
+                for worker in range(self.job.world_size)
             ):
                 yield version
 
@@ -335,7 +335,7 @@ class CheckpointEngine:
         requests = []
         total = 0
         states = {}
-        for worker in self.job.writers:
+        for worker in range(self.job.world_size):
             try:
                 blob = self.remote.get(("ckpt", version, worker))
                 states[worker] = deserialize_state_dict(blob)
@@ -352,18 +352,17 @@ class CheckpointEngine:
                     src=REMOTE, dst=self.job.node_of(worker), nbytes=logical
                 )
             )
-        self._restore_dp_replicas()
         result = self.network.bill(requests)
         tm = self.job.time_model
         deserialize = max(
             tm.deserialize_time(self.job.logical_shard_bytes(w))
-            for w in self.job.writers
+            for w in range(self.job.world_size)
         )
         # Deserialized state still has to reach the GPUs before training
         # can resume: bill the host-to-device copy.
         htod = max(
             tm.htod_time(self.job.logical_shard_bytes(w))
-            for w in self.job.writers
+            for w in range(self.job.world_size)
         )
         load_time = result.makespan + deserialize + htod
         return RecoveryReport(
@@ -374,27 +373,6 @@ class CheckpointEngine:
             bytes_from_remote=total,
             tier="remote",
         )
-
-    def _restore_dp_replicas(self) -> None:
-        """Copy restored writer state onto data-parallel replicas.
-
-        Under FSDP there are no replicas — every rank is a writer.
-        """
-        if self.job.strategy.data_parallel == 1:
-            return
-        if self.job.sharding_style == "fsdp":
-            return
-        from repro.tensors.state_dict import map_tensors
-
-        for worker in self.job.writers:
-            state = self.job.state_dicts[worker]
-            if state is None:
-                continue
-            for replica in self.job.strategy.dp_group(worker):
-                if replica != worker:
-                    self.job.state_dicts[replica] = map_tensors(
-                        state, lambda t: t.to(t.device)
-                    )
 
 
 # ----------------------------------------------------------------------

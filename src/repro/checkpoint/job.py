@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from repro.errors import CheckpointError, ShardingError
 from repro.models.config import CheckpointSizeModel, ModelConfig, get_model_config
 from repro.models.factory import build_worker_state_dict
-from repro.parallel.sharding import ShardSpec, checkpoint_workers, shard_model
+from repro.parallel.sharding import ShardSpec, shard_model
 from repro.parallel.strategy import ParallelismSpec
 from repro.parallel.topology import ClusterSpec
 from repro.sim.network import TimeModel
@@ -39,13 +39,11 @@ class TrainingJob:
     cluster: ClusterSpec
     strategy: ParallelismSpec
     model: ModelConfig
-    size_model: CheckpointSizeModel
     time_model: TimeModel
     scale: float
     shards: list[ShardSpec]
     state_dicts: dict[int, dict | None]
     iteration: int = 0
-    sharding_style: str = "hybrid"
     _logical_bytes: dict[int, int] = field(default_factory=dict)
     #: Explicit node-id <-> rank mapping.  A *rank* is the cluster slot
     #: (0..num_nodes-1) that placement, the host store and the network
@@ -67,40 +65,21 @@ class TrainingJob:
         strategy: ParallelismSpec,
         scale: float = 1e-3,
         seed: int = 0,
-        size_model: CheckpointSizeModel | None = None,
         time_model: TimeModel | None = None,
-        sharding: str = "hybrid",
     ) -> "TrainingJob":
         """Materialise a job: shard the model and build worker state dicts.
 
         Args:
             model: a :class:`ModelConfig` or a zoo name like ``"gpt2-5.3B"``.
             cluster: physical nodes and GPUs.
-            strategy: TP/PP/DP layout (must match the cluster size).
+            strategy: TP/PP layout (must match the cluster size).
             scale: tensor materialisation scale (1e-3 keeps tests fast).
             seed: deterministic tensor contents.
-            sharding: ``"hybrid"`` (Megatron TP/PP/DP, the default) or
-                ``"fsdp"`` (every rank holds a 1/W slice of every tensor;
-                the strategy must then be pure data parallelism).
         """
         if isinstance(model, str):
             model = get_model_config(model)
         strategy.validate_cluster(cluster)
-        if sharding == "hybrid":
-            shards = shard_model(model, strategy)
-        elif sharding == "fsdp":
-            from repro.parallel.fsdp import shard_model_fsdp
-
-            if strategy.tensor_parallel != 1 or strategy.pipeline_parallel != 1:
-                raise ShardingError(
-                    "FSDP sharding expects pure data parallelism "
-                    "(tensor_parallel == pipeline_parallel == 1)"
-                )
-            shards = shard_model_fsdp(model, cluster.world_size)
-        else:
-            raise ShardingError(
-                f"unknown sharding style {sharding!r}; use 'hybrid' or 'fsdp'"
-            )
+        shards = shard_model(model, strategy)
         state_dicts: dict[int, dict | None] = {}
         for shard in shards:
             state_dicts[shard.worker] = build_worker_state_dict(
@@ -118,12 +97,10 @@ class TrainingJob:
             cluster=cluster,
             strategy=strategy,
             model=model,
-            size_model=size_model or CheckpointSizeModel(),
             time_model=time_model or TimeModel(),
             scale=scale,
             shards=shards,
             state_dicts=state_dicts,
-            sharding_style=sharding,
             node_ids={rank: rank for rank in range(cluster.num_nodes)},
             _next_node_id=cluster.num_nodes,
         )
@@ -133,17 +110,6 @@ class TrainingJob:
     def world_size(self) -> int:
         return self.cluster.world_size
 
-    @property
-    def writers(self) -> list[int]:
-        """Workers that write checkpoints.
-
-        Under hybrid parallelism only one DP replica writes; under FSDP
-        every rank holds a unique shard, so everyone writes.
-        """
-        if self.sharding_style == "fsdp":
-            return list(range(self.world_size))
-        return checkpoint_workers(self.strategy)
-
     def node_of(self, worker: int) -> int:
         return self.cluster.node_of(worker)
 
@@ -152,20 +118,18 @@ class TrainingJob:
         if worker not in self._logical_bytes:
             shard = self.shards[worker]
             self._logical_bytes[worker] = int(
-                shard.parameter_count() * self.size_model.bytes_per_parameter
+                shard.parameter_count() * CheckpointSizeModel.bytes_per_parameter
             )
         return self._logical_bytes[worker]
 
     def total_logical_bytes(self) -> int:
-        """Full-scale checkpoint bytes across all writers."""
-        return sum(self.logical_shard_bytes(w) for w in self.writers)
+        """Full-scale checkpoint bytes across all workers."""
+        return sum(self.logical_shard_bytes(w) for w in range(self.world_size))
 
     def node_logical_bytes(self, node: int) -> int:
-        """Full-scale checkpoint bytes produced by one node's writers."""
+        """Full-scale checkpoint bytes produced by one node's workers."""
         return sum(
-            self.logical_shard_bytes(w)
-            for w in self.cluster.workers_of(node)
-            if w in set(self.writers)
+            self.logical_shard_bytes(w) for w in self.cluster.workers_of(node)
         )
 
     # ------------------------------------------------------------------

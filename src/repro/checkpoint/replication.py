@@ -22,30 +22,25 @@ from repro.tensors.tensor import CPU, GPU
 class GeminiReplicationEngine(CheckpointEngine):
     """The paper's **base3** (GEMINI is not open source; reimplemented).
 
-    Args:
-        job: the training job.
-        group_size: nodes per replication group (2 in the paper's testbed,
-            grouping nodes {0,1} and {2,3}).
+    Nodes pair up as in the paper's testbed ({0,1} and {2,3}).
     """
 
     name = "base3"
+
+    #: Nodes per replication group: the paper's pairs.
+    group_size = 2
 
     #: Fault injection: after all snapshots landed on their own nodes
     #: (no replication yet) and before each peer broadcast.
     crash_points = ("post_snapshot", "mid_broadcast")
 
-    def __init__(self, job: TrainingJob, group_size: int = 2):
+    def __init__(self, job: TrainingJob):
         super().__init__(job)
-        if group_size < 2:
+        if job.cluster.num_nodes % self.group_size:
             raise CheckpointError(
-                f"replication needs group_size >= 2, got {group_size}"
-            )
-        if job.cluster.num_nodes % group_size:
-            raise CheckpointError(
-                f"group_size {group_size} must divide node count "
+                f"group_size {self.group_size} must divide node count "
                 f"{job.cluster.num_nodes}"
             )
-        self.group_size = group_size
 
     def groups(self) -> list[list[int]]:
         """Replication groups: consecutive runs of ``group_size`` nodes."""
@@ -62,11 +57,10 @@ class GeminiReplicationEngine(CheckpointEngine):
     def _save_impl(self) -> SaveReport:
         self.version += 1
         tm = self.job.time_model
-        writers = set(self.job.writers)
         # Snapshot every writer's state into its own node's host memory.
         dtoh_times = []
         bytes_dtoh = 0
-        for worker in self.job.writers:
+        for worker in range(self.job.world_size):
             snapshot = map_tensors(self.job.state_of(worker), lambda t: t.to(CPU))
             node = self.job.node_of(worker)
             self.host.put(node, ("ckpt", self.version, worker), snapshot)
@@ -89,8 +83,6 @@ class GeminiReplicationEngine(CheckpointEngine):
                         "mid_broadcast", version=self.version, src=node, dst=peer
                     )
                     for worker in self.job.cluster.workers_of(node):
-                        if worker not in writers:
-                            continue
                         snapshot = self.host.get(node, ("ckpt", self.version, worker))
                         self.host.put(peer, ("ckpt", self.version, worker), snapshot)
                     bytes_inter_node += node_bytes
@@ -124,19 +116,13 @@ class GeminiReplicationEngine(CheckpointEngine):
         group writer's snapshot — a torn broadcast always leaves at least
         one survivor missing a peer's key.
         """
-        writers = set(self.job.writers)
         for group in self.groups():
             survivors = [n for n in group if n not in failed_nodes]
             if not survivors:
                 return False
-            group_writers = [
-                w
-                for n in group
-                for w in self.job.cluster.workers_of(n)
-                if w in writers
-            ]
+            workers = [w for n in group for w in self.job.cluster.workers_of(n)]
             for peer in survivors:
-                for worker in group_writers:
+                for worker in workers:
                     if not self.host.contains(peer, ("ckpt", version, worker)):
                         return False
         return True
@@ -178,12 +164,11 @@ class GeminiReplicationEngine(CheckpointEngine):
             for node in failed_nodes
         }
 
-        writers = set(self.job.writers)
         requests = []
         bytes_inter_node = 0
         local_copy_times = [0.0]
         htod_times = [0.0]
-        for worker in self.job.writers:
+        for worker in range(self.job.world_size):
             node = self.job.node_of(worker)
             logical = self.job.logical_shard_bytes(worker)
             htod_times.append(tm.htod_time(logical))
@@ -202,7 +187,6 @@ class GeminiReplicationEngine(CheckpointEngine):
             self.job.state_dicts[worker] = map_tensors(
                 snapshot, lambda t: t.to(GPU)
             )
-        self._restore_dp_replicas()
         transfer = self.network.bill(requests).makespan if requests else 0.0
         htod = max(htod_times)
         recovery_time = max(transfer, max(local_copy_times)) + htod
@@ -216,8 +200,6 @@ class GeminiReplicationEngine(CheckpointEngine):
                     continue
                 peer_bytes = self.job.node_logical_bytes(peer)
                 for worker in self.job.cluster.workers_of(peer):
-                    if worker not in writers:
-                        continue
                     self.host.put(
                         node,
                         ("ckpt", version, worker),

@@ -29,7 +29,7 @@ class SyncRemoteEngine(CheckpointEngine):
         requests = []
         bytes_to_remote = 0
         serialize_times = {}
-        for worker in self.job.writers:
+        for worker in range(self.job.world_size):
             self.fire("mid_persist", version=self.version, worker=worker)
             blob = serialize_state_dict(self.job.state_of(worker))
             self.remote.put(("ckpt", self.version, worker), blob)

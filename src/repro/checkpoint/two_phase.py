@@ -36,7 +36,7 @@ class TwoPhaseEngine(CheckpointEngine):
         snapshots = {}
         dtoh_times = []
         bytes_dtoh = 0
-        for worker in self.job.writers:
+        for worker in range(self.job.world_size):
             state = self.job.state_of(worker)
             snapshots[worker] = map_tensors(state, lambda t: t.to(CPU))
             logical = self.job.logical_shard_bytes(worker)

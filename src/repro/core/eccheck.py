@@ -36,7 +36,6 @@ from repro.core.restore import Restores
 from repro.core.save import Saves
 from repro.core.stored import StoredVersions
 from repro.core.tiers import Tiers
-from repro.errors import CheckpointError
 
 
 @dataclass(frozen=True)
@@ -96,12 +95,6 @@ class ECCheckEngine(Layout, StoredVersions, Saves, Tiers, Restores, CheckpointEn
         """
         super().__init__(job)
         self.config = config or ECCheckConfig()
-        if job.strategy.data_parallel != 1 and job.sharding_style != "fsdp":
-            raise CheckpointError(
-                "ECCheckEngine expects data_parallel == 1 (or FSDP sharding); "
-                "replicated data parallelism already duplicates state "
-                "(see paper Sec. III-A)"
-            )
         self._layouts = {}
         self._code_cache = {}
         self._dtype_names = defaultdict(list)

@@ -169,6 +169,6 @@ class Layout:
     def logical_packet_bytes(self) -> int:
         """Full-scale packet size: the largest shard, aligned."""
         return packet_size_for(
-            [self.job.logical_shard_bytes(w) for w in self.job.writers],
+            [self.job.logical_shard_bytes(w) for w in range(self.job.world_size)],
             self.config.packet_alignment,
         )

@@ -446,7 +446,7 @@ class Saves:
         ) as span:
             serialize = max(
                 tm.serialize_time(self.job.logical_shard_bytes(w))
-                for w in self.job.writers
+                for w in range(self.job.world_size)
             )
             transfer, total = self._persist_all_to_remote(version)
             report = SaveReport(

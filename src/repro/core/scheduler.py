@@ -124,46 +124,3 @@ def schedule_checkpoint_comm(
         added_iteration_seconds=overflow / interval_iterations,
     )
 
-
-def pack_into_slots(
-    slots: list[Interval], demand_seconds: float, max_iterations: int = 10_000
-) -> list[tuple[int, Interval]]:
-    """Assign a transfer demand to concrete (iteration, slot) windows.
-
-    Greedily fills each iteration's idle slots in order, spilling into
-    subsequent iterations, exactly how the P2P thread buffers operations
-    until profiled idle windows arrive.
-
-    Returns:
-        ``(iteration_index, sub_interval)`` assignments covering the
-        demand.
-
-    Raises:
-        SchedulingError: if the slots are empty while demand is positive,
-            or the demand does not drain within ``max_iterations``.
-    """
-    if demand_seconds < 0:
-        raise SchedulingError(f"negative demand {demand_seconds}")
-    if demand_seconds == 0:
-        return []
-    capacity = total_duration(slots)
-    if capacity <= 0:
-        raise SchedulingError("no idle capacity to schedule into")
-    assignments: list[tuple[int, Interval]] = []
-    remaining = demand_seconds
-    iteration = 0
-    while remaining > 1e-12:
-        if iteration >= max_iterations:
-            raise SchedulingError(
-                f"demand not drained within {max_iterations} iterations"
-            )
-        for slot in slots:
-            if remaining <= 1e-12:
-                break
-            take = min(slot.duration, remaining)
-            assignments.append(
-                (iteration, Interval(slot.start, slot.start + take))
-            )
-            remaining -= take
-        iteration += 1
-    return assignments

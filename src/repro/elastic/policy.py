@@ -10,10 +10,9 @@ controller stays a thin orchestrator:
   must block until a spare arrives.
 * :class:`RedundancyPolicy` — an online controller that estimates MTBF
   from the observed failure stream and recommends a full-strength
-  ``(k, m)`` split, mirroring the observe/adjust shape of
-  :class:`~repro.checkpoint.frequency.AdaptiveFrequencyTuner`: back off
-  to more parity multiplicatively-fast when failures cluster, reclaim
-  capacity additively-slow when the cluster stays quiet.
+  ``(k, m)`` split: back off to more parity multiplicatively-fast when
+  failures cluster, reclaim capacity additively-slow when the cluster
+  stays quiet.
 """
 
 from __future__ import annotations

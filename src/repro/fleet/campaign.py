@@ -34,6 +34,9 @@ from repro.obs.alerts import default_fleet_rules
 from repro.obs.metrics import Histogram
 from repro.obs.timeseries import crosscheck_timeline
 
+#: Mean time between failures per domain, by domain class.
+MTBF_HOURS = {"node": 25.0, "rack": 250.0, "switch": 1500.0, "power": 8000.0}
+
 
 @dataclass(frozen=True)
 class FleetConfig:
@@ -44,21 +47,14 @@ class FleetConfig:
     seed: int = 0
     arbitration: str = "fair"
     fleet_slots: int = 64
-    slots_per_rack: int = 4
-    racks_per_switch: int = 2
-    switches_per_power: int = 2
+    slots_per_rack: ClassVar[int] = 4
+    racks_per_switch: ClassVar[int] = 2
+    switches_per_power: ClassVar[int] = 2
     spares: int = 6
-    spare_median_delay_s: float = 120.0
-    depot_median_delay_s: float = 900.0
-    cross_rack_gbps: float = 200.0
-    mtbf_node_hours: float = 25.0
-    mtbf_rack_hours: float = 250.0
-    mtbf_switch_hours: float = 1500.0
-    mtbf_power_hours: float = 8000.0
     duration_hours: float = 8.0
-    mean_interarrival_s: float = 45.0
-    model: str = "gpt2-h1024-L16"
-    scale: float = 5e-5
+    mean_interarrival_s: ClassVar[float] = 45.0
+    model: ClassVar[str] = "gpt2-h1024-L16"
+    scale: ClassVar[float] = 5e-5
     #: Telemetry knobs: sampled series (``TimeSeriesSampler.timeline_dict()``)
     #: plus online SLO alerts, attached to each episode.
     timeline: bool = False
@@ -77,14 +73,6 @@ class FleetConfig:
             racks_per_switch=self.racks_per_switch,
             switches_per_power=self.switches_per_power,
         )
-
-    def mtbf_hours(self) -> dict[str, float]:
-        return {
-            "node": self.mtbf_node_hours,
-            "rack": self.mtbf_rack_hours,
-            "switch": self.mtbf_switch_hours,
-            "power": self.mtbf_power_hours,
-        }
 
 
 @dataclass
@@ -343,10 +331,7 @@ def run_fleet_episode(
         seed=(config.seed, episode),
         arbitration=config.arbitration,
         spares=config.spares,
-        spare_median_delay_s=config.spare_median_delay_s,
-        depot_median_delay_s=config.depot_median_delay_s,
-        cross_rack_gbps=config.cross_rack_gbps,
-        mtbf_hours=config.mtbf_hours(),
+        mtbf_hours=MTBF_HOURS,
         duration_hours=config.duration_hours,
     )
     for submit_at, spec in sample_tenant_specs(config, episode, jobs, rng):

@@ -77,8 +77,16 @@ class AdmissionQueue:
         return len(self._heap)
 
 
+#: Median spare provisioning delay (log-normal with shape
+#: :data:`SPARE_SIGMA`).
+SPARE_MEDIAN_DELAY_S = 120.0
 #: Log-normal shape of the spare provisioning delay.
 SPARE_SIGMA = 0.4
+#: Median time a failed machine spends at the depot before returning to
+#: inventory (or a freed slot being re-racked).
+DEPOT_MEDIAN_DELAY_S = 900.0
+#: Aggregate cross-rack trunk capacity.
+CROSS_RACK_GBPS = 200.0
 #: Stall-breaking rounds :meth:`FleetScheduler.run` tries before it
 #: gives up on draining the fleet.
 MAX_STALL_ROUNDS = 1000
@@ -92,12 +100,6 @@ class FleetScheduler:
         seed: integer sequence; every internal stream derives from it.
         arbitration: ``"fair"`` or ``"priority"`` (both arbiters).
         spares: initial fleet-wide spare inventory.
-        spare_median_delay_s: median provisioning delay (log-normal
-            with shape :data:`SPARE_SIGMA`).
-        depot_median_delay_s: median time a failed machine spends at the
-            depot before returning to inventory (or a freed slot being
-            re-racked).
-        cross_rack_gbps: aggregate cross-rack trunk capacity.
         mtbf_hours: domain class -> MTBF per domain; empty disables
             failures.
         duration_hours: failure-trace horizon.
@@ -109,9 +111,6 @@ class FleetScheduler:
         seed=(0,),
         arbitration: str = "fair",
         spares: int = 6,
-        spare_median_delay_s: float = 120.0,
-        depot_median_delay_s: float = 900.0,
-        cross_rack_gbps: float = 200.0,
         mtbf_hours: dict[str, float] | None = None,
         duration_hours: float = 8.0,
     ):
@@ -122,19 +121,17 @@ class FleetScheduler:
             gbps(self.base_time_model.remote_storage_gbps), mode=arbitration
         )
         self.trunk_arbiter = BandwidthArbiter(
-            gbps(cross_rack_gbps), mode=arbitration
+            gbps(CROSS_RACK_GBPS), mode=arbitration
         )
-        self.cross_rack_gbps = cross_rack_gbps
         seed = tuple(int(s) for s in (seed if hasattr(seed, "__len__") else (seed,)))
         self.pool = SparePool(
             size=spares,
-            median_delay_s=spare_median_delay_s,
+            median_delay_s=SPARE_MEDIAN_DELAY_S,
             sigma=SPARE_SIGMA,
             rng=np.random.default_rng([*seed, 1]),
             queue_when_exhausted=True,
         )
         self.depot_rng = np.random.default_rng([*seed, 2])
-        self.depot_median_delay_s = depot_median_delay_s
         self.queue = AdmissionQueue()
         self.tenants: dict[str, TenantRuntime] = {}
         self.slo_records: dict[str, dict] = {}
@@ -372,7 +369,7 @@ class FleetScheduler:
             held.append(self.trunk_arbiter)
             # The tenant's NIC-level bandwidth is capped by its granted
             # slice of the trunk.
-            trunk_gbps = claim.fraction * self.cross_rack_gbps
+            trunk_gbps = claim.fraction * CROSS_RACK_GBPS
             inter_share = min(
                 1.0, trunk_gbps / self.base_time_model.inter_node_gbps
             )
@@ -414,7 +411,7 @@ class FleetScheduler:
         from repro.sim.spares import sample_replacement_delay
 
         return sample_replacement_delay(
-            self.depot_rng, self.depot_median_delay_s, 0.4
+            self.depot_rng, DEPOT_MEDIAN_DELAY_S, 0.4
         )
 
     def _on_domain_event(self, event) -> None:

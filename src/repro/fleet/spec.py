@@ -16,6 +16,7 @@ arbitration standing (fair-share weight and priority).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 from repro.errors import SimulationError
 
@@ -155,10 +156,10 @@ class TenantSpec:
     """
 
     name: str
-    nodes: int = 4
-    gpus_per_node: int = 2
-    tensor_parallel: int = 2
-    pipeline_parallel: int = 4
+    nodes: ClassVar[int] = 4
+    gpus_per_node: ClassVar[int] = 2
+    tensor_parallel: ClassVar[int] = 2
+    pipeline_parallel: ClassVar[int] = 4
     k: int = 2
     m: int = 2
     model: str = "gpt2-h1024-L16"
@@ -171,7 +172,7 @@ class TenantSpec:
     priority: int = 0
     remote_backup_every: int = 0
     tier_memory_versions: int = 0
-    redundancy_floor: int = 1
+    redundancy_floor: ClassVar[int] = 1
 
     def __post_init__(self) -> None:
         if self.k + self.m != self.nodes:

@@ -102,7 +102,7 @@ class GradRepEngine(CheckpointEngine):
             self._packet_size = packet_size_for(
                 [
                     sum(t.nbytes for _, t in tensor_items(self.job.state_of(w)))
-                    for w in self.job.writers
+                    for w in range(self.job.world_size)
                 ],
                 alignment=PACKET_ALIGNMENT,
             )
@@ -115,7 +115,7 @@ class GradRepEngine(CheckpointEngine):
             worker: build_worker_checkpoint(
                 worker, _canonical_state_dict(self.job.state_of(worker)), size
             )
-            for worker in self.job.writers
+            for worker in range(self.job.world_size)
         }
 
     # ------------------------------------------------------------------
@@ -341,8 +341,6 @@ class GradRepEngine(CheckpointEngine):
                 self.job.state_dicts[worker] = restore_state_dict(
                     meta if meta is not None else base_meta, payload, GPU
                 )
-        if install:
-            self._restore_dp_replicas()
         self.log.prune_to([seq for seq, _ in tail])
         self.log.restore_redundancy(set(failed_nodes))
         self._stream_packets = {
@@ -378,7 +376,7 @@ class GradRepEngine(CheckpointEngine):
         bytes_inter_node = 0
         htod_times = [0.0]
         bases: dict[int, tuple[np.ndarray, bytes]] = {}
-        for worker in self.job.writers:
+        for worker in range(self.job.world_size):
             home, _ = self.anchors.replicas(worker)
             logical = self.job.logical_shard_bytes(worker)
             htod_times.append(tm.htod_time(logical))
@@ -394,7 +392,7 @@ class GradRepEngine(CheckpointEngine):
 
         replay_requests = []
         replay_bytes = 0
-        for worker in self.job.writers:
+        for worker in range(self.job.world_size):
             home, buddy = self.anchors.replicas(worker)
             shares = self._replay_shares(tail, worker)
             if worker in fetched and home in failed_nodes:
@@ -425,7 +423,7 @@ class GradRepEngine(CheckpointEngine):
         self.anchors.rereplicate(version, set(failed_nodes))
         redo_bytes = sum(
             self.job.logical_shard_bytes(w)
-            for w in self.job.writers
+            for w in range(self.job.world_size)
             if any(n in failed_nodes for n in self.anchors.replicas(w))
         )
         redo_time = self._trunk_time(redo_bytes) if redo_bytes else 0.0

@@ -133,7 +133,7 @@ class ReplicaStore:
         live = set(live_nodes)
         return all(
             any(self.whole(node, tag, worker) for node in self.replicas(worker) if node in live)
-            for worker in self.job.writers
+            for worker in range(self.job.world_size)
         )
 
     def read(self, tag: int, worker: int, live_nodes) -> tuple[np.ndarray, bytes, int]:
@@ -167,7 +167,7 @@ class ReplicaStore:
         if record is None:
             return 0
         copied = 0
-        for worker in self.job.writers:
+        for worker in range(self.job.world_size):
             replicas = self.replicas(worker)
             holders = [n for n in replicas if self.whole(n, tag, worker)]
             if not holders:

@@ -151,7 +151,7 @@ class HybridEngine(GradRepEngine):
         tail, fetched = self._replay_tail(version, bases, failed_nodes)
         fetch_bytes = 0
         replay_bytes = 0
-        for worker in self.job.writers:
+        for worker in range(self.job.world_size):
             worker_replay = sum(self._replay_shares(tail, worker))
             replay_bytes += worker_replay
             home, _ = self.log.entries.replicas(worker)
@@ -162,7 +162,7 @@ class HybridEngine(GradRepEngine):
         replay_htod = (
             max(
                 tm.htod_time(sum(self._replay_shares(tail, w)))
-                for w in self.job.writers
+                for w in range(self.job.world_size)
             )
             if tail
             else 0.0

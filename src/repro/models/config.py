@@ -22,6 +22,7 @@ All experiments keep the vocabulary at 50,257 tokens.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 from repro.errors import ReproError
 
@@ -156,11 +157,10 @@ class CheckpointSizeModel:
     per parameter, consistent with Megatron's fp16 training state: fp16
     parameters (2) + fp32 master copy (4) + fp32 Adam exp_avg (4) + fp32
     Adam exp_avg_sq (4) + fp16 gradients (2) and per-tensor bookkeeping.
-    The default of 18 bytes/parameter reproduces that within a few percent
-    and is configurable for ablations.
+    18 bytes/parameter reproduces that within a few percent.
     """
 
-    bytes_per_parameter: float = 18.0
+    bytes_per_parameter: ClassVar[float] = 18.0
 
     def checkpoint_bytes(self, config: ModelConfig) -> int:
         """Full-model checkpoint size in bytes."""

@@ -148,20 +148,16 @@ class AlertEngine:
 
     Args:
         rules: the rule set (append more before the run starts).
-        recorder_depth: flight-recorder length N — the last N samples of
-            the implicated series are embedded in each alert record.
-        max_alerts: hard cap on stored alert records (drops counted).
     """
 
-    def __init__(
-        self,
-        rules=(),
-        recorder_depth: int = 32,
-        max_alerts: int = 256,
-    ) -> None:
+    #: Flight-recorder length N: the last N samples of the implicated
+    #: series are embedded in each alert record.
+    recorder_depth = 32
+    #: Hard cap on stored alert records (drops counted).
+    max_alerts = 256
+
+    def __init__(self, rules=()) -> None:
         self.rules: List[AlertRule] = list(rules)
-        self.recorder_depth = recorder_depth
-        self.max_alerts = max_alerts
         self.alerts: List[dict] = []
         self.dropped = 0
         self.evaluations = 0

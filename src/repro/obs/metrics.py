@@ -1,4 +1,4 @@
-"""Metrics registry: counters, gauges and histograms for the hot path.
+"""Metrics registry: counters and gauges for the hot path, and a histogram.
 
 Design constraints, in order of importance:
 
@@ -144,7 +144,6 @@ class MetricsRegistry:
         self._lock = threading.Lock()
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
-        self._histograms: Dict[str, Histogram] = {}
 
     def counter(self, name: str) -> Counter:
         with self._lock:
@@ -160,21 +159,11 @@ class MetricsRegistry:
                 metric = self._gauges[name] = Gauge(name)
             return metric
 
-    def histogram(self, name: str) -> Histogram:
-        with self._lock:
-            metric = self._histograms.get(name)
-            if metric is None:
-                metric = self._histograms[name] = Histogram(name)
-            return metric
-
     def snapshot(self) -> Dict[str, dict]:
         with self._lock:
             return {
                 "counters": {n: m.snapshot() for n, m in self._counters.items()},
                 "gauges": {n: m.snapshot() for n, m in self._gauges.items()},
-                "histograms": {
-                    n: m.snapshot() for n, m in self._histograms.items()
-                },
             }
 
 

@@ -198,18 +198,16 @@ class TimeSeriesSampler:
     ``fn(t) -> float`` that read — never mutate — live state.
     """
 
-    def __init__(
-        self,
-        period_s: float = 60.0,
-        capacity: int = 4096,
-        tenant_capacity: int = 1024,
-        alert_engine=None,
-    ) -> None:
+    #: Rows kept in the fleet buffer, and point events kept (drops
+    #: counted).
+    capacity = 4096
+    #: Rows kept in each tenant's buffer.
+    tenant_capacity = 1024
+
+    def __init__(self, period_s: float = 60.0, alert_engine=None) -> None:
         if period_s <= 0:
             raise SimulationError(f"period_s must be positive, got {period_s}")
         self.period_s = float(period_s)
-        self.capacity = capacity
-        self.tenant_capacity = tenant_capacity
         self.alerts = alert_engine
         self._fleet_probes: Dict[str, Probe] = {}
         self.fleet: Optional[SeriesBuffer] = None

@@ -176,8 +176,8 @@ class Tracer:
 
     enabled = True
 
-    def __init__(self, metrics: Optional[MetricsRegistry] = None) -> None:
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+    def __init__(self) -> None:
+        self.metrics = MetricsRegistry()
         self.spans: List[Span] = []
         self.events: List[Dict[str, Any]] = []
         self._lock = threading.Lock()

@@ -11,9 +11,8 @@
   LayerNorms and row-parallel biases are kept replicated on TP rank 0 for
   checkpoint purposes so the union of shards is exactly one copy of the
   model.
-* **Data parallelism** replicates shards; only ``dp_rank == 0`` workers are
-  checkpoint writers (:func:`checkpoint_workers`), since replicas hold
-  identical state.
+
+Every worker's shard is unique, so every worker writes checkpoints.
 """
 
 from __future__ import annotations
@@ -45,13 +44,12 @@ class ShardSpec:
     Attributes:
         worker: global worker id.
         param_shapes: post-split ``(name, shape)`` tensors this worker
-            checkpoints (empty when the worker is a pure DP replica).
+            checkpoints.
     """
 
     worker: int
     tp_rank: int
     pp_rank: int
-    dp_rank: int
     param_shapes: list[NamedShape] = field(default_factory=list)
 
     def parameter_count(self) -> int:
@@ -115,8 +113,8 @@ def _stage_shapes(config: ModelConfig, pp_rank: int, stages: int) -> list[NamedS
 def shard_model(config: ModelConfig, strategy: ParallelismSpec) -> list[ShardSpec]:
     """Produce every worker's shard for the given parallelism layout.
 
-    The union of all ``dp_rank == 0`` shards contains exactly one copy of
-    every model tensor (verified by tests against
+    The union of all shards contains exactly one copy of every model
+    tensor (verified by tests against
     ``config.parameter_count()``).
     """
     shards: list[ShardSpec] = []
@@ -139,17 +137,7 @@ def shard_model(config: ModelConfig, strategy: ParallelismSpec) -> list[ShardSpe
                 worker=worker,
                 tp_rank=coords.tp_rank,
                 pp_rank=coords.pp_rank,
-                dp_rank=coords.dp_rank,
                 param_shapes=param_shapes,
             )
         )
     return shards
-
-
-def checkpoint_workers(strategy: ParallelismSpec) -> list[int]:
-    """Workers that write checkpoints (one DP replica only)."""
-    return [
-        worker
-        for worker in range(strategy.world_size)
-        if strategy.coords_of(worker).dp_rank == 0
-    ]

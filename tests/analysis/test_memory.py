@@ -36,7 +36,7 @@ def test_fig15_premise_engines_use_identical_host_memory():
         )
 
     job3 = make_job()
-    base3 = GeminiReplicationEngine(job3, group_size=2)
+    base3 = GeminiReplicationEngine(job3)
     base3.save()
     job_ec = make_job()
     eccheck = ECCheckEngine(job_ec, ECCheckConfig(k=2, m=2))

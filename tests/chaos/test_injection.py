@@ -175,8 +175,8 @@ def test_remote_engine_mid_persist_crash_walks_back(engine_cls):
         engine.save()
     engine.crash_injector = None
     # v2 is torn in remote storage: some blobs landed, some did not.
-    assert engine.remote.contains(("ckpt", 2, job.writers[0]))
-    assert not engine.remote.contains(("ckpt", 2, job.writers[-1]))
+    assert engine.remote.contains(("ckpt", 2, 0))
+    assert not engine.remote.contains(("ckpt", 2, job.world_size - 1))
     job.fail_nodes({1})
     report = engine.restore({1})
     assert report.version == 1
@@ -207,7 +207,7 @@ def test_base2_post_snapshot_crash_persists_nothing():
     with pytest.raises(InjectedCrash):
         engine.save()
     engine.crash_injector = None
-    assert not engine.remote.contains(("ckpt", 2, job.writers[0]))
+    assert not engine.remote.contains(("ckpt", 2, 0))
     report = engine.restore(set())
     assert report.version == 1
     verify(job, reference)
@@ -218,7 +218,7 @@ def test_base2_post_snapshot_crash_persists_nothing():
 # ---------------------------------------------------------------------------
 def test_base3_post_snapshot_crash_walks_back():
     job = make_job()
-    engine = GeminiReplicationEngine(job, group_size=2)
+    engine = GeminiReplicationEngine(job)
     job.advance()
     engine.save()
     reference = job.snapshot_states()
@@ -236,7 +236,7 @@ def test_base3_post_snapshot_crash_walks_back():
 
 def test_base3_mid_broadcast_crash_plus_failure_walks_back():
     job = make_job()
-    engine = GeminiReplicationEngine(job, group_size=2)
+    engine = GeminiReplicationEngine(job)
     job.advance()
     engine.save()
     reference = job.snapshot_states()
@@ -255,7 +255,7 @@ def test_base3_mid_broadcast_crash_plus_failure_walks_back():
 
 def test_base3_whole_group_loss_still_refuses():
     job = make_job()
-    engine = GeminiReplicationEngine(job, group_size=2)
+    engine = GeminiReplicationEngine(job)
     engine.save()
     job.fail_nodes({0, 1})
     with pytest.raises(RecoveryError):

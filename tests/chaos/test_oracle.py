@@ -87,7 +87,7 @@ def chunk_faults(ec, version):
 
 def log_faults(engine):
     seq = engine.log.seqs[0]
-    worker = engine.job.writers[-1]
+    worker = engine.job.world_size - 1
     home, buddy = engine.log.entries.replicas(worker)
     return [
         (flip, buddy, ("grad", seq, worker),
@@ -102,7 +102,7 @@ def log_faults(engine):
 
 
 def anchor_faults(engine, version):
-    worker = engine.job.writers[0]
+    worker = 0
     home, buddy = engine.anchors.replicas(worker)
     label = f"anchor v{version} packet of worker {worker}"
     return [

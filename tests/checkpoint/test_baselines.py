@@ -4,9 +4,12 @@ failure semantics, and the timing shapes the paper's figures rely on."""
 import pytest
 
 from repro.errors import CheckpointError, DecodeError, RecoveryError
+from repro.checkpoint.job import TrainingJob
 from repro.checkpoint.replication import GeminiReplicationEngine
 from repro.checkpoint.sync_remote import SyncRemoteEngine
 from repro.checkpoint.two_phase import TwoPhaseEngine
+from repro.parallel.strategy import ParallelismSpec
+from repro.parallel.topology import ClusterSpec
 from repro.tensors.state_dict import state_dicts_equal
 from tests.core.test_save_bytes import make_testbed
 
@@ -115,10 +118,8 @@ def test_base2_save_with_no_writers_does_not_raise(testbed_job, monkeypatch):
     """Regression: an empty writer set used to crash on ``max()`` over
     the empty serialize-time sequence; now it degenerates to a free
     checkpoint."""
-    from repro.checkpoint.job import TrainingJob
-
     engine = TwoPhaseEngine(testbed_job)
-    monkeypatch.setattr(TrainingJob, "writers", property(lambda self: []))
+    monkeypatch.setattr(TrainingJob, "world_size", property(lambda self: 0))
     report = engine.save()
     assert report.version == 1
     assert report.stall_time == 0.0
@@ -136,16 +137,21 @@ def test_base2_save_with_no_writers_does_not_raise(testbed_job, monkeypatch):
 # base3
 # ---------------------------------------------------------------------------
 def test_base3_groups_paper_testbed(testbed_job):
-    engine = GeminiReplicationEngine(testbed_job, group_size=2)
+    engine = GeminiReplicationEngine(testbed_job)
     assert engine.groups() == [[0, 1], [2, 3]]
     assert engine.group_of(3) == [2, 3]
 
 
-def test_base3_group_size_validation(testbed_job):
+def test_base3_group_size_validation():
+    """Pairs must tile the cluster: an odd node count is refused."""
+    job = TrainingJob.create(
+        "gpt2-h1024-L16",
+        ClusterSpec(3, 1),
+        ParallelismSpec(pipeline_parallel=3),
+        scale=1e-3,
+    )
     with pytest.raises(CheckpointError):
-        GeminiReplicationEngine(testbed_job, group_size=1)
-    with pytest.raises(CheckpointError):
-        GeminiReplicationEngine(testbed_job, group_size=3)
+        GeminiReplicationEngine(job)
 
 
 def test_base3_save_replicates_within_group(testbed_job):
@@ -220,7 +226,7 @@ def test_base3_recovery_faster_than_remote(testbed_job):
 # ---------------------------------------------------------------------------
 def rot_last_remote_blob(engine, version):
     """Truncate the last writer's blob of ``version``; returns that writer."""
-    worker = engine.job.writers[-1]
+    worker = engine.job.world_size - 1
     blob = engine.remote.get(("ckpt", version, worker))
     engine.remote.put(("ckpt", version, worker), blob[: len(blob) // 2])
     return worker
@@ -240,7 +246,7 @@ def test_base1_rotten_blob_of_the_last_writer_is_refused_whole():
     engine = SyncRemoteEngine(job)
     engine.save()
     worker = rot_last_remote_blob(engine, 1)
-    assert len(job.writers) == 8
+    assert job.world_size == 8
     assert_refused_whole(engine, {0}, 1, worker)
 
 

@@ -1,7 +1,8 @@
 """Edge-case coverage for the baseline engines.
 
-These paths are easy to miss: data-parallel replica restoration, larger
-replication groups, repeated save/restore cycles, and byte accounting.
+These paths are easy to miss: larger replication groups (the engine's
+group size patched from the paper's pairs), repeated save/restore cycles,
+and byte accounting.
 """
 
 import pytest
@@ -22,48 +23,6 @@ def verify(job, reference):
 
 
 # ---------------------------------------------------------------------------
-# Data-parallel replicas
-# ---------------------------------------------------------------------------
-def make_dp_job():
-    return TrainingJob.create(
-        "gpt2-h1024-L16",
-        ClusterSpec(4, 2),
-        ParallelismSpec(tensor_parallel=2, pipeline_parallel=2, data_parallel=2),
-        scale=1e-3,
-        seed=61,
-    )
-
-
-def test_base1_restores_dp_replicas_from_writer_shards():
-    """Only dp_rank 0 writes, but every replica must come back."""
-    job = make_dp_job()
-    assert job.writers == [0, 1, 2, 3]
-    engine = SyncRemoteEngine(job)
-    engine.save()
-    # Writers' states are the canonical copies the replicas must match.
-    writer_reference = {w: s for w, s in job.snapshot_states().items() if w < 4}
-    job.fail_nodes({0, 1, 2, 3})
-    engine.restore({0, 1, 2, 3})
-    for writer, expected in writer_reference.items():
-        assert state_dicts_equal(job.state_of(writer), expected)
-        for replica in job.strategy.dp_group(writer):
-            assert state_dicts_equal(job.state_of(replica), expected), replica
-
-
-def test_dp_replica_restores_are_independent_copies():
-    job = make_dp_job()
-    engine = SyncRemoteEngine(job)
-    engine.save()
-    job.fail_nodes({0, 1, 2, 3})
-    engine.restore({0, 1, 2, 3})
-    writer_state = job.state_of(0)
-    replica = job.strategy.dp_group(0)[1]
-    replica_state = job.state_of(replica)
-    next(iter(writer_state["model"].values())).data[...] = 0
-    assert not state_dicts_equal(writer_state, replica_state)
-
-
-# ---------------------------------------------------------------------------
 # base3 with larger groups
 # ---------------------------------------------------------------------------
 def make_wide_job(num_nodes=8):
@@ -76,9 +35,14 @@ def make_wide_job(num_nodes=8):
     )
 
 
-def test_base3_group_of_four_survives_three_failures():
+@pytest.fixture
+def groups_of_four(monkeypatch):
+    monkeypatch.setattr(GeminiReplicationEngine, "group_size", 4)
+
+
+def test_base3_group_of_four_survives_three_failures(groups_of_four):
     job = make_wide_job()
-    engine = GeminiReplicationEngine(job, group_size=4)
+    engine = GeminiReplicationEngine(job)
     engine.save()
     reference = job.snapshot_states()
     job.advance()
@@ -87,26 +51,22 @@ def test_base3_group_of_four_survives_three_failures():
     verify(job, reference)
 
 
-def test_base3_group_of_four_dies_with_whole_group():
+def test_base3_group_of_four_dies_with_whole_group(groups_of_four):
     job = make_wide_job()
-    engine = GeminiReplicationEngine(job, group_size=4)
+    engine = GeminiReplicationEngine(job)
     engine.save()
     job.fail_nodes({0, 1, 2, 3})
     with pytest.raises(RecoveryError):
         engine.restore({0, 1, 2, 3})
 
 
-def test_base3_memory_cost_scales_with_group_size():
+def test_base3_memory_cost_scales_with_group_size(monkeypatch):
     """Each node stores G x its own bytes — the replication overhead the
     paper contrasts with erasure coding."""
-    small = make_wide_job()
-    big = make_wide_job()
-    GeminiReplicationEngine(small, group_size=2).save()
-    GeminiReplicationEngine(big, group_size=4).save()
-    # Rebuild engines to inspect host stores.
-    e2 = GeminiReplicationEngine(make_wide_job(), group_size=2)
-    e4 = GeminiReplicationEngine(make_wide_job(), group_size=4)
+    e2 = GeminiReplicationEngine(make_wide_job())
     e2.save()
+    monkeypatch.setattr(GeminiReplicationEngine, "group_size", 4)
+    e4 = GeminiReplicationEngine(make_wide_job())
     e4.save()
     # Not exactly 2x: node 0's own (embedding-heavy) shard dominates both.
     assert e4.host.node_bytes(0) > 1.3 * e2.host.node_bytes(0)
@@ -133,7 +93,7 @@ def test_save_reports_account_every_writer_byte():
     for engine in (SyncRemoteEngine(job), TwoPhaseEngine(job)):
         report = engine.save()
         assert report.bytes_to_remote == job.total_logical_bytes()
-    report = GeminiReplicationEngine(job, group_size=2).save()
+    report = GeminiReplicationEngine(job).save()
     assert report.bytes_dtoh == job.total_logical_bytes()
     assert report.bytes_inter_node == job.total_logical_bytes()  # G-1 = 1 copy
 

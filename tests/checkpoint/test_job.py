@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import CheckpointError, ShardingError
 from repro.checkpoint.job import TrainingJob
+from repro.models.config import CheckpointSizeModel
 from repro.parallel.strategy import ParallelismSpec
 from repro.parallel.topology import ClusterSpec
 from repro.tensors.state_dict import state_dicts_equal
@@ -40,7 +41,7 @@ def test_logical_bytes_track_shard_parameters(testbed_job):
     for worker in range(16):
         expected = int(
             testbed_job.shards[worker].parameter_count()
-            * testbed_job.size_model.bytes_per_parameter
+            * CheckpointSizeModel.bytes_per_parameter
         )
         assert testbed_job.logical_shard_bytes(worker) == expected
     assert testbed_job.total_logical_bytes() == sum(
@@ -86,17 +87,3 @@ def test_snapshot_states_are_deep_copies(testbed_job):
     snap = testbed_job.snapshot_states()
     testbed_job.advance()
     assert not state_dicts_equal(snap[0], testbed_job.state_of(0))
-
-
-def test_writers_without_dp_is_everyone(testbed_job):
-    assert testbed_job.writers == list(range(16))
-
-
-def test_writers_with_dp_is_first_replica():
-    job = TrainingJob.create(
-        "gpt2-h1024-L16",
-        ClusterSpec(4, 2),
-        ParallelismSpec(tensor_parallel=2, pipeline_parallel=2, data_parallel=2),
-        scale=1e-3,
-    )
-    assert job.writers == [0, 1, 2, 3]

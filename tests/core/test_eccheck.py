@@ -61,17 +61,6 @@ def test_initialize_rejects_k_not_dividing_world():
         ECCheckEngine(job, ECCheckConfig(k=3, m=1))  # W=4 not divisible by 3
 
 
-def test_initialize_rejects_data_parallel():
-    job = TrainingJob.create(
-        "gpt2-h1024-L16",
-        ClusterSpec(4, 2),
-        ParallelismSpec(tensor_parallel=2, pipeline_parallel=2, data_parallel=2),
-        scale=1e-3,
-    )
-    with pytest.raises(CheckpointError):
-        ECCheckEngine(job, ECCheckConfig(k=2, m=2))
-
-
 # ---------------------------------------------------------------------------
 # save
 # ---------------------------------------------------------------------------

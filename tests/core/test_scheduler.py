@@ -3,12 +3,8 @@
 import pytest
 
 from repro.errors import SchedulingError
-from repro.core.scheduler import (
-    pack_into_slots,
-    profile_idle_slots,
-    schedule_checkpoint_comm,
-)
-from repro.sim.timeline import Interval, IterationTimeline, pipeline_schedule_timeline
+from repro.core.scheduler import profile_idle_slots, schedule_checkpoint_comm
+from repro.sim.timeline import IterationTimeline, pipeline_schedule_timeline
 
 
 @pytest.fixture
@@ -79,34 +75,6 @@ def test_schedule_validation(profile):
         schedule_checkpoint_comm(profile, {99: 1.0}, interval_iterations=1)
     with pytest.raises(SchedulingError):
         schedule_checkpoint_comm(profile, {0: -1.0}, interval_iterations=1)
-
-
-def test_pack_into_slots_covers_demand():
-    slots = [Interval(0.0, 1.0), Interval(2.0, 2.5)]
-    assignments = pack_into_slots(slots, demand_seconds=2.0)
-    total = sum(interval.duration for _, interval in assignments)
-    assert total == pytest.approx(2.0)
-    # Fills iteration 0's slots (1.5 s) then spills into iteration 1.
-    iterations = {it for it, _ in assignments}
-    assert iterations == {0, 1}
-    # Every assignment sits inside an idle slot.
-    for _, sub in assignments:
-        assert any(
-            slot.start <= sub.start and sub.end <= slot.end for slot in slots
-        )
-
-
-def test_pack_into_slots_zero_demand():
-    assert pack_into_slots([Interval(0, 1)], 0.0) == []
-
-
-def test_pack_into_slots_validation():
-    with pytest.raises(SchedulingError):
-        pack_into_slots([], 1.0)
-    with pytest.raises(SchedulingError):
-        pack_into_slots([Interval(0, 1)], -1.0)
-    with pytest.raises(SchedulingError):
-        pack_into_slots([Interval(0, 0.001)], 1e6, max_iterations=10)
 
 
 def test_empty_timeline_profile_defaults():

@@ -69,7 +69,7 @@ class TestFleetSpec:
 class TestTenantSpec:
     def test_split_must_cover_nodes(self):
         with pytest.raises(SimulationError):
-            TenantSpec(name="t", nodes=4, k=2, m=1)
+            TenantSpec(name="t", k=2, m=1)
 
     def test_rejects_bad_weight_and_priority(self):
         with pytest.raises(SimulationError):

@@ -23,6 +23,7 @@ import json
 
 import pytest
 
+from repro.fleet import scheduler as fleet_scheduler
 from repro.fleet.campaign import FleetConfig, run_fleet_campaign
 from repro.fleet.scheduler import FleetScheduler
 from repro.fleet.spec import FleetSpec, TenantSpec
@@ -94,11 +95,13 @@ def test_fleet_report_json_is_provenance_stamped(plain_and_sampled):
     assert "provenance" not in bare and "timing" not in bare
 
 
-def test_rack_failure_fires_slow_repair_violation_with_context():
+def test_rack_failure_fires_slow_repair_violation_with_context(monkeypatch):
     """The acceptance scenario: rack0 takes two of the victim's ranks,
-    the fleet has zero spares and a glacial depot, so the degraded
-    window ages past the 1h SLO and the ``slow-repair`` violation fires
-    — carrying the flight recorder and the correlated rack event."""
+    the fleet has zero spares and a glacial depot (its median delay
+    patched to 20000 s), so the degraded window ages past the 1h SLO and
+    the ``slow-repair`` violation fires — carrying the flight recorder
+    and the correlated rack event."""
+    monkeypatch.setattr(fleet_scheduler, "DEPOT_MEDIAN_DELAY_S", 20000.0)
     spec = FleetSpec(
         num_slots=8, slots_per_rack=2, racks_per_switch=2,
         switches_per_power=2,
@@ -107,7 +110,6 @@ def test_rack_failure_fires_slow_repair_violation_with_context():
         spec,
         seed=(5,),
         spares=0,
-        depot_median_delay_s=20000.0,
         mtbf_hours=None,
     )
     sampler = TimeSeriesSampler(

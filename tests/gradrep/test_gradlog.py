@@ -34,9 +34,9 @@ def seeded_log(engine, entries=2, seed=7):
     for i in range(entries):
         deltas = {
             w: rng.integers(0, 256, 128, dtype=np.uint8)
-            for w in engine.job.writers
+            for w in range(engine.job.world_size)
         }
-        metadata = {w: f"meta-{i}-{w}".encode() for w in engine.job.writers}
+        metadata = {w: f"meta-{i}-{w}".encode() for w in range(engine.job.world_size)}
         log.append(2 + i, deltas, metadata, packet_size=128)
     return log
 
@@ -74,7 +74,7 @@ def test_append_places_home_buddy_and_broadcasts_commit():
     _, engine = make_engine()
     log = seeded_log(engine, entries=1)
     seq = log.seqs[0]
-    for worker in engine.job.writers:
+    for worker in range(engine.job.world_size):
         for node in log.entries.replicas(worker):
             assert engine.host.contains(node, ("grad", seq, worker))
             assert engine.host.contains(node, ("graddig", seq, worker))
@@ -106,7 +106,7 @@ def test_bit_rot_demotes_the_entry():
     _, engine = make_engine()
     log = seeded_log(engine, entries=1)
     seq = log.seqs[0]
-    worker = engine.job.writers[0]
+    worker = 0
     for node in log.entries.replicas(worker):
         engine.host.get(node, ("grad", seq, worker))[0] ^= 0xFF
     assert log.replayable_tail(1, [0, 1, 2, 3]) == []
@@ -141,7 +141,7 @@ def test_read_raises_when_no_whole_copy_survives():
     _, engine = make_engine()
     log = seeded_log(engine, entries=1)
     seq = log.seqs[0]
-    worker = engine.job.writers[0]
+    worker = 0
     replicas = log.entries.replicas(worker)
     with pytest.raises(RecoveryError):
         log.entries.read(seq, worker, [n for n in range(4) if n not in replicas])
@@ -157,7 +157,7 @@ def test_restore_redundancy_recreates_wiped_copies():
     assert copied > 0
     for seq in log.seqs:
         assert engine.host.contains(1, ("gradcommit", seq))
-    for worker in engine.job.writers:
+    for worker in range(engine.job.world_size):
         for node in log.entries.replicas(worker):
             for seq in log.seqs:
                 assert engine.host.contains(node, ("grad", seq, worker))
@@ -167,7 +167,7 @@ def test_replay_packet_applies_deltas_in_order():
     _, engine = make_engine()
     log = engine.log
     log.rebase(1, 1)
-    worker = engine.job.writers[0]
+    worker = 0
     rng = np.random.default_rng(3)
     base = rng.integers(0, 256, 64, dtype=np.uint8)
     expected = base.copy()
@@ -177,8 +177,8 @@ def test_replay_packet_applies_deltas_in_order():
         log.append(
             2 + i,
             {w: (delta if w == worker else np.zeros(64, dtype=np.uint8))
-             for w in engine.job.writers},
-            {w: b"m" for w in engine.job.writers},
+             for w in range(engine.job.world_size)},
+            {w: b"m" for w in range(engine.job.world_size)},
             packet_size=64,
         )
     tail = log.replayable_tail(1, [0, 1, 2, 3])

@@ -97,7 +97,7 @@ def trained(name, steps):
 def replica_writer(job, node):
     """The first writer with a home or buddy copy on ``node``."""
     cluster = job.cluster
-    for worker in job.writers:
+    for worker in range(job.world_size):
         home = job.node_of(worker)
         if node in (home, buddy_of(home, cluster.num_nodes, cluster.nodes_per_rack)):
             return worker

@@ -136,7 +136,8 @@ def test_tenant_scope_skips_closed_series_and_tags_records():
     assert all("tenant" in a for a in engine.alerts)
 
 
-def test_alert_record_carries_flight_recorder_and_correlated_event():
+def test_alert_record_carries_flight_recorder_and_correlated_event(monkeypatch):
+    monkeypatch.setattr(AlertEngine, "recorder_depth", 3)
     state = SimpleNamespace(v=0.0)
     sampler = _fleet_sampler()
     sampler.register_probe("x", lambda t: state.v)
@@ -147,9 +148,7 @@ def test_alert_record_carries_flight_recorder_and_correlated_event():
     sampler.note_event(60.0, "late")  # after firing time: not correlated
     state.v = 9.0
     sampler.sample(50.0, "grid")
-    engine = AlertEngine(
-        [AlertRule(name="r", signal="x", threshold=1.0)], recorder_depth=3
-    )
+    engine = AlertEngine([AlertRule(name="r", signal="x", threshold=1.0)])
     engine.evaluate(sampler, 50.0, "grid")
     (record,) = engine.alerts
     assert record["triggering_samples"][-1] == {"t": 50.0, "value": 9.0}
@@ -161,14 +160,15 @@ def test_alert_record_carries_flight_recorder_and_correlated_event():
     assert record["correlated_event"]["t"] == 35.0
 
 
-def test_max_alerts_cap_counts_drops():
+def test_max_alerts_cap_counts_drops(monkeypatch):
+    monkeypatch.setattr(AlertEngine, "max_alerts", 2)
     state = SimpleNamespace(v=2.0)
     sampler = _fleet_sampler()
     sampler.register_probe("x", lambda t: state.v)
     rules = [
         AlertRule(name=f"r{i}", signal="x", threshold=1.0) for i in range(4)
     ]
-    engine = AlertEngine(rules, max_alerts=2)
+    engine = AlertEngine(rules)
     sampler.sample(0.0, "grid")
     engine.evaluate(sampler, 0.0, "grid")
     assert len(engine.alerts) == 2

@@ -1,10 +1,10 @@
-"""Unit tests for the metrics registry."""
+"""Unit tests for the metrics registry and the histogram."""
 
 import threading
 
 from repro import obs
 from repro.obs import metrics
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import Histogram, MetricsRegistry
 
 
 def test_counter_gauge_histogram_basics():
@@ -12,13 +12,13 @@ def test_counter_gauge_histogram_basics():
     registry.counter("saves").inc()
     registry.counter("saves").inc(4)
     registry.gauge("cache_size").set(7.0)
+    histogram = Histogram("stall_s")
     for value in (1.0, 3.0, 2.0):
-        registry.histogram("stall_s").observe(value)
+        histogram.observe(value)
 
     snap = registry.snapshot()
-    assert snap["counters"]["saves"] == 5
-    assert snap["gauges"]["cache_size"] == 7.0
-    hist = snap["histograms"]["stall_s"]
+    assert snap == {"counters": {"saves": 5}, "gauges": {"cache_size": 7.0}}
+    hist = histogram.snapshot()
     assert hist["count"] == 3
     assert hist["sum"] == 6.0
     assert hist["min"] == 1.0
@@ -30,7 +30,6 @@ def test_same_name_returns_same_metric():
     registry = MetricsRegistry()
     assert registry.counter("x") is registry.counter("x")
     assert registry.gauge("y") is registry.gauge("y")
-    assert registry.histogram("z") is registry.histogram("z")
 
 
 def test_counter_is_thread_safe():
@@ -59,8 +58,7 @@ def test_active_registry_follows_installed_tracer():
 
 
 def test_histogram_percentiles_exact_below_reservoir_capacity():
-    registry = MetricsRegistry()
-    hist = registry.histogram("lat")
+    hist = Histogram("lat")
     for value in range(1, 101):  # 1..100, well under RESERVOIR_SIZE
         hist.observe(float(value))
     snap = hist.snapshot()
@@ -72,8 +70,7 @@ def test_histogram_percentiles_exact_below_reservoir_capacity():
 
 def test_histogram_percentiles_are_deterministic_past_capacity():
     def fill(name):
-        registry = MetricsRegistry()
-        hist = registry.histogram(name)
+        hist = Histogram(name)
         for i in range(5000):  # forces Algorithm-R replacement
             hist.observe(float((i * 2654435761) % 10007))
         return hist.snapshot()
@@ -95,7 +92,7 @@ def test_histogram_percentiles_are_deterministic_past_capacity():
 
 
 def test_empty_histogram_snapshot_has_null_percentiles():
-    hist = MetricsRegistry().histogram("empty")
+    hist = Histogram("empty")
     snap = hist.snapshot()
     assert snap["count"] == 0
     assert snap["p50"] is None and snap["p95"] is None and snap["p99"] is None

@@ -22,6 +22,7 @@ from repro.chaos.elastic_campaign import ElasticConfig, run_elastic_campaign
 from repro.chaos.hybrid_campaign import HybridChaosConfig, run_hybrid_campaign
 from repro.chaos.tier_campaign import TierChaosConfig, run_tier_campaign
 from repro.fleet import FleetConfig, run_fleet_campaign
+from repro.fleet import campaign as fleet_campaign
 from repro.obs.timeseries import ManualClock, TimeSeriesSampler, use_sampler
 from repro.sim.events import Simulator
 
@@ -59,12 +60,17 @@ def _hybrid_pairs():
 
 
 def _fleet_pairs():
-    """A fleet episode traced by a caller's tracer, as the ledger traces it."""
-    with obs.use_tracer() as tracer:
+    """A fleet episode traced by a caller's tracer, as the ledger traces it.
+
+    Node MTBF is patched down to 4 h so the short episode sees failures.
+    """
+    mtbf = {**fleet_campaign.MTBF_HOURS, "node": 4.0}
+    with pytest.MonkeyPatch.context() as patch, obs.use_tracer() as tracer:
+        patch.setattr(fleet_campaign, "MTBF_HOURS", mtbf)
         report = run_fleet_campaign(
             FleetConfig(
                 jobs=4, episodes=1, seed=2, fleet_slots=16,
-                mtbf_node_hours=4.0, duration_hours=2.0, timeline=True,
+                duration_hours=2.0, timeline=True,
             )
         )
     (episode,) = report.to_dict()["episodes"]

@@ -177,8 +177,9 @@ def test_record_transition_lands_eager_sample_and_transition_record():
     ]
 
 
-def test_events_are_capacity_capped():
-    sampler = TimeSeriesSampler(period_s=10.0, capacity=4)
+def test_events_are_capacity_capped(monkeypatch):
+    monkeypatch.setattr(TimeSeriesSampler, "capacity", 4)
+    sampler = TimeSeriesSampler(period_s=10.0)
     for i in range(6):
         sampler.note_event(float(i), "e")
     assert len(sampler.events) == 4

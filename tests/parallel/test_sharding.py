@@ -4,12 +4,7 @@ import pytest
 
 from repro.errors import ShardingError
 from repro.models.config import get_model_config, int_prod
-from repro.parallel.sharding import (
-    checkpoint_workers,
-    shard_model,
-    split_layers,
-    tp_split_shape,
-)
+from repro.parallel.sharding import shard_model, split_layers, tp_split_shape
 from repro.parallel.strategy import ParallelismSpec
 
 
@@ -50,22 +45,13 @@ def test_tp_split_indivisible_raises():
     [("gpt2-h1024-L16", 2, 2), ("gpt2-1.6B", 4, 4), ("t5-1.6B", 2, 4)],
 )
 def test_shards_partition_model_exactly(model, tp, pp):
-    """Union of dp_rank==0 shards == one full copy of the model."""
+    """Union of all shards == one full copy of the model."""
     cfg = get_model_config(model)
     strategy = ParallelismSpec(tensor_parallel=tp, pipeline_parallel=pp)
     shards = shard_model(cfg, strategy)
     assert len(shards) == strategy.world_size
     total = sum(s.parameter_count() for s in shards)
     assert total == cfg.parameter_count()
-
-
-def test_dp_replicas_have_identical_shapes():
-    cfg = get_model_config("gpt2-h1024-L16")
-    strategy = ParallelismSpec(tensor_parallel=2, pipeline_parallel=2, data_parallel=2)
-    shards = shard_model(cfg, strategy)
-    for worker in range(4):
-        replica = worker + 4  # dp stride = tp * pp
-        assert shards[worker].param_shapes == shards[replica].param_shapes
 
 
 def test_first_stage_owns_embeddings_last_owns_head():
@@ -88,12 +74,6 @@ def test_pipeline_stages_are_roughly_balanced():
         per_stage[s.pp_rank] = per_stage.get(s.pp_rank, 0) + s.parameter_count()
     counts = list(per_stage.values())
     assert max(counts) / min(counts) < 1.3  # embeddings skew stage 0 a bit
-
-
-def test_checkpoint_workers_single_replica():
-    strategy = ParallelismSpec(tensor_parallel=2, pipeline_parallel=2, data_parallel=2)
-    writers = checkpoint_workers(strategy)
-    assert writers == [0, 1, 2, 3]
 
 
 def test_t5_shards_include_decoder_cross_attention():

@@ -8,21 +8,21 @@ from repro.parallel.topology import ClusterSpec
 
 
 def test_world_size_is_product():
-    spec = ParallelismSpec(tensor_parallel=4, pipeline_parallel=4, data_parallel=2)
-    assert spec.world_size == 32
+    spec = ParallelismSpec(tensor_parallel=4, pipeline_parallel=4)
+    assert spec.world_size == 16
 
 
 def test_coords_round_trip():
-    spec = ParallelismSpec(tensor_parallel=2, pipeline_parallel=3, data_parallel=2)
+    spec = ParallelismSpec(tensor_parallel=2, pipeline_parallel=3)
     for worker in range(spec.world_size):
         assert spec.worker_of(spec.coords_of(worker)) == worker
 
 
 def test_tp_varies_fastest():
     spec = ParallelismSpec(tensor_parallel=4, pipeline_parallel=4)
-    assert spec.coords_of(0) == RankCoords(0, 0, 0)
-    assert spec.coords_of(1) == RankCoords(1, 0, 0)
-    assert spec.coords_of(4) == RankCoords(0, 1, 0)
+    assert spec.coords_of(0) == RankCoords(0, 0)
+    assert spec.coords_of(1) == RankCoords(1, 0)
+    assert spec.coords_of(4) == RankCoords(0, 1)
 
 
 def test_paper_testbed_tp_groups_on_one_node():
@@ -33,7 +33,7 @@ def test_paper_testbed_tp_groups_on_one_node():
     for worker in range(16):
         c = spec.coords_of(worker)
         group = [
-            spec.worker_of(RankCoords(tp, c.pp_rank, c.dp_rank))
+            spec.worker_of(RankCoords(tp, c.pp_rank))
             for tp in range(spec.tensor_parallel)
         ]
         nodes = {cluster.node_of(w) for w in group}
@@ -42,13 +42,8 @@ def test_paper_testbed_tp_groups_on_one_node():
 
 def test_pp_group_spans_stages():
     spec = ParallelismSpec(tensor_parallel=4, pipeline_parallel=4)
-    stages = [spec.worker_of(RankCoords(0, pp, 0)) for pp in range(4)]
+    stages = [spec.worker_of(RankCoords(0, pp)) for pp in range(4)]
     assert stages == [0, 4, 8, 12]
-
-
-def test_dp_group():
-    spec = ParallelismSpec(tensor_parallel=2, pipeline_parallel=2, data_parallel=2)
-    assert spec.dp_group(0) == [0, 4]
 
 
 def test_validate_cluster_mismatch():

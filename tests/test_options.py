@@ -7,8 +7,15 @@ some call under ``src/`` or ``benchmarks/``: passed by keyword, or (for
 config fields) named in a ``dataclasses.replace``.  A positional argument
 counts too where the callee is a class or a module-level function, whose
 name pins which definition a call reaches; a method is matched by its
-attribute name alone, so only keywords count for it.  Calls under
+attribute name alone, so only keywords count for it.  A ``**mapping``
+argument counts as setting the options whose names the calling module
+spells as string literals (the CLI builds campaign configs from
+``_campaign_config(args, "max_rounds", "trace")``).  Calls under
 ``tests/`` and ``examples/`` do not count.
+
+``TimeModel`` and ``ModelConfig`` are not surfaces: they are records (the
+calibrated hardware constants and the model zoo's entries), whose fields
+describe a machine or a model rather than choose a code path.
 
 The scan is AST only; it imports nothing from the program.
 """
@@ -24,7 +31,20 @@ ROOT = Path(__file__).resolve().parents[1]
 CALLER_DIRS = ("src", "benchmarks")
 
 #: Config dataclasses: every init field is an option.
-CONFIGS = ("ECCheckConfig", "TierPolicy", "RedundancyPolicy", "CodeParams")
+CONFIGS = (
+    "ECCheckConfig",
+    "TierPolicy",
+    "RedundancyPolicy",
+    "CodeParams",
+    "ChaosConfig",
+    "TierChaosConfig",
+    "ElasticConfig",
+    "HybridChaosConfig",
+    "FleetConfig",
+    "TenantSpec",
+    "ParallelismSpec",
+    "CheckpointSizeModel",
+)
 #: ``(owner class or None, function)``: every defaulted parameter is an
 #: option.  ``__init__`` is reached through calls to the class's name.
 FUNCTIONS = (
@@ -35,6 +55,11 @@ FUNCTIONS = (
     (None, "build_engine"),
     (None, "build_data_group"),
     (None, "regroup_plan"),
+    ("TrainingJob", "create"),
+    ("GeminiReplicationEngine", "__init__"),
+    ("AlertEngine", "__init__"),
+    ("TimeSeriesSampler", "__init__"),
+    ("Tracer", "__init__"),
 )
 #: Options no caller under ``src/`` or ``benchmarks/`` sets, each kept
 #: for a stated reason.
@@ -148,7 +173,17 @@ def _is_dataclasses_replace(call: ast.Call) -> bool:
     ) or (isinstance(func, ast.Name) and func.id == "replace")
 
 
-def set_by_callers(callee: str, positional: list[str], replace: bool) -> set[str]:
+def _string_literals(tree: ast.Module) -> set[str]:
+    return {
+        node.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    }
+
+
+def set_by_callers(
+    callee: str, positional: list[str], options: set[str], replace: bool
+) -> set[str]:
     """Parameter names some call to ``callee`` under the caller dirs sets."""
     names: set[str] = set()
     for tree in CALLERS:
@@ -159,6 +194,8 @@ def set_by_callers(callee: str, positional: list[str], replace: bool) -> set[str
                 plain = [a for a in node.args if not isinstance(a, ast.Starred)]
                 names.update(positional[: len(plain)])
                 names.update(kw.arg for kw in node.keywords if kw.arg)
+                if any(kw.arg is None for kw in node.keywords):
+                    names.update(options & _string_literals(tree))
             elif replace and _is_dataclasses_replace(node):
                 names.update(kw.arg for kw in node.keywords if kw.arg)
     return names
@@ -168,14 +205,16 @@ def surfaces():
     """``(label, options, options some caller sets)`` per surface."""
     for name in CONFIGS:
         fields = config_fields(name)
-        yield name, set(fields), set_by_callers(name, fields, replace=True)
+        yield name, set(fields), set_by_callers(
+            name, fields, set(fields), replace=True
+        )
     for owner, func in FUNCTIONS:
         positional, defaulted = function_options(owner, func)
         method = owner is not None and func != "__init__"
         callee = owner if func == "__init__" else func
         label = f"{owner}.{func}" if owner else func
         yield label, defaulted, set_by_callers(
-            callee, [] if method else positional, replace=False
+            callee, [] if method else positional, defaulted, replace=False
         )
 
 
