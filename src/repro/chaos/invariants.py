@@ -268,8 +268,8 @@ def check_restored_states(job, expected_states: dict[int, dict]) -> list[str]:
             continue
         reference = expected_states.get(worker)
         if reference is None:
-            continue  # the caller holds no reference for this worker
-        if not state_dicts_equal(state, reference):
+            violations.append(f"worker {worker} has no reference state")
+        elif not state_dicts_equal(state, reference):
             violations.append(
                 f"worker {worker} state differs from the checkpointed bytes"
             )

@@ -179,7 +179,7 @@ class TrainingJob:
             tensors = [t for _, t in tensor_items(state)]
             dirty_count = max(1, round(dirty_tensor_fraction * len(tensors)))
             for tensor in tensors[:dirty_count]:
-                view = tensor.byte_view()
+                view = tensor.writable_view()
                 stride = max(1, view.size // 64)
                 view[::stride] ^= delta
             state["iteration"] = self.iteration

@@ -661,6 +661,8 @@ def _selftest(args, out) -> int:
         "tests/core/test_protocol.py",
         "tests/core/test_integrity.py",
         "tests/core/test_incremental.py",
+        # The delta save's tracked writes against the full compare.
+        "tests/core/test_tracked_delta.py",
         # Any single lying commit record: harmless, or a typed refusal
         # that installs nothing, over every <= m failure pattern.
         "tests/core/test_lying_records.py",

@@ -15,7 +15,11 @@ is the erasure-coded cousin of Check-N-Run's incremental checkpointing
 accuracy trade-off.
 
 This module provides the block-level delta machinery; the engine method
-:meth:`repro.core.eccheck.ECCheckEngine.save_incremental` drives it.
+:meth:`repro.core.eccheck.ECCheckEngine.save_incremental` drives it.  The
+engine never compares whole packets: step 1's walk names the tensors that
+may have changed since the base (:class:`~repro.tensors.tensor.SimTensor`
+counts its own writes), and :func:`tracked_delta` XORs and scans only
+their bytes.  :func:`packet_delta`, the full compare, is its oracle.
 
 Two granularities are kept apart.  *Accounting* runs at the caller's
 ``block_size``: it sets ``dirty_fraction`` and with it every simulated
@@ -31,7 +35,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.integrity import live_prefix
 from repro.ec.kernels import DEFAULT_CHUNK_BYTES
 from repro.errors import CheckpointError
 
@@ -57,8 +60,7 @@ class DeltaSummary:
 
 
 def packet_delta(
-    old: np.ndarray, new: np.ndarray, block_size: int = 64 * 1024,
-    live: int | None = None,
+    old: np.ndarray, new: np.ndarray, block_size: int = 64 * 1024
 ) -> tuple[np.ndarray, DeltaSummary]:
     """XOR delta of two equal-size packets plus dirty-block accounting.
 
@@ -66,8 +68,6 @@ def packet_delta(
         old: previous checkpoint packet (uint8).
         new: current checkpoint packet (uint8, same size).
         block_size: dirty-tracking granularity in bytes.
-        live: both packets are zero from here on: only their
-            :func:`~repro.core.integrity.live_prefix` is XORed.
 
     Returns:
         ``(delta, summary)`` where ``delta = old ^ new``.
@@ -83,11 +83,53 @@ def packet_delta(
         raise CheckpointError(
             f"packet sizes differ: {old.nbytes} vs {new.nbytes}"
         )
-    reach = live_prefix(old.nbytes, live)
-    delta = np.empty_like(old)
-    np.bitwise_xor(old[:reach], new[:reach], out=delta[:reach])
-    delta[reach:] = 0
-    dirty = _dirty_blocks(delta, block_size)
+    delta = np.bitwise_xor(old, new)
+    return delta, _summary(delta, [(0, delta.nbytes)], block_size)
+
+
+def tracked_delta(
+    base: np.ndarray,
+    changed: list[tuple[int, np.ndarray]],
+    out: np.ndarray,
+    block_size: int = 64 * 1024,
+) -> tuple[list[tuple[int, int]], DeltaSummary]:
+    """XOR delta of a packet that differs from ``base`` only in ``changed``.
+
+    Each ``(offset, bytes)`` piece is XORed against ``base`` into ``out``;
+    dirty blocks are looked for only in the blocks the pieces touch.
+
+    Args:
+        base: the previous checkpoint packet (uint8).
+        changed: the new packet's bytes wherever they may differ from
+            ``base``, as ``(offset, flat uint8 bytes)`` pieces in offset
+            order; elsewhere the new packet equals ``base``.
+        out: scratch as large as ``base``, zero outside the pieces; left
+            holding the delta (the caller zeroes ``ranges`` after use).
+        block_size: dirty-tracking granularity in bytes.
+
+    Returns:
+        ``(ranges, summary)``: the pieces' merged ``[start, end)`` byte
+        ranges, and the summary :func:`packet_delta` gives for ``base``
+        and the new packet.
+    """
+    ranges: list[tuple[int, int]] = []
+    for start, piece in changed:
+        end = start + piece.size
+        if end == start:
+            continue
+        np.bitwise_xor(base[start:end], piece, out=out[start:end])
+        if ranges and ranges[-1][1] == start:
+            ranges[-1] = (ranges[-1][0], end)
+        else:
+            ranges.append((start, end))
+    return ranges, _summary(out, ranges, block_size)
+
+
+def _summary(
+    delta: np.ndarray, ranges: list[tuple[int, int]], block_size: int
+) -> DeltaSummary:
+    """Dirty-block accounting of ``delta``, which is zero outside ``ranges``."""
+    dirty = _dirty_mask(delta, ranges, block_size)
     dirty_blocks = int(np.count_nonzero(dirty))
     dirty_bytes = dirty_blocks * block_size
     # The final block may be short: only its real bytes count when dirty.
@@ -96,10 +138,10 @@ def packet_delta(
     coarse = (
         dirty
         if block_size == DEFAULT_CHUNK_BYTES
-        else _dirty_blocks(delta, DEFAULT_CHUNK_BYTES)
+        else _dirty_mask(delta, ranges, DEFAULT_CHUNK_BYTES)
     )
     edges = np.flatnonzero(np.diff(coarse, prepend=False, append=False)).tolist()
-    return delta, DeltaSummary(
+    return DeltaSummary(
         block_size=block_size,
         total_blocks=dirty.size,
         dirty_blocks=dirty_blocks,
@@ -109,6 +151,27 @@ def packet_delta(
             for first, last in zip(edges[::2], edges[1::2])
         ),
     )
+
+
+def _dirty_mask(
+    delta: np.ndarray, ranges: list[tuple[int, int]], block_size: int
+) -> np.ndarray:
+    """Which ``block_size`` blocks of ``delta`` hold a set bit (bool per
+    block), looking only at the blocks that overlap ``ranges`` (sorted and
+    disjoint): the rest of ``delta`` is zero."""
+    dirty = np.full(-(-delta.nbytes // block_size), False)
+    spans: list[list[int]] = []
+    for start, end in ranges:
+        first, stop = start // block_size, -(-end // block_size)
+        if spans and spans[-1][1] >= first:
+            spans[-1][1] = stop
+        else:
+            spans.append([first, stop])
+    for first, stop in spans:
+        dirty[first:stop] = _dirty_blocks(
+            delta[first * block_size : stop * block_size], block_size
+        )
+    return dirty
 
 
 def _dirty_blocks(delta: np.ndarray, block_size: int) -> np.ndarray:

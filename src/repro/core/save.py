@@ -16,7 +16,7 @@ import numpy as np
 
 from repro import obs
 from repro.checkpoint.base import SaveReport
-from repro.core.incremental import packet_delta
+from repro.core.incremental import tracked_delta
 from repro.core.integrity import chunk_digest, live_prefix, patch_digest
 from repro.core.pipeline import (
     STAGE_TRANSFER,
@@ -25,7 +25,6 @@ from repro.core.pipeline import (
     serial_makespan,
 )
 from repro.core.protocol import (
-    WorkerCheckpoint,
     derived_digest,
     encode_group_into,
     packet_size_for,
@@ -35,7 +34,7 @@ from repro.core.protocol import (
 from repro.errors import CheckpointError
 from repro.sim.network import TransferRequest, gbps
 from repro.sim.timeline import Interval, merge_intervals
-from repro.tensors.serialization import decompose_state_dict
+from repro.tensors.serialization import Decomposition, decompose_state_dict
 
 #: Size of one data/encoding buffer (64 MB in the paper's settings); sets
 #: the pipelining granularity of step 3.
@@ -53,10 +52,12 @@ def _step_span(tracer, step: int, version: int):
 
 
 class DeltaBase(NamedTuple):
-    """The version the next delta save XORs against, and its packets."""
+    """The version the next delta save XORs against: its packets, and what
+    step 1's walk of each worker recorded (byte views and write stamps)."""
 
     version: int
     packets: dict[int, np.ndarray]
+    walks: list[Decomposition]
 
 
 class Saves:
@@ -66,6 +67,9 @@ class Saves:
     #: it (stored data chunks are copies); None after a failure or a
     #: regroup, when the next delta save falls back to a full one.
     _delta_base: DeltaBase | None = None
+    #: One packet-sized row per worker that a delta save XORs its delta
+    #: into; zero between saves.
+    _delta_scratch: np.ndarray | None = None
     #: worker -> layout cache of :func:`decompose_state_dict`.
     _dtype_names: dict[int, list]
 
@@ -98,7 +102,11 @@ class Saves:
 
         # --- Step 1: decompose state_dicts, offload tensor data (DtoH). ---
         with _step_span(tracer, 1, version) as step1_span:
-            checkpoints, packet_size = self._decompose_workers()
+            walks = self._walk_workers()
+            packet_size = packet_size_for(
+                [d.tensor_bytes for d in walks], self.config.packet_alignment
+            )
+            checkpoints = {w: packetise(w, d, packet_size) for w, d in enumerate(walks)}
 
         lengths = [wc.packet.original_length for wc in checkpoints.values()]
         if tracer.enabled:
@@ -169,45 +177,54 @@ class Saves:
                 stage_encode, stage_xor_reduce, stage_transfer, item_hook=stage_hook
             ).run(list(self.reduction_plan.groups))
 
-        return self._commit(version, checkpoints, step1_span, step3_span, tracer)
+        # Step 1's packets become the delta base (stored data chunks are
+        # copies of them).
+        return self._commit(
+            version,
+            [(wc.metadata_blob, wc.packet.original_length) for wc in checkpoints.values()],
+            lambda: DeltaBase(
+                version,
+                {w: wc.packet.payload for w, wc in checkpoints.items()},
+                [walk.tracking() for walk in walks],
+            ),
+            step1_span, step3_span, tracer,
+        )
 
     def _commit(
-        self, version: int, checkpoints: dict, step1_span, step3_span, tracer,
-        dirty_fractions: list[float] | None = None,
+        self, version: int, records: list[tuple[bytes, int]], rebase, step1_span,
+        step3_span, tracer, dirty_fractions: list[float] | None = None,
     ) -> SaveReport:
         """Step 2 and the books: commit ``version``, bill the save, report it.
 
         Fig. 5 numbers the metadata broadcast step 2, but it executes last
         as the commit record: ``restore`` only trusts versions with
-        complete metadata.  A delta save passes each worker's
-        ``dirty_fractions``: the share of its packet it encodes and ships.
+        complete metadata.  Each worker's ``(metadata blob, payload
+        length)`` record lands on every active node; only then does
+        ``rebase()`` return the next delta base.  A delta save passes each
+        worker's ``dirty_fractions``: the share of its packet it encodes
+        and ships.
         """
         tm = self.job.time_model
         cfg = self.config
         plan = self.placement
-        records = [(wc.metadata_blob, wc.packet.original_length) for wc in checkpoints.values()]
         with _step_span(tracer, 2, version) as step2_span:
             self.fire("pre_metadata_broadcast", version=version)
             self._put_records(version, records, self.active_nodes, "mid_metadata_broadcast")
         meta_bytes = sum(len(blob) for blob, _ in records)
         step2 = meta_bytes * (len(self.active_nodes) - 1) / gbps(tm.inter_node_gbps)
 
-        # Step 1's packets become the delta base (stored data chunks are
-        # copies of them).
-        self._delta_base = DeltaBase(
-            version, {w: wc.packet.payload for w, wc in checkpoints.items()}
-        )
+        self._delta_base = rebase()
         self._chunk_versions.add(version)
 
         # DtoH moves the full shard even for a delta (the snapshot is
         # unavoidable); encoding/communication scale with the dirty share.
         step1 = (
-            max(tm.dtoh_time(self.job.logical_shard_bytes(w)) for w in checkpoints)
+            max(tm.dtoh_time(self.job.logical_shard_bytes(w)) for w in range(len(records)))
             + tm.decompose_overhead_s
         )
         logical_packet = self.logical_packet_bytes()
         breakdown = {}
-        shipped = [logical_packet] * len(checkpoints)
+        shipped = [logical_packet] * len(records)
         if dirty_fractions is not None:
             breakdown["dirty_fraction"] = max(dirty_fractions)
             shipped = [int(share * logical_packet) for share in dirty_fractions]
@@ -264,21 +281,19 @@ class Saves:
             bytes_inter_node=sum(q.nbytes for q in requests if q.src != q.dst),
         )
 
-    def _decompose_workers(self) -> tuple[dict[int, WorkerCheckpoint], int]:
-        """Walk every worker's state once and pack it into a packet of the
-        cluster-wide size; returns the checkpoints and that size."""
-        decompositions = [
+    def _walk_workers(self, since: list[Decomposition] | None = None) -> list[Decomposition]:
+        """Step 1's one walk of every worker's state: views of its tensor
+        bytes, its rows and write stamps (and, ``since`` a delta base's
+        walks, the tensors that changed)."""
+        return [
             decompose_state_dict(
                 self.job.state_of(w),
                 offload_to_cpu=False,
                 dtype_names=self._dtype_names[w],
+                since=None if since is None else since[w],
             )
             for w in range(self.job.world_size)
         ]
-        size = packet_size_for(
-            [d.tensor_bytes for d in decompositions], self.config.packet_alignment
-        )
-        return {w: packetise(w, d, size) for w, d in enumerate(decompositions)}, size
 
     def _step3_time(
         self, encode_total: float, xor_total: float, comm_makespan: float, logical_packet: int
@@ -327,48 +342,96 @@ class Saves:
         # memory — not ``self.version``, which an interleaved remote backup
         # (chunkless) may have advanced past it.
         base = self._delta_base
-        records = self._whole(base.version, verify=False) if base else None
-        if records is None:
+        if base is None or self._whole(base.version, verify=False) is None:
             return self.save()
         report = self._traced_save(
             "eccheck.save_incremental",
-            lambda version, tracer: self._save_delta(
-                version, base, records, block_size, tracer
-            ),
+            lambda version, tracer: self._save_delta(version, base, block_size, tracer),
         )
         # None: the packet size changed, so there is nothing to XOR against.
         return report if report is not None else self.save()
 
     def _save_delta(
-        self, version: int, base: DeltaBase, records: list[tuple], block_size: int, tracer
+        self, version: int, base: DeltaBase, block_size: int, tracer
     ) -> SaveReport | None:
-        """The delta save proper, over the base's commit ``records``; None
-        (nothing mutated) if packets resized."""
-        plan = self.placement
+        """The delta save proper; None (nothing mutated) if packets resized.
 
-        # Step 1 equivalent: decompose and compute per-worker deltas.
-        with _step_span(tracer, 1, version) as step1_span:
-            checkpoints, packet_size = self._decompose_workers()
-            if packet_size != base.packets[0].nbytes:
-                return None
-            live = [  # old, new and so their delta are zero past the longer payload
-                max(length, checkpoints[w].packet.original_length)
-                for w, (_, length) in enumerate(records)
-            ]
-            deltas, summaries = zip(
-                *(
-                    packet_delta(base.packets[w], wc.packet.payload, block_size, live[w])
-                    for w, wc in checkpoints.items()
-                )
+        Byte work touches only the bytes step 1's walk finds changed since
+        the base (the tensors written since, or, where the sizes moved,
+        the whole payload and the old tail): their delta lands in
+        ``_delta_scratch``, which is zero again when this returns or
+        raises.
+        """
+        plan = self.placement
+        tracked: dict[int, list[tuple[int, int]]] = {}
+        scratch = self._delta_scratch
+        try:
+            # Step 1 equivalent: walk, then XOR the changed tensors.
+            with _step_span(tracer, 1, version) as step1_span:
+                walks = self._walk_workers(since=base.walks)
+                packet_size = base.packets[0].nbytes
+                lengths = [walk.tensor_bytes for walk in walks]
+                if packet_size_for(lengths, self.config.packet_alignment) != packet_size:
+                    return None
+                if scratch is None or scratch.shape != (len(walks), packet_size):
+                    scratch = self._delta_scratch = np.zeros(
+                        (len(walks), packet_size), dtype=np.uint8
+                    )
+                summaries = []
+                for w, walk in enumerate(walks):
+                    tracked[w], summary = tracked_delta(
+                        base.packets[w], walk.changed, scratch[w], block_size
+                    )
+                    summaries.append(summary)
+                live = [  # old, new and so their delta are zero past the longer payload
+                    max(old.tensor_bytes, new.tensor_bytes) for old, new in zip(base.walks, walks)
+                ]
+            self.version = version
+            self._layouts[version] = (plan, 0)
+            step3_span = self._patch_chunks(version, base.version, scratch, summaries, live, tracer)
+
+            def rebase() -> DeltaBase:
+                # The records have landed: the base packets become this
+                # version's, patched in place where they changed.
+                for w, ranges in tracked.items():
+                    for start, end in ranges:
+                        base.packets[w][start:end] ^= scratch[w, start:end]
+                return DeltaBase(version, base.packets, [walk.tracking() for walk in walks])
+
+            # Step 2 equivalent: the metadata rebroadcast (iteration
+            # counters changed) commits the delta version.
+            return self._commit(
+                version,
+                [(walk.metadata_blob(), walk.tensor_bytes) for walk in walks],
+                rebase, step1_span, step3_span, tracer,
+                dirty_fractions=[s.dirty_fraction for s in summaries],
             )
-        self.version = version
-        self._layouts[version] = (plan, 0)
+        finally:
+            for w, ranges in tracked.items():
+                for start, end in ranges:
+                    scratch[w, start:end] = 0
+
+    def _patch_chunks(
+        self, version: int, base_version: int, deltas: np.ndarray, summaries: list,
+        live: list[int], tracer,
+    ):
+        """Step 3 of a delta save; returns its span.
+
+        Per reduction group, encode the union of its workers' dirty ranges
+        and XOR the pieces into copies of the base's parity packets, then
+        XOR each worker's own ranges into a copy of its data packet;
+        digests follow by the same small-write rule.  The base is never
+        written.  As in the full save, chunk placement precedes the
+        metadata commit.
+        """
+        plan = self.placement
+        packet_size = deltas.shape[1]
 
         def patched(node: int, kind: str, idx: int, r: int) -> list:
             """[a copy of the base's chunk packet, its stored digest]."""
             return [
-                self.host.get(node, self.chunk_key(base.version, kind, idx, r)).copy(),
-                self.host.get(node, self.digest_key(base.version, kind, idx, r)),
+                self.host.get(node, self.chunk_key(base_version, kind, idx, r)).copy(),
+                self.host.get(node, self.digest_key(base_version, kind, idx, r)),
             ]
 
         def xor_in(chunk: list, start: int, piece: np.ndarray) -> None:
@@ -379,12 +442,6 @@ class Saves:
             self.fire("mid_p2p", version=version, group=r, kind=kind, chunk=idx)
             self._store_chunk_packet(node, version, kind, idx, r, *chunk)
 
-        # Step 3: per reduction group, encode the union of its workers'
-        # dirty ranges and XOR the pieces into copies of the base's parity
-        # packets, then XOR each worker's own ranges into a copy of its
-        # data packet; digests follow by the same small-write rule.  The
-        # base is never written.  As in the full save, chunk placement
-        # precedes the metadata commit.
         with _step_span(tracer, 3, version) as step3_span:
             for group in self.reduction_plan.groups:
                 r = group.index
@@ -404,7 +461,7 @@ class Saves:
                     pieces = list(scratch[:, : run.duration])
                     encode_group_into(
                         self.code,
-                        [deltas[w][run.start : run.end] for w in group.workers],
+                        [deltas[w, run.start : run.end] for w in group.workers],
                         pieces,
                         lengths=[
                             min(max(live[w] - run.start, 0), run.duration)
@@ -418,15 +475,9 @@ class Saves:
                 for j, members in enumerate(plan.data_group):
                     data = patched(plan.data_nodes[j], "data", j, r)
                     for start, end in summaries[members[r]].dirty_runs:
-                        xor_in(data, start, deltas[members[r]][start:end])
+                        xor_in(data, start, deltas[members[r], start:end])
                     store(plan.data_nodes[j], "data", j, r, data)
-
-        # Step 2 equivalent: the metadata rebroadcast (iteration counters
-        # changed) commits the delta version.
-        return self._commit(
-            version, checkpoints, step1_span, step3_span, tracer,
-            dirty_fractions=[s.dirty_fraction for s in summaries],
-        )
+        return step3_span
 
     # ------------------------------------------------------------------
     # Step 4: low-frequency remote backup for catastrophic failures.

@@ -165,9 +165,3 @@ class CheckpointSizeModel:
     def checkpoint_bytes(self, config: ModelConfig) -> int:
         """Full-model checkpoint size in bytes."""
         return int(config.parameter_count() * self.bytes_per_parameter)
-
-    def shard_bytes(self, config: ModelConfig, num_shards: int) -> int:
-        """Per-worker checkpoint bytes under even sharding."""
-        if num_shards < 1:
-            raise ReproError(f"num_shards must be >= 1, got {num_shards}")
-        return self.checkpoint_bytes(config) // num_shards

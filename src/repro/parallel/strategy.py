@@ -71,7 +71,3 @@ class ParallelismSpec:
             )
         pp, tp = divmod(worker, self.tensor_parallel)
         return RankCoords(tp_rank=tp, pp_rank=pp)
-
-    def worker_of(self, coords: RankCoords) -> int:
-        """Inverse of :meth:`coords_of`."""
-        return coords.tp_rank + coords.pp_rank * self.tensor_parallel

@@ -18,7 +18,7 @@ Challenge 1:
 from __future__ import annotations
 
 import pickle
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -96,12 +96,25 @@ class Decomposition:
             order (the ~99.99% of the checkpoint that never gets
             serialized).
         tensor_bytes: total tensor payload the rows describe.
+        write_stamps: each tensor's :meth:`~repro.tensors.tensor.SimTensor.write_stamp`
+            at the walk, in ``tensor_meta`` order.
+        changed: with a ``since`` walk, where the packet may differ from
+            ``since``'s: ``(offset, bytes)`` of each such tensor, in
+            order.  When the tensor sizes moved that is every tensor,
+            plus zeros over the rest of a longer old payload.
     """
 
     non_tensor_kv: dict[Path, object]
     tensor_meta: list[Row]
     tensor_data: list[np.ndarray]
     tensor_bytes: int
+    write_stamps: list[int] = field(default_factory=list)
+    changed: list[tuple[int, np.ndarray]] | None = None
+
+    def tracking(self) -> "Decomposition":
+        """What a later ``since`` walk reads of this one (byte views, write
+        stamps, payload length): kept by a delta base instead of the rows."""
+        return Decomposition({}, [], self.tensor_data, self.tensor_bytes, self.write_stamps)
 
     def metadata_blob(self) -> bytes:
         """Serialize only the tiny components (what ECCheck broadcasts)."""
@@ -138,6 +151,7 @@ def decompose_state_dict(
     state_dict: dict,
     offload_to_cpu: bool = True,
     dtype_names: list[tuple[np.dtype, str]] | None = None,
+    since: Decomposition | None = None,
 ) -> Decomposition:
     """Step 1 of the ECCheck protocol: analyze and decompose.
 
@@ -161,27 +175,49 @@ def decompose_state_dict(
             keeps its *own* string, as ``str()`` per tensor would: pickle
             memoises by identity, so sharing one per dtype would change
             the metadata blob's bytes.
+        since: an earlier walk of the same state with ``offload_to_cpu``
+            False, or its :meth:`Decomposition.tracking` (a delta save's
+            base): the result's ``changed`` lists
+            every tensor that is not clean since it.  A tensor is clean
+            when its byte view is the same object as then, its write stamp
+            has not moved, and no writable view of it is alive now or was
+            then.
     """
     names = [] if dtype_names is None else dtype_names
     non_tensor_kv: dict[Path, object] = {}
     rows: list[Row] = []
     views: list[np.ndarray] = []
+    stamps: list[int] = []
+    changed: list[tuple[int, np.ndarray]] | None = None
+    if since is not None:
+        changed, base_views, base_stamps = [], since.tensor_data, since.write_stamps
+        base_count = len(base_views)
     total = 0
+    resized = False
 
     def walk(node: dict, path: Path) -> None:
-        nonlocal total
+        nonlocal total, resized
         for key, value in node.items():
             here = path + (key,)
             if isinstance(value, SimTensor):
-                data = value.data
-                dtype, index = data.dtype, len(rows)
+                dtype, shape, view, stamp = value.walk_entry()
+                index, nbytes = len(rows), view.size
                 if index == len(names):
                     names.append((dtype, str(dtype)))
                 elif names[index][0] is not dtype and names[index][0] != dtype:
                     names[index] = (dtype, str(dtype))
-                rows.append((here, names[index][1], data.shape, data.nbytes))
-                total += data.nbytes
-                view = value.byte_view()
+                rows.append((here, names[index][1], shape, nbytes))
+                stamps.append(stamp)
+                if changed is not None and not (
+                    index < base_count
+                    and view is base_views[index]
+                    and stamp == base_stamps[index] >= 0
+                ):
+                    changed.append((total, view))
+                    resized = resized or (
+                        index >= base_count or base_views[index].size != nbytes
+                    )
+                total += nbytes
                 views.append(view.copy() if offload_to_cpu else view)
             elif isinstance(value, dict):
                 walk(value, here)
@@ -190,7 +226,14 @@ def decompose_state_dict(
 
     walk(state_dict, ())
     del names[len(rows):]
-    return Decomposition(non_tensor_kv, rows, views, total)
+    if changed is not None and (resized or len(rows) != base_count):
+        # Every tensor may have moved: all of them are changed bytes, and
+        # so is what is left of the old payload past the new one.
+        offsets = np.cumsum([0] + [row[3] for row in rows[:-1]]).tolist()
+        changed = list(zip(offsets, views))
+        if since.tensor_bytes > total:
+            changed.append((total, np.zeros(since.tensor_bytes - total, dtype=np.uint8)))
+    return Decomposition(non_tensor_kv, rows, views, total, stamps, changed)
 
 
 def recompose_state_dict(decomposition: Decomposition, device: str = CPU) -> dict:

@@ -54,10 +54,22 @@ def unflatten_state_dict(flat: dict[Path, Any]) -> dict:
 
 
 def tensor_items(state_dict: dict) -> Iterator[tuple[Path, SimTensor]]:
-    """Iterate over ``(path, tensor)`` leaves, in insertion order."""
-    for path, value in flatten_state_dict(state_dict).items():
-        if isinstance(value, SimTensor):
-            yield path, value
+    """Iterate over ``(path, tensor)`` leaves, in insertion order.
+
+    One walk that builds paths for the tensors only: training writes
+    through it every iteration.
+    """
+    out: list[tuple[Path, SimTensor]] = []
+
+    def walk(node: dict, path: Path) -> None:
+        for key, value in node.items():
+            if isinstance(value, SimTensor):
+                out.append((path + (key,), value))
+            elif isinstance(value, dict):
+                walk(value, path + (key,))
+
+    walk(state_dict, ())
+    return iter(out)
 
 
 def total_tensor_bytes(state_dict: dict) -> int:

@@ -9,7 +9,7 @@ checkpointing step 1 is an explicit operation with an observable byte count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import weakref
 
 import numpy as np
 
@@ -20,38 +20,70 @@ CPU = "cpu"
 _DEVICES = (GPU, CPU)
 
 
-@dataclass
 class SimTensor:
     """A contiguous tensor living on a simulated device.
 
+    ``data`` and :meth:`byte_view` are read-only.  Bytes are written only
+    through :meth:`writable_view`, which counts the write: a delta save
+    (:mod:`repro.core.incremental`) re-reads only tensors whose storage or
+    count moved since its base, or that a writable view may still change.
+
     Attributes:
-        data: the backing numpy array (always kept C-contiguous).
+        data: the backing numpy array (always C-contiguous), read-only;
+            assigning it swaps the storage.
         device: ``"gpu"`` or ``"cpu"``.
     """
 
-    data: np.ndarray
-    device: str = GPU
-    #: ``(data, its flat uint8 view)`` as :meth:`byte_view` last built it.
-    _bytes: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    # A restore builds one per tensor and training writes every one per
+    # iteration: slots keep both cheap.
+    __slots__ = (
+        "device", "_store", "_bytes", "_writes", "_writer", "_others"
+    )
+    #: The C-contiguous storage that :meth:`writable_view` views.
+    _store: np.ndarray
+    #: The read-only flat uint8 view :meth:`byte_view` returns, built on
+    #: first use.
+    _bytes: np.ndarray | None
+    #: Writable views handed out so far; a weak reference to the latest,
+    #: and to any earlier ones still alive when a later one was taken.
+    _writes: int
+    _writer: weakref.ref | None
+    _others: tuple[weakref.ref, ...]
 
-    def __post_init__(self) -> None:
-        if self.device not in _DEVICES:
-            raise ReproError(f"unknown device {self.device!r}; use 'gpu' or 'cpu'")
-        self.data = np.ascontiguousarray(self.data)
+    def __init__(self, data: np.ndarray, device: str = GPU) -> None:
+        if device not in _DEVICES:
+            raise ReproError(f"unknown device {device!r}; use 'gpu' or 'cpu'")
+        self.device = device
+        self._writes = 0
+        self._writer = None
+        self._others = ()
+        self._store = np.ascontiguousarray(data)
+        self._bytes = None
+
+    @property
+    def data(self) -> np.ndarray:
+        view = self._store.view()
+        view.setflags(write=False)
+        return view
+
+    @data.setter
+    def data(self, value: np.ndarray) -> None:
+        self._store = np.ascontiguousarray(value)
+        self._bytes = None
 
     # ------------------------------------------------------------------
     @property
     def nbytes(self) -> int:
         """Size of the tensor's storage in bytes."""
-        return self.data.nbytes
+        return self._store.nbytes
 
     @property
     def shape(self) -> tuple[int, ...]:
-        return self.data.shape
+        return self._store.shape
 
     @property
     def dtype(self) -> np.dtype:
-        return self.data.dtype
+        return self._store.dtype
 
     def to(self, device: str) -> "SimTensor":
         """Copy the tensor to another device (a new SimTensor).
@@ -61,21 +93,70 @@ class SimTensor:
         """
         if device not in _DEVICES:
             raise ReproError(f"unknown device {device!r}")
-        return SimTensor(self.data.copy(), device=device)
+        return SimTensor(self._store.copy(), device=device)
 
     def byte_view(self) -> np.ndarray:
-        """Flat uint8 view of the tensor's contiguous storage (no copy), kept
-        while ``data`` is the same array object: it sees every in-place write."""
-        cached = self._bytes
-        if cached is not None and cached[0] is self.data:
-            return cached[1]
-        view = self.data.reshape(-1).view(np.uint8)
-        self._bytes = (self.data, view)
+        """Flat read-only uint8 view of the tensor's storage (no copy), the
+        same object while ``data`` is the same storage."""
+        view = self._bytes
+        if view is None:
+            view = self._bytes = self._store.reshape(-1).view(np.uint8)
+            view.setflags(write=False)
         return view
 
+    def writable_view(self) -> np.ndarray:
+        """A fresh, writable flat uint8 view of the storage: the one way to
+        write the tensor's bytes.
+
+        Taking it counts as a write, and the tensor counts as written for
+        as long as the view, or any view numpy derives from it, is alive.
+        """
+        # An array over a memoryview stays the base of every view sliced
+        # from it (numpy collapses bases only through arrays), so none
+        # outlives it unseen.
+        view = np.frombuffer(memoryview(self._store), np.uint8)
+        self._writes += 1
+        writer = self._writer
+        if writer is not None and writer() is not None:
+            self._others = (*self._others, writer)  # two alive at once: rare
+        self._writer = weakref.ref(view)
+        return view
+
+    def _writer_alive(self) -> bool:
+        """Whether a writable view of this tensor may still be alive; drops
+        the references to views that are not."""
+        writer = self._writer
+        if writer is not None:
+            if writer() is not None:
+                return True
+            self._writer = None
+        if self._others:
+            self._others = tuple(ref for ref in self._others if ref() is not None)
+        return bool(self._others)
+
+    def write_stamp(self) -> int:
+        """How many writable views were taken so far, or -1 while one is alive."""
+        return -1 if self._writer_alive() else self._writes
+
+    def walk_entry(self) -> tuple[np.dtype, tuple[int, ...], np.ndarray, int]:
+        """``(dtype, shape, byte_view(), write_stamp())`` in one call: what
+        step 1's walk reads of every tensor on every save."""
+        store, view = self._store, self._bytes
+        if view is None:
+            view = self.byte_view()
+        writer = self._writer  # write_stamp(), inline for the common cases
+        if writer is not None and writer() is None:
+            writer = self._writer = None
+        if writer is None and not self._others:
+            return store.dtype, store.shape, view, self._writes
+        return store.dtype, store.shape, view, self.write_stamp()
+
     def __getstate__(self) -> dict:
-        # A clone has its own ``data``; a carried view would not be of it.
-        return {**self.__dict__, "_bytes": None}
+        # A clone owns a copy of the storage; views and weakrefs stay behind.
+        return {"data": self._store, "device": self.device}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__init__(state["data"], state["device"])
 
     @classmethod
     def from_bytes(

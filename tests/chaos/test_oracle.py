@@ -146,6 +146,20 @@ def test_remote_engines_have_no_in_memory_redundancy_to_check(name):
     assert invariants.check_redundancy(engine, engine.version, False) == []
 
 
+def test_check_restored_states_names_every_worker_it_cannot_judge():
+    job, _, _ = make_setup("eccheck", interval=1)
+    reference = job.snapshot_states()
+    assert invariants.check_restored_states(job, reference) == []
+    del reference[3]
+    job.state_dicts[5] = None
+    job.state_of(6)["iteration"] += 1
+    assert invariants.check_restored_states(job, reference) == [
+        "worker 3 has no reference state",
+        "worker 5 has no state after recovery",
+        "worker 6 state differs from the checkpointed bytes",
+    ]
+
+
 def test_oracle_refuses_an_engine_it_has_no_rule_for():
     _, engine, _ = make_setup("eccheck", interval=1)
     engine.name = "unknown"

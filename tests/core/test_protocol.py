@@ -507,7 +507,7 @@ def test_packetise_copies_views_once_and_zeroes_only_the_tail():
     assert not wc.packet.payload[reference.nbytes :].any()
     assert wc.metadata_blob == decompose_state_dict(state).metadata_blob()
     # The packet owns its bytes: later training does not reach into it.
-    state["model"]["w"].byte_view()[:] ^= 0xFF
+    state["model"]["w"].writable_view()[:] ^= 0xFF
     assert np.array_equal(wc.packet.payload[: reference.nbytes], reference)
 
 

@@ -164,7 +164,7 @@ def test_no_buffer_is_shared_between_owners():
 def assert_owners_disjoint(job, buffers):
     """Flip a byte in every buffer in turn: nothing else anywhere may move."""
     job_views = [
-        t.byte_view() for w in range(job.world_size) for _, t in tensor_items(job.state_of(w))
+        t.writable_view() for w in range(job.world_size) for _, t in tensor_items(job.state_of(w))
     ]
     assert all(len(arrays) >= 8 for arrays in buffers.values())
     flat = [(name, key, a) for name, arrays in buffers.items() for key, a in arrays.items()]

@@ -89,14 +89,6 @@ def test_checkpoint_size_matches_paper_345m_measurement():
     assert 5.0 < gib < 8.0  # 18 B/param on ~355M params ~= 6 GiB
 
 
-def test_shard_bytes_divides_evenly():
-    size_model = CheckpointSizeModel()
-    cfg = get_model_config("gpt2-1.6B")
-    assert size_model.shard_bytes(cfg, 16) == size_model.checkpoint_bytes(cfg) // 16
-    with pytest.raises(ReproError):
-        size_model.shard_bytes(cfg, 0)
-
-
 def test_zoo_names_are_consistent():
     for name, cfg in MODEL_ZOO.items():
         assert cfg.name == name

@@ -146,7 +146,7 @@ def test_traced_runner_end_to_end(tmp_path):
 
 
 def test_delta_save_is_attributed_to_the_three_step_spans():
-    """A delta save runs under the full save's step spans: the flatten in
+    """A delta save runs under the full save's step spans: the walk in
     step 1, every patched chunk in step 3, the commit record in step 2 —
     costed on completion only, so a delta torn mid-P2P reconciles too."""
     job, engine = _build()
@@ -162,7 +162,7 @@ def test_delta_save_is_attributed_to_the_three_step_spans():
         return wrapped
 
     put = engine.host.put
-    engine._decompose_workers = spy("flatten", engine._decompose_workers)
+    engine._walk_workers = spy("walk", engine._walk_workers)
     engine.host.put = lambda node, key, value: spy(key[0], put)(node, key, value)
     reports = []
     with obs.use_tracer() as tracer:
@@ -177,7 +177,7 @@ def test_delta_save_is_attributed_to_the_three_step_spans():
                     engine.save_incremental()
                 engine.crash_injector = None
     assert where == {
-        "flatten": {"eccheck.save.step1"},
+        "walk": {"eccheck.save.step1"},
         "chunk": {"eccheck.save.step3"},
         "digest": {"eccheck.save.step3"},
         "meta": {"eccheck.save.step2"},

@@ -7,6 +7,11 @@ from repro.parallel.strategy import ParallelismSpec, RankCoords
 from repro.parallel.topology import ClusterSpec
 
 
+def worker_of(spec: ParallelismSpec, coords: RankCoords) -> int:
+    """The inverse of ``coords_of``: TP varies fastest, then PP."""
+    return coords.tp_rank + coords.pp_rank * spec.tensor_parallel
+
+
 def test_world_size_is_product():
     spec = ParallelismSpec(tensor_parallel=4, pipeline_parallel=4)
     assert spec.world_size == 16
@@ -15,7 +20,7 @@ def test_world_size_is_product():
 def test_coords_round_trip():
     spec = ParallelismSpec(tensor_parallel=2, pipeline_parallel=3)
     for worker in range(spec.world_size):
-        assert spec.worker_of(spec.coords_of(worker)) == worker
+        assert worker_of(spec, spec.coords_of(worker)) == worker
 
 
 def test_tp_varies_fastest():
@@ -33,7 +38,7 @@ def test_paper_testbed_tp_groups_on_one_node():
     for worker in range(16):
         c = spec.coords_of(worker)
         group = [
-            spec.worker_of(RankCoords(tp, c.pp_rank))
+            worker_of(spec, RankCoords(tp, c.pp_rank))
             for tp in range(spec.tensor_parallel)
         ]
         nodes = {cluster.node_of(w) for w in group}
@@ -42,7 +47,7 @@ def test_paper_testbed_tp_groups_on_one_node():
 
 def test_pp_group_spans_stages():
     spec = ParallelismSpec(tensor_parallel=4, pipeline_parallel=4)
-    stages = [spec.worker_of(RankCoords(0, pp)) for pp in range(4)]
+    stages = [worker_of(spec, RankCoords(0, pp)) for pp in range(4)]
     assert stages == [0, 4, 8, 12]
 
 

@@ -22,7 +22,12 @@ from repro.tensors.serialization import (
     recompose_state_dict,
     serialize_state_dict,
 )
-from repro.tensors.state_dict import flatten_state_dict, state_dicts_equal, total_tensor_bytes
+from repro.tensors.state_dict import (
+    flatten_state_dict,
+    state_dicts_equal,
+    tensor_items,
+    total_tensor_bytes,
+)
 from repro.tensors.tensor import CPU, GPU, SimTensor
 
 
@@ -127,10 +132,48 @@ def test_decompose_offload_copies_bytes(sd):
 
 def test_decompose_zero_copy_mode_views(sd):
     dec = decompose_state_dict(sd, offload_to_cpu=False)
-    dec.tensor_data[0][0] ^= 0xFF
     first_tensor = next(iter(sd["model"].values()))
-    # Zero-copy mode shares storage with the tensor.
+    first_tensor.writable_view()[0] ^= 0xFF
+    # Zero-copy mode shares storage with the tensor, and cannot write it.
     assert dec.tensor_data[0][0] == first_tensor.byte_view()[0]
+    with pytest.raises(ValueError, match="read-only"):
+        dec.tensor_data[0][0] = 1
+
+
+def changed_offsets(sd, base):
+    walk = decompose_state_dict(sd, offload_to_cpu=False, since=base)
+    return [(offset, piece.size) for offset, piece in walk.changed], walk
+
+
+def test_a_walk_since_a_base_names_exactly_the_unclean_tensors(sd):
+    tensors = [t for _, t in tensor_items(sd)]
+    offsets = np.cumsum([0] + [t.nbytes for t in tensors]).tolist()
+    base = decompose_state_dict(sd, offload_to_cpu=False)
+    assert base.changed is None and base.write_stamps == [0] * len(tensors)
+    assert changed_offsets(sd, base)[0] == []
+    tensors[1].writable_view()[0] ^= 0  # a write that changes no byte still counts
+    held = tensors[3].writable_view()  # alive: dirty now and at the next walk
+    changed, walk = changed_offsets(sd, base)
+    assert changed == [(offsets[i], tensors[i].nbytes) for i in (1, 3)]
+    assert walk.write_stamps[1] == 1 and walk.write_stamps[3] == -1
+    del held
+    assert changed_offsets(sd, walk)[0] == [(offsets[3], tensors[3].nbytes)]
+    tensors[0].data = tensors[0].data.copy()  # new storage, same layout
+    assert changed_offsets(sd, base)[0] == [(offsets[i], tensors[i].nbytes) for i in (0, 1, 3)]
+
+
+def test_a_walk_since_a_base_of_another_layout_changes_everything(sd):
+    base = decompose_state_dict(sd, offload_to_cpu=False)
+    first = next(t for _, t in tensor_items(sd))
+    first.data = first.data.reshape(-1)[:-1].copy()  # the payload shrinks
+    changed, walk = changed_offsets(sd, base)
+    sizes = [t.nbytes for _, t in tensor_items(sd)]
+    offsets = np.cumsum([0] + sizes).tolist()
+    tail = (walk.tensor_bytes, base.tensor_bytes - walk.tensor_bytes)
+    assert changed == [*zip(offsets[:-1], sizes), tail]
+    assert not walk.changed[-1][1].any()  # the old tail is padding now
+    sd["model"]["extra"] = SimTensor(np.zeros(0, dtype=np.float32))  # one more row
+    assert len(changed_offsets(sd, walk)[0]) == len(sizes) + 1
 
 
 def test_empty_state_dict_decomposes():

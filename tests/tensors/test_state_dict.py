@@ -75,7 +75,7 @@ def test_total_tensor_bytes(sample):
 def test_equality_detects_tensor_change(sample):
     other = map_tensors(sample, lambda t: t.to(t.device))  # deep copy
     assert state_dicts_equal(sample, other)
-    other["model"]["layer.weight"].data[0, 0] = 5.0
+    other["model"]["layer.weight"].writable_view().view(np.float32)[0] = 5.0
     assert not state_dicts_equal(sample, other)
 
 

@@ -1,6 +1,7 @@
 """Tests for SimTensor."""
 
 import copy
+import gc
 import pickle
 
 import numpy as np
@@ -28,8 +29,8 @@ def test_to_copies_storage():
     host = t.to(CPU)
     assert host.device == CPU
     assert np.array_equal(host.data, t.data)
-    host.data[0] = 99
-    assert t.data[0] == 0  # deep copy
+    host.writable_view().view(np.float32)[0] = 99
+    assert host.data[0] == 99 and t.data[0] == 0  # deep copy
 
 
 def test_nbytes_and_shape():
@@ -43,8 +44,43 @@ def test_byte_view_is_zero_copy():
     t = SimTensor(np.arange(4, dtype=np.uint32))
     view = t.byte_view()
     assert view.nbytes == 16
-    view[0] = 77
-    assert t.data[0] == 77
+    t.writable_view()[0] = 77
+    assert view[0] == 77 and t.data[0] == 77
+
+
+def test_data_and_byte_view_refuse_writes():
+    t = SimTensor(np.arange(4, dtype=np.uint32))
+    with pytest.raises(ValueError, match="read-only"):
+        t.data[0] = 1
+    with pytest.raises(ValueError, match="read-only"):
+        t.byte_view()[0] = 1
+    with pytest.raises(ValueError, match="read-only"):
+        t.data.reshape(2, 2)[0, 0] = 1  # nor through a view numpy derives
+    assert t.write_stamp() == 0 and t.data.tolist() == [0, 1, 2, 3]
+
+
+def test_a_writable_view_counts_while_it_or_a_view_of_it_lives():
+    t = SimTensor(np.arange(4, dtype=np.uint32))
+    view = t.writable_view()
+    assert view is not t.writable_view()  # never cached
+    assert t.write_stamp() == -1
+    part = view[4:8]  # numpy would collapse a plain view's base to the storage
+    del view
+    gc.collect()
+    assert t.write_stamp() == -1
+    part[:] = 0xFF
+    del part
+    gc.collect()
+    assert t.write_stamp() == 2  # two views taken, none alive
+    assert t.data[1] == 0xFFFFFFFF
+
+
+def test_a_zero_size_tensor_hands_out_an_empty_writable_view():
+    t = SimTensor(np.zeros((0, 3), dtype=np.float32))
+    view = t.writable_view()
+    assert view.size == 0 and view.flags.writeable
+    del view
+    assert t.write_stamp() == 1
 
 
 def test_from_bytes_round_trip():
@@ -90,7 +126,7 @@ def test_byte_view_is_kept_while_data_is_the_same_array():
     decompose_state_dict({"t": t}, offload_to_cpu=False)
     decompose_state_dict({"t": t}, offload_to_cpu=False)
     assert t.byte_view() is first
-    t.data[1] = 5.0  # an in-place write is seen through the kept view
+    t.writable_view().view(np.float32)[1] = 5.0  # seen through the kept view
     assert np.array_equal(first.view(np.float32), t.data)
 
 
@@ -100,8 +136,8 @@ def test_reassigned_data_gets_a_fresh_view():
     t.data = np.zeros(3, dtype=np.float64)
     view = t.byte_view()
     assert view is not stale and view.nbytes == 24
-    view[0] = 1
-    assert t.data.view(np.uint8)[0] == 1
+    t.writable_view()[0] = 1
+    assert view[0] == 1 and t.data.view(np.uint8)[0] == 1
 
 
 @pytest.mark.parametrize(
@@ -114,7 +150,10 @@ def test_a_clone_never_carries_the_original_s_view(clone):
     writes through it would reach neither array."""
     t = SimTensor(np.arange(4, dtype=np.uint32))
     t.byte_view()
+    keep = t.writable_view()  # a weakref cannot be pickled: it stays behind
     twin = clone(t)
-    twin.byte_view()[0] = 77
+    assert twin.write_stamp() == 0 and twin.byte_view() is not t.byte_view()
+    twin.writable_view()[0] = 77
+    del keep
     assert twin.data[0] == 77 and t.data[0] == 0
     assert twin.equal(SimTensor(np.array([77, 1, 2, 3], dtype=np.uint32)))
