@@ -454,4 +454,12 @@ def _down(outcome: str, exc: Exception, expectation: Expectation) -> Recovery:
     found = [
         f"{v}: {type(exc).__name__}: {exc}" for v in judge(expectation, outcome)
     ]
+    # The Recovery keeps the exception, not its tracebacks: their frames
+    # reach back to the episode's frame, which holds the Recovery, and
+    # that cycle would keep the episode's whole testbed alive until the
+    # cyclic collector runs.
+    chained: BaseException | None = exc
+    while chained is not None and chained.__traceback__ is not None:
+        chained.__traceback__ = None
+        chained = chained.__cause__ or chained.__context__
     return Recovery(outcome, error=exc, violations=found, fatal=True)

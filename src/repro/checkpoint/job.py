@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.errors import CheckpointError, ShardingError
 from repro.models.config import CheckpointSizeModel, ModelConfig, get_model_config
 from repro.models.factory import build_worker_state_dict
@@ -25,7 +27,7 @@ from repro.parallel.sharding import ShardSpec, shard_model
 from repro.parallel.strategy import ParallelismSpec
 from repro.parallel.topology import ClusterSpec
 from repro.sim.network import TimeModel
-from repro.tensors.state_dict import map_tensors
+from repro.tensors.state_dict import map_tensors, tensor_items
 
 
 @dataclass
@@ -169,19 +171,15 @@ class TrainingJob:
             raise CheckpointError(
                 f"dirty_tensor_fraction must be in (0, 1], got {dirty_tensor_fraction}"
             )
-        from repro.tensors.state_dict import tensor_items
-
         self.iteration += iterations
         for worker, state in self.state_dicts.items():
             if state is None:
                 continue
-            delta = (self.iteration * 131 + worker * 17) % 251 + 1
+            delta = np.uint8((self.iteration * 131 + worker * 17) % 251 + 1)
             tensors = [t for _, t in tensor_items(state)]
             dirty_count = max(1, round(dirty_tensor_fraction * len(tensors)))
             for tensor in tensors[:dirty_count]:
-                view = tensor.writable_view()
-                stride = max(1, view.size // 64)
-                view[::stride] ^= delta
+                tensor.xor_every(max(1, tensor.nbytes // 64), delta)
             state["iteration"] = self.iteration
             state["optimizer"]["step"] = self.iteration
 

@@ -318,11 +318,15 @@ def run_fleet_episode(
     """One seeded fleet episode over ``jobs`` tenants.
 
     The cyclic garbage collector is paused for the duration of the
-    episode: the save path is allocation-heavy (every checkpoint copies
-    hundreds of shard arrays) and generational scans grow with the live
-    heap, so at fleet concurrency GC inflates per-save wall clock ~20%.
-    Episode teardown frees tenants deterministically (``release()``), so
-    one collect at exit reclaims the cycles.
+    episode, and one collect at exit reclaims whatever cycles are left
+    (teardown frees tenants deterministically, ``release()``).  The hot
+    paths allocate without cycles, so that collect finds nothing, and the
+    pause only saves the collector's scans of the live heap: over four
+    8-job episodes on a 2-vCPU host, 83.4 vs 77.9 and 100.3 vs 99.2
+    events/s paused vs running.  While every tensor walk was a closure
+    cycle, 0.65-0.90 M objects of cyclic garbage piled up per episode
+    under the pause, and the paused episodes read 3-14 % slower than
+    running ones (58.2 vs 60.2, 68.6 vs 78.2 events/s).
     """
     jobs = config.jobs if jobs is None else jobs
     rng = np.random.default_rng([config.seed, episode])

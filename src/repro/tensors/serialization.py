@@ -44,15 +44,20 @@ ROTTEN_PICKLE = (
 # ---------------------------------------------------------------------------
 def serialize_state_dict(state_dict: dict) -> bytes:
     """Serialize a whole state dict (tensors included) into one blob."""
-    flat = flatten_state_dict(state_dict)
     portable: dict[Path, object] = {}
-    for path, value in flat.items():
+    # str(dtype) costs microseconds, so it runs once per dtype.  Each row
+    # still gets its own copy of the name, as str() per tensor gave it:
+    # pickle memoises by identity, and a blob's length is read (the fleet
+    # timeline's ``remote_bytes`` series sums the remote store).
+    names: dict[np.dtype, str] = {}
+    for path, value in flatten_state_dict(state_dict).items():
         if isinstance(value, SimTensor):
+            dtype = value.dtype
+            name = names.get(dtype)
+            if name is None:
+                name = names[dtype] = str(dtype)
             portable[path] = (
-                "__tensor__",
-                str(value.dtype),
-                value.shape,
-                value.byte_view().tobytes(),
+                "__tensor__", name.encode().decode(), value.shape, value.byte_view().tobytes()
             )
         else:
             portable[path] = ("__value__", value)
@@ -194,10 +199,13 @@ def decompose_state_dict(
         base_count = len(base_views)
     total = 0
     resized = False
-
-    def walk(node: dict, path: Path) -> None:
-        nonlocal total, resized
-        for key, value in node.items():
+    # Depth first in insertion order, with an explicit stack of the open
+    # dicts' item iterators: a nested function that called itself would be
+    # a reference cycle holding every row until the cyclic collector runs.
+    stack = [(iter(state_dict.items()), ())]
+    while stack:
+        items, path = stack[-1]
+        for key, value in items:
             here = path + (key,)
             if isinstance(value, SimTensor):
                 dtype, shape, view, stamp = value.walk_entry()
@@ -220,11 +228,12 @@ def decompose_state_dict(
                 total += nbytes
                 views.append(view.copy() if offload_to_cpu else view)
             elif isinstance(value, dict):
-                walk(value, here)
+                stack.append((iter(value.items()), here))
+                break  # walk the child first; this dict's iterator resumes after it
             else:
                 non_tensor_kv[here] = value
-
-    walk(state_dict, ())
+        else:
+            stack.pop()
     del names[len(rows):]
     if changed is not None and (resized or len(rows) != base_count):
         # Every tensor may have moved: all of them are changed bytes, and

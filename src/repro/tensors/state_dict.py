@@ -23,16 +23,19 @@ def flatten_state_dict(state_dict: dict) -> dict[Path, Any]:
     on (tensor order must match between encode and decode).
     """
     out: dict[Path, Any] = {}
-
-    def recurse(node: Any, path: Path) -> None:
-        if isinstance(node, dict):
-            for key, value in node.items():
-                recurse(value, path + (key,))
-        else:
-            out[path] = node
-
-    recurse(state_dict, ())
+    _flatten_into(out, state_dict, ())
     return out
+
+
+# The walks recurse through module-level functions: a nested function that
+# calls itself is a reference cycle (function -> closure cell -> function)
+# holding everything it built until the cyclic collector runs.
+def _flatten_into(out: dict[Path, Any], node: dict, path: Path) -> None:
+    for key, value in node.items():
+        if isinstance(value, dict):
+            _flatten_into(out, value, path + (key,))
+        else:
+            out[path + (key,)] = value
 
 
 def unflatten_state_dict(flat: dict[Path, Any]) -> dict:
@@ -60,16 +63,18 @@ def tensor_items(state_dict: dict) -> Iterator[tuple[Path, SimTensor]]:
     through it every iteration.
     """
     out: list[tuple[Path, SimTensor]] = []
-
-    def walk(node: dict, path: Path) -> None:
-        for key, value in node.items():
-            if isinstance(value, SimTensor):
-                out.append((path + (key,), value))
-            elif isinstance(value, dict):
-                walk(value, path + (key,))
-
-    walk(state_dict, ())
+    _tensor_items_into(out, state_dict, ())
     return iter(out)
+
+
+def _tensor_items_into(
+    out: list[tuple[Path, SimTensor]], node: dict, path: Path
+) -> None:
+    for key, value in node.items():
+        if isinstance(value, SimTensor):
+            out.append((path + (key,), value))
+        elif isinstance(value, dict):
+            _tensor_items_into(out, value, path + (key,))
 
 
 def total_tensor_bytes(state_dict: dict) -> int:
@@ -100,11 +105,17 @@ def state_dicts_equal(a: dict, b: dict) -> bool:
 
 
 def map_tensors(state_dict: dict, fn) -> dict:
-    """Return a copy of the state dict with ``fn`` applied to each tensor."""
-    flat = flatten_state_dict(state_dict)
-    return unflatten_state_dict(
-        {
-            path: fn(value) if isinstance(value, SimTensor) else value
-            for path, value in flat.items()
-        }
-    )
+    """Return a copy of the state dict with ``fn`` applied to each tensor.
+
+    One walk: every dict is copied in its key order; a leaf that is not a
+    tensor is shared, not copied.
+    """
+    out = {}
+    for key, value in state_dict.items():
+        if isinstance(value, SimTensor):
+            out[key] = fn(value)
+        elif isinstance(value, dict):
+            out[key] = map_tensors(value, fn)
+        else:
+            out[key] = value
+    return out

@@ -24,9 +24,10 @@ class SimTensor:
     """A contiguous tensor living on a simulated device.
 
     ``data`` and :meth:`byte_view` are read-only.  Bytes are written only
-    through :meth:`writable_view`, which counts the write: a delta save
-    (:mod:`repro.core.incremental`) re-reads only tensors whose storage or
-    count moved since its base, or that a writable view may still change.
+    through :meth:`writable_view` or :meth:`xor_every`, which count the
+    write: a delta save (:mod:`repro.core.incremental`) re-reads only
+    tensors whose storage or count moved since its base, or that a
+    writable view may still change.
 
     Attributes:
         data: the backing numpy array (always C-contiguous), read-only;
@@ -44,8 +45,9 @@ class SimTensor:
     #: The read-only flat uint8 view :meth:`byte_view` returns, built on
     #: first use.
     _bytes: np.ndarray | None
-    #: Writable views handed out so far; a weak reference to the latest,
-    #: and to any earlier ones still alive when a later one was taken.
+    #: Counted writes so far (writable views and in-place writes); a weak
+    #: reference to the latest writable view, and to any earlier ones still
+    #: alive when a later one was taken.
     _writes: int
     _writer: weakref.ref | None
     _others: tuple[weakref.ref, ...]
@@ -122,6 +124,20 @@ class SimTensor:
         self._writer = weakref.ref(view)
         return view
 
+    def xor_every(self, step: int, value: np.uint8) -> None:
+        """XOR ``value`` into every ``step``-th byte of the storage, in place.
+
+        A counted write: the write count moves as taking a
+        :meth:`writable_view` moves it, and no view outlives the call
+        (training writes every tensor this way each iteration).
+        """
+        store = self._store
+        count = -(-store.nbytes // step)
+        # One strided array straight over the storage's buffer.
+        strided = np.ndarray((count,), np.uint8, store, 0, (step,))
+        np.bitwise_xor(strided, value, out=strided)
+        self._writes += 1
+
     def _writer_alive(self) -> bool:
         """Whether a writable view of this tensor may still be alive; drops
         the references to views that are not."""
@@ -135,7 +151,7 @@ class SimTensor:
         return bool(self._others)
 
     def write_stamp(self) -> int:
-        """How many writable views were taken so far, or -1 while one is alive."""
+        """How many counted writes so far, or -1 while a writable view is alive."""
         return -1 if self._writer_alive() else self._writes
 
     def walk_entry(self) -> tuple[np.dtype, tuple[int, ...], np.ndarray, int]:

@@ -213,10 +213,14 @@ def test_clean_tensors_are_not_read(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# The property: random writes, every save equal to a full compare
+# The property: random writes, every save equal to a full compare; writes
+# go through writable views (some held across a save) and through the
+# counted in-place writer, interleaved
 # ---------------------------------------------------------------------------
 WRITE = st.tuples(
-    st.sampled_from(["xor", "same", "hold", "swap", "reassign", "resize", "insert_empty"]),
+    st.sampled_from(
+        ["xor", "same", "hold", "inplace", "swap", "reassign", "resize", "insert_empty"]
+    ),
     st.integers(0, 7),  # worker
     st.integers(0, 10**6),  # tensor pick
     st.integers(0, 10**6),  # byte pick
@@ -237,6 +241,9 @@ def apply_write(job, op, held):
     if kind == "resize":  # a layout change: a tensor shrinks
         if tensor.nbytes > 8:
             tensor.data = tensor.data.reshape(-1)[: tensor.data.size // 2].copy()
+        return
+    if kind == "inplace":  # training's counted in-place write, any stride
+        tensor.xor_every(1 + byte % max(1, tensor.nbytes), np.uint8(value))
         return
     if not tensor.nbytes:
         tensor.writable_view()  # a write of nothing

@@ -50,6 +50,18 @@ def test_deserialized_tensors_on_cpu(sd):
     assert all(t.device == CPU for _, t in tensor_items(restored))
 
 
+def test_full_serialization_pickles_a_name_per_tensor(sd):
+    """The blob is what pickling one ``str(dtype)`` per tensor gives, byte
+    for byte: the fleet timeline reads remote blob sizes."""
+    portable = {
+        path: ("__tensor__", str(value.dtype), value.shape, value.byte_view().tobytes())
+        if isinstance(value, SimTensor)
+        else ("__value__", value)
+        for path, value in flatten_state_dict(sd).items()
+    }
+    assert serialize_state_dict(sd) == pickle.dumps(portable, protocol=pickle.HIGHEST_PROTOCOL)
+
+
 def test_serialization_adds_overhead_to_tensor_bytes(sd):
     # Serialization adds structure overhead on top of the raw tensor bytes.
     assert len(serialize_state_dict(sd)) > total_tensor_bytes(sd)

@@ -83,6 +83,39 @@ def test_a_zero_size_tensor_hands_out_an_empty_writable_view():
     assert t.write_stamp() == 1
 
 
+@pytest.mark.parametrize("shape", [(0, 3), (5,), (7, 33), (1000,)])
+@pytest.mark.parametrize("step", [1, 3, 64])
+def test_xor_every_writes_and_counts_as_a_writable_view_does(shape, step):
+    size = int(np.prod(shape))
+    t = SimTensor(np.arange(size, dtype=np.float16).reshape(shape))
+    twin = SimTensor(t.data.copy())
+    view = twin.writable_view()
+    view[::step] ^= 0xA5
+    del view
+    byte_view = t.byte_view()
+    t.xor_every(step, np.uint8(0xA5))
+    assert t.equal(twin)
+    assert t.write_stamp() == twin.write_stamp() == 1  # no view left alive
+    assert t.byte_view() is byte_view  # same storage, same cached view
+
+
+def test_xor_every_keeps_a_live_writable_view_dirty():
+    t = SimTensor(np.zeros(8, dtype=np.uint8))
+    view = t.writable_view()
+    t.xor_every(2, np.uint8(1))
+    assert t.write_stamp() == -1
+    del view
+    assert t.write_stamp() == 2
+
+
+def test_xor_every_refuses_read_only_storage():
+    data = np.zeros(4, dtype=np.uint8)
+    data.setflags(write=False)
+    t = SimTensor(data)
+    with pytest.raises(ValueError, match="read-only"):
+        t.xor_every(1, np.uint8(1))
+
+
 def test_from_bytes_round_trip():
     t = SimTensor(np.arange(12, dtype=np.float32).reshape(3, 4))
     rebuilt = SimTensor.from_bytes(
